@@ -209,7 +209,7 @@ def check_scaling(traj: Trajectory, lam: float, max_rows: int = 128) -> float:
     """
     if not 0.0 < lam < 1.0:
         raise ConfigurationError("lambda must lie in (0, 1)")
-    from .evolve import forcing_coefficients_scaled
+    from .evolve import forcing_coefficients
 
     t_max = math.exp(traj.tau[0])
     admissible = [i for i in range(traj.size)
@@ -221,9 +221,9 @@ def check_scaling(traj: Trajectory, lam: float, max_rows: int = 128) -> float:
         c = traj.coeffs[i]
         H = float(c @ c)
         t_resc = s / lam**2
-        F = forcing_coefficients_scaled(
-            lam * math.sqrt(t_resc), lam**2 * t_resc, c,
-            traj.perturbation, traj.collocation,
+        F = forcing_coefficients(
+            lam**2 * t_resc, c, traj.perturbation, traj.collocation,
+            x_scale=lam * math.sqrt(t_resc),
         )
         tD_l = float(traj.basis.gammas @ (c * c)) - t_resc * lam**2 * float(F @ c)
         N_l = tD_l / H

@@ -152,6 +152,8 @@ def cmd_simulate(cfg, outdir) -> int:
             "diagnostics": report,
             "truncation_ratio": traj.truncation_ratio(),
             "collocation_gram_residual": traj.collocation.gram_residual,
+            "halving_error": traj.metadata.get("halving_error"),
+            "halving_tol": traj.metadata.get("halving_tol"),
         },
         meta,
     )

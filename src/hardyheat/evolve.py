@@ -37,14 +37,15 @@ class PerturbationSpec:
 
     kinds: 'none'; 'linear' with f = h(x,t) s and the admissibility bound
     |h| <= C_h (1 + |x|^{-2+eps_h}); 'semilinear' with f = eps |s|^{p-1} s,
-    1 < p < 2N/(N-2).
+    1 < p < (N+2)/(N-2).  A radial linear h = h_radial(|x|, t) also keeps
+    its profile ``h_radial``, which turns its forcing into a K x K matrix.
     """
 
     kind: str
     h: Callable | None = None
+    h_radial: Callable | None = None
     C_h: float = 0.0
     eps_h: float = 1.0
-    h_is_constant: bool = False
     eps: float = 0.0
     p: float = 2.0
     admissibility_checked: bool = False
@@ -62,36 +63,20 @@ class PerturbationSpec:
 
     @staticmethod
     def linear_constant(eps: float, eps_h: float = 1.0) -> "PerturbationSpec":
-        spec = PerturbationSpec(
-            "linear",
-            h=lambda x, t: np.full(len(x), eps),
-            C_h=abs(eps),
-            eps_h=eps_h,
-            h_is_constant=True,
-            eps=eps,
-            admissibility_checked=True,
-            label=f"linear_constant({eps!r})",
-        )
-        return spec
+        return _radial_linear(lambda r, t: np.full(len(r), eps), eps, eps_h,
+                              f"linear_constant({eps!r})")
 
     @staticmethod
     def linear_bounded(eps: float, eps_h: float = 1.0) -> "PerturbationSpec":
-        # h(x, t) = eps / (1 + |x|^2): smooth, bounded, admissible
-        return PerturbationSpec(
-            "linear",
-            h=lambda x, t: eps / (1.0 + np.sum(x * x, axis=-1)),
-            C_h=abs(eps),
-            eps_h=eps_h,
-            eps=eps,
-            admissibility_checked=True,
-            label=f"linear_bounded({eps!r})",
-        )
+        # h = eps / (1 + |x|^2): smooth, bounded, admissible
+        return _radial_linear(lambda r, t: eps / (1.0 + r * r), eps, eps_h,
+                              f"linear_bounded({eps!r})")
 
     @staticmethod
     def semilinear(eps: float, p: float, N: int) -> "PerturbationSpec":
         if not 1.0 < p < 2.0 * N / (N - 2) - 1.0:
             raise ConfigurationError(
-                f"semilinear exponent p={p} outside (1, 2N/(N-2) - 1) for N={N}"
+                f"semilinear exponent p={p} outside (1, (N+2)/(N-2)) for N={N}"
             )
         return PerturbationSpec(
             "semilinear", eps=eps, p=p, admissibility_checked=True,
@@ -121,37 +106,58 @@ class PerturbationSpec:
         return (N + 2 - self.p * (N - 2)) / (2.0 * (self.p + 1))
 
 
+def _radial_linear(profile: Callable, eps: float, eps_h: float, label: str):
+    """Linear spec for h(x, t) = profile(|x|, t); the nodal h derives from it."""
+    return PerturbationSpec(
+        "linear",
+        h=lambda x, t: profile(np.sqrt(np.sum(x * x, axis=-1)), t),
+        h_radial=profile,
+        C_h=abs(eps),
+        eps_h=eps_h,
+        eps=eps,
+        admissibility_checked=True,
+        label=label,
+    )
+
+
+def linear_forcing_matrix(
+    t: float, pert: PerturbationSpec, col: Collocation, x_scale: float | None = None
+) -> np.ndarray:
+    """M with M @ c = <h(x_scale . , t) v, V_tilde_k>_L for a radial h.
+
+    M = (R diag(w_r h(x_scale r, t)) R^T) o A, with R = col.radial_table,
+    w_r the radial weights and A = col.angular_gram: the nodal quadrature
+    summed radius by radius and direction by direction.
+    """
+    if x_scale is None:
+        x_scale = math.sqrt(t)
+    R = col.radial_table
+    hr = np.asarray(pert.h_radial(x_scale * col.rule.radial.nodes_r, t), dtype=float)
+    return ((R * (col.rule.radial_weights * hr)) @ R.T) * col.angular_gram
+
+
 def forcing_coefficients(
-    tau: float, c: np.ndarray, pert: PerturbationSpec, col: Collocation
+    t: float, c: np.ndarray, pert: PerturbationSpec, col: Collocation,
+    x_scale: float | None = None,
 ) -> np.ndarray:
-    """F_k(tau, c) = < f(e^{tau/2} . , e^tau, v), V_tilde_k >_L."""
-    if pert.kind == "none":
-        return np.zeros_like(c)
-    t = math.exp(tau)
-    v = col.reconstruct(c)
-    if pert.kind == "linear":
-        hvals = np.asarray(pert.h(math.sqrt(t) * col.points, t), dtype=float)
-        return col.project(hvals * v)
-    # semilinear: eps |v|^{p-1} v, projected nodewise
-    return pert.eps * col.project(np.abs(v) ** (pert.p - 1.0) * v)
+    """F_k = < f(x_scale . , t, v), V_tilde_k >_L, x_scale = sqrt(t) by default.
 
-
-def forcing_coefficients_scaled(
-    x_scale: float, t_arg: float, c: np.ndarray,
-    pert: PerturbationSpec, col: Collocation,
-) -> np.ndarray:
-    """Forcing projection with explicit argument scaling x_scale, t_arg.
-
-    Used by the scaling-identity check, where the rescaled equation
-    evaluates f at (lambda sqrt(t) x, lambda^2 t) instead of
-    (sqrt(t) x, t); the nodal algebra is otherwise identical.
+    The flow at tau = log t uses the default; the scaling-identity check
+    passes the rescaled (x_scale, t) explicitly.  A radial linear h goes
+    through :func:`linear_forcing_matrix`; any other h and the semilinear
+    term are evaluated at the nodes and projected back.
     """
     if pert.kind == "none":
         return np.zeros_like(c)
+    if x_scale is None:
+        x_scale = math.sqrt(t)
+    if pert.h_radial is not None:
+        return linear_forcing_matrix(t, pert, col, x_scale) @ c
     v = col.reconstruct(c)
     if pert.kind == "linear":
-        hvals = np.asarray(pert.h(x_scale * col.points, t_arg), dtype=float)
+        hvals = np.asarray(pert.h(x_scale * col.points, t), dtype=float)
         return col.project(hvals * v)
+    # semilinear: eps |v|^{p-1} v, projected nodewise
     return pert.eps * col.project(np.abs(v) ** (pert.p - 1.0) * v)
 
 
@@ -169,7 +175,8 @@ def rhs(
         raise ConfigurationError("linear perturbation has not passed check_h_admissible")
     out = basis.gammas * c
     if pert.kind != "none":
-        out = out - math.exp(tau) * forcing_coefficients(tau, c, pert, col)
+        t = math.exp(tau)
+        out = out - t * forcing_coefficients(t, c, pert, col)
     return out
 
 
@@ -285,7 +292,8 @@ def integrate_backward(
     The unperturbed flow uses the exact diagonal propagator; perturbed
     kinds use fixed-step RK4 and must pass the dtau/2 agreement check
     (sup over stored coefficients <= 1e-8), else AccuracyError suggests a
-    smaller step.
+    smaller step; the measured sup and its threshold go into the metadata
+    as ``halving_error`` and ``halving_tol``.
     """
     if dtau <= 0.0 or dtau > DTAU_MAX:
         raise ConfigurationError(f"dtau must lie in (0, {DTAU_MAX}], got {dtau}")
@@ -332,9 +340,11 @@ def integrate_backward(
         coeffs = coeffs2[::2]  # keep the finer march on the coarse grid
     forcing = np.empty_like(coeffs)
     for i, tau in enumerate(taus):
-        forcing[i] = forcing_coefficients(tau, coeffs[i], pert, col)
+        forcing[i] = forcing_coefficients(math.exp(tau), coeffs[i], pert, col)
     traj = Trajectory(basis, col, taus, coeffs, forcing, pert, step,
                       metadata=_metadata(basis, pert, step, tau_min))
+    if verify_halving:
+        traj.metadata.update(halving_error=err, halving_tol=HALVING_TOL)
     ratio = traj.truncation_ratio()
     if ratio > TRUNCATION_FLAG:
         traj.metadata["truncation_flag"] = ratio

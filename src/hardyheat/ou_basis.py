@@ -431,10 +431,18 @@ class Collocation:
     well the shared-node rule reproduces the orthonormality: exact (1e-14)
     for integer singular exponents, algebraic (~1e-6 at n_r = 64) for the
     fractional exponents of anisotropic potentials.
+
+    Each row of Phi is outer(radial_table[k], psi_{j_k}) over (radial node,
+    direction); ``angular_gram[k, l]`` is the angular quadrature of
+    psi_{j_k} psi_{j_l}.  Multiplying by a radial function therefore acts
+    on coefficients as the K x K matrix
+    (radial_table diag(radial_weights g) radial_table^T) o angular_gram.
     """
 
     rule: ProductRule
     Phi: np.ndarray
+    radial_table: np.ndarray
+    angular_gram: np.ndarray
     gram_residual: float = 0.0
     grad_Phi: np.ndarray | None = None
 
@@ -481,10 +489,13 @@ def build_collocation(
     psi = ang.eval_psi_block(spec, rule.angular_dirs)
     r = rule.radial.nodes_r
     K = basis.size
+    radial_table = np.empty((K, n_rad))
     Phi = np.empty((K, n_rad * n_ang))
     for k, mode in enumerate(basis.modes):
-        rad = mode.radial_profile(r) / mode.norm_L
-        Phi[k] = np.outer(rad, psi[mode.j - 1]).ravel()
+        radial_table[k] = mode.radial_profile(r) / mode.norm_L
+        Phi[k] = np.outer(radial_table[k], psi[mode.j - 1]).ravel()
+    psi_k = psi[[mode.j - 1 for mode in basis.modes]]
+    angular_gram = (psi_k * rule.angular_weights) @ psi_k.T
     gram = (Phi * rule.weights) @ Phi.T
     gram_residual = float(np.max(np.abs(gram - np.eye(K))))
     if gram_residual > 1e-4:
@@ -509,4 +520,4 @@ def build_collocation(
                 + fr[:, None, None] * grad_psi[mode.j - 1][None, :, :]
             )
             grad[k] = block.reshape(n_rad * n_ang, spec.N)
-    return Collocation(rule, Phi, gram_residual, grad)
+    return Collocation(rule, Phi, radial_table, angular_gram, gram_residual, grad)

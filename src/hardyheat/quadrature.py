@@ -120,12 +120,6 @@ def laguerre_rule(a_gl: float, n_r: int, prefactor: float = 1.0) -> RadialRule:
     return RadialRule(float(a_gl), nodes, weights, prefactor)
 
 
-def radial_integral(a_gl: float, g, n_r: int) -> float:
-    """int_0^inf s^a_gl e^-s g(s) ds by an n_r-point matched rule."""
-    rule = laguerre_rule(a_gl, n_r)
-    return float(rule.weights @ np.asarray(g(rule.nodes), dtype=float))
-
-
 def _angular_nodes(N: int, n_polar: int, n_az: int):
     """Node directions and weights on S^{N-1}; weights sum to its area.
 
@@ -163,6 +157,9 @@ class ProductRule:
     already include the 2^{N-1} radial Jacobian, so
 
         int f(x) G(x,t) dx  ~=  sum(weights * f(sqrt(t) * points)).
+
+    The weights factor as weights[i * n_ang + a] = radial_weights[i] *
+    angular_weights[a] (up to rounding), radial node i outermost.
     """
 
     N: int
@@ -171,6 +168,7 @@ class ProductRule:
     angular_weights: np.ndarray
     points: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
+    radial_weights: np.ndarray = field(repr=False)
 
     @property
     def node_count(self) -> int:
@@ -236,12 +234,15 @@ def product_rule(
     # The plain-exponent rule absorbs s^{N/2-1}; a shifted-exponent rule
     # needs the residual power made explicit at the nodes.
     power = N / 2.0 - 1.0 - a_gl
-    s_pow = np.repeat(radial.nodes ** power, n_ang) if power != 0.0 else 1.0
-    weights = radial.prefactor * np.repeat(radial.weights, n_ang) * np.tile(aw, n_eff) * s_pow
+    s_pow = radial.nodes ** power if power != 0.0 else np.ones(n_eff)
+    weights = (radial.prefactor * np.repeat(radial.weights, n_ang) * np.tile(aw, n_eff)
+               * np.repeat(s_pow, n_ang))
+    radial_weights = radial.prefactor * radial.weights * s_pow
     points.setflags(write=False)
     weights = np.ascontiguousarray(weights)
     weights.setflags(write=False)
-    rule = ProductRule(N, radial, dirs, aw, points, weights)
+    radial_weights.setflags(write=False)
+    rule = ProductRule(N, radial, dirs, aw, points, weights, radial_weights)
     if a_gl == N / 2.0 - 1.0:
         _check_unit_mass(rule)
     return rule

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -71,10 +72,68 @@ def test_rhs_semilinear_parity(basis0, col0):
     pert = ev.PerturbationSpec.semilinear(0.5, 2.0, 3)
     c = np.zeros(basis0.size)
     c[0] = 1.0
-    F = ev.forcing_coefficients(0.0, c, pert, col0)
+    F = ev.forcing_coefficients(1.0, c, pert, col0)
     odd = [k for k, m in enumerate(basis0.modes) if m.degree % 2 == 1]
     assert np.max(np.abs(F[odd])) < 1e-13
     assert abs(F[0]) > 1e-3
+
+
+def _nodal_forcing(t, c, pert, col):
+    hvals = pert.h(math.sqrt(t) * col.points, t)
+    return col.project(hvals * col.reconstruct(c))
+
+
+@pytest.fixture(scope="module")
+def col_aniso():
+    # configs/anisotropic.ini: fractional radial exponents and mixed
+    # harmonics, where the shared-node rule is not exact
+    from hardyheat import angular as ang
+    from hardyheat.config import RunConfig, parse_potential
+
+    cfg = RunConfig.from_file(
+        os.path.join(os.path.dirname(__file__), "..", "configs", "anisotropic.ini")
+    )
+    spec = ang.solve_angular(parse_potential(cfg), L=cfg.angular_truncation,
+                             K=cfg.angular_count, N=cfg.dimension)
+    basis = ou.enumerate_modes(spec, cfg.gamma_max)
+    return ou.build_collocation(basis, n_r=cfg.radial_nodes)
+
+
+@pytest.mark.parametrize("which", ["a0", "aniso"])
+def test_radial_forcing_matrix_matches_nodal(which, col0, col_aniso):
+    col = col0 if which == "a0" else col_aniso
+    K = col.Phi.shape[0]
+    # A couples every pair of modes sharing psi_j, so M is no diagonal shortcut
+    assert np.max(np.abs(col.angular_gram - np.eye(K))) > 0.5
+    if which == "aniso":
+        assert col.gram_residual > 1e-8  # inexact rule: the match is order-of-sum only
+    rng = np.random.default_rng(3)
+    for pert in (ev.PerturbationSpec.linear_bounded(0.1),
+                 ev.PerturbationSpec.linear_constant(-0.3)):
+        for t in (1.0, 0.02, 1e-6):
+            c = rng.normal(size=K)
+            nodal = _nodal_forcing(t, c, pert, col)
+            M = ev.linear_forcing_matrix(t, pert, col)
+            scale = np.max(np.abs(nodal))
+            assert np.max(np.abs(M @ c - nodal)) <= 1e-13 * scale
+            np.testing.assert_array_equal(ev.forcing_coefficients(t, c, pert, col), M @ c)
+
+
+def test_linear_constant_matrix_is_scaled_identity(basis0, col0):
+    # orthonormality: <eps V_l, V_k> = eps delta_kl, whatever t
+    for t in (1.0, 1e-4):
+        M = ev.linear_forcing_matrix(t, ev.PerturbationSpec.linear_constant(0.7), col0)
+        assert np.max(np.abs(M - 0.7 * np.eye(basis0.size))) <= 1e-13
+
+
+def test_non_radial_linear_stays_nodal(basis0, col0):
+    pert = ev.PerturbationSpec.linear(
+        lambda x, t: 0.4 * x[:, 0] ** 2 / (1.0 + np.sum(x * x, axis=1)), 0.4, 1.0,
+    )
+    assert pert.h_radial is None
+    c = np.random.default_rng(4).normal(size=basis0.size)
+    np.testing.assert_array_equal(ev.forcing_coefficients(0.3, c, pert, col0),
+                                  _nodal_forcing(0.3, c, pert, col0))
 
 
 def test_pure_mode_power_law(basis0, col0, tau_small):
@@ -234,6 +293,8 @@ def test_metadata(basis0, col0, tau_small):
     traj = ev.integrate_backward(basis0, c0, tau_small, 0.01, pert, col0)
     assert traj.metadata["hypotheses_verified"] is False
     assert traj.metadata["basis_hash"] == basis0.content_hash()
+    assert traj.metadata["halving_tol"] == ev.HALVING_TOL
+    assert 0.0 < traj.metadata["halving_error"] <= ev.HALVING_TOL
 
 
 def test_semilinear_end_to_end(spec0):
