@@ -8,10 +8,18 @@ Constant potentials are handled analytically in any dimension N >= 3
 harmonic multiplicities).  Anisotropic potentials are restricted to N = 3
 and discretized by a real spherical-harmonic Galerkin matrix
 
-    M = diag(l(l+1)) - A,      A_pq = int_{S^2} a Y_p Y_q dS,
+    M = diag(l(l+1)) - A,      A_pq = int_{S^2} a Y_p Y_q dS.
 
-assembled with a Gauss-Legendre (polar) x trapezoid (azimuth) quadrature
-that is exact for harmonic-table potentials up to degree 2L.
+Every real harmonic factors as Y_{l,m} = P_l^|m|(cos theta) e_m(phi), with
+P_l^m the fully normalized associated Legendre functions (three-term
+recurrence of Holmes & Featherstone, J. Geodesy 76 (2002)) and e_m equal to
+1, sqrt(2) cos(m phi) or sqrt(2) sin(|m| phi) for m = 0, m > 0, m < 0.  The
+azimuthal integral of a e_m e_m' is taken in closed form, so A is assembled
+per pair of real orders (m, m') with a 1-D Gauss-Legendre rule in cos theta.
+A constant or zonal potential couples each order only to itself; a
+harmonic table couples m to m' only through its own orders (product to
+sum).  M is therefore block diagonal over groups of coupled orders, and each
+block is diagonalized on its own.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln, lpmv
+from scipy.special import roots_legendre
 
 from .errors import ConfigurationError, QuadratureError, TruncationError
 from .quadrature import sphere_area, _angular_nodes
@@ -31,12 +39,6 @@ DEFAULT_L = 16
 
 
 # -- real spherical harmonics on S^2 (polar axis = first coordinate) --------
-
-def _norm_lm(l: int, m: int) -> float:
-    return math.sqrt(
-        (2 * l + 1) / (4.0 * math.pi) * math.exp(gammaln(l - m + 1) - gammaln(l + m + 1))
-    )
-
 
 def sph_index(l: int, m: int) -> int:
     """Flat index of the real harmonic (l, m) in the degree-ordered basis."""
@@ -51,10 +53,53 @@ def basis_size(L: int) -> int:
     return (L + 1) ** 2
 
 
+def laplacian_diagonal(L: int, N: int = 3) -> np.ndarray:
+    """-Lap_S eigenvalue l(l+N-2) of each flat basis index of degree <= L."""
+    l = np.arange(L + 1)
+    return np.repeat(l * (l + N - 2), 2 * l + 1).astype(float)
+
+
 def _polar_azimuth(dirs: np.ndarray):
     ct = np.clip(dirs[..., 0], -1.0, 1.0)
     phi = np.arctan2(dirs[..., 2], dirs[..., 1])
     return ct, phi
+
+
+def _legendre_table(L: int, x: np.ndarray) -> np.ndarray:
+    """Fully normalized associated Legendre functions at the points x.
+
+    Returns P of shape (L+1, L+1, len(x)) with P[l, m] = N_lm P_l^m(x) for
+    m <= l and zero above, where P_l^m carries the Condon-Shortley phase
+    (-1)^m (the scipy.special convention) and
+    N_lm = sqrt((2l+1)/(4 pi) (l-m)!/(l+m)!), so that
+    2 pi int P[l, m] P[l', m] dx = delta_ll'.  Sectoral terms follow
+    P_m^m = -sqrt((2m+1)/(2m)) sin(theta) P_{m-1}^{m-1}; every other term
+    the three-term recurrence P_l^m = a_lm x P_{l-1}^m - b_lm P_{l-2}^m.
+    """
+    x = np.asarray(x, dtype=float)
+    s = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
+    P = np.zeros((L + 1, L + 1, len(x)))
+    P[0, 0] = 1.0 / math.sqrt(4.0 * math.pi)
+    for l in range(1, L + 1):
+        m2 = np.arange(l) ** 2
+        a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m2))
+        P[l, :l] = a[:, None] * x * P[l - 1, :l]
+        if l >= 2:
+            b = np.sqrt((2.0 * l + 1.0) * ((l - 1) ** 2 - m2)
+                        / ((2.0 * l - 3.0) * (l * l - m2)))
+            P[l, :l] -= b[:, None] * P[l - 2, :l]
+        P[l, l] = -math.sqrt((2.0 * l + 1.0) / (2.0 * l)) * s * P[l - 1, l - 1]
+    return P
+
+
+def _azimuth_table(L: int, phi: np.ndarray) -> np.ndarray:
+    """e_m(phi) for m = -L..L, shape (2L+1, len(phi)), row L + m."""
+    k = np.arange(1, L + 1)[:, None]
+    E = np.empty((2 * L + 1, len(phi)))
+    E[L] = 1.0
+    E[L + 1:] = math.sqrt(2.0) * np.cos(k * phi)
+    E[:L] = math.sqrt(2.0) * np.sin(k[::-1] * phi)
+    return E
 
 
 def real_sph_block(L: int, dirs: np.ndarray) -> np.ndarray:
@@ -64,16 +109,11 @@ def real_sph_block(L: int, dirs: np.ndarray) -> np.ndarray:
     """
     dirs = np.atleast_2d(dirs)
     ct, phi = _polar_azimuth(dirs)
+    P, E = _legendre_table(L, ct), _azimuth_table(L, phi)
     out = np.empty((basis_size(L), len(dirs)))
     for l in range(L + 1):
-        for m in range(0, l + 1):
-            plm = lpmv(m, l, ct)
-            if m == 0:
-                out[sph_index(l, 0)] = _norm_lm(l, 0) * plm
-            else:
-                base = math.sqrt(2.0) * _norm_lm(l, m) * plm
-                out[sph_index(l, m)] = base * np.cos(m * phi)
-                out[sph_index(l, -m)] = base * np.sin(m * phi)
+        m = np.arange(-l, l + 1)
+        out[l * l:(l + 1) ** 2] = P[l, np.abs(m)] * E[L + m]
     return out
 
 
@@ -89,25 +129,19 @@ def real_sph_grad_block(L: int, dirs: np.ndarray) -> np.ndarray:
     cphi, sphi = np.cos(phi), np.sin(phi)
     e_theta = np.stack([-st, ct * cphi, ct * sphi], axis=-1)
     e_phi = np.stack([np.zeros_like(phi), -sphi, cphi], axis=-1)
+    P, E = _legendre_table(L, ct), _azimuth_table(L, phi)
     out = np.zeros((basis_size(L), len(dirs), 3))
-    for l in range(L + 1):
-        for m in range(0, l + 1):
-            plm = lpmv(m, l, ct)
-            plm_prev = lpmv(m, l - 1, ct) if l >= 1 else np.zeros_like(ct)
-            # d/dtheta P_l^m(cos theta) = (l c P_l^m - (l+m) P_{l-1}^m)/sin
-            dtheta = (l * ct * plm - (l + m) * plm_prev) / st
-            if m == 0:
-                n0 = _norm_lm(l, 0)
-                out[sph_index(l, 0)] = n0 * dtheta[:, None] * e_theta
-            else:
-                nm = math.sqrt(2.0) * _norm_lm(l, m)
-                cm, sm = np.cos(m * phi), np.sin(m * phi)
-                out[sph_index(l, m)] = nm * (
-                    (dtheta * cm)[:, None] * e_theta - (m * plm / st * sm)[:, None] * e_phi
-                )
-                out[sph_index(l, -m)] = nm * (
-                    (dtheta * sm)[:, None] * e_theta + (m * plm / st * cm)[:, None] * e_phi
-                )
+    for l in range(1, L + 1):
+        m = np.arange(-l, l + 1)
+        am = np.abs(m)
+        # d/dtheta P_l^m(cos theta) = (l c P_l^m - c_lm P_{l-1}^m) / sin theta
+        c_lm = np.sqrt((2.0 * l + 1.0) / (2.0 * l - 1.0) * (l * l - am * am))
+        dtheta = (l * ct * P[l, am] - c_lm[:, None] * P[l - 1, am]) / st
+        # d/dphi e_m = -m e_{-m}
+        dphi = -m[:, None] * P[l, am] / st * E[L - m]
+        out[l * l:(l + 1) ** 2] = (
+            (dtheta * E[L + m])[..., None] * e_theta + dphi[..., None] * e_phi
+        )
     return out
 
 
@@ -223,12 +257,86 @@ class AngularSpectrum:
         }
 
 
-def assemble_angular(a: AngularPotential, L: int, N: int = 3) -> np.ndarray:
-    """Galerkin matrix diag(l(l+N-2)) - A in the real-harmonic basis.
+def _azimuth_integral(m1: int, m2: int, m3: int) -> float:
+    """int_0^{2 pi} e_m1 e_m2 e_m3 dphi in closed form (product to sum).
 
-    Anisotropic kinds require N = 3; the quadrature (Gauss-Legendre polar x
-    trapezoid azimuth) is exact for harmonic-table potentials up to degree
-    2L.  The result is symmetrized after a 1e-13 asymmetry check.
+    Each cos or sin factor splits into halves e^{+-ik phi}; only the
+    frequency-zero terms of the product survive the integral.  The halves
+    are exact binary fractions, so a vanishing integral is an exact zero.
+    """
+    terms = {0: 1.0 + 0.0j}
+    for m in (m1, m2, m3):
+        if m == 0:
+            continue
+        k = abs(m)
+        halves = ((k, 0.5), (-k, 0.5)) if m > 0 else ((k, -0.5j), (-k, 0.5j))
+        product = {}
+        for f, c in terms.items():
+            for g, d in halves:
+                product[f + g] = product.get(f + g, 0.0) + c * d
+        terms = product
+    nonzero = (m1 != 0) + (m2 != 0) + (m3 != 0)
+    return 2.0 * math.pi * 2.0 ** (nonzero / 2.0) * terms.get(0, 0.0).real
+
+
+def _order_couplings(a: AngularPotential, L: int, x: np.ndarray, w: np.ndarray,
+                     P: np.ndarray) -> dict:
+    """Polar weights of the coupled order pairs on the Gauss-Legendre rule (x, w).
+
+    Returns {(m, m'): v} with A_{(l,m),(l',m')} = sum(v * P[l,|m|] * P[l',|m'|]).
+    A pair is present only where the azimuthal integral of a e_m e_m' is
+    nonzero: m = m' for constant and zonal potentials, and the product-to-sum
+    partners of m through the table's orders for a harmonic table.
+    """
+    if a.kind != "harmonic_table":
+        dirs = np.stack([x, np.sqrt(1.0 - x * x), np.zeros_like(x)], axis=1)
+        v = 2.0 * math.pi * w * a.evaluate(dirs)
+        return {(m, m): v for m in range(-L, L + 1)}
+    couplings = {}
+    for lt, mt, c in a.table:
+        v = c * w * P[lt, abs(mt)]
+        for m in range(-L, L + 1):
+            near, far = abs(abs(m) - abs(mt)), abs(m) + abs(mt)
+            for m2 in sorted({near, -near, far, -far}):
+                phi = _azimuth_integral(mt, m, m2)
+                if phi != 0.0 and abs(m2) <= L:
+                    couplings[(m, m2)] = couplings.get((m, m2), 0.0) + phi * v
+    return couplings
+
+
+def _order_groups(couplings: dict, L: int) -> list:
+    """Orders -L..L split into the connected groups of the coupling pairs."""
+    partners = {m: [] for m in range(-L, L + 1)}
+    for m, m2 in couplings:
+        partners[m].append(m2)
+    seen, groups = set(), []
+    for m0 in range(-L, L + 1):
+        if m0 in seen:
+            continue
+        seen.add(m0)
+        todo, group = [m0], []
+        while todo:
+            m = todo.pop()
+            group.append(m)
+            fresh = [m2 for m2 in partners[m] if m2 not in seen]
+            seen.update(fresh)
+            todo.extend(fresh)
+        groups.append(sorted(group))
+    return groups
+
+
+def assemble_angular(a: AngularPotential, L: int, N: int = 3) -> list:
+    """Galerkin matrix diag(l(l+N-2)) - A in the real-harmonic basis, by blocks.
+
+    Anisotropic kinds require N = 3.  A is assembled per pair of coupled
+    real orders (m, m'): the azimuthal integral is taken in closed form and
+    the polar one with 2L + max(8, table degree) Gauss-Legendre nodes in
+    cos theta, which is exact for harmonic-table potentials.  Each block of
+    coupled orders is symmetrized after a 1e-13 asymmetry check.
+
+    Returns the matrix as (flat basis indices, block) pairs, one per group
+    of coupled orders; the index sets tile the (L+1)^2 basis and every entry
+    outside the blocks is zero.
     """
     if L < 2:
         raise ConfigurationError("truncation degree L must be >= 2")
@@ -236,25 +344,32 @@ def assemble_angular(a: AngularPotential, L: int, N: int = 3) -> np.ndarray:
         raise ConfigurationError(f"potential kind {a.kind!r} requires N=3, got N={N}")
     if N != 3:
         raise ConfigurationError("Galerkin assembly is implemented for N=3 only")
-    dim = basis_size(L)
-    lap = np.repeat(np.arange(L + 1) * (np.arange(L + 1) + N - 2),
-                    [2 * l + 1 for l in range(L + 1)]).astype(float)
-    if a.is_constant:
-        return np.diag(lap - a.value)
-    table_L = max((l for l, _, _ in a.table), default=0) if a.kind == "harmonic_table" else 0
-    n_polar = 2 * L + max(8, table_L)
-    n_az = 4 * L + 2 * table_L + 18
-    dirs, w = _angular_nodes(3, n_polar, n_az)
-    Y = real_sph_block(L, dirs)
-    avals = a.evaluate(dirs)
-    A = (Y * (w * avals)) @ Y.T
-    asym = np.max(np.abs(A - A.T))
-    if asym > 1e-13 * max(1.0, np.max(np.abs(A))):
-        raise QuadratureError(f"assembled coupling matrix asymmetric by {asym}")
-    A = 0.5 * (A + A.T)
-    M = np.diag(lap) - A
-    assert M.shape == (dim, dim)
-    return M
+    lap = laplacian_diagonal(L, N)
+    table_L = max((l for l, _, _ in a.table), default=0)
+    x, w = roots_legendre(2 * L + max(8, table_L))
+    P = _legendre_table(max(L, table_L), x)
+    couplings = _order_couplings(a, L, x, w, P)
+    groups = _order_groups(couplings, L)
+    where, mats, indices = {}, [], []
+    for g, group in enumerate(groups):
+        size = 0
+        for m in group:
+            where[m] = (g, size)
+            size += L + 1 - abs(m)
+        mats.append(np.zeros((size, size)))
+        indices.append(np.array([sph_index(l, m) for m in group
+                                 for l in range(abs(m), L + 1)]))
+    for (m, m2), v in couplings.items():
+        (g, i), (_, j) = where[m], where[m2]
+        Pm, Pm2 = P[abs(m):L + 1, abs(m)], P[abs(m2):L + 1, abs(m2)]
+        mats[g][i:i + len(Pm), j:j + len(Pm2)] = (Pm * v) @ Pm2.T
+    out = []
+    for idx, A in zip(indices, mats):
+        asym = np.max(np.abs(A - A.T))
+        if asym > 1e-13 * max(1.0, np.max(np.abs(A))):
+            raise QuadratureError(f"assembled coupling matrix asymmetric by {asym}")
+        out.append((idx, np.diag(lap[idx]) - 0.5 * (A + A.T)))
+    return out
 
 
 def _cluster_tiebreak(vals: np.ndarray, vecs: np.ndarray):
@@ -299,11 +414,22 @@ def _solve_galerkin(a: AngularPotential, K: int, L: int) -> AngularSpectrum:
             f"K={K} exceeds the certified budget L^2={L * L} "
             "(one full degree is reserved as truncation buffer)"
         )
-    M = assemble_angular(a, L)
-    vals, vecs = np.linalg.eigh(M)
-    vals, vecs = vals[:K], vecs[:, :K]
+    # one eigh per block; the K smallest pairs are merged across blocks
+    blocks, pairs = [], []
+    for idx, B in assemble_angular(a, L):
+        vals, vecs = np.linalg.eigh(B)
+        vals, vecs = vals[:K], vecs[:, :K]
+        res = np.linalg.norm(B @ vecs - vecs * vals, axis=0)
+        pairs += [(vals[c], len(blocks), c, res[c]) for c in range(len(vals))]
+        blocks.append((idx, vecs))
+    pairs = sorted(pairs, key=lambda pair: pair[0])[:K]
+    vals = np.array([pair[0] for pair in pairs])
+    vecs = np.zeros((basis_size(L), K))
+    for k, (_, b, c, _) in enumerate(pairs):
+        idx, block_vecs = blocks[b]
+        vecs[idx, k] = block_vecs[:, c]
+    residual = float(max(pair[3] for pair in pairs))
     vals, vecs = _cluster_tiebreak(vals, vecs)
-    residual = float(np.max(np.linalg.norm(M @ vecs - vecs * vals, axis=0)))
     if len(vals) > 1 and vals[1] - vals[0] <= 10.0 * residual:
         raise TruncationError(
             f"mu_1 simplicity not certified: gap {vals[1] - vals[0]} vs "
@@ -366,12 +492,14 @@ def eval_psi(spec: AngularSpectrum, k: int, dirs: np.ndarray) -> np.ndarray:
     """Eigenfunction psi_k (1-based index k) at unit vectors."""
     if not 1 <= k <= spec.count:
         raise ConfigurationError(f"eigenfunction index {k} outside 1..{spec.count}")
-    if spec.eigenvectors is None and k > 1:
-        raise ConfigurationError(
-            "anisotropic eigenfunction evaluation requires N = 3; "
-            "only the constant mode is evaluable for constant potentials in N > 3"
-        )
-    return eval_psi_block(spec, dirs)[k - 1]
+    if spec.eigenvectors is None:
+        if k > 1:
+            raise ConfigurationError(
+                "anisotropic eigenfunction evaluation requires N = 3; "
+                "only the constant mode is evaluable for constant potentials in N > 3"
+            )
+        return np.full(len(np.atleast_2d(dirs)), 1.0 / math.sqrt(sphere_area(spec.N)))
+    return spec.eigenvectors[:, k - 1] @ real_sph_block(spec.truncation_degree, dirs)
 
 
 def eval_grad_psi_block(spec: AngularSpectrum, dirs: np.ndarray) -> np.ndarray:
@@ -382,3 +510,22 @@ def eval_grad_psi_block(spec: AngularSpectrum, dirs: np.ndarray) -> np.ndarray:
         raise ConfigurationError("angular gradients require the N=3 Galerkin basis")
     grads = real_sph_grad_block(spec.truncation_degree, dirs)
     return np.einsum("pk,pmd->kmd", spec.eigenvectors, grads)
+
+
+def eval_grad_psi(spec: AngularSpectrum, k: int, dirs: np.ndarray) -> np.ndarray:
+    """Surface gradient of psi_k (1-based index k); shape (M, 3).  N=3 only."""
+    if spec.eigenvectors is None:
+        raise ConfigurationError("angular gradients require the N=3 Galerkin basis")
+    grads = real_sph_grad_block(spec.truncation_degree, dirs)
+    return np.tensordot(spec.eigenvectors[:, k - 1], grads, axes=1)
+
+
+def potential_pairing(spec: AngularSpectrum) -> np.ndarray:
+    """S_jk = int_{S^2} a psi_j psi_k dS from the Galerkin eigenpairs.
+
+    M V = V diag(mu) with M = diag(l(l+1)) - A gives
+    V^T A V = V^T diag(l(l+1)) V - diag(mu), so no quadrature is needed.
+    """
+    V = spec.eigenvectors
+    lap = laplacian_diagonal(spec.truncation_degree)
+    return (V.T * lap) @ V - np.diag(spec.eigenvalues)

@@ -310,9 +310,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", default=None, help="path to an INI run config")
     parser.add_argument("--out", default=None, help="output directory override")
     parser.add_argument("--seed", type=int, default=None, help="seed override")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="accepted for interface compatibility; runs are "
-                             "single-process deterministic")
     args = parser.parse_args(argv)
     try:
         cfg = RunConfig.from_file(args.config) if args.config else RunConfig()

@@ -126,6 +126,11 @@ def raw_hardy_pair(mode_a: OUMode, mode_b: OUMode, N: int) -> float:
     """<V_A, V_B / |x|^2> in the Gaussian L^2 pairing (same reduction)."""
     if mode_a.j != mode_b.j:
         return 0.0
+    return _hardy_radial(mode_a, mode_b, N)
+
+
+def _hardy_radial(mode_a: OUMode, mode_b: OUMode, N: int) -> float:
+    """Radial factor int f_A f_B r^{N-3} e^{-r^2/4} dr of the |x|^-2 pairing."""
     alpha2 = mode_a.alpha_j + mode_b.alpha_j
     a_gl = N / 2.0 - 2.0 - alpha2 / 2.0
     val = _radial_pair_integral(
@@ -350,7 +355,7 @@ def eval_grad_V(mode: OUMode, x: np.ndarray, spectrum: ang.AngularSpectrum,
     if mode.degree == 0 and spectrum.eigenvectors is None:
         ang_part = 0.0
     else:
-        grad_psi = ang.eval_grad_psi_block(spectrum, dirs)[mode.j - 1]
+        grad_psi = ang.eval_grad_psi(spectrum, mode.j, dirs)
         s = r * r / 4.0
         ang_part = (r ** (-mode.alpha_j - 1.0) * mode.poly(s))[:, None] * grad_psi
     out = radial_part + ang_part
@@ -390,33 +395,24 @@ def hardy_matrix(basis: OUBasis) -> np.ndarray:
     return R
 
 
-def potential_coupling_matrix(basis: OUBasis, n_polar: int = 48, n_az: int = 96) -> np.ndarray:
+def potential_coupling_matrix(basis: OUBasis) -> np.ndarray:
     """Matrix of int a/|x|^2 V_p V_q G dx over normalized modes.
 
-    Separates into (angular quadrature of a psi_jp psi_jq) x (matched radial
-    integral); constant potentials reduce to a * hardy_matrix.
+    Separates into (angular pairing int a psi_jp psi_jq, taken from the
+    Galerkin eigenpairs) x (matched radial integral); constant potentials
+    reduce to a * hardy_matrix.
     """
     spec = basis.spectrum
     if spec.potential.is_constant:
         return spec.potential.value * hardy_matrix(basis)
-    from .quadrature import _angular_nodes
-
-    dirs, w = _angular_nodes(3, n_polar, n_az)
-    psi = ang.eval_psi_block(spec, dirs)
-    avals = spec.potential.evaluate(dirs)
-    S = (psi * (w * avals)) @ psi.T
+    S = ang.potential_pairing(spec)
     K = basis.size
     C = np.zeros((K, K))
     for p in range(K):
         mp = basis.modes[p]
         for q in range(p, K):
             mq = basis.modes[q]
-            alpha2 = mp.alpha_j + mq.alpha_j
-            a_gl = basis.N / 2.0 - 2.0 - alpha2 / 2.0
-            rad = _radial_pair_integral(
-                a_gl, lambda s: mp.poly(s) * mq.poly(s), _pair_rule_size(mp, mq)
-            )
-            val = 2.0 ** (basis.N - 3 - alpha2) * rad * S[mp.j - 1, mq.j - 1]
+            val = _hardy_radial(mp, mq, basis.N) * S[mp.j - 1, mq.j - 1]
             C[p, q] = C[q, p] = val / (mp.norm_L * mq.norm_L)
     return C
 
