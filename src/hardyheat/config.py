@@ -77,6 +77,12 @@ class RunConfig:
             raise ConfigurationError("radial_nodes outside [4, 1024]")
         if not 0.0 < self.recon_tau < 1.0:
             raise ConfigurationError("recon_tau must lie in (0, 1)")
+        if self.sweep_count < 1:
+            raise ConfigurationError("sweep_count must be >= 1")
+        if not self.sweep_t > 0.0:
+            raise ConfigurationError("sweep_t must be positive")
+        if not self.sweep_dims or any(int(N) < 3 for N in self.sweep_dims):
+            raise ConfigurationError("sweep_dims must list dimensions >= 3")
 
     def to_text(self) -> str:
         out = io.StringIO()

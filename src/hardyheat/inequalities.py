@@ -1,7 +1,7 @@
 """Randomized numerical verification of the weighted functional inequalities.
 
-Four verifiers, each returning the gap (right side minus left side, or the
-Sobolev quotient), run over reproducible randomized families:
+Four inequalities, each checked by its gap (right side minus left side) or
+by the Sobolev quotient, over reproducible randomized families:
 
   hardy_parabolic :  int u^2/|x|^2 G <= 1/((N-2)t) int u^2 G
                                         + 4/(N-2)^2 int |grad u|^2 G
@@ -11,10 +11,13 @@ Sobolev quotient), run over reproducible randomized families:
                                                     + (N/4) int u^2 G
   sobolev_ratio   :  (int |u|^s G^{s/2})^{2/s} / (t^{-(N/s)(s-2)/2} ||u||_Ht^2)
 
-N = 3 sweeps use the full product cubature; N = 4, 5 use Gaussian bumps,
-each zonal about its own axis, so the integrals reduce to a radial x
-single-polar-angle rule.  Bump centers are drawn with density ~ 1/r in
-radius to stress the Hardy singularity.
+``member_gap`` evaluates one of the first three on one member and
+``sobolev_ratio`` the quotient; ``sweep`` runs either over a family.  Both
+sample the member through one path on the rules of ``rule_pair``: the full
+product cubature for N = 3, and for N >= 4 the zonal radial x
+single-polar-angle rule, which takes Gaussian bumps only (each is zonal
+about its own axis).  Bump centers are drawn with density ~ 1/r in radius
+to stress the Hardy singularity.
 
 The module also estimates the coercivity infimum of the shifted quadratic
 form, in both quotient normalizations (the equivalence-of-norms one and
@@ -66,10 +69,6 @@ class GaussianBump:
         u = self.value_rc(R, C)
         return self._rho2(R, C) / self.w**4 * u * u
 
-    def rescaled(self, tau: float) -> "GaussianBump":
-        # u(x / sqrt(tau)) is again a bump
-        return GaussianBump(self.b * math.sqrt(tau), self.w * math.sqrt(tau), self.axis)
-
 
 _MONOMIALS3 = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
                (2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1)]
@@ -105,7 +104,7 @@ class PolyGaussian:
 
 
 class RescaledFunction:
-    """Generic wrapper u(x / sqrt(tau)) for the t-scaling invariance checks."""
+    """u(x / sqrt(tau)) for the t-scaling invariance checks, on either rule."""
 
     def __init__(self, member, tau):
         self.member = member
@@ -116,6 +115,12 @@ class RescaledFunction:
 
     def grad(self, x):
         return self.member.grad(x / math.sqrt(self.tau)) / math.sqrt(self.tau)
+
+    def value_rc(self, R, C):
+        return self.member.value_rc(R / math.sqrt(self.tau), C)
+
+    def gradsq_rc(self, R, C):
+        return self.member.gradsq_rc(R / math.sqrt(self.tau), C) / self.tau
 
 
 class BasisModeFunction:
@@ -166,7 +171,35 @@ class TestFamily:
             raise ConfigurationError(f"unknown family kind {self.kind!r}")
 
 
-# -- nodal integral bundles --------------------------------------------------
+# -- sampling and integrals ----------------------------------------------------
+
+def rule_pair(N: int, n_r: int = 48) -> tuple:
+    """(plain, hardy) cubature pair: full for N = 3, zonal for N >= 4.
+
+    The 1/|x|^2 integrands carry an s^{-1} factor relative to the surface
+    Jacobian; the hardy twin's exponent a_GL = N/2 - 2 restores exactness
+    there, while everything regular uses the plain N/2 - 1 rule.  The zonal
+    rules integrate bump members only.
+    """
+    if N == 3:
+        return product_rule(N, n_r, 14, 28), product_rule(N, n_r, 14, 28, a_gl=N / 2.0 - 2.0)
+    return zonal_rule(N, n_r, 28), zonal_rule(N, n_r, 28, a_gl=N / 2.0 - 2.0)
+
+
+def _sample(member, rule, t: float, grad: bool = True):
+    """(u, |grad u|^2 or None, |x|^2) at the nodes of ``rule`` at time t."""
+    if isinstance(rule, ZonalRule):
+        R = math.sqrt(t) * rule.radii
+        C = rule.c[None, :]
+        return member.value_rc(R, C), member.gradsq_rc(R, C) if grad else None, R * R
+    pts = math.sqrt(t) * rule.points
+    u = np.asarray(member.value(pts), dtype=float)
+    g2 = None
+    if grad:
+        g = np.asarray(member.grad(pts), dtype=float)
+        g2 = np.sum(g * g, axis=-1)
+    return u, g2, t * rule.radii**2
+
 
 @dataclass
 class MemberIntegrals:
@@ -174,131 +207,62 @@ class MemberIntegrals:
 
     u2: float
     grad2: float
-    u2_over_r2: float
     r2u2: float
+    u2_over_r2: float = 0.0
     a_u2_over_r2: float = 0.0
 
 
-@dataclass(frozen=True)
-class RulePair:
-    """Plain cubature plus an inverse-square-matched twin.
+def _integrals(member, t: float, rules: tuple, potential: ang.AngularPotential | None = None,
+               hardy: bool = True) -> MemberIntegrals:
+    """Integrals on the plain rule and, if ``hardy``, on the singular twin.
 
-    The 1/|x|^2 integrands carry an s^{-1} factor relative to the surface
-    Jacobian; a rule with exponent a_GL = N/2 - 2 restores exactness there,
-    while everything regular uses the plain N/2 - 1 rule.
+    The potential term is nodal on the full rule and lam * u2_over_r2 on
+    the zonal one (constant potentials only).
     """
-
-    plain: ProductRule | ZonalRule
-    hardy: ProductRule | ZonalRule
-
-
-def full_rules(N: int, n_r: int = 48, n_polar: int = 14, n_az: int = 28) -> RulePair:
-    return RulePair(
-        product_rule(N, n_r, n_polar, n_az),
-        product_rule(N, n_r, n_polar, n_az, a_gl=N / 2.0 - 2.0),
-    )
-
-
-def zonal_rules(N: int, n_r: int = 48, n_polar: int = 28) -> RulePair:
-    return RulePair(
-        zonal_rule(N, n_r, n_polar),
-        zonal_rule(N, n_r, n_polar, a_gl=N / 2.0 - 2.0),
-    )
-
-
-def _integrals_full(member, t: float, rules: RulePair,
-                    potential: ang.AngularPotential | None = None) -> MemberIntegrals:
-    plain, hardy = rules.plain, rules.hardy
-    pts = math.sqrt(t) * plain.points
-    w = plain.weights
-    u = np.asarray(member.value(pts), dtype=float)
-    g = np.asarray(member.grad(pts), dtype=float)
-    r2 = t * plain.radii**2
+    plain, twin = rules
+    u, g2, r2 = _sample(member, plain, t)
     u2 = u * u
-    # singular integrals on the matched-exponent twin
-    pts_h = math.sqrt(t) * hardy.points
-    uh = np.asarray(member.value(pts_h), dtype=float)
-    r2_h = t * hardy.radii**2
-    vals = MemberIntegrals(
-        u2=float(w @ u2),
-        grad2=float(w @ np.sum(g * g, axis=-1)),
-        u2_over_r2=float(hardy.weights @ (uh * uh / r2_h)),
-        r2u2=float(w @ (r2 * u2)),
-    )
-    if potential is not None:
-        avals = np.tile(potential.evaluate(hardy.angular_dirs), hardy.radial.count)
-        vals.a_u2_over_r2 = float(hardy.weights @ (avals * uh * uh / r2_h))
-    return vals
-
-
-def _integrals_zonal(member: GaussianBump, t: float, rules: RulePair,
-                     lam: float | None = None) -> MemberIntegrals:
-    plain, hardy = rules.plain, rules.hardy
-    R = math.sqrt(t) * plain.r[:, None]
-    C = plain.c[None, :]
-    u2 = member.value_rc(R, C) ** 2
-    g2 = member.gradsq_rc(R, C)
-    Rh = math.sqrt(t) * hardy.r[:, None]
-    u2h = member.value_rc(Rh, hardy.c[None, :]) ** 2
-    vals = MemberIntegrals(
-        u2=plain.integrate(u2),
-        grad2=plain.integrate(g2),
-        u2_over_r2=hardy.integrate(u2h / (Rh * Rh)),
-        r2u2=plain.integrate(R * R * u2),
-    )
-    if lam is not None:
-        vals.a_u2_over_r2 = lam * vals.u2_over_r2
+    vals = MemberIntegrals(plain.integrate(u2), plain.integrate(g2), plain.integrate(r2 * u2))
+    if hardy:
+        uh, _, r2h = _sample(member, twin, t, grad=False)
+        vals.u2_over_r2 = twin.integrate(uh * uh / r2h)
+        if potential is not None and isinstance(twin, ZonalRule):
+            vals.a_u2_over_r2 = potential.value * vals.u2_over_r2
+        elif potential is not None:
+            a = np.tile(potential.evaluate(twin.angular_dirs), twin.radial.count)
+            vals.a_u2_over_r2 = twin.integrate(a * uh * uh / r2h)
     return vals
 
 
 # -- verifiers ---------------------------------------------------------------
 
-def hardy_parabolic_gap(I: MemberIntegrals, t: float, N: int) -> tuple[float, float]:
-    """(gap, scale): RHS - LHS of the parabolic Hardy inequality."""
-    lhs = I.u2_over_r2
-    rhs = I.u2 / ((N - 2) * t) + 4.0 / (N - 2) ** 2 * I.grad2
-    return rhs - lhs, abs(rhs)
+def member_gap(inequality: str, member, t: float, rules: tuple,
+               spec: ang.AngularSpectrum | None = None) -> tuple[float, float]:
+    """(gap, scale) of one inequality on one member; gates the gap.
 
-
-def hardy_anisotropic_gap(I: MemberIntegrals, t: float, N: int, mu1: float):
-    lhs = (mu1 + (N - 2) ** 2 / 4.0) * I.u2_over_r2
-    rhs = I.grad2 - I.a_u2_over_r2 + (N - 2) / (4.0 * t) * I.u2
-    return rhs - lhs, abs(rhs) + abs(lhs)
-
-
-def x2_bound_gap(I: MemberIntegrals, N: int):
-    """Weight bound at t = 1: caller must build I at t = 1."""
-    lhs = I.r2u2 / 16.0
-    rhs = I.grad2 + N / 4.0 * I.u2
-    return rhs - lhs, abs(rhs)
-
-
-def hardy_parabolic(member, t: float, N: int, rules: RulePair | None = None) -> float:
-    rules = rules or full_rules(N)
-    I = _integrals_full(member, t, rules)
-    gap, scale = hardy_parabolic_gap(I, t, N)
-    _gate(gap, scale, "parabolic Hardy")
-    return gap
-
-
-def hardy_anisotropic(member, spec: ang.AngularSpectrum, t: float,
-                      rules: RulePair | None = None) -> float:
-    ok, margin = ang.check_positivity(spec)
-    if not ok:
-        raise ConfigurationError(f"positivity fails (margin {margin})")
-    rules = rules or full_rules(spec.N)
-    I = _integrals_full(member, t, rules, potential=spec.potential)
-    gap, scale = hardy_anisotropic_gap(I, t, spec.N, float(spec.eigenvalues[0]))
-    _gate(gap, scale, "anisotropic Hardy")
-    return gap
-
-
-def x2_bound(member, N: int, rules: RulePair | None = None) -> float:
-    rules = rules or full_rules(N)
-    I = _integrals_full(member, 1.0, rules)
-    gap, scale = x2_bound_gap(I, N)
-    _gate(gap, scale, "|x| weight bound")
-    return gap
+    ``rules`` comes from :func:`rule_pair`; ``spec`` supplies mu_1 and the
+    potential of the anisotropic form.  The |x|^2 bound is taken at t = 1.
+    """
+    N = rules[0].N
+    if inequality == "x2_bound":
+        I = _integrals(member, 1.0, rules, hardy=False)
+        lhs = I.r2u2 / 16.0
+        rhs = I.grad2 + N / 4.0 * I.u2
+        gap, scale = rhs - lhs, abs(rhs)
+    elif inequality == "hardy_parabolic":
+        I = _integrals(member, t, rules)
+        lhs = I.u2_over_r2
+        rhs = I.u2 / ((N - 2) * t) + 4.0 / (N - 2) ** 2 * I.grad2
+        gap, scale = rhs - lhs, abs(rhs)
+    elif inequality == "hardy_anisotropic":
+        I = _integrals(member, t, rules, potential=spec.potential)
+        lhs = (float(spec.eigenvalues[0]) + (N - 2) ** 2 / 4.0) * I.u2_over_r2
+        rhs = I.grad2 - I.a_u2_over_r2 + (N - 2) / (4.0 * t) * I.u2
+        gap, scale = rhs - lhs, abs(rhs) + abs(lhs)
+    else:
+        raise ConfigurationError(f"unknown inequality {inequality!r}")
+    _gate(gap, scale, inequality)
+    return gap, scale
 
 
 def _gate(gap: float, scale: float, name: str) -> None:
@@ -316,38 +280,21 @@ def sobolev_ratio(member, s: float, t: float, N: int,
     if not 2.0 <= s <= 2.0 * N / (N - 2):
         raise ConfigurationError(f"s={s} outside [2, 2N/(N-2)]")
     if rule is None:
-        rule = product_rule(N, 48, 14, 28)
+        rule = rule_pair(N)[0]
 
-    if isinstance(rule, ZonalRule):
-        def ratio(mem, tt):
-            R = math.sqrt(tt) * rule.r[:, None]
-            C = rule.c[None, :]
-            u = np.abs(mem.value_rc(R, C))
-            g2 = mem.gradsq_rc(R, C)
-            Gpow = (tt ** (-N / 2.0) * np.exp(-rule.r[:, None] ** 2 / 4.0)) ** (s / 2.0 - 1.0)
-            num = rule.integrate(u**s * Gpow) ** (2.0 / s)
-            ht = tt * rule.integrate(g2) + rule.integrate(u * u)
-            return num / (tt ** (-(N / s) * (s - 2.0) / 2.0) * ht)
-
-        rescale = lambda mem, tau: mem.rescaled(tau)
-    else:
-        def ratio(mem, tt):
-            pts = math.sqrt(tt) * rule.points
-            w = rule.weights
-            u = np.abs(np.asarray(mem.value(pts), dtype=float))
-            g = np.asarray(mem.grad(pts), dtype=float)
-            # G^{s/2 - 1} at the scaled nodes; the base radius is t-invariant
-            Gpow = (tt ** (-N / 2.0) * np.exp(-rule.radii**2 / 4.0)) ** (s / 2.0 - 1.0)
-            num = (float(w @ (u**s * Gpow))) ** (2.0 / s)
-            ht = tt * float(w @ np.sum(g * g, axis=-1)) + float(w @ (u * u))
-            return num / (tt ** (-(N / s) * (s - 2.0) / 2.0) * ht)
-
-        rescale = RescaledFunction
+    def ratio(mem, tt):
+        u, g2, _ = _sample(mem, rule, tt)
+        u = np.abs(u)
+        # G^{s/2 - 1} at the scaled nodes; the base radius is t-invariant
+        Gpow = (tt ** (-N / 2.0) * np.exp(-rule.radii**2 / 4.0)) ** (s / 2.0 - 1.0)
+        num = rule.integrate(u**s * Gpow) ** (2.0 / s)
+        ht = tt * rule.integrate(g2) + rule.integrate(u * u)
+        return num / (tt ** (-(N / s) * (s - 2.0) / 2.0) * ht)
 
     val = ratio(member, t)
     if verify_scaling:
         tau = 2.7
-        val2 = ratio(rescale(member, tau), t * tau)
+        val2 = ratio(RescaledFunction(member, tau), t * tau)
         if abs(val2 - val) > 1e-10 * max(abs(val), 1e-300):
             raise InvariantViolationError(
                 f"Sobolev quotient not t-scaling invariant: {val} vs {val2}"
@@ -369,25 +316,20 @@ def sweep(
     """Run one inequality over a family; returns the report dictionary.
 
     Raises InvariantViolationError on any gap below the relative slack.
-    N = 3 families use the full cubature; higher N uses the zonal
-    reduction (bump members only).
+    The rules come from :func:`rule_pair`; each member goes through
+    :func:`member_gap`, or :func:`sobolev_ratio` for the Sobolev quotient.
     """
     N = family.N
-    use_zonal = N != 3
-    if use_zonal and family.kind != "bumps":
+    if N != 3 and family.kind != "bumps":
         raise ConfigurationError("zonal sweeps support bump families only")
-    rules = zonal_rules(N, n_r, 28) if use_zonal else full_rules(N, n_r, 14, 28)
-    lam = None
-    mu1 = None
+    rules = rule_pair(N, n_r)
     if inequality == "hardy_anisotropic":
         if spec is None:
             raise ConfigurationError("anisotropic sweep needs an angular spectrum")
         ok, margin = ang.check_positivity(spec)
         if not ok:
             raise ConfigurationError(f"positivity fails (margin {margin})")
-        mu1 = float(spec.eigenvalues[0])
-        lam = spec.potential.value if spec.potential.is_constant else None
-        if use_zonal and lam is None:
+        if N != 3 and not spec.potential.is_constant:
             raise ConfigurationError("anisotropic zonal sweeps need a constant potential")
 
     min_head = math.inf
@@ -395,25 +337,10 @@ def sweep(
     ratios = []
     for i, member in enumerate(family.members(basis)):
         if inequality == "sobolev":
-            ratios.append(sobolev_ratio(member, s_exponent, t, N, rules.plain,
+            ratios.append(sobolev_ratio(member, s_exponent, t, N, rules[0],
                                         verify_scaling=(i % 50 == 0)))
             continue
-        t_eff = 1.0 if inequality == "x2_bound" else t
-        if use_zonal:
-            I = _integrals_zonal(member, t_eff, rules,
-                                 lam=lam if inequality == "hardy_anisotropic" else None)
-        else:
-            pot = spec.potential if inequality == "hardy_anisotropic" else None
-            I = _integrals_full(member, t_eff, rules, potential=pot)
-        if inequality == "hardy_parabolic":
-            gap, scale = hardy_parabolic_gap(I, t_eff, N)
-        elif inequality == "hardy_anisotropic":
-            gap, scale = hardy_anisotropic_gap(I, t_eff, N, mu1)
-        elif inequality == "x2_bound":
-            gap, scale = x2_bound_gap(I, N)
-        else:
-            raise ConfigurationError(f"unknown inequality {inequality!r}")
-        _gate(gap, scale, inequality)
+        gap, scale = member_gap(inequality, member, t, rules, spec)
         head = gap / scale if scale > 0 else math.inf
         if head < min_head:
             min_head, argmin = head, f"member #{i} ({member!r})"
@@ -481,11 +408,7 @@ def hardy_mode_consistency(basis: OUBasis) -> float:
     int V~^2/|x|^2 G <= (mu_1 + (N-2)^2/4)^{-1} (B(V~,V~) + (N-2)/4);
     returns the worst (most positive) LHS - RHS, expected <= 0.
     """
-    R = hardy_matrix(basis)
     mu1 = float(basis.spectrum.eigenvalues[0])
     coef = 1.0 / (mu1 + (basis.N - 2) ** 2 / 4.0)
-    worst = -math.inf
-    for k in range(basis.size):
-        bound = coef * (basis.gammas[k] + (basis.N - 2) / 4.0)
-        worst = max(worst, R[k, k] - bound)
-    return worst
+    bound = coef * (basis.gammas + (basis.N - 2) / 4.0)
+    return float(np.max(np.diag(hardy_matrix(basis)) - bound))

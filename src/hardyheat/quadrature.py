@@ -182,7 +182,7 @@ class ProductRule:
     def points_at(self, t: float) -> np.ndarray:
         return math.sqrt(t) * self.points
 
-    def integrate_values(self, values: np.ndarray) -> float:
+    def integrate(self, values: np.ndarray) -> float:
         """Weighted sum of precomputed node values."""
         return float(self.weights @ values)
 
@@ -263,6 +263,11 @@ class ZonalRule:
     c: np.ndarray
     weights: np.ndarray  # shape (n_r, n_polar)
 
+    @property
+    def radii(self) -> np.ndarray:
+        """Radius of each grid row at t = 1, shape (n_r, 1)."""
+        return self.r[:, None]
+
     def integrate(self, fvals: np.ndarray) -> float:
         """fvals has shape (n_r, n_polar) = f evaluated on the grid."""
         return float(np.sum(self.weights * fvals))
@@ -307,7 +312,7 @@ def integrate_G(f, t: float, rule: ProductRule) -> float:
             f"integrand non-finite at node {bad}, x = {rule.points_at(t)[bad]}",
             node=rule.points_at(t)[bad],
         )
-    return rule.integrate_values(vals)
+    return rule.integrate(vals)
 
 
 def integrate_G_stable(

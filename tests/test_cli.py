@@ -37,6 +37,12 @@ def test_config_validation_ranges():
     cfg.dtau = 0.5
     with pytest.raises(ConfigurationError):
         cfg.validate()
+    for key, bad in (("sweep_count", 0), ("sweep_t", 0.0), ("sweep_t", -1.0),
+                     ("sweep_dims", (3, 2)), ("sweep_dims", ())):
+        cfg = RunConfig()
+        setattr(cfg, key, bad)
+        with pytest.raises(ConfigurationError):
+            cfg.validate()
 
 
 def test_parse_potential_and_perturbation():
@@ -153,6 +159,11 @@ def test_cli_bad_config_exit_code(tmp_path):
     bad = tmp_path / "bad.ini"
     bad.write_text("[problem]\ndimension = two\n")
     assert main(["spectrum", "--config", str(bad)]) == 2
+    # sweep settings that used to end in a traceback, exit 3 or an empty report
+    for line in ("sweep_count = 0", "sweep_t = 0", "sweep_t = -1", "sweep_dims = 2",
+                 "sweep_dims ="):
+        bad.write_text(f"[experiment]\n{line}\n")
+        assert main(["verify", "--config", str(bad), "--out", str(tmp_path)]) == 2
 
 
 def test_cmd_beta_anisotropic_pipeline(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from hardyheat import angular as ang
 from hardyheat import inequalities as ineq
 from hardyheat import ou_basis as ou
+from hardyheat import quadrature as quad
 from hardyheat.errors import ConfigurationError
 
 
@@ -19,31 +20,49 @@ class Constant:
 
 def test_hardy_parabolic_constant_oracle():
     # LHS = 4 pi^{3/2}, RHS = 8 pi^{3/2} from 1-D Gaussian integrals
-    gap = ineq.hardy_parabolic(Constant(), 1.0, 3)
+    gap, _ = ineq.member_gap("hardy_parabolic", Constant(), 1.0, ineq.rule_pair(3))
     np.testing.assert_allclose(gap, 4.0 * math.pi**1.5, rtol=1e-12)
 
 
-def test_hardy_parabolic_scaling_relation():
-    # gap(u(./sqrt(tau)), t tau) = gap(u, t)/tau exactly at quadrature level
-    bump = ineq.GaussianBump(0.5, 0.8, np.array([0.0, 0.0, 1.0]))
-    rules = ineq.full_rules(3)
-    I1 = ineq._integrals_full(bump, 1.0, rules)
-    g1, _ = ineq.hardy_parabolic_gap(I1, 1.0, 3)
+@pytest.mark.parametrize("N", [3, 4])
+def test_hardy_parabolic_scaling_relation(N):
+    # gap(u(./sqrt(tau)), t tau) = gap(u, t)/tau exactly at quadrature level,
+    # on the full rule (N = 3) and on the zonal one (N = 4)
+    axis = np.zeros(N)
+    axis[-1] = 1.0
+    bump = ineq.GaussianBump(0.5, 0.8, axis)
+    rules = ineq.rule_pair(N)
+    g1, _ = ineq.member_gap("hardy_parabolic", bump, 1.0, rules)
     tau = 2.2
-    I2 = ineq._integrals_full(ineq.RescaledFunction(bump, tau), tau, rules)
-    g2, _ = ineq.hardy_parabolic_gap(I2, tau, 3)
+    g2, _ = ineq.member_gap("hardy_parabolic", ineq.RescaledFunction(bump, tau), tau, rules)
     np.testing.assert_allclose(g2, g1 / tau, rtol=1e-12)
+
+
+def test_zonal_rules_match_full_rules():
+    # the zonal reduction of every integral, singular twin included, against
+    # the full cubature on an N = 3 bump with an oblique axis
+    axis = np.array([0.3, -0.5, 0.8])
+    bump = ineq.GaussianBump(0.6, 0.9, axis / np.linalg.norm(axis))
+    full = ineq.rule_pair(3)
+    zonal = (quad.zonal_rule(3, 48, 28), quad.zonal_rule(3, 48, 28, a_gl=-0.5))
+    pot = ang.AngularPotential.constant(0.1)
+    for t in (1.0, 0.4):
+        If = ineq._integrals(bump, t, full, potential=pot)
+        Iz = ineq._integrals(bump, t, zonal, potential=pot)
+        for name in ("u2", "grad2", "u2_over_r2", "r2u2", "a_u2_over_r2"):
+            np.testing.assert_allclose(getattr(Iz, name), getattr(If, name),
+                                       rtol=1e-12, err_msg=name)
 
 
 def test_x2_bound_constant_oracle():
     # (1/16) * 48 pi^{3/2} = 3 pi^{3/2} vs (3/4) * 8 pi^{3/2} = 6 pi^{3/2}
-    gap = ineq.x2_bound(Constant(), 3)
+    gap, _ = ineq.member_gap("x2_bound", Constant(), 1.0, ineq.rule_pair(3))
     np.testing.assert_allclose(gap, 3.0 * math.pi**1.5, rtol=1e-12)
 
 
 def test_x2_bound_near_equality_probe():
     probe = ineq.PolyGaussian((1.0, 0.0, 0.0, 0.0, 0.3, 0.3, 0.3, 0, 0, 0), 1.0 / 8.0)
-    gap = ineq.x2_bound(probe, 3)
+    gap, _ = ineq.member_gap("x2_bound", probe, 1.0, ineq.rule_pair(3))
     assert gap > 0.0
 
 
@@ -69,14 +88,14 @@ def test_sobolev_family_sup_stable_under_doubling():
 
 def test_anisotropic_reduces_to_parabolic_at_zero(spec0):
     # a = 0: mu_1 = 0 and the bound is a rearranged parabolic Hardy
-    gap = ineq.hardy_anisotropic(Constant(), spec0, 1.0)
+    gap, _ = ineq.member_gap("hardy_anisotropic", Constant(), 1.0, ineq.rule_pair(3), spec0)
     assert gap > 0.0
 
 
 def test_anisotropic_ground_mode_near_extremal(basis0, spec0):
     # B(V~, V~) = 0 and the mode is radial-extremal: small positive gap
     member = ineq.BasisModeFunction(basis0, 0)
-    gap = ineq.hardy_anisotropic(member, spec0, 1.0)
+    gap, _ = ineq.member_gap("hardy_anisotropic", member, 1.0, ineq.rule_pair(3), spec0)
     assert 0.0 < gap < 0.2
     np.testing.assert_allclose(gap, 0.125, atol=5e-3)
 
@@ -84,11 +103,10 @@ def test_anisotropic_ground_mode_near_extremal(basis0, spec0):
 def test_constant_potential_gap_is_lambda_free():
     # for a = lambda the two sides shift identically: the gap cannot move
     gaps = [
-        ineq.hardy_anisotropic(
-            Constant(),
+        ineq.member_gap(
+            "hardy_anisotropic", Constant(), 1.0, ineq.rule_pair(3),
             ang.solve_angular(ang.AngularPotential.constant(lam), K=4, N=3),
-            1.0,
-        )
+        )[0]
         for lam in (0.0, 0.1, 0.2)
     ]
     np.testing.assert_allclose(gaps, gaps[0], rtol=1e-12)
@@ -102,7 +120,7 @@ def test_anisotropic_gap_monotone_trend():
     for lam in (0.0, 0.1, 0.2, 0.3):
         pot = ang.AngularPotential.zonal(lambda c, s=lam: s * c)
         spec = ang.solve_angular(pot, L=12, K=4)
-        gaps.append(ineq.hardy_anisotropic(bump, spec, 1.0))
+        gaps.append(ineq.member_gap("hardy_anisotropic", bump, 1.0, ineq.rule_pair(3), spec)[0])
     assert all(np.diff(gaps) < 0)
 
 

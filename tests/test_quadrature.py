@@ -148,7 +148,7 @@ def test_zonal_matches_full_rule():
     bump = GaussianBump(0.8, 0.9, np.array([0.0, 0.0, 1.0]))
     full = quad.product_rule(3, 40, 14, 28)
     vals = bump.value(full.points) ** 2
-    i_full = full.integrate_values(vals)
+    i_full = full.integrate(vals)
     zr = quad.zonal_rule(3, 40, 24)
     R = zr.r[:, None]
     C = zr.c[None, :]
