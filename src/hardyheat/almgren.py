@@ -6,7 +6,8 @@ Spectral identities make the trace cheap: with v(., t) = sum c_k V_tilde_k,
     t D(t) = sum gamma_k c_k^2 - t <f, v>_L,
     nu_1  = (2t/H^2) [ ||v_t||^2 H - <v_t, v>^2 ]  >= 0   (Schwarz),
 
-and the scaling law N_lambda(t) = N(lambda^2 t) holds exactly.  The limit
+each evaluated at once over all stored rows, and the scaling law
+N_lambda(t) = N(lambda^2 t) holds exactly.  The limit
 gamma is estimated by fitting N(t) ~ gamma + C t^delta over the smallest
 stored decade and snapped (never silently) to the nearest eigenvalue.
 """
@@ -29,35 +30,22 @@ SNAP_TOL = 1e-6
 MONOTONE_SLACK = 1e-10
 
 
-def compute_HDN(traj: Trajectory, i: int):
-    """(H, D, N) at stored row i."""
-    c = traj.coeffs[i]
-    t = math.exp(traj.tau[i])
-    H = float(c @ c)
-    if H <= H_FLOOR:
-        raise InvariantViolationError(f"H underflow at row {i} (t={t})")
-    tD = float(traj.basis.gammas @ (c * c)) - t * traj.pairing(i)
-    return H, tD / t, tD / H
+def compute_HDN(traj: Trajectory):
+    """(H, D, N, nu1) arrays over the stored rows, in stored order.
 
-
-def nu1(traj: Trajectory, i: int) -> float:
-    """Schwarz gap 2t [ ||v_t||^2 H - <v_t, v>^2 ] / H^2 at row i.
-
-    Computed from the exact rhs (no differencing) in the projection form
-    ||v_t - (<v_t, v>/H) v||^2, which keeps the Gram determinant
-    non-negative instead of cancelling two large products.
+    nu1 comes from the exact rhs (no differencing) in the projection form
+    2t ||v_t - (<v_t, v>/H) v||^2 / H, which keeps the Gram determinant
+    non-negative instead of cancelling two large products.  Rows with
+    H <= H_FLOOR carry no usable D, N or nu1; callers mask them out.
     """
-    c = traj.coeffs[i]
-    cp = traj.coefficient_derivatives(i)
-    t = math.exp(traj.tau[i])
-    H = float(c @ c)
-    perp = cp - (float(cp @ c) / H) * c
-    val = 2.0 * t * float(perp @ perp) / H
-    if val < NU1_SLACK:  # unreachable for the projection form; kept as the gate
-        raise InvariantViolationError(
-            f"nu_1 = {val} < {NU1_SLACK} at row {i}: Schwarz gap violated"
-        )
-    return val
+    C, F, t = traj.coeffs, traj.forcing, traj.t
+    gammas = traj.basis.gammas
+    H = np.vecdot(C, C)
+    tD = np.vecdot(C * C, gammas) - t * np.vecdot(F, C)
+    cp = (gammas * C - t[:, None] * F) / t[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        perp = cp - (np.vecdot(cp, C) / H)[:, None] * C
+        return H, tD / t, tD / H, 2.0 * t * np.vecdot(perp, perp) / H
 
 
 @dataclass
@@ -132,25 +120,21 @@ def frequency_trace(
     N at the smallest t.
     """
     warnings = []
-    rows = list(range(traj.size - 1, -1, -1))  # ascending t
+    H, D, Nv, n1 = compute_HDN(traj)
     # underflow guard: truncate the trace below the smallest usable row
-    usable = [i for i in rows if float(traj.coeffs[i] @ traj.coeffs[i]) > H_FLOOR]
-    if len(usable) < len(rows):
+    rows = np.flatnonzero(H > H_FLOOR)[::-1]  # ascending t
+    if len(rows) == 0:
+        raise InvariantViolationError("H underflowed on every stored row")
+    if len(rows) < traj.size:
         warnings.append(
-            f"trace truncated: H underflowed on {len(rows) - len(usable)} rows"
+            f"trace truncated: H underflowed on {traj.size - len(rows)} rows"
         )
-        rows = usable
-    t = np.array([math.exp(traj.tau[i]) for i in rows])
-    H = np.empty_like(t)
-    D = np.empty_like(t)
-    Nv = np.empty_like(t)
-    n1 = np.empty_like(t)
-    for out_idx, i in enumerate(rows):
-        Hi, Di, Ni = compute_HDN(traj, i)
-        H[out_idx], D[out_idx], Nv[out_idx] = Hi, Di, Ni
-        n1[out_idx] = nu1(traj, i)
-    if np.any(H <= 0.0):
-        raise InvariantViolationError("H must stay strictly positive")
+    t, H, D, Nv, n1 = (a[rows] for a in (traj.t, H, D, Nv, n1))
+    if np.any(n1 < NU1_SLACK):  # unreachable for the projection form; kept as the gate
+        i = int(np.argmin(n1))
+        raise InvariantViolationError(
+            f"nu_1 = {n1[i]} < {NU1_SLACK} at t = {t[i]}: Schwarz gap violated"
+        )
 
     window = t <= t[0] * 10.0**fit_window_decades
     gamma_raw, fit_C, delta_hat, fit_resid = _fit_limit(t[window], Nv[window])
@@ -211,25 +195,23 @@ def check_scaling(traj: Trajectory, lam: float, max_rows: int = 128) -> float:
         raise ConfigurationError("lambda must lie in (0, 1)")
     from .evolve import forcing_coefficients
 
-    t_max = math.exp(traj.tau[0])
-    admissible = [i for i in range(traj.size)
-                  if math.exp(traj.tau[i]) <= lam * lam * t_max * (1.0 + 1e-12)]
-    stride = max(1, len(admissible) // max_rows)
+    rows = np.flatnonzero(traj.t <= lam * lam * traj.t[0] * (1.0 + 1e-12))
+    rows = rows[::max(1, len(rows) // max_rows)]
+    H_all, _, N_all, _ = compute_HDN(traj)
+    if np.any(H_all[rows] <= H_FLOOR):
+        raise InvariantViolationError("H underflow on a scaling-check row")
     worst = 0.0
-    for i in admissible[::stride]:
-        s = math.exp(traj.tau[i])
+    for i in rows:
+        s = traj.t[i]
         c = traj.coeffs[i]
-        H = float(c @ c)
         t_resc = s / lam**2
         F = forcing_coefficients(
             lam**2 * t_resc, c, traj.perturbation, traj.collocation,
             x_scale=lam * math.sqrt(t_resc),
         )
         tD_l = float(traj.basis.gammas @ (c * c)) - t_resc * lam**2 * float(F @ c)
-        N_l = tD_l / H
-        _, _, N_direct = compute_HDN(traj, i)
-        worst = max(worst, abs(N_l - N_direct))
-    return worst
+        worst = max(worst, abs(tD_l / H_all[i] - N_all[i]))
+    return float(worst)
 
 
 def check_H_powerlaw(trace: FrequencyTrace, gamma_hat: float):
@@ -246,14 +228,12 @@ def check_H_powerlaw(trace: FrequencyTrace, gamma_hat: float):
 
 
 def empirical_forcing_allowance(traj: Trajectory) -> float:
-    """max_t |t <f, v>| / H: the forcing's share of the frequency bound."""
-    worst = 0.0
-    for i in range(traj.size):
-        c = traj.coeffs[i]
-        H = float(c @ c)
-        t = math.exp(traj.tau[i])
-        worst = max(worst, abs(t * traj.pairing(i)) / H)
-    return worst
+    """max_t |t <f, v>| / H over the rows with H > H_FLOOR: the forcing's
+    share of the frequency bound."""
+    H = np.vecdot(traj.coeffs, traj.coeffs)
+    share = np.abs(traj.t * np.vecdot(traj.forcing, traj.coeffs))
+    keep = H > H_FLOOR
+    return float(np.max(share[keep] / H[keep]))
 
 
 def run_diagnostics(

@@ -215,13 +215,6 @@ class AngularPotential:
             return out
         raise ConfigurationError(f"unknown potential kind {self.kind!r}")
 
-    def describe(self) -> str:
-        if self.kind == "constant":
-            return f"constant({self.value!r})"
-        if self.kind == "harmonic_table":
-            return "harmonic_table(" + ";".join(f"{l},{m},{c!r}" for l, m, c in self.table) + ")"
-        return "zonal(<callable>)"
-
 
 # -- spectrum ----------------------------------------------------------------
 

@@ -69,7 +69,7 @@ def _j0_basis_indices(traj: Trajectory, J0) -> list:
 def _snap_lambda(traj: Trajectory, lam: float) -> tuple[int, float]:
     """Row whose time is closest to lam^2; returns (row, exact lambda)."""
     i = traj.row_at_t(lam * lam)
-    return i, math.sqrt(math.exp(traj.tau[i]))
+    return i, math.sqrt(traj.t[i])
 
 
 def _direct_term(traj: Trajectory, row: int, kb: int, gamma: float) -> float:
@@ -272,13 +272,14 @@ def reconstruction_error(traj: Trajectory, beta: BetaTable, lam: float,
     gamma = beta.gamma
     idx = _j0_basis_indices(traj, beta.J0)
     t_lo = lam_used * lam_used * tau
-    rows = [i for i in range(traj.size)
-            if t_lo - 1e-14 <= math.exp(traj.tau[i]) <= lam_used**2 + 1e-14]
-    rows.sort(key=lambda i: traj.tau[i])
+    window = (t_lo - 1e-14 <= traj.t) & (traj.t <= lam_used**2 + 1e-14)
+    rows = np.flatnonzero(window)[::-1]  # ascending tau
     if len(rows) < 2:
         raise ConfigurationError("window [tau, 1] not resolved by the trace")
-    t = np.exp(np.asarray([traj.tau[i] for i in rows])) / lam_used**2
-    d = lam_used ** (-2.0 * gamma) * traj.coeffs[rows, :].copy()
+    # the trapezoid's np.exp grid differs from traj.t in the last bit on some
+    # rows; keeping it keeps errH unchanged
+    t = np.exp(traj.tau[rows]) / lam_used**2
+    d = lam_used ** (-2.0 * gamma) * traj.coeffs[rows]
     for (mk, kb) in zip(beta.J0, idx):
         d[:, kb] -= t**gamma * beta.beta[mk]
     weights = 1.0 + traj.basis.gammas + (traj.basis.N - 2) / 4.0

@@ -11,7 +11,7 @@ import configparser
 import hashlib
 import io
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, replace
 
 from .errors import ConfigurationError
 
@@ -103,9 +103,9 @@ class RunConfig:
             parser.read_string(text)
         except configparser.Error as exc:
             raise ConfigurationError(f"config parse failure: {exc}") from exc
+        if parser.defaults():  # [DEFAULT] keys would leak into every section
+            raise ConfigurationError(f"unknown config section [{parser.default_section}]")
         cfg = cls()
-        typemap = {f.name: f.type for f in fields(cls)}
-        known = {k: sec for sec, keys in cls._SECTIONS.items() for k in keys}
         for section in parser.sections():
             if section not in cls._SECTIONS:
                 raise ConfigurationError(f"unknown config section [{section}]")
@@ -116,9 +116,7 @@ class RunConfig:
                     )
                 cur = getattr(cfg, key)
                 try:
-                    if isinstance(cur, bool):
-                        val = raw.strip().lower() in ("1", "true", "yes")
-                    elif isinstance(cur, int):
+                    if isinstance(cur, int):
                         val = int(raw)
                     elif isinstance(cur, float):
                         val = float(raw)
@@ -130,7 +128,6 @@ class RunConfig:
                 except ValueError as exc:
                     raise ConfigurationError(f"bad value for {key}: {raw!r}") from exc
                 setattr(cfg, key, val)
-        _ = known, typemap
         cfg.validate()
         return cfg
 
@@ -166,7 +163,7 @@ def parse_potential(cfg: RunConfig):
 
 
 def parse_perturbation(cfg: RunConfig):
-    """PerturbationSpec from the config string."""
+    """PerturbationSpec from the config string; h_const > 0 sets a linear C_h."""
     from .evolve import PerturbationSpec
 
     spec = cfg.perturbation.strip()
@@ -174,10 +171,9 @@ def parse_perturbation(cfg: RunConfig):
         return PerturbationSpec.none()
     kind, _, rest = spec.partition(":")
     parts = [p for p in rest.split(":") if p]
-    if kind == "linear_constant":
-        return PerturbationSpec.linear_constant(float(parts[0]), eps_h=cfg.h_eps)
-    if kind == "linear_bounded":
-        return PerturbationSpec.linear_bounded(float(parts[0]), eps_h=cfg.h_eps)
+    if kind in ("linear_constant", "linear_bounded"):
+        pert = getattr(PerturbationSpec, kind)(float(parts[0]), eps_h=cfg.h_eps)
+        return replace(pert, C_h=cfg.h_const) if cfg.h_const > 0 else pert
     if kind == "semilinear":
         return PerturbationSpec.semilinear(float(parts[0]), float(parts[1]),
                                            cfg.dimension)

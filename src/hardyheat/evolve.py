@@ -48,12 +48,11 @@ class PerturbationSpec:
     eps_h: float = 1.0
     eps: float = 0.0
     p: float = 2.0
-    admissibility_checked: bool = False
     label: str = "none"
 
     @staticmethod
     def none() -> "PerturbationSpec":
-        return PerturbationSpec("none", admissibility_checked=True)
+        return PerturbationSpec("none")
 
     @staticmethod
     def linear(h: Callable, C_h: float, eps_h: float, label: str = "linear(<callable>)"):
@@ -79,15 +78,8 @@ class PerturbationSpec:
                 f"semilinear exponent p={p} outside (1, (N+2)/(N-2)) for N={N}"
             )
         return PerturbationSpec(
-            "semilinear", eps=eps, p=p, admissibility_checked=True,
-            label=f"semilinear({eps!r},{p!r})",
+            "semilinear", eps=eps, p=p, label=f"semilinear({eps!r},{p!r})",
         )
-
-    def verified(self) -> "PerturbationSpec":
-        """Copy with the admissibility flag set (after check_h_admissible)."""
-        import dataclasses
-
-        return dataclasses.replace(self, admissibility_checked=True)
 
     def delta_tilde(self, N: int) -> float:
         """Exponent in the small-s forcing bound |xi| <= C s^{-2+dt+2gamma}."""
@@ -115,7 +107,6 @@ def _radial_linear(profile: Callable, eps: float, eps_h: float, label: str):
         C_h=abs(eps),
         eps_h=eps_h,
         eps=eps,
-        admissibility_checked=True,
         label=label,
     )
 
@@ -171,8 +162,6 @@ def rhs(
     """Right-hand side Gamma c - e^tau F of the spectral system."""
     if tau > 1e-12:
         raise ConfigurationError("the flow is only integrated for tau <= 0")
-    if pert.kind == "linear" and not pert.admissibility_checked:
-        raise ConfigurationError("linear perturbation has not passed check_h_admissible")
     out = basis.gammas * c
     if pert.kind != "none":
         t = math.exp(tau)
@@ -198,24 +187,14 @@ class Trajectory:
     dtau: float
     metadata: dict = field(default_factory=dict)
     diag_factors: np.ndarray | None = None  # exp(gamma_k tau_i) when kind=none
+    t: np.ndarray = field(init=False)  # e^tau row by row, the one time grid
 
-    @property
-    def t(self) -> np.ndarray:
-        return np.exp(self.tau)
+    def __post_init__(self):
+        self.t = np.array([math.exp(tau) for tau in self.tau])
 
     @property
     def size(self) -> int:
         return len(self.tau)
-
-    def coefficient_derivatives(self, i: int) -> np.ndarray:
-        """c'(t) at row i, from the exact rhs: dc/dt = (dc/dtau)/t."""
-        t = math.exp(self.tau[i])
-        dctau = self.basis.gammas * self.coeffs[i] - t * self.forcing[i]
-        return dctau / t
-
-    def pairing(self, i: int) -> float:
-        """<f, v>_L at row i (zero for the unperturbed flow)."""
-        return float(self.forcing[i] @ self.coeffs[i])
 
     def truncation_ratio(self) -> float:
         """|c_last-mode| / ||c|| at tau_min; > 1e-6 flags an unresolved run."""
@@ -289,11 +268,12 @@ def integrate_backward(
 ) -> Trajectory:
     """March c from tau = 0 down to tau_min.
 
-    The unperturbed flow uses the exact diagonal propagator; perturbed
-    kinds use fixed-step RK4 and must pass the dtau/2 agreement check
-    (sup over stored coefficients <= 1e-8), else AccuracyError suggests a
-    smaller step; the measured sup and its threshold go into the metadata
-    as ``halving_error`` and ``halving_tol``.
+    A linear h must first pass :func:`check_h_admissible` with the spec's
+    C_h and eps_h, else ConfigurationError.  The unperturbed flow uses the
+    exact diagonal propagator; perturbed kinds use fixed-step RK4 and must
+    pass the dtau/2 agreement check (sup over stored coefficients <= 1e-8),
+    else AccuracyError suggests a smaller step; the measured sup and its
+    threshold go into the metadata as ``halving_error`` and ``halving_tol``.
     """
     if dtau <= 0.0 or dtau > DTAU_MAX:
         raise ConfigurationError(f"dtau must lie in (0, {DTAU_MAX}], got {dtau}")
@@ -306,6 +286,13 @@ def integrate_backward(
         raise ConfigurationError("initial coefficient vector does not match the basis")
     if col is None:
         col = build_collocation(basis)
+    if pert.kind == "linear":
+        ok, failures = check_h_admissible(pert.h, pert.C_h, pert.eps_h, col)
+        if not ok:
+            raise ConfigurationError(
+                f"perturbing potential violates the admissibility bound at "
+                f"{len(failures)}+ sampled nodes, e.g. {failures[0]}"
+            )
 
     n = max(1, math.ceil(-tau_min / dtau - 1e-12))
     taus = np.linspace(0.0, tau_min, n + 1)
@@ -338,11 +325,10 @@ def integrate_backward(
                 suggestion=f"dtau <= {step / 4.0}",
             )
         coeffs = coeffs2[::2]  # keep the finer march on the coarse grid
-    forcing = np.empty_like(coeffs)
-    for i, tau in enumerate(taus):
-        forcing[i] = forcing_coefficients(math.exp(tau), coeffs[i], pert, col)
-    traj = Trajectory(basis, col, taus, coeffs, forcing, pert, step,
+    traj = Trajectory(basis, col, taus, coeffs, np.empty_like(coeffs), pert, step,
                       metadata=_metadata(basis, pert, step, tau_min))
+    for i, t in enumerate(traj.t):
+        traj.forcing[i] = forcing_coefficients(t, coeffs[i], pert, col)
     if verify_halving:
         traj.metadata.update(halving_error=err, halving_tol=HALVING_TOL)
     ratio = traj.truncation_ratio()

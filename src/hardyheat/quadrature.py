@@ -61,14 +61,6 @@ class RadialRule:
         """Nodes mapped back to the radial variable r = 2 sqrt(s)."""
         return 2.0 * np.sqrt(self.nodes)
 
-    def to_jsonable(self) -> dict:
-        return {
-            "gl_parameter": self.gl_parameter,
-            "nodes": self.nodes.tolist(),
-            "weights": self.weights.tolist(),
-            "prefactor": self.prefactor,
-        }
-
 
 @lru_cache(maxsize=512)
 def _laguerre_cached(a_gl: float, n_r: int):
@@ -171,10 +163,6 @@ class ProductRule:
     radial_weights: np.ndarray = field(repr=False)
 
     @property
-    def node_count(self) -> int:
-        return len(self.weights)
-
-    @property
     def radii(self) -> np.ndarray:
         """|x| of each node at t = 1."""
         return np.repeat(self.radial.nodes_r, len(self.angular_weights))
@@ -185,14 +173,6 @@ class ProductRule:
     def integrate(self, values: np.ndarray) -> float:
         """Weighted sum of precomputed node values."""
         return float(self.weights @ values)
-
-    def to_jsonable(self) -> dict:
-        return {
-            "N": self.N,
-            "n_r": self.radial.count,
-            "gl_parameter": self.radial.gl_parameter,
-            "angular_count": len(self.angular_weights),
-        }
 
 
 def _check_unit_mass(rule: ProductRule) -> None:

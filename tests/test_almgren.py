@@ -37,20 +37,28 @@ def traj_exp(basis0, col0, tau_small):
     return ev.integrate_backward(basis0, c0, tau_small, 0.005, pert, col0)
 
 
+@pytest.fixture(scope="module")
+def traj_dense(basis0, col0):
+    # every mode populated, so a reordered row sum changes the last bits
+    c0 = np.random.default_rng(5).normal(size=basis0.size)
+    return ev.integrate_backward(basis0, c0, math.log(0.1), 0.01,
+                                 ev.PerturbationSpec.linear_bounded(0.1), col0)
+
+
 def test_compute_HDN_pure_mode(traj_pure):
     traj, k = traj_pure
     # H = t^{2 gamma}, N = gamma for all t (change-of-variables oracle)
+    H, _, Nv, _ = al.compute_HDN(traj)
     for i in (0, traj.size // 3, traj.size - 1):
-        H, D, Nv = al.compute_HDN(traj, i)
         t = math.exp(traj.tau[i])
-        np.testing.assert_allclose(H, t**1.0, rtol=1e-13)
-        np.testing.assert_allclose(Nv, 0.5, atol=1e-13)
+        np.testing.assert_allclose(H[i], t**1.0, rtol=1e-13)
+        np.testing.assert_allclose(Nv[i], 0.5, atol=1e-13)
 
 
 def test_compute_HDN_mixture(traj_mix):
     # orthogonality algebra: N(t) = 0.5 t / (1 + t); N(1) = 0.25
     i1 = traj_mix.row_at_t(1.0)
-    _, _, Nv = al.compute_HDN(traj_mix, i1)
+    Nv = al.compute_HDN(traj_mix)[2][i1]
     np.testing.assert_allclose(Nv, 0.25, rtol=1e-13)
     tr = al.frequency_trace(traj_mix)
     np.testing.assert_allclose(tr.N, 0.5 * tr.t / (1.0 + tr.t), atol=1e-8)
@@ -62,9 +70,45 @@ def test_compute_HDN_exp_linear(traj_exp):
     np.testing.assert_allclose(tr.N, -0.1 * tr.t, atol=1e-10)
     i = traj_exp.row_at_t(0.5)
     t = math.exp(traj_exp.tau[i])
-    _, _, Nv = al.compute_HDN(traj_exp, i)
+    Nv = al.compute_HDN(traj_exp)[2][i]
     np.testing.assert_allclose(Nv, -0.1 * t, atol=1e-12)
     np.testing.assert_allclose(-0.1 * 0.5, -0.05)
+
+
+@pytest.mark.parametrize("name", ["traj_exp", "traj_mix", "traj_dense"])
+def test_compute_HDN_matches_rowwise(name, request):
+    # the array expressions reproduce the per-row spectral identities bit for bit
+    traj = request.getfixturevalue(name)
+    g = traj.basis.gammas
+    ref = []
+    for c, f, tau in zip(traj.coeffs, traj.forcing, traj.tau):
+        t = math.exp(tau)
+        H = c @ c
+        tD = g @ (c * c) - t * (f @ c)
+        cp = (g * c - t * f) / t
+        perp = cp - ((cp @ c) / H) * c
+        ref.append((H, tD / t, tD / H, 2.0 * t * (perp @ perp) / H))
+    np.testing.assert_array_equal(traj.t, [math.exp(tau) for tau in traj.tau])
+    for got, want in zip(al.compute_HDN(traj), np.array(ref).T):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_trace_drops_underflowed_rows(traj_mix):
+    coeffs = traj_mix.coeffs.copy()
+    coeffs[-40:] *= 1e-160  # H ~ 1e-320 <= H_FLOOR
+    coeffs[-10:] = 0.0      # H = 0 exactly
+    traj = ev.Trajectory(traj_mix.basis, traj_mix.collocation, traj_mix.tau, coeffs,
+                         traj_mix.forcing, traj_mix.perturbation, traj_mix.dtau)
+    tr = al.frequency_trace(traj)
+    assert "trace truncated: H underflowed on 40 rows" in tr.warnings
+    np.testing.assert_array_equal(tr.t, traj.t[-41::-1])
+    assert np.all(tr.H > al.H_FLOOR) and np.all(np.isfinite(tr.N))
+    full = al.frequency_trace(traj_mix)
+    for got, want in ((tr.H, full.H), (tr.D, full.D), (tr.N, full.N), (tr.nu1, full.nu1)):
+        np.testing.assert_array_equal(got, want[40:])
+    traj.coeffs[:] = 0.0
+    with pytest.raises(InvariantViolationError, match="every stored row"):
+        al.frequency_trace(traj)
 
 
 def test_frequency_trace_fits(traj_pure, traj_mix, traj_exp, basis0, col0, tau_small):
@@ -115,7 +159,7 @@ def test_scaling_identity(traj_mix, traj_pure, traj_exp):
     assert al.check_scaling(traj_mix, 0.5) < 1e-12
     i = traj_mix.row_at_t(0.25)
     t = math.exp(traj_mix.tau[i])
-    _, _, Nv = al.compute_HDN(traj_mix, i)
+    Nv = al.compute_HDN(traj_mix)[2][i]
     np.testing.assert_allclose(Nv, 0.5 * t / (1.0 + t), rtol=1e-12)
     np.testing.assert_allclose(0.5 * 0.25 / 1.25, 0.1)  # the frozen value
     assert al.check_scaling(traj_pure[0], 0.3) < 1e-14
@@ -123,15 +167,15 @@ def test_scaling_identity(traj_mix, traj_pure, traj_exp):
     assert al.check_scaling(traj_exp, 0.3) < 1e-12
     i = traj_exp.row_at_t(0.09)
     t = math.exp(traj_exp.tau[i])
-    np.testing.assert_allclose(al.compute_HDN(traj_exp, i)[2], -0.1 * t, atol=1e-12)
+    np.testing.assert_allclose(al.compute_HDN(traj_exp)[2][i], -0.1 * t, atol=1e-12)
 
 
 def test_nu1_values(traj_pure, traj_exp, traj_mix):
     traj, _ = traj_pure
-    assert abs(al.nu1(traj, traj.size // 2)) < 1e-10      # Schwarz equality
-    assert abs(al.nu1(traj_exp, traj_exp.size // 2)) < 1e-10  # v_t parallel to v
+    assert abs(al.compute_HDN(traj)[3][traj.size // 2]) < 1e-10      # Schwarz equality
+    assert abs(al.compute_HDN(traj_exp)[3][traj_exp.size // 2]) < 1e-10  # v_t parallel to v
     i1 = traj_mix.row_at_t(1.0)
-    np.testing.assert_allclose(al.nu1(traj_mix, i1), 0.125, rtol=1e-12)
+    np.testing.assert_allclose(al.compute_HDN(traj_mix)[3][i1], 0.125, rtol=1e-12)
 
 
 def test_nu1_spectral_formula(traj_mix):
@@ -143,7 +187,7 @@ def test_nu1_spectral_formula(traj_mix):
     H = c @ c
     expect = 2.0 * (g**2 * c**2).sum() * H - 2.0 * ((g * c**2).sum()) ** 2
     expect /= t * H * H  # c' = gamma c / t, so one t cancels
-    np.testing.assert_allclose(al.nu1(traj_mix, i), expect, rtol=1e-11)
+    np.testing.assert_allclose(al.compute_HDN(traj_mix)[3][i], expect, rtol=1e-11)
 
 
 def test_check_H_powerlaw(traj_pure, traj_mix, traj_exp):

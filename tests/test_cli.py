@@ -1,7 +1,12 @@
 import json
 import math
+import string
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hardyheat.cli import main
 from hardyheat.config import RunConfig, parse_perturbation, parse_potential
@@ -23,6 +28,68 @@ def test_config_roundtrip_bit_identical():
     again = RunConfig.from_text(text)
     assert again.to_text() == text
     assert again.content_hash() == cfg.content_hash()
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+# no whitespace (values are stripped) and no '%' (INI interpolation)
+_spec_text = st.text(alphabet=string.ascii_letters + string.digits + ":,;=._-+",
+                     max_size=30)
+_CONFIGS = st.builds(
+    RunConfig,
+    dimension=st.integers(3, 10**6),
+    potential=_spec_text,
+    perturbation=_spec_text,
+    h_eps=_finite,
+    h_const=_finite,
+    angular_truncation=st.integers(-10**6, 10**6),
+    angular_count=st.integers(-10**6, 10**6),
+    gamma_max=_positive,
+    max_modes=st.integers(-10**6, 10**6),
+    radial_nodes=st.integers(4, 1024),
+    dtau=st.floats(min_value=0.0, max_value=0.01, exclude_min=True),
+    tau_min=st.floats(min_value=math.log(1e-6), max_value=0.0, exclude_max=True),
+    initial=_spec_text,
+    lambda_grid=st.lists(_finite, max_size=5).map(tuple),
+    scaling_lambdas=st.lists(_finite, max_size=5).map(tuple),
+    recon_lambdas=st.lists(_finite, max_size=5).map(tuple),
+    recon_tau=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    fit_decades=_finite,
+    sweep_count=st.integers(1, 10**9),
+    sweep_dims=st.lists(st.integers(3, 100), min_size=1, max_size=4).map(tuple),
+    sweep_t=_positive,
+    seed=st.integers(-2**63, 2**63),
+    directory=_spec_text,
+)
+_KNOWN_KEYS = sorted(k for keys in RunConfig._SECTIONS.values() for k in keys)
+
+
+@settings(deadline=None)
+@given(cfg=_CONFIGS)
+def test_config_roundtrip_property(cfg):
+    again = RunConfig.from_text(cfg.to_text())
+    assert again == cfg
+    assert again.content_hash() == cfg.content_hash()
+
+
+@settings(deadline=None)
+@given(section=st.sampled_from(sorted(RunConfig._SECTIONS)),
+       key=st.one_of(st.from_regex(r"[a-z_][a-z0-9_]{0,12}", fullmatch=True),
+                     st.sampled_from(_KNOWN_KEYS)))
+def test_config_rejects_unknown_key_property(section, key):
+    assume(key not in RunConfig._SECTIONS[section])
+    with pytest.raises(ConfigurationError):
+        RunConfig.from_text(f"[{section}]\n{key} = 1\n")
+
+
+@settings(deadline=None)
+@given(section=st.one_of(st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,12}", fullmatch=True),
+                         st.just("DEFAULT")),
+       key=st.sampled_from(_KNOWN_KEYS))
+def test_config_rejects_unknown_section_property(section, key):
+    assume(section not in RunConfig._SECTIONS)
+    with pytest.raises(ConfigurationError):
+        RunConfig.from_text(f"[{section}]\n{key} = 1\n")
 
 
 def test_config_rejects_unknown_key():
@@ -56,6 +123,45 @@ def test_parse_potential_and_perturbation():
     cfg.perturbation = "bogus:1"
     with pytest.raises(ConfigurationError):
         parse_perturbation(cfg)
+    cfg.perturbation = "linear_constant:0.5"
+    assert parse_perturbation(cfg).C_h == 0.5
+    cfg.h_const = 0.1  # h_const > 0 sets C_h
+    assert parse_perturbation(cfg).C_h == 0.1
+
+
+def test_cli_inadmissible_h_exit_code(tmp_path, capsys):
+    # |h| = 0.5 beats C_h (1 + |x|^{-1}) = 0.1 (1 + |x|^{-1}) away from the origin
+    path, _ = write_config(tmp_path, perturbation="linear_constant:0.5", h_const=0.1,
+                           gamma_max=1.0, tau_min=math.log(1e-2),
+                           directory=str(tmp_path))
+    assert main(["simulate", "--config", path]) == 2
+    assert "admissibility bound" in capsys.readouterr().err
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
+def _csv_numbers(path):
+    lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
+    return np.array([[float(x) for x in l.split(",")] for l in lines[1:]])
+
+
+def test_committed_outputs_reproduce(tmp_path):
+    # out/ holds the configs/exp_linear.ini run; compare numbers, not bytes,
+    # because BLAS kernels round differently across CPUs
+    root = Path(__file__).resolve().parents[1]
+    config = str(root / "configs" / "exp_linear.ini")
+    for cmd in ("simulate", "beta"):
+        assert main([cmd, "--config", config, "--out", str(tmp_path)]) == 0
+    committed = _csv_numbers(root / "out" / "trajectory.csv")
+    fresh = _csv_numbers(tmp_path / "trajectory.csv")
+    assert fresh.shape == committed.shape
+    np.testing.assert_allclose(fresh, committed, rtol=0.0, atol=1e-12)
+    freq = [json.loads((d / "frequency.json").read_text()) for d in (root / "out", tmp_path)]
+    assert freq[0]["fit"]["gamma_hat"] == freq[1]["fit"]["gamma_hat"]
+    beta = [json.loads((d / "beta.json").read_text()) for d in (root / "out", tmp_path)]
+    assert beta[0]["gamma"] == beta[1]["gamma"]
+    assert beta[0]["beta"]["beta"].keys() == beta[1]["beta"]["beta"].keys()
+    for mk, value in beta[0]["beta"]["beta"].items():
+        assert abs(beta[1]["beta"]["beta"][mk] - value) <= 1e-12
 
 
 def test_cmd_spectrum_ladder(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 
@@ -271,6 +272,17 @@ def test_check_h_admissible(basis0, col0):
     assert not ok and fails  # |x|^{-2} beats the bound at small nodes
 
 
+def test_integrate_backward_rejects_inadmissible_h(basis0, col0):
+    c0 = np.zeros(basis0.size)
+    c0[0] = 1.0
+    inverse_square = ev.PerturbationSpec.linear(
+        lambda x, t: 1.0 / np.sum(x * x, axis=1), 1.0, 1.5)
+    too_large = dataclasses.replace(ev.PerturbationSpec.linear_constant(0.5), C_h=0.1)
+    for pert in (inverse_square, too_large):
+        with pytest.raises(ConfigurationError, match="admissibility bound"):
+            ev.integrate_backward(basis0, c0, math.log(0.5), 0.01, pert, col0)
+
+
 def test_truncation_flag(basis0, col0):
     # strong coupling pushing mass into the last mode flags the run
     pert = ev.PerturbationSpec.linear(
@@ -279,7 +291,6 @@ def test_truncation_flag(basis0, col0):
     )
     ok, _ = ev.check_h_admissible(pert.h, pert.C_h, pert.eps_h, col0)
     assert ok
-    pert = pert.verified()
     c0 = np.zeros(basis0.size)
     c0[0] = 1.0
     traj = ev.integrate_backward(basis0, c0, math.log(1e-3), 0.005, pert, col0)
