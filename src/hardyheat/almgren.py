@@ -28,6 +28,7 @@ NU1_SLACK = -1e-10
 FIT_RESIDUAL_FLAG = 1e-3
 SNAP_TOL = 1e-6
 MONOTONE_SLACK = 1e-10
+SCALING_MAX_ROWS = 128
 
 
 def compute_HDN(traj: Trajectory):
@@ -111,7 +112,6 @@ def _fit_limit(t: np.ndarray, Nval: np.ndarray):
 def frequency_trace(
     traj: Trajectory,
     fit_window_decades: float = 1.0,
-    r_exponent: float = math.inf,
 ) -> FrequencyTrace:
     """Full (t, H, D, N, nu1) trace with the fitted t -> 0 limit.
 
@@ -166,7 +166,7 @@ def frequency_trace(
     return FrequencyTrace(
         t, H, D, Nv, n1, gamma_raw, gamma_hat, snapped, delta_hat, fit_C,
         (float(t[window][0]), float(t[window][-1])), fit_resid, gamma_unc,
-        traj.perturbation.delta_theory(traj.basis.N, r_exponent), warnings,
+        traj.perturbation.delta_theory(traj.basis.N), warnings,
     )
 
 
@@ -183,12 +183,12 @@ def check_Hprime(trace: FrequencyTrace) -> float:
     return float(np.max(resid))
 
 
-def check_scaling(traj: Trajectory, lam: float, max_rows: int = 128) -> float:
+def check_scaling(traj: Trajectory, lam: float) -> float:
     """Max |N_lambda(t) - N(lambda^2 t)| over stored rows with lambda^2 t <= t_max.
 
     The left side is assembled through the rescaled-equation plumbing
     (coefficients at lambda^2 t, forcing lambda^2 f(lambda x, lambda^2 t, .))
-    rather than read from the trace.  At most ``max_rows`` rows, spread
+    rather than read from the trace.  At most SCALING_MAX_ROWS rows, spread
     uniformly over the admissible range, are checked.
     """
     if not 0.0 < lam < 1.0:
@@ -196,7 +196,7 @@ def check_scaling(traj: Trajectory, lam: float, max_rows: int = 128) -> float:
     from .evolve import forcing_coefficients
 
     rows = np.flatnonzero(traj.t <= lam * lam * traj.t[0] * (1.0 + 1e-12))
-    rows = rows[::max(1, len(rows) // max_rows)]
+    rows = rows[::max(1, len(rows) // SCALING_MAX_ROWS)]
     H_all, _, N_all, _ = compute_HDN(traj)
     if np.any(H_all[rows] <= H_FLOOR):
         raise InvariantViolationError("H underflow on a scaling-check row")

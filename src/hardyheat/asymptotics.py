@@ -84,11 +84,9 @@ def _direct_term(traj: Trajectory, row: int, kb: int, gamma: float) -> float:
     return math.exp(-gamma * traj.tau[row]) * float(traj.coeffs[row, kb])
 
 
-def _transformed_integrand(traj: Trajectory, rows, k_idx: int, gamma: float,
+def _transformed_integrand(s: np.ndarray, xi: np.ndarray, gamma: float,
                            dtilde: float):
     """(sigma grid, g values) for int 2 s^{1-2 gamma} xi ds = int g dsigma."""
-    s = np.exp(0.5 * traj.tau[rows])
-    xi = traj.forcing[rows, k_idx]
     sigma = s**dtilde
     g = (2.0 / dtilde) * s ** (2.0 - 2.0 * gamma - dtilde) * xi
     order = np.argsort(sigma)
@@ -159,17 +157,15 @@ def beta_integral(traj: Trajectory, Lambda: float, J0=None,
     tail_worst = 0.0
     rows_below = np.nonzero(traj.tau <= traj.tau[row] + 1e-14)[0]
     rows_below = rows_below[np.argsort(traj.tau[rows_below])]  # ascending tau
+    s = np.exp(0.5 * traj.tau[rows_below])  # ascending
     for (m, k), kb in zip(J0, idx):
         direct = _direct_term(traj, row, kb, gamma)
         if traj.perturbation.kind == "none":
             beta[(m, k)] = float(direct)
             continue
-        sigma, g = _transformed_integrand(traj, rows_below, kb, gamma, dtilde)
-        integral = _integrate_data_region(sigma, g)
-        s = np.exp(0.5 * traj.tau[rows_below])  # ascending
-        tail_val, tail_unc = _power_tail(
-            s, 2.0 * s ** (1.0 - 2.0 * gamma) * traj.forcing[rows_below, kb]
-        )
+        xi = traj.forcing[rows_below, kb]
+        integral = _integrate_data_region(*_transformed_integrand(s, xi, gamma, dtilde))
+        tail_val, tail_unc = _power_tail(s, 2.0 * s ** (1.0 - 2.0 * gamma) * xi)
         beta[(m, k)] = float(direct + integral + tail_val)
         tail_worst = max(tail_worst, tail_unc)
     scale = max(abs(v) for v in beta.values())
@@ -239,9 +235,11 @@ def beta_direct(traj: Trajectory, lambda_grid=None, J0=None,
 
 def lambda_independence(traj: Trajectory, Lambda_grid, J0=None,
                         gamma: float | None = None):
-    """(max relative spread over J0, BetaTable at the smallest Lambda).
+    """(max relative spread over J0, BetaTables in ascending Lambda).
 
-    Nontrivial runs must produce at least one nonzero coefficient.
+    The first table, at the smallest Lambda, carries the spread and the
+    snapped Lambda grid.  Nontrivial runs must produce at least one nonzero
+    coefficient.
     """
     tables = [beta_integral(traj, lam, J0, gamma) for lam in sorted(Lambda_grid)]
     values = np.asarray([tb.values() for tb in tables])  # (n_lambda, |J0|)
@@ -254,7 +252,7 @@ def lambda_independence(traj: Trajectory, Lambda_grid, J0=None,
     table = tables[0]
     table.variation_over_Lambda = spread
     table.lambda_grid = [tb.lambda_used for tb in tables]
-    return spread, table
+    return spread, tables
 
 
 def reconstruction_error(traj: Trajectory, beta: BetaTable, lam: float,
@@ -276,9 +274,7 @@ def reconstruction_error(traj: Trajectory, beta: BetaTable, lam: float,
     rows = np.flatnonzero(window)[::-1]  # ascending tau
     if len(rows) < 2:
         raise ConfigurationError("window [tau, 1] not resolved by the trace")
-    # the trapezoid's np.exp grid differs from traj.t in the last bit on some
-    # rows; keeping it keeps errH unchanged
-    t = np.exp(traj.tau[rows]) / lam_used**2
+    t = traj.t[rows] / lam_used**2
     d = lam_used ** (-2.0 * gamma) * traj.coeffs[rows]
     for (mk, kb) in zip(beta.J0, idx):
         d[:, kb] -= t**gamma * beta.beta[mk]

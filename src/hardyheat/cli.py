@@ -131,12 +131,11 @@ def cmd_simulate(cfg, outdir) -> int:
         list(zip(trace.t, trace.H, trace.D, trace.N, trace.nu1)),
         meta,
     )
-    K1_hat, _ = almgren.check_H_powerlaw(trace, trace.gamma_hat)
     _write_json(
         os.path.join(outdir, "frequency.json"),
         {
             "fit": trace.to_jsonable(),
-            "K1_hat": K1_hat,
+            "K1_hat": report["K1_hat"],
             "hprime_residual": hprime,
             "scaling_deviation": scaling,
             "diagnostics": report,
@@ -163,19 +162,18 @@ def cmd_beta(cfg, outdir) -> int:
         )
     gamma = trace.gamma_hat
     _, J0 = ou_basis.multiplicity(gamma, spec)
-    spread, table = asymptotics.lambda_independence(traj, cfg.lambda_grid, J0, gamma)
+    spread, tables = asymptotics.lambda_independence(traj, cfg.lambda_grid, J0, gamma)
+    table = tables[0]  # at the smallest Lambda
     direct = asymptotics.beta_direct(traj, None, J0, gamma)
     agreement = max(
         abs(table.beta[mk] - direct[mk][2]) for mk in table.J0
     )
     # Lambda-independence holds on some unquantified (0, Lambda_0); report
     # the empirical grid range where the table stays within tolerance
-    ref = asymptotics.beta_integral(traj, min(cfg.lambda_grid), J0, gamma)
-    scale = max(abs(v) for v in ref.beta.values()) or 1.0
+    scale = max(abs(v) for v in table.beta.values()) or 1.0
     lambda_ok = [
-        lam for lam in sorted(cfg.lambda_grid)
-        if max(abs(asymptotics.beta_integral(traj, lam, J0, gamma).beta[mk]
-                   - ref.beta[mk]) for mk in J0) <= 1e-5 * scale
+        lam for lam, tb in zip(sorted(cfg.lambda_grid), tables)
+        if max(abs(tb.beta[mk] - table.beta[mk]) for mk in J0) <= 1e-5 * scale
     ]
     meta = _meta(cfg, basis)
     rows = []

@@ -8,9 +8,10 @@ With v(x, t) = u(sqrt(t) x, t) and tau = log t, the flow becomes
 which is diagonal plus a small forcing; integration runs backward from
 tau = 0 toward the singularity.  The unperturbed flow is advanced by its
 exact diagonal propagator e^{gamma_k dtau}; perturbed kinds use classical
-RK4 with a mandatory step-halving verification.  Every step's forcing
-coefficients are stored: they are exactly the xi_{m,k} data the asymptotic
-coefficient formulas integrate later.
+RK4 with a mandatory step-halving verification.  Every stored row keeps the
+forcing coefficients that the first RK4 stage of the dtau/2 march evaluated
+there: they are exactly the xi_{m,k} data the asymptotic coefficient
+formulas integrate later.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ DTAU_MAX = 0.01
 HALVING_TOL = 1e-8
 PROJECTION_RESIDUAL_TOL = 1e-3
 TRUNCATION_FLAG = 1e-6
+# times at which check_h_admissible samples h: 25 log-spaced from 1e-6 to 1
+ADMISSIBILITY_TIMES = np.exp(np.linspace(TAU_FLOOR, 0.0, 25))
 
 
 @dataclass(frozen=True)
@@ -89,12 +92,12 @@ class PerturbationSpec:
             return self.eps_h / 2.0
         return (N + 2 - self.p * (N - 2)) / (self.p + 1)
 
-    def delta_theory(self, N: int, r: float = math.inf) -> float:
+    def delta_theory(self, N: int) -> float:
         """Frequency convergence rate |N(t) - gamma| <= C t^delta."""
         if self.kind == "none":
             return math.inf
         if self.kind == "linear":
-            return min(self.eps_h / 2.0, 1.0 - 1.0 / r) if r != math.inf else self.eps_h / 2.0
+            return self.eps_h / 2.0
         return (N + 2 - self.p * (N - 2)) / (2.0 * (self.p + 1))
 
 
@@ -158,15 +161,14 @@ def rhs(
     pert: PerturbationSpec,
     basis: OUBasis,
     col: Collocation,
-) -> np.ndarray:
-    """Right-hand side Gamma c - e^tau F of the spectral system."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """(Gamma c - e^tau F, F): the right-hand side of the spectral system
+    and the forcing coefficients F(tau, c) it used."""
     if tau > 1e-12:
         raise ConfigurationError("the flow is only integrated for tau <= 0")
-    out = basis.gammas * c
-    if pert.kind != "none":
-        t = math.exp(tau)
-        out = out - t * forcing_coefficients(t, c, pert, col)
-    return out
+    t = math.exp(tau)
+    F = forcing_coefficients(t, c, pert, col)
+    return basis.gammas * c - t * F, F
 
 
 @dataclass
@@ -175,7 +177,8 @@ class Trajectory:
 
     ``coeffs[i]`` is c(tau[i]); tau descends from 0 to tau_min.  ``forcing``
     stores F(tau_i, c_i) rowwise, i.e. the xi-coefficients of the
-    perturbation at each stored time.
+    perturbation at each stored time: the forcing the first RK4 stage of
+    the dtau/2 march evaluated at that row, at time ``t[i]``.
     """
 
     basis: OUBasis
@@ -244,17 +247,25 @@ def build_initial(
 
 
 def _march_rk4(taus, c0, f):
+    """Classical RK4 over the grid ``taus`` for f(tau, c) -> (dc/dtau, F).
+
+    Returns (coefficients, forcing), both one row per grid point; a row's
+    forcing is the F of the first stage evaluated there (the last row's
+    first stage is evaluated for its F alone).
+    """
     c = np.empty((len(taus), len(c0)))
+    forcing = np.empty_like(c)
     c[0] = c0
+    k1, forcing[0] = f(taus[0], c0)
     for i in range(len(taus) - 1):
         h = taus[i + 1] - taus[i]  # negative
         t0 = taus[i]
-        k1 = f(t0, c[i])
-        k2 = f(t0 + 0.5 * h, c[i] + 0.5 * h * k1)
-        k3 = f(t0 + 0.5 * h, c[i] + 0.5 * h * k2)
-        k4 = f(t0 + h, c[i] + h * k3)
+        k2, _ = f(t0 + 0.5 * h, c[i] + 0.5 * h * k1)
+        k3, _ = f(t0 + 0.5 * h, c[i] + 0.5 * h * k2)
+        k4, _ = f(t0 + h, c[i] + h * k3)
         c[i + 1] = c[i] + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return c
+        k1, forcing[i + 1] = f(taus[i + 1], c[i + 1])
+    return c, forcing
 
 
 def integrate_backward(
@@ -264,16 +275,17 @@ def integrate_backward(
     dtau: float,
     pert: PerturbationSpec,
     col: Collocation | None = None,
-    verify_halving: bool = True,
 ) -> Trajectory:
     """March c from tau = 0 down to tau_min.
 
     A linear h must first pass :func:`check_h_admissible` with the spec's
     C_h and eps_h, else ConfigurationError.  The unperturbed flow uses the
-    exact diagonal propagator; perturbed kinds use fixed-step RK4 and must
-    pass the dtau/2 agreement check (sup over stored coefficients <= 1e-8),
-    else AccuracyError suggests a smaller step; the measured sup and its
-    threshold go into the metadata as ``halving_error`` and ``halving_tol``.
+    exact diagonal propagator; perturbed kinds march RK4 at dtau and at
+    dtau/2 and must pass their agreement check (sup over stored
+    coefficients <= 1e-8), else AccuracyError suggests a smaller step; the
+    measured sup and its threshold go into the metadata as
+    ``halving_error`` and ``halving_tol``.  The stored rows are the dtau/2
+    march's even steps, with the forcing its first stages evaluated there.
     """
     if dtau <= 0.0 or dtau > DTAU_MAX:
         raise ConfigurationError(f"dtau must lie in (0, {DTAU_MAX}], got {dtau}")
@@ -308,29 +320,26 @@ def integrate_backward(
         return traj
 
     f = lambda tau, c: rhs(tau, c, pert, basis, col)
-    coeffs = _march_rk4(taus, c0, f)
-    if not np.all(np.isfinite(coeffs)):
+    coarse, _ = _march_rk4(taus, c0, f)
+    if not np.all(np.isfinite(coarse)):
         raise AccuracyError(
             "trajectory left the finite range (perturbation too strong for "
             "backward continuation)",
             suggestion=f"dtau <= {step / 4.0}",
         )
-    if verify_halving:
-        taus2 = np.linspace(0.0, tau_min, 2 * n + 1)
-        coeffs2 = _march_rk4(taus2, c0, f)
-        err = float(np.max(np.abs(coeffs - coeffs2[::2])))
-        if not math.isfinite(err) or err > HALVING_TOL:
-            raise AccuracyError(
-                f"step-halving disagreement {err:.3e} exceeds {HALVING_TOL}",
-                suggestion=f"dtau <= {step / 4.0}",
-            )
-        coeffs = coeffs2[::2]  # keep the finer march on the coarse grid
-    traj = Trajectory(basis, col, taus, coeffs, np.empty_like(coeffs), pert, step,
+    # the even points of the dtau/2 grid are ``taus`` bit for bit: halving
+    # a binary step is exact, so both grids are i * (tau_min / n)
+    fine, fine_forcing = _march_rk4(np.linspace(0.0, tau_min, 2 * n + 1), c0, f)
+    coeffs, forcing = fine[::2], fine_forcing[::2]
+    err = float(np.max(np.abs(coarse - coeffs)))
+    if not math.isfinite(err) or err > HALVING_TOL:
+        raise AccuracyError(
+            f"step-halving disagreement {err:.3e} exceeds {HALVING_TOL}",
+            suggestion=f"dtau <= {step / 4.0}",
+        )
+    traj = Trajectory(basis, col, taus, coeffs, forcing, pert, step,
                       metadata=_metadata(basis, pert, step, tau_min))
-    for i, t in enumerate(traj.t):
-        traj.forcing[i] = forcing_coefficients(t, coeffs[i], pert, col)
-    if verify_halving:
-        traj.metadata.update(halving_error=err, halving_tol=HALVING_TOL)
+    traj.metadata.update(halving_error=err, halving_tol=HALVING_TOL)
     ratio = traj.truncation_ratio()
     if ratio > TRUNCATION_FLAG:
         traj.metadata["truncation_flag"] = ratio
@@ -379,19 +388,17 @@ def check_h_admissible(
     C_h: float,
     eps_h: float,
     col: Collocation,
-    t_grid=None,
 ) -> tuple[bool, list]:
-    """Sample |h(x, t)| <= C_h (1 + |x|^{-2+eps_h}) at all cubature nodes.
+    """Sample |h(x, t)| <= C_h (1 + |x|^{-2+eps_h}) at all cubature nodes
+    and at every time of ADMISSIBILITY_TIMES.
 
     Returns (ok, failures) with failures listing (t, node index, |h|, bound).
     """
     if not 0.0 < eps_h < 2.0:
         raise ConfigurationError(f"eps_h must lie in (0, 2), got {eps_h}")
-    if t_grid is None:
-        t_grid = np.exp(np.linspace(math.log(1e-6), 0.0, 25))
     failures = []
     base_r = np.linalg.norm(col.points, axis=1)
-    for t in np.asarray(t_grid, dtype=float):
+    for t in ADMISSIBILITY_TIMES:
         pts = math.sqrt(t) * col.points
         r = math.sqrt(t) * base_r
         bound = C_h * (1.0 + r ** (-2.0 + eps_h))

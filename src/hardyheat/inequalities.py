@@ -38,6 +38,7 @@ from .ou_basis import OUBasis, eval_grad_V, eval_V, hardy_matrix, potential_coup
 from .quadrature import ProductRule, ZonalRule, product_rule, zonal_rule
 
 GAP_SLACK = 1e-10  # violations are gap < -GAP_SLACK * scale
+SOBOLEV_EXPONENT = 2.5  # the s of the Sobolev quotient in sweeps
 
 
 # -- test functions ----------------------------------------------------------
@@ -310,7 +311,6 @@ def sweep(
     t: float = 0.7,
     spec: ang.AngularSpectrum | None = None,
     basis: OUBasis | None = None,
-    s_exponent: float = 2.5,
     n_r: int = 48,
 ) -> dict:
     """Run one inequality over a family; returns the report dictionary.
@@ -337,7 +337,7 @@ def sweep(
     ratios = []
     for i, member in enumerate(family.members(basis)):
         if inequality == "sobolev":
-            ratios.append(sobolev_ratio(member, s_exponent, t, N, rules[0],
+            ratios.append(sobolev_ratio(member, SOBOLEV_EXPONENT, t, N, rules[0],
                                         verify_scaling=(i % 50 == 0)))
             continue
         gap, scale = member_gap(inequality, member, t, rules, spec)

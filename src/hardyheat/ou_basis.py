@@ -440,7 +440,6 @@ class Collocation:
     radial_table: np.ndarray
     angular_gram: np.ndarray
     gram_residual: float = 0.0
-    grad_Phi: np.ndarray | None = None
 
     @property
     def points(self) -> np.ndarray:
@@ -457,16 +456,10 @@ class Collocation:
         return self.Phi.T @ coeffs
 
 
-def build_collocation(
-    basis: OUBasis,
-    n_r: int = 64,
-    n_polar: int | None = None,
-    n_az: int | None = None,
-    with_gradients: bool = False,
-) -> Collocation:
+def build_collocation(basis: OUBasis, n_r: int = 64) -> Collocation:
     """Nodal table of the basis on the product rule.
 
-    Default angular sizes track the largest harmonic degree in the basis so
+    The angular sizes track the largest harmonic degree in the basis so
     that mode-pair products integrate exactly.
     """
     spec = basis.spectrum
@@ -475,11 +468,7 @@ def build_collocation(
             "nodal collocation with anisotropic modes requires N = 3"
         )
     lmax = basis.max_degree()
-    if n_polar is None:
-        n_polar = 2 * lmax + 10
-    if n_az is None:
-        n_az = 4 * lmax + 10
-    rule = product_rule(spec.N, n_r, n_polar, n_az)
+    rule = product_rule(spec.N, n_r, 2 * lmax + 10, 4 * lmax + 10)
     n_ang = len(rule.angular_weights)
     n_rad = rule.radial.count
     psi = ang.eval_psi_block(spec, rule.angular_dirs)
@@ -499,21 +488,4 @@ def build_collocation(
             f"collocation Gram residual {gram_residual:.3e}: the shared-node "
             "rule cannot represent this basis; raise n_r"
         )
-    grad = None
-    if with_gradients:
-        grad = np.empty((K, n_rad * n_ang, spec.N))
-        grad_psi = (
-            ang.eval_grad_psi_block(spec, rule.angular_dirs)
-            if spec.eigenvectors is not None
-            else np.zeros((spec.count, n_ang, spec.N))
-        )
-        dirs = rule.angular_dirs
-        for k, mode in enumerate(basis.modes):
-            fprime = mode.radial_profile_derivative(r) / mode.norm_L
-            fr = (r ** (-mode.alpha_j - 1.0) * mode.poly(r * r / 4.0)) / mode.norm_L
-            block = (
-                fprime[:, None, None] * psi[mode.j - 1][None, :, None] * dirs[None, :, :]
-                + fr[:, None, None] * grad_psi[mode.j - 1][None, :, :]
-            )
-            grad[k] = block.reshape(n_rad * n_ang, spec.N)
-    return Collocation(rule, Phi, radial_table, angular_gram, gram_residual, grad)
+    return Collocation(rule, Phi, radial_table, angular_gram, gram_residual)

@@ -301,25 +301,22 @@ def integrate_G_stable(
     N: int,
     n_r: int = DEFAULT_NR,
     cap: int = NR_CAP,
-    rtol: float = DOUBLING_RTOL,
-    n_polar: int | None = None,
-    n_az: int | None = None,
 ) -> float:
     """integrate_G with radial-node doubling until stable.
 
-    Doubles n_r until successive estimates agree to ``rtol`` relative,
+    Doubles n_r until successive estimates agree to DOUBLING_RTOL relative,
     raising QuadratureError at the cap.
     """
-    prev = integrate_G(f, t, product_rule(N, n_r, n_polar, n_az))
+    prev = integrate_G(f, t, product_rule(N, n_r))
     while n_r < cap:
         n_r *= 2
-        cur = integrate_G(f, t, product_rule(N, n_r, n_polar, n_az))
-        if abs(cur - prev) <= rtol * max(abs(cur), 1e-300):
+        cur = integrate_G(f, t, product_rule(N, n_r))
+        if abs(cur - prev) <= DOUBLING_RTOL * max(abs(cur), 1e-300):
             return cur
         prev = cur
     raise QuadratureError(
         f"integral did not stabilize by n_r = {cap}; last two estimates "
-        f"{prev} (the doubling criterion requires {rtol} relative agreement)"
+        f"{prev} (the doubling criterion requires {DOUBLING_RTOL} relative agreement)"
     )
 
 

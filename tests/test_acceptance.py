@@ -112,7 +112,7 @@ def test_c5_exact_perturbed_family(spec0):
                 assert np.max(np.abs(trace.N - (gamma - eps * trace.t))) < 1e-8
                 # beta = 1 for every Lambda; Lambda-independence
                 _, J0 = ou.multiplicity(gamma, basis0.spectrum)
-                spread, table = asym.lambda_independence(
+                spread, (table, *_) = asym.lambda_independence(
                     traj, [0.1, 0.2, 0.3, 0.4], J0, gamma)
                 mk = next(mk for mk in table.J0
                           if basis0.mode_index(j=mk[1], n=mk[0]) == k)
@@ -194,7 +194,7 @@ def test_c9_identities(basis0, col0):
         resid = {}
         for dtau in (0.008, 0.004):
             traj = ev.integrate_backward(basis0, c0, math.log(0.25), dtau, pert,
-                                         col0, verify_halving=False)
+                                         col0)
             resid[dtau] = al.check_Hprime(al.frequency_trace(traj))
         order = math.log2(resid[0.008] / resid[0.004])
         assert abs(order - 2.0) < 0.1
@@ -230,7 +230,7 @@ def test_c10_simulated_admissible_perturbation(basis0, col0):
             al.run_diagnostics(traj, trace, coercivity_constant=c1)
             assert abs(trace.gamma_raw - trace.gamma_hat) < 1e-5  # snaps
             _, J0 = ou.multiplicity(trace.gamma_hat, basis0.spectrum)
-            spread, table = asym.lambda_independence(
+            spread, (table, *_) = asym.lambda_independence(
                 traj, [0.1, 0.2, 0.3, 0.4], J0, trace.gamma_hat)
             assert spread < 1e-5  # Lambda-independence on the bounded-h run
             direct = asym.beta_direct(traj, None, J0, trace.gamma_hat)

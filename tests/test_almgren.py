@@ -135,8 +135,7 @@ def test_check_Hprime_pure_and_exp(traj_pure, basis0, col0):
     k = _mode(basis0, 0.0)
     pert = ev.PerturbationSpec.linear_constant(0.1)
     c0 = ev.closed_form_reference(basis0, ("exp_linear", k, 0.1), 1.0)
-    traj = ev.integrate_backward(basis0, c0, math.log(0.5), 0.00025, pert, col0,
-                                 verify_halving=False)
+    traj = ev.integrate_backward(basis0, c0, math.log(0.5), 0.00025, pert, col0)
     assert al.check_Hprime(al.frequency_trace(traj)) < 1e-8
 
 
@@ -147,8 +146,7 @@ def test_check_Hprime_second_order(basis0, col0):
     c0 = ev.closed_form_reference(basis0, ("exp_linear", k, 0.2), 1.0)
     resid = {}
     for dtau in (0.008, 0.004):
-        traj = ev.integrate_backward(basis0, c0, math.log(0.25), dtau, pert, col0,
-                                     verify_halving=False)
+        traj = ev.integrate_backward(basis0, c0, math.log(0.25), dtau, pert, col0)
         resid[dtau] = al.check_Hprime(al.frequency_trace(traj))
     order = math.log2(resid[0.008] / resid[0.004])
     assert abs(order - 2.0) < 0.1

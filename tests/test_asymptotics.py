@@ -36,8 +36,8 @@ def test_beta_integral_exp_linear_is_one(deep_exp, J0_ground):
 
 
 def test_lambda_independence_exp_linear(deep_exp, J0_ground):
-    spread, table = asym.lambda_independence(deep_exp, [0.1, 0.2, 0.3, 0.4],
-                                             J0_ground, 0.0)
+    spread, (table, *_) = asym.lambda_independence(deep_exp, [0.1, 0.2, 0.3, 0.4],
+                                                   J0_ground, 0.0)
     assert spread < 1e-8
     assert table.variation_over_Lambda == spread
     assert max(abs(v) for v in table.beta.values()) > 0  # non-triviality

@@ -208,13 +208,21 @@ def test_cmd_simulate_outputs_and_determinism(tmp_path):
     assert header == "t,H,D,N,nu1" 
 
 
-def test_cmd_beta_exp_linear(tmp_path):
-    path, _ = write_config(
+def test_cmd_beta_exp_linear(tmp_path, monkeypatch):
+    from hardyheat import asymptotics
+
+    path, cfg = write_config(
         tmp_path, perturbation="linear_constant:0.1",
         initial="family:exp_linear:0:0.1", tau_min=math.log(1e-6),
         gamma_max=1.0, directory=str(tmp_path),
     )
+    calls = []
+    counted = asymptotics.beta_integral
+    monkeypatch.setattr(asymptotics, "beta_integral",
+                        lambda *a, **k: calls.append(a[1]) or counted(*a, **k))
     assert main(["beta", "--config", path]) == 0
+    # one table per Lambda: the range check reuses lambda_independence's
+    assert sorted(calls) == sorted(cfg.lambda_grid)
     data = json.loads((tmp_path / "beta.json").read_text())
     assert abs(data["beta"]["beta"]["0,1"] - 1.0) < 1e-6
     assert data["beta"]["variation_over_Lambda"] < 1e-8

@@ -29,10 +29,10 @@ def test_build_initial_projection_vs_doubled_oracle(basis0, col0):
 
     spec = ang.solve_angular(ang.AngularPotential.constant(0.0), K=100, N=3)
     basis = ou.enumerate_modes(spec, 4.0)
-    col = ou.build_collocation(basis, n_r=48, n_polar=20, n_az=34)
+    col = ou.build_collocation(basis, n_r=48)
     v2 = lambda x: np.exp(-np.sum(x * x, axis=1) / 20.0)
     c2 = ev.build_initial(basis, v2, col)
-    col2b = ou.build_collocation(basis, n_r=96, n_polar=20, n_az=34)
+    col2b = ou.build_collocation(basis, n_r=96)
     np.testing.assert_allclose(c2, col2b.project(v2(col2b.points)), atol=1e-11)
 
 
@@ -54,8 +54,9 @@ def test_build_initial_orthonormal_combination(basis0, col0):
 def test_rhs_unperturbed_diagonal(basis0, col0):
     rng = np.random.default_rng(0)
     c = rng.normal(size=basis0.size)
-    out = ev.rhs(-0.3, c, ev.PerturbationSpec.none(), basis0, col0)
+    out, F = ev.rhs(-0.3, c, ev.PerturbationSpec.none(), basis0, col0)
     np.testing.assert_allclose(out, basis0.gammas * c, rtol=1e-14)
+    assert not np.any(F)
 
 
 def test_rhs_constant_h_identity_coupling(basis0, col0):
@@ -63,9 +64,10 @@ def test_rhs_constant_h_identity_coupling(basis0, col0):
     eps, tau = 0.1, -0.7
     rng = np.random.default_rng(1)
     c = rng.normal(size=basis0.size)
-    out = ev.rhs(tau, c, ev.PerturbationSpec.linear_constant(eps), basis0, col0)
+    out, F = ev.rhs(tau, c, ev.PerturbationSpec.linear_constant(eps), basis0, col0)
     expect = basis0.gammas * c - math.exp(tau) * eps * c
     np.testing.assert_allclose(out, expect, atol=1e-12)
+    np.testing.assert_allclose(F, eps * c, atol=1e-12)
 
 
 def test_rhs_semilinear_parity(basis0, col0):
@@ -217,12 +219,40 @@ def test_linearity_of_linear_flow(basis0, col0):
     pert = ev.PerturbationSpec.linear_bounded(0.1)
     k0, k1 = 0, 2
     tau_min = math.log(0.05)
-    run = lambda c0: ev.integrate_backward(basis0, c0, tau_min, 0.01, pert, col0,
-                                           verify_halving=False).coeffs
+    run = lambda c0: ev.integrate_backward(basis0, c0, tau_min, 0.01, pert, col0).coeffs
     e0, e1 = np.zeros(basis0.size), np.zeros(basis0.size)
     e0[k0], e1[k1] = 1.0, 1.0
     combo = run(2.0 * e0 + 3.0 * e1)
     np.testing.assert_allclose(combo, 2.0 * run(e0) + 3.0 * run(e1), atol=1e-11)
+
+
+_STORED_FORCING_CASES = {
+    "linear_bounded": ev.PerturbationSpec.linear_bounded(0.1),  # K x K route
+    "nodal_linear": ev.PerturbationSpec.linear(
+        lambda x, t: 0.4 * x[:, 0] ** 2 / (1.0 + np.sum(x * x, axis=1)), 0.4, 1.0),
+    "semilinear": ev.PerturbationSpec.semilinear(0.05, 2.0, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STORED_FORCING_CASES))
+def test_stored_forcing_is_the_rowwise_forcing(name, basis0, col0, monkeypatch):
+    # the march keeps its first-stage forcing: no post-march pass, and each
+    # row's F is the one a direct call at (t_i, c_i) returns, bit for bit
+    pert = _STORED_FORCING_CASES[name]
+    calls = []
+    counted = ev.forcing_coefficients
+    monkeypatch.setattr(ev, "forcing_coefficients",
+                        lambda *a, **k: calls.append(1) or counted(*a, **k))
+    c0 = np.zeros(basis0.size)
+    c0[0], c0[3] = 1.0, 0.5
+    traj = ev.integrate_backward(basis0, c0, math.log(0.5), 0.01, pert, col0)
+    n = traj.size - 1
+    assert n == 70 and len(calls) <= 12 * n + 2
+    monkeypatch.undo()
+    rowwise = np.array([ev.forcing_coefficients(t, c, pert, col0)
+                        for t, c in zip(traj.t, traj.coeffs)])
+    assert np.any(rowwise)
+    np.testing.assert_array_equal(traj.forcing, rowwise)
 
 
 def test_backward_stability_nonincreasing(basis0, col0, tau_small):
@@ -323,7 +353,7 @@ def test_semilinear_end_to_end(spec0):
     tr = al.frequency_trace(traj)
     assert tr.snapped and tr.gamma_hat == 0.0
     _, J0 = ou.multiplicity(0.0, basis0.spectrum)
-    spread, table = asym.lambda_independence(traj, [0.1, 0.2, 0.3], J0, 0.0)
+    spread, (table, *_) = asym.lambda_independence(traj, [0.1, 0.2, 0.3], J0, 0.0)
     assert spread < 1e-8
     direct = asym.beta_direct(traj, None, J0, 0.0)
     assert abs(table.beta[(0, 1)] - direct[(0, 1)][2]) < 1e-6
