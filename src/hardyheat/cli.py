@@ -11,6 +11,7 @@ failure, 4 positivity rejection.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -34,13 +35,23 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
-def _write_csv(path, columns, rows, meta):
+def _write_csv(path, columns, rows, meta) -> str:
+    """Write the file; returns the sha256 of its bytes."""
     with open(path, "w", encoding="utf-8") as fh:
         for key, val in meta.items():
             fh.write(f"# {key} = {val}\n")
         fh.write(",".join(columns) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def _read_csv(data: bytes) -> np.ndarray:
+    """The numeric rows of a :func:`_write_csv` file's bytes, exactly (the
+    fields are round-trip decimals)."""
+    lines = [l for l in data.decode("utf-8").splitlines() if not l.startswith("#")]
+    return np.array([[float(v) for v in l.split(",")] for l in lines[1:]])
 
 
 def _write_json(path, payload, meta):
@@ -73,9 +84,51 @@ def _spectrum_and_basis(cfg):
     return spec, basis
 
 
-def _trajectory(cfg, spec, basis):
+def _stored_rows(cfg, outdir, basis, pert):
+    """(tau, coeffs, step) of the trajectory.csv that ``simulate`` wrote to
+    outdir for this run.
+
+    Raises ValueError naming the first mismatch: trajectory.json must carry
+    this run's config hash, basis hash, version and step, ``rows_sha256``
+    must be the sha256 of the trajectory.csv bytes, a perturbed run's
+    ``halving_error`` must pass evolve.HALVING_TOL and the tau column must
+    be this run's grid.
+    """
+    with open(os.path.join(outdir, "trajectory.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    with open(os.path.join(outdir, "trajectory.csv"), "rb") as fh:
+        data = fh.read()
+    taus, step = evolve.tau_grid(cfg.tau_min, cfg.dtau)
+    meta = doc.get("meta") if isinstance(doc, dict) else None
+    if not isinstance(meta, dict):
+        raise ValueError("trajectory.json has no meta")
+    for key, want in dict(_meta(cfg, basis), dtau=step).items():
+        if meta.get(key) != want:
+            raise ValueError(f"{key} {meta.get(key)!r} is not {want!r}")
+    if doc.get("rows_sha256") != hashlib.sha256(data).hexdigest():
+        raise ValueError("rows_sha256 does not match trajectory.csv")
+    err = doc.get("halving_error")
+    if pert.kind != "none" and not (isinstance(err, float) and err <= evolve.HALVING_TOL):
+        raise ValueError(f"halving_error {err!r} does not pass {evolve.HALVING_TOL}")
+    rows = _read_csv(data)
+    if rows.shape != (len(taus), basis.size + 2) or not np.array_equal(rows[:, 0], taus):
+        raise ValueError("the rows are not this run's tau grid")
+    return rows[:, 0], rows[:, 2:], step
+
+
+def _trajectory(cfg, basis, reuse_dir=None):
+    """Integrate the flow, or rebuild it from the trajectory.csv in reuse_dir
+    when that file is valid for this run (see :func:`_stored_rows`)."""
     col = ou_basis.build_collocation(basis, n_r=cfg.radial_nodes)
     pert = parse_perturbation(cfg)
+    if reuse_dir is not None:
+        try:
+            tau, coeffs, step = _stored_rows(cfg, reuse_dir, basis, pert)
+        except (OSError, ValueError) as exc:
+            print(f"trajectory.csv not reused ({exc}); integrating", file=sys.stderr)
+        else:
+            print("trajectory rebuilt from trajectory.csv", file=sys.stderr)
+            return evolve.trajectory_from_rows(basis, col, tau, coeffs, pert, step)
     c0 = parse_initial(cfg, basis)
     return evolve.integrate_backward(basis, c0, cfg.tau_min, cfg.dtau, pert, col)
 
@@ -102,7 +155,7 @@ def cmd_spectrum(cfg, outdir) -> int:
 
 def cmd_simulate(cfg, outdir) -> int:
     spec, basis = _spectrum_and_basis(cfg)
-    traj = _trajectory(cfg, spec, basis)
+    traj = _trajectory(cfg, basis)
     trace = almgren.frequency_trace(traj, cfg.fit_decades)
     hprime = almgren.check_Hprime(trace)
     scaling = {repr(l): almgren.check_scaling(traj, l) for l in cfg.scaling_lambdas}
@@ -112,7 +165,7 @@ def cmd_simulate(cfg, outdir) -> int:
     meta["dtau"] = traj.dtau
     meta["perturbation"] = traj.perturbation.label
     K = basis.size
-    _write_csv(
+    rows_sha256 = _write_csv(
         os.path.join(outdir, "trajectory.csv"),
         ["tau", "t"] + [f"c_{k}" for k in range(K)],
         [[tau, t] + list(c) for tau, t, c in zip(traj.tau, traj.t, traj.coeffs)],
@@ -122,7 +175,8 @@ def cmd_simulate(cfg, outdir) -> int:
         os.path.join(outdir, "trajectory.json"),
         {"basis_hash": basis.content_hash(), "dtau": traj.dtau,
          "perturbation": traj.perturbation.label,
-         "tau_min": cfg.tau_min, "modes": K},
+         "tau_min": cfg.tau_min, "modes": K, "rows_sha256": rows_sha256,
+         "halving_error": traj.metadata.get("halving_error")},
         meta,
     )
     _write_csv(
@@ -143,6 +197,7 @@ def cmd_simulate(cfg, outdir) -> int:
             "collocation_gram_residual": traj.collocation.gram_residual,
             "halving_error": traj.metadata.get("halving_error"),
             "halving_tol": traj.metadata.get("halving_tol"),
+            "admissibility_ratio": traj.metadata.get("admissibility_ratio"),
         },
         meta,
     )
@@ -153,7 +208,7 @@ def cmd_simulate(cfg, outdir) -> int:
 
 def cmd_beta(cfg, outdir) -> int:
     spec, basis = _spectrum_and_basis(cfg)
-    traj = _trajectory(cfg, spec, basis)
+    traj = _trajectory(cfg, basis, reuse_dir=outdir)
     trace = almgren.frequency_trace(traj, cfg.fit_decades)
     if not trace.snapped:
         raise AccuracyError(

@@ -11,7 +11,9 @@ exact diagonal propagator e^{gamma_k dtau}; perturbed kinds use classical
 RK4 with a mandatory step-halving verification.  Every stored row keeps the
 forcing coefficients that the first RK4 stage of the dtau/2 march evaluated
 there: they are exactly the xi_{m,k} data the asymptotic coefficient
-formulas integrate later.
+formulas integrate later.  Stored rows read back from an earlier run go
+through the same input gates and get the same forcing, one evaluation per
+row, without a march.
 """
 
 from __future__ import annotations
@@ -177,8 +179,9 @@ class Trajectory:
 
     ``coeffs[i]`` is c(tau[i]); tau descends from 0 to tau_min.  ``forcing``
     stores F(tau_i, c_i) rowwise, i.e. the xi-coefficients of the
-    perturbation at each stored time: the forcing the first RK4 stage of
-    the dtau/2 march evaluated at that row, at time ``t[i]``.
+    perturbation at each stored time ``t[i]``: the forcing the first RK4
+    stage of the dtau/2 march evaluated at that row, or for rows given to
+    :func:`trajectory_from_rows` the same call made once per row.
     """
 
     basis: OUBasis
@@ -268,6 +271,82 @@ def _march_rk4(taus, c0, f):
     return c, forcing
 
 
+def tau_grid(tau_min: float, dtau: float) -> tuple[np.ndarray, float]:
+    """(taus, step): the stored rows from tau = 0 down to tau_min, in
+    n = ceil(-tau_min / dtau) equal steps of ``step`` <= dtau."""
+    n = max(1, math.ceil(-tau_min / dtau - 1e-12))
+    return np.linspace(0.0, tau_min, n + 1), -tau_min / n
+
+
+def _check_inputs(tau_min, dtau, pert, col) -> float | None:
+    """The input gates of a trajectory: the dtau and tau_min ranges and,
+    for a linear h, :func:`check_h_admissible` with the spec's C_h and
+    eps_h.  Returns the admissibility ratio (None unless linear)."""
+    if dtau <= 0.0 or dtau > DTAU_MAX:
+        raise ConfigurationError(f"dtau must lie in (0, {DTAU_MAX}], got {dtau}")
+    if tau_min >= 0.0 or tau_min < TAU_FLOOR - 1e-12:
+        raise ConfigurationError(
+            f"tau_min must lie in [log(1e-6), 0) = [{TAU_FLOOR}, 0), got {tau_min}"
+        )
+    if pert.kind != "linear":
+        return None
+    ok, failures, ratio = check_h_admissible(pert.h, pert.C_h, pert.eps_h, col)
+    if not ok:
+        raise ConfigurationError(
+            f"perturbing potential violates the admissibility bound at "
+            f"{len(failures)}+ sampled nodes, e.g. {failures[0]}"
+        )
+    return ratio
+
+
+def _record(basis, col, tau, coeffs, forcing, pert, step, ratio) -> Trajectory:
+    """Trajectory of the stored rows with the run metadata."""
+    meta = {
+        "basis_hash": basis.content_hash(),
+        "dtau": step,
+        "tau_min": float(tau[-1]),
+        "perturbation": pert.label,
+    }
+    if ratio is not None:
+        meta["admissibility_ratio"] = ratio
+    if pert.kind == "semilinear":
+        # Gaussian nodes cannot test the unweighted L^{p+1} hypotheses; the
+        # run verifies conclusions only.
+        meta["hypotheses_verified"] = False
+    traj = Trajectory(basis, col, tau, coeffs, forcing, pert, step, metadata=meta)
+    flag = traj.truncation_ratio()
+    if flag > TRUNCATION_FLAG:
+        meta["truncation_flag"] = flag
+    return traj
+
+
+def trajectory_from_rows(
+    basis: OUBasis,
+    col: Collocation,
+    tau: np.ndarray,
+    coeffs: np.ndarray,
+    pert: PerturbationSpec,
+    dtau: float,
+) -> Trajectory:
+    """Trajectory of given rows c(tau[i]) = coeffs[i], e.g. read back from
+    the trajectory.csv of an earlier run.
+
+    Runs the input gates of :func:`integrate_backward` on (tau[-1], dtau).
+    A perturbed kind gets its forcing from one :func:`forcing_coefficients`
+    call per row at time ``t[i]``; the unperturbed flow gets zero forcing
+    and ``diag_factors`` = exp(gamma_k tau_i).
+    """
+    ratio = _check_inputs(tau[-1], dtau, pert, col)
+    traj = _record(basis, col, tau, coeffs, np.zeros_like(coeffs), pert, dtau, ratio)
+    if pert.kind == "none":
+        traj.diag_factors = np.exp(np.outer(tau, basis.gammas))
+    else:
+        traj.forcing = np.array(
+            [forcing_coefficients(t, c, pert, col) for t, c in zip(traj.t, coeffs)]
+        )
+    return traj
+
+
 def integrate_backward(
     basis: OUBasis,
     c0: np.ndarray,
@@ -276,48 +355,29 @@ def integrate_backward(
     pert: PerturbationSpec,
     col: Collocation | None = None,
 ) -> Trajectory:
-    """March c from tau = 0 down to tau_min.
+    """March c from tau = 0 down to tau_min on :func:`tau_grid`.
 
     A linear h must first pass :func:`check_h_admissible` with the spec's
-    C_h and eps_h, else ConfigurationError.  The unperturbed flow uses the
-    exact diagonal propagator; perturbed kinds march RK4 at dtau and at
-    dtau/2 and must pass their agreement check (sup over stored
-    coefficients <= 1e-8), else AccuracyError suggests a smaller step; the
-    measured sup and its threshold go into the metadata as
-    ``halving_error`` and ``halving_tol``.  The stored rows are the dtau/2
-    march's even steps, with the forcing its first stages evaluated there.
+    C_h and eps_h, else ConfigurationError; its worst |h| / bound ratio goes
+    into the metadata as ``admissibility_ratio``.  The unperturbed flow uses
+    the exact diagonal propagator (the rows of :func:`trajectory_from_rows`);
+    perturbed kinds march RK4 at dtau and at dtau/2 and must pass their
+    agreement check (sup over stored coefficients <= 1e-8), else
+    AccuracyError suggests a smaller step; the measured sup and its
+    threshold go into the metadata as ``halving_error`` and
+    ``halving_tol``.  The stored rows are the dtau/2 march's even steps,
+    with the forcing its first stages evaluated there.
     """
-    if dtau <= 0.0 or dtau > DTAU_MAX:
-        raise ConfigurationError(f"dtau must lie in (0, {DTAU_MAX}], got {dtau}")
-    if tau_min >= 0.0 or tau_min < TAU_FLOOR - 1e-12:
-        raise ConfigurationError(
-            f"tau_min must lie in [log(1e-6), 0) = [{TAU_FLOOR}, 0), got {tau_min}"
-        )
     c0 = np.asarray(c0, dtype=float)
     if len(c0) != basis.size:
         raise ConfigurationError("initial coefficient vector does not match the basis")
     if col is None:
         col = build_collocation(basis)
-    if pert.kind == "linear":
-        ok, failures = check_h_admissible(pert.h, pert.C_h, pert.eps_h, col)
-        if not ok:
-            raise ConfigurationError(
-                f"perturbing potential violates the admissibility bound at "
-                f"{len(failures)}+ sampled nodes, e.g. {failures[0]}"
-            )
-
-    n = max(1, math.ceil(-tau_min / dtau - 1e-12))
-    taus = np.linspace(0.0, tau_min, n + 1)
-    step = -tau_min / n
-
+    ratio = _check_inputs(tau_min, dtau, pert, col)
+    taus, step = tau_grid(tau_min, dtau)
     if pert.kind == "none":
-        factors = np.exp(np.outer(taus, basis.gammas))
-        coeffs = c0[None, :] * factors
-        forcing = np.zeros_like(coeffs)
-        traj = Trajectory(basis, col, taus, coeffs, forcing, pert, step,
-                          metadata=_metadata(basis, pert, step, tau_min))
-        traj.diag_factors = factors  # lets beta undo the flow bit-for-bit
-        return traj
+        coeffs = c0[None, :] * np.exp(np.outer(taus, basis.gammas))
+        return trajectory_from_rows(basis, col, taus, coeffs, pert, step)
 
     f = lambda tau, c: rhs(tau, c, pert, basis, col)
     coarse, _ = _march_rk4(taus, c0, f)
@@ -329,7 +389,7 @@ def integrate_backward(
         )
     # the even points of the dtau/2 grid are ``taus`` bit for bit: halving
     # a binary step is exact, so both grids are i * (tau_min / n)
-    fine, fine_forcing = _march_rk4(np.linspace(0.0, tau_min, 2 * n + 1), c0, f)
+    fine, fine_forcing = _march_rk4(np.linspace(0.0, tau_min, 2 * len(taus) - 1), c0, f)
     coeffs, forcing = fine[::2], fine_forcing[::2]
     err = float(np.max(np.abs(coarse - coeffs)))
     if not math.isfinite(err) or err > HALVING_TOL:
@@ -337,27 +397,9 @@ def integrate_backward(
             f"step-halving disagreement {err:.3e} exceeds {HALVING_TOL}",
             suggestion=f"dtau <= {step / 4.0}",
         )
-    traj = Trajectory(basis, col, taus, coeffs, forcing, pert, step,
-                      metadata=_metadata(basis, pert, step, tau_min))
+    traj = _record(basis, col, taus, coeffs, forcing, pert, step, ratio)
     traj.metadata.update(halving_error=err, halving_tol=HALVING_TOL)
-    ratio = traj.truncation_ratio()
-    if ratio > TRUNCATION_FLAG:
-        traj.metadata["truncation_flag"] = ratio
     return traj
-
-
-def _metadata(basis, pert, step, tau_min):
-    meta = {
-        "basis_hash": basis.content_hash(),
-        "dtau": step,
-        "tau_min": tau_min,
-        "perturbation": pert.label,
-    }
-    if pert.kind == "semilinear":
-        # Gaussian nodes cannot test the unweighted L^{p+1} hypotheses; the
-        # run verifies conclusions only.
-        meta["hypotheses_verified"] = False
-    return meta
 
 
 def closed_form_reference(basis: OUBasis, family, t: float) -> np.ndarray:
@@ -388,22 +430,27 @@ def check_h_admissible(
     C_h: float,
     eps_h: float,
     col: Collocation,
-) -> tuple[bool, list]:
+) -> tuple[bool, list, float]:
     """Sample |h(x, t)| <= C_h (1 + |x|^{-2+eps_h}) at all cubature nodes
     and at every time of ADMISSIBILITY_TIMES.
 
-    Returns (ok, failures) with failures listing (t, node index, |h|, bound).
+    Returns (ok, failures, worst) with failures listing (t, node index,
+    |h|, bound) and worst the largest sampled |h| / bound.
     """
     if not 0.0 < eps_h < 2.0:
         raise ConfigurationError(f"eps_h must lie in (0, 2), got {eps_h}")
     failures = []
+    worst = 0.0
     base_r = np.linalg.norm(col.points, axis=1)
     for t in ADMISSIBILITY_TIMES:
         pts = math.sqrt(t) * col.points
         r = math.sqrt(t) * base_r
         bound = C_h * (1.0 + r ** (-2.0 + eps_h))
         vals = np.abs(np.asarray(h(pts, t), dtype=float))
+        with np.errstate(divide="ignore"):  # C_h = 0: a nonzero h is infinitely over
+            ratio = np.divide(vals, bound, out=np.zeros_like(vals), where=vals > 0.0)
+        worst = max(worst, float(ratio.max()))
         bad = vals > bound * (1.0 + 1e-12)
         for idx in np.nonzero(bad)[0][:5]:
             failures.append((float(t), int(idx), float(vals[idx]), float(bound[idx])))
-    return len(failures) == 0, failures
+    return len(failures) == 0, failures, worst

@@ -1,5 +1,6 @@
 import json
 import math
+import shutil
 import string
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hardyheat import evolve
 from hardyheat.cli import main
 from hardyheat.config import RunConfig, parse_perturbation, parse_potential
 from hardyheat.errors import ConfigurationError
@@ -181,6 +183,18 @@ def test_cmd_spectrum_positivity_exit(tmp_path, capsys):
     assert "positiv" in capsys.readouterr().err.lower()
 
 
+@pytest.mark.parametrize("N", (3, 4, 5))
+def test_cmd_spectrum_positivity_boundary(tmp_path, capsys, N):
+    # constant:lam gives mu_1 = -lam; the gate is mu_1 > -(N-2)^2/4
+    edge = (N - 2) ** 2 / 4.0
+    for lam, code in ((edge - 1e-6, 0), (edge, 4), (edge + 1e-6, 4)):
+        path, _ = write_config(tmp_path, dimension=N, potential=f"constant:{lam!r}",
+                               gamma_max=1.0, directory=str(tmp_path))
+        assert main(["spectrum", "--config", path]) == code
+        err = capsys.readouterr().err.lower()
+        assert ("positiv" in err) == (code == 4)
+
+
 def test_cmd_spectrum_dimension_four(tmp_path):
     # half-integer ladder again: gamma = m + l/2
     path, _ = write_config(tmp_path, dimension=4, gamma_max=1.5,
@@ -311,3 +325,100 @@ def test_cmd_beta_and_verify_deterministic(tmp_path):
     assert main(["verify", "--config", path]) == 0
     for name, blob in blobs.items():
         assert (tmp_path / name).read_bytes() == blob
+
+
+# beta after simulate rebuilds the trajectory from trajectory.csv; shallow
+# runs on a small collocation rule keep these tests fast
+_REUSE_CASES = {
+    "linear_bounded": dict(perturbation="linear_bounded:0.1", tau_min=math.log(1e-5)),
+    "semilinear": dict(perturbation="semilinear:0.05:2.0", tau_min=math.log(1e-3)),
+}
+_BETA_FILES = ("beta.json", "reconstruction.csv")
+
+
+def _simulated(tmp_path, name):
+    """(config path, output dir) after a simulate run of a _REUSE_CASES case."""
+    out = tmp_path / "out"
+    path, _ = write_config(tmp_path, gamma_max=1.0, dtau=0.01, radial_nodes=16,
+                           directory=str(out), **_REUSE_CASES[name])
+    assert main(["simulate", "--config", path]) == 0
+    return path, out
+
+
+def _count_work(monkeypatch):
+    """Counters of RK4 marches and forcing evaluations from here on."""
+    calls = {"march": 0, "forcing": 0}
+    march, forcing = evolve._march_rk4, evolve.forcing_coefficients
+
+    def counted_march(*args):
+        calls["march"] += 1
+        return march(*args)
+
+    def counted_forcing(*args, **kwargs):
+        calls["forcing"] += 1
+        return forcing(*args, **kwargs)
+
+    monkeypatch.setattr(evolve, "_march_rk4", counted_march)
+    monkeypatch.setattr(evolve, "forcing_coefficients", counted_forcing)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(_REUSE_CASES))
+def test_beta_reuses_simulate_trajectory(tmp_path, monkeypatch, capsys, name):
+    path, out = _simulated(tmp_path, name)
+    ratio = json.loads((out / "frequency.json").read_text())["admissibility_ratio"]
+    assert ratio is None if name == "semilinear" else 0.0 < ratio <= 1.0
+    rows = len(_csv_numbers(out / "trajectory.csv"))
+    calls = _count_work(monkeypatch)
+    assert main(["beta", "--config", path]) == 0
+    # no march: one forcing evaluation per stored row
+    assert calls == {"march": 0, "forcing": rows}
+    assert "rebuilt from trajectory.csv" in capsys.readouterr().err
+    reused = {fname: (out / fname).read_bytes() for fname in _BETA_FILES}
+    shutil.rmtree(out)
+    assert main(["beta", "--config", path]) == 0  # same path, nothing to reuse
+    assert calls["march"] == 2
+    assert "not reused" in capsys.readouterr().err
+    for fname, blob in reused.items():
+        assert (out / fname).read_bytes() == blob
+
+
+def _edit_json(out, key, value):
+    doc = json.loads((out / "trajectory.json").read_text())
+    if key in doc["meta"]:
+        doc["meta"][key] = value
+    else:
+        doc[key] = value
+    (out / "trajectory.json").write_text(json.dumps(doc))
+
+
+def _edit_coefficient_digit(out):
+    # the leading digit of c_0 in the last row, which every beta route reads
+    head, last = (out / "trajectory.csv").read_text().rstrip("\n").rsplit("\n", 1)
+    fields = last.split(",")
+    digit = next(ch for ch in fields[2] if ch in "123456789")
+    fields[2] = fields[2].replace(digit, "2" if digit == "1" else "1", 1)
+    (out / "trajectory.csv").write_text(head + "\n" + ",".join(fields) + "\n")
+
+
+_STALE_EDITS = {
+    "config_hash": lambda out: _edit_json(out, "config_hash", "0" * 16),
+    "coefficient_digit": _edit_coefficient_digit,
+    "no_trajectory_json": lambda out: (out / "trajectory.json").unlink(),
+    "halving_error": lambda out: _edit_json(out, "halving_error", 2.0 * evolve.HALVING_TOL),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(_STALE_EDITS))
+def test_beta_integrates_when_trajectory_is_stale(tmp_path, monkeypatch, capsys, edit):
+    path, out = _simulated(tmp_path, "linear_bounded")
+    assert main(["beta", "--config", path]) == 0
+    reused = {fname: (out / fname).read_bytes() for fname in _BETA_FILES}
+    _STALE_EDITS[edit](out)
+    capsys.readouterr()
+    calls = _count_work(monkeypatch)
+    assert main(["beta", "--config", path]) == 0
+    assert calls["march"] == 2
+    assert "not reused" in capsys.readouterr().err
+    for fname, blob in reused.items():
+        assert (out / fname).read_bytes() == blob

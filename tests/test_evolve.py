@@ -253,6 +253,10 @@ def test_stored_forcing_is_the_rowwise_forcing(name, basis0, col0, monkeypatch):
                         for t, c in zip(traj.t, traj.coeffs)])
     assert np.any(rowwise)
     np.testing.assert_array_equal(traj.forcing, rowwise)
+    # the rows alone rebuild the same trajectory
+    rebuilt = ev.trajectory_from_rows(basis0, col0, traj.tau, traj.coeffs, pert, traj.dtau)
+    np.testing.assert_array_equal(rebuilt.t, traj.t)
+    np.testing.assert_array_equal(rebuilt.forcing, traj.forcing)
 
 
 def test_backward_stability_nonincreasing(basis0, col0, tau_small):
@@ -292,14 +296,22 @@ def test_parameter_validation(basis0, col0):
 
 
 def test_check_h_admissible(basis0, col0):
-    ok, fails = ev.check_h_admissible(lambda x, t: np.full(len(x), 0.3), 0.3, 1.0, col0)
+    ok, fails, ratio = ev.check_h_admissible(lambda x, t: np.full(len(x), 0.3), 0.3, 1.0, col0)
     assert ok and not fails
+    # |h| = C_h sits below C_h (1 + r^{-1}) everywhere, closest at the
+    # outermost node at t = 1; an h on the bound reaches ratio 1
+    r_max = float(np.max(np.linalg.norm(col0.points, axis=1)))
+    assert ratio <= 1.0 and ratio == pytest.approx(1.0 / (1.0 + 1.0 / r_max), rel=1e-14)
+    on_bound = lambda x, t: 0.3 * (1.0 + 1.0 / np.linalg.norm(x, axis=1))
+    ok, _, ratio = ev.check_h_admissible(on_bound, 0.3, 1.0, col0)
+    assert ok and ratio == pytest.approx(1.0, rel=1e-14)
     h_inv = lambda x, t: 1.0 / np.linalg.norm(x, axis=1)
-    ok, _ = ev.check_h_admissible(h_inv, 1.0, 1.0, col0)
+    ok, _, _ = ev.check_h_admissible(h_inv, 1.0, 1.0, col0)
     assert ok  # exact form of the bound
     h_inv2 = lambda x, t: 1.0 / np.sum(x * x, axis=1)
-    ok, fails = ev.check_h_admissible(h_inv2, 1.0, 1.5, col0)
+    ok, fails, ratio = ev.check_h_admissible(h_inv2, 1.0, 1.5, col0)
     assert not ok and fails  # |x|^{-2} beats the bound at small nodes
+    assert ratio >= (1.0 - 1e-14) * max(f[2] / f[3] for f in fails) > 1.0
 
 
 def test_integrate_backward_rejects_inadmissible_h(basis0, col0):
@@ -313,13 +325,33 @@ def test_integrate_backward_rejects_inadmissible_h(basis0, col0):
             ev.integrate_backward(basis0, c0, math.log(0.5), 0.01, pert, col0)
 
 
+def test_trajectory_from_rows_unperturbed_and_gates(basis0, col0):
+    c0 = np.zeros(basis0.size)
+    c0[0], c0[3] = 1.0, 0.5
+    none = ev.PerturbationSpec.none()
+    traj = ev.integrate_backward(basis0, c0, math.log(0.5), 0.01, none, col0)
+    assert not np.any(traj.forcing)
+    np.testing.assert_array_equal(traj.diag_factors,
+                                  np.exp(np.outer(traj.tau, basis0.gammas)))
+    np.testing.assert_allclose(traj.coeffs / traj.diag_factors,
+                               np.tile(c0, (traj.size, 1)), rtol=1e-15)
+    # the input gates of integrate_backward hold for given rows too
+    too_large = dataclasses.replace(ev.PerturbationSpec.linear_constant(0.5), C_h=0.1)
+    with pytest.raises(ConfigurationError, match="admissibility bound"):
+        ev.trajectory_from_rows(basis0, col0, traj.tau, traj.coeffs, too_large, traj.dtau)
+    with pytest.raises(ConfigurationError, match="dtau"):
+        ev.trajectory_from_rows(basis0, col0, traj.tau, traj.coeffs, none, 0.02)
+    with pytest.raises(ConfigurationError, match="tau_min"):
+        ev.trajectory_from_rows(basis0, col0, -traj.tau, traj.coeffs, none, traj.dtau)
+
+
 def test_truncation_flag(basis0, col0):
     # strong coupling pushing mass into the last mode flags the run
     pert = ev.PerturbationSpec.linear(
         lambda x, t: 0.4 * x[:, 0] ** 2 / (1.0 + np.sum(x * x, axis=1)),
         0.4, 1.0, label="test",
     )
-    ok, _ = ev.check_h_admissible(pert.h, pert.C_h, pert.eps_h, col0)
+    ok, _, _ = ev.check_h_admissible(pert.h, pert.C_h, pert.eps_h, col0)
     assert ok
     c0 = np.zeros(basis0.size)
     c0[0] = 1.0

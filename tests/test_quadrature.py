@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import roots_genlaguerre
 
 from hardyheat import quadrature as quad
@@ -45,6 +47,17 @@ def test_laguerre_polynomial_exactness_degree():
         exact = sum(c * math.gamma(a_gl + 1 + k) / math.gamma(a_gl + 1)
                     for k, c in enumerate(coeffs)) * math.gamma(a_gl + 1)
         np.testing.assert_allclose(approx, exact, rtol=1e-11, atol=1e-11)
+
+
+@settings(deadline=None, max_examples=300)
+@given(a=st.floats(min_value=-1.0, max_value=6.0, exclude_min=True),
+       nk=st.integers(1, 24).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, 2 * n - 1))))
+def test_laguerre_exactness_property(a, nk):
+    # n nodes integrate s^k s^a e^{-s} exactly for k <= 2n - 1
+    n, k = nk
+    rule = quad.laguerre_rule(a, n)
+    exact = math.gamma(a + k + 1.0)
+    assert abs(float(rule.weights @ rule.nodes**k) - exact) <= 1e-12 * exact
 
 
 def test_laguerre_invariants():

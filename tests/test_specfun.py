@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import hyp1f1
 
 from hardyheat import specfun as sf
 from hardyheat.errors import PositivityError, QuadratureError
@@ -138,6 +141,26 @@ def test_kummer_matches_p_poly():
             np.testing.assert_allclose(
                 sf.kummer_m(-float(m), b, t), poly(t), rtol=1e-12, atol=1e-14
             )
+
+
+@st.composite
+def _p_poly_args(draw):
+    N = draw(st.sampled_from((3, 4, 5)))
+    # positivity mu > -(N-2)^2/4 is alpha < (N-2)/2
+    alpha = draw(st.floats(min_value=-8.0, max_value=(N - 2) / 2.0, exclude_max=True))
+    return draw(st.integers(0, 12)), alpha, N, draw(st.floats(min_value=0.0, max_value=20.0))
+
+
+@settings(deadline=None, max_examples=300)
+@given(args=_p_poly_args())
+def test_p_poly_is_terminating_kummer_property(args):
+    n, alpha, N, s = args
+    p = sf.p_poly(n, alpha, N)
+    b = N / 2.0 - alpha
+    # the terms alternate in sign, so the error scale is the largest term
+    scale = max(abs(c) * s**i for i, c in enumerate(p.coeffs))
+    assert abs(p(s) - sf.kummer_m(-float(n), b, s)) <= 1e-13 * scale
+    assert abs(p(s) - hyp1f1(-n, b, s)) <= 1e-13 * scale
 
 
 def test_polynomial_horner_and_derivative():
