@@ -157,6 +157,11 @@ def beta_integral(traj: Trajectory, Lambda: float, J0=None,
     tail_worst = 0.0
     rows_below = np.nonzero(traj.tau <= traj.tau[row] + 1e-14)[0]
     rows_below = rows_below[np.argsort(traj.tau[rows_below])]  # ascending tau
+    if traj.perturbation.kind != "none" and len(rows_below) < 2:
+        raise ConfigurationError(
+            f"Lambda = {Lambda} leaves {len(rows_below)} stored row(s) at or below "
+            "Lambda^2, too few for the forcing integral; lower tau_min or raise Lambda"
+        )
     s = np.exp(0.5 * traj.tau[rows_below])  # ascending
     for (m, k), kb in zip(J0, idx):
         direct = _direct_term(traj, row, kb, gamma)

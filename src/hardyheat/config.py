@@ -75,6 +75,11 @@ class RunConfig:
             raise ConfigurationError("gamma_max must be positive")
         if self.radial_nodes < 4 or self.radial_nodes > 1024:
             raise ConfigurationError("radial_nodes outside [4, 1024]")
+        if not self.lambda_grid:
+            raise ConfigurationError("lambda_grid must list at least one Lambda")
+        for key in ("lambda_grid", "recon_lambdas"):
+            if not all(lam > 0.0 for lam in getattr(self, key)):
+                raise ConfigurationError(f"{key} entries must be positive")
         if not 0.0 < self.recon_tau < 1.0:
             raise ConfigurationError("recon_tau must lie in (0, 1)")
         if self.sweep_count < 1:

@@ -1,14 +1,18 @@
 """Explicit eigenbasis of L = -Lap + x/2 . grad - a(x/|x|)/|x|^2.
 
 Each mode is V_{n,j}(x) = |x|^{-alpha_j} P_{j,n}(|x|^2/4) psi_j(x/|x|) with
-eigenvalue gamma = n - alpha_j/2.  All mode-pair integrals reduce, via the
-L^2(S^{N-1}) orthonormality of the psi_j, to radial integrals of the form
+eigenvalue gamma = n - alpha_j/2.  Every mode-pair integral separates into
+an angular factor times a radial integral
 
-    int_0^inf r^{-beta} (poly in r^2/4) e^{-r^2/4} r^{N-1} dr
-        = 2^{N-1-beta} int_0^inf s^{N/2-1-beta/2} (poly) e^-s ds,
+    int_0^inf f_a f_b r^{N-1-2 shift} e^{-r^2/4} dr,    f = r^{-alpha} P(r^2/4),
 
-which a generalized Gauss-Laguerre rule with matched exponent evaluates
-exactly.  The weak eigen-equation B(V_p, V_q) = gamma_q <V_p, V_q> is the
+and the modes of one angular index share alpha_j, so one generalized
+Gauss-Laguerre rule with the matched exponent integrates a whole (j, j')
+block exactly.  ``_pair_matrix`` is that block evaluator.  It serves the
+Gram and bilinear matrices of ``certification_matrices`` (block diagonal
+in j), ``hardy_matrix`` (shift 1, identity angular factor) and
+``potential_coupling_matrix`` (angular factor ``ang.potential_pairing``).
+The weak eigen-equation B(V_p, V_q) = gamma_q <V_p, V_q> is the
 certification target: the bilinear form separates as
 
     B(V_A, V_B) = delta_{j_A j_B} [ int f_A' f_B' r^{N-1} e^{-r^2/4} dr
@@ -20,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -63,82 +67,44 @@ class OUMode:
         return r ** (-self.alpha_j) * self.poly(r * r / 4.0)
 
     def radial_profile_derivative(self, r):
-        """f'(r) = r^{-alpha-1} (-alpha P + 2 s P')(r^2/4)."""
+        """f'(r) = r^{-alpha-1} Q(r^2/4), Q = -alpha P + 2 s P'."""
         r = np.asarray(r, dtype=float)
-        s = r * r / 4.0
-        q = -self.alpha_j * self.poly(s) + 2.0 * s * self.poly.derivative()(s)
-        return r ** (-self.alpha_j - 1.0) * q
-
-
-def _pair_rule_size(mode_a: OUMode, mode_b: OUMode) -> int:
-    return max(8, mode_a.poly.degree + mode_b.poly.degree + 2)
-
-
-def _radial_pair_integral(a_gl: float, poly_vals, n_r: int) -> float:
-    rule = laguerre_rule(a_gl, n_r)
-    return float(rule.weights @ poly_vals(rule.nodes))
+        return r ** (-self.alpha_j - 1.0) * _q_poly(self)(r * r / 4.0)
 
 
 def _q_poly(mode: OUMode) -> Polynomial:
     """Q = -alpha P + 2 s P', the polynomial factor of r^{alpha+1} f'."""
-    p = mode.poly
-    dp = p.derivative()
-    coeffs = [-mode.alpha_j * c for c in p.coeffs]
-    for i, c in enumerate(dp.coeffs):
-        if i + 1 < len(coeffs):
-            coeffs[i + 1] += 2.0 * c
-        else:
-            coeffs.append(2.0 * c)
-    return Polynomial(tuple(coeffs))
+    return Polynomial(tuple(-mode.alpha_j * c + 2.0 * (i * c)
+                            for i, c in enumerate(mode.poly.coeffs)))
 
 
-def raw_inner_L(mode_a: OUMode, mode_b: OUMode, N: int) -> float:
-    """<V_A, V_B> in the Gaussian L^2 norm, for unnormalized modes."""
-    if mode_a.j != mode_b.j:
-        return 0.0  # psi-orthogonality, analytic reduction
-    alpha2 = mode_a.alpha_j + mode_b.alpha_j
-    a_gl = N / 2.0 - 1.0 - alpha2 / 2.0
-    val = _radial_pair_integral(
-        a_gl,
-        lambda s: mode_a.poly(s) * mode_b.poly(s),
-        _pair_rule_size(mode_a, mode_b),
-    )
-    return 2.0 ** (N - 1 - alpha2) * val
+def _pair_matrix(modes_a, modes_b, N: int, shift: int, mu: float | None = None):
+    """Matrix of int f_a f_b r^{N-1-2 shift} e^{-r^2/4} dr over two mode lists.
+
+    Each list holds modes of one angular index, so every entry shares the
+    weight s^{N/2-1-shift-(alpha_a+alpha_b)/2} e^-s and one matched
+    Gauss-Laguerre rule integrates the whole block exactly.  With ``mu``
+    the integrand is the bilinear form's Q_a Q_b + mu P_a P_b instead.
+    """
+    alpha2 = modes_a[0].alpha_j + modes_b[0].alpha_j
+    degree = max(m.poly.degree for m in modes_a) + max(m.poly.degree for m in modes_b)
+    rule = laguerre_rule(N / 2.0 - 1.0 - shift - alpha2 / 2.0,
+                         max(8, degree + 2) + (mu is not None))
+    Pa = np.array([m.poly(rule.nodes) for m in modes_a])[:, None]
+    Pb = np.array([m.poly(rule.nodes) for m in modes_b])[None]
+    if mu is None:
+        vals = Pa * Pb
+    else:
+        Qa = np.array([_q_poly(m)(rule.nodes) for m in modes_a])[:, None]
+        Qb = np.array([_q_poly(m)(rule.nodes) for m in modes_b])[None]
+        vals = Qa * Qb + (mu * Pa) * Pb
+    return 2.0 ** (N - 1 - 2 * shift - alpha2) * np.vecdot(vals, rule.weights)
 
 
-def raw_bilinear_B(mode_a: OUMode, mode_b: OUMode, N: int, mu_j: float) -> float:
-    """B(V_A, V_B) for unnormalized modes via the angular reduction."""
-    if mode_a.j != mode_b.j:
-        return 0.0
-    alpha2 = mode_a.alpha_j + mode_b.alpha_j
-    a_gl = N / 2.0 - 2.0 - alpha2 / 2.0
-    qa, qb = _q_poly(mode_a), _q_poly(mode_b)
-    n_r = _pair_rule_size(mode_a, mode_b) + 1
-    val = _radial_pair_integral(
-        a_gl,
-        lambda s: qa(s) * qb(s) + mu_j * mode_a.poly(s) * mode_b.poly(s),
-        n_r,
-    )
-    return 2.0 ** (N - 3 - alpha2) * val
-
-
-def raw_hardy_pair(mode_a: OUMode, mode_b: OUMode, N: int) -> float:
-    """<V_A, V_B / |x|^2> in the Gaussian L^2 pairing (same reduction)."""
-    if mode_a.j != mode_b.j:
-        return 0.0
-    return _hardy_radial(mode_a, mode_b, N)
-
-
-def _hardy_radial(mode_a: OUMode, mode_b: OUMode, N: int) -> float:
-    """Radial factor int f_A f_B r^{N-3} e^{-r^2/4} dr of the |x|^-2 pairing."""
-    alpha2 = mode_a.alpha_j + mode_b.alpha_j
-    a_gl = N / 2.0 - 2.0 - alpha2 / 2.0
-    val = _radial_pair_integral(
-        a_gl,
-        lambda s: mode_a.poly(s) * mode_b.poly(s),
-        _pair_rule_size(mode_a, mode_b),
-    )
-    return 2.0 ** (N - 3 - alpha2) * val
+def _j_blocks(modes) -> list:
+    """(j, indices) for each angular index, indices in list order."""
+    js = np.asarray([m.j for m in modes])
+    return [(j, np.flatnonzero(js == j)) for j in dict.fromkeys(js.tolist())]
 
 
 @dataclass
@@ -225,7 +191,9 @@ def enumerate_modes(
     """All modes with gamma = n - alpha_j/2 <= gamma_max, certified complete.
 
     Requires the positivity gate and a spectrum long enough that the last
-    angular eigenvalue already sits above the gamma_max window.
+    angular eigenvalue already sits above the gamma_max window.  The norms
+    and both certification residuals come from one certification_matrices
+    call; residuals are maxima over the upper triangle in mode order.
     """
     ok, margin = ang.check_positivity(spectrum)
     if not ok:
@@ -235,56 +203,53 @@ def enumerate_modes(
     alphas = _alphas(spectrum)
     _certify_coverage(spectrum, gamma_max, alphas)
     N = spectrum.N
-    modes = []
-    for j0, alpha in enumerate(alphas):
-        j = j0 + 1
-        n_top = math.floor(gamma_max + alpha / 2.0 + 1e-12)
-        for n in range(0, n_top + 1):
-            gamma = gamma_mk(n, alpha)
-            if gamma > gamma_max + 1e-12:
-                continue
-            poly = p_poly(n, alpha, N)
-            mode = OUMode(j, n, float(alpha), float(gamma), poly, 1.0,
-                          int(spectrum.degrees[j0]))
-            norm2 = raw_inner_L(mode, mode, N)
-            if norm2 <= 0.0:
-                raise TruncationError(f"non-positive norm for mode (n={n}, j={j})")
-            modes.append(
-                OUMode(j, n, float(alpha), float(gamma), poly, math.sqrt(norm2),
-                       int(spectrum.degrees[j0]))
-            )
-    modes.sort(key=lambda m: (m.gamma, m.j, m.n))
-    if max_modes is not None:
-        modes = modes[:max_modes]
-    gram_res, bil_res = _certify(modes, spectrum)
-    basis = OUBasis(spectrum, modes, gram_res, bil_res)
-    return basis
-
-
-def _certify(modes, spectrum: ang.AngularSpectrum):
-    """Max Gram and weak-eigenvalue residuals over all normalized pairs."""
-    N = spectrum.N
-    gram_res = 0.0
-    bil_res = 0.0
-    for p, mp in enumerate(modes):
-        for q in range(p, len(modes)):
-            mq = modes[q]
-            if mp.j != mq.j:
-                continue  # exact zeros by angular orthogonality
-            mu_j = float(spectrum.eigenvalues[mp.j - 1])
-            scale = 1.0 / (mp.norm_L * mq.norm_L)
-            inner = raw_inner_L(mp, mq, N) * scale
-            bil = raw_bilinear_B(mp, mq, N, mu_j) * scale
-            delta = 1.0 if p == q else 0.0
-            gram_res = max(gram_res, abs(inner - delta))
-            bil_res = max(bil_res, abs(bil - mq.gamma * delta))
+    keys = sorted(
+        (gamma_mk(n, alpha), j0 + 1, n)
+        for j0, alpha in enumerate(alphas)
+        for n in range(math.floor(gamma_max + alpha / 2.0 + 1e-12) + 1)
+    )
+    keys = [key for key in keys if key[0] <= gamma_max + 1e-12][:max_modes]
+    unnormalized = [
+        OUMode(j, n, float(alphas[j - 1]), float(gamma), p_poly(n, alphas[j - 1], N),
+               1.0, int(spectrum.degrees[j - 1]))
+        for gamma, j, n in keys
+    ]
+    norms, gram, bilinear = certification_matrices(spectrum, unnormalized)
+    modes = [replace(m, norm_L=float(s)) for m, s in zip(unnormalized, norms)]
+    gram_res = float(np.max(np.triu(np.abs(gram - np.eye(len(modes))))))
+    bil_res = float(np.max(np.triu(np.abs(bilinear - np.diag([m.gamma for m in modes])))))
     if gram_res >= GRAM_TOL:
         raise TruncationError(f"basis Gram residual {gram_res} exceeds {GRAM_TOL}")
     if bil_res >= BILINEAR_TOL:
         raise TruncationError(
             f"weak eigen-equation residual {bil_res} exceeds {BILINEAR_TOL}"
         )
-    return gram_res, bil_res
+    return OUBasis(spectrum, modes, gram_res, bil_res)
+
+
+def certification_matrices(spectrum: ang.AngularSpectrum, modes):
+    """(norms, Gram, bilinear) of the modes, normalized by their Gram diagonal.
+
+    Both matrices are block diagonal in j by psi-orthogonality; each j block
+    is one _pair_matrix call.  Entry (p, q) of the normalized matrices is
+    <V_p, V_q> and B(V_p, V_q); ``norms`` is sqrt of the unnormalized Gram
+    diagonal, whatever the modes' own norm_L.
+    """
+    N = spectrum.N
+    K = len(modes)
+    gram, bilinear = np.zeros((K, K)), np.zeros((K, K))
+    for j, idx in _j_blocks(modes):
+        block = [modes[i] for i in idx]
+        mu_j = float(spectrum.eigenvalues[j - 1])
+        gram[np.ix_(idx, idx)] = _pair_matrix(block, block, N, 0)
+        bilinear[np.ix_(idx, idx)] = _pair_matrix(block, block, N, 1, mu_j)
+    norm2 = np.diag(gram)
+    if np.any(norm2 <= 0.0):
+        bad = modes[int(np.argmin(norm2))]
+        raise TruncationError(f"non-positive norm for mode (n={bad.n}, j={bad.j})")
+    norms = np.sqrt(norm2)
+    scale = 1.0 / np.outer(norms, norms)
+    return norms, gram * scale, bilinear * scale
 
 
 def multiplicity(gamma: float, spectrum: ang.AngularSpectrum):
@@ -364,35 +329,34 @@ def eval_grad_V(mode: OUMode, x: np.ndarray, spectrum: ang.AngularSpectrum,
     return out
 
 
-def inner_L(basis: OUBasis, p: int, q: int) -> float:
-    """<V_tilde_p, V_tilde_q> for normalized basis modes (indices into basis)."""
-    mp, mq = basis.modes[p], basis.modes[q]
-    return raw_inner_L(mp, mq, basis.N) / (mp.norm_L * mq.norm_L)
+def _radial_coupling(basis: OUBasis, S: np.ndarray) -> np.ndarray:
+    """Matrix of S[j_p, j_q] int f_p f_q r^{N-3} e^{-r^2/4} dr / (norm_p norm_q).
 
-
-def bilinear_B(basis: OUBasis, p: int, q: int) -> float:
-    """B(V_tilde_p, V_tilde_q) via the separated angular reduction."""
-    mp, mq = basis.modes[p], basis.modes[q]
-    if mp.j != mq.j:
-        return 0.0
-    mu_j = float(basis.spectrum.eigenvalues[mp.j - 1])
-    return raw_bilinear_B(mp, mq, basis.N, mu_j) / (mp.norm_L * mq.norm_L)
-
-
-def hardy_weight(basis: OUBasis, p: int, q: int) -> float:
-    """<V_tilde_p, V_tilde_q/|x|^2>, the inverse-square pairing matrix entry."""
-    mp, mq = basis.modes[p], basis.modes[q]
-    return raw_hardy_pair(mp, mq, basis.N) / (mp.norm_L * mq.norm_L)
+    The radial factor is one _pair_matrix block per (j, j') pair with a
+    nonzero angular factor, mirrored; the product is formed on the upper
+    triangle in mode order and mirrored, since S need not be bitwise
+    symmetric.
+    """
+    modes = basis.modes
+    blocks = _j_blocks(modes)
+    R = np.zeros((basis.size, basis.size))
+    for a, (ja, ia) in enumerate(blocks):
+        for jb, ib in blocks[a:]:
+            if S[ja - 1, jb - 1] == 0.0 and S[jb - 1, ja - 1] == 0.0:
+                continue
+            block = _pair_matrix([modes[i] for i in ia], [modes[i] for i in ib],
+                                 basis.N, 1)
+            R[np.ix_(ia, ib)] = block
+            R[np.ix_(ib, ia)] = block.T
+    js = [m.j - 1 for m in modes]
+    norms = np.asarray([m.norm_L for m in modes])
+    C = np.triu(R * S[np.ix_(js, js)] * (1.0 / np.outer(norms, norms)))
+    return C + np.triu(C, 1).T
 
 
 def hardy_matrix(basis: OUBasis) -> np.ndarray:
     """Matrix of <V_tilde_p, V_tilde_q / |x|^2> pairings (diagonal in j)."""
-    K = basis.size
-    R = np.zeros((K, K))
-    for p in range(K):
-        for q in range(p, K):
-            R[p, q] = R[q, p] = hardy_weight(basis, p, q)
-    return R
+    return _radial_coupling(basis, np.eye(len(basis.spectrum.eigenvalues)))
 
 
 def potential_coupling_matrix(basis: OUBasis) -> np.ndarray:
@@ -405,16 +369,7 @@ def potential_coupling_matrix(basis: OUBasis) -> np.ndarray:
     spec = basis.spectrum
     if spec.potential.is_constant:
         return spec.potential.value * hardy_matrix(basis)
-    S = ang.potential_pairing(spec)
-    K = basis.size
-    C = np.zeros((K, K))
-    for p in range(K):
-        mp = basis.modes[p]
-        for q in range(p, K):
-            mq = basis.modes[q]
-            val = _hardy_radial(mp, mq, basis.N) * S[mp.j - 1, mq.j - 1]
-            C[p, q] = C[q, p] = val / (mp.norm_L * mq.norm_L)
-    return C
+    return _radial_coupling(basis, ang.potential_pairing(spec))
 
 
 @dataclass(frozen=True)
@@ -469,20 +424,13 @@ def build_collocation(basis: OUBasis, n_r: int = 64) -> Collocation:
         )
     lmax = basis.max_degree()
     rule = product_rule(spec.N, n_r, 2 * lmax + 10, 4 * lmax + 10)
-    n_ang = len(rule.angular_weights)
-    n_rad = rule.radial.count
-    psi = ang.eval_psi_block(spec, rule.angular_dirs)
     r = rule.radial.nodes_r
-    K = basis.size
-    radial_table = np.empty((K, n_rad))
-    Phi = np.empty((K, n_rad * n_ang))
-    for k, mode in enumerate(basis.modes):
-        radial_table[k] = mode.radial_profile(r) / mode.norm_L
-        Phi[k] = np.outer(radial_table[k], psi[mode.j - 1]).ravel()
-    psi_k = psi[[mode.j - 1 for mode in basis.modes]]
+    radial_table = np.array([m.radial_profile(r) / m.norm_L for m in basis.modes])
+    psi_k = ang.eval_psi_block(spec, rule.angular_dirs)[[m.j - 1 for m in basis.modes]]
+    Phi = (radial_table[:, :, None] * psi_k[:, None, :]).reshape(basis.size, -1)
     angular_gram = (psi_k * rule.angular_weights) @ psi_k.T
     gram = (Phi * rule.weights) @ Phi.T
-    gram_residual = float(np.max(np.abs(gram - np.eye(K))))
+    gram_residual = float(np.max(np.abs(gram - np.eye(basis.size))))
     if gram_residual > 1e-4:
         raise QuadratureError(
             f"collocation Gram residual {gram_residual:.3e}: the shared-node "

@@ -52,9 +52,9 @@ _CONFIGS = st.builds(
     dtau=st.floats(min_value=0.0, max_value=0.01, exclude_min=True),
     tau_min=st.floats(min_value=math.log(1e-6), max_value=0.0, exclude_max=True),
     initial=_spec_text,
-    lambda_grid=st.lists(_finite, max_size=5).map(tuple),
+    lambda_grid=st.lists(_positive, min_size=1, max_size=5).map(tuple),
     scaling_lambdas=st.lists(_finite, max_size=5).map(tuple),
-    recon_lambdas=st.lists(_finite, max_size=5).map(tuple),
+    recon_lambdas=st.lists(_positive, max_size=5).map(tuple),
     recon_tau=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
     fit_decades=_finite,
     sweep_count=st.integers(1, 10**9),
@@ -107,7 +107,9 @@ def test_config_validation_ranges():
     with pytest.raises(ConfigurationError):
         cfg.validate()
     for key, bad in (("sweep_count", 0), ("sweep_t", 0.0), ("sweep_t", -1.0),
-                     ("sweep_dims", (3, 2)), ("sweep_dims", ())):
+                     ("sweep_dims", (3, 2)), ("sweep_dims", ()),
+                     ("lambda_grid", ()), ("lambda_grid", (0.1, 0.0)),
+                     ("recon_lambdas", (0.5, 0.0))):
         cfg = RunConfig()
         setattr(cfg, key, bad)
         with pytest.raises(ConfigurationError):
@@ -255,6 +257,18 @@ def test_cmd_beta_requires_snapped_gamma(tmp_path):
     assert rc == 3  # the shallow transient cannot certify an eigenvalue
 
 
+def test_cmd_beta_too_few_rows_below_lambda(tmp_path, capsys):
+    # only the tau_min row lies at or below the smallest Lambda^2 = 1e-2
+    path, _ = write_config(
+        tmp_path, perturbation="semilinear:0.05:2.0", tau_min=math.log(1e-2),
+        dtau=0.01, gamma_max=1.0, radial_nodes=16, directory=str(tmp_path),
+    )
+    assert main(["beta", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "Lambda = 0.1 leaves 1 stored row(s)" in err
+
+
 def test_cmd_verify_small(tmp_path):
     path, _ = write_config(tmp_path, sweep_count=40, sweep_dims=(3, 4),
                            directory=str(tmp_path))
@@ -287,9 +301,10 @@ def test_cli_bad_config_exit_code(tmp_path):
     bad = tmp_path / "bad.ini"
     bad.write_text("[problem]\ndimension = two\n")
     assert main(["spectrum", "--config", str(bad)]) == 2
-    # sweep settings that used to end in a traceback, exit 3 or an empty report
+    # settings that used to end in a traceback, exit 3 or an empty report
     for line in ("sweep_count = 0", "sweep_t = 0", "sweep_t = -1", "sweep_dims = 2",
-                 "sweep_dims ="):
+                 "sweep_dims =", "lambda_grid =", "lambda_grid = 0.1,0.0",
+                 "recon_lambdas = 0.5,0.0"):
         bad.write_text(f"[experiment]\n{line}\n")
         assert main(["verify", "--config", str(bad), "--out", str(tmp_path)]) == 2
 

@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,11 +8,13 @@ from scipy.special import gammaln
 
 from hardyheat import angular as ang
 from hardyheat import ou_basis as ou
+from hardyheat.config import RunConfig, parse_potential
 from hardyheat.errors import (
     DegeneracyAmbiguityError,
     SingularNodeError,
     TruncationError,
 )
+from hardyheat.quadrature import laguerre_rule, product_rule
 
 
 def closed_form_norm2(n, alpha, N):
@@ -144,30 +147,60 @@ def test_eval_origin_singular_alpha_positive():
 
 
 def test_inner_products(basis0):
+    _, gram, _ = ou.certification_matrices(basis0.spectrum, basis0.modes)
     i0 = basis0.mode_index(1, 0)
     i1 = basis0.mode_index(1, 1)
-    np.testing.assert_allclose(ou.inner_L(basis0, i0, i0), 1.0, rtol=1e-12)
+    np.testing.assert_allclose(gram[i0, i0], 1.0, rtol=1e-12)
     # same angular index, different radial index: quadrature-exact zero
-    assert abs(ou.inner_L(basis0, i0, i1)) < 1e-12
+    assert abs(gram[i0, i1]) < 1e-12
     # different angular index: analytic zero
     j1 = next(i for i, m in enumerate(basis0.modes) if m.degree == 1)
-    assert ou.inner_L(basis0, i0, j1) == 0.0
+    assert gram[i0, j1] == 0.0
 
 
 def test_bilinear_weak_eigen_relation(basis0):
+    _, _, bilinear = ou.certification_matrices(basis0.spectrum, basis0.modes)
     i0 = basis0.mode_index(1, 0)
     i1 = basis0.mode_index(1, 1)
-    assert abs(ou.bilinear_B(basis0, i0, i0)) < 1e-14          # gamma = 0
-    np.testing.assert_allclose(ou.bilinear_B(basis0, i1, i1), 1.0, rtol=1e-12)
-    assert abs(ou.bilinear_B(basis0, i0, i1)) < 1e-12          # self-adjointness
+    assert abs(bilinear[i0, i0]) < 1e-14          # gamma = 0
+    np.testing.assert_allclose(bilinear[i1, i1], 1.0, rtol=1e-12)
+    assert abs(bilinear[i0, i1]) < 1e-12          # self-adjointness
 
 
 def test_weak_eigen_relation_all_pairs_perturbed(spec01):
     basis = ou.enumerate_modes(spec01, 2.0)
+    _, _, bilinear = ou.certification_matrices(spec01, basis.modes)
     for p in range(basis.size):
         for q in range(p, basis.size):
             expected = basis.gammas[q] if p == q else 0.0
-            assert abs(ou.bilinear_B(basis, p, q) - expected) < 1e-10
+            assert abs(bilinear[p, q] - expected) < 1e-10
+
+
+def test_certification_matrices_match_pairwise_quadrature(spec01):
+    # reference: one matched Gauss-Laguerre rule per pair, sized from that
+    # pair's degrees; the Gram sums are the same products in the same order
+    basis = ou.enumerate_modes(spec01, 2.0)
+    norms, gram, bilinear = ou.certification_matrices(spec01, basis.modes)
+    mu = spec01.eigenvalues
+    for p, mp in enumerate(basis.modes):
+        for q, mq in enumerate(basis.modes):
+            if mp.j != mq.j:
+                assert gram[p, q] == bilinear[p, q] == 0.0
+                continue
+            a2 = mp.alpha_j + mq.alpha_j
+            size = max(8, mp.poly.degree + mq.poly.degree + 2)
+            rule = laguerre_rule(1.5 - 1.0 - a2 / 2.0, size)
+            s = rule.nodes
+            raw = 2.0 ** (3 - 1 - a2) * float(rule.weights @ (mp.poly(s) * mq.poly(s)))
+            assert gram[p, q] == raw * (1.0 / (norms[p] * norms[q]))
+            rule = laguerre_rule(1.5 - 2.0 - a2 / 2.0, size + 1)
+            s = rule.nodes
+            qp, qq = (-m.alpha_j * m.poly(s) + 2.0 * s * m.poly.derivative()(s)
+                      for m in (mp, mq))
+            vals = qp * qq + mu[mp.j - 1] * mp.poly(s) * mq.poly(s)
+            raw = 2.0 ** (3 - 3 - a2) * float(rule.weights @ vals)
+            assert abs(bilinear[p, q] - raw / (norms[p] * norms[q])) < 1e-13
+    np.testing.assert_array_equal(norms, [m.norm_L for m in basis.modes])
 
 
 def test_hardy_mode_consistency(basis0, spec01):
@@ -176,6 +209,62 @@ def test_hardy_mode_consistency(basis0, spec01):
     assert hardy_mode_consistency(basis0) <= 1e-12
     basis01 = ou.enumerate_modes(spec01, 2.0)
     assert hardy_mode_consistency(basis01) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "N, a",
+    # a = 0.3 with N = 3 is past the Hardy constant 1/4 and fails positivity
+    [(N, a) for N in (3, 4, 5) for a in (0.0, 0.1, 0.3) if a < (N - 2) ** 2 / 4.0],
+)
+def test_hardy_matrix_ground_diagonal_closed_form(N, a):
+    # n = 0, b = N/2 - alpha: int r^{N-3-2 alpha} e^{-r^2/4} / int r^{N-1-2 alpha}
+    # e^{-r^2/4} = Gamma(b - 1) / (4 Gamma(b)) = 1 / (2 (N - 2 - 2 alpha))
+    spec = ang.solve_angular(ang.AngularPotential.constant(a), K={3: 36, 4: 50, 5: 70}[N], N=N)
+    basis = ou.enumerate_modes(spec, 1.0)
+    ground = [i for i, m in enumerate(basis.modes) if m.n == 0]
+    closed = [1.0 / (2.0 * (N - 2 - 2 * basis.modes[i].alpha_j)) for i in ground]
+    np.testing.assert_allclose(np.diag(ou.hardy_matrix(basis))[ground], closed,
+                               rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("a", (0.1, 0.2))
+def test_potential_coupling_constant_is_scaled_hardy(a):
+    # the same constant as a Y_00 table entry takes the Galerkin route: S
+    # from the eigenpairs and every (j, j') radial block
+    const = ou.enumerate_modes(
+        ang.solve_angular(ang.AngularPotential.constant(a), K=36, N=3), 1.5)
+    table = ou.enumerate_modes(ang.solve_angular(
+        ang.AngularPotential.harmonic_table({(0, 0): a * math.sqrt(4.0 * math.pi)}),
+        L=8, K=36), 1.5)
+    hardy = ou.hardy_matrix(const)
+    np.testing.assert_array_equal(ou.potential_coupling_matrix(const), a * hardy)
+    order = {(m.j, m.n): i for i, m in enumerate(const.modes)}
+    assert sorted(order) == sorted((m.j, m.n) for m in table.modes)
+    perm = [order[(m.j, m.n)] for m in table.modes]
+    np.testing.assert_allclose(ou.potential_coupling_matrix(table),
+                               a * hardy[np.ix_(perm, perm)], rtol=0.0, atol=1e-13)
+
+
+def test_potential_coupling_vs_nodal_quadrature():
+    # independent route on the configs/anisotropic.ini basis: cubature of
+    # a/|x|^2 V_p V_q G on the a_GL = N/2 - 2 product rule
+    cfg = RunConfig.from_file(str(Path(__file__).parents[1] / "configs" / "anisotropic.ini"))
+    pot = parse_potential(cfg)
+    spec = ang.solve_angular(pot, L=cfg.angular_truncation, K=cfg.angular_count)
+    basis = ou.enumerate_modes(spec, cfg.gamma_max)
+    rule = product_rule(3, 48, 18, 26, a_gl=3 / 2.0 - 2.0)
+    V = np.array([ou.eval_V(m, rule.points, spec) for m in basis.modes])
+    avals = np.tile(pot.evaluate(rule.angular_dirs), rule.radial.count)
+    nodal = (V * (rule.weights * avals / rule.radii**2)) @ V.T
+    gram_residual = np.max(np.abs((V * rule.weights) @ V.T - np.eye(basis.size)))
+    # the fractional exponents converge only algebraically on the shared
+    # nodes; the |x|^-2 integrand is one power of |x|^2/4 more singular than
+    # the Gram one and its error is 30-70 times the Gram residual for
+    # n_r = 32..96 (1.8e-6 here)
+    tol = 100.0 * gram_residual
+    coupling = ou.potential_coupling_matrix(basis)
+    assert np.max(np.abs(coupling)) > 10.0 * tol  # the check can see the coupling
+    assert np.max(np.abs(nodal - coupling)) < tol
 
 
 def test_collocation_gram(basis0, col0):
@@ -244,8 +333,6 @@ def test_anisotropic_ground_level_vs_perturbation_theory():
 
 def test_bilinear_reduction_vs_nodal_gradient_oracle():
     # independent route: cubature of grad V_p . grad V_q - a/|x|^2 V_p V_q
-    from hardyheat.quadrature import product_rule
-
     pot = ang.AngularPotential.harmonic_table({(1, 0): 0.15, (2, 0): 0.05})
     spec = ang.solve_angular(pot, L=16, K=36)
     basis = ou.enumerate_modes(spec, 1.5)
@@ -254,6 +341,7 @@ def test_bilinear_reduction_vs_nodal_gradient_oracle():
     hrule = product_rule(3, 96, 18, 26, a_gl=-0.5)
     avals = np.tile(pot.evaluate(hrule.angular_dirs), hrule.radial.count)
     r2 = hrule.radii**2
+    _, _, bilinear = ou.certification_matrices(spec, basis.modes)
     for p, q in ((0, 0), (0, 3), (2, 2), (1, 4)):
         grad_term = col.weights @ np.sum(grads[p] * grads[q], axis=-1)
         vp = ou.eval_V(basis.modes[p], hrule.points, spec)
@@ -261,4 +349,4 @@ def test_bilinear_reduction_vs_nodal_gradient_oracle():
         nodal = grad_term - hrule.weights @ (avals * vp * vq / r2)
         # the nodal route converges only algebraically for fractional
         # exponents; 1e-4 is its accuracy here, not the reduction's
-        assert abs(nodal - ou.bilinear_B(basis, p, q)) < 1e-4
+        assert abs(nodal - bilinear[p, q]) < 1e-4
