@@ -15,7 +15,7 @@ P_l^m the fully normalized associated Legendre functions (three-term
 recurrence of Holmes & Featherstone, J. Geodesy 76 (2002)) and e_m equal to
 1, sqrt(2) cos(m phi) or sqrt(2) sin(|m| phi) for m = 0, m > 0, m < 0.  The
 azimuthal integral of a e_m e_m' is taken in closed form, so A is assembled
-per pair of real orders (m, m') with a 1-D Gauss-Legendre rule in cos theta.
+per pair of real orders (m, m') with a Gauss-Legendre polar_rule in cos theta.
 A constant or zonal potential couples each order only to itself; a
 harmonic table couples m to m' only through its own orders (product to
 sum).  M is therefore block diagonal over groups of coupled orders, and each
@@ -29,10 +29,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import roots_legendre
 
-from .errors import ConfigurationError, QuadratureError, TruncationError
-from .quadrature import sphere_area, _angular_nodes
+from .errors import ConfigurationError, PositivityError, QuadratureError, TruncationError
+from .quadrature import polar_rule, sphere_area
 
 DEGENERACY_GAP = 1e-9  # eigenvalues closer than this form one cluster
 DEFAULT_L = 16
@@ -169,27 +168,19 @@ class AngularPotential:
     value: float = 0.0
     zonal_fn: Callable | None = None
     table: tuple = ()
-    sup_norm_bound: float = 0.0
 
     @staticmethod
     def constant(lam: float) -> "AngularPotential":
-        return AngularPotential("constant", value=float(lam), sup_norm_bound=abs(lam))
+        return AngularPotential("constant", value=float(lam))
 
     @staticmethod
     def zonal(fn: Callable) -> "AngularPotential":
-        # sup norm estimated on a dense polar grid
-        c = np.cos(np.linspace(0.0, math.pi, 4001))
-        bound = float(np.max(np.abs(fn(c))))
-        return AngularPotential("zonal", zonal_fn=fn, sup_norm_bound=bound)
+        return AngularPotential("zonal", zonal_fn=fn)
 
     @staticmethod
     def harmonic_table(table: dict) -> "AngularPotential":
         items = tuple(sorted((int(l), int(m), float(c)) for (l, m), c in table.items()))
-        pot = AngularPotential("harmonic_table", table=items)
-        grid, _ = _angular_nodes(3, 60, 121)
-        bound = float(np.max(np.abs(pot.evaluate(grid))))
-        object.__setattr__(pot, "sup_norm_bound", bound)
-        return pot
+        return AngularPotential("harmonic_table", table=items)
 
     @property
     def is_constant(self) -> bool:
@@ -339,7 +330,7 @@ def assemble_angular(a: AngularPotential, L: int, N: int = 3) -> list:
         raise ConfigurationError("Galerkin assembly is implemented for N=3 only")
     lap = laplacian_diagonal(L, N)
     table_L = max((l for l, _, _ in a.table), default=0)
-    x, w = roots_legendre(2 * L + max(8, table_L))
+    x, w = polar_rule(3, 2 * L + max(8, table_L))
     P = _legendre_table(max(L, table_L), x)
     couplings = _order_couplings(a, L, x, w, P)
     groups = _order_groups(couplings, L)
@@ -393,11 +384,8 @@ def _solve_constant(a: AngularPotential, K: int, N: int, L: int | None) -> Angul
     mu = np.asarray(mu[:K], dtype=float)
     deg = np.asarray(deg[:K], dtype=int)
     L_used = levels[-1] if L is None else max(L, levels[-1])
-    vecs = None
-    if N == 3:
-        vecs = np.zeros((basis_size(L_used), K))
-        for k in range(K):
-            vecs[k, k] = 1.0  # degree-ordered harmonics are the eigenfunctions
+    # degree-ordered harmonics are the eigenfunctions
+    vecs = np.eye(basis_size(L_used), K) if N == 3 else None
     return AngularSpectrum(N, a, mu, vecs, deg, L_used, 0.0)
 
 
@@ -465,6 +453,17 @@ def check_positivity(spec: AngularSpectrum):
     """Gate mu_1 > -(N-2)^2/4; returns (ok, margin)."""
     margin = float(spec.eigenvalues[0] + (spec.N - 2) ** 2 / 4.0)
     return margin > 0.0, margin
+
+
+def require_positivity(spec: AngularSpectrum) -> None:
+    """Raise PositivityError unless :func:`check_positivity` passes."""
+    ok, margin = check_positivity(spec)
+    if not ok:
+        raise PositivityError(
+            f"mu_1 = {spec.eigenvalues[0]} violates mu_1 > -(N-2)^2/4 "
+            f"(margin {margin}); the quadratic form is not positive definite",
+            margin=margin,
+        )
 
 
 def eval_psi_block(spec: AngularSpectrum, dirs: np.ndarray) -> np.ndarray:

@@ -71,13 +71,6 @@ def _spectrum_and_basis(cfg):
     pot = parse_potential(cfg)
     L = cfg.angular_truncation if cfg.angular_truncation > 0 else None
     spec = angular.solve_angular(pot, L=L, K=cfg.angular_count, N=cfg.dimension)
-    ok, margin = angular.check_positivity(spec)
-    if not ok:
-        raise PositivityError(
-            f"mu_1 = {spec.eigenvalues[0]} violates mu_1 > -(N-2)^2/4 "
-            f"(margin {margin}); the quadratic form is not positive definite",
-            margin=margin,
-        )
     basis = ou_basis.enumerate_modes(
         spec, cfg.gamma_max, cfg.max_modes if cfg.max_modes > 0 else None
     )

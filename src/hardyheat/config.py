@@ -65,11 +65,13 @@ class RunConfig:
     }
 
     def validate(self) -> None:
+        from .evolve import DTAU_MAX, TAU_FLOOR
+
         if self.dimension < 3:
             raise ConfigurationError("dimension must be >= 3")
-        if not 0.0 < self.dtau <= 0.01:
-            raise ConfigurationError("dtau must lie in (0, 0.01]")
-        if self.tau_min >= 0.0 or self.tau_min < math.log(1e-6) - 1e-12:
+        if not 0.0 < self.dtau <= DTAU_MAX:
+            raise ConfigurationError(f"dtau must lie in (0, {DTAU_MAX}]")
+        if self.tau_min >= 0.0 or self.tau_min < TAU_FLOOR - 1e-12:
             raise ConfigurationError("tau_min must lie in [log(1e-6), 0)")
         if self.gamma_max <= 0.0:
             raise ConfigurationError("gamma_max must be positive")
@@ -80,6 +82,8 @@ class RunConfig:
         for key in ("lambda_grid", "recon_lambdas"):
             if not all(lam > 0.0 for lam in getattr(self, key)):
                 raise ConfigurationError(f"{key} entries must be positive")
+        if not all(0.0 < lam < 1.0 for lam in self.scaling_lambdas):
+            raise ConfigurationError("scaling_lambdas entries must lie in (0, 1)")
         if not 0.0 < self.recon_tau < 1.0:
             raise ConfigurationError("recon_tau must lie in (0, 1)")
         if self.sweep_count < 1:

@@ -48,11 +48,13 @@ class QuadratureError(HardyHeatError):
 class AccuracyError(HardyHeatError):
     """An accuracy verification (step halving, residual gate) failed.
 
-    ``suggestion`` carries a suggested replacement parameter (e.g. dtau).
+    ``suggestion`` carries a suggested replacement parameter (e.g. dtau);
+    the message ends with it, so the CLI's error line shows it too.
     """
 
     def __init__(self, message, suggestion=None):
-        super().__init__(message)
+        super().__init__(message if suggestion is None else
+                         f"{message}; suggested fix: {suggestion}")
         self.suggestion = suggestion
 
 

@@ -315,7 +315,8 @@ def sweep(
 ) -> dict:
     """Run one inequality over a family; returns the report dictionary.
 
-    Raises InvariantViolationError on any gap below the relative slack.
+    Raises InvariantViolationError on any gap below the relative slack, and
+    PositivityError when an anisotropic sweep's spectrum fails positivity.
     The rules come from :func:`rule_pair`; each member goes through
     :func:`member_gap`, or :func:`sobolev_ratio` for the Sobolev quotient.
     """
@@ -326,9 +327,7 @@ def sweep(
     if inequality == "hardy_anisotropic":
         if spec is None:
             raise ConfigurationError("anisotropic sweep needs an angular spectrum")
-        ok, margin = ang.check_positivity(spec)
-        if not ok:
-            raise ConfigurationError(f"positivity fails (margin {margin})")
+        ang.require_positivity(spec)
         if N != 3 and not spec.potential.is_constant:
             raise ConfigurationError("anisotropic zonal sweeps need a constant potential")
 

@@ -32,7 +32,6 @@ from . import angular as ang
 from .errors import (
     ConfigurationError,
     DegeneracyAmbiguityError,
-    PositivityError,
     QuadratureError,
     SingularNodeError,
     TruncationError,
@@ -195,11 +194,7 @@ def enumerate_modes(
     and both certification residuals come from one certification_matrices
     call; residuals are maxima over the upper triangle in mode order.
     """
-    ok, margin = ang.check_positivity(spectrum)
-    if not ok:
-        raise PositivityError(
-            f"quadratic form not positive definite: margin {margin}", margin=margin
-        )
+    ang.require_positivity(spectrum)
     alphas = _alphas(spectrum)
     _certify_coverage(spectrum, gamma_max, alphas)
     N = spectrum.N

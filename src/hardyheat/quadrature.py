@@ -9,9 +9,9 @@ s = r^2/4, exploiting
 
 so a rule with exponent a_GL = N/2 - 1 - beta/2 is *exact* for integrands
 r^{-beta} * (polynomial in r^2/4), which is what basis-pair inner products
-look like.  The angular factor is a Gauss-Legendre x trapezoid product on
-S^2 and a Gauss-Jacobi chain x trapezoid on S^{N-1} for N > 3.  Time enters
-only through the node scaling x = sqrt(t) * 2 sqrt(s) * theta.
+look like.  The angular factor chains :func:`polar_rule` (Gauss-Legendre on
+S^2, Gauss-Gegenbauer on S^{N-1}) down to a trapezoid rule in azimuth.  Time
+enters only through the node scaling x = sqrt(t) * 2 sqrt(s) * theta.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammaln, roots_jacobi, roots_legendre
+from scipy.special import gammaln, roots_jacobi
 
 from .errors import QuadratureError, SingularNodeError
 
@@ -43,14 +43,12 @@ class RadialRule:
     """Generalized Gauss-Laguerre rule in the substituted variable s = r^2/4.
 
     Sum(weights * g(nodes)) approximates int_0^inf s^gl_parameter e^-s g(s) ds,
-    exactly for polynomial g of degree <= 2*count - 1.  ``prefactor`` carries
-    the 2^{N-1} Jacobian factor when the rule is bound to a dimension.
+    exactly for polynomial g of degree <= 2*count - 1.
     """
 
     gl_parameter: float
     nodes: np.ndarray
     weights: np.ndarray
-    prefactor: float = 1.0
 
     @property
     def count(self) -> int:
@@ -94,7 +92,7 @@ def _laguerre_cached(a_gl: float, n_r: int):
     return nodes, weights
 
 
-def laguerre_rule(a_gl: float, n_r: int, prefactor: float = 1.0) -> RadialRule:
+def laguerre_rule(a_gl: float, n_r: int) -> RadialRule:
     """Generalized Gauss-Laguerre rule for weight s^a_gl e^{-s} on (0, inf).
 
     Parameters
@@ -109,35 +107,33 @@ def laguerre_rule(a_gl: float, n_r: int, prefactor: float = 1.0) -> RadialRule:
     if n_r < 1:
         raise QuadratureError("need at least one radial node")
     nodes, weights = _laguerre_cached(float(a_gl), int(n_r))
-    return RadialRule(float(a_gl), nodes, weights, prefactor)
+    return RadialRule(float(a_gl), nodes, weights)
+
+
+def polar_rule(N: int, n: int):
+    """(nodes, weights) of the n-point Gauss rule in c = cos(polar angle) on
+    S^{N-1}, for the weight (1 - c^2)^((N-3)/2) of its surface measure."""
+    expo = (N - 3) / 2.0
+    return roots_jacobi(n, expo, expo)
 
 
 def _angular_nodes(N: int, n_polar: int, n_az: int):
     """Node directions and weights on S^{N-1}; weights sum to its area.
 
-    N=3 uses Gauss-Legendre in cos(polar) x trapezoid in azimuth; higher N
-    chains Gauss-Jacobi rules with weight (1-c^2)^((N-2-j)/2) per angle.
+    N = 2 is the trapezoid rule in azimuth; above, each :func:`polar_rule`
+    node c (outermost) scales the S^{N-2} rule by sqrt(1 - c^2).
     """
     if N == 2:
         phi = 2.0 * math.pi * np.arange(n_az) / n_az
         dirs = np.stack([np.cos(phi), np.sin(phi)], axis=1)
         w = np.full(n_az, 2.0 * math.pi / n_az)
         return dirs, w
-    expo = (N - 3) / 2.0
-    if expo == 0.0:
-        c, wc = roots_legendre(n_polar)
-    else:
-        c, wc = roots_jacobi(n_polar, expo, expo)
+    c, wc = polar_rule(N, n_polar)
     sub_dirs, sub_w = _angular_nodes(N - 1, n_polar, n_az)
     s = np.sqrt(1.0 - c**2)
-    dirs = np.empty((n_polar * len(sub_w), N))
-    w = np.empty(n_polar * len(sub_w))
-    for i in range(n_polar):
-        block = slice(i * len(sub_w), (i + 1) * len(sub_w))
-        dirs[block, 0] = c[i]
-        dirs[block, 1:] = s[i] * sub_dirs
-        w[block] = wc[i] * sub_w
-    return dirs, w
+    dirs = np.column_stack([np.repeat(c, len(sub_w)),
+                            (s[:, None, None] * sub_dirs).reshape(-1, N - 1)])
+    return dirs, (wc[:, None] * sub_w).ravel()
 
 
 @dataclass(frozen=True)
@@ -188,8 +184,8 @@ def _check_unit_mass(rule: ProductRule) -> None:
 def product_rule(
     N: int,
     n_r: int = DEFAULT_NR,
-    n_polar: int | None = None,
-    n_az: int | None = None,
+    n_polar: int = 16,
+    n_az: int = 32,
     a_gl: float | None = None,
 ) -> ProductRule:
     """Build the full cubature on R^N for the heat-kernel weight.
@@ -200,13 +196,9 @@ def product_rule(
     """
     if N < 2:
         raise QuadratureError("dimension must be >= 2")
-    if n_polar is None:
-        n_polar = 16
-    if n_az is None:
-        n_az = 32
     if a_gl is None:
         a_gl = N / 2.0 - 1.0
-    radial = laguerre_rule(a_gl, n_r, prefactor=2.0 ** (N - 1))
+    radial = laguerre_rule(a_gl, n_r)
     n_eff = radial.count  # underflowed tail nodes may have been dropped
     dirs, aw = _angular_nodes(N, n_polar, n_az)
     n_ang = len(aw)
@@ -215,9 +207,10 @@ def product_rule(
     # needs the residual power made explicit at the nodes.
     power = N / 2.0 - 1.0 - a_gl
     s_pow = radial.nodes ** power if power != 0.0 else np.ones(n_eff)
-    weights = (radial.prefactor * np.repeat(radial.weights, n_ang) * np.tile(aw, n_eff)
+    jacobian = 2.0 ** (N - 1)
+    weights = (jacobian * np.repeat(radial.weights, n_ang) * np.tile(aw, n_eff)
                * np.repeat(s_pow, n_ang))
-    radial_weights = radial.prefactor * radial.weights * s_pow
+    radial_weights = jacobian * radial.weights * s_pow
     points.setflags(write=False)
     weights = np.ascontiguousarray(weights)
     weights.setflags(write=False)
@@ -261,15 +254,11 @@ def zonal_rule(
         raise QuadratureError("zonal reduction needs N >= 3")
     if a_gl is None:
         a_gl = N / 2.0 - 1.0
-    radial = laguerre_rule(a_gl, n_r, prefactor=2.0 ** (N - 1))
-    expo = (N - 3) / 2.0
-    if expo == 0.0:
-        c, wc = roots_legendre(n_polar)
-    else:
-        c, wc = roots_jacobi(n_polar, expo, expo)
+    radial = laguerre_rule(a_gl, n_r)
+    c, wc = polar_rule(N, n_polar)
     power = N / 2.0 - 1.0 - a_gl
     rad_w = radial.weights * radial.nodes**power if power != 0.0 else radial.weights
-    w = radial.prefactor * sphere_area(N - 1) * np.outer(rad_w, wc)
+    w = 2.0 ** (N - 1) * sphere_area(N - 1) * np.outer(rad_w, wc)
     r = radial.nodes_r
     r.setflags(write=False)
     w.setflags(write=False)
@@ -319,17 +308,3 @@ def integrate_G_stable(
         f"{prev} (the doubling criterion requires {DOUBLING_RTOL} relative agreement)"
     )
 
-
-def norm_Lt(u, t: float, rule: ProductRule) -> float:
-    """Heat-kernel weighted L2 norm sqrt(int u^2 G(.,t) dx)."""
-    return math.sqrt(max(integrate_G(lambda x: np.asarray(u(x)) ** 2, t, rule), 0.0))
-
-
-def norm_Ht(u, grad_u, t: float, rule: ProductRule) -> float:
-    """Weighted H1 norm sqrt(int (t |grad u|^2 + u^2) G(.,t) dx)."""
-
-    def integrand(x):
-        g = np.asarray(grad_u(x), dtype=float)
-        return t * np.sum(g * g, axis=-1) + np.asarray(u(x), dtype=float) ** 2
-
-    return math.sqrt(max(integrate_G(integrand, t, rule), 0.0))

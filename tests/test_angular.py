@@ -129,10 +129,12 @@ def test_interlacing_in_truncation():
 
 
 def test_weyl_perturbation_bound():
-    pot = ang.AngularPotential.zonal(lambda c: 0.3 * c - 0.1 * c**2)
-    spec = ang.solve_angular(pot, L=16, K=9)
+    fn = lambda c: 0.3 * c - 0.1 * c**2
+    spec = ang.solve_angular(ang.AngularPotential.zonal(fn), L=16, K=9)
     mu0 = np.array([0, 2, 2, 2, 6, 6, 6, 6, 6], dtype=float)
-    assert np.all(np.abs(spec.eigenvalues - mu0) <= pot.sup_norm_bound + 1e-10)
+    # sup |a| on a dense polar grid
+    sup = float(np.max(np.abs(fn(np.cos(np.linspace(0.0, math.pi, 4001))))))
+    assert np.all(np.abs(spec.eigenvalues - mu0) <= sup + 1e-10)
 
 
 def test_check_positivity():
@@ -195,12 +197,6 @@ def test_kind_dimension_compatibility():
         ang.solve_angular(pot, L=8, K=4, N=4)
     with pytest.raises(ConfigurationError):
         ang.assemble_angular(ang.AngularPotential.constant(0.0), 1)
-
-
-def test_sup_norm_bound_dominates_samples():
-    pot = ang.AngularPotential.harmonic_table({(2, -1): 0.4, (3, 2): 0.2})
-    dirs, _ = _angular_nodes(3, 30, 60)
-    assert pot.sup_norm_bound >= np.max(np.abs(pot.evaluate(dirs))) - 1e-12
 
 
 def test_spectrum_json_dump():

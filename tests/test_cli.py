@@ -34,6 +34,7 @@ def test_config_roundtrip_bit_identical():
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 _positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_unit_open = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
 # no whitespace (values are stripped) and no '%' (INI interpolation)
 _spec_text = st.text(alphabet=string.ascii_letters + string.digits + ":,;=._-+",
                      max_size=30)
@@ -53,9 +54,9 @@ _CONFIGS = st.builds(
     tau_min=st.floats(min_value=math.log(1e-6), max_value=0.0, exclude_max=True),
     initial=_spec_text,
     lambda_grid=st.lists(_positive, min_size=1, max_size=5).map(tuple),
-    scaling_lambdas=st.lists(_finite, max_size=5).map(tuple),
+    scaling_lambdas=st.lists(_unit_open, max_size=5).map(tuple),
     recon_lambdas=st.lists(_positive, max_size=5).map(tuple),
-    recon_tau=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    recon_tau=_unit_open,
     fit_decades=_finite,
     sweep_count=st.integers(1, 10**9),
     sweep_dims=st.lists(st.integers(3, 100), min_size=1, max_size=4).map(tuple),
@@ -109,7 +110,9 @@ def test_config_validation_ranges():
     for key, bad in (("sweep_count", 0), ("sweep_t", 0.0), ("sweep_t", -1.0),
                      ("sweep_dims", (3, 2)), ("sweep_dims", ()),
                      ("lambda_grid", ()), ("lambda_grid", (0.1, 0.0)),
-                     ("recon_lambdas", (0.5, 0.0))):
+                     ("recon_lambdas", (0.5, 0.0)), ("scaling_lambdas", (0.5, 1.5)),
+                     ("scaling_lambdas", (0.0,)), ("scaling_lambdas", (1.0,)),
+                     ("scaling_lambdas", (-0.25,))):
         cfg = RunConfig()
         setattr(cfg, key, bad)
         with pytest.raises(ConfigurationError):
@@ -195,6 +198,15 @@ def test_cmd_spectrum_positivity_boundary(tmp_path, capsys, N):
         assert main(["spectrum", "--config", path]) == code
         err = capsys.readouterr().err.lower()
         assert ("positiv" in err) == (code == 4)
+
+
+def test_cmd_verify_positivity_exit(tmp_path, capsys):
+    # the hardy_anisotropic sweep at N = 3 meets mu_1 = -0.3 < -1/4
+    path, _ = write_config(tmp_path, potential="constant:0.3", sweep_dims=(3,),
+                           sweep_count=5, directory=str(tmp_path))
+    assert main(["verify", "--config", path]) == 4
+    assert "positiv" in capsys.readouterr().err.lower()
+    assert not (tmp_path / "verify.json").exists()
 
 
 def test_cmd_spectrum_dimension_four(tmp_path):
@@ -304,7 +316,8 @@ def test_cli_bad_config_exit_code(tmp_path):
     # settings that used to end in a traceback, exit 3 or an empty report
     for line in ("sweep_count = 0", "sweep_t = 0", "sweep_t = -1", "sweep_dims = 2",
                  "sweep_dims =", "lambda_grid =", "lambda_grid = 0.1,0.0",
-                 "recon_lambdas = 0.5,0.0"):
+                 "recon_lambdas = 0.5,0.0", "scaling_lambdas = 0.5,1.5",
+                 "scaling_lambdas = 0"):
         bad.write_text(f"[experiment]\n{line}\n")
         assert main(["verify", "--config", str(bad), "--out", str(tmp_path)]) == 2
 
@@ -396,6 +409,31 @@ def test_beta_reuses_simulate_trajectory(tmp_path, monkeypatch, capsys, name):
     assert "not reused" in capsys.readouterr().err
     for fname, blob in reused.items():
         assert (out / fname).read_bytes() == blob
+
+
+# semilinear forcing down to t = 1e-2 only: a march of well under a second
+_SHALLOW_SEMILINEAR = dict(perturbation="semilinear:0.05:2.0", tau_min=math.log(1e-2),
+                           dtau=0.01, gamma_max=1.0, radial_nodes=16)
+
+
+def test_cmd_simulate_rejects_scaling_lambda_before_march(tmp_path, monkeypatch, capsys):
+    path, _ = write_config(tmp_path, scaling_lambdas=(0.5, 1.5),
+                           directory=str(tmp_path), **_SHALLOW_SEMILINEAR)
+    calls = _count_work(monkeypatch)
+    assert main(["simulate", "--config", path]) == 2
+    assert calls["march"] == 0
+    assert "scaling_lambdas" in capsys.readouterr().err
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
+def test_cmd_simulate_halving_failure_suggests_step(tmp_path, monkeypatch, capsys):
+    # any nonzero disagreement fails a zero tolerance: exit 3 with the advice
+    path, _ = write_config(tmp_path, directory=str(tmp_path), **_SHALLOW_SEMILINEAR)
+    monkeypatch.setattr(evolve, "HALVING_TOL", 0.0)
+    assert main(["simulate", "--config", path]) == 3
+    err = capsys.readouterr().err
+    assert "step-halving disagreement" in err
+    assert "suggested fix: dtau <= " in err
 
 
 def _edit_json(out, key, value):

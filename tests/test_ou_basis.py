@@ -309,16 +309,15 @@ def test_basis_json_and_hash(basis0):
 
 def test_norm_Ht_ground_mode_is_one(basis0, spec0):
     # gradient vanishes only for the constant mode: ||V~||_H = ||V~||_L = 1
-    from hardyheat.quadrature import norm_Ht, product_rule
+    from hardyheat.quadrature import integrate_G
 
     mode = basis0.modes[basis0.mode_index(1, 0)]
-    rule = product_rule(3, 32, 12, 24)
-    val = norm_Ht(
-        lambda x: ou.eval_V(mode, x, spec0),
-        lambda x: ou.eval_grad_V(mode, x, spec0),
-        1.0,
-        rule,
-    )
+
+    def integrand(x):  # t |grad V|^2 + V^2 at t = 1
+        g = ou.eval_grad_V(mode, x, spec0)
+        return np.sum(g * g, axis=-1) + ou.eval_V(mode, x, spec0) ** 2
+
+    val = math.sqrt(integrate_G(integrand, 1.0, product_rule(3, 32, 12, 24)))
     np.testing.assert_allclose(val, 1.0, rtol=1e-12)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import roots_genlaguerre
+from scipy.special import gammaln, roots_genlaguerre, roots_jacobi, roots_legendre
 
 from hardyheat import quadrature as quad
 from hardyheat.errors import QuadratureError, SingularNodeError
@@ -139,13 +139,52 @@ def test_doubling_stability_cap_error():
         )
 
 
-def test_norms():
-    rule = quad.product_rule(3, 32, 12, 24)
-    n = quad.norm_Lt(lambda x: np.ones(len(x)), 1.0, rule)
-    np.testing.assert_allclose(n, math.sqrt(8.0 * math.pi**1.5), rtol=1e-13)
-    for t in (1.0, 0.2):
-        h = quad.norm_Ht(lambda x: np.ones(len(x)), lambda x: np.zeros_like(x), t, rule)
-        np.testing.assert_allclose(h, math.sqrt(8.0 * math.pi**1.5), rtol=1e-13)
+def test_polar_rule_is_legendre_on_s2():
+    for n in range(1, 301):
+        c, w = quad.polar_rule(3, n)
+        x, wx = roots_legendre(n)
+        np.testing.assert_array_equal(c, x)
+        np.testing.assert_array_equal(w, wx)
+
+
+@settings(deadline=None, max_examples=60)
+@given(N=st.sampled_from((4, 5, 6)), n=st.integers(1, 40), data=st.data())
+def test_polar_rule_even_moments_property(N, n, data):
+    # int_{-1}^1 c^{2k} (1 - c^2)^{(N-3)/2} dc = B(k + 1/2, (N-1)/2), exact
+    # for 2k <= 2n - 1.  Raising a node to the power 2k multiplies its
+    # rounding error by 2k, so the bound is a fixed number of ulps per power.
+    k = data.draw(st.integers(0, n - 1))
+    c, w = quad.polar_rule(N, n)
+    exact = math.exp(gammaln(k + 0.5) + gammaln((N - 1) / 2.0) - gammaln(k + N / 2.0))
+    eps = np.finfo(float).eps
+    assert abs(w @ c ** (2 * k) - exact) <= 32 * (2 * k + 1) * eps * exact
+
+
+def _angular_nodes_by_polar_loop(N, n_polar, n_az):
+    """The S^{N-1} rule built one polar node at a time, as a reference."""
+    if N == 2:
+        phi = 2.0 * math.pi * np.arange(n_az) / n_az
+        return np.stack([np.cos(phi), np.sin(phi)], axis=1), np.full(n_az, 2.0 * math.pi / n_az)
+    expo = (N - 3) / 2.0
+    c, wc = roots_legendre(n_polar) if expo == 0.0 else roots_jacobi(n_polar, expo, expo)
+    sub_dirs, sub_w = _angular_nodes_by_polar_loop(N - 1, n_polar, n_az)
+    s = np.sqrt(1.0 - c**2)
+    dirs = np.empty((n_polar * len(sub_w), N))
+    w = np.empty(n_polar * len(sub_w))
+    for i in range(n_polar):
+        block = slice(i * len(sub_w), (i + 1) * len(sub_w))
+        dirs[block, 0] = c[i]
+        dirs[block, 1:] = s[i] * sub_dirs
+        w[block] = wc[i] * sub_w
+    return dirs, w
+
+
+@pytest.mark.parametrize("N", (3, 4, 5, 6))
+def test_angular_nodes_match_polar_loop(N):
+    dirs, w = quad._angular_nodes(N, 7, 11)
+    ref_dirs, ref_w = _angular_nodes_by_polar_loop(N, 7, 11)
+    np.testing.assert_array_equal(dirs, ref_dirs)
+    np.testing.assert_array_equal(w, ref_w)
 
 
 def test_angular_weight_sums():

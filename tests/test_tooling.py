@@ -1,10 +1,12 @@
-"""The benchmark's per-layer tables name package functions that must exist."""
+"""Tooling ratchets: the benchmark's per-layer tables name package functions
+that must exist, and scipy use in the package only shrinks."""
 
 import ast
 import importlib
 from pathlib import Path
 
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
+SRC = Path(__file__).parents[1] / "src" / "hardyheat"
 # bucket kept for a function that was removed; dropping it is a benchmark change
 DEAD_BUCKETS = {"evolve.forcing_coefficients_scaled"}
 
@@ -37,3 +39,31 @@ def test_perfbench_names_resolve_to_public_callables():
     assert len(names) > 20
     unresolved = {name for name in names if not _resolves(name)}
     assert unresolved <= DEAD_BUCKETS, sorted(unresolved - DEAD_BUCKETS)
+
+
+# scipy names the package may import; a numpy replacement removes its name
+SCIPY_ALLOWED = {"eigh_tridiagonal", "gammaln", "roots_jacobi", "least_squares",
+                 "CubicSpline", "eigh"}
+
+
+def _scipy_use(path: Path):
+    """(scipy names imported, call sites of roots_jacobi) in a source file."""
+    names, jacobi_calls = set(), 0
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy"):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(a.name for a in node.names if a.name.startswith("scipy"))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "roots_jacobi"):
+            jacobi_calls += 1
+    return names, jacobi_calls
+
+
+def test_scipy_imports_only_shrink():
+    use = {path.name: _scipy_use(path) for path in sorted(SRC.glob("*.py"))}
+    imported = set().union(*(names for names, _ in use.values()))
+    assert imported <= SCIPY_ALLOWED, sorted(imported - SCIPY_ALLOWED)
+    assert not use["angular.py"][0]
+    # one polar Gauss rule: quadrature.polar_rule
+    assert sum(calls for _, calls in use.values()) == 1
