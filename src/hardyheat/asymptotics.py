@@ -140,16 +140,13 @@ def _power_tail(s: np.ndarray, integrand: np.ndarray):
     return tail_half, abs(tail_full - tail_half)
 
 
-def beta_integral(traj: Trajectory, Lambda: float, J0=None,
-                  gamma: float | None = None) -> BetaTable:
+def beta_integral(traj: Trajectory, Lambda: float, J0, gamma: float) -> BetaTable:
     """Coefficients beta_{m,k} from data at Lambda plus the forcing integral.
 
     Lambda is snapped to the nearest stored time (the formula holds for
     every admissible Lambda).  Raises ResolutionError when the sub-grid
     tail uncertainty exceeds 1e-8 of the coefficient scale.
     """
-    if gamma is None or J0 is None:
-        raise ConfigurationError("beta_integral needs the snapped gamma and J0")
     row, lam = _snap_lambda(traj, Lambda)
     idx = _j0_basis_indices(traj, J0)
     dtilde = traj.perturbation.delta_tilde(traj.basis.N)
@@ -209,14 +206,12 @@ def _richardson_limit(lams: np.ndarray, seq: np.ndarray, dtilde: float) -> float
     return float((seq[0] * w2 - seq[1] * w1) / (w2 - w1))
 
 
-def beta_direct(traj: Trajectory, lambda_grid=None, J0=None,
-                gamma: float | None = None):
+def beta_direct(traj: Trajectory, lambda_grid, J0, gamma: float):
     """Blow-up sequences lambda^{-2 gamma} c(lambda^2) with extrapolated limits.
 
+    ``lambda_grid`` None takes the deepest stored lambda and three doublings.
     Returns {(m, k): (lambdas, sequence, limit)}.
     """
-    if gamma is None or J0 is None:
-        raise ConfigurationError("beta_direct needs the snapped gamma and J0")
     if lambda_grid is None:
         lam_min = math.exp(0.5 * traj.tau[-1])
         lambda_grid = [lam_min * 2.0**kk for kk in range(4)]
@@ -238,8 +233,7 @@ def beta_direct(traj: Trajectory, lambda_grid=None, J0=None,
     return out
 
 
-def lambda_independence(traj: Trajectory, Lambda_grid, J0=None,
-                        gamma: float | None = None):
+def lambda_independence(traj: Trajectory, Lambda_grid, J0, gamma: float):
     """(max relative spread over J0, BetaTables in ascending Lambda).
 
     The first table, at the smallest Lambda, carries the spread and the

@@ -257,17 +257,13 @@ def cmd_verify(cfg, outdir) -> int:
         spec_const = angular.solve_angular(
             angular.AngularPotential.constant(lam), K=8, N=int(N)
         )
-        for iq in ("hardy_parabolic", "hardy_anisotropic", "x2_bound", "sobolev"):
-            reports.append(
-                inequalities.sweep(iq, fam, t=cfg.sweep_t, spec=spec_const)
-            )
+        reports += inequalities.sweep(inequalities.INEQUALITIES, fam, t=cfg.sweep_t,
+                                      spec=spec_const)
     if not pot.is_constant and 3 in tuple(int(x) for x in cfg.sweep_dims):
         spec3 = angular.solve_angular(pot, L=cfg.angular_truncation or None,
                                       K=cfg.angular_count, N=3)
         fam = inequalities.TestFamily("bumps", 3, cfg.sweep_count, seed)
-        reports.append(
-            inequalities.sweep("hardy_anisotropic", fam, t=cfg.sweep_t, spec=spec3)
-        )
+        reports += inequalities.sweep(("hardy_anisotropic",), fam, t=cfg.sweep_t, spec=spec3)
     _write_json(os.path.join(outdir, "verify.json"),
                 {"sweeps": reports}, _meta(cfg))
     worst = min(

@@ -66,6 +66,7 @@ class RunConfig:
 
     def validate(self) -> None:
         from .evolve import DTAU_MAX, TAU_FLOOR
+        from .inequalities import SOBOLEV_EXPONENT as s
 
         if self.dimension < 3:
             raise ConfigurationError("dimension must be >= 3")
@@ -90,8 +91,10 @@ class RunConfig:
             raise ConfigurationError("sweep_count must be >= 1")
         if not self.sweep_t > 0.0:
             raise ConfigurationError("sweep_t must be positive")
-        if not self.sweep_dims or any(int(N) < 3 for N in self.sweep_dims):
-            raise ConfigurationError("sweep_dims must list dimensions >= 3")
+        # the Sobolev quotient needs s <= 2N/(N-2), that is N <= 2s/(s-2)
+        n_max = 2.0 * s / (s - 2.0)
+        if not self.sweep_dims or any(not 3 <= int(N) <= n_max for N in self.sweep_dims):
+            raise ConfigurationError(f"sweep_dims must list dimensions in [3, {n_max:g}]")
 
     def to_text(self) -> str:
         out = io.StringIO()

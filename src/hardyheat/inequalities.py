@@ -9,15 +9,14 @@ by the Sobolev quotient, over reproducible randomized families:
                        >= (mu_1 + (N-2)^2/4) int u^2/|x|^2 G
   x2_bound        :  (1/16) int |x|^2 u^2 G(.,1) <= int |grad u|^2 G
                                                     + (N/4) int u^2 G
-  sobolev_ratio   :  (int |u|^s G^{s/2})^{2/s} / (t^{-(N/s)(s-2)/2} ||u||_Ht^2)
+  sobolev         :  (int |u|^s G^{s/2})^{2/s} / (t^{-(N/s)(s-2)/2} ||u||_Ht^2)
 
-``member_gap`` evaluates one of the first three on one member and
-``sobolev_ratio`` the quotient; ``sweep`` runs either over a family.  Both
-sample the member through one path on the rules of ``rule_pair``: the full
-product cubature for N = 3, and for N >= 4 the zonal radial x
-single-polar-angle rule, which takes Gaussian bumps only (each is zonal
-about its own axis).  Bump centers are drawn with density ~ 1/r in radius
-to stress the Hardy singularity.
+``member_values`` evaluates any of them on one member from one sampling per
+rule and time; ``sweep`` runs the named ones over a family in one pass.
+The rules come from ``rule_pair``: the full product cubature for N = 3,
+and for N >= 4 the zonal radial x single-polar-angle rule, which takes
+Gaussian bumps only (each is zonal about its own axis).  Bump centers are
+drawn with density ~ 1/r in radius to stress the Hardy singularity.
 
 The module also estimates the coercivity infimum of the shifted quadratic
 form, in both quotient normalizations (the equivalence-of-norms one and
@@ -35,10 +34,11 @@ from scipy.linalg import eigh as generalized_eigh
 from . import angular as ang
 from .errors import ConfigurationError, InvariantViolationError
 from .ou_basis import OUBasis, eval_grad_V, eval_V, hardy_matrix, potential_coupling_matrix
-from .quadrature import ProductRule, ZonalRule, product_rule, zonal_rule
+from .quadrature import ZonalRule, product_rule, zonal_rule
 
 GAP_SLACK = 1e-10  # violations are gap < -GAP_SLACK * scale
 SOBOLEV_EXPONENT = 2.5  # the s of the Sobolev quotient in sweeps
+INEQUALITIES = ("hardy_parabolic", "hardy_anisotropic", "x2_bound", "sobolev")
 
 
 # -- test functions ----------------------------------------------------------
@@ -202,162 +202,131 @@ def _sample(member, rule, t: float, grad: bool = True):
     return u, g2, t * rule.radii**2
 
 
-@dataclass
-class MemberIntegrals:
-    """All Gaussian-weighted integrals one verifier pass needs."""
-
-    u2: float
-    grad2: float
-    r2u2: float
-    u2_over_r2: float = 0.0
-    a_u2_over_r2: float = 0.0
-
-
-def _integrals(member, t: float, rules: tuple, potential: ang.AngularPotential | None = None,
-               hardy: bool = True) -> MemberIntegrals:
-    """Integrals on the plain rule and, if ``hardy``, on the singular twin.
-
-    The potential term is nodal on the full rule and lam * u2_over_r2 on
-    the zonal one (constant potentials only).
-    """
-    plain, twin = rules
-    u, g2, r2 = _sample(member, plain, t)
-    u2 = u * u
-    vals = MemberIntegrals(plain.integrate(u2), plain.integrate(g2), plain.integrate(r2 * u2))
-    if hardy:
-        uh, _, r2h = _sample(member, twin, t, grad=False)
-        vals.u2_over_r2 = twin.integrate(uh * uh / r2h)
-        if potential is not None and isinstance(twin, ZonalRule):
-            vals.a_u2_over_r2 = potential.value * vals.u2_over_r2
-        elif potential is not None:
-            a = np.tile(potential.evaluate(twin.angular_dirs), twin.radial.count)
-            vals.a_u2_over_r2 = twin.integrate(a * uh * uh / r2h)
-    return vals
-
-
 # -- verifiers ---------------------------------------------------------------
 
-def member_gap(inequality: str, member, t: float, rules: tuple,
-               spec: ang.AngularSpectrum | None = None) -> tuple[float, float]:
-    """(gap, scale) of one inequality on one member; gates the gap.
+def member_values(inequalities, member, t: float, rules: tuple,
+                  spec: ang.AngularSpectrum | None = None,
+                  s: float = SOBOLEV_EXPONENT) -> dict:
+    """Each requested inequality's gated (gap, scale), or the Sobolev quotient.
 
     ``rules`` comes from :func:`rule_pair`; ``spec`` supplies mu_1 and the
-    potential of the anisotropic form.  The |x|^2 bound is taken at t = 1.
+    potential of the anisotropic form.  The member is sampled at most once
+    per rule and time: the plain rule at t, the plain rule at t = 1 (the
+    |x|^2 bound) and the singular twin at t.  The potential term is nodal on
+    the full rule and lam * int u^2/|x|^2 G on the zonal one (constant
+    potentials only).  Gaps are gated in the order of ``inequalities``.
     """
-    N = rules[0].N
-    if inequality == "x2_bound":
-        I = _integrals(member, 1.0, rules, hardy=False)
-        lhs = I.r2u2 / 16.0
-        rhs = I.grad2 + N / 4.0 * I.u2
-        gap, scale = rhs - lhs, abs(rhs)
-    elif inequality == "hardy_parabolic":
-        I = _integrals(member, t, rules)
-        lhs = I.u2_over_r2
-        rhs = I.u2 / ((N - 2) * t) + 4.0 / (N - 2) ** 2 * I.grad2
-        gap, scale = rhs - lhs, abs(rhs)
-    elif inequality == "hardy_anisotropic":
-        I = _integrals(member, t, rules, potential=spec.potential)
-        lhs = (float(spec.eigenvalues[0]) + (N - 2) ** 2 / 4.0) * I.u2_over_r2
-        rhs = I.grad2 - I.a_u2_over_r2 + (N - 2) / (4.0 * t) * I.u2
-        gap, scale = rhs - lhs, abs(rhs) + abs(lhs)
-    else:
-        raise ConfigurationError(f"unknown inequality {inequality!r}")
-    _gate(gap, scale, inequality)
-    return gap, scale
-
-
-def _gate(gap: float, scale: float, name: str) -> None:
-    if gap < -GAP_SLACK * scale:
-        raise InvariantViolationError(
-            f"{name} violated: gap {gap} vs slack {-GAP_SLACK * scale} "
-            "(signals a quadrature bug)"
-        )
-
-
-def sobolev_ratio(member, s: float, t: float, N: int,
-                  rule: ProductRule | ZonalRule | None = None,
-                  verify_scaling: bool = True) -> float:
-    """Weighted Sobolev quotient; also checks its exact t-scaling invariance."""
-    if not 2.0 <= s <= 2.0 * N / (N - 2):
+    want = set(inequalities)
+    unknown = sorted(want - set(INEQUALITIES))
+    if unknown:
+        raise ConfigurationError(f"unknown inequality {unknown[0]!r}; names: {INEQUALITIES}")
+    plain, twin = rules
+    N = plain.N
+    if "sobolev" in want and not 2.0 <= s <= 2.0 * N / (N - 2):
         raise ConfigurationError(f"s={s} outside [2, 2N/(N-2)]")
-    if rule is None:
-        rule = rule_pair(N)[0]
-
-    def ratio(mem, tt):
-        u, g2, _ = _sample(mem, rule, tt)
-        u = np.abs(u)
+    out = {}
+    if "x2_bound" in want:
+        u, g2, r2 = _sample(member, plain, 1.0)
+        rhs = plain.integrate(g2) + N / 4.0 * plain.integrate(u * u)
+        out["x2_bound"] = (rhs - plain.integrate(r2 * (u * u)) / 16.0, abs(rhs))
+    if want & {"hardy_parabolic", "hardy_anisotropic", "sobolev"}:
+        u, g2, _ = _sample(member, plain, t)
+        u2, grad2 = plain.integrate(u * u), plain.integrate(g2)
+    if want & {"hardy_parabolic", "hardy_anisotropic"}:
+        uh, _, r2h = _sample(member, twin, t, grad=False)
+        u2_over_r2 = twin.integrate(uh * uh / r2h)
+    if "hardy_parabolic" in want:
+        rhs = u2 / ((N - 2) * t) + 4.0 / (N - 2) ** 2 * grad2
+        out["hardy_parabolic"] = (rhs - u2_over_r2, abs(rhs))
+    if "hardy_anisotropic" in want:
+        if isinstance(twin, ZonalRule):
+            a_u2_over_r2 = spec.potential.value * u2_over_r2
+        else:
+            a = np.tile(spec.potential.evaluate(twin.angular_dirs), twin.radial.count)
+            a_u2_over_r2 = twin.integrate(a * uh * uh / r2h)
+        lhs = (float(spec.eigenvalues[0]) + (N - 2) ** 2 / 4.0) * u2_over_r2
+        rhs = grad2 - a_u2_over_r2 + (N - 2) / (4.0 * t) * u2
+        out["hardy_anisotropic"] = (rhs - lhs, abs(rhs) + abs(lhs))
+    if "sobolev" in want:
         # G^{s/2 - 1} at the scaled nodes; the base radius is t-invariant
-        Gpow = (tt ** (-N / 2.0) * np.exp(-rule.radii**2 / 4.0)) ** (s / 2.0 - 1.0)
-        num = rule.integrate(u**s * Gpow) ** (2.0 / s)
-        ht = tt * rule.integrate(g2) + rule.integrate(u * u)
-        return num / (tt ** (-(N / s) * (s - 2.0) / 2.0) * ht)
-
-    val = ratio(member, t)
-    if verify_scaling:
-        tau = 2.7
-        val2 = ratio(RescaledFunction(member, tau), t * tau)
-        if abs(val2 - val) > 1e-10 * max(abs(val), 1e-300):
+        Gpow = (t ** (-N / 2.0) * np.exp(-plain.radii**2 / 4.0)) ** (s / 2.0 - 1.0)
+        num = plain.integrate(np.abs(u) ** s * Gpow) ** (2.0 / s)
+        out["sobolev"] = num / (t ** (-(N / s) * (s - 2.0) / 2.0) * (t * grad2 + u2))
+    for name in inequalities:
+        if name == "sobolev":
+            continue
+        gap, scale = out[name]
+        if gap < -GAP_SLACK * scale:
             raise InvariantViolationError(
-                f"Sobolev quotient not t-scaling invariant: {val} vs {val2}"
+                f"{name} violated: gap {gap} vs slack {-GAP_SLACK * scale} "
+                "(signals a quadrature bug)"
             )
-    return val
+    return out
 
 
 # -- family sweeps ------------------------------------------------------------
 
 def sweep(
-    inequality: str,
+    inequalities,
     family: TestFamily,
     t: float = 0.7,
     spec: ang.AngularSpectrum | None = None,
     basis: OUBasis | None = None,
     n_r: int = 48,
-) -> dict:
-    """Run one inequality over a family; returns the report dictionary.
+) -> list:
+    """Run the named inequalities over a family in one pass; one report each.
 
     Raises InvariantViolationError on any gap below the relative slack, and
-    PositivityError when an anisotropic sweep's spectrum fails positivity.
-    The rules come from :func:`rule_pair`; each member goes through
-    :func:`member_gap`, or :func:`sobolev_ratio` for the Sobolev quotient.
+    PositivityError before the first member when an anisotropic sweep's
+    spectrum fails positivity.  The rules come from :func:`rule_pair`; each
+    member goes through :func:`member_values` once.  Every 50th member's
+    Sobolev quotient is also checked for its exact t-scaling invariance.
     """
     N = family.N
     if N != 3 and family.kind != "bumps":
         raise ConfigurationError("zonal sweeps support bump families only")
     rules = rule_pair(N, n_r)
-    if inequality == "hardy_anisotropic":
+    if "hardy_anisotropic" in inequalities:
         if spec is None:
             raise ConfigurationError("anisotropic sweep needs an angular spectrum")
         ang.require_positivity(spec)
         if N != 3 and not spec.potential.is_constant:
             raise ConfigurationError("anisotropic zonal sweeps need a constant potential")
 
-    min_head = math.inf
-    argmin = None
+    min_head = dict.fromkeys(inequalities, math.inf)
+    argmin = dict.fromkeys(inequalities)
     ratios = []
     for i, member in enumerate(family.members(basis)):
-        if inequality == "sobolev":
-            ratios.append(sobolev_ratio(member, SOBOLEV_EXPONENT, t, N, rules[0],
-                                        verify_scaling=(i % 50 == 0)))
-            continue
-        gap, scale = member_gap(inequality, member, t, rules, spec)
-        head = gap / scale if scale > 0 else math.inf
-        if head < min_head:
-            min_head, argmin = head, f"member #{i} ({member!r})"
-    report = {
-        "inequality": inequality,
-        "family": family.kind,
-        "N": N,
-        "count": family.count,
-        "seed": family.seed,
-        "t": t,
-    }
-    if inequality == "sobolev":
-        report["sup_ratio"] = float(np.max(ratios))
-        report["mean_ratio"] = float(np.mean(ratios))
-    else:
-        report["min_relative_gap"] = min_head
-        report["argmin"] = argmin
-    return report
+        values = member_values(inequalities, member, t, rules, spec)
+        for name in inequalities:
+            if name == "sobolev":
+                ratios.append(values[name])
+                continue
+            gap, scale = values[name]
+            head = gap / scale if scale > 0 else math.inf
+            if head < min_head[name]:
+                min_head[name], argmin[name] = head, f"member #{i} ({member!r})"
+        if "sobolev" in inequalities and i % 50 == 0:
+            tau = 2.7
+            val = values["sobolev"]
+            val2 = member_values(("sobolev",), RescaledFunction(member, tau), t * tau,
+                                 rules)["sobolev"]
+            if abs(val2 - val) > 1e-10 * max(abs(val), 1e-300):
+                raise InvariantViolationError(
+                    f"Sobolev quotient not t-scaling invariant: {val} vs {val2}"
+                )
+    reports = []
+    for name in inequalities:
+        report = {"inequality": name, "family": family.kind, "N": N,
+                  "count": family.count, "seed": family.seed, "t": t}
+        if name == "sobolev":
+            report["sup_ratio"] = float(np.max(ratios))
+            report["mean_ratio"] = float(np.mean(ratios))
+        else:
+            report["min_relative_gap"] = min_head[name]
+            report["argmin"] = argmin[name]
+        reports.append(report)
+    return reports
 
 
 # -- coercivity quotients ------------------------------------------------------

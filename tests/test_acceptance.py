@@ -171,9 +171,7 @@ def test_c8_inequality_sweeps():
             fam = ineq.TestFamily("bumps", N, 1000, seed)
             spec_c = ang.solve_angular(ang.AngularPotential.constant(0.15),
                                        K=8, N=N)
-            for iq in ("hardy_parabolic", "hardy_anisotropic", "x2_bound",
-                       "sobolev"):
-                rep = ineq.sweep(iq, fam, t=0.7, spec=spec_c, n_r=40)
+            for rep in ineq.sweep(ineq.INEQUALITIES, fam, t=0.7, spec=spec_c, n_r=40):
                 if "min_relative_gap" in rep:
                     assert rep["min_relative_gap"] > -1e-10
             seed += 1
@@ -181,7 +179,7 @@ def test_c8_inequality_sweeps():
         pot = ang.AngularPotential.zonal(lambda c: 0.15 * c + 0.05 * c * c)
         spec3 = ang.solve_angular(pot, L=16, K=16)
         fam3 = ineq.TestFamily("bumps", 3, 1000, seed)
-        rep = ineq.sweep("hardy_anisotropic", fam3, t=0.7, spec=spec3, n_r=40)
+        [rep] = ineq.sweep(("hardy_anisotropic",), fam3, t=0.7, spec=spec3, n_r=40)
         assert rep["min_relative_gap"] > -1e-10
 
 

@@ -59,7 +59,7 @@ _CONFIGS = st.builds(
     recon_tau=_unit_open,
     fit_decades=_finite,
     sweep_count=st.integers(1, 10**9),
-    sweep_dims=st.lists(st.integers(3, 100), min_size=1, max_size=4).map(tuple),
+    sweep_dims=st.lists(st.integers(3, 10), min_size=1, max_size=4).map(tuple),
     sweep_t=_positive,
     seed=st.integers(-2**63, 2**63),
     directory=_spec_text,
@@ -108,7 +108,8 @@ def test_config_validation_ranges():
     with pytest.raises(ConfigurationError):
         cfg.validate()
     for key, bad in (("sweep_count", 0), ("sweep_t", 0.0), ("sweep_t", -1.0),
-                     ("sweep_dims", (3, 2)), ("sweep_dims", ()),
+                     ("sweep_dims", (3, 2)), ("sweep_dims", ()), ("sweep_dims", (3, 11)),
+                     ("sweep_dims", (100,)),
                      ("lambda_grid", ()), ("lambda_grid", (0.1, 0.0)),
                      ("recon_lambdas", (0.5, 0.0)), ("scaling_lambdas", (0.5, 1.5)),
                      ("scaling_lambdas", (0.0,)), ("scaling_lambdas", (1.0,)),
@@ -292,6 +293,20 @@ def test_cmd_verify_small(tmp_path):
             assert rep["min_relative_gap"] > -1e-10
 
 
+def test_cmd_verify_rejects_dimension_before_sweeps(tmp_path, monkeypatch, capsys):
+    # s = 2.5 needs N <= 10: exit 2 before any member is sampled
+    from hardyheat import inequalities
+
+    calls = []
+    monkeypatch.setattr(inequalities, "_sample", lambda *a, **k: calls.append(a))
+    path, _ = write_config(tmp_path, sweep_dims=(3, 11), sweep_count=5,
+                           directory=str(tmp_path))
+    assert main(["verify", "--config", path]) == 2
+    assert calls == []
+    assert "sweep_dims" in capsys.readouterr().err
+    assert not (tmp_path / "verify.json").exists()
+
+
 def test_cmd_quadcheck(tmp_path):
     path, _ = write_config(tmp_path, directory=str(tmp_path))
     assert main(["quadcheck", "--config", path]) == 0
@@ -315,7 +330,8 @@ def test_cli_bad_config_exit_code(tmp_path):
     assert main(["spectrum", "--config", str(bad)]) == 2
     # settings that used to end in a traceback, exit 3 or an empty report
     for line in ("sweep_count = 0", "sweep_t = 0", "sweep_t = -1", "sweep_dims = 2",
-                 "sweep_dims =", "lambda_grid =", "lambda_grid = 0.1,0.0",
+                 "sweep_dims =", "sweep_dims = 11", "sweep_dims = 3,4,11", "sweep_dims = 100",
+                 "lambda_grid =", "lambda_grid = 0.1,0.0",
                  "recon_lambdas = 0.5,0.0", "scaling_lambdas = 0.5,1.5",
                  "scaling_lambdas = 0"):
         bad.write_text(f"[experiment]\n{line}\n")

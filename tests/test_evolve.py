@@ -346,17 +346,23 @@ def test_trajectory_from_rows_unperturbed_and_gates(basis0, col0):
 
 
 def test_truncation_flag(basis0, col0):
-    # strong coupling pushing mass into the last mode flags the run
+    # unperturbed runs on both sides of TRUNCATION_FLAG: all mass in the
+    # last mode is flagged with its ratio, the ground mode is not flagged
+    for k, flagged in ((basis0.size - 1, True), (0, False)):
+        c0 = np.zeros(basis0.size)
+        c0[k] = 1.0
+        traj = ev.integrate_backward(basis0, c0, math.log(1e-3), 0.01,
+                                     ev.PerturbationSpec.none(), col0)
+        ratio = traj.truncation_ratio()
+        assert (ratio > ev.TRUNCATION_FLAG) == flagged
+        assert traj.metadata.get("truncation_flag") == (ratio if flagged else None)
+    # a non-radial nodal h inside its bound passes the admissibility check
     pert = ev.PerturbationSpec.linear(
         lambda x, t: 0.4 * x[:, 0] ** 2 / (1.0 + np.sum(x * x, axis=1)),
         0.4, 1.0, label="test",
     )
     ok, _, _ = ev.check_h_admissible(pert.h, pert.C_h, pert.eps_h, col0)
     assert ok
-    c0 = np.zeros(basis0.size)
-    c0[0] = 1.0
-    traj = ev.integrate_backward(basis0, c0, math.log(1e-3), 0.005, pert, col0)
-    assert "truncation_flag" in traj.metadata or traj.truncation_ratio() <= 1e-6
 
 
 def test_metadata(basis0, col0, tau_small):

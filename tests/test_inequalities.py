@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hardyheat import angular as ang
 from hardyheat import inequalities as ineq
 from hardyheat import ou_basis as ou
 from hardyheat import quadrature as quad
-from hardyheat.errors import ConfigurationError
+from hardyheat.errors import ConfigurationError, PositivityError
 
 
 class Constant:
@@ -18,9 +19,13 @@ class Constant:
         return np.zeros_like(x)
 
 
+def gap_of(name, member, t, rules, spec=None):
+    return ineq.member_values((name,), member, t, rules, spec)[name][0]
+
+
 def test_hardy_parabolic_constant_oracle():
     # LHS = 4 pi^{3/2}, RHS = 8 pi^{3/2} from 1-D Gaussian integrals
-    gap, _ = ineq.member_gap("hardy_parabolic", Constant(), 1.0, ineq.rule_pair(3))
+    gap = gap_of("hardy_parabolic", Constant(), 1.0, ineq.rule_pair(3))
     np.testing.assert_allclose(gap, 4.0 * math.pi**1.5, rtol=1e-12)
 
 
@@ -32,70 +37,83 @@ def test_hardy_parabolic_scaling_relation(N):
     axis[-1] = 1.0
     bump = ineq.GaussianBump(0.5, 0.8, axis)
     rules = ineq.rule_pair(N)
-    g1, _ = ineq.member_gap("hardy_parabolic", bump, 1.0, rules)
+    g1 = gap_of("hardy_parabolic", bump, 1.0, rules)
     tau = 2.2
-    g2, _ = ineq.member_gap("hardy_parabolic", ineq.RescaledFunction(bump, tau), tau, rules)
+    g2 = gap_of("hardy_parabolic", ineq.RescaledFunction(bump, tau), tau, rules)
     np.testing.assert_allclose(g2, g1 / tau, rtol=1e-12)
 
 
 def test_zonal_rules_match_full_rules():
-    # the zonal reduction of every integral, singular twin included, against
-    # the full cubature on an N = 3 bump with an oblique axis
+    # every value of the zonal reduction, singular twin and nodal potential
+    # term included, against the full cubature on an N = 3 bump with an
+    # oblique axis
     axis = np.array([0.3, -0.5, 0.8])
     bump = ineq.GaussianBump(0.6, 0.9, axis / np.linalg.norm(axis))
     full = ineq.rule_pair(3)
     zonal = (quad.zonal_rule(3, 48, 28), quad.zonal_rule(3, 48, 28, a_gl=-0.5))
-    pot = ang.AngularPotential.constant(0.1)
+    spec = ang.solve_angular(ang.AngularPotential.constant(0.1), K=4, N=3)
     for t in (1.0, 0.4):
-        If = ineq._integrals(bump, t, full, potential=pot)
-        Iz = ineq._integrals(bump, t, zonal, potential=pot)
-        for name in ("u2", "grad2", "u2_over_r2", "r2u2", "a_u2_over_r2"):
-            np.testing.assert_allclose(getattr(Iz, name), getattr(If, name),
-                                       rtol=1e-12, err_msg=name)
+        vf = ineq.member_values(ineq.INEQUALITIES, bump, t, full, spec)
+        vz = ineq.member_values(ineq.INEQUALITIES, bump, t, zonal, spec)
+        assert list(vf) == list(vz) and set(vf) == set(ineq.INEQUALITIES)
+        for name in ineq.INEQUALITIES:
+            np.testing.assert_allclose(vz[name], vf[name], rtol=1e-12, err_msg=name)
 
 
 def test_x2_bound_constant_oracle():
     # (1/16) * 48 pi^{3/2} = 3 pi^{3/2} vs (3/4) * 8 pi^{3/2} = 6 pi^{3/2}
-    gap, _ = ineq.member_gap("x2_bound", Constant(), 1.0, ineq.rule_pair(3))
+    gap = gap_of("x2_bound", Constant(), 1.0, ineq.rule_pair(3))
     np.testing.assert_allclose(gap, 3.0 * math.pi**1.5, rtol=1e-12)
 
 
 def test_x2_bound_near_equality_probe():
     probe = ineq.PolyGaussian((1.0, 0.0, 0.0, 0.0, 0.3, 0.3, 0.3, 0, 0, 0), 1.0 / 8.0)
-    gap, _ = ineq.member_gap("x2_bound", probe, 1.0, ineq.rule_pair(3))
+    gap = gap_of("x2_bound", probe, 1.0, ineq.rule_pair(3))
     assert gap > 0.0
 
 
 def test_sobolev_s2_ratio_below_one():
-    r = ineq.sobolev_ratio(Constant(), 2.0, 1.0, 3)
-    assert r <= 1.0 + 1e-12
+    r = ineq.member_values(("sobolev",), Constant(), 1.0, ineq.rule_pair(3), s=2.0)
+    assert r["sobolev"] <= 1.0 + 1e-12
 
 
 def test_sobolev_scaling_invariance_exact():
     bump = ineq.GaussianBump(0.7, 0.9, np.array([0.0, 1.0, 0.0]))
-    # verify_scaling=True raises on any 1e-10 deviation
-    ineq.sobolev_ratio(bump, 2.5, 0.7, 3, verify_scaling=True)
+    rules, tau = ineq.rule_pair(3), 2.7
+    r1 = ineq.member_values(("sobolev",), bump, 0.7, rules)["sobolev"]
+    r2 = ineq.member_values(("sobolev",), ineq.RescaledFunction(bump, tau), 0.7 * tau,
+                            rules)["sobolev"]
+    np.testing.assert_allclose(r2, r1, rtol=1e-10)
+
+
+def test_sobolev_exponent_range():
+    # s = 2.5 needs N <= 10; the other inequalities take any N
+    bump = ineq.GaussianBump(0.5, 0.8, np.eye(11)[0])
+    rules = ineq.rule_pair(11, 8)
+    assert set(ineq.member_values(("x2_bound",), bump, 0.7, rules)) == {"x2_bound"}
+    with pytest.raises(ConfigurationError, match="outside"):
+        ineq.member_values(("x2_bound", "sobolev"), bump, 0.7, rules)
 
 
 def test_sobolev_family_sup_stable_under_doubling():
     sups = []
     for count in (150, 300):
         fam = ineq.TestFamily("bumps", 3, count, 99)
-        rep = ineq.sweep("sobolev", fam, t=0.7)
+        [rep] = ineq.sweep(("sobolev",), fam, t=0.7)
         sups.append(rep["sup_ratio"])
     assert abs(sups[1] - sups[0]) < 0.5 * sups[0]
 
 
 def test_anisotropic_reduces_to_parabolic_at_zero(spec0):
     # a = 0: mu_1 = 0 and the bound is a rearranged parabolic Hardy
-    gap, _ = ineq.member_gap("hardy_anisotropic", Constant(), 1.0, ineq.rule_pair(3), spec0)
+    gap = gap_of("hardy_anisotropic", Constant(), 1.0, ineq.rule_pair(3), spec0)
     assert gap > 0.0
 
 
 def test_anisotropic_ground_mode_near_extremal(basis0, spec0):
     # B(V~, V~) = 0 and the mode is radial-extremal: small positive gap
     member = ineq.BasisModeFunction(basis0, 0)
-    gap, _ = ineq.member_gap("hardy_anisotropic", member, 1.0, ineq.rule_pair(3), spec0)
+    gap = gap_of("hardy_anisotropic", member, 1.0, ineq.rule_pair(3), spec0)
     assert 0.0 < gap < 0.2
     np.testing.assert_allclose(gap, 0.125, atol=5e-3)
 
@@ -103,10 +121,8 @@ def test_anisotropic_ground_mode_near_extremal(basis0, spec0):
 def test_constant_potential_gap_is_lambda_free():
     # for a = lambda the two sides shift identically: the gap cannot move
     gaps = [
-        ineq.member_gap(
-            "hardy_anisotropic", Constant(), 1.0, ineq.rule_pair(3),
-            ang.solve_angular(ang.AngularPotential.constant(lam), K=4, N=3),
-        )[0]
+        gap_of("hardy_anisotropic", Constant(), 1.0, ineq.rule_pair(3),
+               ang.solve_angular(ang.AngularPotential.constant(lam), K=4, N=3))
         for lam in (0.0, 0.1, 0.2)
     ]
     np.testing.assert_allclose(gaps, gaps[0], rtol=1e-12)
@@ -120,24 +136,24 @@ def test_anisotropic_gap_monotone_trend():
     for lam in (0.0, 0.1, 0.2, 0.3):
         pot = ang.AngularPotential.zonal(lambda c, s=lam: s * c)
         spec = ang.solve_angular(pot, L=12, K=4)
-        gaps.append(ineq.member_gap("hardy_anisotropic", bump, 1.0, ineq.rule_pair(3), spec)[0])
+        gaps.append(gap_of("hardy_anisotropic", bump, 1.0, ineq.rule_pair(3), spec))
     assert all(np.diff(gaps) < 0)
 
 
 def test_mode_family_sweep(basis0, spec0):
     fam = ineq.TestFamily("modes", 3, basis0.size, 0)
-    rep = ineq.sweep("hardy_parabolic", fam, t=1.0, basis=basis0)
+    [rep] = ineq.sweep(("hardy_parabolic",), fam, t=1.0, basis=basis0)
     assert rep["min_relative_gap"] > -1e-10
 
 
 def test_randomized_sweeps_no_violation():
     for N in (3, 4, 5):
         fam = ineq.TestFamily("bumps", N, 150, 60 + N)
-        for iq in ("hardy_parabolic", "x2_bound"):
-            rep = ineq.sweep(iq, fam, t=0.7)
+        for rep in ineq.sweep(("hardy_parabolic", "x2_bound"), fam, t=0.7):
             assert rep["min_relative_gap"] > -1e-10
     famp = ineq.TestFamily("polygauss", 3, 150, 66)
-    assert ineq.sweep("hardy_parabolic", famp, t=0.4)["min_relative_gap"] > -1e-10
+    [rep] = ineq.sweep(("hardy_parabolic",), famp, t=0.4)
+    assert rep["min_relative_gap"] > -1e-10
 
 
 def test_family_reproducibility():
@@ -149,7 +165,7 @@ def test_family_reproducibility():
 
 def test_zonal_family_requires_bumps():
     with pytest.raises(ConfigurationError):
-        ineq.sweep("hardy_parabolic", ineq.TestFamily("polygauss", 4, 5, 1))
+        ineq.sweep(("hardy_parabolic",), ineq.TestFamily("polygauss", 4, 5, 1))
 
 
 def test_coercivity_infimum_zero_potential(basis0):
@@ -178,6 +194,38 @@ def test_coercivity_monotone_in_K(spec01):
 
 
 def test_sweep_report_fields():
-    rep = ineq.sweep("hardy_parabolic", ineq.TestFamily("bumps", 4, 20, 3), t=0.5)
+    [rep] = ineq.sweep(("hardy_parabolic",), ineq.TestFamily("bumps", 4, 20, 3), t=0.5)
     assert {"inequality", "family", "N", "count", "seed", "t",
             "min_relative_gap", "argmin"} <= set(rep)
+
+
+@pytest.mark.parametrize("kind, N", [("bumps", 3), ("bumps", 4), ("polygauss", 3),
+                                     ("modes", 3)])
+def test_one_pass_equals_single_sweeps(kind, N, basis0):
+    # 60 members: the Sobolev scaling check runs on members #0 and #50;
+    # mode members are slow to evaluate and take no Sobolev quotient
+    names = ineq.INEQUALITIES if kind == "bumps" else ("hardy_parabolic", "hardy_anisotropic",
+                                                       "x2_bound")
+    fam = ineq.TestFamily(kind, N, 6 if kind == "modes" else 60, 5)
+    spec = ang.solve_angular(ang.AngularPotential.constant(0.15), K=8, N=N)
+    if kind == "modes":
+        spec = basis0.spectrum
+    one_pass = ineq.sweep(names, fam, t=0.6, spec=spec, basis=basis0)
+    single = [ineq.sweep((iq,), fam, t=0.6, spec=spec, basis=basis0)[0] for iq in names]
+    if kind == "modes":  # a mode member's repr carries its object address
+        for rep in one_pass + single:
+            rep["argmin"] = re.sub(r" at 0x[0-9a-f]+", "", rep["argmin"])
+    assert one_pass == single
+    assert [rep["inequality"] for rep in one_pass] == list(names)
+
+
+def test_sweep_rejects_before_first_member(monkeypatch):
+    calls = []
+    monkeypatch.setattr(ineq, "_sample", lambda *a, **k: calls.append(a))
+    fam = ineq.TestFamily("bumps", 3, 5, 1)
+    with pytest.raises(ConfigurationError, match="unknown inequality"):
+        ineq.sweep(("hardy_parabolic", "hardy_parabolc"), fam)
+    bad = ang.solve_angular(ang.AngularPotential.constant(0.3), K=4, N=3)
+    with pytest.raises(PositivityError):
+        ineq.sweep(ineq.INEQUALITIES, fam, spec=bad)
+    assert calls == []

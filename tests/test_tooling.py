@@ -1,9 +1,14 @@
 """Tooling ratchets: the benchmark's per-layer tables name package functions
-that must exist, and scipy use in the package only shrinks."""
+that must exist, scipy use in the package only shrinks, and ``verify``
+samples each member once per rule and time."""
 
 import ast
 import importlib
 from pathlib import Path
+
+from hardyheat import inequalities
+from hardyheat.cli import main
+from hardyheat.config import RunConfig
 
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
 SRC = Path(__file__).parents[1] / "src" / "hardyheat"
@@ -67,3 +72,27 @@ def test_scipy_imports_only_shrink():
     assert not use["angular.py"][0]
     # one polar Gauss rule: quadrature.polar_rule
     assert sum(calls for _, calls in use.values()) == 1
+
+
+def test_verify_samples_each_member_once_per_rule_and_time(tmp_path, monkeypatch):
+    calls = {"sweep": 0, "sample": 0}
+    sweep, sample = inequalities.sweep, inequalities._sample
+
+    def counted_sweep(*args, **kwargs):
+        calls["sweep"] += 1
+        return sweep(*args, **kwargs)
+
+    def counted_sample(*args, **kwargs):
+        calls["sample"] += 1
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(inequalities, "sweep", counted_sweep)
+    monkeypatch.setattr(inequalities, "_sample", counted_sample)
+    cfg = RunConfig()
+    cfg.sweep_dims, cfg.sweep_count, cfg.directory = (3,), 10, str(tmp_path)
+    path = tmp_path / "run.ini"
+    path.write_text(cfg.to_text())
+    assert main(["verify", "--config", str(path)]) == 0
+    # per member: plain rule at t and at t = 1, singular twin at t; plus
+    # the rescaled Sobolev check of member #0
+    assert calls == {"sweep": 1, "sample": 3 * 10 + 1}
