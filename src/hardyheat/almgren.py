@@ -24,7 +24,6 @@ from .errors import ConfigurationError, InvariantViolationError
 from .evolve import Trajectory
 
 H_FLOOR = 1e-300
-NU1_SLACK = -1e-10
 FIT_RESIDUAL_FLAG = 1e-3
 SNAP_TOL = 1e-6
 MONOTONE_SLACK = 1e-10
@@ -130,11 +129,6 @@ def frequency_trace(
             f"trace truncated: H underflowed on {traj.size - len(rows)} rows"
         )
     t, H, D, Nv, n1 = (a[rows] for a in (traj.t, H, D, Nv, n1))
-    if np.any(n1 < NU1_SLACK):  # unreachable for the projection form; kept as the gate
-        i = int(np.argmin(n1))
-        raise InvariantViolationError(
-            f"nu_1 = {n1[i]} < {NU1_SLACK} at t = {t[i]}: Schwarz gap violated"
-        )
 
     window = t <= t[0] * 10.0**fit_window_decades
     gamma_raw, fit_C, delta_hat, fit_resid = _fit_limit(t[window], Nv[window])
@@ -243,7 +237,6 @@ def run_diagnostics(
 ) -> dict:
     """Cross-checks asserted on every trace; raises on violations.
 
-    - nu1 >= -1e-10 rowwise (already enforced during trace assembly);
     - unperturbed monotonicity of N;
     - N(t) >= C1_eff - (N-2)/4 with C1_eff = C1 - empirical forcing share;
     - t^{-2 C1_eff + (N-2)/2} H(t) nondecreasing;

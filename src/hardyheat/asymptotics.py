@@ -6,9 +6,9 @@ For the limiting eigenvalue gamma with index set J0, each coefficient obeys
                  + 2 int_0^Lambda s^{1 - 2 gamma} xi_{m,k}(s) ds,
 
 independent of Lambda, where xi_{m,k}(s) is the forcing projection stored
-at trajectory time t = s^2.  The integrand decays like s^{-1 + dt} with
-dt the perturbation's tail exponent; the substitution s = sigma^{1/dt}
-regularizes it over the stored range, and the sub-grid piece [0, s_min]
+at trajectory time t = s^2.  In tau = log t the stored range of the
+integral is int s^{2 - 2 gamma} xi dtau, a smooth integrand on the uniform
+row grid, taken by composite Simpson in tau; the sub-grid piece [0, s_min]
 comes from a local power-law model whose window sensitivity drives the
 resolution gate.  The direct route lambda^{-2 gamma} c(lambda^2) -> beta
 provides the cross-validating limit.
@@ -20,16 +20,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import ConfigurationError, InvariantViolationError, ResolutionError
 from .evolve import Trajectory
 
 TAIL_REL_TOL = 1e-8
-GL4_NODES = np.array([-0.8611363115940526, -0.3399810435848563,
-                      0.3399810435848563, 0.8611363115940526])
-GL4_WEIGHTS = np.array([0.3478548451374538, 0.6521451548625461,
-                        0.6521451548625461, 0.3478548451374538])
 
 
 @dataclass
@@ -84,24 +79,22 @@ def _direct_term(traj: Trajectory, row: int, kb: int, gamma: float) -> float:
     return math.exp(-gamma * traj.tau[row]) * float(traj.coeffs[row, kb])
 
 
-def _transformed_integrand(s: np.ndarray, xi: np.ndarray, gamma: float,
-                           dtilde: float):
-    """(sigma grid, g values) for int 2 s^{1-2 gamma} xi ds = int g dsigma."""
-    sigma = s**dtilde
-    g = (2.0 / dtilde) * s ** (2.0 - 2.0 * gamma - dtilde) * xi
-    order = np.argsort(sigma)
-    return sigma[order], g[order]
+def _simpson(y: np.ndarray, h: float) -> float:
+    """Composite Simpson of the equally spaced samples y at step h.
 
-
-def _integrate_data_region(sigma: np.ndarray, g: np.ndarray) -> float:
-    """Composite 4-point Gauss-Legendre of the spline through (sigma, g),
-    panel edges at the stored knots (the log-dense grid makes the spline
-    spectrally accurate here)."""
-    spline = CubicSpline(sigma, g)
-    a, b = sigma[:-1], sigma[1:]
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    pts = mid[:, None] + half[:, None] * GL4_NODES[None, :]
-    return float(np.sum(half[:, None] * GL4_WEIGHTS[None, :] * spline(pts)))
+    An odd panel count ends with one Simpson 3/8 panel; a single panel is
+    the trapezoid.
+    """
+    n = len(y) - 1
+    if n == 1:
+        return 0.5 * h * float(y[0] + y[1])
+    m = n - 3 if n % 2 else n  # the Simpson panels end at sample m
+    total = 0.0
+    if m:
+        total = h / 3.0 * float(y[0] + 4.0 * np.sum(y[1:m:2]) + 2.0 * np.sum(y[2:m:2]) + y[m])
+    if m < n:
+        total += 3.0 * h / 8.0 * float(y[m] + 3.0 * (y[m + 1] + y[m + 2]) + y[m + 3])
+    return total
 
 
 def _power_tail(s: np.ndarray, integrand: np.ndarray):
@@ -149,11 +142,10 @@ def beta_integral(traj: Trajectory, Lambda: float, J0, gamma: float) -> BetaTabl
     """
     row, lam = _snap_lambda(traj, Lambda)
     idx = _j0_basis_indices(traj, J0)
-    dtilde = traj.perturbation.delta_tilde(traj.basis.N)
     beta = {}
     tail_worst = 0.0
-    rows_below = np.nonzero(traj.tau <= traj.tau[row] + 1e-14)[0]
-    rows_below = rows_below[np.argsort(traj.tau[rows_below])]  # ascending tau
+    # tau descends with the row index: rows row..end, in ascending tau
+    rows_below = np.arange(traj.size - 1, row - 1, -1)
     if traj.perturbation.kind != "none" and len(rows_below) < 2:
         raise ConfigurationError(
             f"Lambda = {Lambda} leaves {len(rows_below)} stored row(s) at or below "
@@ -166,7 +158,7 @@ def beta_integral(traj: Trajectory, Lambda: float, J0, gamma: float) -> BetaTabl
             beta[(m, k)] = float(direct)
             continue
         xi = traj.forcing[rows_below, kb]
-        integral = _integrate_data_region(*_transformed_integrand(s, xi, gamma, dtilde))
+        integral = _simpson(s ** (2.0 - 2.0 * gamma) * xi, traj.dtau)  # = 2 s^{1-2 gamma} xi ds
         tail_val, tail_unc = _power_tail(s, 2.0 * s ** (1.0 - 2.0 * gamma) * xi)
         beta[(m, k)] = float(direct + integral + tail_val)
         tail_worst = max(tail_worst, tail_unc)

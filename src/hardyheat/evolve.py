@@ -331,12 +331,16 @@ def trajectory_from_rows(
     """Trajectory of given rows c(tau[i]) = coeffs[i], e.g. read back from
     the trajectory.csv of an earlier run.
 
-    Runs the input gates of :func:`integrate_backward` on (tau[-1], dtau).
-    A perturbed kind gets its forcing from one :func:`forcing_coefficients`
-    call per row at time ``t[i]``; the unperturbed flow gets zero forcing
-    and ``diag_factors`` = exp(gamma_k tau_i).
+    Runs the input gates of :func:`integrate_backward` on (tau[-1], dtau);
+    rows off ``tau_grid(tau[-1], dtau)``, which ``beta`` integrates at step
+    dtau, raise ConfigurationError.  A perturbed kind gets its forcing from
+    one :func:`forcing_coefficients` call per row at time ``t[i]``; the
+    unperturbed flow gets zero forcing and ``diag_factors`` = exp(gamma_k tau_i).
     """
     ratio = _check_inputs(tau[-1], dtau, pert, col)
+    taus, step = tau_grid(tau[-1], dtau)
+    if step != dtau or not np.array_equal(tau, taus):
+        raise ConfigurationError(f"rows off the uniform tau grid of step dtau = {dtau}")
     traj = _record(basis, col, tau, coeffs, np.zeros_like(coeffs), pert, dtau, ratio)
     if pert.kind == "none":
         traj.diag_factors = np.exp(np.outer(tau, basis.gammas))

@@ -104,32 +104,15 @@ class PolyGaussian:
         return (gq - 2.0 * self.kappa * x * self._q(x)[:, None]) * e[:, None]
 
 
-class RescaledFunction:
-    """u(x / sqrt(tau)) for the t-scaling invariance checks, on either rule."""
-
-    def __init__(self, member, tau):
-        self.member = member
-        self.tau = tau
-
-    def value(self, x):
-        return self.member.value(x / math.sqrt(self.tau))
-
-    def grad(self, x):
-        return self.member.grad(x / math.sqrt(self.tau)) / math.sqrt(self.tau)
-
-    def value_rc(self, R, C):
-        return self.member.value_rc(R / math.sqrt(self.tau), C)
-
-    def gradsq_rc(self, R, C):
-        return self.member.gradsq_rc(R / math.sqrt(self.tau), C) / self.tau
-
-
 class BasisModeFunction:
     """A normalized eigenbasis mode as a point-function test member."""
 
     def __init__(self, basis: OUBasis, k: int):
         self.mode = basis.modes[k]
         self.spectrum = basis.spectrum
+
+    def __repr__(self):
+        return f"BasisModeFunction(j={self.mode.j}, n={self.mode.n})"
 
     def value(self, x):
         return eval_V(self.mode, x, self.spectrum)
@@ -279,8 +262,9 @@ def sweep(
     Raises InvariantViolationError on any gap below the relative slack, and
     PositivityError before the first member when an anisotropic sweep's
     spectrum fails positivity.  The rules come from :func:`rule_pair`; each
-    member goes through :func:`member_values` once.  Every 50th member's
-    Sobolev quotient is also checked for its exact t-scaling invariance.
+    member goes through :func:`member_values` once.  A Sobolev sweep first
+    checks the rule on the centred bump exp(-|x|^2 / 4t), whose quotient
+    has a closed form independent of t, to GAP_SLACK relative.
     """
     N = family.N
     if N != 3 and family.kind != "bumps":
@@ -292,6 +276,17 @@ def sweep(
         ang.require_positivity(spec)
         if N != 3 and not spec.potential.is_constant:
             raise ConfigurationError("anisotropic zonal sweeps need a constant potential")
+    if "sobolev" in inequalities:
+        s = SOBOLEV_EXPONENT
+        exact = (8.0 * math.pi / (3.0 * s)) ** (N / s) / (
+            (1.0 + N / 6.0) * (4.0 * math.pi / 3.0) ** (N / 2.0))
+        centred = GaussianBump(0.0, math.sqrt(2.0 * t), np.eye(N)[0])
+        got = member_values(("sobolev",), centred, t, rules)["sobolev"]
+        if abs(got - exact) > GAP_SLACK * exact:
+            raise InvariantViolationError(
+                f"Sobolev quotient of the centred bump {got} misses its closed form "
+                f"{exact} by over {GAP_SLACK} relative (quadrature bug, or n_r = {n_r} too coarse)"
+            )
 
     min_head = dict.fromkeys(inequalities, math.inf)
     argmin = dict.fromkeys(inequalities)
@@ -306,15 +301,6 @@ def sweep(
             head = gap / scale if scale > 0 else math.inf
             if head < min_head[name]:
                 min_head[name], argmin[name] = head, f"member #{i} ({member!r})"
-        if "sobolev" in inequalities and i % 50 == 0:
-            tau = 2.7
-            val = values["sobolev"]
-            val2 = member_values(("sobolev",), RescaledFunction(member, tau), t * tau,
-                                 rules)["sobolev"]
-            if abs(val2 - val) > 1e-10 * max(abs(val), 1e-300):
-                raise InvariantViolationError(
-                    f"Sobolev quotient not t-scaling invariant: {val} vs {val2}"
-                )
     reports = []
     for name in inequalities:
         report = {"inequality": name, "family": family.kind, "N": N,
@@ -360,13 +346,13 @@ def coercivity_infimum(basis: OUBasis, K: int | None = None) -> float:
     return _coercivity(basis, K, (basis.N - 2) / 4.0)
 
 
-def coercivity_bound_constant(basis: OUBasis, K: int | None = None) -> float:
+def coercivity_bound_constant(basis: OUBasis) -> float:
     """Quotient with the plain H-norm denominator (E + ||.||^2).
 
     This is the constant entering the frequency lower bound
     N(t) >= C1 - (N-2)/4, tight for the unperturbed ground state.
     """
-    return _coercivity(basis, K, 1.0)
+    return _coercivity(basis, None, 1.0)
 
 
 def hardy_mode_consistency(basis: OUBasis) -> float:

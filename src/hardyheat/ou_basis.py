@@ -302,9 +302,9 @@ def eval_V(mode: OUMode, x: np.ndarray, spectrum: ang.AngularSpectrum,
     return out
 
 
-def eval_grad_V(mode: OUMode, x: np.ndarray, spectrum: ang.AngularSpectrum,
-                normalized: bool = True) -> np.ndarray:
-    """Gradient of the mode at points away from the origin; shape (..., N)."""
+def eval_grad_V(mode: OUMode, x: np.ndarray, spectrum: ang.AngularSpectrum) -> np.ndarray:
+    """Gradient of the normalized mode at points away from the origin;
+    shape (..., N)."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     r = np.linalg.norm(x, axis=-1)
     if np.any(r == 0.0):
@@ -318,10 +318,7 @@ def eval_grad_V(mode: OUMode, x: np.ndarray, spectrum: ang.AngularSpectrum,
         grad_psi = ang.eval_grad_psi(spectrum, mode.j, dirs)
         s = r * r / 4.0
         ang_part = (r ** (-mode.alpha_j - 1.0) * mode.poly(s))[:, None] * grad_psi
-    out = radial_part + ang_part
-    if normalized:
-        out = out / mode.norm_L
-    return out
+    return (radial_part + ang_part) / mode.norm_L
 
 
 def _radial_coupling(basis: OUBasis, S: np.ndarray) -> np.ndarray:

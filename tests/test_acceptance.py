@@ -208,7 +208,7 @@ def test_c9_identities(basis0, col0):
         runs.append(ev.integrate_backward(basis0, c0, math.log(1e-3), 0.005,
                                           pert, col0))
         for traj in runs:
-            trace = al.frequency_trace(traj)  # nu1 gate applied rowwise inside
+            trace = al.frequency_trace(traj)
             assert np.all(trace.nu1 >= -1e-10)
             assert np.all(trace.H > 0.0)
 

@@ -6,6 +6,7 @@ import pytest
 from hardyheat import almgren as al
 from hardyheat import evolve as ev
 from hardyheat import inequalities as ineq
+from hardyheat import ou_basis as ou
 from hardyheat.errors import InvariantViolationError
 
 
@@ -186,6 +187,30 @@ def test_nu1_spectral_formula(traj_mix):
     expect = 2.0 * (g**2 * c**2).sum() * H - 2.0 * ((g * c**2).sum()) ** 2
     expect /= t * H * H  # c' = gamma c / t, so one t cancels
     np.testing.assert_allclose(al.compute_HDN(traj_mix)[3][i], expect, rtol=1e-11)
+
+
+@pytest.mark.parametrize("pert", [ev.PerturbationSpec.linear_bounded(0.1),
+                                  ev.PerturbationSpec.semilinear(0.05, 2.0, 3)],
+                         ids=["linear_bounded", "semilinear"])
+def test_nu1_against_finite_difference_v_t(spec0, pert):
+    # independent v_t: central differences of the stored c in tau (v_t =
+    # c_tau / t) through the same projection; the gap is O(dtau^2)
+    basis = ou.enumerate_modes(spec0, 1.0)
+    col = ou.build_collocation(basis, n_r=16)
+    c0 = np.zeros(basis.size)
+    c0[0], c0[3] = 1.0, 0.5
+    err = {}
+    for dtau in (0.01, 0.005):
+        traj = ev.integrate_backward(basis, c0, math.log(1e-2), dtau, pert, col)
+        C, t = traj.coeffs[1:-1], traj.t[1:-1]
+        cp = (traj.coeffs[:-2] - traj.coeffs[2:]) / (2.0 * traj.dtau * t[:, None])
+        H = np.vecdot(C, C)
+        perp = cp - (np.vecdot(cp, C) / H)[:, None] * C
+        nu1 = al.compute_HDN(traj)[3]
+        fd = 2.0 * t * np.vecdot(perp, perp) / H
+        err[dtau] = np.max(np.abs(fd - nu1[1:-1])) / np.max(nu1)
+    assert err[0.01] < 1e-4
+    assert abs(math.log2(err[0.01] / err[0.005]) - 2.0) < 0.1
 
 
 def test_check_H_powerlaw(traj_pure, traj_mix, traj_exp):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
 from hardyheat import asymptotics as asym
 from hardyheat import evolve as ev
@@ -28,11 +29,26 @@ def J0_ground(spec0):
     return J0
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_simpson_exact_for_cubics(n):
+    # composite Simpson, ending with a 3/8 panel at odd n, is exact for
+    # cubics; the single panel is the trapezoid, exact for linear data
+    p = Polynomial([2.0, -1.0, 3.0, -0.5] if n > 1 else [2.0, -1.0])
+    h = 0.3
+    x = 1.0 + h * np.arange(n + 1)
+    P = p.integ()
+    np.testing.assert_allclose(asym._simpson(p(x), h), P(x[-1]) - P(x[0]), rtol=1e-14)
+
+
 def test_beta_integral_exp_linear_is_one(deep_exp, J0_ground):
-    # closed-form algebra: beta = e^{-eps L^2} + eps int_0^{L^2} e^{-eps s} ds = 1
-    for lam in (0.1, 0.2, 0.3, 0.4):
+    # closed-form algebra: beta = e^{-eps L^2} + eps int_0^{L^2} e^{-eps s} ds = 1,
+    # at Lambdas leaving both even and odd Simpson panel counts
+    parities = set()
+    for lam in np.linspace(0.1, 0.4, 8):
+        parities.add((deep_exp.size - 1 - deep_exp.row_at_t(lam * lam)) % 2)
         tb = asym.beta_integral(deep_exp, lam, J0_ground, 0.0)
-        np.testing.assert_allclose(tb.beta[(0, 1)], 1.0, atol=1e-6)
+        np.testing.assert_allclose(tb.beta[(0, 1)], 1.0, rtol=0.0, atol=2e-13)
+    assert parities == {0, 1}
 
 
 def test_lambda_independence_exp_linear(deep_exp, J0_ground):

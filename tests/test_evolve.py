@@ -343,6 +343,12 @@ def test_trajectory_from_rows_unperturbed_and_gates(basis0, col0):
         ev.trajectory_from_rows(basis0, col0, traj.tau, traj.coeffs, none, 0.02)
     with pytest.raises(ConfigurationError, match="tau_min"):
         ev.trajectory_from_rows(basis0, col0, -traj.tau, traj.coeffs, none, traj.dtau)
+    # the rows must be tau_grid(tau[-1], dtau): beta integrates them at step dtau
+    bent = traj.tau.copy()
+    bent[5] += 1e-3
+    for tau, step in ((bent, traj.dtau), (traj.tau, 0.5 * traj.dtau)):
+        with pytest.raises(ConfigurationError, match="uniform tau grid"):
+            ev.trajectory_from_rows(basis0, col0, tau, traj.coeffs, none, step)
 
 
 def test_truncation_flag(basis0, col0):

@@ -1,5 +1,4 @@
 import math
-import re
 
 import numpy as np
 import pytest
@@ -8,7 +7,7 @@ from hardyheat import angular as ang
 from hardyheat import inequalities as ineq
 from hardyheat import ou_basis as ou
 from hardyheat import quadrature as quad
-from hardyheat.errors import ConfigurationError, PositivityError
+from hardyheat.errors import ConfigurationError, InvariantViolationError, PositivityError
 
 
 class Constant:
@@ -17,6 +16,26 @@ class Constant:
 
     def grad(self, x):
         return np.zeros_like(x)
+
+
+class RescaledFunction:
+    """u(x / sqrt(tau)) for the t-scaling invariance checks, on either rule."""
+
+    def __init__(self, member, tau):
+        self.member = member
+        self.tau = tau
+
+    def value(self, x):
+        return self.member.value(x / math.sqrt(self.tau))
+
+    def grad(self, x):
+        return self.member.grad(x / math.sqrt(self.tau)) / math.sqrt(self.tau)
+
+    def value_rc(self, R, C):
+        return self.member.value_rc(R / math.sqrt(self.tau), C)
+
+    def gradsq_rc(self, R, C):
+        return self.member.gradsq_rc(R / math.sqrt(self.tau), C) / self.tau
 
 
 def gap_of(name, member, t, rules, spec=None):
@@ -39,7 +58,7 @@ def test_hardy_parabolic_scaling_relation(N):
     rules = ineq.rule_pair(N)
     g1 = gap_of("hardy_parabolic", bump, 1.0, rules)
     tau = 2.2
-    g2 = gap_of("hardy_parabolic", ineq.RescaledFunction(bump, tau), tau, rules)
+    g2 = gap_of("hardy_parabolic", RescaledFunction(bump, tau), tau, rules)
     np.testing.assert_allclose(g2, g1 / tau, rtol=1e-12)
 
 
@@ -81,9 +100,20 @@ def test_sobolev_scaling_invariance_exact():
     bump = ineq.GaussianBump(0.7, 0.9, np.array([0.0, 1.0, 0.0]))
     rules, tau = ineq.rule_pair(3), 2.7
     r1 = ineq.member_values(("sobolev",), bump, 0.7, rules)["sobolev"]
-    r2 = ineq.member_values(("sobolev",), ineq.RescaledFunction(bump, tau), 0.7 * tau,
+    r2 = ineq.member_values(("sobolev",), RescaledFunction(bump, tau), 0.7 * tau,
                             rules)["sobolev"]
     np.testing.assert_allclose(r2, r1, rtol=1e-10)
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 10])
+def test_sobolev_closed_form_check(N):
+    # the sweep's closed-form check on the centred bump holds to 1e-10 on
+    # the default rule at every t, and a 16-node rule trips it
+    fam = ineq.TestFamily("bumps", N, 1, 0)
+    for t in (0.01, 0.7, 50.0):
+        ineq.sweep(("sobolev",), fam, t=t)
+    with pytest.raises(InvariantViolationError, match="closed form"):
+        ineq.sweep(("sobolev",), fam, n_r=16)
 
 
 def test_sobolev_exponent_range():
@@ -113,6 +143,7 @@ def test_anisotropic_reduces_to_parabolic_at_zero(spec0):
 def test_anisotropic_ground_mode_near_extremal(basis0, spec0):
     # B(V~, V~) = 0 and the mode is radial-extremal: small positive gap
     member = ineq.BasisModeFunction(basis0, 0)
+    assert repr(member) == "BasisModeFunction(j=1, n=0)"
     gap = gap_of("hardy_anisotropic", member, 1.0, ineq.rule_pair(3), spec0)
     assert 0.0 < gap < 0.2
     np.testing.assert_allclose(gap, 0.125, atol=5e-3)
@@ -202,7 +233,7 @@ def test_sweep_report_fields():
 @pytest.mark.parametrize("kind, N", [("bumps", 3), ("bumps", 4), ("polygauss", 3),
                                      ("modes", 3)])
 def test_one_pass_equals_single_sweeps(kind, N, basis0):
-    # 60 members: the Sobolev scaling check runs on members #0 and #50;
+    # bump sweeps with "sobolev" also run the closed-form Sobolev check;
     # mode members are slow to evaluate and take no Sobolev quotient
     names = ineq.INEQUALITIES if kind == "bumps" else ("hardy_parabolic", "hardy_anisotropic",
                                                        "x2_bound")
@@ -212,9 +243,6 @@ def test_one_pass_equals_single_sweeps(kind, N, basis0):
         spec = basis0.spectrum
     one_pass = ineq.sweep(names, fam, t=0.6, spec=spec, basis=basis0)
     single = [ineq.sweep((iq,), fam, t=0.6, spec=spec, basis=basis0)[0] for iq in names]
-    if kind == "modes":  # a mode member's repr carries its object address
-        for rep in one_pass + single:
-            rep["argmin"] = re.sub(r" at 0x[0-9a-f]+", "", rep["argmin"])
     assert one_pass == single
     assert [rep["inequality"] for rep in one_pass] == list(names)
 

@@ -1,9 +1,13 @@
 """Tooling ratchets: the benchmark's per-layer tables name package functions
-that must exist, scipy use in the package only shrinks, and ``verify``
-samples each member once per rule and time."""
+that must exist, scipy use in the package only shrinks, importing the CLI
+loads no ``scipy.interpolate``, and ``verify`` samples each member once per
+rule and time."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from hardyheat import inequalities
@@ -47,8 +51,7 @@ def test_perfbench_names_resolve_to_public_callables():
 
 
 # scipy names the package may import; a numpy replacement removes its name
-SCIPY_ALLOWED = {"eigh_tridiagonal", "gammaln", "roots_jacobi", "least_squares",
-                 "CubicSpline", "eigh"}
+SCIPY_ALLOWED = {"eigh_tridiagonal", "gammaln", "roots_jacobi", "least_squares", "eigh"}
 
 
 def _scipy_use(path: Path):
@@ -74,6 +77,14 @@ def test_scipy_imports_only_shrink():
     assert sum(calls for _, calls in use.values()) == 1
 
 
+def test_cli_import_leaves_out_scipy_interpolate():
+    code = "import sys, hardyheat.cli; print('scipy.interpolate' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_verify_samples_each_member_once_per_rule_and_time(tmp_path, monkeypatch):
     calls = {"sweep": 0, "sample": 0}
     sweep, sample = inequalities.sweep, inequalities._sample
@@ -94,5 +105,5 @@ def test_verify_samples_each_member_once_per_rule_and_time(tmp_path, monkeypatch
     path.write_text(cfg.to_text())
     assert main(["verify", "--config", str(path)]) == 0
     # per member: plain rule at t and at t = 1, singular twin at t; plus
-    # the rescaled Sobolev check of member #0
+    # the closed-form Sobolev check on the centred bump
     assert calls == {"sweep": 1, "sample": 3 * 10 + 1}
