@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import ConfigurationError, InvariantViolationError
 from .evolve import Trajectory
@@ -28,6 +27,7 @@ FIT_RESIDUAL_FLAG = 1e-3
 SNAP_TOL = 1e-6
 MONOTONE_SLACK = 1e-10
 SCALING_MAX_ROWS = 128
+DELTA_BOUNDS = (0.05, 4.0)  # range of the fitted exponent delta
 
 
 def compute_HDN(traj: Trajectory):
@@ -46,6 +46,11 @@ def compute_HDN(traj: Trajectory):
     with np.errstate(divide="ignore", invalid="ignore"):
         perp = cp - (np.vecdot(cp, C) / H)[:, None] * C
         return H, tD / t, tD / H, 2.0 * t * np.vecdot(perp, perp) / H
+
+
+def _finite_or_none(x: float):
+    """x, or None (JSON null) where x is NaN or infinite."""
+    return x if math.isfinite(x) else None
 
 
 @dataclass
@@ -78,34 +83,71 @@ class FrequencyTrace:
             "gamma_hat": self.gamma_hat,
             "gamma_raw": self.gamma_raw,
             "snapped": self.snapped,
-            "delta_hat": self.delta_hat,
+            "delta_hat": _finite_or_none(self.delta_hat),
             "fit_C": self.fit_C,
             "fit_window": list(self.fit_window),
             "fit_residual": self.fit_residual,
-            "gamma_uncertainty": self.gamma_uncertainty,
-            "delta_theory": None if math.isinf(self.delta_theory) else self.delta_theory,
+            "gamma_uncertainty": _finite_or_none(self.gamma_uncertainty),
+            "delta_theory": _finite_or_none(self.delta_theory),
             "warnings": list(self.warnings),
         }
 
 
+def _projected(log_t: np.ndarray, Nval: np.ndarray, d: float):
+    """(g, C, residual) of the linear least-squares fit N ~ g + C t^d at
+    fixed d, and d/dd of half the squared residual at that (g, C).
+
+    Everything is centred on the means, and the derivative takes only the
+    part of dr/dd orthogonal to (1, t^d), which the exact residual is
+    orthogonal to: rounding in g and C then leaves the derivative alone,
+    so its root settles delta to the data's own noise.
+    """
+    u = np.exp(d * log_t)
+    uc = u - u.mean()
+    nc = Nval - Nval.mean()
+    C = float(uc @ nc) / float(uc @ uc)
+    r = nc - C * uc
+    v = u * log_t
+    v = v - v.mean()
+    v -= (float(uc @ v) / float(uc @ uc)) * uc
+    return float(Nval.mean()) - C * float(u.mean()), C, r, -C * float(r @ v)
+
+
 def _fit_limit(t: np.ndarray, Nval: np.ndarray):
-    """Fit N(t) ~ gamma + C t^delta; returns (gamma, C, delta, residual)."""
+    """Fit N(t) ~ gamma + C t^delta; returns (gamma, C, delta, residual).
+
+    Variable projection (Golub & Pereyra 1973): for fixed delta the model
+    is linear in (gamma, C), so only the reduced residual in delta in
+    DELTA_BOUNDS is minimised.  A scan brackets its smallest value; a root
+    of its derivative (false position, bisecting when it stalls) then
+    settles delta to rounding, or delta stays at a bound the residual
+    falls towards.
+    """
     if np.max(Nval) - np.min(Nval) < 1e-13:
         return float(Nval[0]), 0.0, float("nan"), 0.0
-    g0 = float(Nval[0])
-    c0 = (Nval[-1] - g0) / t[-1] if t[-1] > 0 else 0.0
-
-    def model(p):
-        g, C, d = p
-        return g + C * t**d - Nval
-
-    sol = least_squares(
-        model, x0=[g0, c0, 1.0],
-        bounds=([-np.inf, -np.inf, 0.05], [np.inf, np.inf, 4.0]),
-        xtol=1e-15, ftol=1e-15, gtol=1e-15,
-    )
-    resid = float(np.sqrt(np.mean(sol.fun**2)))
-    return float(sol.x[0]), float(sol.x[1]), float(sol.x[2]), resid
+    log_t = np.log(t)
+    grid = np.linspace(*DELTA_BOUNDS, 80)
+    i = int(np.argmin([np.sum(_projected(log_t, Nval, d)[2] ** 2) for d in grid]))
+    a, b = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+    fa, fb = _projected(log_t, Nval, a)[3], _projected(log_t, Nval, b)[3]
+    # no sign change: the residual falls towards a bound, and d stays there
+    d = grid[i]
+    for step in range(200):
+        if not (fa < 0.0 < fb) or b - a <= 4.0 * np.finfo(float).eps * b:
+            break
+        d = a - fa * (b - a) / (fb - fa)
+        if step % 3 == 2 or not a < d < b:
+            d = 0.5 * (a + b)  # every third step halves the bracket
+        fd = _projected(log_t, Nval, d)[3]
+        if fd == 0.0:
+            break
+        if fd < 0.0:
+            a, fa = d, fd
+        else:
+            b, fb = d, fd
+    g, C, _, _ = _projected(log_t, Nval, d)
+    r = Nval - g - C * np.exp(d * log_t)
+    return g, C, float(d), float(np.sqrt(np.mean(r**2)))
 
 
 def frequency_trace(

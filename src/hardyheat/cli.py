@@ -55,9 +55,11 @@ def _read_csv(data: bytes) -> np.ndarray:
 
 
 def _write_json(path, payload, meta):
+    """Strict JSON (RFC 8259): a NaN or infinite value raises ValueError
+    instead of writing a token other parsers reject, before the file opens."""
+    text = json.dumps({"meta": meta, **payload}, indent=1, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"meta": meta, **payload}, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _meta(cfg, basis=None):

@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh as generalized_eigh
 
 from . import angular as ang
 from .errors import ConfigurationError, InvariantViolationError
@@ -318,23 +317,25 @@ def sweep(
 # -- coercivity quotients ------------------------------------------------------
 
 def _coercivity(basis: OUBasis, K: int | None, shift: float) -> float:
-    """Smallest generalized eigenvalue of
-    (Gamma + (N-2)/4) v = q (E + shift) v over the first K modes."""
+    """Smallest generalized eigenvalue q of
+    (Gamma + (N-2)/4) v = q (E + shift) v over the first K modes.
+
+    The left matrix A is diagonal and positive (every basis gamma exceeds
+    -(N-2)/4), so with w = A^{1/2} v the problem is the symmetric
+    A^{-1/2} M A^{-1/2} w = w / q and q_min = 1 / lambda_max.
+    """
     K = basis.size if K is None else min(K, basis.size)
     gam = basis.gammas[:K]
-    quarter = (basis.N - 2) / 4.0
-    A = np.diag(gam + quarter)
-    E = np.diag(gam) + potential_coupling_matrix(basis)[:K, :K]
-    M = E + shift * np.eye(K)
-    vals = generalized_eigh(A, M, eigvals_only=True)
-    out = float(vals[0])
-    ok, margin = ang.check_positivity(basis.spectrum)
-    if ok and out <= 0.0:
+    M = np.diag(gam) + potential_coupling_matrix(basis)[:K, :K] + shift * np.eye(K)
+    s = 1.0 / np.sqrt(gam + (basis.N - 2) / 4.0)
+    lam = np.linalg.eigvalsh(s[:, None] * M * s)
+    ok, _ = ang.check_positivity(basis.spectrum)
+    if ok and lam[0] <= 0.0:
         raise InvariantViolationError(
-            f"coercivity estimate {out} non-positive under verified positivity: "
-            "basis/quadrature inconsistency"
+            f"coercivity denominator has eigenvalue {lam[0]} <= 0 under verified "
+            "positivity: basis/quadrature inconsistency"
         )
-    return out
+    return float(1.0 / lam[-1])
 
 
 def coercivity_infimum(basis: OUBasis, K: int | None = None) -> float:

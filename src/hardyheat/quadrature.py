@@ -21,8 +21,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammaln, roots_jacobi
 
 from .errors import QuadratureError, SingularNodeError
 
@@ -60,22 +58,70 @@ class RadialRule:
         return 2.0 * np.sqrt(self.nodes)
 
 
+def _recurrence(x, diag, off):
+    """(p_n, p_n', sum_{k<n} p_k^2, scale) at x for the orthonormal
+    polynomials of the Jacobi matrix (diag, off), p_n taken with a positive
+    leading coefficient.  Each step divides by a power of two per node
+    (exact), so the far tail neither overflows nor loses bits: the true
+    values are p_n 2^scale, p_n' 2^scale and the sum times 4^scale.
+    """
+    p_prev, p = np.zeros_like(x), np.ones_like(x)
+    dp_prev, dp = np.zeros_like(x), np.zeros_like(x)
+    total = np.zeros_like(x)
+    scale = np.zeros(x.shape, dtype=int)
+    b_prev = 0.0
+    for k, a_k in enumerate(diag):
+        total += p * p
+        b_next = off[k] if k < len(off) else 1.0
+        p_prev, p, dp_prev, dp = (
+            p, ((x - a_k) * p - b_prev * p_prev) / b_next,
+            dp, (p + (x - a_k) * dp - b_prev * dp_prev) / b_next,
+        )
+        b_prev = b_next
+        _, e = np.frexp(np.abs(p) + np.abs(p_prev))
+        p_prev, p, dp_prev, dp = (np.ldexp(v, -e) for v in (p_prev, p, dp_prev, dp))
+        total = np.ldexp(total, -2 * e)
+        scale += e
+    return p, dp, total, scale
+
+
+def _gauss_rule(diag, off, mu0: float, symmetric: bool):
+    """Golub-Welsch Gauss rule (nodes ascending, weights summing to mu0) of
+    the Jacobi matrix with diagonal ``diag`` and off-diagonal ``off``.
+
+    Nodes are the eigenvalues of the Jacobi matrix, polished by one Newton
+    step on p_n.  Weights are mu0 v_0^2 for the eigenvector
+    v = (p_0, ..., p_{n-1}) / norm, that is 1 / sum_{k<n} p_k^2 at the
+    polished nodes, normalised in base 2: far-tail weights underflow to 0
+    exactly as mu0 v_0^2 would.  ``symmetric`` averages the rule with its
+    mirror image (an even weight on [-1, 1]).
+    """
+    diag, off = np.asarray(diag, dtype=float), np.asarray(off, dtype=float)
+    try:
+        x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure path
+        raise QuadratureError(f"Jacobi-matrix eigensolve failed: {exc}") from exc
+    p, dp, _, _ = _recurrence(x, diag, off)
+    x = x - p / dp
+    _, _, total, scale = _recurrence(x, diag, off)
+    m, e = np.frexp(1.0 / total)
+    e = e - 2 * scale
+    e -= e.max()
+    m_sum, e_sum = np.frexp(np.sum(np.ldexp(m, e)))
+    w = np.ldexp(m / m_sum, e - e_sum)
+    if symmetric:
+        x, w = (x - x[::-1]) / 2.0, (w + w[::-1]) / 2.0
+    return x, mu0 * w
+
+
 @lru_cache(maxsize=512)
 def _laguerre_cached(a_gl: float, n_r: int):
-    # Golub-Welsch: symmetric Jacobi matrix of the generalized Laguerre
-    # recurrence has diagonal 2i + a + 1 and off-diagonal sqrt(i(i+a)).
-    diag = 2.0 * np.arange(n_r) + a_gl + 1.0
+    # the generalized Laguerre recurrence: diagonal 2i + a + 1,
+    # off-diagonal sqrt(i(i + a))
     i = np.arange(1, n_r)
-    off = np.sqrt(i * (i + a_gl))
-    try:
-        vals, vecs = eigh_tridiagonal(diag, off, lapack_driver="stev")
-    except Exception as exc:  # pragma: no cover - LAPACK failure path
-        raise QuadratureError(f"tridiagonal eigensolve failed: {exc}") from exc
-    mu0 = math.exp(gammaln(a_gl + 1.0))
-    weights = mu0 * vecs[0, :] ** 2
-    order = np.argsort(vals)
-    nodes = vals[order]
-    weights = weights[order]
+    mu0 = math.gamma(a_gl + 1.0)
+    nodes, weights = _gauss_rule(2.0 * np.arange(n_r) + a_gl + 1.0,
+                                 np.sqrt(i * (i + a_gl)), mu0, symmetric=False)
     # far-tail weights below the double floor contribute nothing; drop them
     keep = weights > 0.0
     nodes, weights = nodes[keep], weights[keep]
@@ -83,9 +129,12 @@ def _laguerre_cached(a_gl: float, n_r: int):
         raise QuadratureError("all Gauss-Laguerre weights underflowed")
     if np.any(np.diff(nodes) <= 0.0):
         raise QuadratureError("Gauss-Laguerre nodes not strictly increasing")
-    if abs(weights.sum() - mu0) > 1e-12 * mu0:
+    # the weights sum to Gamma(a + 1) by construction; the first moment
+    # Gamma(a + 2) checks nodes and weights together
+    first = math.gamma(a_gl + 2.0)
+    if abs(weights @ nodes - first) > 1e-12 * first:
         raise QuadratureError(
-            f"Gauss-Laguerre weight sum off: {weights.sum()} vs Gamma={mu0}"
+            f"Gauss-Laguerre first moment off: {weights @ nodes} vs Gamma={first}"
         )
     nodes.setflags(write=False)
     weights.setflags(write=False)
@@ -113,8 +162,13 @@ def laguerre_rule(a_gl: float, n_r: int) -> RadialRule:
 def polar_rule(N: int, n: int):
     """(nodes, weights) of the n-point Gauss rule in c = cos(polar angle) on
     S^{N-1}, for the weight (1 - c^2)^((N-3)/2) of its surface measure."""
-    expo = (N - 3) / 2.0
-    return roots_jacobi(n, expo, expo)
+    # Gegenbauer recurrence with alpha = (N - 2)/2 (Legendre at N = 3); the
+    # weight's mass is 2^{2 alpha} B(alpha + 1/2, alpha + 1/2)
+    alpha = (N - 2) / 2.0
+    k = np.arange(1, n)
+    off = np.sqrt(k * (k + 2.0 * alpha - 1.0) / (4.0 * (k + alpha) * (k + alpha - 1.0)))
+    mu0 = 2.0 ** (N - 2) * math.gamma((N - 1) / 2.0) ** 2 / math.gamma(N - 1.0)
+    return _gauss_rule(np.zeros(n), off, mu0, symmetric=True)
 
 
 def _angular_nodes(N: int, n_polar: int, n_az: int):

@@ -1,7 +1,11 @@
+import json
 import math
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.optimize import least_squares
 
 from hardyheat import almgren as al
 from hardyheat import evolve as ev
@@ -126,6 +130,81 @@ def test_frequency_trace_fits(traj_pure, traj_mix, traj_exp, basis0, col0, tau_s
     tr = al.frequency_trace(traj)
     assert tr.gamma_hat == 0.5 and abs(tr.gamma_raw - 0.5) < 1e-6
     assert abs(tr.delta_hat - 1.0) < 0.05
+
+
+def _least_squares_fit(t, Nval):
+    """The bounded trust-region fit of N ~ g + C t^d as an oracle."""
+    g0 = float(Nval[0])
+    sol = least_squares(lambda p: p[0] + p[1] * t ** p[2] - Nval,
+                        x0=[g0, (Nval[-1] - g0) / t[-1], 1.0],
+                        bounds=([-np.inf, -np.inf, al.DELTA_BOUNDS[0]],
+                                [np.inf, np.inf, al.DELTA_BOUNDS[1]]),
+                        xtol=1e-15, ftol=1e-15, gtol=1e-15)
+    return sol.x
+
+
+def _exact_residual(t, Nval, params):
+    """Root-mean-square residual of (g, C, d) in 40-digit arithmetic, so
+    that two fits closer than double rounding still compare."""
+    g, C, d = (mpmath.mpf(float(p)) for p in params)
+    with mpmath.workdps(40):
+        return math.sqrt(sum((g + C * mpmath.mpf(x) ** d - y) ** 2
+                             for x, y in zip(t.tolist(), Nval.tolist())) / len(t))
+
+
+# the smallest decade of N(t) that simulate fits on these runs
+FIT_WINDOWS = json.loads((Path(__file__).parent / "data" / "fit_windows.json").read_text())
+
+
+def _fit_cases():
+    t6, t3 = np.geomspace(1e-6, 1e-5, 200), np.geomspace(1e-2, 1e-1, 100)
+    noise = 1.0 + 1e-9 * np.random.default_rng(0).standard_normal(200)
+    cases = {f"exact d={d}": (t6, 0.5 + 0.3 * t6**d) for d in (0.05, 0.3, 1.0)}
+    cases.update({f"noisy d={d}": (t6, 0.5 + 0.3 * t6**d * noise) for d in (0.05, 0.3, 1.0)})
+    cases["d = 1.7, C < 0"] = (t3, -1.2 - 2.0 * t3**1.7)
+    cases["d below the range"] = (t6, 0.5 + 0.3 * t6**0.01)
+    cases["d above the range"] = (t3, 0.5 + 0.3 * t3**4.5)
+    for name, window in FIT_WINDOWS.items():
+        cases[name] = (np.array(window["t"]), np.array(window["N"]))
+    return cases
+
+
+@pytest.mark.parametrize("name, data", _fit_cases().items())
+def test_fit_limit_matches_least_squares(name, data):
+    t, Nval = data
+    g, C, d, resid = al._fit_limit(t, Nval)
+    ref = _least_squares_fit(t, Nval)
+    # measured: |d - d_ref| <= 6.7e-12, |C/C_ref - 1| <= 8.1e-11 and
+    # |g - g_ref| <= 8.8e-12 max|N|.  Where d sits at the upper bound,
+    # least_squares stops with C off by 2.3e-7 and a larger residual.
+    c_tol = 1e-6 if name == "d above the range" else 1e-9
+    assert abs(d - ref[2]) <= 1e-10
+    assert abs(C - ref[1]) <= c_tol * abs(ref[1])
+    assert abs(g - ref[0]) <= 1e-10 * np.max(np.abs(Nval))
+    assert al.DELTA_BOUNDS[0] <= d <= al.DELTA_BOUNDS[1]
+    # The exact residual is no larger, up to the rounding of the reported g
+    # to one double, which costs at most ulp(g)^2 in the mean square.  That
+    # allowance matters only where the residual is within a few ulps of g:
+    # the "noisy d=1.0" case (residual 1.3e-15 at g = 0.5) uses 90% of it.
+    ours, theirs = _exact_residual(t, Nval, (g, C, d)), _exact_residual(t, Nval, ref)
+    assert ours**2 <= theirs**2 * (1 + 2e-12) + np.spacing(g) ** 2
+    # the reported residual is evaluated in double: good to an ulp of N
+    assert resid == pytest.approx(ours, rel=1e-6, abs=np.spacing(np.max(np.abs(Nval))))
+
+
+def test_fit_limit_bounds_and_constant():
+    t6, t3 = np.geomspace(1e-6, 1e-5, 200), np.geomspace(1e-2, 1e-1, 100)
+    assert al._fit_limit(t6, 0.5 + 0.3 * t6**0.01)[2] == al.DELTA_BOUNDS[0]
+    assert al._fit_limit(t3, 0.5 + 0.3 * t3**4.5)[2] == al.DELTA_BOUNDS[1]
+    g, C, d, resid = al._fit_limit(t6, np.full(200, 0.25))
+    assert (g, C, resid) == (0.25, 0.0, 0.0) and math.isnan(d)
+
+
+def test_fit_limit_exp_linear_delta_is_one():
+    # N(t) = gamma + C t exactly; least_squares left |d - 1| at 2.0e-12
+    window = FIT_WINDOWS["exp_linear"]
+    d = al._fit_limit(np.array(window["t"]), np.array(window["N"]))[2]
+    assert abs(d - 1.0) <= 1e-14
 
 
 def test_check_Hprime_pure_and_exp(traj_pure, basis0, col0):

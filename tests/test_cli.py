@@ -172,6 +172,35 @@ def test_committed_outputs_reproduce(tmp_path):
         assert abs(beta[1]["beta"]["beta"][mk] - value) <= 1e-12
 
 
+def _reject_constant(token):
+    raise AssertionError(f"non-standard JSON constant {token}")
+
+
+@pytest.mark.parametrize("perturbation", ("none", "linear_bounded:0.1"))
+def test_every_json_output_is_strict(tmp_path, perturbation):
+    # an unperturbed run has no fitted delta: frequency.json writes null
+    path, _ = write_config(tmp_path, perturbation=perturbation, gamma_max=1.0,
+                           radial_nodes=16, dtau=0.01, tau_min=math.log(1e-6),
+                           sweep_count=10, sweep_dims=(3,), directory=str(tmp_path))
+    for cmd in ("spectrum", "simulate", "beta", "verify", "quadcheck"):
+        assert main([cmd, "--config", path]) == 0, cmd
+    docs = {p.name: json.loads(p.read_text(), parse_constant=_reject_constant)
+            for p in tmp_path.glob("*.json")}
+    assert len(docs) == 6
+    delta = docs["frequency.json"]["fit"]["delta_hat"]
+    assert (delta is None) == (perturbation == "none")
+
+
+def test_write_json_rejects_non_finite(tmp_path):
+    from hardyheat.cli import _write_json
+
+    target = tmp_path / "bad.json"
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            _write_json(target, {"value": bad}, {})
+    assert not target.exists()
+
+
 def test_cmd_spectrum_ladder(tmp_path):
     path, _ = write_config(tmp_path, directory=str(tmp_path))
     assert main(["spectrum", "--config", path]) == 0

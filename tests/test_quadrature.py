@@ -1,9 +1,17 @@
 import math
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammaln, roots_genlaguerre, roots_jacobi, roots_legendre
 
 from hardyheat import quadrature as quad
@@ -139,12 +147,118 @@ def test_doubling_stability_cap_error():
         )
 
 
-def test_polar_rule_is_legendre_on_s2():
-    for n in range(1, 301):
-        c, w = quad.polar_rule(3, n)
-        x, wx = roots_legendre(n)
-        np.testing.assert_array_equal(c, x)
-        np.testing.assert_array_equal(w, wx)
+def _scipy_polar(N, n):
+    expo = (N - 3) / 2.0
+    return roots_legendre(n) if expo == 0.0 else roots_jacobi(n, expo, expo)
+
+
+@pytest.mark.parametrize("N", (3, 4, 5, 6))
+def test_polar_rule_matches_scipy(N):
+    # n reaches 136, the polar rule of an L = 64 Galerkin solve.  The bounds
+    # are scipy's own error (up to 5.7e-12 at n <= 72 and 5.4e-11 at
+    # n <= 136 against the 8e-14 of test_gauss_rules_against_mpmath); the
+    # nodes agree to 2 ulps of 1, and without the Newton polish to 8.
+    for n in range(1, 137):
+        c, w = quad.polar_rule(N, n)
+        x, wx = _scipy_polar(N, n)
+        assert np.max(np.abs(c - x)) <= 2.5e-16, n
+        assert np.max(np.abs(w - wx) / wx) <= (1e-11 if n <= 72 else 1e-10), n
+
+
+ROOT = Path(__file__).resolve().parents[1]
+# Records every (a_GL, n_r) Laguerre rule that the shipped configs and
+# workloads build outside the march: spectrum and basis certification,
+# collocation, the coupling matrices, the verify rules of each sweep
+# dimension and quadcheck.  A fresh process, so no rule comes from a cache.
+SHIPPED_RULES = """
+import json, sys, tempfile
+from hardyheat import quadrature
+seen, build = set(), quadrature._laguerre_cached
+quadrature._laguerre_cached = lambda a, n: seen.add((a, n)) or build(a, n)
+from hardyheat import cli, inequalities, ou_basis
+from hardyheat.config import RunConfig
+for path in [None] + sys.argv[1:]:
+    cfg = RunConfig.from_file(path) if path else RunConfig()
+    spec, basis = cli._spectrum_and_basis(cfg)
+    ou_basis.build_collocation(basis, n_r=cfg.radial_nodes)
+    ou_basis.hardy_matrix(basis)
+    inequalities.coercivity_bound_constant(basis)
+    for N in cfg.sweep_dims:
+        inequalities.rule_pair(int(N))
+cli.cmd_quadcheck(RunConfig(), tempfile.mkdtemp())
+print(json.dumps(sorted(seen)))
+"""
+
+
+def test_laguerre_matches_stev_on_shipped_rules():
+    configs = sorted(map(str, (ROOT / "configs").glob("*.ini")))
+    configs += sorted(map(str, (ROOT / "perfbench" / "workloads").glob("*.ini")))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", SHIPPED_RULES, *configs], env=env,
+                         capture_output=True, text=True, check=True)
+    pairs = json.loads(out.stdout.splitlines()[-1])
+    assert len(pairs) > 50
+    for a_gl, n in pairs + [[0.5, 96], [0.5, 128]]:
+        rule = quad.laguerre_rule(a_gl, n)
+        i = np.arange(1, n)
+        x, vecs = eigh_tridiagonal(2.0 * np.arange(n) + a_gl + 1.0,
+                                   np.sqrt(i * (i + a_gl)), lapack_driver="stev")
+        w = math.gamma(a_gl + 1.0) * vecs[0] ** 2
+        keep = w > 0.0
+        assert rule.count == np.count_nonzero(keep), (a_gl, n)
+        x, w = x[keep], w[keep]
+        # stev's nodes carry an absolute error ~ eps * 4n, up to 4.1e-12
+        # relative at the smallest node; weights agree to 3.4e-12
+        assert np.max(np.abs(rule.nodes - x) / x) <= 1e-11, (a_gl, n)
+        big = w > 1e-280
+        assert np.max(np.abs(rule.weights[big] - w[big]) / w[big]) <= 1e-11, (a_gl, n)
+
+
+def _mp_gauss_rule(diag, off2, mu0, nodes):
+    """Nodes (Newton from ``nodes``) and weights mu0 / sum_k p_k^2 of the
+    orthonormal recurrence with diagonal ``diag`` and squared off-diagonal
+    ``off2``, in 30-digit arithmetic."""
+    off = [mpmath.sqrt(b2) for b2 in off2] + [mpmath.mpf(1)]
+    out_x, out_w = [], []
+    for x in nodes:
+        x = mpmath.mpf(float(x))
+        for _ in range(3):
+            p_prev, p, dp_prev, dp, total = 0, mpmath.mpf(1), 0, 0, 0
+            b_prev = 0
+            for a_k, b_k in zip(diag, off):
+                total += p * p
+                p_prev, p, dp_prev, dp = (p, ((x - a_k) * p - b_prev * p_prev) / b_k,
+                                          dp, (p + (x - a_k) * dp - b_prev * dp_prev) / b_k)
+                b_prev = b_k
+            x -= p / dp
+        out_x.append(float(x))
+        out_w.append(float(mu0 / total))
+    return np.array(out_x), np.array(out_w)
+
+
+def test_gauss_rules_against_mpmath():
+    # weights from the recurrence's eigenvector sum are within 8e-14 here;
+    # 1 / (p_{n-1} p_n') is off by 3.2e-12 (polar, n = 72) and 1.9e-12
+    # (Laguerre, n = 64), and scipy's rules by 2.8e-12 and 1.8e-13
+    with mpmath.workdps(30):
+        for N in (3, 4, 5, 6):
+            n, alpha = 72, mpmath.mpf(N - 2) / 2
+            c, w = quad.polar_rule(N, n)
+            off2 = [k * (k + 2 * alpha - 1) / (4 * (k + alpha) * (k + alpha - 1))
+                    for k in range(1, n)]
+            mu0 = 2 ** (N - 2) * mpmath.gamma(alpha + 0.5) ** 2 / mpmath.gamma(N - 1)
+            x_ref, w_ref = _mp_gauss_rule([0] * n, off2, mu0, c)
+            assert np.max(np.abs(c - x_ref)) <= 2.5e-16, N
+            assert np.max(np.abs(w - w_ref) / w_ref) <= 3e-13, N
+        for a_gl in (-0.5, 0.5):
+            n, a = 64, mpmath.mpf(a_gl)
+            rule = quad.laguerre_rule(a_gl, n)
+            x_ref, w_ref = _mp_gauss_rule([2 * k + a + 1 for k in range(n)],
+                                          [k * (k + a) for k in range(1, n)],
+                                          mpmath.gamma(a + 1), rule.nodes)
+            assert np.max(np.abs(rule.nodes - x_ref) / x_ref) <= 1e-13, a_gl
+            big = w_ref > 1e-280
+            assert np.max(np.abs(rule.weights[big] - w_ref[big]) / w_ref[big]) <= 3e-13, a_gl
 
 
 @settings(deadline=None, max_examples=60)
@@ -165,8 +279,7 @@ def _angular_nodes_by_polar_loop(N, n_polar, n_az):
     if N == 2:
         phi = 2.0 * math.pi * np.arange(n_az) / n_az
         return np.stack([np.cos(phi), np.sin(phi)], axis=1), np.full(n_az, 2.0 * math.pi / n_az)
-    expo = (N - 3) / 2.0
-    c, wc = roots_legendre(n_polar) if expo == 0.0 else roots_jacobi(n_polar, expo, expo)
+    c, wc = quad.polar_rule(N, n_polar)
     sub_dirs, sub_w = _angular_nodes_by_polar_loop(N - 1, n_polar, n_az)
     s = np.sqrt(1.0 - c**2)
     dirs = np.empty((n_polar * len(sub_w), N))

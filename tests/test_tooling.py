@@ -1,10 +1,10 @@
 """Tooling ratchets: the benchmark's per-layer tables name package functions
-that must exist, scipy use in the package only shrinks, importing the CLI
-loads no ``scipy.interpolate``, and ``verify`` samples each member once per
-rule and time."""
+that must exist, the package imports no scipy and its commands load none,
+and ``verify`` samples each member once per rule and time."""
 
 import ast
 import importlib
+import math
 import os
 import subprocess
 import sys
@@ -50,39 +50,37 @@ def test_perfbench_names_resolve_to_public_callables():
     assert unresolved <= DEAD_BUCKETS, sorted(unresolved - DEAD_BUCKETS)
 
 
-# scipy names the package may import; a numpy replacement removes its name
-SCIPY_ALLOWED = {"eigh_tridiagonal", "gammaln", "roots_jacobi", "least_squares", "eigh"}
+def test_package_imports_no_scipy():
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "scipy" for n in names), path.name
 
 
-def _scipy_use(path: Path):
-    """(scipy names imported, call sites of roots_jacobi) in a source file."""
-    names, jacobi_calls = set(), 0
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy"):
-            names.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.Import):
-            names.update(a.name for a in node.names if a.name.startswith("scipy"))
-        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-              and node.func.id == "roots_jacobi"):
-            jacobi_calls += 1
-    return names, jacobi_calls
+COMMANDS_WITHOUT_SCIPY = """
+import sys
+from hardyheat.cli import main
+for cmd in ("spectrum", "simulate", "beta"):
+    assert main([cmd, "--config", sys.argv[1]]) == 0, cmd
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
 
 
-def test_scipy_imports_only_shrink():
-    use = {path.name: _scipy_use(path) for path in sorted(SRC.glob("*.py"))}
-    imported = set().union(*(names for names, _ in use.values()))
-    assert imported <= SCIPY_ALLOWED, sorted(imported - SCIPY_ALLOWED)
-    assert not use["angular.py"][0]
-    # one polar Gauss rule: quadrature.polar_rule
-    assert sum(calls for _, calls in use.values()) == 1
-
-
-def test_cli_import_leaves_out_scipy_interpolate():
-    code = "import sys, hardyheat.cli; print('scipy.interpolate' in sys.modules)"
+def test_commands_load_no_scipy(tmp_path):
+    cfg = RunConfig()
+    cfg.perturbation, cfg.gamma_max, cfg.radial_nodes = "linear_bounded:0.1", 1.0, 16
+    cfg.tau_min, cfg.dtau, cfg.directory = math.log(1e-6), 0.01, str(tmp_path)
+    path = tmp_path / "run.ini"
+    path.write_text(cfg.to_text())
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", COMMANDS_WITHOUT_SCIPY, str(path)], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "[]"
 
 
 def test_verify_samples_each_member_once_per_rule_and_time(tmp_path, monkeypatch):
