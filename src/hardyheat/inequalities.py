@@ -13,10 +13,11 @@ by the Sobolev quotient, over reproducible randomized families:
 
 ``member_values`` evaluates any of them on one member from one sampling per
 rule and time; ``sweep`` runs the named ones over a family in one pass.
-The rules come from ``rule_pair``: the full product cubature for N = 3,
-and for N >= 4 the zonal radial x single-polar-angle rule, which takes
-Gaussian bumps only (each is zonal about its own axis).  Bump centers are
-drawn with density ~ 1/r in radius to stress the Hardy singularity.
+The rules come from ``rule_pair``.  A Gaussian bump is zonal about its own
+axis, so with an absent or constant potential its sweeps run in any N on
+the zonal rule, sampled rotated onto e1; every other sweep is N = 3 on the
+full product cubature.  Bump centers are drawn with density ~ 1/r in
+radius to stress the Hardy singularity.
 
 The module also estimates the coercivity infimum of the shifted quadratic
 form, in both quotient normalizations (the equivalence-of-norms one and
@@ -33,7 +34,7 @@ import numpy as np
 from . import angular as ang
 from .errors import ConfigurationError, InvariantViolationError
 from .ou_basis import OUBasis, eval_grad_V, eval_V, hardy_matrix, potential_coupling_matrix
-from .quadrature import ZonalRule, product_rule, zonal_rule
+from .quadrature import product_rule, zonal_rule
 
 GAP_SLACK = 1e-10  # violations are gap < -GAP_SLACK * scale
 SOBOLEV_EXPONENT = 2.5  # the s of the Sobolev quotient in sweeps
@@ -58,16 +59,9 @@ class GaussianBump:
         d = x - self.b * self.axis
         return -(d / self.w**2) * self.value(x)[..., None]
 
-    # zonal forms: R = radius grid, C = cos(angle to axis)
-    def _rho2(self, R, C):
-        return R * R + self.b * self.b - 2.0 * R * self.b * C
-
-    def value_rc(self, R, C):
-        return np.exp(-self._rho2(R, C) / (2.0 * self.w**2))
-
-    def gradsq_rc(self, R, C):
-        u = self.value_rc(R, C)
-        return self._rho2(R, C) / self.w**4 * u * u
+    def about_e1(self) -> "GaussianBump":
+        """The same bump rotated onto the axis e1, where zonal rules sample it."""
+        return GaussianBump(self.b, self.w, np.eye(len(self.axis))[0])
 
 
 _MONOMIALS3 = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
@@ -156,25 +150,32 @@ class TestFamily:
 
 # -- sampling and integrals ----------------------------------------------------
 
-def rule_pair(N: int, n_r: int = 48) -> tuple:
-    """(plain, hardy) cubature pair: full for N = 3, zonal for N >= 4.
+def rule_pair(N: int, n_r: int = 48, zonal: bool = False) -> tuple:
+    """(plain, hardy) cubature pair: zonal in any N >= 3, or full for N = 3.
 
     The 1/|x|^2 integrands carry an s^{-1} factor relative to the surface
     Jacobian; the hardy twin's exponent a_GL = N/2 - 2 restores exactness
     there, while everything regular uses the plain N/2 - 1 rule.  The zonal
-    rules integrate bump members only.
+    pair takes members with an ``about_e1`` copy (the bumps) only.
     """
-    if N == 3:
-        return product_rule(N, n_r, 14, 28), product_rule(N, n_r, 14, 28, a_gl=N / 2.0 - 2.0)
-    return zonal_rule(N, n_r, 28), zonal_rule(N, n_r, 28, a_gl=N / 2.0 - 2.0)
+    if zonal:
+        return zonal_rule(N, n_r, 28), zonal_rule(N, n_r, 28, a_gl=N / 2.0 - 2.0)
+    if N != 3:
+        raise ConfigurationError(f"the full cubature pair is N = 3 only, got N = {N}; "
+                                 "other N take bumps under a constant potential")
+    return product_rule(N, n_r, 14, 28), product_rule(N, n_r, 14, 28, a_gl=N / 2.0 - 2.0)
 
 
 def _sample(member, rule, t: float, grad: bool = True):
-    """(u, |grad u|^2 or None, |x|^2) at the nodes of ``rule`` at time t."""
-    if isinstance(rule, ZonalRule):
-        R = math.sqrt(t) * rule.radii
-        C = rule.c[None, :]
-        return member.value_rc(R, C), member.gradsq_rc(R, C) if grad else None, R * R
+    """(u, |grad u|^2 or None, |x|^2) at the nodes of ``rule`` at time t.
+
+    A zonal rule samples the member's copy about e1 and rejects a member
+    that has none.
+    """
+    if rule.zonal:
+        if not hasattr(member, "about_e1"):
+            raise ConfigurationError(f"{member!r} is not zonal; a zonal rule cannot take it")
+        member = member.about_e1()
     pts = math.sqrt(t) * rule.points
     u = np.asarray(member.value(pts), dtype=float)
     g2 = None
@@ -194,9 +195,8 @@ def member_values(inequalities, member, t: float, rules: tuple,
     ``rules`` comes from :func:`rule_pair`; ``spec`` supplies mu_1 and the
     potential of the anisotropic form.  The member is sampled at most once
     per rule and time: the plain rule at t, the plain rule at t = 1 (the
-    |x|^2 bound) and the singular twin at t.  The potential term is nodal on
-    the full rule and lam * int u^2/|x|^2 G on the zonal one (constant
-    potentials only).  Gaps are gated in the order of ``inequalities``.
+    |x|^2 bound) and the singular twin at t.  The potential term is nodal.
+    Gaps are gated in the order of ``inequalities``.
     """
     want = set(inequalities)
     unknown = sorted(want - set(INEQUALITIES))
@@ -221,11 +221,8 @@ def member_values(inequalities, member, t: float, rules: tuple,
         rhs = u2 / ((N - 2) * t) + 4.0 / (N - 2) ** 2 * grad2
         out["hardy_parabolic"] = (rhs - u2_over_r2, abs(rhs))
     if "hardy_anisotropic" in want:
-        if isinstance(twin, ZonalRule):
-            a_u2_over_r2 = spec.potential.value * u2_over_r2
-        else:
-            a = np.tile(spec.potential.evaluate(twin.angular_dirs), twin.radial.count)
-            a_u2_over_r2 = twin.integrate(a * uh * uh / r2h)
+        a = np.tile(spec.potential.evaluate(twin.angular_dirs), twin.radial.count)
+        a_u2_over_r2 = twin.integrate(a * uh * uh / r2h)
         lhs = (float(spec.eigenvalues[0]) + (N - 2) ** 2 / 4.0) * u2_over_r2
         rhs = grad2 - a_u2_over_r2 + (N - 2) / (4.0 * t) * u2
         out["hardy_anisotropic"] = (rhs - lhs, abs(rhs) + abs(lhs))
@@ -260,21 +257,21 @@ def sweep(
 
     Raises InvariantViolationError on any gap below the relative slack, and
     PositivityError before the first member when an anisotropic sweep's
-    spectrum fails positivity.  The rules come from :func:`rule_pair`; each
-    member goes through :func:`member_values` once.  A Sobolev sweep first
-    checks the rule on the centred bump exp(-|x|^2 / 4t), whose quotient
-    has a closed form independent of t, to GAP_SLACK relative.
+    spectrum fails positivity.  The rules come from :func:`rule_pair`: the
+    zonal pair for bumps under an absent or constant potential, else the
+    full pair.  Each member goes through :func:`member_values` once.  A
+    Sobolev sweep first checks the rule on the centred bump
+    exp(-|x|^2 / 4t), whose quotient has a closed form independent of t,
+    to GAP_SLACK relative.
     """
     N = family.N
-    if N != 3 and family.kind != "bumps":
-        raise ConfigurationError("zonal sweeps support bump families only")
-    rules = rule_pair(N, n_r)
+    zonal = family.kind == "bumps"
     if "hardy_anisotropic" in inequalities:
         if spec is None:
             raise ConfigurationError("anisotropic sweep needs an angular spectrum")
         ang.require_positivity(spec)
-        if N != 3 and not spec.potential.is_constant:
-            raise ConfigurationError("anisotropic zonal sweeps need a constant potential")
+        zonal = zonal and spec.potential.is_constant
+    rules = rule_pair(N, n_r, zonal)
     if "sobolev" in inequalities:
         s = SOBOLEV_EXPONENT
         exact = (8.0 * math.pi / (3.0 * s)) ** (N / s) / (

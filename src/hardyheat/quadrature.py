@@ -10,8 +10,10 @@ s = r^2/4, exploiting
 so a rule with exponent a_GL = N/2 - 1 - beta/2 is *exact* for integrands
 r^{-beta} * (polynomial in r^2/4), which is what basis-pair inner products
 look like.  The angular factor chains :func:`polar_rule` (Gauss-Legendre on
-S^2, Gauss-Gegenbauer on S^{N-1}) down to a trapezoid rule in azimuth.  Time
-enters only through the node scaling x = sqrt(t) * 2 sqrt(s) * theta.
+S^2, Gauss-Gegenbauer on S^{N-1}) down to a trapezoid rule in azimuth; the
+zonal rule keeps the polar factor alone, for integrands zonal about e1.
+Both are a :class:`ProductRule`.  Time enters only through the node scaling
+x = sqrt(t) * 2 sqrt(s) * theta.
 """
 
 from __future__ import annotations
@@ -201,7 +203,9 @@ class ProductRule:
         int f(x) G(x,t) dx  ~=  sum(weights * f(sqrt(t) * points)).
 
     The weights factor as weights[i * n_ang + a] = radial_weights[i] *
-    angular_weights[a] (up to rounding), radial node i outermost.
+    angular_weights[a] (up to rounding), radial node i outermost.  A
+    ``zonal`` rule (see :func:`zonal_rule`) is exact only for integrands
+    zonal about e1.
     """
 
     N: int
@@ -211,6 +215,7 @@ class ProductRule:
     points: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
     radial_weights: np.ndarray = field(repr=False)
+    zonal: bool = False
 
     @property
     def radii(self) -> np.ndarray:
@@ -234,6 +239,33 @@ def _check_unit_mass(rule: ProductRule) -> None:
         )
 
 
+def _radial_x_angular(N: int, n_r: int, a_gl: float | None, dirs, aw,
+                      zonal: bool = False) -> ProductRule:
+    """The Gauss-Laguerre rule in s = r^2/4 times the angular rule (dirs, aw)."""
+    if a_gl is None:
+        a_gl = N / 2.0 - 1.0
+    radial = laguerre_rule(a_gl, n_r)
+    n_eff = radial.count  # underflowed tail nodes may have been dropped
+    n_ang = len(aw)
+    points = np.repeat(radial.nodes_r, n_ang)[:, None] * np.tile(dirs, (n_eff, 1))
+    # The plain-exponent rule absorbs s^{N/2-1}; a shifted-exponent rule
+    # needs the residual power made explicit at the nodes.
+    power = N / 2.0 - 1.0 - a_gl
+    s_pow = radial.nodes ** power if power != 0.0 else np.ones(n_eff)
+    jacobian = 2.0 ** (N - 1)
+    weights = (jacobian * np.repeat(radial.weights, n_ang) * np.tile(aw, n_eff)
+               * np.repeat(s_pow, n_ang))
+    radial_weights = jacobian * radial.weights * s_pow
+    points.setflags(write=False)
+    weights = np.ascontiguousarray(weights)
+    weights.setflags(write=False)
+    radial_weights.setflags(write=False)
+    rule = ProductRule(N, radial, dirs, aw, points, weights, radial_weights, zonal)
+    if a_gl == N / 2.0 - 1.0:
+        _check_unit_mass(rule)
+    return rule
+
+
 @lru_cache(maxsize=64)
 def product_rule(
     N: int,
@@ -250,73 +282,25 @@ def product_rule(
     """
     if N < 2:
         raise QuadratureError("dimension must be >= 2")
-    if a_gl is None:
-        a_gl = N / 2.0 - 1.0
-    radial = laguerre_rule(a_gl, n_r)
-    n_eff = radial.count  # underflowed tail nodes may have been dropped
-    dirs, aw = _angular_nodes(N, n_polar, n_az)
-    n_ang = len(aw)
-    points = np.repeat(radial.nodes_r, n_ang)[:, None] * np.tile(dirs, (n_eff, 1))
-    # The plain-exponent rule absorbs s^{N/2-1}; a shifted-exponent rule
-    # needs the residual power made explicit at the nodes.
-    power = N / 2.0 - 1.0 - a_gl
-    s_pow = radial.nodes ** power if power != 0.0 else np.ones(n_eff)
-    jacobian = 2.0 ** (N - 1)
-    weights = (jacobian * np.repeat(radial.weights, n_ang) * np.tile(aw, n_eff)
-               * np.repeat(s_pow, n_ang))
-    radial_weights = jacobian * radial.weights * s_pow
-    points.setflags(write=False)
-    weights = np.ascontiguousarray(weights)
-    weights.setflags(write=False)
-    radial_weights.setflags(write=False)
-    rule = ProductRule(N, radial, dirs, aw, points, weights, radial_weights)
-    if a_gl == N / 2.0 - 1.0:
-        _check_unit_mass(rule)
-    return rule
-
-
-@dataclass(frozen=True)
-class ZonalRule:
-    """Radial x single-polar-angle rule for axisymmetric integrands.
-
-    Integrates f(r, c) against G(., t=1) where c is the cosine of the angle
-    to a fixed axis: the remaining S^{N-2} measure is lumped analytically.
-    Used by the randomized inequality sweeps in N = 4, 5 where each test
-    function is zonal about its own axis.
-    """
-
-    N: int
-    r: np.ndarray
-    c: np.ndarray
-    weights: np.ndarray  # shape (n_r, n_polar)
-
-    @property
-    def radii(self) -> np.ndarray:
-        """Radius of each grid row at t = 1, shape (n_r, 1)."""
-        return self.r[:, None]
-
-    def integrate(self, fvals: np.ndarray) -> float:
-        """fvals has shape (n_r, n_polar) = f evaluated on the grid."""
-        return float(np.sum(self.weights * fvals))
+    return _radial_x_angular(N, n_r, a_gl, *_angular_nodes(N, n_polar, n_az))
 
 
 @lru_cache(maxsize=32)
 def zonal_rule(
     N: int, n_r: int = DEFAULT_NR, n_polar: int = 32, a_gl: float | None = None
-) -> ZonalRule:
+) -> ProductRule:
+    """The cubature for integrands zonal about e1: f(x) = g(|x|, x_1/|x|).
+
+    Its directions (c, sqrt(1 - c^2), 0, ...) are the :func:`polar_rule`
+    nodes in the (e1, e2) plane, and the S^{N-2} measure of each polar
+    circle is folded into the angular weights.
+    """
     if N < 3:
         raise QuadratureError("zonal reduction needs N >= 3")
-    if a_gl is None:
-        a_gl = N / 2.0 - 1.0
-    radial = laguerre_rule(a_gl, n_r)
     c, wc = polar_rule(N, n_polar)
-    power = N / 2.0 - 1.0 - a_gl
-    rad_w = radial.weights * radial.nodes**power if power != 0.0 else radial.weights
-    w = 2.0 ** (N - 1) * sphere_area(N - 1) * np.outer(rad_w, wc)
-    r = radial.nodes_r
-    r.setflags(write=False)
-    w.setflags(write=False)
-    return ZonalRule(N, r, np.asarray(c), w)
+    dirs = np.zeros((len(c), N))
+    dirs[:, 0], dirs[:, 1] = c, np.sqrt(1.0 - c**2)
+    return _radial_x_angular(N, n_r, a_gl, dirs, sphere_area(N - 1) * wc, zonal=True)
 
 
 def integrate_G(f, t: float, rule: ProductRule) -> float:

@@ -1,8 +1,8 @@
 """Scalar special functions behind the explicit eigenbasis.
 
-The singular self-similar eigenfunctions are built from three scalar
-ingredients: Pochhammer symbols, the Kummer confluent hypergeometric
-series M(c, b, t), and its polynomial truncations
+The singular self-similar eigenfunctions are built from the terminating
+Kummer confluent hypergeometric series M(-n, N/2 - alpha, t), that is the
+polynomials
 
     P(t) = sum_{i=0}^{n} (-n)_i / ((N/2 - alpha)_i) * t^i / i!,
 
@@ -21,16 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PositivityError, QuadratureError
-
-# Kummer series controls: the artifact only evaluates |t| <= O(100),
-# where the series is benign.  Accuracy degrades for large t (unused).
-KUMMER_RTOL = 1e-15
-KUMMER_MAX_TERMS = 10_000
-# c within this distance of a non-positive integer is treated as the
-# exact polynomial case (the eigenvalue condition makes -c integer
-# exactly in all in-scope uses).
-NONPOS_INT_TOL = 1e-12
+from .errors import PositivityError
 
 
 @dataclass(frozen=True)
@@ -62,55 +53,6 @@ class Polynomial:
         if self.degree == 0:
             return Polynomial((0.0,))
         return Polynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
-
-
-def pochhammer(s: float, i: int) -> float:
-    """Rising factorial (s)_i = prod_{j=0}^{i-1} (s + j), with (s)_0 = 1."""
-    if i < 0:
-        raise ValueError("pochhammer index must be non-negative")
-    out = 1.0
-    for j in range(i):
-        out *= s + j
-    return out
-
-
-def _near_nonpositive_integer(c: float) -> int | None:
-    """Index -c if c is within NONPOS_INT_TOL of a non-positive integer."""
-    if c > NONPOS_INT_TOL:
-        return None
-    n = round(-c)
-    if abs(c + n) <= NONPOS_INT_TOL:
-        return int(n)
-    return None
-
-
-def kummer_m(c: float, b: float, t: float) -> float:
-    """Kummer series M(c, b, t) = sum_n (c)_n/(b)_n * t^n/n!.
-
-    Terminates exactly after -c terms when c is a non-positive integer
-    (within NONPOS_INT_TOL); otherwise sums until the term drops below
-    KUMMER_RTOL relative to the partial sum, with a hard cap.
-    """
-    if _near_nonpositive_integer(b) is not None:
-        raise ValueError(f"b={b} is a non-positive integer; series undefined")
-    n_exact = _near_nonpositive_integer(c)
-
-    total = 1.0
-    term = 1.0
-    n = 0
-    while True:
-        if n_exact is not None and n >= n_exact:
-            return total
-        if n >= KUMMER_MAX_TERMS:
-            raise QuadratureError(
-                f"Kummer series did not converge within {KUMMER_MAX_TERMS} terms "
-                f"(c={c}, b={b}, t={t}); last term magnitude {abs(term):.3e}"
-            )
-        term *= (c + n) / (b + n) * t / (n + 1)
-        total += term
-        n += 1
-        if n_exact is None and abs(term) < KUMMER_RTOL * abs(total):
-            return total
 
 
 def alpha_from_mu(mu: float, N: int) -> float:

@@ -35,11 +35,8 @@ class RescaledFunction:
     def grad(self, x):
         return self.member.grad(x / math.sqrt(self.tau)) / math.sqrt(self.tau)
 
-    def value_rc(self, R, C):
-        return self.member.value_rc(R / math.sqrt(self.tau), C)
-
-    def gradsq_rc(self, R, C):
-        return self.member.gradsq_rc(R / math.sqrt(self.tau), C) / self.tau
+    def about_e1(self):
+        return RescaledFunction(self.member.about_e1(), self.tau)
 
 
 def gap_of(name, member, t, rules, spec=None):
@@ -59,7 +56,7 @@ def test_hardy_parabolic_scaling_relation(N):
     axis = np.zeros(N)
     axis[-1] = 1.0
     bump = ineq.GaussianBump(0.5, 0.8, axis)
-    rules = ineq.rule_pair(N)
+    rules = ineq.rule_pair(N, zonal=N != 3)
     g1 = gap_of("hardy_parabolic", bump, 1.0, rules)
     tau = 2.2
     g2 = gap_of("hardy_parabolic", RescaledFunction(bump, tau), tau, rules)
@@ -69,11 +66,11 @@ def test_hardy_parabolic_scaling_relation(N):
 def test_zonal_rules_match_full_rules():
     # every value of the zonal reduction, singular twin and nodal potential
     # term included, against the full cubature on an N = 3 bump with an
-    # oblique axis
+    # oblique axis; measured within 5.1e-16 relative
     axis = np.array([0.3, -0.5, 0.8])
     bump = ineq.GaussianBump(0.6, 0.9, axis / np.linalg.norm(axis))
-    full = ineq.rule_pair(3)
-    zonal = (quad.zonal_rule(3, 48, 28), quad.zonal_rule(3, 48, 28, a_gl=-0.5))
+    full, zonal = ineq.rule_pair(3, zonal=False), ineq.rule_pair(3, zonal=True)
+    assert not any(rule.zonal for rule in full) and all(rule.zonal for rule in zonal)
     spec = ang.solve_angular(ang.AngularPotential.constant(0.1), K=4, N=3)
     for t in (1.0, 0.4):
         vf = ineq.member_values(ineq.INEQUALITIES, bump, t, full, spec)
@@ -81,6 +78,62 @@ def test_zonal_rules_match_full_rules():
         assert list(vf) == list(vz) and set(vf) == set(ineq.INEQUALITIES)
         for name in ineq.INEQUALITIES:
             np.testing.assert_allclose(vz[name], vf[name], rtol=1e-12, err_msg=name)
+    # a member that is not zonal about its own axis has no place on a zonal rule
+    poly = ineq.PolyGaussian((1.0, 0.2, 0.0, 0.3, 0.4, 0.0, 0.1, 0.0, 0.0, 0.2), 0.125)
+    with pytest.raises(ConfigurationError, match="not zonal"):
+        ineq.member_values(("hardy_parabolic",), poly, 1.0, zonal)
+
+
+def _sweep_values(bump, rules, spec):
+    """The four values a sweep keeps of one member: three relative gaps and
+    the Sobolev quotient."""
+    values = ineq.member_values(ineq.INEQUALITIES, bump, 0.7, rules, spec)
+    return [v if name == "sobolev" else v[0] / v[1] for name, v in values.items()]
+
+
+def test_zonal_sweep_rule_converged_in_angle():
+    # the four values of 200 shipped N = 3 bumps at t = 0.7 on the sweep's
+    # zonal pair against a 128-node polar rule; measured within 4.4e-16
+    # over 1,000 members (the 14 x 28 product pair misses these by 1.3e-8)
+    fine = (quad.zonal_rule(3, 48, 128), quad.zonal_rule(3, 48, 128, a_gl=-0.5))
+    rules = ineq.rule_pair(3, zonal=True)
+    assert all(np.array_equal(f.radial_weights, r.radial_weights) for f, r in zip(fine, rules))
+    spec = ang.solve_angular(ang.AngularPotential.constant(0.15), K=8, N=3)
+    for bump in ineq.TestFamily("bumps", 3, 200, 1).members():
+        np.testing.assert_allclose(_sweep_values(bump, rules, spec),
+                                   _sweep_values(bump, fine, spec), rtol=0.0, atol=1e-14,
+                                   err_msg=repr(bump))
+
+
+def test_full_rule_pair_is_three_dimensional_only():
+    for N in (4, 11):
+        with pytest.raises(ConfigurationError, match="N = 3 only"):
+            ineq.rule_pair(N)
+
+
+POTENTIALS = {"constant": ang.AngularPotential.constant(0.1),
+              "cos": ang.AngularPotential.zonal(lambda c: 0.1 * c)}
+
+
+@pytest.mark.parametrize("kind, potential, zonal", [
+    ("bumps", None, True), ("bumps", "constant", True), ("bumps", "cos", False),
+    ("polygauss", None, False), ("modes", None, False)])
+def test_sweep_rule_choice(kind, potential, zonal, basis0, monkeypatch):
+    # the rule pair follows the family and the potential, in every N
+    chosen, rule_pair = [], ineq.rule_pair
+    monkeypatch.setattr(ineq, "rule_pair",
+                        lambda N, n_r, z: chosen.append((N, z)) or rule_pair(N, n_r, z))
+    names = ("hardy_parabolic",) if potential is None else ("hardy_anisotropic",)
+    for N in (3, 4, 5):
+        spec = None if potential is None else ang.solve_angular(
+            POTENTIALS[potential], L=8, K=4, N=N if potential == "constant" else 3)
+        fam = ineq.TestFamily(kind, N, 2, 1)
+        if N == 3 or zonal:
+            ineq.sweep(names, fam, spec=spec, basis=basis0)
+        else:
+            with pytest.raises(ConfigurationError, match="N = 3 only"):
+                ineq.sweep(names, fam, spec=spec, basis=basis0)
+    assert chosen == [(N, zonal) for N in (3, 4, 5)]
 
 
 def test_x2_bound_constant_oracle():
@@ -123,7 +176,7 @@ def test_sobolev_closed_form_check(N):
 def test_sobolev_exponent_range():
     # s = 2.5 needs N <= 10; the other inequalities take any N
     bump = ineq.GaussianBump(0.5, 0.8, np.eye(11)[0])
-    rules = ineq.rule_pair(11, 8)
+    rules = ineq.rule_pair(11, 8, zonal=True)
     assert set(ineq.member_values(("x2_bound",), bump, 0.7, rules)) == {"x2_bound"}
     with pytest.raises(ConfigurationError, match="outside"):
         ineq.member_values(("x2_bound", "sobolev"), bump, 0.7, rules)

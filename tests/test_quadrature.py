@@ -168,8 +168,8 @@ def test_polar_rule_matches_scipy(N):
 ROOT = Path(__file__).resolve().parents[1]
 # Records every (a_GL, n_r) Laguerre rule that the shipped configs and
 # workloads build outside the march: spectrum and basis certification,
-# collocation, the coupling matrices, the verify rules of each sweep
-# dimension and quadcheck.  A fresh process, so no rule comes from a cache.
+# collocation, the coupling matrices, the rules of a one-member verify and
+# quadcheck.  A fresh process, so no rule comes from a cache.
 SHIPPED_RULES = """
 import json, sys, tempfile
 from hardyheat import quadrature
@@ -183,8 +183,8 @@ for path in [None] + sys.argv[1:]:
     ou_basis.build_collocation(basis, n_r=cfg.radial_nodes)
     ou_basis.hardy_matrix(basis)
     inequalities.coercivity_bound_constant(basis)
-    for N in cfg.sweep_dims:
-        inequalities.rule_pair(int(N))
+    cfg.sweep_count = 1
+    cli.cmd_verify(cfg, tempfile.mkdtemp())
 cli.cmd_quadcheck(RunConfig(), tempfile.mkdtemp())
 print(json.dumps(sorted(seen)))
 """
@@ -315,16 +315,12 @@ def test_zonal_matches_full_rule():
     vals = bump.value(full.points) ** 2
     i_full = full.integrate(vals)
     zr = quad.zonal_rule(3, 40, 24)
-    R = zr.r[:, None]
-    C = zr.c[None, :]
-    i_zonal = zr.integrate(bump.value_rc(R, C) ** 2)
+    i_zonal = zr.integrate(bump.about_e1().value(zr.points) ** 2)
     np.testing.assert_allclose(i_full, i_zonal, rtol=1e-12)
 
 
 def test_zonal_hardy_exponent():
     # 1/r^2 weighted mass: int G/|x|^2 = 4 pi^{3/2} at N=3, t=1
     zr = quad.zonal_rule(3, 32, 16, a_gl=-0.5)
-    R = zr.r[:, None]
-    ones = np.ones((len(zr.r), len(zr.c)))
-    np.testing.assert_allclose(zr.integrate(ones / (R * R)), 4.0 * math.pi**1.5,
+    np.testing.assert_allclose(zr.integrate(1.0 / zr.radii**2), 4.0 * math.pi**1.5,
                                rtol=1e-12)
