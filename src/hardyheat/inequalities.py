@@ -55,9 +55,9 @@ class GaussianBump:
         d = x - self.b * self.axis
         return np.exp(-np.sum(d * d, axis=-1) / (2.0 * self.w**2))
 
-    def grad(self, x):
-        d = x - self.b * self.axis
-        return -(d / self.w**2) * self.value(x)[..., None]
+    def value_grad(self, x):
+        u = self.value(x)  # one exponential for both
+        return u, -((x - self.b * self.axis) / self.w**2) * u[..., None]
 
     def about_e1(self) -> "GaussianBump":
         """The same bump rotated onto the axis e1, where zonal rules sample it."""
@@ -84,8 +84,9 @@ class PolyGaussian:
     def value(self, x):
         return self._q(x) * np.exp(-self.kappa * np.sum(x * x, axis=-1))
 
-    def grad(self, x):
+    def value_grad(self, x):
         e = np.exp(-self.kappa * np.sum(x * x, axis=-1))
+        q = self._q(x)
         gq = np.zeros_like(x)
         for c, pw in zip(self.coeffs, _MONOMIALS3):
             for d in range(3):
@@ -94,7 +95,7 @@ class PolyGaussian:
                 dpw = list(pw)
                 dpw[d] -= 1
                 gq[:, d] += c * pw[d] * x[:, 0] ** dpw[0] * x[:, 1] ** dpw[1] * x[:, 2] ** dpw[2]
-        return (gq - 2.0 * self.kappa * x * self._q(x)[:, None]) * e[:, None]
+        return q * e, (gq - 2.0 * self.kappa * x * q[:, None]) * e[:, None]
 
 
 class BasisModeFunction:
@@ -110,8 +111,8 @@ class BasisModeFunction:
     def value(self, x):
         return eval_V(self.mode, x, self.spectrum)
 
-    def grad(self, x):
-        return eval_grad_V(self.mode, x, self.spectrum)
+    def value_grad(self, x):
+        return self.value(x), eval_grad_V(self.mode, x, self.spectrum)
 
 
 @dataclass(frozen=True)
@@ -177,12 +178,10 @@ def _sample(member, rule, t: float, grad: bool = True):
             raise ConfigurationError(f"{member!r} is not zonal; a zonal rule cannot take it")
         member = member.about_e1()
     pts = math.sqrt(t) * rule.points
-    u = np.asarray(member.value(pts), dtype=float)
-    g2 = None
-    if grad:
-        g = np.asarray(member.grad(pts), dtype=float)
-        g2 = np.sum(g * g, axis=-1)
-    return u, g2, t * rule.radii**2
+    if not grad:
+        return np.asarray(member.value(pts), dtype=float), None, t * rule.radii**2
+    u, g = (np.asarray(a, dtype=float) for a in member.value_grad(pts))
+    return u, np.sum(g * g, axis=-1), t * rule.radii**2
 
 
 # -- verifiers ---------------------------------------------------------------

@@ -11,7 +11,7 @@ from hardyheat import almgren as al
 from hardyheat import evolve as ev
 from hardyheat import inequalities as ineq
 from hardyheat import ou_basis as ou
-from hardyheat.errors import InvariantViolationError
+from hardyheat.errors import AccuracyError, InvariantViolationError
 
 
 def _mode(basis, gamma):
@@ -44,10 +44,23 @@ def traj_exp(basis0, col0, tau_small):
 
 @pytest.fixture(scope="module")
 def traj_dense(basis0, col0):
-    # every mode populated, so a reordered row sum changes the last bits
+    # every mode populated, so a reordered row sum changes the last bits;
+    # dtau = 0.005 because the 2 dtau check at 0.01 fails (see below)
+    return _dense_run(basis0, col0, 0.005)
+
+
+def _dense_run(basis0, col0, dtau):
     c0 = np.random.default_rng(5).normal(size=basis0.size)
-    return ev.integrate_backward(basis0, c0, math.log(0.1), 0.01,
+    return ev.integrate_backward(basis0, c0, math.log(0.1), dtau,
                                  ev.PerturbationSpec.linear_bounded(0.1), col0)
+
+
+def test_dense_run_at_coarse_step_fails_the_gate(basis0, col0):
+    # the 2 dtau march at dtau = 0.01 misses the kept rows by about 1.2e-8
+    with pytest.raises(AccuracyError, match="step-halving disagreement") as info:
+        _dense_run(basis0, col0, 0.01)
+    step = ev.tau_grid(math.log(0.1), 0.01)[1]
+    assert info.value.suggestion == f"dtau <= {step / 4.0}"
 
 
 def test_compute_HDN_pure_mode(traj_pure):

@@ -504,6 +504,7 @@ _STALE_EDITS = {
     "coefficient_digit": _edit_coefficient_digit,
     "no_trajectory_json": lambda out: (out / "trajectory.json").unlink(),
     "halving_error": lambda out: _edit_json(out, "halving_error", 2.0 * evolve.HALVING_TOL),
+    "version": lambda out: _edit_json(out, "version", "0.1.0"),
 }
 
 

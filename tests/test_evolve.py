@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from hardyheat import angular as ang
 from hardyheat import evolve as ev
 from hardyheat import ou_basis as ou
 from hardyheat.errors import AccuracyError, ConfigurationError
@@ -25,8 +26,6 @@ def test_build_initial_projection_vs_doubled_oracle(basis0, col0):
     c_oracle = col2.project(v(col2.points))
     np.testing.assert_allclose(c, c_oracle, atol=1e-11)
     # a gentler Gaussian clears the residual gate on a gamma <= 4 basis
-    import hardyheat.angular as ang
-
     spec = ang.solve_angular(ang.AngularPotential.constant(0.0), K=100, N=3)
     basis = ou.enumerate_modes(spec, 4.0)
     col = ou.build_collocation(basis, n_r=48)
@@ -215,6 +214,29 @@ def test_exp_linear_against_independent_rk4():
     np.testing.assert_allclose(c, math.exp(-eps * 0.25) * 0.25**gamma, atol=1e-12)
 
 
+_BERNOULLI_CASES = [(N, p) for N in (3, 4, 5) for p in (1.5, 2.0, 3.0)
+                    if p < (N + 2) / (N - 2)]
+
+
+@pytest.mark.parametrize("N, p", _BERNOULLI_CASES)
+def test_semilinear_ground_mode_bernoulli(N, p):
+    # a = 0: V_0 = (4 pi)^{-N/4} is constant, so its span is invariant and
+    # dc/dtau = -e^tau kappa |c|^{p-1} c with kappa = eps V_0^{p-1}, i.e.
+    # c(t)^{1-p} = c0^{1-p} + (p-1) kappa (t-1) for c0 > 0, odd in c0
+    spec = ang.solve_angular(ang.AngularPotential.constant(0.0), K=N + 1, N=N)
+    basis = ou.enumerate_modes(spec, 0.0)
+    assert basis.size == 1 and basis.max_degree() == 0
+    col = ou.build_collocation(basis, n_r=8)
+    eps = 0.05  # the semilinear workload's
+    kappa = eps * ((4.0 * math.pi) ** (-N / 4.0)) ** (p - 1.0)
+    pert = ev.PerturbationSpec.semilinear(eps, p, N)
+    for c0 in (1.0, -1.0):
+        traj = ev.integrate_backward(basis, np.array([c0]), math.log(0.5), 0.01, pert, col)
+        exact = c0 * (1.0 + (p - 1.0) * kappa * (traj.t - 1.0)) ** (1.0 / (1.0 - p))
+        assert abs(exact[-1] - c0) > 1e-4  # the forcing moves the rows
+        np.testing.assert_allclose(traj.coeffs[:, 0], exact, rtol=1e-12, atol=0.0)
+
+
 def test_linearity_of_linear_flow(basis0, col0):
     pert = ev.PerturbationSpec.linear_bounded(0.1)
     k0, k1 = 0, 2
@@ -237,26 +259,35 @@ _STORED_FORCING_CASES = {
 @pytest.mark.parametrize("name", sorted(_STORED_FORCING_CASES))
 def test_stored_forcing_is_the_rowwise_forcing(name, basis0, col0, monkeypatch):
     # the march keeps its first-stage forcing: no post-march pass, and each
-    # row's F is the one a direct call at (t_i, c_i) returns, bit for bit
+    # row's F is the one a direct call at (t_i, c_i) returns, bit for bit;
+    # the check marches every second row and ends on the last, for odd n too
     pert = _STORED_FORCING_CASES[name]
-    calls = []
-    counted = ev.forcing_coefficients
-    monkeypatch.setattr(ev, "forcing_coefficients",
-                        lambda *a, **k: calls.append(1) or counted(*a, **k))
     c0 = np.zeros(basis0.size)
     c0[0], c0[3] = 1.0, 0.5
-    traj = ev.integrate_backward(basis0, c0, math.log(0.5), 0.01, pert, col0)
-    n = traj.size - 1
-    assert n == 70 and len(calls) <= 12 * n + 2
-    monkeypatch.undo()
-    rowwise = np.array([ev.forcing_coefficients(t, c, pert, col0)
-                        for t, c in zip(traj.t, traj.coeffs)])
-    assert np.any(rowwise)
-    np.testing.assert_array_equal(traj.forcing, rowwise)
-    # the rows alone rebuild the same trajectory
-    rebuilt = ev.trajectory_from_rows(basis0, col0, traj.tau, traj.coeffs, pert, traj.dtau)
-    np.testing.assert_array_equal(rebuilt.t, traj.t)
-    np.testing.assert_array_equal(rebuilt.forcing, traj.forcing)
+    counted, march = ev.forcing_coefficients, ev._march_rk4
+    for tau_min, n, count in ((math.log(0.5), 70, 422), (-0.705, 71, 430)):
+        calls, grids = [], []
+        monkeypatch.setattr(ev, "forcing_coefficients",
+                            lambda *a, **k: calls.append(1) or counted(*a, **k))
+        monkeypatch.setattr(ev, "_march_rk4",
+                            lambda taus, c0, f: grids.append(taus) or march(taus, c0, f))
+        traj = ev.integrate_backward(basis0, c0, tau_min, 0.01, pert, col0)
+        assert traj.size - 1 == n
+        assert len(calls) == count == 4 * n + 4 * math.ceil(n / 2) + 2
+        assert 0.0 < traj.metadata["halving_error"] <= ev.HALVING_TOL
+        fine, coarse = grids
+        np.testing.assert_array_equal(fine, traj.tau)
+        np.testing.assert_array_equal(coarse, traj.tau[sorted({*range(0, n + 1, 2), n})])
+        monkeypatch.undo()
+        rowwise = np.array([ev.forcing_coefficients(t, c, pert, col0)
+                            for t, c in zip(traj.t, traj.coeffs)])
+        assert np.any(rowwise)
+        np.testing.assert_array_equal(traj.forcing, rowwise)
+        # the rows alone rebuild the same trajectory
+        rebuilt = ev.trajectory_from_rows(basis0, col0, traj.tau, traj.coeffs, pert,
+                                          traj.dtau)
+        np.testing.assert_array_equal(rebuilt.t, traj.t)
+        np.testing.assert_array_equal(rebuilt.forcing, traj.forcing)
 
 
 def test_backward_stability_nonincreasing(basis0, col0, tau_small):

@@ -18,8 +18,8 @@ class Constant:
     def value(self, x):
         return np.ones(len(x))
 
-    def grad(self, x):
-        return np.zeros_like(x)
+    def value_grad(self, x):
+        return self.value(x), np.zeros_like(x)
 
 
 class RescaledFunction:
@@ -32,8 +32,9 @@ class RescaledFunction:
     def value(self, x):
         return self.member.value(x / math.sqrt(self.tau))
 
-    def grad(self, x):
-        return self.member.grad(x / math.sqrt(self.tau)) / math.sqrt(self.tau)
+    def value_grad(self, x):
+        u, g = self.member.value_grad(x / math.sqrt(self.tau))
+        return u, g / math.sqrt(self.tau)
 
     def about_e1(self):
         return RescaledFunction(self.member.about_e1(), self.tau)
