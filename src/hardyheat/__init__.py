@@ -8,7 +8,7 @@ profile coefficients by Cauchy-type integral formulas, and verifies the
 underlying weighted functional inequalities on randomized families.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.2.1"
 
 from .angular import AngularPotential, AngularSpectrum, check_positivity, solve_angular
 from .errors import HardyHeatError

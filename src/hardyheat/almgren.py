@@ -207,14 +207,19 @@ def frequency_trace(
 
 
 def check_Hprime(trace: FrequencyTrace) -> float:
-    """Max relative residual of the central difference of H against 2D.
+    """Max relative residual of the three-point derivative of H against 2D.
 
-    Three-point stencil on the nonuniform t grid; O(dtau^2).
+    On the geometric t grid the steps h1 = t0 - t-, h2 = t+ - t0 differ,
+    and the stencil (h1^2 (H+ - H0) + h2^2 (H0 - H-)) / (h1 h2 (h1 + h2))
+    is exact for quadratics in t: its error is O(h1 h2 H'''), second
+    order in dtau relative to t.
     """
     if len(trace.t) < 3:
         raise ConfigurationError("need at least 3 rows for the H' check")
     t, H, D = trace.t, trace.H, trace.D
-    Hp = (H[2:] - H[:-2]) / (t[2:] - t[:-2])
+    h1, h2 = t[1:-1] - t[:-2], t[2:] - t[1:-1]
+    Hp = ((h1 * h1 * (H[2:] - H[1:-1]) + h2 * h2 * (H[1:-1] - H[:-2]))
+          / (h1 * h2 * (h1 + h2)))
     resid = np.abs(Hp - 2.0 * D[1:-1]) / (np.abs(2.0 * D[1:-1]) + 1e-30)
     return float(np.max(resid))
 

@@ -113,9 +113,16 @@ def _stored_rows(cfg, outdir, basis, pert):
 
 def _trajectory(cfg, basis, reuse_dir=None):
     """Integrate the flow, or rebuild it from the trajectory.csv in reuse_dir
-    when that file is valid for this run (see :func:`_stored_rows`)."""
-    col = ou_basis.build_collocation(basis, n_r=cfg.radial_nodes)
+    when that file is valid for this run (see :func:`_stored_rows`).
+
+    The collocation is on the radial rule when the configured initial data
+    and forcing keep the radial span (:func:`evolve.radial_invariant`),
+    else on the product rule, for ``simulate`` and ``beta`` alike.
+    """
     pert = parse_perturbation(cfg)
+    c0 = parse_initial(cfg, basis)
+    col = ou_basis.build_collocation(basis, n_r=cfg.radial_nodes,
+                                     radial=evolve.radial_invariant(basis, pert, c0))
     if reuse_dir is not None:
         try:
             tau, coeffs, step = _stored_rows(cfg, reuse_dir, basis, pert)
@@ -124,7 +131,6 @@ def _trajectory(cfg, basis, reuse_dir=None):
         else:
             print("trajectory rebuilt from trajectory.csv", file=sys.stderr)
             return evolve.trajectory_from_rows(basis, col, tau, coeffs, pert, step)
-    c0 = parse_initial(cfg, basis)
     return evolve.integrate_backward(basis, c0, cfg.tau_min, cfg.dtau, pert, col)
 
 
@@ -156,6 +162,7 @@ def cmd_simulate(cfg, outdir) -> int:
     scaling = {repr(l): almgren.check_scaling(traj, l) for l in cfg.scaling_lambdas}
     c1 = inequalities.coercivity_bound_constant(basis)
     report = almgren.run_diagnostics(traj, trace, coercivity_constant=c1)
+    shares = traj.truncation_shares()
     meta = _meta(cfg, basis)
     meta["dtau"] = traj.dtau
     meta["perturbation"] = traj.perturbation.label
@@ -188,8 +195,11 @@ def cmd_simulate(cfg, outdir) -> int:
             "hprime_residual": hprime,
             "scaling_deviation": scaling,
             "diagnostics": report,
-            "truncation_ratio": traj.truncation_ratio(),
+            "truncation_ratio": float(shares[-1]),
+            "truncation_ratio_max": float(shares.max()),
             "collocation_gram_residual": traj.collocation.gram_residual,
+            "collocation_rule": traj.metadata["collocation_rule"],
+            "collocation_nodes": traj.metadata["collocation_nodes"],
             "halving_error": traj.metadata.get("halving_error"),
             "halving_tol": traj.metadata.get("halving_tol"),
             "admissibility_ratio": traj.metadata.get("admissibility_ratio"),

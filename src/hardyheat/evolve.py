@@ -14,6 +14,11 @@ the dtau march evaluated there: they are exactly the xi_{m,k} data the
 asymptotic coefficient formulas integrate later.  Stored rows read back
 from an earlier run go through the same input gates and get the same
 forcing, one evaluation per row, without a march.
+
+Under a constant potential a radial forcing maps radial functions to
+radial functions, so data on the degree-0 modes never leaves their span
+(:func:`radial_invariant`); such a run forces on the radial rule's n_r
+nodes instead of the product rule's.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import AccuracyError, ConfigurationError
-from .ou_basis import Collocation, OUBasis, build_collocation
+from .ou_basis import Collocation, OUBasis, build_collocation, radial_modes
 
 TAU_FLOOR = math.log(1e-6)
 DTAU_MAX = 0.01
@@ -116,6 +121,16 @@ def _radial_linear(profile: Callable, eps: float, eps_h: float, label: str):
     )
 
 
+def radial_invariant(basis: OUBasis, pert: PerturbationSpec, c0: np.ndarray) -> bool:
+    """True when the run stays in the span of the radial (degree-0) modes:
+    a constant potential, a semilinear or radial linear forcing, and c0
+    exactly zero on every other mode.  Such a run may use the radial rule
+    (``build_collocation(basis, radial=True)``)."""
+    return (basis.spectrum.potential.is_constant
+            and (pert.kind == "semilinear" or pert.h_radial is not None)
+            and not np.any(c0[~radial_modes(basis)]))
+
+
 def linear_forcing_matrix(
     t: float, pert: PerturbationSpec, col: Collocation, x_scale: float | None = None
 ) -> np.ndarray:
@@ -202,11 +217,16 @@ class Trajectory:
     def size(self) -> int:
         return len(self.tau)
 
-    def truncation_ratio(self) -> float:
-        """|c_last-mode| / ||c|| at tau_min; > 1e-6 flags an unresolved run."""
-        tail = abs(self.coeffs[-1, -1])
-        total = float(np.linalg.norm(self.coeffs[-1]))
-        return tail / total if total > 0 else 0.0
+    def truncation_shares(self) -> np.ndarray:
+        """Row by row, the top-gamma shell's share of ||c|| (0 where c = 0).
+
+        The shell is every mode within 1e-9 of the largest gamma; a share
+        above TRUNCATION_FLAG at tau_min flags an unresolved run.
+        """
+        top = self.basis.gammas >= self.basis.gammas.max() - 1e-9
+        total = np.linalg.norm(self.coeffs, axis=1)
+        shell = np.linalg.norm(self.coeffs[:, top], axis=1)
+        return np.divide(shell, total, out=np.zeros_like(total), where=total > 0)
 
     def row_at_t(self, t: float) -> int:
         """Nearest stored row to time t; t must lie inside the grid span."""
@@ -278,10 +298,23 @@ def tau_grid(tau_min: float, dtau: float) -> tuple[np.ndarray, float]:
     return np.linspace(0.0, tau_min, n + 1), -tau_min / n
 
 
-def _check_inputs(tau_min, dtau, pert, col) -> float | None:
-    """The input gates of a trajectory: the dtau and tau_min ranges and,
-    for a linear h, :func:`check_h_admissible` with the spec's C_h and
-    eps_h.  Returns the admissibility ratio (None unless linear)."""
+def _check_inputs(basis, col, rows, tau_min, dtau, pert) -> float | None:
+    """The input gates of a trajectory: the dtau and tau_min ranges, the
+    span of a radial collocation and, for a linear h,
+    :func:`check_h_admissible` with the spec's C_h and eps_h.  Returns the
+    admissibility ratio (None unless linear).
+
+    A radial collocation sees only the radial span: a non-constant
+    potential, a linear h without ``h_radial`` or a nonzero non-radial
+    coefficient in ``rows`` raises ConfigurationError.
+    """
+    if col.radial:
+        if not basis.spectrum.potential.is_constant:
+            raise ConfigurationError("the radial rule needs a constant potential")
+        if pert.kind == "linear" and pert.h_radial is None:
+            raise ConfigurationError("the radial rule needs a radial h (h_radial)")
+        if np.any(rows[:, ~radial_modes(basis)]):
+            raise ConfigurationError("the radial rule needs data on the radial modes only")
     if dtau <= 0.0 or dtau > DTAU_MAX:
         raise ConfigurationError(f"dtau must lie in (0, {DTAU_MAX}], got {dtau}")
     if tau_min >= 0.0 or tau_min < TAU_FLOOR - 1e-12:
@@ -306,6 +339,8 @@ def _record(basis, col, tau, coeffs, forcing, pert, step, ratio) -> Trajectory:
         "dtau": step,
         "tau_min": float(tau[-1]),
         "perturbation": pert.label,
+        "collocation_rule": "radial" if col.radial else "product",
+        "collocation_nodes": len(col.weights),
     }
     if ratio is not None:
         meta["admissibility_ratio"] = ratio
@@ -314,7 +349,7 @@ def _record(basis, col, tau, coeffs, forcing, pert, step, ratio) -> Trajectory:
         # run verifies conclusions only.
         meta["hypotheses_verified"] = False
     traj = Trajectory(basis, col, tau, coeffs, forcing, pert, step, metadata=meta)
-    flag = traj.truncation_ratio()
+    flag = float(traj.truncation_shares()[-1])
     if flag > TRUNCATION_FLAG:
         meta["truncation_flag"] = flag
     return traj
@@ -331,13 +366,13 @@ def trajectory_from_rows(
     """Trajectory of given rows c(tau[i]) = coeffs[i], e.g. read back from
     the trajectory.csv of an earlier run.
 
-    Runs the input gates of :func:`integrate_backward` on (tau[-1], dtau);
-    rows off ``tau_grid(tau[-1], dtau)``, which ``beta`` integrates at step
-    dtau, raise ConfigurationError.  A perturbed kind gets its forcing from
+    Runs the input gates of :func:`integrate_backward` on (tau[-1], dtau)
+    and the rows; rows off ``tau_grid(tau[-1], dtau)``, which ``beta``
+    integrates at step dtau, raise ConfigurationError.  A perturbed kind gets its forcing from
     one :func:`forcing_coefficients` call per row at time ``t[i]``; the
     unperturbed flow gets zero forcing and ``diag_factors`` = exp(gamma_k tau_i).
     """
-    ratio = _check_inputs(tau[-1], dtau, pert, col)
+    ratio = _check_inputs(basis, col, coeffs, tau[-1], dtau, pert)
     taus, step = tau_grid(tau[-1], dtau)
     if step != dtau or not np.array_equal(tau, taus):
         raise ConfigurationError(f"rows off the uniform tau grid of step dtau = {dtau}")
@@ -361,6 +396,9 @@ def integrate_backward(
 ) -> Trajectory:
     """March c from tau = 0 down to tau_min on :func:`tau_grid`.
 
+    Without ``col`` the run builds its collocation on the radial rule when
+    :func:`radial_invariant` holds, else on the product rule; a radial
+    ``col`` with inputs outside the radial span raises ConfigurationError.
     A linear h must first pass :func:`check_h_admissible` with the spec's
     C_h and eps_h, else ConfigurationError; its worst |h| / bound ratio goes
     into the metadata as ``admissibility_ratio``.  The unperturbed flow uses
@@ -378,8 +416,8 @@ def integrate_backward(
     if len(c0) != basis.size:
         raise ConfigurationError("initial coefficient vector does not match the basis")
     if col is None:
-        col = build_collocation(basis)
-    ratio = _check_inputs(tau_min, dtau, pert, col)
+        col = build_collocation(basis, radial=radial_invariant(basis, pert, c0))
+    ratio = _check_inputs(basis, col, c0[None], tau_min, dtau, pert)
     taus, step = tau_grid(tau_min, dtau)
     if pert.kind == "none":
         coeffs = c0[None, :] * np.exp(np.outer(taus, basis.gammas))

@@ -36,7 +36,7 @@ from .errors import (
     SingularNodeError,
     TruncationError,
 )
-from .quadrature import ProductRule, laguerre_rule, product_rule
+from .quadrature import ProductRule, laguerre_rule, product_rule, zonal_rule
 from .specfun import Polynomial, alpha_from_mu, gamma_mk, p_poly
 
 # eq-of-integers detection for the multiplicity count: inside INT_TOL the
@@ -364,6 +364,12 @@ def potential_coupling_matrix(basis: OUBasis) -> np.ndarray:
     return _radial_coupling(basis, ang.potential_pairing(spec))
 
 
+def radial_modes(basis: OUBasis) -> np.ndarray:
+    """Mask of the degree-0 modes: under a constant potential they span the
+    radial functions of the basis."""
+    return np.array([m.degree == 0 for m in basis.modes])
+
+
 @dataclass(frozen=True)
 class Collocation:
     """Cubature nodes plus the basis value matrix Phi[k, m] = V_tilde_k(x_m).
@@ -380,6 +386,11 @@ class Collocation:
     psi_{j_k} psi_{j_l}.  Multiplying by a radial function therefore acts
     on coefficients as the K x K matrix
     (radial_table diag(radial_weights g) radial_table^T) o angular_gram.
+
+    On the radial rule (``radial``: one direction carrying the whole
+    sphere's weight) the rows of the non-radial modes are zero, so every
+    projection is exactly zero off the radial span: the collocation of a
+    run whose data and forcing keep that span invariant.
     """
 
     rule: ProductRule
@@ -396,6 +407,11 @@ class Collocation:
     def weights(self) -> np.ndarray:
         return self.rule.weights
 
+    @property
+    def radial(self) -> bool:
+        """True on the radial rule: one direction."""
+        return len(self.rule.angular_weights) == 1
+
     def project(self, values: np.ndarray) -> np.ndarray:
         return self.Phi @ (self.weights * values)
 
@@ -403,26 +419,39 @@ class Collocation:
         return self.Phi.T @ coeffs
 
 
-def build_collocation(basis: OUBasis, n_r: int = 64) -> Collocation:
-    """Nodal table of the basis on the product rule.
+def build_collocation(basis: OUBasis, n_r: int = 64, radial: bool = False) -> Collocation:
+    """Nodal table of the basis on the product rule, or with ``radial`` on
+    the radial rule ``zonal_rule(N, n_r, 1)``.
 
-    The angular sizes track the largest harmonic degree in the basis so
-    that mode-pair products integrate exactly.
+    The product rule's angular sizes track the largest harmonic degree in
+    the basis so that mode-pair products integrate exactly.  The radial
+    rule (n_r nodes, any N) is exact for radial integrands only; the caller
+    takes it when the run stays in the span of the degree-0 modes under a
+    constant potential (``evolve.radial_invariant``), and the table keeps
+    that span alone: the other modes' rows are zero and the Gram residual
+    is measured against the identity on the radial block.
     """
     spec = basis.spectrum
-    if spec.N != 3 and basis.max_degree() > 0:
+    lmax = basis.max_degree()
+    if radial:
+        rule = zonal_rule(spec.N, n_r, 1)
+    elif spec.N != 3 and lmax > 0:
         raise ConfigurationError(
             "nodal collocation with anisotropic modes requires N = 3"
         )
-    lmax = basis.max_degree()
-    rule = product_rule(spec.N, n_r, 2 * lmax + 10, 4 * lmax + 10)
+    else:
+        rule = product_rule(spec.N, n_r, 2 * lmax + 10, 4 * lmax + 10)
+    span = radial_modes(basis) if radial else np.ones(basis.size, dtype=bool)
     r = rule.radial.nodes_r
     radial_table = np.array([m.radial_profile(r) / m.norm_L for m in basis.modes])
     psi_k = ang.eval_psi_block(spec, rule.angular_dirs)[[m.j - 1 for m in basis.modes]]
+    # off the span both factors are zero (psi is not evaluable for l > 0 in N > 3)
+    radial_table[~span] = 0.0
+    psi_k[~span] = 0.0
     Phi = (radial_table[:, :, None] * psi_k[:, None, :]).reshape(basis.size, -1)
     angular_gram = (psi_k * rule.angular_weights) @ psi_k.T
     gram = (Phi * rule.weights) @ Phi.T
-    gram_residual = float(np.max(np.abs(gram - np.eye(basis.size))))
+    gram_residual = float(np.max(np.abs(gram - np.diag(span.astype(float)))))
     if gram_residual > 1e-4:
         raise QuadratureError(
             f"collocation Gram residual {gram_residual:.3e}: the shared-node "

@@ -1,6 +1,7 @@
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -243,6 +244,17 @@ def test_check_Hprime_second_order(basis0, col0):
         resid[dtau] = al.check_Hprime(al.frequency_trace(traj))
     order = math.log2(resid[0.008] / resid[0.004])
     assert abs(order - 2.0) < 0.1
+
+
+def test_check_Hprime_exact_for_quadratics():
+    # H = a + b t^2 on the geometric t grid of tau_grid: the three-point
+    # stencil is exact, while (H+ - H-)/(t+ - t-) is off by b (h2 - h1),
+    # about dtau^2/2 = 5e-5 relative to H' = 2 b t
+    taus, _ = ev.tau_grid(math.log(0.1), 0.01)
+    t = np.exp(taus[::-1])
+    a, b = 0.5, 2.0
+    trace = SimpleNamespace(t=t, H=a + b * t * t, D=b * t)
+    assert al.check_Hprime(trace) < 1e-9
 
 
 def test_scaling_identity(traj_mix, traj_pure, traj_exp):

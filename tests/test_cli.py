@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import shutil
@@ -152,24 +153,51 @@ def _csv_numbers(path):
     return np.array([[float(x) for x in l.split(",")] for l in lines[1:]])
 
 
-def test_committed_outputs_reproduce(tmp_path):
-    # out/ holds the configs/exp_linear.ini run; compare numbers, not bytes,
-    # because BLAS kernels round differently across CPUs
+def _assert_same_numbers(committed, fresh, where):
+    """Same keys and strings; numbers within 1e-12 absolute."""
+    if isinstance(committed, dict):
+        assert committed.keys() == fresh.keys(), where
+        for key, value in committed.items():
+            _assert_same_numbers(value, fresh[key], f"{where}/{key}")
+    elif isinstance(committed, list):
+        assert len(committed) == len(fresh), where
+        for i, (a, b) in enumerate(zip(committed, fresh)):
+            _assert_same_numbers(a, b, f"{where}[{i}]")
+    elif isinstance(committed, float):
+        assert abs(fresh - committed) <= 1e-12, where
+    else:
+        assert fresh == committed, where
+
+
+def test_committed_outputs_reproduce(tmp_path, monkeypatch):
+    # out/ holds the configs/exp_linear.ini run of simulate, beta and
+    # quadcheck, written to the config's own directory; compare numbers, not
+    # bytes, because BLAS kernels round differently across CPUs
     root = Path(__file__).resolve().parents[1]
     config = str(root / "configs" / "exp_linear.ini")
-    for cmd in ("simulate", "beta"):
-        assert main([cmd, "--config", config, "--out", str(tmp_path)]) == 0
-    committed = _csv_numbers(root / "out" / "trajectory.csv")
-    fresh = _csv_numbers(tmp_path / "trajectory.csv")
-    assert fresh.shape == committed.shape
-    np.testing.assert_allclose(fresh, committed, rtol=0.0, atol=1e-12)
-    freq = [json.loads((d / "frequency.json").read_text()) for d in (root / "out", tmp_path)]
-    assert freq[0]["fit"]["gamma_hat"] == freq[1]["fit"]["gamma_hat"]
-    beta = [json.loads((d / "beta.json").read_text()) for d in (root / "out", tmp_path)]
-    assert beta[0]["gamma"] == beta[1]["gamma"]
-    assert beta[0]["beta"]["beta"].keys() == beta[1]["beta"]["beta"].keys()
-    for mk, value in beta[0]["beta"]["beta"].items():
-        assert abs(beta[1]["beta"]["beta"][mk] - value) <= 1e-12
+    monkeypatch.chdir(tmp_path)
+    for cmd in ("simulate", "beta", "quadcheck"):
+        assert main([cmd, "--config", config]) == 0
+    committed, fresh = root / "out", tmp_path / "out"
+    names = sorted(p.name for p in committed.iterdir())
+    assert names == sorted(p.name for p in fresh.iterdir())
+    for name in names:
+        if name.endswith(".json"):
+            docs = [json.loads((d / name).read_text()) for d in (committed, fresh)]
+            # the hash of the csv bytes: checked against the committed file
+            sha = [doc.pop("rows_sha256", None) for doc in docs]
+            if sha[0] is not None:
+                blob = (committed / "trajectory.csv").read_bytes()
+                assert sha[0] == hashlib.sha256(blob).hexdigest()
+            _assert_same_numbers(docs[0], docs[1], name)
+        else:
+            # the metadata lines and the column header, then the numbers
+            head = [(d / name).read_text().splitlines() for d in (committed, fresh)]
+            head = [ls[:sum(l.startswith("#") for l in ls) + 1] for ls in head]
+            assert head[0] == head[1], name
+            a, b = _csv_numbers(committed / name), _csv_numbers(fresh / name)
+            assert a.shape == b.shape, name
+            np.testing.assert_allclose(b, a, rtol=0.0, atol=1e-12, err_msg=name)
 
 
 def _reject_constant(token):

@@ -390,9 +390,22 @@ def test_truncation_flag(basis0, col0):
         c0[k] = 1.0
         traj = ev.integrate_backward(basis0, c0, math.log(1e-3), 0.01,
                                      ev.PerturbationSpec.none(), col0)
-        ratio = traj.truncation_ratio()
+        ratio = float(traj.truncation_shares()[-1])
         assert (ratio > ev.TRUNCATION_FLAG) == flagged
         assert traj.metadata.get("truncation_flag") == (ratio if flagged else None)
+    # the flag reads the whole top shell, not the mode that sorts last: the
+    # shell's first (radial) mode carries the top-gamma mass here
+    top = np.flatnonzero(basis0.gammas == basis0.gammas.max())
+    assert top[0] != basis0.size - 1
+    c0 = np.zeros(basis0.size)
+    c0[0], c0[top[0]] = 1.0, 1.0
+    traj = ev.integrate_backward(basis0, c0, math.log(1e-2), 0.01,
+                                 ev.PerturbationSpec.none(), col0)
+    shares = traj.truncation_shares()
+    tg = traj.t ** basis0.gammas.max()
+    np.testing.assert_allclose(shares, tg / np.sqrt(1.0 + tg * tg), rtol=1e-14, atol=0.0)
+    assert shares.max() == shares[0] == pytest.approx(math.sqrt(0.5), rel=1e-15)
+    assert traj.metadata.get("truncation_flag") == shares[-1] > ev.TRUNCATION_FLAG
     # a non-radial nodal h inside its bound passes the admissibility check
     pert = ev.PerturbationSpec.linear(
         lambda x, t: 0.4 * x[:, 0] ** 2 / (1.0 + np.sum(x * x, axis=1)),

@@ -1,0 +1,201 @@
+"""The radial rule: runs that stay in the span of the degree-0 modes.
+
+Under a constant potential a semilinear or radial linear forcing maps radial
+functions to radial functions, so such a run is marched on the n_r-node
+radial rule.  These tests hold it against the product rule, check the
+fallbacks and the guard, and check the semilinear workload against the
+closed form of its Bernoulli ODE.
+"""
+
+import dataclasses
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from hardyheat import almgren as al
+from hardyheat import angular as ang
+from hardyheat import asymptotics as asym
+from hardyheat import cli
+from hardyheat import evolve as ev
+from hardyheat import ou_basis as ou
+from hardyheat.config import RunConfig, parse_initial, parse_perturbation
+from hardyheat.errors import ConfigurationError
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _config(path, **overrides):
+    cfg = RunConfig.from_file(str(ROOT / path))
+    for key, value in overrides.items():
+        setattr(cfg, key, value)
+    return cfg
+
+
+def _run(tmp_path, cfg, *commands):
+    cfg.directory = str(tmp_path)
+    path = tmp_path / "run.ini"
+    path.write_text(cfg.to_text())
+    for cmd in commands:
+        assert cli.main([cmd, "--config", str(path)]) == 0, cmd
+    return json.loads((tmp_path / "frequency.json").read_text())
+
+
+SEMILINEAR = "perfbench/workloads/semilinear.ini"
+# each case: the config and overrides of a run whose data and forcing keep
+# the radial span
+RADIAL_CASES = {
+    "semilinear": (SEMILINEAR, {}),
+    "two_radial_modes": (SEMILINEAR, {"initial": "modes:0=1.0,4=0.5"}),
+    "bounded_h": ("perfbench/workloads/bounded_h.ini", {}),
+}
+
+
+def _beta(cfg, spec, traj):
+    trace = al.frequency_trace(traj, cfg.fit_decades)
+    assert trace.snapped
+    _, J0 = ou.multiplicity(trace.gamma_hat, spec)
+    _, tables = asym.lambda_independence(traj, cfg.lambda_grid, J0, trace.gamma_hat)
+    return tables[0].beta
+
+
+@pytest.fixture(scope="module", params=sorted(RADIAL_CASES))
+def reduced_and_full(request):
+    """(cfg, spec, the CLI's trajectory, the same run on the product rule)."""
+    path, overrides = RADIAL_CASES[request.param]
+    cfg = _config(path, **overrides)
+    spec, basis = cli._spectrum_and_basis(cfg)
+    reduced = cli._trajectory(cfg, basis)
+    product = ou.build_collocation(basis, n_r=cfg.radial_nodes)
+    full = ev.integrate_backward(basis, parse_initial(cfg, basis), cfg.tau_min, cfg.dtau,
+                                 parse_perturbation(cfg), product)
+    return cfg, spec, reduced, full
+
+
+def test_reduced_run_matches_the_product_rule(reduced_and_full):
+    # measured: rows within 5.3e-19, beta bit for bit
+    cfg, spec, reduced, full = reduced_and_full
+    assert reduced.collocation.radial and not full.collocation.radial
+    assert reduced.metadata["collocation_rule"] == "radial"
+    assert reduced.metadata["collocation_nodes"] == cfg.radial_nodes
+    assert full.metadata["collocation_rule"] == "product"
+    assert not np.any(reduced.coeffs[:, ~ou.radial_modes(reduced.basis)])
+    assert np.max(np.abs(reduced.coeffs - full.coeffs)) <= 1e-15
+    beta, beta_full = _beta(cfg, spec, reduced), _beta(cfg, spec, full)
+    assert beta.keys() == beta_full.keys()
+    for mk, value in beta_full.items():
+        assert abs(beta[mk] - value) <= 1e-14 * abs(value)
+
+
+def test_radial_simulate_forces_on_one_direction(tmp_path, monkeypatch):
+    calls = []
+    counted = ev.forcing_coefficients
+    monkeypatch.setattr(
+        ev, "forcing_coefficients",
+        lambda t, c, pert, col, *a, **k: calls.append(len(col.rule.angular_weights))
+        or counted(t, c, pert, col, *a, **k),
+    )
+    cfg = _config(SEMILINEAR, tau_min=math.log(1e-2), dtau=0.01, radial_nodes=16)
+    doc = _run(tmp_path, cfg, "simulate")
+    assert (doc["collocation_rule"], doc["collocation_nodes"]) == ("radial", 16)
+    n = math.ceil(-cfg.tau_min / cfg.dtau - 1e-12)
+    assert len(calls) >= 4 * n + 4 * math.ceil(n / 2) + 2
+    assert set(calls) == {1}
+
+
+# runs outside the radial span: (config, overrides)
+PRODUCT_CASES = {
+    "non_radial_mode_in_c0": (SEMILINEAR, {"initial": "modes:0=1.0,1=0.5"}),
+    "anisotropic_potential": ("configs/anisotropic.ini", {}),
+    "unperturbed": (SEMILINEAR, {"perturbation": "none"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_CASES))
+def test_fallbacks_take_the_product_rule(name, tmp_path):
+    path, overrides = PRODUCT_CASES[name]
+    cfg = _config(path, tau_min=math.log(1e-2), dtau=0.01, **overrides)
+    _, basis = cli._spectrum_and_basis(cfg)
+    assert not ev.radial_invariant(basis, parse_perturbation(cfg), parse_initial(cfg, basis))
+    doc = _run(tmp_path, cfg, "simulate")
+    assert doc["collocation_rule"] == "product"
+    assert doc["collocation_nodes"] > cfg.radial_nodes
+
+
+def test_non_radial_h_takes_the_product_rule(basis0):
+    # a linear h given without h_radial may be any function of x
+    pert = ev.PerturbationSpec.linear(
+        lambda x, t: 0.1 / (1.0 + np.sum(x * x, axis=1)), 0.1, 1.0)
+    c0 = np.zeros(basis0.size)
+    c0[0] = 1.0
+    assert not ev.radial_invariant(basis0, pert, c0)
+    assert ev.radial_invariant(basis0, ev.PerturbationSpec.linear_bounded(0.1), c0)
+    traj = ev.integrate_backward(basis0, c0, math.log(0.5), 0.01, pert)
+    assert traj.metadata["collocation_rule"] == "product"
+
+
+def test_radial_collocation_guard(basis0):
+    col = ou.build_collocation(basis0, n_r=16, radial=True)
+    semi = ev.PerturbationSpec.semilinear(0.05, 2.0, 3)
+    c0 = np.zeros(basis0.size)
+    c0[0] = 1.0
+    traj = ev.integrate_backward(basis0, c0, math.log(0.5), 0.01, semi, col)
+    off = np.flatnonzero(~ou.radial_modes(basis0))
+    bad = c0.copy()
+    bad[off[0]] = 1e-300
+    with pytest.raises(ConfigurationError, match="radial"):
+        ev.integrate_backward(basis0, bad, math.log(0.5), 0.01, semi, col)
+    rows = traj.coeffs.copy()
+    rows[-1, off[-1]] = 1e-300
+    with pytest.raises(ConfigurationError, match="radial"):
+        ev.trajectory_from_rows(basis0, col, traj.tau, rows, semi, traj.dtau)
+    nodal = ev.PerturbationSpec.linear(lambda x, t: np.full(len(x), 0.1), 0.1, 1.0)
+    aniso = dataclasses.replace(basis0, spectrum=dataclasses.replace(
+        basis0.spectrum, potential=ang.AngularPotential.harmonic_table({(1, 0): 0.1})))
+    for basis, pert in ((basis0, nodal), (aniso, semi)):
+        for call in (lambda: ev.integrate_backward(basis, c0, math.log(0.5), 0.01, pert, col),
+                     lambda: ev.trajectory_from_rows(basis, col, traj.tau, traj.coeffs,
+                                                     pert, traj.dtau)):
+            with pytest.raises(ConfigurationError, match="radial"):
+                call()
+
+
+@pytest.mark.parametrize("N", (3, 4, 5))
+def test_radial_rule_in_every_dimension(N):
+    # l > 0 modes have no nodal table for N > 3, but the radial rule needs
+    # none: the ground mode follows its Bernoulli ODE, the rest stay zero
+    spec = ang.solve_angular(ang.AngularPotential.constant(0.0), K=40, N=N)
+    basis = ou.enumerate_modes(spec, 1.0)
+    assert basis.max_degree() > 0
+    p, eps = 1.5, 0.05
+    pert = ev.PerturbationSpec.semilinear(eps, p, N)
+    c0 = np.zeros(basis.size)
+    c0[0] = 1.0
+    traj = ev.integrate_backward(basis, c0, math.log(0.5), 0.01, pert)
+    assert traj.collocation.radial and traj.collocation.gram_residual < 1e-13
+    kappa = eps * ((4.0 * math.pi) ** (-N / 4.0)) ** (p - 1.0)
+    exact = (1.0 + (p - 1.0) * kappa * (traj.t - 1.0)) ** (1.0 / (1.0 - p))
+    np.testing.assert_allclose(traj.coeffs[:, 0], exact, rtol=1e-12, atol=0.0)
+    assert not np.any(traj.coeffs[:, ~ou.radial_modes(basis)])
+
+
+def test_semilinear_workload_bernoulli_beta(tmp_path):
+    # a = 0, c0 = V_0: dc/dtau = -e^tau kappa |c|^{p-1} c with
+    # kappa = eps V_0^{p-1}, so beta = [c0^{1-p} - (p-1) kappa]^{1/(1-p)}
+    cfg = _config(SEMILINEAR)
+    pert = parse_perturbation(cfg)
+    N, p = cfg.dimension, pert.p
+    kappa = pert.eps * ((4.0 * math.pi) ** (-N / 4.0)) ** (p - 1.0)
+    _, basis = cli._spectrum_and_basis(cfg)
+    c0 = parse_initial(cfg, basis)
+    assert np.count_nonzero(c0) == 1 and c0[0] > 0.0
+    exact = (c0[0] ** (1.0 - p) - (p - 1.0) * kappa) ** (1.0 / (1.0 - p))
+    freq = _run(tmp_path, cfg, "simulate", "beta")
+    doc = json.loads((tmp_path / "beta.json").read_text())
+    assert doc["gamma"] == 0.0 and list(doc["beta"]["beta"]) == ["0,1"]
+    # measured: 4.4e-15 (integral), 6.7e-11 (direct), |delta_hat - 1| 6e-8
+    assert abs(doc["beta"]["beta"]["0,1"] - exact) <= 1e-12 * exact
+    assert abs(doc["direct_limits"]["0,1"] - exact) <= 1e-9 * exact
+    assert abs(freq["fit"]["delta_hat"] - 1.0) < 1e-6
