@@ -188,7 +188,9 @@ def frequency_trace(
         )
         gamma_raw = float(Nv[0])
 
-    gammas = np.unique(np.round(traj.basis.gammas, 12))
+    # sorted distinct rounded gammas (np.unique would import numpy.ma)
+    gammas = np.sort(np.round(traj.basis.gammas, 12))
+    gammas = gammas[np.concatenate(([True], gammas[1:] != gammas[:-1]))]
     nearest = float(gammas[np.argmin(np.abs(gammas - gamma_raw))])
     snapped = abs(nearest - gamma_raw) <= SNAP_TOL
     if snapped:

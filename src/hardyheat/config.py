@@ -106,7 +106,9 @@ class RunConfig:
         return out.getvalue()
 
     def content_hash(self) -> str:
-        return hashlib.sha256(self.to_text().encode()).hexdigest()[:16]
+        """Hash of the config text without its output directory, so a run
+        keeps one hash wherever it is written or moved."""
+        return hashlib.sha256(replace(self, directory="").to_text().encode()).hexdigest()[:16]
 
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":

@@ -11,13 +11,12 @@ by the Sobolev quotient, over reproducible randomized families:
                                                     + (N/4) int u^2 G
   sobolev         :  (int |u|^s G^{s/2})^{2/s} / (t^{-(N/s)(s-2)/2} ||u||_Ht^2)
 
-``member_values`` evaluates any of them on one member from one sampling per
-rule and time; ``sweep`` runs the named ones over a family in one pass.
-The rules come from ``rule_pair``.  A Gaussian bump is zonal about its own
-axis, so with an absent or constant potential its sweeps run in any N on
-the zonal rule, sampled rotated onto e1; every other sweep is N = 3 on the
-full product cubature.  Bump centers are drawn with density ~ 1/r in
-radius to stress the Hardy singularity.
+``sweep`` runs the named ones over a family in one pass.  Gaussian bumps
+(centers drawn with density ~ 1/r in radius to stress the Hardy
+singularity) and the near-extremal power family take closed forms under an
+absent or constant potential, in any N; every other sweep is quadrature on
+the N = 3 full product cubature of ``rule_pair``, one ``member_values`` per
+member.
 
 The module also estimates the coercivity infimum of the shifted quadratic
 form, in both quotient normalizations (the equivalence-of-norms one and
@@ -34,7 +33,8 @@ import numpy as np
 from . import angular as ang
 from .errors import ConfigurationError, InvariantViolationError
 from .ou_basis import OUBasis, eval_grad_V, eval_V, hardy_matrix, potential_coupling_matrix
-from .quadrature import product_rule, zonal_rule
+from .quadrature import product_rule, sphere_area
+from .specfun import hyp1f1_one
 
 GAP_SLACK = 1e-10  # violations are gap < -GAP_SLACK * scale
 SOBOLEV_EXPONENT = 2.5  # the s of the Sobolev quotient in sweeps
@@ -45,7 +45,7 @@ INEQUALITIES = ("hardy_parabolic", "hardy_anisotropic", "x2_bound", "sobolev")
 
 @dataclass(frozen=True)
 class GaussianBump:
-    """u(x) = exp(-|x - b e|^2 / (2 w^2)); zonal about its own axis e."""
+    """u(x) = exp(-|x - b e|^2 / (2 w^2)) about the unit axis e."""
 
     b: float
     w: float
@@ -59,9 +59,18 @@ class GaussianBump:
         u = self.value(x)  # one exponential for both
         return u, -((x - self.b * self.axis) / self.w**2) * u[..., None]
 
-    def about_e1(self) -> "GaussianBump":
-        """The same bump rotated onto the axis e1, where zonal rules sample it."""
-        return GaussianBump(self.b, self.w, np.eye(len(self.axis))[0])
+
+@dataclass(frozen=True)
+class PowerGaussian:
+    """u(x) = |x|^{-beta} exp(-kappa |x|^2), beta < (N-2)/2; closed forms only.
+
+    Near equality in both Hardy inequalities as beta -> (N-2)/2 and
+    kappa -> 0: at kappa = 0 the parabolic right side exceeds the left by
+    the factor 1 + eps^2 / hardy_constant(N), eps = (N-2)/2 - beta.
+    """
+
+    beta: float
+    kappa: float
 
 
 _MONOMIALS3 = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
@@ -119,7 +128,7 @@ class BasisModeFunction:
 class TestFamily:
     """Reproducible generator description for a randomized sweep."""
 
-    kind: str          # 'bumps' | 'polygauss' | 'modes'
+    kind: str          # 'bumps' | 'power' | 'polygauss' | 'modes'
     N: int
     count: int
     seed: int
@@ -134,6 +143,11 @@ class TestFamily:
                 axis = rng.normal(size=self.N)
                 axis /= np.linalg.norm(axis)
                 yield GaussianBump(b, w, axis)
+        elif self.kind == "power":
+            for _ in range(self.count):
+                eps = math.exp(rng.uniform(math.log(1e-3), math.log(0.1)))
+                kappa = math.exp(rng.uniform(math.log(1e-4), math.log(1.0)))
+                yield PowerGaussian((self.N - 2) / 2.0 - eps, kappa)
         elif self.kind == "polygauss":
             if self.N != 3:
                 raise ConfigurationError("polynomial-x-Gaussian family is N=3 only")
@@ -149,18 +163,78 @@ class TestFamily:
             raise ConfigurationError(f"unknown family kind {self.kind!r}")
 
 
-# -- sampling and integrals ----------------------------------------------------
+# -- integrals ----------------------------------------------------------------
+#
+# Every value below is built from the integrals against G(., t), keyed
+#   u2 = int u^2,  grad2 = int |grad u|^2,  hardy = int u^2/|x|^2,
+#   a_hardy = int a u^2/|x|^2 (a the angular potential),
+#   sob = int |u|^s G^{s/2 - 1} (that is int |u|^s G^{s/2} dx),
+# and, at t = 1 for the |x|^2 bound, u2_1, grad2_1 and r2u2_1 = int |x|^2 u^2.
 
-def rule_pair(N: int, n_r: int = 48, zonal: bool = False) -> tuple:
-    """(plain, hardy) cubature pair: zonal in any N >= 3, or full for N = 3.
+def hardy_constant(N: int) -> float:
+    """The sharp constant (N-2)^2/4 of both Hardy inequalities."""
+    return (N - 2) ** 2 / 4.0
+
+
+def bump_integrals(b, w, t: float, N: int, s: float = SOBOLEV_EXPONENT) -> dict:
+    """Every integral but a_hardy of the bumps exp(-|x - b e|^2 / (2 w^2)),
+    in closed form, elementwise over the arrays b and w.
+
+    With a = 1/w^2 + 1/(4t), u^2 G is a Gaussian of mean m e, m = b/(w^2 a),
+    and variance 1/(2a) per coordinate, of mass
+    M0 = (pi/(a t))^{N/2} exp(-(b/w)^2 q), q = 1 - 1/(w^2 a) = 1/(4 t a):
+    - grad2 = M0 w^-4 (N/(2a) + b^2 q^2);
+    - hardy = M0 (2a/(N-2)) 1F1(1; N/2; -a m^2), the inverse moment of a
+      noncentral chi-square (Johnson, Kotz & Balakrishnan, ch. 29);
+    - r2u2 = M0 (N/(2a) + m^2);
+    - sob = t^{-Ns/4} (2 pi/(s a))^{N/2} exp(-(s/2)(b/w)^2 q).
+    """
+    b, w = np.asarray(b, dtype=float), np.asarray(w, dtype=float)
+
+    def gaussian(t):
+        a = 1.0 / w**2 + 1.0 / (4.0 * t)
+        q = 1.0 / (4.0 * t * a)
+        return a, q, (math.pi / (a * t)) ** (N / 2.0) * np.exp(-(b / w) ** 2 * q)
+
+    a, q, u2 = gaussian(t)
+    a1, q1, u2_1 = gaussian(1.0)
+    return {
+        "u2": u2,
+        "grad2": u2 / w**4 * (N / (2.0 * a) + (b * q) ** 2),
+        "hardy": u2 * (2.0 * a / (N - 2)) * hyp1f1_one(N / 2.0, b**2 / (w**4 * a)),
+        "sob": t ** (-N * s / 4.0) * (2.0 * math.pi / (s * a)) ** (N / 2.0)
+        * np.exp(-(s / 2.0) * (b / w) ** 2 * q),
+        "u2_1": u2_1,
+        "grad2_1": u2_1 / w**4 * (N / (2.0 * a1) + (b * q1) ** 2),
+        "r2u2_1": u2_1 * (N / (2.0 * a1) + (b / (w**2 * a1)) ** 2),
+    }
+
+
+def power_integrals(beta, kappa, t: float, N: int) -> dict:
+    """u2, grad2 and hardy of u = |x|^{-beta} exp(-kappa |x|^2), beta < (N-2)/2,
+    elementwise over the arrays beta and kappa.
+
+    With c = 2 kappa + 1/(4t), m = N - 2 beta and J(p) = Gamma(p/2) / (2 c^{p/2}),
+    each is |S^{N-1}| t^{-N/2} times: u2 = J(m), hardy = J(m-2) and
+    grad2 = beta^2 J(m-2) + 4 beta kappa J(m) + 4 kappa^2 J(m+2).
+    """
+    beta, kappa = np.asarray(beta, dtype=float), np.asarray(kappa, dtype=float)
+    c = 2.0 * kappa + 1.0 / (4.0 * t)
+    half = (N - 2.0 * beta - 2.0) / 2.0  # (m - 2)/2 > 0
+    scale = sphere_area(N) * t ** (-N / 2.0)
+    hardy = scale * np.vectorize(math.gamma)(half) / (2.0 * c**half)
+    u2 = hardy * half / c
+    grad2 = beta**2 * hardy + 4.0 * beta * kappa * u2 + 4.0 * kappa**2 * u2 * (half + 1.0) / c
+    return {"u2": u2, "grad2": grad2, "hardy": hardy}
+
+
+def rule_pair(N: int, n_r: int = 48) -> tuple:
+    """(plain, hardy) full product cubature pair; N = 3 only.
 
     The 1/|x|^2 integrands carry an s^{-1} factor relative to the surface
     Jacobian; the hardy twin's exponent a_GL = N/2 - 2 restores exactness
-    there, while everything regular uses the plain N/2 - 1 rule.  The zonal
-    pair takes members with an ``about_e1`` copy (the bumps) only.
+    there, while everything regular uses the plain N/2 - 1 rule.
     """
-    if zonal:
-        return zonal_rule(N, n_r, 28), zonal_rule(N, n_r, 28, a_gl=N / 2.0 - 2.0)
     if N != 3:
         raise ConfigurationError(f"the full cubature pair is N = 3 only, got N = {N}; "
                                  "other N take bumps under a constant potential")
@@ -168,15 +242,7 @@ def rule_pair(N: int, n_r: int = 48, zonal: bool = False) -> tuple:
 
 
 def _sample(member, rule, t: float, grad: bool = True):
-    """(u, |grad u|^2 or None, |x|^2) at the nodes of ``rule`` at time t.
-
-    A zonal rule samples the member's copy about e1 and rejects a member
-    that has none.
-    """
-    if rule.zonal:
-        if not hasattr(member, "about_e1"):
-            raise ConfigurationError(f"{member!r} is not zonal; a zonal rule cannot take it")
-        member = member.about_e1()
+    """(u, |grad u|^2 or None, |x|^2) at the nodes of ``rule`` at time t."""
     pts = math.sqrt(t) * rule.points
     if not grad:
         return np.asarray(member.value(pts), dtype=float), None, t * rule.radii**2
@@ -184,65 +250,113 @@ def _sample(member, rule, t: float, grad: bool = True):
     return u, np.sum(g * g, axis=-1), t * rule.radii**2
 
 
+def _rule_integrals(want: set, member, t: float, rules: tuple, spec, s: float) -> dict:
+    """The integrals ``want`` needs, by quadrature on the rule pair.
+
+    The member is sampled at most once per rule and time: the plain rule at
+    t, the plain rule at t = 1 (the |x|^2 bound) and the singular twin at t.
+    The potential term is nodal.
+    """
+    plain, twin = rules
+    out = {}
+    if "x2_bound" in want:
+        u, g2, r2 = _sample(member, plain, 1.0)
+        out.update(u2_1=plain.integrate(u * u), grad2_1=plain.integrate(g2),
+                   r2u2_1=plain.integrate(r2 * (u * u)))
+    if want & {"hardy_parabolic", "hardy_anisotropic", "sobolev"}:
+        u, g2, _ = _sample(member, plain, t)
+        out.update(u2=plain.integrate(u * u), grad2=plain.integrate(g2))
+    if want & {"hardy_parabolic", "hardy_anisotropic"}:
+        uh, _, r2h = _sample(member, twin, t, grad=False)
+        out["hardy"] = twin.integrate(uh * uh / r2h)
+    if "hardy_anisotropic" in want:
+        a = np.tile(spec.potential.evaluate(twin.angular_dirs), twin.radial.count)
+        out["a_hardy"] = twin.integrate(a * uh * uh / r2h)
+    if "sobolev" in want:
+        # G^{s/2 - 1} at the scaled nodes; the base radius is t-invariant
+        Gpow = (t ** (-plain.N / 2.0) * np.exp(-plain.radii**2 / 4.0)) ** (s / 2.0 - 1.0)
+        out["sob"] = plain.integrate(np.abs(u) ** s * Gpow)
+    return out
+
+
 # -- verifiers ---------------------------------------------------------------
+
+def _check_request(inequalities, N: int, s: float) -> None:
+    unknown = sorted(set(inequalities) - set(INEQUALITIES))
+    if unknown:
+        raise ConfigurationError(f"unknown inequality {unknown[0]!r}; names: {INEQUALITIES}")
+    if "sobolev" in inequalities and not 2.0 <= s <= 2.0 * N / (N - 2):
+        raise ConfigurationError(f"s={s} outside [2, 2N/(N-2)]")
+
+
+def _values(inequalities, ints: dict, t: float, N: int, spec, s: float) -> dict:
+    """Each requested inequality's (gap, scale), or the Sobolev quotient, from
+    the integrals ``ints``: scalars for one member, arrays for many.
+
+    ``spec`` supplies mu_1 of the anisotropic form.
+    """
+    out = {}
+    for name in inequalities:
+        if name == "x2_bound":
+            rhs = ints["grad2_1"] + N / 4.0 * ints["u2_1"]
+            out[name] = (rhs - ints["r2u2_1"] / 16.0, abs(rhs))
+        elif name == "hardy_parabolic":
+            rhs = ((N - 2) / (4.0 * t) * ints["u2"] + ints["grad2"]) / hardy_constant(N)
+            out[name] = (rhs - ints["hardy"], abs(rhs))
+        elif name == "hardy_anisotropic":
+            lhs = (float(spec.eigenvalues[0]) + hardy_constant(N)) * ints["hardy"]
+            rhs = ints["grad2"] - ints["a_hardy"] + (N - 2) / (4.0 * t) * ints["u2"]
+            out[name] = (rhs - lhs, abs(rhs) + abs(lhs))
+        else:
+            out[name] = ints["sob"] ** (2.0 / s) / (
+                t ** (-(N / s) * (s - 2.0) / 2.0) * (t * ints["grad2"] + ints["u2"]))
+    return out
+
+
+def _gate(inequalities, values: dict) -> None:
+    """Raise on the first member, then the first inequality in the order of
+    ``inequalities``, whose gap is below the relative slack."""
+    names = [name for name in inequalities if name != "sobolev"]
+    gaps = [np.atleast_1d(values[name][0]) for name in names]
+    scales = [np.atleast_1d(values[name][1]) for name in names]
+    low = np.array([g < -GAP_SLACK * sc for g, sc in zip(gaps, scales)])
+    if low.any():
+        i = int(np.argmax(low.any(axis=0)))
+        k = int(np.argmax(low[:, i]))
+        raise InvariantViolationError(
+            f"{names[k]} violated: gap {float(gaps[k][i])} vs slack "
+            f"{-GAP_SLACK * float(scales[k][i])} (signals an integration bug)"
+        )
+
 
 def member_values(inequalities, member, t: float, rules: tuple,
                   spec: ang.AngularSpectrum | None = None,
                   s: float = SOBOLEV_EXPONENT) -> dict:
-    """Each requested inequality's gated (gap, scale), or the Sobolev quotient.
+    """Each requested inequality's gated (gap, scale), or the Sobolev quotient,
+    by quadrature.
 
-    ``rules`` comes from :func:`rule_pair`; ``spec`` supplies mu_1 and the
-    potential of the anisotropic form.  The member is sampled at most once
-    per rule and time: the plain rule at t, the plain rule at t = 1 (the
-    |x|^2 bound) and the singular twin at t.  The potential term is nodal.
-    Gaps are gated in the order of ``inequalities``.
+    ``rules`` is a (plain, hardy twin) pair such as :func:`rule_pair`'s;
+    ``spec`` supplies mu_1 and the potential of the anisotropic form.  The
+    member is sampled at most once per rule and time.  Gaps are gated in the
+    order of ``inequalities``.
     """
-    want = set(inequalities)
-    unknown = sorted(want - set(INEQUALITIES))
-    if unknown:
-        raise ConfigurationError(f"unknown inequality {unknown[0]!r}; names: {INEQUALITIES}")
-    plain, twin = rules
-    N = plain.N
-    if "sobolev" in want and not 2.0 <= s <= 2.0 * N / (N - 2):
-        raise ConfigurationError(f"s={s} outside [2, 2N/(N-2)]")
-    out = {}
-    if "x2_bound" in want:
-        u, g2, r2 = _sample(member, plain, 1.0)
-        rhs = plain.integrate(g2) + N / 4.0 * plain.integrate(u * u)
-        out["x2_bound"] = (rhs - plain.integrate(r2 * (u * u)) / 16.0, abs(rhs))
-    if want & {"hardy_parabolic", "hardy_anisotropic", "sobolev"}:
-        u, g2, _ = _sample(member, plain, t)
-        u2, grad2 = plain.integrate(u * u), plain.integrate(g2)
-    if want & {"hardy_parabolic", "hardy_anisotropic"}:
-        uh, _, r2h = _sample(member, twin, t, grad=False)
-        u2_over_r2 = twin.integrate(uh * uh / r2h)
-    if "hardy_parabolic" in want:
-        rhs = u2 / ((N - 2) * t) + 4.0 / (N - 2) ** 2 * grad2
-        out["hardy_parabolic"] = (rhs - u2_over_r2, abs(rhs))
-    if "hardy_anisotropic" in want:
-        a = np.tile(spec.potential.evaluate(twin.angular_dirs), twin.radial.count)
-        a_u2_over_r2 = twin.integrate(a * uh * uh / r2h)
-        lhs = (float(spec.eigenvalues[0]) + (N - 2) ** 2 / 4.0) * u2_over_r2
-        rhs = grad2 - a_u2_over_r2 + (N - 2) / (4.0 * t) * u2
-        out["hardy_anisotropic"] = (rhs - lhs, abs(rhs) + abs(lhs))
-    if "sobolev" in want:
-        # G^{s/2 - 1} at the scaled nodes; the base radius is t-invariant
-        Gpow = (t ** (-N / 2.0) * np.exp(-plain.radii**2 / 4.0)) ** (s / 2.0 - 1.0)
-        num = plain.integrate(np.abs(u) ** s * Gpow) ** (2.0 / s)
-        out["sobolev"] = num / (t ** (-(N / s) * (s - 2.0) / 2.0) * (t * grad2 + u2))
-    for name in inequalities:
-        if name == "sobolev":
-            continue
-        gap, scale = out[name]
-        if gap < -GAP_SLACK * scale:
-            raise InvariantViolationError(
-                f"{name} violated: gap {gap} vs slack {-GAP_SLACK * scale} "
-                "(signals a quadrature bug)"
-            )
+    N = rules[0].N
+    _check_request(inequalities, N, s)
+    ints = _rule_integrals(set(inequalities), member, t, rules, spec, s)
+    out = _values(inequalities, ints, t, N, spec, s)
+    _gate(inequalities, out)
     return out
 
 
 # -- family sweeps ------------------------------------------------------------
+
+def _closed_integrals(kind: str, members: list, t: float, N: int) -> dict:
+    if kind == "bumps":
+        return bump_integrals(np.array([m.b for m in members]),
+                              np.array([m.w for m in members]), t, N)
+    return power_integrals(np.array([m.beta for m in members]),
+                           np.array([m.kappa for m in members]), t, N)
+
 
 def sweep(
     inequalities,
@@ -256,56 +370,67 @@ def sweep(
 
     Raises InvariantViolationError on any gap below the relative slack, and
     PositivityError before the first member when an anisotropic sweep's
-    spectrum fails positivity.  The rules come from :func:`rule_pair`: the
-    zonal pair for bumps under an absent or constant potential, else the
-    full pair.  Each member goes through :func:`member_values` once.  A
-    Sobolev sweep first checks the rule on the centred bump
-    exp(-|x|^2 / 4t), whose quotient has a closed form independent of t,
-    to GAP_SLACK relative.
+    spectrum fails positivity.  Bumps and power members under an absent or
+    constant potential take closed forms in any N, vectorized over the
+    family and sampling no node; every other sweep is quadrature on the
+    N = 3 :func:`rule_pair`, one :func:`member_values` per member.  A Sobolev
+    sweep first checks its path on the centred bump exp(-|x|^2 / 4t), whose
+    quotient has an independent closed form free of t, to GAP_SLACK relative.
     """
     N = family.N
-    zonal = family.kind == "bumps"
+    _check_request(inequalities, N, SOBOLEV_EXPONENT)
+    potential = None
     if "hardy_anisotropic" in inequalities:
         if spec is None:
             raise ConfigurationError("anisotropic sweep needs an angular spectrum")
         ang.require_positivity(spec)
-        zonal = zonal and spec.potential.is_constant
-    rules = rule_pair(N, n_r, zonal)
+        potential = spec.potential
+    closed = family.kind in ("bumps", "power") and (potential is None or potential.is_constant)
+    if family.kind == "power" and not (
+            closed and set(inequalities) <= {"hardy_parabolic", "hardy_anisotropic"}):
+        raise ConfigurationError("the power family has the two Hardy inequalities only, "
+                                 "under an absent or constant potential")
+    rules = None if closed else rule_pair(N, n_r)
+
+    def evaluate(names, members):
+        if not closed:
+            rows = [member_values(names, m, t, rules, spec) for m in members]
+            return {name: np.array([row[name] for row in rows]).T for name in names}
+        ints = _closed_integrals(family.kind, members, t, N)
+        if potential is not None:
+            ints["a_hardy"] = potential.value * ints["hardy"]
+        values = _values(names, ints, t, N, spec, SOBOLEV_EXPONENT)
+        _gate(names, values)
+        return values
+
     if "sobolev" in inequalities:
         s = SOBOLEV_EXPONENT
         exact = (8.0 * math.pi / (3.0 * s)) ** (N / s) / (
             (1.0 + N / 6.0) * (4.0 * math.pi / 3.0) ** (N / 2.0))
         centred = GaussianBump(0.0, math.sqrt(2.0 * t), np.eye(N)[0])
-        got = member_values(("sobolev",), centred, t, rules)["sobolev"]
+        got = float(evaluate(("sobolev",), [centred])["sobolev"][0])
         if abs(got - exact) > GAP_SLACK * exact:
             raise InvariantViolationError(
                 f"Sobolev quotient of the centred bump {got} misses its closed form "
-                f"{exact} by over {GAP_SLACK} relative (quadrature bug, or n_r = {n_r} too coarse)"
+                f"{exact} by over {GAP_SLACK} relative (integration bug, or n_r = {n_r} "
+                "too coarse)"
             )
 
-    min_head = dict.fromkeys(inequalities, math.inf)
-    argmin = dict.fromkeys(inequalities)
-    ratios = []
-    for i, member in enumerate(family.members(basis)):
-        values = member_values(inequalities, member, t, rules, spec)
-        for name in inequalities:
-            if name == "sobolev":
-                ratios.append(values[name])
-                continue
-            gap, scale = values[name]
-            head = gap / scale if scale > 0 else math.inf
-            if head < min_head[name]:
-                min_head[name], argmin[name] = head, f"member #{i} ({member!r})"
+    members = list(family.members(basis))
+    values = evaluate(inequalities, members)
     reports = []
     for name in inequalities:
         report = {"inequality": name, "family": family.kind, "N": N,
                   "count": family.count, "seed": family.seed, "t": t}
         if name == "sobolev":
-            report["sup_ratio"] = float(np.max(ratios))
-            report["mean_ratio"] = float(np.mean(ratios))
+            report["sup_ratio"] = float(np.max(values[name]))
+            report["mean_ratio"] = float(np.mean(values[name]))
         else:
-            report["min_relative_gap"] = min_head[name]
-            report["argmin"] = argmin[name]
+            gap, scale = values[name]
+            head = np.divide(gap, scale, out=np.full(len(gap), math.inf), where=scale > 0)
+            i = int(np.argmin(head))
+            report["min_relative_gap"] = float(head[i])
+            report["argmin"] = f"member #{i} ({members[i]!r})" if head[i] < math.inf else None
         reports.append(report)
     return reports
 

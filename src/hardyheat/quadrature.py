@@ -204,8 +204,7 @@ class ProductRule:
 
     The weights factor as weights[i * n_ang + a] = radial_weights[i] *
     angular_weights[a] (up to rounding), radial node i outermost.  A
-    ``zonal`` rule (see :func:`zonal_rule`) is exact only for integrands
-    zonal about e1.
+    :func:`zonal_rule` is exact only for integrands zonal about e1.
     """
 
     N: int
@@ -215,7 +214,6 @@ class ProductRule:
     points: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
     radial_weights: np.ndarray = field(repr=False)
-    zonal: bool = False
 
     @property
     def radii(self) -> np.ndarray:
@@ -239,8 +237,7 @@ def _check_unit_mass(rule: ProductRule) -> None:
         )
 
 
-def _radial_x_angular(N: int, n_r: int, a_gl: float | None, dirs, aw,
-                      zonal: bool = False) -> ProductRule:
+def _radial_x_angular(N: int, n_r: int, a_gl: float | None, dirs, aw) -> ProductRule:
     """The Gauss-Laguerre rule in s = r^2/4 times the angular rule (dirs, aw)."""
     if a_gl is None:
         a_gl = N / 2.0 - 1.0
@@ -260,7 +257,7 @@ def _radial_x_angular(N: int, n_r: int, a_gl: float | None, dirs, aw,
     weights = np.ascontiguousarray(weights)
     weights.setflags(write=False)
     radial_weights.setflags(write=False)
-    rule = ProductRule(N, radial, dirs, aw, points, weights, radial_weights, zonal)
+    rule = ProductRule(N, radial, dirs, aw, points, weights, radial_weights)
     if a_gl == N / 2.0 - 1.0:
         _check_unit_mass(rule)
     return rule
@@ -300,7 +297,7 @@ def zonal_rule(
     c, wc = polar_rule(N, n_polar)
     dirs = np.zeros((len(c), N))
     dirs[:, 0], dirs[:, 1] = c, np.sqrt(1.0 - c**2)
-    return _radial_x_angular(N, n_r, a_gl, dirs, sphere_area(N - 1) * wc, zonal=True)
+    return _radial_x_angular(N, n_r, a_gl, dirs, sphere_area(N - 1) * wc)
 
 
 def integrate_G(f, t: float, rule: ProductRule) -> float:

@@ -10,8 +10,9 @@ together with the exponent map
 
     alpha(mu) = (N-2)/2 - sqrt(((N-2)/2)^2 + mu)
 
-and the eigenvalue ladder gamma = m - alpha/2.  Everything here is pure
-and stateless.
+and the eigenvalue ladder gamma = m - alpha/2.  The inequality sweeps take
+the non-terminating 1F1(1; c; -z) of :func:`hyp1f1_one`.  Everything here
+is pure and stateless.
 """
 
 from __future__ import annotations
@@ -99,3 +100,25 @@ def p_poly(n: int, alpha_j: float, N: int) -> Polynomial:
         num *= (-n) + i
         den *= (b + i) * (i + 1)
     return Polynomial(tuple(coeffs))
+
+
+def hyp1f1_one(c: float, z):
+    """Kummer's 1F1(1; c; -z) for c > 1 and 0 <= z < 700, elementwise.
+
+    Kummer's transformation (Abramowitz & Stegun 13.1.27) turns it into
+    (c - 1) sum_k e^{-z} z^k / (k! (c - 1 + k)), a Poisson(z) mean of
+    1 / (c - 1 + k) times c - 1: positive terms, so no cancellation.  Past
+    k = 2z each term is at least twice the next, and the sum stops once
+    every term is below 2^-56 of its sum.  e^{-z} underflows for z > 745.
+    """
+    z = np.asarray(z, dtype=float)
+    p = np.exp(-z)  # the Poisson(z) probability of k
+    total = p / (c - 1.0)
+    k, z_max = 0, float(np.max(z, initial=0.0))
+    while True:
+        k += 1
+        p = p * z / k
+        term = p / (c - 1.0 + k)
+        total = total + term
+        if k >= 2.0 * z_max and np.all(term <= 2.0**-56 * total):
+            return (c - 1.0) * total

@@ -351,11 +351,11 @@ def test_cmd_verify_small(tmp_path):
 
 
 def test_cmd_verify_rejects_dimension_before_sweeps(tmp_path, monkeypatch, capsys):
-    # s = 2.5 needs N <= 10: exit 2 before any member is sampled
+    # s = 2.5 needs N <= 10: exit 2 before any sweep starts
     from hardyheat import inequalities
 
     calls = []
-    monkeypatch.setattr(inequalities, "_sample", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(inequalities, "sweep", lambda *a, **k: calls.append(a))
     path, _ = write_config(tmp_path, sweep_dims=(3, 11), sweep_count=5,
                            directory=str(tmp_path))
     assert main(["verify", "--config", path]) == 2
@@ -482,6 +482,24 @@ def test_beta_reuses_simulate_trajectory(tmp_path, monkeypatch, capsys, name):
     assert "not reused" in capsys.readouterr().err
     for fname, blob in reused.items():
         assert (out / fname).read_bytes() == blob
+
+
+def test_config_hash_leaves_out_the_output_directory(tmp_path, monkeypatch, capsys):
+    # the directory says where a run is written, not what it computes: two
+    # configs differing only there hash equal (and still serialize apart),
+    # and beta reuses a trajectory moved to another directory
+    here, there = RunConfig(), RunConfig(directory="elsewhere")
+    assert here.content_hash() == there.content_hash()
+    assert RunConfig.from_text(there.to_text()).directory == "elsewhere"
+    assert here.content_hash() != RunConfig(seed=here.seed + 1).content_hash()
+    path, out = _simulated(tmp_path, "linear_bounded")
+    moved = tmp_path / "moved"
+    shutil.move(str(out), str(moved))
+    capsys.readouterr()
+    calls = _count_work(monkeypatch)
+    assert main(["beta", "--config", path, "--out", str(moved)]) == 0
+    assert calls["march"] == 0
+    assert "rebuilt from trajectory.csv" in capsys.readouterr().err
 
 
 # semilinear forcing down to t = 1e-2 only: a march of well under a second

@@ -36,12 +36,19 @@ class RescaledFunction:
         u, g = self.member.value_grad(x / math.sqrt(self.tau))
         return u, g / math.sqrt(self.tau)
 
-    def about_e1(self):
-        return RescaledFunction(self.member.about_e1(), self.tau)
-
 
 def gap_of(name, member, t, rules, spec=None):
     return ineq.member_values((name,), member, t, rules, spec)[name][0]
+
+
+def zonal_pair(N, n_r=48, n_polar=28):
+    """The plain and singular-twin zonal rules: exact for integrands zonal
+    about e1, such as a bump on the axis e1."""
+    return quad.zonal_rule(N, n_r, n_polar), quad.zonal_rule(N, n_r, n_polar, a_gl=N / 2.0 - 2.0)
+
+
+def on_e1(bump):
+    return ineq.GaussianBump(bump.b, bump.w, np.eye(len(bump.axis))[0])
 
 
 def test_hardy_parabolic_constant_oracle():
@@ -53,36 +60,33 @@ def test_hardy_parabolic_constant_oracle():
 @pytest.mark.parametrize("N", [3, 4])
 def test_hardy_parabolic_scaling_relation(N):
     # gap(u(./sqrt(tau)), t tau) = gap(u, t)/tau exactly at quadrature level,
-    # on the full rule (N = 3) and on the zonal one (N = 4)
-    axis = np.zeros(N)
-    axis[-1] = 1.0
-    bump = ineq.GaussianBump(0.5, 0.8, axis)
-    rules = ineq.rule_pair(N, zonal=N != 3)
+    # on the full rule (N = 3) and on the zonal one (N = 4), and in closed
+    # form, where u(./sqrt(tau)) is the bump of center and width times sqrt(tau)
+    bump = ineq.GaussianBump(0.5, 0.8, np.eye(N)[0])
+    rules = ineq.rule_pair(N) if N == 3 else zonal_pair(N)
     g1 = gap_of("hardy_parabolic", bump, 1.0, rules)
     tau = 2.2
     g2 = gap_of("hardy_parabolic", RescaledFunction(bump, tau), tau, rules)
     np.testing.assert_allclose(g2, g1 / tau, rtol=1e-12)
+    closed = [ineq._values(("hardy_parabolic",), ineq.bump_integrals(b, w, t, N), t, N, None,
+                           ineq.SOBOLEV_EXPONENT)["hardy_parabolic"][0]
+              for b, w, t in ((0.5, 0.8, 1.0), (0.5 * math.sqrt(tau), 0.8 * math.sqrt(tau), tau))]
+    np.testing.assert_allclose(closed[1], closed[0] / tau, rtol=1e-12)
 
 
 def test_zonal_rules_match_full_rules():
     # every value of the zonal reduction, singular twin and nodal potential
-    # term included, against the full cubature on an N = 3 bump with an
-    # oblique axis; measured within 5.1e-16 relative
+    # term included, on the same bump about e1, against the full cubature on
+    # an N = 3 bump with an oblique axis; measured within 5.1e-16 relative
     axis = np.array([0.3, -0.5, 0.8])
     bump = ineq.GaussianBump(0.6, 0.9, axis / np.linalg.norm(axis))
-    full, zonal = ineq.rule_pair(3, zonal=False), ineq.rule_pair(3, zonal=True)
-    assert not any(rule.zonal for rule in full) and all(rule.zonal for rule in zonal)
     spec = ang.solve_angular(ang.AngularPotential.constant(0.1), K=4, N=3)
     for t in (1.0, 0.4):
-        vf = ineq.member_values(ineq.INEQUALITIES, bump, t, full, spec)
-        vz = ineq.member_values(ineq.INEQUALITIES, bump, t, zonal, spec)
+        vf = ineq.member_values(ineq.INEQUALITIES, bump, t, ineq.rule_pair(3), spec)
+        vz = ineq.member_values(ineq.INEQUALITIES, on_e1(bump), t, zonal_pair(3), spec)
         assert list(vf) == list(vz) and set(vf) == set(ineq.INEQUALITIES)
         for name in ineq.INEQUALITIES:
             np.testing.assert_allclose(vz[name], vf[name], rtol=1e-12, err_msg=name)
-    # a member that is not zonal about its own axis has no place on a zonal rule
-    poly = ineq.PolyGaussian((1.0, 0.2, 0.0, 0.3, 0.4, 0.0, 0.1, 0.0, 0.0, 0.2), 0.125)
-    with pytest.raises(ConfigurationError, match="not zonal"):
-        ineq.member_values(("hardy_parabolic",), poly, 1.0, zonal)
 
 
 def _sweep_values(bump, rules, spec):
@@ -93,14 +97,14 @@ def _sweep_values(bump, rules, spec):
 
 
 def test_zonal_sweep_rule_converged_in_angle():
-    # the four values of 200 shipped N = 3 bumps at t = 0.7 on the sweep's
-    # zonal pair against a 128-node polar rule; measured within 4.4e-16
-    # over 1,000 members (the 14 x 28 product pair misses these by 1.3e-8)
-    fine = (quad.zonal_rule(3, 48, 128), quad.zonal_rule(3, 48, 128, a_gl=-0.5))
-    rules = ineq.rule_pair(3, zonal=True)
+    # the four values of 200 shipped N = 3 bumps, moved onto e1, at t = 0.7
+    # on the 28-node zonal pair against a 128-node polar rule; measured
+    # within 4.4e-16 over 1,000 members
+    fine = zonal_pair(3, n_polar=128)
+    rules = zonal_pair(3)
     assert all(np.array_equal(f.radial_weights, r.radial_weights) for f, r in zip(fine, rules))
     spec = ang.solve_angular(ang.AngularPotential.constant(0.15), K=8, N=3)
-    for bump in ineq.TestFamily("bumps", 3, 200, 1).members():
+    for bump in map(on_e1, ineq.TestFamily("bumps", 3, 200, 1).members()):
         np.testing.assert_allclose(_sweep_values(bump, rules, spec),
                                    _sweep_values(bump, fine, spec), rtol=0.0, atol=1e-14,
                                    err_msg=repr(bump))
@@ -116,25 +120,29 @@ POTENTIALS = {"constant": ang.AngularPotential.constant(0.1),
               "cos": ang.AngularPotential.zonal(lambda c: 0.1 * c)}
 
 
-@pytest.mark.parametrize("kind, potential, zonal", [
+@pytest.mark.parametrize("kind, potential, closed", [
     ("bumps", None, True), ("bumps", "constant", True), ("bumps", "cos", False),
     ("polygauss", None, False), ("modes", None, False)])
-def test_sweep_rule_choice(kind, potential, zonal, basis0, monkeypatch):
-    # the rule pair follows the family and the potential, in every N
+def test_sweep_rule_choice(kind, potential, closed, basis0, monkeypatch):
+    # closed forms or quadrature follow the family and the potential: closed
+    # forms sample no node in any N, quadrature samples N = 3 on the full pair
     chosen, rule_pair = [], ineq.rule_pair
-    monkeypatch.setattr(ineq, "rule_pair",
-                        lambda N, n_r, z: chosen.append((N, z)) or rule_pair(N, n_r, z))
+    monkeypatch.setattr(ineq, "rule_pair", lambda N, n_r: chosen.append(N) or rule_pair(N, n_r))
+    sample, samples = ineq._sample, []
+    monkeypatch.setattr(ineq, "_sample", lambda *a, **k: samples.append(a[1]) or sample(*a, **k))
     names = ("hardy_parabolic",) if potential is None else ("hardy_anisotropic",)
     for N in (3, 4, 5):
         spec = None if potential is None else ang.solve_angular(
             POTENTIALS[potential], L=8, K=4, N=N if potential == "constant" else 3)
         fam = ineq.TestFamily(kind, N, 2, 1)
-        if N == 3 or zonal:
+        if N == 3 or closed:
             ineq.sweep(names, fam, spec=spec, basis=basis0)
         else:
             with pytest.raises(ConfigurationError, match="N = 3 only"):
                 ineq.sweep(names, fam, spec=spec, basis=basis0)
-    assert chosen == [(N, zonal) for N in (3, 4, 5)]
+    assert chosen == ([] if closed else [3, 4, 5])
+    assert len(samples) == (0 if closed else 2 * 2)
+    assert all(rule.N == 3 and len(rule.angular_weights) == 14 * 28 for rule in samples)
 
 
 def test_x2_bound_constant_oracle():
@@ -164,23 +172,41 @@ def test_sobolev_scaling_invariance_exact():
 
 
 @pytest.mark.parametrize("N", [3, 4, 5, 10])
-def test_sobolev_closed_form_check(N):
-    # the sweep's closed-form check on the centred bump holds to 1e-10 on
-    # the default rule at every t, and a 16-node rule trips it
+def test_sobolev_closed_form_check(N, monkeypatch):
+    # the sweep's check on the centred bump holds to 1e-10 at every t on
+    # the bumps' closed forms, and a closed-form quotient off by 1e-9 trips
+    # it; the quadrature path (N = 3 only) holds on the default rule and a
+    # 16-node rule trips it
     fam = ineq.TestFamily("bumps", N, 1, 0)
+    poly = ineq.TestFamily("polygauss", 3, 1, 0)
     for t in (0.01, 0.7, 50.0):
         ineq.sweep(("sobolev",), fam, t=t)
+        if N == 3:
+            ineq.sweep(("sobolev",), poly, t=t)
+    if N == 3:
+        with pytest.raises(InvariantViolationError, match="closed form"):
+            ineq.sweep(("sobolev",), poly, n_r=16)
+    bump_integrals = ineq.bump_integrals
+
+    def off(*args):
+        out = bump_integrals(*args)
+        return dict(out, sob=out["sob"] * (1.0 + 1e-9))
+
+    monkeypatch.setattr(ineq, "bump_integrals", off)
     with pytest.raises(InvariantViolationError, match="closed form"):
-        ineq.sweep(("sobolev",), fam, n_r=16)
+        ineq.sweep(("sobolev",), fam)
 
 
 def test_sobolev_exponent_range():
     # s = 2.5 needs N <= 10; the other inequalities take any N
-    bump = ineq.GaussianBump(0.5, 0.8, np.eye(11)[0])
-    rules = ineq.rule_pair(11, 8, zonal=True)
-    assert set(ineq.member_values(("x2_bound",), bump, 0.7, rules)) == {"x2_bound"}
+    fam = ineq.TestFamily("bumps", 11, 3, 0)
+    [rep] = ineq.sweep(("x2_bound",), fam)
+    assert rep["min_relative_gap"] > 0.0
     with pytest.raises(ConfigurationError, match="outside"):
-        ineq.member_values(("x2_bound", "sobolev"), bump, 0.7, rules)
+        ineq.sweep(("x2_bound", "sobolev"), fam)
+    bump = ineq.GaussianBump(0.5, 0.8, np.eye(3)[0])
+    with pytest.raises(ConfigurationError, match="outside"):
+        ineq.member_values(("x2_bound", "sobolev"), bump, 0.7, ineq.rule_pair(3), s=6.5)
 
 
 def test_sobolev_family_sup_stable_under_doubling():
@@ -323,8 +349,10 @@ def test_one_pass_equals_single_sweeps(kind, N, basis0):
 
 
 def test_sweep_rejects_before_first_member(monkeypatch):
+    # neither a node sample nor a closed-form integral before the rejection
     calls = []
     monkeypatch.setattr(ineq, "_sample", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(ineq, "bump_integrals", lambda *a, **k: calls.append(a))
     fam = ineq.TestFamily("bumps", 3, 5, 1)
     with pytest.raises(ConfigurationError, match="unknown inequality"):
         ineq.sweep(("hardy_parabolic", "hardy_parabolc"), fam)
@@ -332,3 +360,90 @@ def test_sweep_rejects_before_first_member(monkeypatch):
     with pytest.raises(PositivityError):
         ineq.sweep(ineq.INEQUALITIES, fam, spec=bad)
     assert calls == []
+
+
+CLOSED_KEYS = ("u2", "grad2", "hardy", "a_hardy", "sob", "u2_1", "grad2_1", "r2u2_1")
+
+
+@pytest.mark.parametrize("N", [3, 4, 5])
+def test_closed_forms_match_rules(N):
+    # every closed-form integral of the shipped bumps of width w >= 1 at
+    # t = 0.7 against the zonal pair (the bump moved onto e1) and, in N = 3,
+    # the full pair at its own axis; measured within 1.6e-13 relative over
+    # 400 members per N (the worst are N = 5's t = 1 integrals).  Narrower
+    # bumps are not converged on these rules: w < 0.6 misses by up to 4.5e-5
+    # (u2), 2.2e-4 (grad2), 4.9e-6 (hardy), 7.8e-4 (sob) and 7.1e-3 (t = 1)
+    lam = 0.15
+    spec = ang.solve_angular(ang.AngularPotential.constant(lam), K=4, N=N)
+    members = [m for m in ineq.TestFamily("bumps", N, 400, 1).members() if m.w >= 1.0]
+    assert len(members) > 100
+    closed = ineq.bump_integrals([m.b for m in members], [m.w for m in members], 0.7, N)
+    closed["a_hardy"] = lam * closed["hardy"]
+    pairs = [(zonal_pair(N), on_e1)] + ([(ineq.rule_pair(3), lambda m: m)] if N == 3 else [])
+    for rules, place in pairs:
+        for i, member in enumerate(members):
+            got = ineq._rule_integrals(set(ineq.INEQUALITIES), place(member), 0.7, rules,
+                                       spec, ineq.SOBOLEV_EXPONENT)
+            for key in CLOSED_KEYS:
+                assert abs(got[key] - closed[key][i]) <= 1e-12 * closed[key][i], (key, member)
+
+
+@pytest.mark.parametrize("beta, kappa", [(0.2, 0.0), (0.2, 0.3), (0.05, 1.5)])
+def test_power_integrals_match_radial_quadrature(beta, kappa):
+    # the J(p) closed forms of |x|^{-beta} e^{-kappa |x|^2} against adaptive
+    # radial quadrature of u^2, u^2/r^2 and u'^2 times r^{N-1} G in N = 3, 4
+    from scipy.integrate import quad as radial_quad
+
+    t = 0.7
+    for N in (3, 4):
+        closed = ineq.power_integrals(np.array([beta]), np.array([kappa]), t, N)
+        u = lambda r: r**-beta * math.exp(-kappa * r * r)
+        du = lambda r: (-beta / r - 2.0 * kappa * r) * u(r)
+        weight = lambda r: quad.sphere_area(N) * t ** (-N / 2.0) * r ** (N - 1) * math.exp(
+            -r * r / (4.0 * t))
+        for key, f in (("u2", lambda r: u(r) ** 2), ("hardy", lambda r: (u(r) / r) ** 2),
+                       ("grad2", lambda r: du(r) ** 2)):
+            want = sum(radial_quad(lambda r: f(r) * weight(r), lo, hi, epsabs=0.0,
+                                   epsrel=1e-13, limit=200)[0]
+                       for lo, hi in ((0.0, 1.0), (1.0, math.inf)))
+            np.testing.assert_allclose(closed[key][0], want, rtol=1e-10, err_msg=(key, N))
+
+
+HARDY = ("hardy_parabolic", "hardy_anisotropic")
+
+
+@pytest.mark.parametrize("N", [3, 4, 5])
+def test_power_family_sees_a_scaled_hardy_constant(N, monkeypatch):
+    # the near-extremal family passes both Hardy gates at the sharp constant
+    # and trips each once the constant is 1 + 1e-3 times too large
+    fam = ineq.TestFamily("power", N, 200, 7)
+    spec = ang.solve_angular(ang.AngularPotential.constant(0.1), K=4, N=N)
+    reports = ineq.sweep(HARDY, fam, spec=spec)
+    assert all(0.0 < rep["min_relative_gap"] < 1e-4 for rep in reports)
+    assert all(rep["argmin"].startswith("member #") for rep in reports)
+    sharp = ineq.hardy_constant
+    monkeypatch.setattr(ineq, "hardy_constant", lambda n: (1.0 + 1e-3) * sharp(n))
+    for name in HARDY:
+        with pytest.raises(InvariantViolationError, match=f"{name} violated"):
+            ineq.sweep((name,), fam, spec=spec)
+
+
+def test_power_family_at_kappa_zero():
+    # at kappa = 0 the parabolic right side is 1 + eps^2 / ((N-2)^2/4) times
+    # the left, eps = (N-2)/2 - beta
+    for N in (3, 4, 5):
+        eps = np.array([1e-3, 1e-2, 0.3])
+        ints = ineq.power_integrals((N - 2) / 2.0 - eps, np.zeros(3), 0.7, N)
+        gap, scale = ineq._values(("hardy_parabolic",), ints, 0.7, N, None,
+                                  2.5)["hardy_parabolic"]
+        excess = eps**2 / ineq.hardy_constant(N)
+        np.testing.assert_allclose(gap / scale, excess / (1.0 + excess), rtol=1e-9)
+
+
+def test_power_family_is_closed_form_hardy_only():
+    fam = ineq.TestFamily("power", 3, 5, 1)
+    cos = ang.solve_angular(POTENTIALS["cos"], L=8, K=4, N=3)
+    for names, spec in ((("x2_bound",), None), (("sobolev",), None),
+                        (("hardy_anisotropic",), cos)):
+        with pytest.raises(ConfigurationError, match="power family"):
+            ineq.sweep(names, fam, spec=spec)

@@ -1,6 +1,7 @@
 """Tooling ratchets: the benchmark's per-layer tables name package functions
-that must exist, the package imports no scipy and its commands load none,
-and ``verify`` samples each member once per rule and time."""
+that must exist, the package imports no scipy and its commands load none
+and no numpy.ma, and ``verify`` samples a node only where a sweep needs
+quadrature."""
 
 import ast
 import importlib
@@ -62,28 +63,43 @@ def test_package_imports_no_scipy():
             assert not any(n.split(".")[0] == "scipy" for n in names), path.name
 
 
-COMMANDS_WITHOUT_SCIPY = """
+LOADED_MODULES = """
 import sys
 from hardyheat.cli import main
-for cmd in ("spectrum", "simulate", "beta"):
+for cmd in sys.argv[2:]:
     assert main([cmd, "--config", sys.argv[1]]) == 0, cmd
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(" ".join(sorted(sys.modules)))
 """
 
 
-def test_commands_load_no_scipy(tmp_path):
+def _modules_after(tmp_path, *commands) -> list:
+    """The modules loaded after running ``commands`` in one fresh process."""
     cfg = RunConfig()
     cfg.perturbation, cfg.gamma_max, cfg.radial_nodes = "linear_bounded:0.1", 1.0, 16
     cfg.tau_min, cfg.dtau, cfg.directory = math.log(1e-6), 0.01, str(tmp_path)
+    cfg.sweep_count = 10
     path = tmp_path / "run.ini"
     path.write_text(cfg.to_text())
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    out = subprocess.run([sys.executable, "-c", COMMANDS_WITHOUT_SCIPY, str(path)], env=env,
+    out = subprocess.run([sys.executable, "-c", LOADED_MODULES, str(path), *commands], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.splitlines()[-1] == "[]"
+    return out.stdout.splitlines()[-1].split()
 
 
-def test_verify_samples_each_member_once_per_rule_and_time(tmp_path, monkeypatch):
+def test_commands_load_no_scipy(tmp_path):
+    modules = _modules_after(tmp_path, "spectrum", "simulate", "beta")
+    assert [m for m in modules if m.split(".")[0] == "scipy"] == []
+
+
+def test_commands_load_no_numpy_ma(tmp_path):
+    # numpy.ma costs 10-18 ms of import in every command that loads it
+    modules = _modules_after(tmp_path, "spectrum", "simulate", "beta", "verify")
+    assert "numpy" in modules
+    assert [m for m in modules if m == "numpy.ma" or m.startswith("numpy.ma.")] == []
+
+
+def _counted_verify(tmp_path, monkeypatch, **settings) -> dict:
+    """Sweeps and member samplings of one ``verify`` run over 10 members in N = 3."""
     calls = {"sweep": 0, "sample": 0}
     sweep, sample = inequalities.sweep, inequalities._sample
 
@@ -99,9 +115,26 @@ def test_verify_samples_each_member_once_per_rule_and_time(tmp_path, monkeypatch
     monkeypatch.setattr(inequalities, "_sample", counted_sample)
     cfg = RunConfig()
     cfg.sweep_dims, cfg.sweep_count, cfg.directory = (3,), 10, str(tmp_path)
+    for key, value in settings.items():
+        setattr(cfg, key, value)
     path = tmp_path / "run.ini"
     path.write_text(cfg.to_text())
     assert main(["verify", "--config", str(path)]) == 0
-    # per member: plain rule at t and at t = 1, singular twin at t; plus
-    # the closed-form Sobolev check on the centred bump
-    assert calls == {"sweep": 1, "sample": 3 * 10 + 1}
+    return calls
+
+
+def test_constant_potential_verify_samples_no_node(tmp_path, monkeypatch):
+    # bumps under a constant potential take closed forms: no node is sampled,
+    # the centred Sobolev check included
+    for potential in ("constant:0.0", "constant:0.1"):
+        assert _counted_verify(tmp_path, monkeypatch, potential=potential) == {
+            "sweep": 1, "sample": 0}
+
+
+def test_nonconstant_anisotropic_sweep_samples_once_per_rule_and_time(tmp_path, monkeypatch):
+    # the four closed-form sweeps, then the N = 3 anisotropic sweep under the
+    # non-constant potential by quadrature: per member, the plain rule and
+    # the singular twin, each at t
+    calls = _counted_verify(tmp_path, monkeypatch, angular_truncation=16,
+                            potential="harmonic_table:1,0,0.15;2,0,0.05")
+    assert calls == {"sweep": 2, "sample": 2 * 10}
