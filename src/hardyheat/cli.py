@@ -41,8 +41,8 @@ def _write_csv(path, columns, rows, meta) -> str:
         for key, val in meta.items():
             fh.write(f"# {key} = {val}\n")
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for row in np.asarray(rows, dtype=float):  # row by row: no list of every value
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
 
@@ -170,7 +170,7 @@ def cmd_simulate(cfg, outdir) -> int:
     rows_sha256 = _write_csv(
         os.path.join(outdir, "trajectory.csv"),
         ["tau", "t"] + [f"c_{k}" for k in range(K)],
-        [[tau, t] + list(c) for tau, t, c in zip(traj.tau, traj.t, traj.coeffs)],
+        np.column_stack([traj.tau, traj.t, traj.coeffs]),
         meta,
     )
     _write_json(
@@ -184,7 +184,7 @@ def cmd_simulate(cfg, outdir) -> int:
     _write_csv(
         os.path.join(outdir, "frequency.csv"),
         ["t", "H", "D", "N", "nu1"],
-        list(zip(trace.t, trace.H, trace.D, trace.N, trace.nu1)),
+        np.column_stack([trace.t, trace.H, trace.D, trace.N, trace.nu1]),
         meta,
     )
     _write_json(

@@ -15,6 +15,13 @@ asymptotic coefficient formulas integrate later.  Stored rows read back
 from an earlier run go through the same input gates and get the same
 forcing, one evaluation per row, without a march.
 
+A radial linear h acts on c as a K x K matrix M(t), known in advance at
+every stage time, so its RK4 step is one increment matrix B_i and the
+march is c_{i+1} = c_i + B_i c_i (:func:`_march_linear`): the stage and row
+matrices are built in stacked blocks and no forcing is evaluated per stage.
+Nodal forcing (the semilinear term, a non-radial h) is evaluated at every
+stage (:func:`_march_rk4`).
+
 Under a constant potential a radial forcing maps radial functions to
 radial functions, so data on the degree-0 modes never leaves their span
 (:func:`radial_invariant`); such a run forces on the radial rule's n_r
@@ -37,6 +44,8 @@ DTAU_MAX = 0.01
 HALVING_TOL = 1e-8
 PROJECTION_RESIDUAL_TOL = 1e-3
 TRUNCATION_FLAG = 1e-6
+# RK4 steps (or rows) whose forcing matrices one stacked build holds
+MARCH_BLOCK = 64
 # times at which check_h_admissible samples h: 25 log-spaced from 1e-6 to 1
 ADMISSIBILITY_TIMES = np.exp(np.linspace(TAU_FLOOR, 0.0, 25))
 
@@ -48,7 +57,9 @@ class PerturbationSpec:
     kinds: 'none'; 'linear' with f = h(x,t) s and the admissibility bound
     |h| <= C_h (1 + |x|^{-2+eps_h}); 'semilinear' with f = eps |s|^{p-1} s,
     1 < p < (N+2)/(N-2).  A radial linear h = h_radial(|x|, t) also keeps
-    its profile ``h_radial``, which turns its forcing into a K x K matrix.
+    its profile ``h_radial``, which turns its forcing into a K x K matrix;
+    the profile is called elementwise on arrays, r of shape (n, n_r) with
+    t of shape (n, 1).
     """
 
     kind: str
@@ -72,7 +83,7 @@ class PerturbationSpec:
 
     @staticmethod
     def linear_constant(eps: float, eps_h: float = 1.0) -> "PerturbationSpec":
-        return _radial_linear(lambda r, t: np.full(len(r), eps), eps, eps_h,
+        return _radial_linear(lambda r, t: np.full(np.shape(r), eps), eps, eps_h,
                               f"linear_constant({eps!r})")
 
     @staticmethod
@@ -131,20 +142,23 @@ def radial_invariant(basis: OUBasis, pert: PerturbationSpec, c0: np.ndarray) -> 
             and not np.any(c0[~radial_modes(basis)]))
 
 
-def linear_forcing_matrix(
-    t: float, pert: PerturbationSpec, col: Collocation, x_scale: float | None = None
+def linear_forcing_matrices(
+    ts, pert: PerturbationSpec, col: Collocation, x_scale=None
 ) -> np.ndarray:
-    """M with M @ c = <h(x_scale . , t) v, V_tilde_k>_L for a radial h.
+    """M(t) for each t of ``ts``, stacked (len(ts), K, K), with
+    M(t) @ c = <h(x_scale . , t) v, V_tilde_k>_L for a radial h and
+    x_scale = sqrt(t) by default (a scalar or one value per t).
 
     M = (R diag(w_r h(x_scale r, t)) R^T) o A, with R = col.radial_table,
     w_r the radial weights and A = col.angular_gram: the nodal quadrature
-    summed radius by radius and direction by direction.
+    summed radius by radius and direction by direction.  Each slice is a
+    product of its own, so it does not depend on the other times in ``ts``.
     """
-    if x_scale is None:
-        x_scale = math.sqrt(t)
+    ts = np.asarray(ts, dtype=float).reshape(-1, 1)
+    x_scale = np.sqrt(ts) if x_scale is None else np.asarray(x_scale, dtype=float).reshape(-1, 1)
     R = col.radial_table
-    hr = np.asarray(pert.h_radial(x_scale * col.rule.radial.nodes_r, t), dtype=float)
-    return ((R * (col.rule.radial_weights * hr)) @ R.T) * col.angular_gram
+    hr = np.asarray(pert.h_radial(x_scale * col.rule.radial.nodes_r, ts), dtype=float)
+    return ((R * (col.rule.radial_weights * hr)[:, None, :]) @ R.T) * col.angular_gram
 
 
 def forcing_coefficients(
@@ -155,7 +169,7 @@ def forcing_coefficients(
 
     The flow at tau = log t uses the default; the scaling-identity check
     passes the rescaled (x_scale, t) explicitly.  A radial linear h goes
-    through :func:`linear_forcing_matrix`; any other h and the semilinear
+    through :func:`linear_forcing_matrices`; any other h and the semilinear
     term are evaluated at the nodes and projected back.
     """
     if pert.kind == "none":
@@ -163,7 +177,7 @@ def forcing_coefficients(
     if x_scale is None:
         x_scale = math.sqrt(t)
     if pert.h_radial is not None:
-        return linear_forcing_matrix(t, pert, col, x_scale) @ c
+        return linear_forcing_matrices([t], pert, col, x_scale)[0] @ c
     v = col.reconstruct(c)
     if pert.kind == "linear":
         hvals = np.asarray(pert.h(x_scale * col.points, t), dtype=float)
@@ -196,7 +210,7 @@ class Trajectory:
     stores F(tau_i, c_i) rowwise, i.e. the xi-coefficients of the
     perturbation at each stored time ``t[i]``: the forcing the first RK4
     stage of the dtau march evaluated at that row, or for rows given to
-    :func:`trajectory_from_rows` the same call made once per row.
+    :func:`trajectory_from_rows` the same forcing evaluated once per row.
     """
 
     basis: OUBasis
@@ -291,6 +305,52 @@ def _march_rk4(taus, c0, f):
     return c, forcing
 
 
+def _march_linear(taus, c0, pert, basis, col):
+    """:func:`_march_rk4` of :func:`rhs` for a radial linear h, by matrices.
+
+    There dc/dtau = A(tau) c with A = Gamma - t M(t), t = e^tau, so each RK4
+    step is c_{i+1} = c_i + B_i c_i with h = tau_{i+1} - tau_i and
+    B_i = h/6 (A0 + 2 S2 + 2 S3 + S4), S2 = A_{1/2} (I + h/2 A0),
+    S3 = A_{1/2} (I + h/2 S2), S4 = A_1 (I + h S3), where A0, A_{1/2} and
+    A_1 are A at tau_i, tau_i + h/2 and tau_i + h.  The stage matrices are
+    built MARCH_BLOCK steps at a time; each row keeps F_i = M(t_i) c_i.
+    """
+    n = len(taus) - 1
+    c = np.empty((n + 1, len(c0)))
+    forcing = np.empty_like(c)
+    c[0] = c0
+    gamma = np.diag(basis.gammas)
+    for lo in range(0, n, MARCH_BLOCK):
+        hi = min(lo + MARCH_BLOCK, n)
+        t0 = taus[lo:hi]
+        h = taus[lo + 1:hi + 1] - t0
+        ts = np.array([math.exp(tau) for tau in np.concatenate([t0, t0 + 0.5 * h, t0 + h])])
+        M = linear_forcing_matrices(ts, pert, col)
+        A0, Ah, A1 = np.split(gamma - ts[:, None, None] * M, 3)
+        h = h[:, None, None]
+        S2 = Ah + 0.5 * h * (Ah @ A0)
+        S3 = Ah + 0.5 * h * (Ah @ S2)
+        S4 = A1 + h * (A1 @ S3)
+        B = (h / 6.0) * (A0 + 2.0 * S2 + 2.0 * S3 + S4)
+        for i in range(lo, hi):  # the increment, as RK4 adds it: never (I + B) c
+            c[i + 1] = c[i] + B[i - lo] @ c[i]
+        forcing[lo:hi] = (M[:hi - lo] @ c[lo:hi, :, None])[..., 0]
+    forcing[n] = _row_forcing([math.exp(taus[n])], c[n:], pert, col)[0]
+    return c, forcing
+
+
+def _row_forcing(ts, coeffs, pert, col) -> np.ndarray:
+    """F(t_i, c_i) row by row, bit for bit what :func:`forcing_coefficients`
+    returns for each; a radial h builds its M(t_i) MARCH_BLOCK rows at a time."""
+    if pert.h_radial is None:
+        return np.array([forcing_coefficients(t, c, pert, col) for t, c in zip(ts, coeffs)])
+    F = np.empty_like(coeffs)
+    for lo in range(0, len(ts), MARCH_BLOCK):
+        M = linear_forcing_matrices(ts[lo:lo + MARCH_BLOCK], pert, col)
+        F[lo:lo + MARCH_BLOCK] = (M @ coeffs[lo:lo + MARCH_BLOCK, :, None])[..., 0]
+    return F
+
+
 def tau_grid(tau_min: float, dtau: float) -> tuple[np.ndarray, float]:
     """(taus, step): the stored rows from tau = 0 down to tau_min, in
     n = ceil(-tau_min / dtau) equal steps of ``step`` <= dtau."""
@@ -368,9 +428,11 @@ def trajectory_from_rows(
 
     Runs the input gates of :func:`integrate_backward` on (tau[-1], dtau)
     and the rows; rows off ``tau_grid(tau[-1], dtau)``, which ``beta``
-    integrates at step dtau, raise ConfigurationError.  A perturbed kind gets its forcing from
-    one :func:`forcing_coefficients` call per row at time ``t[i]``; the
-    unperturbed flow gets zero forcing and ``diag_factors`` = exp(gamma_k tau_i).
+    integrates at step dtau, raise ConfigurationError.  A perturbed kind gets
+    the forcing :func:`forcing_coefficients` gives at (t[i], coeffs[i]), bit
+    for bit: nodal forcing from one call per row, a radial h from M(t[i])
+    built in stacked blocks.  The unperturbed flow gets zero forcing and
+    ``diag_factors`` = exp(gamma_k tau_i).
     """
     ratio = _check_inputs(basis, col, coeffs, tau[-1], dtau, pert)
     taus, step = tau_grid(tau[-1], dtau)
@@ -380,9 +442,7 @@ def trajectory_from_rows(
     if pert.kind == "none":
         traj.diag_factors = np.exp(np.outer(tau, basis.gammas))
     else:
-        traj.forcing = np.array(
-            [forcing_coefficients(t, c, pert, col) for t, c in zip(traj.t, coeffs)]
-        )
+        traj.forcing = _row_forcing(traj.t, coeffs, pert, col)
     return traj
 
 
@@ -409,8 +469,10 @@ def integrate_backward(
     |coarse - kept| over the coarse rows must stay <= 1e-8, else
     AccuracyError suggests a smaller step; the measured sup and its
     threshold go into the metadata as ``halving_error`` and
-    ``halving_tol``.  The two marches make 4n + 4 ceil(n/2) + 2 forcing
-    calls for n steps.
+    ``halving_tol``.  A radial linear h marches by step matrices
+    (:func:`_march_linear`) and makes no forcing call: the two marches build
+    M at 3n + 3 ceil(n/2) + 2 times.  Nodal forcing makes
+    4n + 4 ceil(n/2) + 2 forcing calls for n steps.
     """
     c0 = np.asarray(c0, dtype=float)
     if len(c0) != basis.size:
@@ -423,8 +485,12 @@ def integrate_backward(
         coeffs = c0[None, :] * np.exp(np.outer(taus, basis.gammas))
         return trajectory_from_rows(basis, col, taus, coeffs, pert, step)
 
-    f = lambda tau, c: rhs(tau, c, pert, basis, col)
-    coeffs, forcing = _march_rk4(taus, c0, f)
+    if pert.h_radial is not None:
+        march = lambda grid: _march_linear(grid, c0, pert, basis, col)
+    else:
+        f = lambda tau, c: rhs(tau, c, pert, basis, col)
+        march = lambda grid: _march_rk4(grid, c0, f)
+    coeffs, forcing = march(taus)
     if not np.all(np.isfinite(coeffs)):
         raise AccuracyError(
             "trajectory left the finite range (perturbation too strong for "
@@ -435,7 +501,7 @@ def integrate_backward(
     # (np.unique would import numpy.ma into every perturbed command)
     n = len(taus) - 1
     rows2 = [*range(0, n, 2), n]
-    coarse, _ = _march_rk4(taus[rows2], c0, f)
+    coarse, _ = march(taus[rows2])
     err = float(np.max(np.abs(coarse - coeffs[rows2])))
     if not math.isfinite(err) or err > HALVING_TOL:
         raise AccuracyError(

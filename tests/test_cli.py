@@ -447,20 +447,23 @@ def _simulated(tmp_path, name):
 
 
 def _count_work(monkeypatch):
-    """Counters of RK4 marches and forcing evaluations from here on."""
-    calls = {"march": 0, "forcing": 0}
-    march, forcing = evolve._march_rk4, evolve.forcing_coefficients
+    """Counters from here on: RK4 marches (nodal or by step matrices),
+    forcing_coefficients calls and the times of radial-h forcing matrices."""
+    calls = {"march": 0, "forcing": 0, "matrices": 0}
 
-    def counted_march(*args):
-        calls["march"] += 1
-        return march(*args)
+    def counted(name, key, size=lambda *args: 1):
+        wrapped = getattr(evolve, name)
 
-    def counted_forcing(*args, **kwargs):
-        calls["forcing"] += 1
-        return forcing(*args, **kwargs)
+        def call(*args, **kwargs):
+            calls[key] += size(*args)
+            return wrapped(*args, **kwargs)
 
-    monkeypatch.setattr(evolve, "_march_rk4", counted_march)
-    monkeypatch.setattr(evolve, "forcing_coefficients", counted_forcing)
+        monkeypatch.setattr(evolve, name, call)
+
+    counted("_march_rk4", "march")
+    counted("_march_linear", "march")
+    counted("forcing_coefficients", "forcing")
+    counted("linear_forcing_matrices", "matrices", lambda ts, *args: len(ts))
     return calls
 
 
@@ -472,8 +475,12 @@ def test_beta_reuses_simulate_trajectory(tmp_path, monkeypatch, capsys, name):
     rows = len(_csv_numbers(out / "trajectory.csv"))
     calls = _count_work(monkeypatch)
     assert main(["beta", "--config", path]) == 0
-    # no march: one forcing evaluation per stored row
-    assert calls == {"march": 0, "forcing": rows}
+    # no march: the forcing of each stored row, once; a radial h gets it
+    # from one matrix per row, built in blocks, and makes no forcing call
+    if name == "semilinear":
+        assert calls == {"march": 0, "forcing": rows, "matrices": 0}
+    else:
+        assert calls == {"march": 0, "forcing": 0, "matrices": rows}
     assert "rebuilt from trajectory.csv" in capsys.readouterr().err
     reused = {fname: (out / fname).read_bytes() for fname in _BETA_FILES}
     shutil.rmtree(out)
@@ -559,11 +566,15 @@ def test_beta_integrates_when_trajectory_is_stale(tmp_path, monkeypatch, capsys,
     path, out = _simulated(tmp_path, "linear_bounded")
     assert main(["beta", "--config", path]) == 0
     reused = {fname: (out / fname).read_bytes() for fname in _BETA_FILES}
+    n = len(_csv_numbers(out / "trajectory.csv")) - 1
     _STALE_EDITS[edit](out)
     capsys.readouterr()
     calls = _count_work(monkeypatch)
     assert main(["beta", "--config", path]) == 0
-    assert calls["march"] == 2
+    # both marches step by matrices, built at the three stage times of each
+    # step and at each march's last row: no per-stage forcing call
+    steps = n + math.ceil(n / 2)
+    assert calls == {"march": 2, "forcing": 0, "matrices": 3 * steps + 2}
     assert "not reused" in capsys.readouterr().err
     for fname, blob in reused.items():
         assert (out / fname).read_bytes() == blob

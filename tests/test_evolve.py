@@ -4,6 +4,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardyheat import angular as ang
 from hardyheat import evolve as ev
@@ -115,7 +117,7 @@ def test_radial_forcing_matrix_matches_nodal(which, col0, col_aniso):
         for t in (1.0, 0.02, 1e-6):
             c = rng.normal(size=K)
             nodal = _nodal_forcing(t, c, pert, col)
-            M = ev.linear_forcing_matrix(t, pert, col)
+            M = ev.linear_forcing_matrices([t], pert, col)[0]
             scale = np.max(np.abs(nodal))
             assert np.max(np.abs(M @ c - nodal)) <= 1e-13 * scale
             np.testing.assert_array_equal(ev.forcing_coefficients(t, c, pert, col), M @ c)
@@ -124,7 +126,7 @@ def test_radial_forcing_matrix_matches_nodal(which, col0, col_aniso):
 def test_linear_constant_matrix_is_scaled_identity(basis0, col0):
     # orthonormality: <eps V_l, V_k> = eps delta_kl, whatever t
     for t in (1.0, 1e-4):
-        M = ev.linear_forcing_matrix(t, ev.PerturbationSpec.linear_constant(0.7), col0)
+        M = ev.linear_forcing_matrices([t], ev.PerturbationSpec.linear_constant(0.7), col0)[0]
         assert np.max(np.abs(M - 0.7 * np.eye(basis0.size))) <= 1e-13
 
 
@@ -260,22 +262,32 @@ _STORED_FORCING_CASES = {
 def test_stored_forcing_is_the_rowwise_forcing(name, basis0, col0, monkeypatch):
     # the march keeps its first-stage forcing: no post-march pass, and each
     # row's F is the one a direct call at (t_i, c_i) returns, bit for bit;
-    # the check marches every second row and ends on the last, for odd n too
+    # the check marches every second row and ends on the last, for odd n too.
+    # Nodal forcing is called at every RK4 stage; a radial h makes no call
+    # and builds M at the three stage times of each step and at the last row
     pert = _STORED_FORCING_CASES[name]
+    radial = pert.h_radial is not None
     c0 = np.zeros(basis0.size)
     c0[0], c0[3] = 1.0, 0.5
-    counted, march = ev.forcing_coefficients, ev._march_rk4
-    for tau_min, n, count in ((math.log(0.5), 70, 422), (-0.705, 71, 430)):
-        calls, grids = [], []
+    counted, build = ev.forcing_coefficients, ev.linear_forcing_matrices
+    marches = {"_march_rk4": ev._march_rk4, "_march_linear": ev._march_linear}
+    for tau_min, n in ((math.log(0.5), 70), (-0.705, 71)):
+        calls, grids, times = [], [], []
         monkeypatch.setattr(ev, "forcing_coefficients",
                             lambda *a, **k: calls.append(1) or counted(*a, **k))
-        monkeypatch.setattr(ev, "_march_rk4",
-                            lambda taus, c0, f: grids.append(taus) or march(taus, c0, f))
+        monkeypatch.setattr(ev, "linear_forcing_matrices",
+                            lambda ts, *a, **k: times.append(len(ts)) or build(ts, *a, **k))
+        for fname, march in marches.items():
+            monkeypatch.setattr(ev, fname, lambda taus, *a, march=march, fname=fname:
+                                grids.append((fname, taus)) or march(taus, *a))
         traj = ev.integrate_backward(basis0, c0, tau_min, 0.01, pert, col0)
         assert traj.size - 1 == n
-        assert len(calls) == count == 4 * n + 4 * math.ceil(n / 2) + 2
+        steps = n + math.ceil(n / 2)
+        assert len(calls) == (0 if radial else 4 * steps + 2)
+        assert sum(times) == (3 * steps + 2 if radial else 0)
         assert 0.0 < traj.metadata["halving_error"] <= ev.HALVING_TOL
-        fine, coarse = grids
+        (fine_name, fine), (coarse_name, coarse) = grids
+        assert fine_name == coarse_name == ("_march_linear" if radial else "_march_rk4")
         np.testing.assert_array_equal(fine, traj.tau)
         np.testing.assert_array_equal(coarse, traj.tau[sorted({*range(0, n + 1, 2), n})])
         monkeypatch.undo()
@@ -288,6 +300,49 @@ def test_stored_forcing_is_the_rowwise_forcing(name, basis0, col0, monkeypatch):
                                           traj.dtau)
         np.testing.assert_array_equal(rebuilt.t, traj.t)
         np.testing.assert_array_equal(rebuilt.forcing, traj.forcing)
+
+
+@pytest.mark.parametrize("name", ["linear_bounded", "linear_constant"])
+def test_step_matrix_march_matches_nodal_march(name, basis0, col0):
+    # the same h through PerturbationSpec.linear has no h_radial and takes
+    # the per-stage nodal march: the two marches differ by round-off only
+    pert = getattr(ev.PerturbationSpec, name)(0.1)
+    nodal = ev.PerturbationSpec.linear(pert.h, pert.C_h, pert.eps_h)
+    assert pert.h_radial is not None and nodal.h_radial is None
+    c0 = np.zeros(basis0.size)
+    c0[0], c0[3], c0[7] = 1.0, 0.5, -0.25
+    for tau_min in (math.log(0.5), -0.705):
+        fast = ev.integrate_backward(basis0, c0, tau_min, 0.01, pert, col0)
+        slow = ev.integrate_backward(basis0, c0, tau_min, 0.01, nodal, col0)
+        assert np.max(np.abs(slow.coeffs[-1] - c0)) > 1e-3  # the flow moves the rows
+        scale = np.max(np.abs(slow.coeffs))
+        assert np.max(np.abs(fast.coeffs - slow.coeffs)) <= 1e-15 * scale
+        assert np.max(np.abs(fast.forcing - slow.forcing)) <= 1e-15 * scale
+        assert abs(fast.metadata["halving_error"] - slow.metadata["halving_error"]) \
+            <= 1e-15 * scale
+
+
+@settings(max_examples=25, deadline=None)
+@given(taus=st.lists(st.floats(ev.TAU_FLOOR, 0.0), min_size=1, max_size=40),
+       cut=st.integers(0, 40), seed=st.integers(0, 2**32 - 1))
+def test_stacked_forcing_matrices_are_the_single_time_ones(taus, cut, seed, col0):
+    # the bitwise identities behind the stored forcing: each slice of a
+    # stacked build is the single-time M whatever else shares the call, and
+    # the stacked product (M @ C[..., None])[..., 0] is M_i @ c_i row by row
+    ts = np.array([math.exp(tau) for tau in taus])
+    c = np.random.default_rng(seed).normal(size=(len(ts), col0.Phi.shape[0]))
+    for pert in (ev.PerturbationSpec.linear_bounded(0.1),
+                 ev.PerturbationSpec.linear_constant(-0.3)):
+        M = ev.linear_forcing_matrices(ts, pert, col0)
+        parts = [ev.linear_forcing_matrices(part, pert, col0)
+                 for part in (ts[:cut], ts[cut:]) if len(part)]
+        np.testing.assert_array_equal(np.concatenate(parts), M)
+        F = (M @ c[..., None])[..., 0]
+        for i, t in enumerate(ts):
+            single = ev.linear_forcing_matrices([t], pert, col0)[0]
+            np.testing.assert_array_equal(M[i], single)
+            np.testing.assert_array_equal(F[i], single @ c[i])
+            np.testing.assert_array_equal(F[i], ev.forcing_coefficients(t, c[i], pert, col0))
 
 
 def test_backward_stability_nonincreasing(basis0, col0, tau_small):
