@@ -6,10 +6,11 @@ Spectral identities make the trace cheap: with v(., t) = sum c_k V_tilde_k,
     t D(t) = sum gamma_k c_k^2 - t <f, v>_L,
     nu_1  = (2t/H^2) [ ||v_t||^2 H - <v_t, v>^2 ]  >= 0   (Schwarz),
 
-each evaluated at once over all stored rows, and the scaling law
-N_lambda(t) = N(lambda^2 t) holds exactly.  The limit
-gamma is estimated by fitting N(t) ~ gamma + C t^delta over the smallest
-stored decade and snapped (never silently) to the nearest eigenvalue.
+each evaluated at once over all stored rows.  The scaling law
+N_lambda(t) = N(lambda^2 t) is the identity c_lambda(t) = c(lambda^2 t) in
+these variables, so no run re-evaluates it.  The limit gamma is estimated
+by fitting N(t) ~ gamma + C t^delta over the smallest stored decade and
+snapped (never silently) to the nearest eigenvalue.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ H_FLOOR = 1e-300
 FIT_RESIDUAL_FLAG = 1e-3
 SNAP_TOL = 1e-6
 MONOTONE_SLACK = 1e-10
-SCALING_MAX_ROWS = 128
 DELTA_BOUNDS = (0.05, 4.0)  # range of the fitted exponent delta
 
 
@@ -224,37 +224,6 @@ def check_Hprime(trace: FrequencyTrace) -> float:
           / (h1 * h2 * (h1 + h2)))
     resid = np.abs(Hp - 2.0 * D[1:-1]) / (np.abs(2.0 * D[1:-1]) + 1e-30)
     return float(np.max(resid))
-
-
-def check_scaling(traj: Trajectory, lam: float) -> float:
-    """Max |N_lambda(t) - N(lambda^2 t)| over stored rows with lambda^2 t <= t_max.
-
-    The left side is assembled through the rescaled-equation plumbing
-    (coefficients at lambda^2 t, forcing lambda^2 f(lambda x, lambda^2 t, .))
-    rather than read from the trace.  At most SCALING_MAX_ROWS rows, spread
-    uniformly over the admissible range, are checked.
-    """
-    if not 0.0 < lam < 1.0:
-        raise ConfigurationError("lambda must lie in (0, 1)")
-    from .evolve import forcing_coefficients
-
-    rows = np.flatnonzero(traj.t <= lam * lam * traj.t[0] * (1.0 + 1e-12))
-    rows = rows[::max(1, len(rows) // SCALING_MAX_ROWS)]
-    H_all, _, N_all, _ = compute_HDN(traj)
-    if np.any(H_all[rows] <= H_FLOOR):
-        raise InvariantViolationError("H underflow on a scaling-check row")
-    worst = 0.0
-    for i in rows:
-        s = traj.t[i]
-        c = traj.coeffs[i]
-        t_resc = s / lam**2
-        F = forcing_coefficients(
-            lam**2 * t_resc, c, traj.perturbation, traj.collocation,
-            x_scale=lam * math.sqrt(t_resc),
-        )
-        tD_l = float(traj.basis.gammas @ (c * c)) - t_resc * lam**2 * float(F @ c)
-        worst = max(worst, abs(tD_l / H_all[i] - N_all[i]))
-    return float(worst)
 
 
 def check_H_powerlaw(trace: FrequencyTrace, gamma_hat: float):

@@ -159,7 +159,6 @@ def cmd_simulate(cfg, outdir) -> int:
     traj = _trajectory(cfg, basis)
     trace = almgren.frequency_trace(traj, cfg.fit_decades)
     hprime = almgren.check_Hprime(trace)
-    scaling = {repr(l): almgren.check_scaling(traj, l) for l in cfg.scaling_lambdas}
     c1 = inequalities.coercivity_bound_constant(basis)
     report = almgren.run_diagnostics(traj, trace, coercivity_constant=c1)
     shares = traj.truncation_shares()
@@ -193,7 +192,6 @@ def cmd_simulate(cfg, outdir) -> int:
             "fit": trace.to_jsonable(),
             "K1_hat": report["K1_hat"],
             "hprime_residual": hprime,
-            "scaling_deviation": scaling,
             "diagnostics": report,
             "truncation_ratio": float(shares[-1]),
             "truncation_ratio_max": float(shares.max()),

@@ -11,6 +11,7 @@ import configparser
 import hashlib
 import io
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 from .errors import ConfigurationError
@@ -43,7 +44,6 @@ class RunConfig:
     # experiment
     initial: str = "modes:0=1.0"
     lambda_grid: tuple = (0.1, 0.2, 0.3, 0.4)
-    scaling_lambdas: tuple = (0.125, 0.25, 0.5)
     recon_lambdas: tuple = (0.5, 0.25, 0.125)
     recon_tau: float = 0.25
     fit_decades: float = 1.0
@@ -58,9 +58,8 @@ class RunConfig:
         "problem": ("dimension", "potential", "perturbation", "h_eps", "h_const"),
         "discretization": ("angular_truncation", "angular_count", "gamma_max",
                            "max_modes", "radial_nodes", "dtau", "tau_min"),
-        "experiment": ("initial", "lambda_grid", "scaling_lambdas",
-                       "recon_lambdas", "recon_tau", "fit_decades",
-                       "sweep_count", "sweep_dims", "sweep_t", "seed"),
+        "experiment": ("initial", "lambda_grid", "recon_lambdas", "recon_tau",
+                       "fit_decades", "sweep_count", "sweep_dims", "sweep_t", "seed"),
         "output": ("directory",),
     }
 
@@ -68,14 +67,17 @@ class RunConfig:
         from .evolve import DTAU_MAX, TAU_FLOOR
         from .inequalities import SOBOLEV_EXPONENT as s
 
-        if self.dimension < 3:
-            raise ConfigurationError("dimension must be >= 3")
+        for key, low in (("dimension", 3), ("angular_count", 1), ("sweep_count", 1),
+                         ("seed", 0)):
+            if getattr(self, key) < low:
+                raise ConfigurationError(f"{key} must be >= {low}")
+        for key in ("gamma_max", "fit_decades", "sweep_t"):
+            if not getattr(self, key) > 0.0:
+                raise ConfigurationError(f"{key} must be positive")
         if not 0.0 < self.dtau <= DTAU_MAX:
             raise ConfigurationError(f"dtau must lie in (0, {DTAU_MAX}]")
         if self.tau_min >= 0.0 or self.tau_min < TAU_FLOOR - 1e-12:
             raise ConfigurationError("tau_min must lie in [log(1e-6), 0)")
-        if self.gamma_max <= 0.0:
-            raise ConfigurationError("gamma_max must be positive")
         if self.radial_nodes < 4 or self.radial_nodes > 1024:
             raise ConfigurationError("radial_nodes outside [4, 1024]")
         if not self.lambda_grid:
@@ -83,14 +85,8 @@ class RunConfig:
         for key in ("lambda_grid", "recon_lambdas"):
             if not all(lam > 0.0 for lam in getattr(self, key)):
                 raise ConfigurationError(f"{key} entries must be positive")
-        if not all(0.0 < lam < 1.0 for lam in self.scaling_lambdas):
-            raise ConfigurationError("scaling_lambdas entries must lie in (0, 1)")
         if not 0.0 < self.recon_tau < 1.0:
             raise ConfigurationError("recon_tau must lie in (0, 1)")
-        if self.sweep_count < 1:
-            raise ConfigurationError("sweep_count must be >= 1")
-        if not self.sweep_t > 0.0:
-            raise ConfigurationError("sweep_t must be positive")
         # the Sobolev quotient needs s <= 2N/(N-2), that is N <= 2s/(s-2)
         n_max = 2.0 * s / (s - 2.0)
         if not self.sweep_dims or any(not 3 <= int(N) <= n_max for N in self.sweep_dims):
@@ -155,25 +151,36 @@ class RunConfig:
         return cls.from_text(text)
 
 
+@contextmanager
+def _spec_errors(key: str, spec: str):
+    """Any fault in the ``key`` spec string (unknown kind, missing field, bad
+    number, rejected value) becomes a ConfigurationError naming the key."""
+    try:
+        yield
+    except (ConfigurationError, ValueError, IndexError) as exc:
+        raise ConfigurationError(f"bad {key} = {spec!r}: {exc}") from exc
+
+
 def parse_potential(cfg: RunConfig):
     """AngularPotential from the config string."""
     from .angular import AngularPotential
 
     spec = cfg.potential.strip()
-    if spec.startswith("constant:"):
-        return AngularPotential.constant(float(spec.split(":", 1)[1]))
-    if spec.startswith("harmonic_table:"):
-        table = {}
-        for item in spec.split(":", 1)[1].split(";"):
-            if not item.strip():
-                continue
-            l, m, c = item.split(",")
-            table[(int(l), int(m))] = float(c)
-        return AngularPotential.harmonic_table(table)
-    raise ConfigurationError(
-        f"unsupported potential spec {spec!r} (constant:<v> or "
-        "harmonic_table:<l,m,c;...>; zonal potentials are library-only)"
-    )
+    with _spec_errors("potential", spec):
+        if spec.startswith("constant:"):
+            return AngularPotential.constant(float(spec.split(":", 1)[1]))
+        if spec.startswith("harmonic_table:"):
+            table = {}
+            for item in spec.split(":", 1)[1].split(";"):
+                if not item.strip():
+                    continue
+                l, m, c = item.split(",")
+                table[(int(l), int(m))] = float(c)
+            return AngularPotential.harmonic_table(table)
+        raise ConfigurationError(
+            "unsupported kind (constant:<v> or harmonic_table:<l,m,c;...>; "
+            "zonal potentials are library-only)"
+        )
 
 
 def parse_perturbation(cfg: RunConfig):
@@ -181,17 +188,18 @@ def parse_perturbation(cfg: RunConfig):
     from .evolve import PerturbationSpec
 
     spec = cfg.perturbation.strip()
-    if spec == "none":
-        return PerturbationSpec.none()
-    kind, _, rest = spec.partition(":")
-    parts = [p for p in rest.split(":") if p]
-    if kind in ("linear_constant", "linear_bounded"):
-        pert = getattr(PerturbationSpec, kind)(float(parts[0]), eps_h=cfg.h_eps)
-        return replace(pert, C_h=cfg.h_const) if cfg.h_const > 0 else pert
-    if kind == "semilinear":
-        return PerturbationSpec.semilinear(float(parts[0]), float(parts[1]),
-                                           cfg.dimension)
-    raise ConfigurationError(f"unsupported perturbation spec {spec!r}")
+    with _spec_errors("perturbation", spec):
+        if spec == "none":
+            return PerturbationSpec.none()
+        kind, _, rest = spec.partition(":")
+        parts = [p for p in rest.split(":") if p]
+        if kind in ("linear_constant", "linear_bounded"):
+            pert = getattr(PerturbationSpec, kind)(float(parts[0]), eps_h=cfg.h_eps)
+            return replace(pert, C_h=cfg.h_const) if cfg.h_const > 0 else pert
+        if kind == "semilinear":
+            return PerturbationSpec.semilinear(float(parts[0]), float(parts[1]),
+                                               cfg.dimension)
+        raise ConfigurationError("unsupported kind")
 
 
 def parse_initial(cfg: RunConfig, basis):
@@ -204,24 +212,25 @@ def parse_initial(cfg: RunConfig, basis):
     from .evolve import build_initial, closed_form_reference
 
     spec = cfg.initial.strip()
-    if spec.startswith("modes:"):
-        pairs = []
-        for item in spec.split(":", 1)[1].split(","):
-            k, _, v = item.partition("=")
-            pairs.append((int(k), float(v)))
-        return build_initial(basis, pairs)
-    if spec.startswith("family:"):
-        parts = spec.split(":")[1:]
-        if parts[0] == "pure":
-            return closed_form_reference(basis, ("pure", int(parts[1])), 1.0)
-        if parts[0] == "mixture":
-            comps = []
-            for item in parts[1].split(","):
+    with _spec_errors("initial", spec):
+        if spec.startswith("modes:"):
+            pairs = []
+            for item in spec.split(":", 1)[1].split(","):
                 k, _, v = item.partition("=")
-                comps.append((int(k), float(v)))
-            return closed_form_reference(basis, ("mixture", comps), 1.0)
-        if parts[0] == "exp_linear":
-            return closed_form_reference(
-                basis, ("exp_linear", int(parts[1]), float(parts[2])), 1.0
-            )
-    raise ConfigurationError(f"unsupported initial spec {spec!r}")
+                pairs.append((int(k), float(v)))
+            return build_initial(basis, pairs)
+        if spec.startswith("family:"):
+            parts = spec.split(":")[1:]
+            if parts[0] == "pure":
+                return closed_form_reference(basis, ("pure", int(parts[1])), 1.0)
+            if parts[0] == "mixture":
+                comps = []
+                for item in parts[1].split(","):
+                    k, _, v = item.partition("=")
+                    comps.append((int(k), float(v)))
+                return closed_form_reference(basis, ("mixture", comps), 1.0)
+            if parts[0] == "exp_linear":
+                return closed_form_reference(
+                    basis, ("exp_linear", int(parts[1]), float(parts[2])), 1.0
+                )
+        raise ConfigurationError("unsupported kind")

@@ -142,45 +142,37 @@ def radial_invariant(basis: OUBasis, pert: PerturbationSpec, c0: np.ndarray) -> 
             and not np.any(c0[~radial_modes(basis)]))
 
 
-def linear_forcing_matrices(
-    ts, pert: PerturbationSpec, col: Collocation, x_scale=None
-) -> np.ndarray:
+def linear_forcing_matrices(ts, pert: PerturbationSpec, col: Collocation) -> np.ndarray:
     """M(t) for each t of ``ts``, stacked (len(ts), K, K), with
-    M(t) @ c = <h(x_scale . , t) v, V_tilde_k>_L for a radial h and
-    x_scale = sqrt(t) by default (a scalar or one value per t).
+    M(t) @ c = <h(sqrt(t) . , t) v, V_tilde_k>_L for a radial h.
 
-    M = (R diag(w_r h(x_scale r, t)) R^T) o A, with R = col.radial_table,
+    M = (R diag(w_r h(sqrt(t) r, t)) R^T) o A, with R = col.radial_table,
     w_r the radial weights and A = col.angular_gram: the nodal quadrature
     summed radius by radius and direction by direction.  Each slice is a
     product of its own, so it does not depend on the other times in ``ts``.
     """
     ts = np.asarray(ts, dtype=float).reshape(-1, 1)
-    x_scale = np.sqrt(ts) if x_scale is None else np.asarray(x_scale, dtype=float).reshape(-1, 1)
     R = col.radial_table
-    hr = np.asarray(pert.h_radial(x_scale * col.rule.radial.nodes_r, ts), dtype=float)
+    hr = np.asarray(pert.h_radial(np.sqrt(ts) * col.rule.radial.nodes_r, ts), dtype=float)
     return ((R * (col.rule.radial_weights * hr)[:, None, :]) @ R.T) * col.angular_gram
 
 
 def forcing_coefficients(
-    t: float, c: np.ndarray, pert: PerturbationSpec, col: Collocation,
-    x_scale: float | None = None,
+    t: float, c: np.ndarray, pert: PerturbationSpec, col: Collocation
 ) -> np.ndarray:
-    """F_k = < f(x_scale . , t, v), V_tilde_k >_L, x_scale = sqrt(t) by default.
+    """F_k = < f(sqrt(t) . , t, v), V_tilde_k >_L.
 
-    The flow at tau = log t uses the default; the scaling-identity check
-    passes the rescaled (x_scale, t) explicitly.  A radial linear h goes
-    through :func:`linear_forcing_matrices`; any other h and the semilinear
-    term are evaluated at the nodes and projected back.
+    A radial linear h goes through :func:`linear_forcing_matrices`; any
+    other h and the semilinear term are evaluated at the nodes and
+    projected back.
     """
     if pert.kind == "none":
         return np.zeros_like(c)
-    if x_scale is None:
-        x_scale = math.sqrt(t)
     if pert.h_radial is not None:
-        return linear_forcing_matrices([t], pert, col, x_scale)[0] @ c
+        return linear_forcing_matrices([t], pert, col)[0] @ c
     v = col.reconstruct(c)
     if pert.kind == "linear":
-        hvals = np.asarray(pert.h(x_scale * col.points, t), dtype=float)
+        hvals = np.asarray(pert.h(math.sqrt(t) * col.points, t), dtype=float)
         return col.project(hvals * v)
     # semilinear: eps |v|^{p-1} v, projected nodewise
     return pert.eps * col.project(np.abs(v) ** (pert.p - 1.0) * v)
@@ -257,9 +249,10 @@ def build_initial(
 ) -> np.ndarray:
     """Initial coefficient vector at tau = 0.
 
-    ``spec`` is either a list of (mode index, coefficient) pairs or a
-    callable sampled on the cubature; in the sampled case the projection
-    residual ||v - sum c_k V_tilde_k||_L must stay below 1e-3 ||v||_L.
+    ``spec`` is either a list of (mode index, coefficient) pairs, each
+    index in 0..K-1, or a callable sampled on the cubature; in the sampled
+    case the projection residual ||v - sum c_k V_tilde_k||_L must stay
+    below 1e-3 ||v||_L.
     """
     if callable(spec):
         if col is None:
@@ -279,6 +272,8 @@ def build_initial(
         return c
     c = np.zeros(basis.size)
     for k, coeff in spec:
+        if not 0 <= k < basis.size:
+            raise ConfigurationError(f"mode index {k} outside 0..{basis.size - 1}")
         c[k] = coeff
     return c
 
@@ -521,19 +516,16 @@ def closed_form_reference(basis: OUBasis, family, t: float) -> np.ndarray:
     constant-h linear problem.
     """
     kind = family[0]
-    c = np.zeros(basis.size)
     if kind == "pure":
-        k = family[1]
-        c[k] = t ** basis.gammas[k]
+        terms = [(family[1], 1.0)]
     elif kind == "mixture":
-        for k, coeff in family[1]:
-            c[k] = coeff * t ** basis.gammas[k]
+        terms = family[1]
     elif kind == "exp_linear":
-        k, eps = family[1], family[2]
-        c[k] = math.exp(-eps * t) * t ** basis.gammas[k]
+        terms = [(family[1], math.exp(-family[2] * t))]
     else:
         raise ConfigurationError(f"unknown closed-form family {kind!r}")
-    return c
+    c = build_initial(basis, terms)  # rejects a mode index outside 0..K-1
+    return np.array([x * t ** g for x, g in zip(c, basis.gammas)])
 
 
 def check_h_admissible(

@@ -257,17 +257,15 @@ def test_check_Hprime_exact_for_quadratics():
     assert al.check_Hprime(trace) < 1e-9
 
 
-def test_scaling_identity(traj_mix, traj_pure, traj_exp):
-    # mixture: N_lambda(1) = N(0.25) = 0.1
-    assert al.check_scaling(traj_mix, 0.5) < 1e-12
+def test_frequency_closed_forms_at_rescaled_times(traj_mix, traj_exp):
+    # the values N(lambda^2) of the scaling law N_lambda(1) = N(lambda^2):
+    # mixture at lambda = 0.5, N(0.25) = 0.1
     i = traj_mix.row_at_t(0.25)
     t = math.exp(traj_mix.tau[i])
     Nv = al.compute_HDN(traj_mix)[2][i]
     np.testing.assert_allclose(Nv, 0.5 * t / (1.0 + t), rtol=1e-12)
     np.testing.assert_allclose(0.5 * 0.25 / 1.25, 0.1)  # the frozen value
-    assert al.check_scaling(traj_pure[0], 0.3) < 1e-14
-    # exp_linear: N(0.09) = gamma - 0.09 eps
-    assert al.check_scaling(traj_exp, 0.3) < 1e-12
+    # exp_linear at lambda = 0.3: N(0.09) = gamma - 0.09 eps
     i = traj_exp.row_at_t(0.09)
     t = math.exp(traj_exp.tau[i])
     np.testing.assert_allclose(al.compute_HDN(traj_exp)[2][i], -0.1 * t, atol=1e-12)

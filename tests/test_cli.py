@@ -47,7 +47,7 @@ _CONFIGS = st.builds(
     h_eps=_finite,
     h_const=_finite,
     angular_truncation=st.integers(-10**6, 10**6),
-    angular_count=st.integers(-10**6, 10**6),
+    angular_count=st.integers(1, 10**6),
     gamma_max=_positive,
     max_modes=st.integers(-10**6, 10**6),
     radial_nodes=st.integers(4, 1024),
@@ -55,14 +55,13 @@ _CONFIGS = st.builds(
     tau_min=st.floats(min_value=math.log(1e-6), max_value=0.0, exclude_max=True),
     initial=_spec_text,
     lambda_grid=st.lists(_positive, min_size=1, max_size=5).map(tuple),
-    scaling_lambdas=st.lists(_unit_open, max_size=5).map(tuple),
     recon_lambdas=st.lists(_positive, max_size=5).map(tuple),
     recon_tau=_unit_open,
-    fit_decades=_finite,
+    fit_decades=_positive,
     sweep_count=st.integers(1, 10**9),
     sweep_dims=st.lists(st.integers(3, 10), min_size=1, max_size=4).map(tuple),
     sweep_t=_positive,
-    seed=st.integers(-2**63, 2**63),
+    seed=st.integers(0, 2**63),
     directory=_spec_text,
 )
 _KNOWN_KEYS = sorted(k for keys in RunConfig._SECTIONS.values() for k in keys)
@@ -101,6 +100,8 @@ def test_config_rejects_unknown_key():
         RunConfig.from_text("[problem]\nnonsense = 1\n")
     with pytest.raises(ConfigurationError):
         RunConfig.from_text("[mystery]\nx = 1\n")
+    with pytest.raises(ConfigurationError):  # a key that was removed
+        RunConfig.from_text("[experiment]\nscaling_lambdas = 0.5\n")
 
 
 def test_config_validation_ranges():
@@ -112,9 +113,9 @@ def test_config_validation_ranges():
                      ("sweep_dims", (3, 2)), ("sweep_dims", ()), ("sweep_dims", (3, 11)),
                      ("sweep_dims", (100,)),
                      ("lambda_grid", ()), ("lambda_grid", (0.1, 0.0)),
-                     ("recon_lambdas", (0.5, 0.0)), ("scaling_lambdas", (0.5, 1.5)),
-                     ("scaling_lambdas", (0.0,)), ("scaling_lambdas", (1.0,)),
-                     ("scaling_lambdas", (-0.25,))):
+                     ("recon_lambdas", (0.5, 0.0)), ("angular_count", 0),
+                     ("angular_count", -1), ("fit_decades", 0.0), ("fit_decades", -1.0),
+                     ("fit_decades", math.nan), ("seed", -1)):
         cfg = RunConfig()
         setattr(cfg, key, bad)
         with pytest.raises(ConfigurationError):
@@ -381,7 +382,7 @@ def test_cli_seed_and_out_overrides(tmp_path):
     assert data["sweeps"][0]["seed"] == 777
 
 
-def test_cli_bad_config_exit_code(tmp_path):
+def test_cli_bad_config_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text("[problem]\ndimension = two\n")
     assert main(["spectrum", "--config", str(bad)]) == 2
@@ -393,6 +394,31 @@ def test_cli_bad_config_exit_code(tmp_path):
                  "scaling_lambdas = 0"):
         bad.write_text(f"[experiment]\n{line}\n")
         assert main(["verify", "--config", str(bad), "--out", str(tmp_path)]) == 2
+    # malformed spec strings, out-of-range modes and ranges that used to end
+    # in a traceback or run on: exit 2 naming the key, before any march
+    for section, line in (
+        ("problem", "perturbation = linear_bounded"),
+        ("problem", "perturbation = semilinear:0.05"),
+        ("problem", "perturbation = linear_bounded:abc"),
+        ("problem", "potential = harmonic_table:1,0"),
+        ("problem", "potential = constant:x"),
+        ("experiment", "initial = modes:0"),
+        ("experiment", "initial = family:exp_linear:0"),
+        ("experiment", "initial = modes:-1=1.0"),
+        ("experiment", "initial = modes:99=1.0"),
+        ("experiment", "initial = family:pure:99"),
+        ("discretization", "angular_count = 0"),
+        ("experiment", "fit_decades = -1"),
+        ("experiment", "seed = -1"),
+    ):
+        bad.write_text(f"[{section}]\n{line}\n")
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == 2, line
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and line.split()[0] in err, err
+    assert not (tmp_path / "trajectory.csv").exists()
+    assert main(["verify", "--out", str(tmp_path), "--seed", "-1"]) == 2
+    assert "seed" in capsys.readouterr().err
 
 
 def test_cmd_beta_anisotropic_pipeline(tmp_path):
@@ -514,13 +540,13 @@ _SHALLOW_SEMILINEAR = dict(perturbation="semilinear:0.05:2.0", tau_min=math.log(
                            dtau=0.01, gamma_max=1.0, radial_nodes=16)
 
 
-def test_cmd_simulate_rejects_scaling_lambda_before_march(tmp_path, monkeypatch, capsys):
-    path, _ = write_config(tmp_path, scaling_lambdas=(0.5, 1.5),
+def test_cmd_simulate_rejects_bad_value_before_march(tmp_path, monkeypatch, capsys):
+    path, _ = write_config(tmp_path, recon_lambdas=(0.5, 0.0),
                            directory=str(tmp_path), **_SHALLOW_SEMILINEAR)
     calls = _count_work(monkeypatch)
     assert main(["simulate", "--config", path]) == 2
     assert calls["march"] == 0
-    assert "scaling_lambdas" in capsys.readouterr().err
+    assert "recon_lambdas" in capsys.readouterr().err
     assert not (tmp_path / "trajectory.csv").exists()
 
 
