@@ -113,6 +113,18 @@ def _projected(log_t: np.ndarray, Nval: np.ndarray, d: float):
     return float(Nval.mean()) - C * float(u.mean()), C, r, -C * float(r @ v)
 
 
+def _scan_residuals(log_t: np.ndarray, Nval: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Squared reduced residual of :func:`_projected` at every d of ``grid``,
+    as one (len(grid), n) expression: row by row the same operations, and
+    ``np.vecdot`` takes the dot products through the same kernel as ``@``
+    on one row, so each value is the per-point one bit for bit."""
+    u = np.exp(grid[:, None] * log_t)
+    uc = u - u.mean(axis=1, keepdims=True)
+    nc = Nval - Nval.mean()
+    C = np.vecdot(uc, nc) / np.vecdot(uc, uc)
+    return np.sum((nc - C[:, None] * uc) ** 2, axis=1)
+
+
 def _fit_limit(t: np.ndarray, Nval: np.ndarray):
     """Fit N(t) ~ gamma + C t^delta; returns (gamma, C, delta, residual).
 
@@ -127,7 +139,7 @@ def _fit_limit(t: np.ndarray, Nval: np.ndarray):
         return float(Nval[0]), 0.0, float("nan"), 0.0
     log_t = np.log(t)
     grid = np.linspace(*DELTA_BOUNDS, 80)
-    i = int(np.argmin([np.sum(_projected(log_t, Nval, d)[2] ** 2) for d in grid]))
+    i = int(np.argmin(_scan_residuals(log_t, Nval, grid)))
     a, b = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
     fa, fb = _projected(log_t, Nval, a)[3], _projected(log_t, Nval, b)[3]
     # no sign change: the residual falls towards a bound, and d stays there

@@ -71,12 +71,13 @@ class RunConfig:
                          ("seed", 0)):
             if getattr(self, key) < low:
                 raise ConfigurationError(f"{key} must be >= {low}")
+        # each range test is False on NaN, so a NaN fails it too
         for key in ("gamma_max", "fit_decades", "sweep_t"):
-            if not getattr(self, key) > 0.0:
-                raise ConfigurationError(f"{key} must be positive")
+            if not 0.0 < getattr(self, key) < math.inf:
+                raise ConfigurationError(f"{key} must be positive and finite")
         if not 0.0 < self.dtau <= DTAU_MAX:
             raise ConfigurationError(f"dtau must lie in (0, {DTAU_MAX}]")
-        if self.tau_min >= 0.0 or self.tau_min < TAU_FLOOR - 1e-12:
+        if not TAU_FLOOR - 1e-12 <= self.tau_min < 0.0:
             raise ConfigurationError("tau_min must lie in [log(1e-6), 0)")
         if self.radial_nodes < 4 or self.radial_nodes > 1024:
             raise ConfigurationError("radial_nodes outside [4, 1024]")

@@ -7,7 +7,8 @@ With v(x, t) = u(sqrt(t) x, t) and tau = log t, the flow becomes
 
 which is diagonal plus a small forcing; integration runs backward from
 tau = 0 toward the singularity.  The unperturbed flow is advanced by its
-exact diagonal propagator e^{gamma_k dtau}; perturbed kinds use classical
+exact diagonal propagator e^{gamma_k dtau} and evaluates no forcing, so it
+builds no collocation (:func:`collocation_for`); perturbed kinds use classical
 RK4 at dtau, verified against one RK4 march at 2 dtau on every second row.
 Every stored row keeps the forcing coefficients that the first RK4 stage of
 the dtau march evaluated there: they are exactly the xi_{m,k} data the
@@ -142,6 +143,16 @@ def radial_invariant(basis: OUBasis, pert: PerturbationSpec, c0: np.ndarray) -> 
             and not np.any(c0[~radial_modes(basis)]))
 
 
+def collocation_for(basis: OUBasis, pert: PerturbationSpec, c0: np.ndarray,
+                    n_r: int = 64) -> Collocation | None:
+    """The collocation a run forces on: None for the unperturbed flow, which
+    reads none, else :func:`ou_basis.build_collocation` with n_r radial
+    nodes, on the radial rule when :func:`radial_invariant` holds."""
+    if pert.kind == "none":
+        return None
+    return build_collocation(basis, n_r=n_r, radial=radial_invariant(basis, pert, c0))
+
+
 def linear_forcing_matrices(ts, pert: PerturbationSpec, col: Collocation) -> np.ndarray:
     """M(t) for each t of ``ts``, stacked (len(ts), K, K), with
     M(t) @ c = <h(sqrt(t) . , t) v, V_tilde_k>_L for a radial h.
@@ -203,10 +214,12 @@ class Trajectory:
     perturbation at each stored time ``t[i]``: the forcing the first RK4
     stage of the dtau march evaluated at that row, or for rows given to
     :func:`trajectory_from_rows` the same forcing evaluated once per row.
+    ``collocation`` is the rule the forcing was evaluated on; it is None
+    exactly for the unperturbed flow, which evaluates no forcing.
     """
 
     basis: OUBasis
-    collocation: Collocation
+    collocation: Collocation | None
     tau: np.ndarray
     coeffs: np.ndarray
     forcing: np.ndarray
@@ -355,7 +368,8 @@ def tau_grid(tau_min: float, dtau: float) -> tuple[np.ndarray, float]:
 
 def _check_inputs(basis, col, rows, tau_min, dtau, pert) -> float | None:
     """The input gates of a trajectory: the dtau and tau_min ranges, the
-    span of a radial collocation and, for a linear h,
+    span of a radial collocation (``col`` is None for the unperturbed flow)
+    and, for a linear h,
     :func:`check_h_admissible` with the spec's C_h and eps_h.  Returns the
     admissibility ratio (None unless linear).
 
@@ -363,7 +377,7 @@ def _check_inputs(basis, col, rows, tau_min, dtau, pert) -> float | None:
     potential, a linear h without ``h_radial`` or a nonzero non-radial
     coefficient in ``rows`` raises ConfigurationError.
     """
-    if col.radial:
+    if col is not None and col.radial:
         if not basis.spectrum.potential.is_constant:
             raise ConfigurationError("the radial rule needs a constant potential")
         if pert.kind == "linear" and pert.h_radial is None:
@@ -394,8 +408,9 @@ def _record(basis, col, tau, coeffs, forcing, pert, step, ratio) -> Trajectory:
         "dtau": step,
         "tau_min": float(tau[-1]),
         "perturbation": pert.label,
-        "collocation_rule": "radial" if col.radial else "product",
-        "collocation_nodes": len(col.weights),
+        "collocation_rule": ("none" if col is None
+                             else "radial" if col.radial else "product"),
+        "collocation_nodes": 0 if col is None else len(col.weights),
     }
     if ratio is not None:
         meta["admissibility_ratio"] = ratio
@@ -412,7 +427,7 @@ def _record(basis, col, tau, coeffs, forcing, pert, step, ratio) -> Trajectory:
 
 def trajectory_from_rows(
     basis: OUBasis,
-    col: Collocation,
+    col: Collocation | None,
     tau: np.ndarray,
     coeffs: np.ndarray,
     pert: PerturbationSpec,
@@ -426,9 +441,12 @@ def trajectory_from_rows(
     integrates at step dtau, raise ConfigurationError.  A perturbed kind gets
     the forcing :func:`forcing_coefficients` gives at (t[i], coeffs[i]), bit
     for bit: nodal forcing from one call per row, a radial h from M(t[i])
-    built in stacked blocks.  The unperturbed flow gets zero forcing and
-    ``diag_factors`` = exp(gamma_k tau_i).
+    built in stacked blocks.  The unperturbed flow gets zero forcing,
+    ``diag_factors`` = exp(gamma_k tau_i) and no collocation: ``col`` is
+    not read, and may be None.
     """
+    if pert.kind == "none":
+        col = None
     ratio = _check_inputs(basis, col, coeffs, tau[-1], dtau, pert)
     taus, step = tau_grid(tau[-1], dtau)
     if step != dtau or not np.array_equal(tau, taus):
@@ -451,9 +469,11 @@ def integrate_backward(
 ) -> Trajectory:
     """March c from tau = 0 down to tau_min on :func:`tau_grid`.
 
-    Without ``col`` the run builds its collocation on the radial rule when
-    :func:`radial_invariant` holds, else on the product rule; a radial
-    ``col`` with inputs outside the radial span raises ConfigurationError.
+    Without ``col`` a perturbed run builds :func:`collocation_for` (the
+    radial rule when :func:`radial_invariant` holds, else the product
+    rule); a radial ``col`` with inputs outside the radial span raises
+    ConfigurationError.  The unperturbed flow builds and keeps no
+    collocation, and ignores ``col``.
     A linear h must first pass :func:`check_h_admissible` with the spec's
     C_h and eps_h, else ConfigurationError; its worst |h| / bound ratio goes
     into the metadata as ``admissibility_ratio``.  The unperturbed flow uses
@@ -472,8 +492,8 @@ def integrate_backward(
     c0 = np.asarray(c0, dtype=float)
     if len(c0) != basis.size:
         raise ConfigurationError("initial coefficient vector does not match the basis")
-    if col is None:
-        col = build_collocation(basis, radial=radial_invariant(basis, pert, c0))
+    if col is None or pert.kind == "none":
+        col = collocation_for(basis, pert, c0)
     ratio = _check_inputs(basis, col, c0[None], tau_min, dtau, pert)
     taus, step = tau_grid(tau_min, dtau)
     if pert.kind == "none":

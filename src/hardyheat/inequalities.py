@@ -409,7 +409,7 @@ def sweep(
             (1.0 + N / 6.0) * (4.0 * math.pi / 3.0) ** (N / 2.0))
         centred = GaussianBump(0.0, math.sqrt(2.0 * t), np.eye(N)[0])
         got = float(evaluate(("sobolev",), [centred])["sobolev"][0])
-        if abs(got - exact) > GAP_SLACK * exact:
+        if not abs(got - exact) <= GAP_SLACK * exact:  # a NaN fails too
             raise InvariantViolationError(
                 f"Sobolev quotient of the centred bump {got} misses its closed form "
                 f"{exact} by over {GAP_SLACK} relative (integration bug, or n_r = {n_r} "

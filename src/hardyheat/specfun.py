@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PositivityError
+from .errors import AccuracyError, PositivityError
 
 
 @dataclass(frozen=True)
@@ -110,8 +110,13 @@ def hyp1f1_one(c: float, z):
     1 / (c - 1 + k) times c - 1: positive terms, so no cancellation.  Past
     k = 2z each term is at least twice the next, and the sum stops once
     every term is below 2^-56 of its sum.  e^{-z} underflows for z > 745.
+    A z outside [0, 700), NaN included, raises AccuracyError.
     """
     z = np.asarray(z, dtype=float)
+    ok = (z >= 0.0) & (z < 700.0)  # False on NaN, where the loop would never end
+    if not np.all(ok):
+        raise AccuracyError(f"1F1(1; c; -z) is summed for 0 <= z < 700 only, "
+                            f"got z = {z[~ok].flat[0]}")
     p = np.exp(-z)  # the Poisson(z) probability of k
     total = p / (c - 1.0)
     k, z_max = 0, float(np.max(z, initial=0.0))

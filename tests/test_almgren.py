@@ -206,6 +206,16 @@ def test_fit_limit_matches_least_squares(name, data):
     assert resid == pytest.approx(ours, rel=1e-6, abs=np.spacing(np.max(np.abs(Nval))))
 
 
+@pytest.mark.parametrize("name, data", _fit_cases().items())
+def test_scan_residuals_equal_the_pointwise_projection(name, data):
+    # the delta scan's one (80, n) expression against one _projected per point
+    t, Nval = data
+    log_t, grid = np.log(t), np.linspace(*al.DELTA_BOUNDS, 80)
+    ref = np.array([np.sum(al._projected(log_t, Nval, d)[2] ** 2) for d in grid])
+    np.testing.assert_array_equal(al._scan_residuals(log_t, Nval, grid).view(np.int64),
+                                  ref.view(np.int64))
+
+
 def test_fit_limit_bounds_and_constant():
     t6, t3 = np.geomspace(1e-6, 1e-5, 200), np.geomspace(1e-2, 1e-1, 100)
     assert al._fit_limit(t6, 0.5 + 0.3 * t6**0.01)[2] == al.DELTA_BOUNDS[0]

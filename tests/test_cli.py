@@ -1,16 +1,22 @@
+import dataclasses
 import hashlib
 import json
 import math
+import os
 import shutil
 import string
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from hardyheat import evolve
+from hardyheat import cli, evolve, quadrature
 from hardyheat.cli import main
 from hardyheat.config import RunConfig, parse_perturbation, parse_potential
 from hardyheat.errors import ConfigurationError
@@ -278,6 +284,20 @@ def test_cmd_spectrum_dimension_four(tmp_path):
     assert gammas == [0.0, 0.5, 1.0, 1.5]
 
 
+def test_cmd_beta_unperturbed_dimension_four(tmp_path):
+    # the unperturbed flow builds no collocation, so data on an l > 0 mode,
+    # which has no nodal table in N = 4, runs under the exact propagator
+    path, _ = write_config(tmp_path, dimension=4, gamma_max=1.5, angular_count=55,
+                           initial="modes:0=1.0,1=0.5", directory=str(tmp_path))
+    for cmd in ("spectrum", "simulate", "beta"):
+        assert main([cmd, "--config", path]) == 0, cmd
+    modes = json.loads((tmp_path / "spectrum.json").read_text())["basis"]["modes"]
+    assert modes[1]["j"] > 1  # not the ground harmonic: degree l = 1 at a = 0
+    doc = json.loads((tmp_path / "frequency.json").read_text())
+    assert (doc["collocation_rule"], doc["collocation_nodes"]) == ("none", 0)
+    assert json.loads((tmp_path / "beta.json").read_text())["gamma"] == 0.0
+
+
 def test_cmd_simulate_outputs_and_determinism(tmp_path):
     path, _ = write_config(
         tmp_path, gamma_max=1.0, tau_min=math.log(1e-2),
@@ -370,6 +390,84 @@ def test_cmd_quadcheck(tmp_path):
     assert main(["quadcheck", "--config", path]) == 0
     data = json.loads((tmp_path / "quadcheck.json").read_text())
     assert data["ok"] is True
+
+
+def _one_shell_heavier(monkeypatch):
+    """product_rule with one Laguerre weight (a whole radial shell of the
+    product weights) multiplied by 1 + 1e-9, past the rule's own checks."""
+    real = quadrature.product_rule
+
+    def build(*args, **kwargs):
+        rule = real(*args, **kwargs)
+        n_ang = len(rule.angular_weights)
+        i = int(np.argmax(rule.radial.weights)) * n_ang
+        weights = rule.weights.copy()
+        weights[i:i + n_ang] *= 1.0 + 1e-9
+        return dataclasses.replace(rule, weights=weights)
+
+    monkeypatch.setattr(cli, "product_rule", build)
+    monkeypatch.setattr(quadrature, "product_rule", build)
+
+
+_MOMENT_GATES = {f"product_N={N}.moment_x2_rel_err" for N in (3, 4, 5)}
+_BROKEN_RULES = {
+    # doubling_stable integrates at t = 1, where sqrt(t) = t
+    "points_at_scaled_by_t": (
+        lambda mp: mp.setattr(quadrature.ProductRule, "points_at", lambda self, t: t * self.points),
+        _MOMENT_GATES),
+    "one_weight_off_by_1e-9": (_one_shell_heavier, _MOMENT_GATES | {"doubling_stable.rel_err"}),
+}
+
+
+@pytest.mark.parametrize("broken", sorted(_BROKEN_RULES))
+def test_quadcheck_gates_fail_on_broken_rules(tmp_path, monkeypatch, broken):
+    # measured on the sound rules: at most 1.1e-14 (moments), 6.2e-16 (doubling)
+    breaks, gates = _BROKEN_RULES[broken]
+    breaks(monkeypatch)
+    path, _ = write_config(tmp_path, directory=str(tmp_path))
+    assert main(["quadcheck", "--config", path]) == 3
+    checks = json.loads((tmp_path / "quadcheck.json").read_text())["checks"]
+    failed = {f"{name}.{key}" for name, entry in checks.items()
+              for key, err in entry.items() if key != "value" and err >= 1e-11}
+    assert gates <= failed
+
+
+@settings(deadline=None)
+@given(rows=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=8),
+                       elements=st.floats(allow_nan=False)))
+@example(rows=np.array([[5e-324, -0.0, 0.0, 1.7976931348623157e308, -2.2250738585072014e-308]]))
+def test_csv_round_trip_is_bit_exact(rows):
+    # what _write_csv writes, _read_csv reads back bit for bit: every
+    # double but NaN, subnormals, -0.0 and +-inf included
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rows.csv")
+        written = cli._write_csv(path, [f"c_{k}" for k in range(rows.shape[1])], rows,
+                                 {"config_hash": "0" * 16})
+        with open(path, "rb") as fh:
+            data = fh.read()
+    assert written == hashlib.sha256(data).hexdigest()
+    back = cli._read_csv(data)
+    assert back.shape == rows.shape
+    np.testing.assert_array_equal(back.view(np.int64), rows.view(np.int64))
+
+
+# (command, key, value, exit code): each ran into a traceback or a hang
+_NON_FINITE = [("verify", "sweep_t", math.inf, 2), ("verify", "sweep_t", math.nan, 2),
+               ("verify", "sweep_t", 1e300, 3), ("simulate", "tau_min", math.nan, 2)]
+
+
+@pytest.mark.parametrize("command, key, value, code", _NON_FINITE)
+def test_non_finite_key_exits_without_traceback(tmp_path, command, key, value, code):
+    # verify with sweep_t = inf never returned: a fresh process with a
+    # timeout makes a hang fail the test instead of stalling the suite
+    path, _ = write_config(tmp_path, sweep_count=5, directory=str(tmp_path), **{key: value})
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-m", "hardyheat.cli", command, "--config", path],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if code == 2:
+        assert key in proc.stderr
 
 
 def test_cli_seed_and_out_overrides(tmp_path):

@@ -86,10 +86,13 @@ def test_integrate_constant_mass():
 
 
 def test_integrate_t_invariance():
+    # int |x|^2 G(., t) = 6 t (2 sqrt(pi))^3, so the moment over t is the
+    # same at every t; the constant 1 would be too, whatever t did to the nodes
     rule = quad.product_rule(3, 32, 12, 24)
-    v1 = quad.integrate_G(lambda x: np.ones(len(x)), 1.0, rule)
-    v2 = quad.integrate_G(lambda x: np.ones(len(x)), 0.37, rule)
-    np.testing.assert_allclose(v1, v2, rtol=1e-14)
+    sq = lambda x: np.sum(x * x, axis=1)
+    v1 = quad.integrate_G(sq, 1.0, rule)
+    v2 = quad.integrate_G(sq, 0.37, rule)
+    np.testing.assert_allclose(v2 / 0.37, v1, rtol=1e-14)
 
 
 def test_integrate_x_squared_moment():

@@ -4,7 +4,8 @@ Under a constant potential a semilinear or radial linear forcing maps radial
 functions to radial functions, so such a run is marched on the n_r-node
 radial rule.  These tests hold it against the product rule, check the
 fallbacks and the guard, and check the semilinear workload against the
-closed form of its Bernoulli ODE.
+closed form of its Bernoulli ODE.  The unperturbed flow forces nothing, so
+it builds no collocation at all.
 """
 
 import dataclasses
@@ -20,7 +21,9 @@ from hardyheat import angular as ang
 from hardyheat import asymptotics as asym
 from hardyheat import cli
 from hardyheat import evolve as ev
+from hardyheat import inequalities as ineq
 from hardyheat import ou_basis as ou
+from hardyheat import quadrature as quad
 from hardyheat.config import RunConfig, parse_initial, parse_perturbation
 from hardyheat.errors import ConfigurationError
 
@@ -108,7 +111,8 @@ def test_radial_simulate_forces_on_one_direction(tmp_path, monkeypatch):
 # runs outside the radial span: (config, overrides)
 PRODUCT_CASES = {
     "non_radial_mode_in_c0": (SEMILINEAR, {"initial": "modes:0=1.0,1=0.5"}),
-    "anisotropic_potential": ("configs/anisotropic.ini", {}),
+    "anisotropic_potential": ("configs/anisotropic.ini",
+                              {"perturbation": "linear_bounded:0.1"}),
     "unperturbed": (SEMILINEAR, {"perturbation": "none"}),
 }
 
@@ -120,8 +124,47 @@ def test_fallbacks_take_the_product_rule(name, tmp_path):
     _, basis = cli._spectrum_and_basis(cfg)
     assert not ev.radial_invariant(basis, parse_perturbation(cfg), parse_initial(cfg, basis))
     doc = _run(tmp_path, cfg, "simulate")
-    assert doc["collocation_rule"] == "product"
-    assert doc["collocation_nodes"] > cfg.radial_nodes
+    if name == "unperturbed":  # forces nothing, so it takes no rule at all
+        assert (doc["collocation_rule"], doc["collocation_nodes"],
+                doc["collocation_gram_residual"]) == ("none", 0, None)
+    else:
+        assert doc["collocation_rule"] == "product"
+        assert doc["collocation_nodes"] > cfg.radial_nodes
+
+
+def _counted(monkeypatch, module, name, calls):
+    """Count the calls of ``module.name`` in ``calls[name]``, wherever the
+    package imported it by name."""
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return real(*args, **kwargs)
+
+    for holder in (cli, ev, ou, quad, ineq):
+        if getattr(holder, name, None) is real:
+            monkeypatch.setattr(holder, name, counted)
+
+
+@pytest.mark.parametrize("perturbation", ("none", "semilinear:0.05:2.0"))
+def test_collocations_built_per_command(perturbation, tmp_path, monkeypatch):
+    # the unperturbed flow reads no collocation, so it builds none and no
+    # product rule; a perturbed run builds one per command, and beta's rows
+    # come back from trajectory.csv with one forcing call each
+    calls = {"build_collocation": 0, "product_rule": 0, "forcing_coefficients": 0}
+    _counted(monkeypatch, ou, "build_collocation", calls)
+    _counted(monkeypatch, quad, "product_rule", calls)
+    _counted(monkeypatch, ev, "forcing_coefficients", calls)
+    cfg = _config(SEMILINEAR, perturbation=perturbation, tau_min=math.log(1e-3),
+                  dtau=0.01, radial_nodes=16)
+    n = math.ceil(-cfg.tau_min / cfg.dtau - 1e-12)
+    perturbed = perturbation != "none"
+    for command, forcing in (("simulate", 4 * n + 4 * math.ceil(n / 2) + 2),
+                             ("beta", n + 1)):
+        _run(tmp_path, cfg, command)
+        assert calls == {"build_collocation": int(perturbed), "product_rule": 0,
+                         "forcing_coefficients": forcing if perturbed else 0}, command
+        calls.update(dict.fromkeys(calls, 0))
 
 
 def test_non_radial_h_takes_the_product_rule(basis0):

@@ -1,4 +1,5 @@
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy.special import hyp1f1
 
 from hardyheat import specfun as sf
 from kummer import kummer_m, pochhammer
-from hardyheat.errors import PositivityError, QuadratureError
+from hardyheat.errors import AccuracyError, PositivityError, QuadratureError
 
 
 def test_pochhammer_empty_product():
@@ -180,3 +181,19 @@ def test_hyp1f1_one_matches_scipy(c):
     z = np.linspace(0.0, 15.0, 1501)
     np.testing.assert_allclose(sf.hyp1f1_one(c, z), hyp1f1(1.0, c, -z), rtol=1e-14, atol=0.0)
     assert sf.hyp1f1_one(c, 0.0) == 1.0
+
+
+@pytest.mark.parametrize("z", (math.nan, math.inf, -1.0, 700.0, [1.0, math.nan]))
+def test_hyp1f1_one_rejects_z_outside_its_range(z):
+    # a NaN z looped forever (k >= 2 * nan is never true): bound the call
+    def stuck(signum, frame):
+        raise TimeoutError("hyp1f1_one did not return")
+
+    previous = signal.signal(signal.SIGALRM, stuck)
+    signal.alarm(5)
+    try:
+        with pytest.raises(AccuracyError, match="0 <= z < 700"):
+            sf.hyp1f1_one(1.5, z)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

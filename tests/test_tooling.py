@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from hardyheat import inequalities
 from hardyheat.cli import main
 from hardyheat.config import RunConfig
@@ -72,23 +74,33 @@ print(" ".join(sorted(sys.modules)))
 """
 
 
-def _modules_after(tmp_path, *commands) -> list:
+def _modules_after(tmp_path, *commands, perturbation="linear_bounded:0.1") -> list:
     """The modules loaded after running ``commands`` in one fresh process."""
     cfg = RunConfig()
-    cfg.perturbation, cfg.gamma_max, cfg.radial_nodes = "linear_bounded:0.1", 1.0, 16
+    cfg.perturbation, cfg.gamma_max, cfg.radial_nodes = perturbation, 1.0, 16
     cfg.tau_min, cfg.dtau, cfg.directory = math.log(1e-6), 0.01, str(tmp_path)
     cfg.sweep_count = 10
     path = tmp_path / "run.ini"
     path.write_text(cfg.to_text())
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run([sys.executable, "-c", LOADED_MODULES, str(path), *commands], env=env,
-                         capture_output=True, text=True, check=True)
+                         capture_output=True, text=True, check=True, timeout=120)
     return out.stdout.splitlines()[-1].split()
 
 
 def test_commands_load_no_scipy(tmp_path):
     modules = _modules_after(tmp_path, "spectrum", "simulate", "beta")
     assert [m for m in modules if m.split(".")[0] == "scipy"] == []
+
+
+@pytest.mark.parametrize("perturbation", ("none", "semilinear:0.05:2.0"))
+def test_simulate_and_beta_load_no_scipy_or_numpy_ma(tmp_path, perturbation):
+    # the unperturbed flow (no collocation) and the semilinear march on the
+    # radial rule, each with beta reading its rows back from trajectory.csv
+    modules = _modules_after(tmp_path, "simulate", "beta", perturbation=perturbation)
+    assert "hardyheat.evolve" in modules
+    assert [m for m in modules if m.split(".")[0] == "scipy"
+            or m == "numpy.ma" or m.startswith("numpy.ma.")] == []
 
 
 def test_commands_load_no_numpy_ma(tmp_path):
