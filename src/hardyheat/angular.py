@@ -480,36 +480,12 @@ def eval_psi_block(spec: AngularSpectrum, dirs: np.ndarray) -> np.ndarray:
     return spec.eigenvectors.T @ Y
 
 
-def eval_psi(spec: AngularSpectrum, k: int, dirs: np.ndarray) -> np.ndarray:
-    """Eigenfunction psi_k (1-based index k) at unit vectors."""
-    if not 1 <= k <= spec.count:
-        raise ConfigurationError(f"eigenfunction index {k} outside 1..{spec.count}")
-    if spec.eigenvectors is None:
-        if k > 1:
-            raise ConfigurationError(
-                "anisotropic eigenfunction evaluation requires N = 3; "
-                "only the constant mode is evaluable for constant potentials in N > 3"
-            )
-        return np.full(len(np.atleast_2d(dirs)), 1.0 / math.sqrt(sphere_area(spec.N)))
-    return spec.eigenvectors[:, k - 1] @ real_sph_block(spec.truncation_degree, dirs)
-
-
 def eval_grad_psi_block(spec: AngularSpectrum, dirs: np.ndarray) -> np.ndarray:
     """Surface gradients of all eigenfunctions; shape (K, M, 3).  N=3 only."""
     if spec.eigenvectors is None:
-        if spec.count == 1:
-            return np.zeros((1, len(np.atleast_2d(dirs)), spec.N))
         raise ConfigurationError("angular gradients require the N=3 Galerkin basis")
     grads = real_sph_grad_block(spec.truncation_degree, dirs)
-    return np.einsum("pk,pmd->kmd", spec.eigenvectors, grads)
-
-
-def eval_grad_psi(spec: AngularSpectrum, k: int, dirs: np.ndarray) -> np.ndarray:
-    """Surface gradient of psi_k (1-based index k); shape (M, 3).  N=3 only."""
-    if spec.eigenvectors is None:
-        raise ConfigurationError("angular gradients require the N=3 Galerkin basis")
-    grads = real_sph_grad_block(spec.truncation_degree, dirs)
-    return np.tensordot(spec.eigenvectors[:, k - 1], grads, axes=1)
+    return np.tensordot(spec.eigenvectors, grads, axes=(0, 0))
 
 
 def potential_pairing(spec: AngularSpectrum) -> np.ndarray:

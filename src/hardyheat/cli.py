@@ -28,7 +28,7 @@ from .errors import (
     HardyHeatError,
     PositivityError,
 )
-from .quadrature import integrate_G, integrate_G_stable, laguerre_rule, product_rule
+from .quadrature import integrate_G, laguerre_rule, product_rule
 
 
 def _fmt(v) -> str:
@@ -315,11 +315,12 @@ def cmd_quadcheck(cfg, outdir) -> int:
     checks["moment_x2_N3"] = {
         "rel_err": abs(sq - 48.0 * math.pi**1.5) / (48.0 * math.pi**1.5)
     }
-    # doubling stability of a smooth integrand, against its closed form
-    # 5/3 (4 pi/3)^{3/2}
-    val = integrate_G_stable(
+    # a smooth non-polynomial integrand on the 64-node rule, against its
+    # closed form 5/3 (4 pi/3)^{3/2}; the key names the n_r doubling that
+    # this one rule replaced
+    val = integrate_G(
         lambda x: np.exp(-0.5 * np.sum(x * x, axis=1)) * (1.0 + x[:, 0] ** 2),
-        1.0, 3, n_r=16,
+        1.0, product_rule(3, 64),
     )
     exact = 5.0 / 3.0 * (4.0 * math.pi / 3.0) ** 1.5
     checks["doubling_stable"] = {"value": val, "rel_err": abs(val - exact) / exact}

@@ -68,13 +68,15 @@ class RunConfig:
         from .inequalities import SOBOLEV_EXPONENT as s
 
         for key, low in (("dimension", 3), ("angular_count", 1), ("sweep_count", 1),
-                         ("seed", 0)):
+                         ("seed", 0), ("angular_truncation", 0), ("max_modes", 0)):
             if getattr(self, key) < low:
                 raise ConfigurationError(f"{key} must be >= {low}")
         # each range test is False on NaN, so a NaN fails it too
         for key in ("gamma_max", "fit_decades", "sweep_t"):
             if not 0.0 < getattr(self, key) < math.inf:
                 raise ConfigurationError(f"{key} must be positive and finite")
+        if not 0.0 <= self.h_const < math.inf:
+            raise ConfigurationError("h_const must be >= 0 and finite")
         if not 0.0 < self.dtau <= DTAU_MAX:
             raise ConfigurationError(f"dtau must lie in (0, {DTAU_MAX}]")
         if not TAU_FLOOR - 1e-12 <= self.tau_min < 0.0:
@@ -84,8 +86,8 @@ class RunConfig:
         if not self.lambda_grid:
             raise ConfigurationError("lambda_grid must list at least one Lambda")
         for key in ("lambda_grid", "recon_lambdas"):
-            if not all(lam > 0.0 for lam in getattr(self, key)):
-                raise ConfigurationError(f"{key} entries must be positive")
+            if not all(0.0 < lam < math.inf for lam in getattr(self, key)):
+                raise ConfigurationError(f"{key} entries must be positive and finite")
         if not 0.0 < self.recon_tau < 1.0:
             raise ConfigurationError("recon_tau must lie in (0, 1)")
         # the Sobolev quotient needs s <= 2N/(N-2), that is N <= 2s/(s-2)
@@ -152,6 +154,14 @@ class RunConfig:
         return cls.from_text(text)
 
 
+def _finite(text: str) -> float:
+    """float(text), refusing NaN and +-inf."""
+    val = float(text)
+    if not math.isfinite(val):
+        raise ValueError(f"{text.strip()!r} is not a finite number")
+    return val
+
+
 @contextmanager
 def _spec_errors(key: str, spec: str):
     """Any fault in the ``key`` spec string (unknown kind, missing field, bad
@@ -169,14 +179,14 @@ def parse_potential(cfg: RunConfig):
     spec = cfg.potential.strip()
     with _spec_errors("potential", spec):
         if spec.startswith("constant:"):
-            return AngularPotential.constant(float(spec.split(":", 1)[1]))
+            return AngularPotential.constant(_finite(spec.split(":", 1)[1]))
         if spec.startswith("harmonic_table:"):
             table = {}
             for item in spec.split(":", 1)[1].split(";"):
                 if not item.strip():
                     continue
                 l, m, c = item.split(",")
-                table[(int(l), int(m))] = float(c)
+                table[(int(l), int(m))] = _finite(c)
             return AngularPotential.harmonic_table(table)
         raise ConfigurationError(
             "unsupported kind (constant:<v> or harmonic_table:<l,m,c;...>; "
@@ -195,10 +205,10 @@ def parse_perturbation(cfg: RunConfig):
         kind, _, rest = spec.partition(":")
         parts = [p for p in rest.split(":") if p]
         if kind in ("linear_constant", "linear_bounded"):
-            pert = getattr(PerturbationSpec, kind)(float(parts[0]), eps_h=cfg.h_eps)
+            pert = getattr(PerturbationSpec, kind)(_finite(parts[0]), eps_h=cfg.h_eps)
             return replace(pert, C_h=cfg.h_const) if cfg.h_const > 0 else pert
         if kind == "semilinear":
-            return PerturbationSpec.semilinear(float(parts[0]), float(parts[1]),
+            return PerturbationSpec.semilinear(_finite(parts[0]), _finite(parts[1]),
                                                cfg.dimension)
         raise ConfigurationError("unsupported kind")
 
@@ -218,7 +228,7 @@ def parse_initial(cfg: RunConfig, basis):
             pairs = []
             for item in spec.split(":", 1)[1].split(","):
                 k, _, v = item.partition("=")
-                pairs.append((int(k), float(v)))
+                pairs.append((int(k), _finite(v)))
             return build_initial(basis, pairs)
         if spec.startswith("family:"):
             parts = spec.split(":")[1:]
@@ -228,10 +238,10 @@ def parse_initial(cfg: RunConfig, basis):
                 comps = []
                 for item in parts[1].split(","):
                     k, _, v = item.partition("=")
-                    comps.append((int(k), float(v)))
+                    comps.append((int(k), _finite(v)))
                 return closed_form_reference(basis, ("mixture", comps), 1.0)
             if parts[0] == "exp_linear":
                 return closed_form_reference(
-                    basis, ("exp_linear", int(parts[1]), float(parts[2])), 1.0
+                    basis, ("exp_linear", int(parts[1]), _finite(parts[2])), 1.0
                 )
         raise ConfigurationError("unsupported kind")

@@ -42,7 +42,7 @@ class SingularNodeError(HardyHeatError):
 
 
 class QuadratureError(HardyHeatError):
-    """Quadrature construction or doubling-stability failure."""
+    """A quadrature rule cannot be built, or cannot represent its integrand."""
 
 
 class AccuracyError(HardyHeatError):

@@ -118,10 +118,11 @@ class BasisModeFunction:
         return f"BasisModeFunction(j={self.mode.j}, n={self.mode.n})"
 
     def value(self, x):
-        return eval_V(self.mode, x, self.spectrum)
+        return eval_V(self.spectrum, [self.mode], x)[0]
 
     def value_grad(self, x):
-        return self.value(x), eval_grad_V(self.mode, x, self.spectrum)
+        values, grads = eval_grad_V(self.spectrum, [self.mode], x)
+        return values[0], grads[0]
 
 
 @dataclass(frozen=True)
@@ -410,10 +411,11 @@ def sweep(
         centred = GaussianBump(0.0, math.sqrt(2.0 * t), np.eye(N)[0])
         got = float(evaluate(("sobolev",), [centred])["sobolev"][0])
         if not abs(got - exact) <= GAP_SLACK * exact:  # a NaN fails too
+            cause = ("closed forms not representable at this t" if closed
+                     else f"integration bug, or n_r = {n_r} too coarse")
             raise InvariantViolationError(
                 f"Sobolev quotient of the centred bump {got} misses its closed form "
-                f"{exact} by over {GAP_SLACK} relative (integration bug, or n_r = {n_r} "
-                "too coarse)"
+                f"{exact} by over {GAP_SLACK} relative ({cause})"
             )
 
     members = list(family.members(basis))

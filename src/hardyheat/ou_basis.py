@@ -60,16 +60,6 @@ class OUMode:
     norm_L: float
     degree: int           # (dominant) harmonic degree of psi_j
 
-    def radial_profile(self, r):
-        """f(r) = r^{-alpha} P(r^2/4) of the unnormalized mode."""
-        r = np.asarray(r, dtype=float)
-        return r ** (-self.alpha_j) * self.poly(r * r / 4.0)
-
-    def radial_profile_derivative(self, r):
-        """f'(r) = r^{-alpha-1} Q(r^2/4), Q = -alpha P + 2 s P'."""
-        r = np.asarray(r, dtype=float)
-        return r ** (-self.alpha_j - 1.0) * _q_poly(self)(r * r / 4.0)
-
 
 def _q_poly(mode: OUMode) -> Polynomial:
     """Q = -alpha P + 2 s P', the polynomial factor of r^{alpha+1} f'."""
@@ -273,52 +263,54 @@ def multiplicity(gamma: float, spectrum: ang.AngularSpectrum):
     return len(J), J
 
 
-def eval_V(mode: OUMode, x: np.ndarray, spectrum: ang.AngularSpectrum,
-           normalized: bool = True) -> np.ndarray:
-    """Evaluate the mode at points x (shape (..., N)); x = 0 handled by limit."""
+def _radial_rows(modes, r: np.ndarray) -> np.ndarray:
+    """f(r) / norm_L, f = r^{-alpha} P(r^2/4), of each mode at the radii r;
+    shape (len(modes), M)."""
+    return np.array([r ** (-m.alpha_j) * m.poly(r * r / 4.0) / m.norm_L for m in modes])
+
+
+def _psi_rows(spectrum: ang.AngularSpectrum, modes, dirs: np.ndarray) -> np.ndarray:
+    """psi_j of each mode at unit vectors; shape (len(modes), M)."""
+    if spectrum.eigenvectors is None and any(m.j > 1 for m in modes):
+        raise ConfigurationError("only psi_1 is evaluable off the N = 3 harmonic basis")
+    return ang.eval_psi_block(spectrum, dirs)[[m.j - 1 for m in modes]]
+
+
+def eval_V(spectrum: ang.AngularSpectrum, modes, x: np.ndarray) -> np.ndarray:
+    """Normalized values of the modes at points x (shape (M, N)); shape
+    (len(modes), M).  At x = 0 a mode takes its limit: 0 for alpha < 0,
+    P(0) psi for degree 0 and alpha = 0; any other mode raises."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     r = np.linalg.norm(x, axis=-1)
-    out = np.empty(len(x))
     at_origin = r == 0.0
-    if np.any(at_origin):
-        if mode.alpha_j > 0.0:
-            raise SingularNodeError(
-                f"mode with alpha={mode.alpha_j} > 0 is singular at x = 0"
-            )
-        if mode.alpha_j < 0.0:
-            out[at_origin] = 0.0
-        else:
-            if mode.degree != 0:
-                raise SingularNodeError("direction undefined at x = 0 for l > 0 mode")
-            psi0 = ang.eval_psi(spectrum, mode.j, np.eye(spectrum.N)[:1])[0]
-            out[at_origin] = mode.poly(0.0) * psi0
-    good = ~at_origin
-    if np.any(good):
-        dirs = x[good] / r[good, None]
-        psi = ang.eval_psi(spectrum, mode.j, dirs)
-        out[good] = mode.radial_profile(r[good]) * psi
-    if normalized:
-        out = out / mode.norm_L
-    return out
+    bad = [m for m in modes if m.alpha_j > 0.0 or (m.alpha_j == 0.0 and m.degree != 0)]
+    if bad and np.any(at_origin):
+        raise SingularNodeError(f"mode (n={bad[0].n}, j={bad[0].j}) has no limit at x = 0")
+    # the direction at x = 0 matters only for a degree-0 mode; take e1
+    dirs = x / np.where(at_origin, 1.0, r)[:, None]
+    dirs[at_origin] = np.eye(spectrum.N)[0]
+    return _radial_rows(modes, r) * _psi_rows(spectrum, modes, dirs)
 
 
-def eval_grad_V(mode: OUMode, x: np.ndarray, spectrum: ang.AngularSpectrum) -> np.ndarray:
-    """Gradient of the normalized mode at points away from the origin;
-    shape (..., N)."""
+def eval_grad_V(spectrum: ang.AngularSpectrum, modes, x: np.ndarray):
+    """(values, gradients) of the normalized modes at points x away from the
+    origin; shapes (len(modes), M) and (len(modes), M, N).
+
+    grad V = f'(r) psi x/r + f(r)/r grad_S psi with f' = r^{-alpha-1} Q(r^2/4).
+    """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     r = np.linalg.norm(x, axis=-1)
     if np.any(r == 0.0):
         raise SingularNodeError("gradient undefined at x = 0")
     dirs = x / r[:, None]
-    psi = ang.eval_psi(spectrum, mode.j, dirs)
-    radial_part = mode.radial_profile_derivative(r)[:, None] * psi[:, None] * dirs
-    if mode.degree == 0 and spectrum.eigenvectors is None:
-        ang_part = 0.0
-    else:
-        grad_psi = ang.eval_grad_psi(spectrum, mode.j, dirs)
-        s = r * r / 4.0
-        ang_part = (r ** (-mode.alpha_j - 1.0) * mode.poly(s))[:, None] * grad_psi
-    return (radial_part + ang_part) / mode.norm_L
+    psi = _psi_rows(spectrum, modes, dirs)
+    s = r * r / 4.0
+    scale = np.array([r ** (-m.alpha_j - 1.0) / m.norm_L for m in modes])
+    grads = (scale * np.array([_q_poly(m)(s) for m in modes]) * psi)[..., None] * dirs
+    if spectrum.eigenvectors is not None:  # else every mode is the constant psi_1
+        grad_psi = ang.eval_grad_psi_block(spectrum, dirs)[[m.j - 1 for m in modes]]
+        grads += (scale * np.array([m.poly(s) for m in modes]))[..., None] * grad_psi
+    return _radial_rows(modes, r) * psi, grads
 
 
 def _radial_coupling(basis: OUBasis, S: np.ndarray) -> np.ndarray:
@@ -443,7 +435,7 @@ def build_collocation(basis: OUBasis, n_r: int = 64, radial: bool = False) -> Co
         rule = product_rule(spec.N, n_r, 2 * lmax + 10, 4 * lmax + 10)
     span = radial_modes(basis) if radial else np.ones(basis.size, dtype=bool)
     r = rule.radial.nodes_r
-    radial_table = np.array([m.radial_profile(r) / m.norm_L for m in basis.modes])
+    radial_table = _radial_rows(basis.modes, r)
     psi_k = ang.eval_psi_block(spec, rule.angular_dirs)[[m.j - 1 for m in basis.modes]]
     # off the span both factors are zero (psi is not evaluable for l > 0 in N > 3)
     radial_table[~span] = 0.0

@@ -26,11 +26,7 @@ import numpy as np
 
 from .errors import QuadratureError, SingularNodeError
 
-# Doubling-stability gate: a reported integral is trusted only once
-# |I(n_r) - I(2 n_r)| < DOUBLING_RTOL * |I(2 n_r)|.
-DOUBLING_RTOL = 1e-10
 DEFAULT_NR = 64
-NR_CAP = 1024
 
 
 def sphere_area(N: int) -> float:
@@ -317,29 +313,3 @@ def integrate_G(f, t: float, rule: ProductRule) -> float:
             node=rule.points_at(t)[bad],
         )
     return rule.integrate(vals)
-
-
-def integrate_G_stable(
-    f,
-    t: float,
-    N: int,
-    n_r: int = DEFAULT_NR,
-    cap: int = NR_CAP,
-) -> float:
-    """integrate_G with radial-node doubling until stable.
-
-    Doubles n_r until successive estimates agree to DOUBLING_RTOL relative,
-    raising QuadratureError at the cap.
-    """
-    prev = integrate_G(f, t, product_rule(N, n_r))
-    while n_r < cap:
-        n_r *= 2
-        cur = integrate_G(f, t, product_rule(N, n_r))
-        if abs(cur - prev) <= DOUBLING_RTOL * max(abs(cur), 1e-300):
-            return cur
-        prev = cur
-    raise QuadratureError(
-        f"integral did not stabilize by n_r = {cap}; last two estimates "
-        f"{prev} (the doubling criterion requires {DOUBLING_RTOL} relative agreement)"
-    )
-

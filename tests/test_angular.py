@@ -153,7 +153,7 @@ def test_check_positivity():
 def test_eval_psi_constant_mode():
     spec = ang.solve_angular(ang.AngularPotential.constant(0.0), K=9, N=3)
     dirs = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.6, 0.0, 0.8]])
-    np.testing.assert_allclose(ang.eval_psi(spec, 1, dirs),
+    np.testing.assert_allclose(ang.eval_psi_block(spec, dirs)[0],
                                1.0 / math.sqrt(4.0 * math.pi), rtol=1e-14)
 
 
@@ -263,21 +263,6 @@ def test_potential_pairing_matches_grid_quadrature():
     psi = ang.eval_psi_block(spec, dirs)
     S_grid = (psi * (w * spec.potential.evaluate(dirs))) @ psi.T
     assert np.max(np.abs(ang.potential_pairing(spec) - S_grid)) < 1e-12
-
-
-def test_eval_psi_and_gradient_match_block_rows():
-    pot = ORACLE_POTENTIALS["table_sin_cos"]()
-    spec = ang.solve_angular(pot, L=12, K=9)
-    rng = np.random.default_rng(3)
-    dirs = rng.normal(size=(40, 3))
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    psi = ang.eval_psi_block(spec, dirs)
-    grad = ang.eval_grad_psi_block(spec, dirs)
-    for k in (1, 5, 9):
-        np.testing.assert_allclose(ang.eval_psi(spec, k, dirs), psi[k - 1],
-                                   rtol=0, atol=1e-13)
-        np.testing.assert_allclose(ang.eval_grad_psi(spec, k, dirs), grad[k - 1],
-                                   rtol=0, atol=1e-12)
 
 
 def test_surface_gradient_matches_finite_differences():

@@ -51,11 +51,11 @@ _CONFIGS = st.builds(
     potential=_spec_text,
     perturbation=_spec_text,
     h_eps=_finite,
-    h_const=_finite,
-    angular_truncation=st.integers(-10**6, 10**6),
+    h_const=st.floats(min_value=0.0, allow_infinity=False),
+    angular_truncation=st.integers(0, 10**6),
     angular_count=st.integers(1, 10**6),
     gamma_max=_positive,
-    max_modes=st.integers(-10**6, 10**6),
+    max_modes=st.integers(0, 10**6),
     radial_nodes=st.integers(4, 1024),
     dtau=st.floats(min_value=0.0, max_value=0.01, exclude_min=True),
     tau_min=st.floats(min_value=math.log(1e-6), max_value=0.0, exclude_max=True),
@@ -468,6 +468,8 @@ def test_non_finite_key_exits_without_traceback(tmp_path, command, key, value, c
     assert "Traceback" not in proc.stderr
     if code == 2:
         assert key in proc.stderr
+    else:  # the closed-form sweep samples no node, so n_r is not to blame
+        assert "too coarse" not in proc.stderr
 
 
 def test_cli_seed_and_out_overrides(tmp_path):
@@ -631,6 +633,23 @@ def test_config_hash_leaves_out_the_output_directory(tmp_path, monkeypatch, caps
     assert main(["beta", "--config", path, "--out", str(moved)]) == 0
     assert calls["march"] == 0
     assert "rebuilt from trajectory.csv" in capsys.readouterr().err
+
+
+# (key, value): each ran, exited 3 or 4 for the wrong reason, or raised a traceback
+_BAD_VALUES = [("perturbation", "linear_bounded:nan"), ("initial", "modes:0=nan"),
+               ("initial", "family:exp_linear:0:inf"), ("h_const", math.nan),
+               ("h_const", -1.0), ("max_modes", -3), ("angular_truncation", -5),
+               ("recon_lambdas", (0.5, math.inf)), ("lambda_grid", (0.1, math.inf)),
+               ("potential", "harmonic_table:1,0,nan"), ("potential", "constant:nan")]
+
+
+@pytest.mark.parametrize("key, value", _BAD_VALUES)
+def test_bad_value_exits_2_naming_the_key(tmp_path, capsys, key, value):
+    path, _ = write_config(tmp_path, directory=str(tmp_path), tau_min=math.log(1e-2),
+                           gamma_max=1.0, angular_count=16, **{key: value})
+    assert main(["simulate", "--config", path]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "trajectory.csv").exists()
 
 
 # semilinear forcing down to t = 1e-2 only: a march of well under a second

@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from hardyheat import angular as ang
 from hardyheat import ou_basis as ou
 from hardyheat.config import RunConfig, parse_potential
 from hardyheat.errors import (
+    ConfigurationError,
     DegeneracyAmbiguityError,
     SingularNodeError,
     TruncationError,
@@ -100,7 +102,7 @@ def test_eval_ground_mode_constant(basis0, spec0):
     mode = basis0.modes[basis0.mode_index(1, 0)]
     x = np.array([[0.3, -0.2, 0.9], [2.0, 0.0, 0.0], [0.01, 0.02, -0.03]])
     np.testing.assert_allclose(
-        ou.eval_V(mode, x, spec0, normalized=False),
+        ou.eval_V(spec0, [mode], x)[0] * mode.norm_L,
         1.0 / math.sqrt(4.0 * math.pi), rtol=1e-14,
     )
 
@@ -111,7 +113,7 @@ def test_eval_first_radial_mode(basis0, spec0):
     x = np.array([[0.5, 0.2, 0.1], [1.0, 1.0, 1.0], [0.0, 3.0, 0.0]])
     r2 = np.sum(x * x, axis=1)
     np.testing.assert_allclose(
-        ou.eval_V(mode, x, spec0, normalized=False),
+        ou.eval_V(spec0, [mode], x)[0] * mode.norm_L,
         (1.0 - r2 / 6.0) / math.sqrt(4.0 * math.pi), rtol=1e-13,
     )
 
@@ -122,7 +124,7 @@ def test_eval_rotation_invariance_radial_modes(basis0, spec0):
     q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
     x = rng.normal(size=(10, 3))
     np.testing.assert_allclose(
-        ou.eval_V(mode, x, spec0), ou.eval_V(mode, x @ q.T, spec0), rtol=1e-12
+        ou.eval_V(spec0, [mode], x), ou.eval_V(spec0, [mode], x @ q.T), rtol=1e-12
     )
 
 
@@ -130,11 +132,16 @@ def test_eval_at_origin_limits(basis0, spec0):
     # alpha < 0 (l >= 1): limit 0; alpha = 0 ground: constant
     x0 = np.zeros((1, 3))
     l1 = next(m for m in basis0.modes if m.degree == 1)
-    assert ou.eval_V(l1, x0, spec0)[0] == 0.0
+    assert ou.eval_V(spec0, [l1], x0)[0, 0] == 0.0
     g = basis0.modes[basis0.mode_index(1, 0)]
     np.testing.assert_allclose(
-        ou.eval_V(g, x0, spec0, normalized=False)[0], 1.0 / math.sqrt(4 * math.pi)
+        ou.eval_V(spec0, [g], x0)[0, 0] * g.norm_L, 1.0 / math.sqrt(4 * math.pi)
     )
+    # an l > 0 mode with alpha = 0 has no limit there, and no gradient does
+    with pytest.raises(SingularNodeError):
+        ou.eval_V(spec0, [replace(l1, alpha_j=0.0)], x0)
+    with pytest.raises(SingularNodeError):
+        ou.eval_grad_V(spec0, [g], x0)
 
 
 def test_eval_origin_singular_alpha_positive():
@@ -143,7 +150,41 @@ def test_eval_origin_singular_alpha_positive():
     mode = basis.modes[0]
     assert mode.alpha_j > 0
     with pytest.raises(SingularNodeError):
-        ou.eval_V(mode, np.zeros((1, 3)), spec)
+        ou.eval_V(spec, [mode], np.zeros((1, 3)))
+
+
+def test_eval_subset_equals_rows_of_all_modes_call():
+    pot = ang.AngularPotential.harmonic_table({(2, 1): 0.1, (3, -2): 0.2})
+    spec = ang.solve_angular(pot, L=12, K=16)
+    basis = ou.enumerate_modes(spec, 1.0)
+    x = np.random.default_rng(3).normal(size=(40, 3))
+    values = ou.eval_V(spec, basis.modes, x)
+    all_values, all_grads = ou.eval_grad_V(spec, basis.modes, x)
+    assert values.shape == (basis.size, 40) and all_grads.shape == (basis.size, 40, 3)
+    np.testing.assert_allclose(all_values, values, rtol=0, atol=1e-15)
+    idx = [7, 0, basis.size - 1, 3]
+    subset = [basis.modes[i] for i in idx]
+    np.testing.assert_array_equal(ou.eval_V(spec, subset, x), values[idx])
+    sub_values, sub_grads = ou.eval_grad_V(spec, subset, x)
+    np.testing.assert_array_equal(sub_values, all_values[idx])
+    np.testing.assert_array_equal(sub_grads, all_grads[idx])
+
+
+def test_eval_l_positive_mode_off_n3_raises():
+    # an N = 4 constant spectrum carries no eigenvectors: only psi_1 is
+    # evaluable, and any l > 0 mode must raise rather than return NaN rows
+    spec = ang.solve_angular(ang.AngularPotential.constant(0.0), K=14, N=4)
+    basis = ou.enumerate_modes(spec, 0.5)
+    ground = basis.modes[basis.mode_index(1, 0)]
+    l1 = next(m for m in basis.modes if m.degree == 1)
+    x = np.random.default_rng(5).normal(size=(6, 4))
+    v, g = ou.eval_grad_V(spec, [ground], x)
+    np.testing.assert_allclose(v * ground.norm_L, 1.0 / math.sqrt(2.0 * math.pi**2),
+                               rtol=1e-14)
+    np.testing.assert_array_equal(g, 0.0)
+    for evaluate in (ou.eval_V, ou.eval_grad_V):
+        with pytest.raises(ConfigurationError):
+            evaluate(spec, [ground, l1], x)
 
 
 def test_inner_products(basis0):
@@ -253,7 +294,7 @@ def test_potential_coupling_vs_nodal_quadrature():
     spec = ang.solve_angular(pot, L=cfg.angular_truncation, K=cfg.angular_count)
     basis = ou.enumerate_modes(spec, cfg.gamma_max)
     rule = product_rule(3, 48, 18, 26, a_gl=3 / 2.0 - 2.0)
-    V = np.array([ou.eval_V(m, rule.points, spec) for m in basis.modes])
+    V = ou.eval_V(spec, basis.modes, rule.points)
     avals = np.tile(pot.evaluate(rule.angular_dirs), rule.radial.count)
     nodal = (V * (rule.weights * avals / rule.radii**2)) @ V.T
     gram_residual = np.max(np.abs((V * rule.weights) @ V.T - np.eye(basis.size)))
@@ -276,23 +317,22 @@ def test_gradient_finite_difference(basis0, spec0):
     rng = np.random.default_rng(8)
     x = rng.normal(size=(5, 3)) + np.array([0.3, 0.1, 0.2])
     eps = 1e-6
-    for k in (0, 4, 11):
-        mode = basis0.modes[k]
-        g = ou.eval_grad_V(mode, x, spec0)
-        for d in range(3):
-            dp, dm = x.copy(), x.copy()
-            dp[:, d] += eps
-            dm[:, d] -= eps
-            fd = (ou.eval_V(mode, dp, spec0) - ou.eval_V(mode, dm, spec0)) / (2 * eps)
-            np.testing.assert_allclose(g[:, d], fd, atol=2e-9)
+    modes = [basis0.modes[k] for k in (0, 4, 11)]
+    _, g = ou.eval_grad_V(spec0, modes, x)
+    for d in range(3):
+        dp, dm = x.copy(), x.copy()
+        dp[:, d] += eps
+        dm[:, d] -= eps
+        fd = (ou.eval_V(spec0, modes, dp) - ou.eval_V(spec0, modes, dm)) / (2 * eps)
+        np.testing.assert_allclose(g[..., d], fd, atol=2e-9)
 
 
 def test_gradient_energy_identity(basis0, spec0, col0):
     # int |grad V~|^2 G = B(V~, V~) + int (a/|x|^2) V~^2 G; here a = 0
-    for k in (1, 5, 12):
-        g = ou.eval_grad_V(basis0.modes[k], col0.points, spec0)
-        energy = col0.weights @ np.sum(g * g, axis=-1)
-        np.testing.assert_allclose(energy, basis0.gammas[k], rtol=1e-10, atol=1e-12)
+    ks = [1, 5, 12]
+    _, g = ou.eval_grad_V(spec0, [basis0.modes[k] for k in ks], col0.points)
+    energy = np.sum(g * g, axis=-1) @ col0.weights
+    np.testing.assert_allclose(energy, basis0.gammas[ks], rtol=1e-10, atol=1e-12)
 
 
 def test_enumeration_deterministic_order(basis0):
@@ -314,8 +354,8 @@ def test_norm_Ht_ground_mode_is_one(basis0, spec0):
     mode = basis0.modes[basis0.mode_index(1, 0)]
 
     def integrand(x):  # t |grad V|^2 + V^2 at t = 1
-        g = ou.eval_grad_V(mode, x, spec0)
-        return np.sum(g * g, axis=-1) + ou.eval_V(mode, x, spec0) ** 2
+        v, g = ou.eval_grad_V(spec0, [mode], x)
+        return np.sum(g[0] * g[0], axis=-1) + v[0] ** 2
 
     val = math.sqrt(integrate_G(integrand, 1.0, product_rule(3, 32, 12, 24)))
     np.testing.assert_allclose(val, 1.0, rtol=1e-12)
@@ -336,16 +376,15 @@ def test_bilinear_reduction_vs_nodal_gradient_oracle():
     spec = ang.solve_angular(pot, L=16, K=36)
     basis = ou.enumerate_modes(spec, 1.5)
     col = ou.build_collocation(basis, n_r=96)
-    grads = {p: ou.eval_grad_V(basis.modes[p], col.points, spec) for p in range(5)}
+    _, grads = ou.eval_grad_V(spec, basis.modes[:5], col.points)
     hrule = product_rule(3, 96, 18, 26, a_gl=-0.5)
     avals = np.tile(pot.evaluate(hrule.angular_dirs), hrule.radial.count)
     r2 = hrule.radii**2
+    V = ou.eval_V(spec, basis.modes[:5], hrule.points)
     _, _, bilinear = ou.certification_matrices(spec, basis.modes)
     for p, q in ((0, 0), (0, 3), (2, 2), (1, 4)):
         grad_term = col.weights @ np.sum(grads[p] * grads[q], axis=-1)
-        vp = ou.eval_V(basis.modes[p], hrule.points, spec)
-        vq = ou.eval_V(basis.modes[q], hrule.points, spec)
-        nodal = grad_term - hrule.weights @ (avals * vp * vq / r2)
+        nodal = grad_term - hrule.weights @ (avals * V[p] * V[q] / r2)
         # the nodal route converges only algebraically for fractional
         # exponents; 1e-4 is its accuracy here, not the reduction's
         assert abs(nodal - bilinear[p, q]) < 1e-4

@@ -20,7 +20,8 @@ from hardyheat.config import RunConfig
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
 SRC = Path(__file__).parents[1] / "src" / "hardyheat"
 # buckets kept for functions that were removed; dropping one is a benchmark change
-DEAD_BUCKETS = {"evolve.forcing_coefficients_scaled", "almgren.check_scaling"}
+DEAD_BUCKETS = {"evolve.forcing_coefficients_scaled", "almgren.check_scaling",
+                "angular.eval_psi"}
 
 
 def _dict_keys(path: Path, name: str) -> list:
