@@ -93,36 +93,32 @@ class FrequencyTrace:
         }
 
 
-def _projected(log_t: np.ndarray, Nval: np.ndarray, d: float):
-    """(g, C, residual) of the linear least-squares fit N ~ g + C t^d at
-    fixed d, and d/dd of half the squared residual at that (g, C).
-
-    Everything is centred on the means, and the derivative takes only the
-    part of dr/dd orthogonal to (1, t^d), which the exact residual is
-    orthogonal to: rounding in g and C then leaves the derivative alone,
-    so its root settles delta to the data's own noise.
-    """
+def _linear_fit(log_t: np.ndarray, Nval: np.ndarray, d):
+    """(u, uc, C, r) of the least-squares fit N ~ g + C t^d at fixed d,
+    centred on the means: u = t^d, uc = u - mean(u), slope C, residual r.
+    A column d of shape (m, 1) fits row i at d[i] by the same operations,
+    so each row is the scalar-d fit bit for bit."""
     u = np.exp(d * log_t)
-    uc = u - u.mean()
+    uc = u - u.mean(axis=-1, keepdims=True)
     nc = Nval - Nval.mean()
-    C = float(uc @ nc) / float(uc @ uc)
-    r = nc - C * uc
+    C = np.vecdot(uc, nc) / np.vecdot(uc, uc)
+    return u, uc, C, nc - C[..., None] * uc
+
+
+def _projected(log_t: np.ndarray, Nval: np.ndarray, d: float):
+    """(g, C, residual) of :func:`_linear_fit` at d, and d/dd of half the
+    squared residual at that (g, C).
+
+    The derivative takes only the part of dr/dd orthogonal to (1, t^d),
+    which the exact residual is orthogonal to: rounding in g and C then
+    leaves it alone, so its root settles delta to the data's own noise.
+    """
+    u, uc, C, r = _linear_fit(log_t, Nval, d)
+    C = float(C)
     v = u * log_t
     v = v - v.mean()
     v -= (float(uc @ v) / float(uc @ uc)) * uc
     return float(Nval.mean()) - C * float(u.mean()), C, r, -C * float(r @ v)
-
-
-def _scan_residuals(log_t: np.ndarray, Nval: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Squared reduced residual of :func:`_projected` at every d of ``grid``,
-    as one (len(grid), n) expression: row by row the same operations, and
-    ``np.vecdot`` takes the dot products through the same kernel as ``@``
-    on one row, so each value is the per-point one bit for bit."""
-    u = np.exp(grid[:, None] * log_t)
-    uc = u - u.mean(axis=1, keepdims=True)
-    nc = Nval - Nval.mean()
-    C = np.vecdot(uc, nc) / np.vecdot(uc, uc)
-    return np.sum((nc - C[:, None] * uc) ** 2, axis=1)
 
 
 def _fit_limit(t: np.ndarray, Nval: np.ndarray):
@@ -139,7 +135,8 @@ def _fit_limit(t: np.ndarray, Nval: np.ndarray):
         return float(Nval[0]), 0.0, float("nan"), 0.0
     log_t = np.log(t)
     grid = np.linspace(*DELTA_BOUNDS, 80)
-    i = int(np.argmin(_scan_residuals(log_t, Nval, grid)))
+    # the scan: squared residuals at every d of the grid, without derivatives
+    i = int(np.argmin(np.sum(_linear_fit(log_t, Nval, grid[:, None])[3] ** 2, axis=1)))
     a, b = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
     fa, fb = _projected(log_t, Nval, a)[3], _projected(log_t, Nval, b)[3]
     # no sign change: the residual falls towards a bound, and d stays there

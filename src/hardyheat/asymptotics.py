@@ -70,12 +70,12 @@ def _snap_lambda(traj: Trajectory, lam: float) -> tuple[int, float]:
 def _direct_term(traj: Trajectory, row: int, kb: int, gamma: float) -> float:
     """lambda^{-2 gamma} c_kb(lambda^2) at a stored row.
 
-    When the trajectory stored its exact diagonal factors (unperturbed
-    flow) and the mode carries the limiting eigenvalue, divide the factor
-    out so the initial coefficient passes through bit-for-bit.
+    The unperturbed flow keeps lambda^{-2 gamma} c_kb(lambda^2) = c_kb(1) on
+    a mode at the limiting eigenvalue, so that mode returns row 0 (tau = 0),
+    the initial coefficient exactly.
     """
-    if traj.diag_factors is not None and traj.basis.gammas[kb] == gamma:
-        return float(traj.coeffs[row, kb] / traj.diag_factors[row, kb])
+    if traj.perturbation.kind == "none" and traj.basis.gammas[kb] == gamma:
+        return float(traj.coeffs[0, kb])
     return math.exp(-gamma * traj.tau[row]) * float(traj.coeffs[row, kb])
 
 

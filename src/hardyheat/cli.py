@@ -76,6 +76,15 @@ def _spectrum_and_basis(cfg):
     basis = ou_basis.enumerate_modes(
         spec, cfg.gamma_max, cfg.max_modes if cfg.max_modes > 0 else None
     )
+    if cfg.max_modes > 0:  # the cap must end on a complete shell
+        gamma = basis.modes[-1].gamma
+        count, J = ou_basis.multiplicity(gamma, spec)
+        kept = sum((m.n, m.j) in J for m in basis.modes)
+        if kept < count:
+            raise ConfigurationError(
+                f"max_modes = {cfg.max_modes} splits the gamma = {gamma} shell: "
+                f"the basis keeps {kept} of its {count} modes"
+            )
     return spec, basis
 
 

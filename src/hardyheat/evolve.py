@@ -171,38 +171,18 @@ def linear_forcing_matrices(ts, pert: PerturbationSpec, col: Collocation) -> np.
 def forcing_coefficients(
     t: float, c: np.ndarray, pert: PerturbationSpec, col: Collocation
 ) -> np.ndarray:
-    """F_k = < f(sqrt(t) . , t, v), V_tilde_k >_L.
-
-    A radial linear h goes through :func:`linear_forcing_matrices`; any
-    other h and the semilinear term are evaluated at the nodes and
-    projected back.
+    """F_k = < f(sqrt(t) . , t, v), V_tilde_k >_L of a nodal forcing: the
+    semilinear term, or a linear h without ``h_radial``, evaluated at the
+    nodes and projected back.  A radial h acts through
+    :func:`linear_forcing_matrices` instead, and the unperturbed flow
+    evaluates no forcing.
     """
-    if pert.kind == "none":
-        return np.zeros_like(c)
-    if pert.h_radial is not None:
-        return linear_forcing_matrices([t], pert, col)[0] @ c
     v = col.reconstruct(c)
     if pert.kind == "linear":
         hvals = np.asarray(pert.h(math.sqrt(t) * col.points, t), dtype=float)
         return col.project(hvals * v)
     # semilinear: eps |v|^{p-1} v, projected nodewise
     return pert.eps * col.project(np.abs(v) ** (pert.p - 1.0) * v)
-
-
-def rhs(
-    tau: float,
-    c: np.ndarray,
-    pert: PerturbationSpec,
-    basis: OUBasis,
-    col: Collocation,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(Gamma c - e^tau F, F): the right-hand side of the spectral system
-    and the forcing coefficients F(tau, c) it used."""
-    if tau > 1e-12:
-        raise ConfigurationError("the flow is only integrated for tau <= 0")
-    t = math.exp(tau)
-    F = forcing_coefficients(t, c, pert, col)
-    return basis.gammas * c - t * F, F
 
 
 @dataclass
@@ -226,7 +206,6 @@ class Trajectory:
     perturbation: PerturbationSpec
     dtau: float
     metadata: dict = field(default_factory=dict)
-    diag_factors: np.ndarray | None = None  # exp(gamma_k tau_i) when kind=none
     t: np.ndarray = field(init=False)  # e^tau row by row, the one time grid
 
     def __post_init__(self):
@@ -314,7 +293,7 @@ def _march_rk4(taus, c0, f):
 
 
 def _march_linear(taus, c0, pert, basis, col):
-    """:func:`_march_rk4` of :func:`rhs` for a radial linear h, by matrices.
+    """The RK4 march of :func:`_march_rk4` for a radial linear h, by matrices.
 
     There dc/dtau = A(tau) c with A = Gamma - t M(t), t = e^tau, so each RK4
     step is c_{i+1} = c_i + B_i c_i with h = tau_{i+1} - tau_i and
@@ -348,8 +327,9 @@ def _march_linear(taus, c0, pert, basis, col):
 
 
 def _row_forcing(ts, coeffs, pert, col) -> np.ndarray:
-    """F(t_i, c_i) row by row, bit for bit what :func:`forcing_coefficients`
-    returns for each; a radial h builds its M(t_i) MARCH_BLOCK rows at a time."""
+    """F(t_i, c_i) row by row: one :func:`forcing_coefficients` call per row
+    for nodal forcing, M(t_i) c_i for a radial h, whose M(t_i) are built
+    MARCH_BLOCK rows at a time."""
     if pert.h_radial is None:
         return np.array([forcing_coefficients(t, c, pert, col) for t, c in zip(ts, coeffs)])
     F = np.empty_like(coeffs)
@@ -439,11 +419,9 @@ def trajectory_from_rows(
     Runs the input gates of :func:`integrate_backward` on (tau[-1], dtau)
     and the rows; rows off ``tau_grid(tau[-1], dtau)``, which ``beta``
     integrates at step dtau, raise ConfigurationError.  A perturbed kind gets
-    the forcing :func:`forcing_coefficients` gives at (t[i], coeffs[i]), bit
-    for bit: nodal forcing from one call per row, a radial h from M(t[i])
-    built in stacked blocks.  The unperturbed flow gets zero forcing,
-    ``diag_factors`` = exp(gamma_k tau_i) and no collocation: ``col`` is
-    not read, and may be None.
+    the forcing of :func:`_row_forcing` at (t[i], coeffs[i]), bit for bit
+    what the march stored there.  The unperturbed flow gets zero forcing
+    and no collocation: ``col`` is not read, and may be None.
     """
     if pert.kind == "none":
         col = None
@@ -452,9 +430,7 @@ def trajectory_from_rows(
     if step != dtau or not np.array_equal(tau, taus):
         raise ConfigurationError(f"rows off the uniform tau grid of step dtau = {dtau}")
     traj = _record(basis, col, tau, coeffs, np.zeros_like(coeffs), pert, dtau, ratio)
-    if pert.kind == "none":
-        traj.diag_factors = np.exp(np.outer(tau, basis.gammas))
-    else:
+    if pert.kind != "none":
         traj.forcing = _row_forcing(traj.t, coeffs, pert, col)
     return traj
 
@@ -477,7 +453,7 @@ def integrate_backward(
     A linear h must first pass :func:`check_h_admissible` with the spec's
     C_h and eps_h, else ConfigurationError; its worst |h| / bound ratio goes
     into the metadata as ``admissibility_ratio``.  The unperturbed flow uses
-    the exact diagonal propagator (the rows of :func:`trajectory_from_rows`);
+    the exact diagonal propagator c0 e^{gamma tau} and stores zero forcing;
     perturbed kinds march RK4 at dtau and keep its rows, with the forcing
     its first stages evaluated there.  One RK4 march on every second row
     (and the last row when n is odd) at 2 dtau verifies them: the sup of
@@ -498,12 +474,15 @@ def integrate_backward(
     taus, step = tau_grid(tau_min, dtau)
     if pert.kind == "none":
         coeffs = c0[None, :] * np.exp(np.outer(taus, basis.gammas))
-        return trajectory_from_rows(basis, col, taus, coeffs, pert, step)
+        return _record(basis, col, taus, coeffs, np.zeros_like(coeffs), pert, step, ratio)
 
     if pert.h_radial is not None:
         march = lambda grid: _march_linear(grid, c0, pert, basis, col)
     else:
-        f = lambda tau, c: rhs(tau, c, pert, basis, col)
+        def f(tau, c):  # (Gamma c - t F, F) at t = e^tau
+            t = math.exp(tau)
+            F = forcing_coefficients(t, c, pert, col)
+            return basis.gammas * c - t * F, F
         march = lambda grid: _march_rk4(grid, c0, f)
     coeffs, forcing = march(taus)
     if not np.all(np.isfinite(coeffs)):

@@ -189,6 +189,10 @@ def bump_integrals(b, w, t: float, N: int, s: float = SOBOLEV_EXPONENT) -> dict:
       noncentral chi-square (Johnson, Kotz & Balakrishnan, ch. 29);
     - r2u2 = M0 (N/(2a) + m^2);
     - sob = t^{-Ns/4} (2 pi/(s a))^{N/2} exp(-(s/2)(b/w)^2 q).
+
+    A value that is not representable (w^4 overflows at a huge t) comes out
+    inf or NaN without a warning; the Sobolev self-check of :func:`sweep`
+    rejects it.
     """
     b, w = np.asarray(b, dtype=float), np.asarray(w, dtype=float)
 
@@ -197,18 +201,19 @@ def bump_integrals(b, w, t: float, N: int, s: float = SOBOLEV_EXPONENT) -> dict:
         q = 1.0 / (4.0 * t * a)
         return a, q, (math.pi / (a * t)) ** (N / 2.0) * np.exp(-(b / w) ** 2 * q)
 
-    a, q, u2 = gaussian(t)
-    a1, q1, u2_1 = gaussian(1.0)
-    return {
-        "u2": u2,
-        "grad2": u2 / w**4 * (N / (2.0 * a) + (b * q) ** 2),
-        "hardy": u2 * (2.0 * a / (N - 2)) * hyp1f1_one(N / 2.0, b**2 / (w**4 * a)),
-        "sob": t ** (-N * s / 4.0) * (2.0 * math.pi / (s * a)) ** (N / 2.0)
-        * np.exp(-(s / 2.0) * (b / w) ** 2 * q),
-        "u2_1": u2_1,
-        "grad2_1": u2_1 / w**4 * (N / (2.0 * a1) + (b * q1) ** 2),
-        "r2u2_1": u2_1 * (N / (2.0 * a1) + (b / (w**2 * a1)) ** 2),
-    }
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, q, u2 = gaussian(t)
+        a1, q1, u2_1 = gaussian(1.0)
+        return {
+            "u2": u2,
+            "grad2": u2 / w**4 * (N / (2.0 * a) + (b * q) ** 2),
+            "hardy": u2 * (2.0 * a / (N - 2)) * hyp1f1_one(N / 2.0, b**2 / (w**4 * a)),
+            "sob": t ** (-N * s / 4.0) * (2.0 * math.pi / (s * a)) ** (N / 2.0)
+            * np.exp(-(s / 2.0) * (b / w) ** 2 * q),
+            "u2_1": u2_1,
+            "grad2_1": u2_1 / w**4 * (N / (2.0 * a1) + (b * q1) ** 2),
+            "r2u2_1": u2_1 * (N / (2.0 * a1) + (b / (w**2 * a1)) ** 2),
+        }
 
 
 def power_integrals(beta, kappa, t: float, N: int) -> dict:

@@ -82,6 +82,26 @@ def test_beta_pure_mode_bit_exact(basis0, col0, tau_small):
     assert 2.0 in vals and all(v in (0.0, 2.0) for v in vals)
 
 
+def test_beta_unperturbed_returns_the_initial_coefficient(basis0, col0, tau_small):
+    # on a gamma = 0.5 mode of the unperturbed flow both routes return c0 bit
+    # for bit, also at rows where (c0 e^{gamma tau}) / e^{gamma tau} misses it
+    k = _mode(basis0, 0.5)
+    mk = (basis0.modes[k].n, basis0.modes[k].j)
+    _, J05 = ou.multiplicity(0.5, basis0.spectrum)
+    c0 = ev.build_initial(basis0, [(k, 0.7)])  # not dyadic
+    traj = ev.integrate_backward(basis0, c0, tau_small, 0.005,
+                                 ev.PerturbationSpec.none(), col0)
+    rows = [12, 37]
+    E = np.exp(np.outer(traj.tau, basis0.gammas))
+    assert all(traj.coeffs[i, k] / E[i, k] != 0.7 for i in rows)
+    lams = [math.sqrt(traj.t[i]) for i in rows]
+    for i, lam in zip(rows, lams):
+        tb = asym.beta_integral(traj, lam, J05, 0.5)
+        assert traj.row_at_t(tb.lambda_used**2) == i and tb.beta[mk] == 0.7
+    _, seq, limit = asym.beta_direct(traj, lams, J05, 0.5)[mk]
+    assert list(seq) == [0.7, 0.7] and limit == 0.7
+
+
 def test_beta_direct_sequences(deep_exp, basis0, col0, J0_ground, tau_small):
     out = asym.beta_direct(deep_exp, [0.025, 0.05, 0.1, 0.2], J0_ground, 0.0)
     lams, seq, limit = out[(0, 1)]

@@ -465,7 +465,7 @@ def test_non_finite_key_exits_without_traceback(tmp_path, command, key, value, c
     proc = subprocess.run([sys.executable, "-m", "hardyheat.cli", command, "--config", path],
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == code, proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
     if code == 2:
         assert key in proc.stderr
     else:  # the closed-form sweep samples no node, so n_r is not to blame
@@ -650,6 +650,28 @@ def test_bad_value_exits_2_naming_the_key(tmp_path, capsys, key, value):
     assert main(["simulate", "--config", path]) == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "trajectory.csv").exists()
+
+
+# gamma_max = 1 holds 1 mode at gamma = 0 and 3 at gamma = 0.5
+_CAPPED = dict(perturbation="linear_bounded:0.1", gamma_max=1.0, initial="modes:1=1.0",
+               radial_nodes=16, dtau=0.01, tau_min=math.log(1e-6))
+
+
+@pytest.mark.parametrize("max_modes", [2, 4])
+def test_max_modes_must_end_on_a_complete_shell(tmp_path, monkeypatch, capsys, max_modes):
+    # a cap of 2 kept 1 of the 3 gamma = 0.5 modes: simulate exited 0 and
+    # beta 2 with "mode (n=0, j=3) not in basis"; now every command exits 2
+    # before any march, naming the key and the shell.  A cap of 4 runs
+    path, _ = write_config(tmp_path, directory=str(tmp_path), max_modes=max_modes, **_CAPPED)
+    calls = _count_work(monkeypatch)
+    for command in ("spectrum", "simulate", "beta"):
+        code = main([command, "--config", path])
+        err = capsys.readouterr().err
+        if max_modes == 2:
+            assert code == 2 and "max_modes = 2" in err and "gamma = 0.5 shell" in err
+        else:
+            assert code == 0, err
+    assert calls["march"] == (0 if max_modes == 2 else 2)
 
 
 # semilinear forcing down to t = 1e-2 only: a march of well under a second

@@ -66,20 +66,35 @@ def test_build_initial_orthonormal_combination(basis0, col0):
     np.testing.assert_allclose(c3, expect, atol=1e-10)
 
 
-def test_rhs_unperturbed_diagonal(basis0, col0):
+def test_rhs_unperturbed_diagonal(basis0):
+    # the unperturbed right-hand side is Gamma c: each row is c0 t^gamma, mode
+    # by mode, and the flow stores no forcing and builds no collocation
     rng = np.random.default_rng(0)
     c = rng.normal(size=basis0.size)
-    out, F = ev.rhs(-0.3, c, ev.PerturbationSpec.none(), basis0, col0)
-    np.testing.assert_allclose(out, basis0.gammas * c, rtol=1e-14)
-    assert not np.any(F)
+    traj = ev.integrate_backward(basis0, c, -0.3, 0.01, ev.PerturbationSpec.none())
+    np.testing.assert_allclose(traj.coeffs, c * traj.t[:, None] ** basis0.gammas,
+                               rtol=1e-14)
+    assert not np.any(traj.forcing) and traj.collocation is None
 
 
-def test_rhs_constant_h_identity_coupling(basis0, col0):
-    # <eps v, V_k> = eps c_k by orthonormality
+def test_rhs_constant_h_identity_coupling(basis0, col0, monkeypatch):
+    # <eps v, V_k> = eps c_k by orthonormality, on the nodal route (the same h
+    # without h_radial) and the matrix route; the nodal march's right-hand
+    # side is Gamma c - e^tau eps c
     eps, tau = 0.1, -0.7
     rng = np.random.default_rng(1)
     c = rng.normal(size=basis0.size)
-    out, F = ev.rhs(tau, c, ev.PerturbationSpec.linear_constant(eps), basis0, col0)
+    radial = ev.PerturbationSpec.linear_constant(eps)
+    nodal = ev.PerturbationSpec.linear(radial.h, radial.C_h, radial.eps_h)
+    M = ev.linear_forcing_matrices([math.exp(tau)], radial, col0)[0]
+    np.testing.assert_allclose(M @ c, eps * c, atol=1e-12)
+    np.testing.assert_allclose(ev.forcing_coefficients(math.exp(tau), c, nodal, col0),
+                               eps * c, atol=1e-12)
+    # the f(tau, c) -> (dc/dtau, F) that integrate_backward marches with
+    seen, march = [], ev._march_rk4
+    monkeypatch.setattr(ev, "_march_rk4", lambda taus, c, f: seen.append(f) or march(taus, c, f))
+    ev.integrate_backward(basis0, np.eye(basis0.size)[0], math.log(0.5), 0.01, nodal, col0)
+    out, F = seen[0](tau, c)
     expect = basis0.gammas * c - math.exp(tau) * eps * c
     np.testing.assert_allclose(out, expect, atol=1e-12)
     np.testing.assert_allclose(F, eps * c, atol=1e-12)
@@ -134,7 +149,7 @@ def test_radial_forcing_matrix_matches_nodal(which, col0, col_aniso):
             M = ev.linear_forcing_matrices([t], pert, col)[0]
             scale = np.max(np.abs(nodal))
             assert np.max(np.abs(M @ c - nodal)) <= 1e-13 * scale
-            np.testing.assert_array_equal(ev.forcing_coefficients(t, c, pert, col), M @ c)
+            np.testing.assert_array_equal(ev._row_forcing([t], c[None], pert, col)[0], M @ c)
 
 
 def test_linear_constant_matrix_is_scaled_identity(basis0, col0):
@@ -305,7 +320,9 @@ def test_stored_forcing_is_the_rowwise_forcing(name, basis0, col0, monkeypatch):
         np.testing.assert_array_equal(fine, traj.tau)
         np.testing.assert_array_equal(coarse, traj.tau[sorted({*range(0, n + 1, 2), n})])
         monkeypatch.undo()
-        rowwise = np.array([ev.forcing_coefficients(t, c, pert, col0)
+        # a radial h forces through its single-time M, nodal forcing by one call
+        rowwise = np.array([ev.linear_forcing_matrices([t], pert, col0)[0] @ c if radial
+                            else ev.forcing_coefficients(t, c, pert, col0)
                             for t, c in zip(traj.t, traj.coeffs)])
         assert np.any(rowwise)
         np.testing.assert_array_equal(traj.forcing, rowwise)
@@ -341,8 +358,9 @@ def test_step_matrix_march_matches_nodal_march(name, basis0, col0):
        cut=st.integers(0, 40), seed=st.integers(0, 2**32 - 1))
 def test_stacked_forcing_matrices_are_the_single_time_ones(taus, cut, seed, col0):
     # the bitwise identities behind the stored forcing: each slice of a
-    # stacked build is the single-time M whatever else shares the call, and
-    # the stacked product (M @ C[..., None])[..., 0] is M_i @ c_i row by row
+    # stacked build is the single-time M whatever else shares the call, the
+    # stacked product (M @ C[..., None])[..., 0] is M_i @ c_i row by row, and
+    # the forcing of stored rows is that product
     ts = np.array([math.exp(tau) for tau in taus])
     c = np.random.default_rng(seed).normal(size=(len(ts), col0.Phi.shape[0]))
     for pert in (ev.PerturbationSpec.linear_bounded(0.1),
@@ -356,7 +374,7 @@ def test_stacked_forcing_matrices_are_the_single_time_ones(taus, cut, seed, col0
             single = ev.linear_forcing_matrices([t], pert, col0)[0]
             np.testing.assert_array_equal(M[i], single)
             np.testing.assert_array_equal(F[i], single @ c[i])
-            np.testing.assert_array_equal(F[i], ev.forcing_coefficients(t, c[i], pert, col0))
+        np.testing.assert_array_equal(ev._row_forcing(ts, c, pert, col0), F)
 
 
 def test_backward_stability_nonincreasing(basis0, col0, tau_small):
@@ -387,8 +405,8 @@ def test_parameter_validation(basis0, col0):
     with pytest.raises(ConfigurationError):
         ev.integrate_backward(basis0, c0, math.log(1e-7), 0.01,
                               ev.PerturbationSpec.none(), col0)
-    with pytest.raises(ConfigurationError):
-        ev.rhs(0.5, c0, ev.PerturbationSpec.none(), basis0, col0)
+    with pytest.raises(ConfigurationError, match="tau_min"):
+        ev.integrate_backward(basis0, c0, 0.5, 0.01, ev.PerturbationSpec.none(), col0)
     with pytest.raises(ConfigurationError):
         ev.PerturbationSpec.linear(lambda x, t: x[:, 0], 1.0, 2.5)
     with pytest.raises(ConfigurationError):
@@ -430,11 +448,13 @@ def test_trajectory_from_rows_unperturbed_and_gates(basis0, col0):
     c0[0], c0[3] = 1.0, 0.5
     none = ev.PerturbationSpec.none()
     traj = ev.integrate_backward(basis0, c0, math.log(0.5), 0.01, none, col0)
-    assert not np.any(traj.forcing)
-    np.testing.assert_array_equal(traj.diag_factors,
-                                  np.exp(np.outer(traj.tau, basis0.gammas)))
-    np.testing.assert_allclose(traj.coeffs / traj.diag_factors,
+    assert not np.any(traj.forcing) and traj.collocation is None
+    np.testing.assert_allclose(traj.coeffs / np.exp(np.outer(traj.tau, basis0.gammas)),
                                np.tile(c0, (traj.size, 1)), rtol=1e-15)
+    # its rows alone rebuild it, with zero forcing and no collocation
+    rebuilt = ev.trajectory_from_rows(basis0, col0, traj.tau, traj.coeffs, none, traj.dtau)
+    np.testing.assert_array_equal(rebuilt.coeffs, traj.coeffs)
+    assert not np.any(rebuilt.forcing) and rebuilt.collocation is None
     # the input gates of integrate_backward hold for given rows too
     too_large = dataclasses.replace(ev.PerturbationSpec.linear_constant(0.5), C_h=0.1)
     with pytest.raises(ConfigurationError, match="admissibility bound"):
