@@ -35,6 +35,9 @@ from .quadrature import polar_rule, sphere_area
 
 DEGENERACY_GAP = 1e-9  # eigenvalues closer than this form one cluster
 DEFAULT_L = 16
+# directions per pass of eval_psi_block and eval_grad_psi_block: a pass holds
+# the harmonic table of its own directions, never one over all M points
+DIRS_PER_PASS = 1024
 
 
 # -- real spherical harmonics on S^2 (polar axis = first coordinate) --------
@@ -476,16 +479,23 @@ def eval_psi_block(spec: AngularSpectrum, dirs: np.ndarray) -> np.ndarray:
         if spec.count > 1:
             out[1:] = np.nan
         return out
-    Y = real_sph_block(spec.truncation_degree, dirs)
-    return spec.eigenvectors.T @ Y
+    out = np.empty((spec.count, len(dirs)))
+    for lo in range(0, len(dirs), DIRS_PER_PASS):
+        Y = real_sph_block(spec.truncation_degree, dirs[lo:lo + DIRS_PER_PASS])
+        out[:, lo:lo + DIRS_PER_PASS] = spec.eigenvectors.T @ Y
+    return out
 
 
 def eval_grad_psi_block(spec: AngularSpectrum, dirs: np.ndarray) -> np.ndarray:
     """Surface gradients of all eigenfunctions; shape (K, M, 3).  N=3 only."""
     if spec.eigenvectors is None:
         raise ConfigurationError("angular gradients require the N=3 Galerkin basis")
-    grads = real_sph_grad_block(spec.truncation_degree, dirs)
-    return np.tensordot(spec.eigenvectors, grads, axes=(0, 0))
+    dirs = np.atleast_2d(dirs)
+    out = np.empty((spec.count, len(dirs), 3))
+    for lo in range(0, len(dirs), DIRS_PER_PASS):
+        grads = real_sph_grad_block(spec.truncation_degree, dirs[lo:lo + DIRS_PER_PASS])
+        out[:, lo:lo + DIRS_PER_PASS] = np.tensordot(spec.eigenvectors, grads, axes=(0, 0))
+    return out
 
 
 def potential_pairing(spec: AngularSpectrum) -> np.ndarray:

@@ -73,18 +73,7 @@ def _spectrum_and_basis(cfg):
     pot = parse_potential(cfg)
     L = cfg.angular_truncation if cfg.angular_truncation > 0 else None
     spec = angular.solve_angular(pot, L=L, K=cfg.angular_count, N=cfg.dimension)
-    basis = ou_basis.enumerate_modes(
-        spec, cfg.gamma_max, cfg.max_modes if cfg.max_modes > 0 else None
-    )
-    if cfg.max_modes > 0:  # the cap must end on a complete shell
-        gamma = basis.modes[-1].gamma
-        count, J = ou_basis.multiplicity(gamma, spec)
-        kept = sum((m.n, m.j) in J for m in basis.modes)
-        if kept < count:
-            raise ConfigurationError(
-                f"max_modes = {cfg.max_modes} splits the gamma = {gamma} shell: "
-                f"the basis keeps {kept} of its {count} modes"
-            )
+    basis = ou_basis.enumerate_modes(spec, cfg.gamma_max)
     return spec, basis
 
 
@@ -171,6 +160,7 @@ def cmd_simulate(cfg, outdir) -> int:
     c1 = inequalities.coercivity_bound_constant(basis)
     report = almgren.run_diagnostics(traj, trace, coercivity_constant=c1)
     shares = traj.truncation_shares()
+    col = traj.collocation
     meta = _meta(cfg, basis)
     meta["dtau"] = traj.dtau
     meta["perturbation"] = traj.perturbation.label
@@ -183,10 +173,10 @@ def cmd_simulate(cfg, outdir) -> int:
     )
     _write_json(
         os.path.join(outdir, "trajectory.json"),
-        {"basis_hash": basis.content_hash(), "dtau": traj.dtau,
+        {"basis_hash": meta["basis_hash"], "dtau": traj.dtau,
          "perturbation": traj.perturbation.label,
          "tau_min": cfg.tau_min, "modes": K, "rows_sha256": rows_sha256,
-         "halving_error": traj.metadata.get("halving_error")},
+         "halving_error": traj.halving_error},
         meta,
     )
     _write_csv(
@@ -204,13 +194,12 @@ def cmd_simulate(cfg, outdir) -> int:
             "diagnostics": report,
             "truncation_ratio": float(shares[-1]),
             "truncation_ratio_max": float(shares.max()),
-            "collocation_gram_residual": (traj.collocation.gram_residual
-                                          if traj.collocation is not None else None),
-            "collocation_rule": traj.metadata["collocation_rule"],
-            "collocation_nodes": traj.metadata["collocation_nodes"],
-            "halving_error": traj.metadata.get("halving_error"),
-            "halving_tol": traj.metadata.get("halving_tol"),
-            "admissibility_ratio": traj.metadata.get("admissibility_ratio"),
+            "collocation_gram_residual": None if col is None else col.gram_residual,
+            "collocation_rule": "none" if col is None else "radial" if col.radial else "product",
+            "collocation_nodes": 0 if col is None else len(col.weights),
+            "halving_error": traj.halving_error,
+            "halving_tol": None if col is None else evolve.HALVING_TOL,
+            "admissibility_ratio": traj.admissibility_ratio,
         },
         meta,
     )

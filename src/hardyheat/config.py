@@ -37,7 +37,6 @@ class RunConfig:
     angular_truncation: int = 0      # 0 = analytic / auto
     angular_count: int = 36
     gamma_max: float = 2.0
-    max_modes: int = 0               # 0 = no cap
     radial_nodes: int = 64
     dtau: float = 0.005
     tau_min: float = math.log(1e-3)
@@ -57,7 +56,7 @@ class RunConfig:
     _SECTIONS = {
         "problem": ("dimension", "potential", "perturbation", "h_eps", "h_const"),
         "discretization": ("angular_truncation", "angular_count", "gamma_max",
-                           "max_modes", "radial_nodes", "dtau", "tau_min"),
+                           "radial_nodes", "dtau", "tau_min"),
         "experiment": ("initial", "lambda_grid", "recon_lambdas", "recon_tau",
                        "fit_decades", "sweep_count", "sweep_dims", "sweep_t", "seed"),
         "output": ("directory",),
@@ -68,13 +67,15 @@ class RunConfig:
         from .inequalities import SOBOLEV_EXPONENT as s
 
         for key, low in (("dimension", 3), ("angular_count", 1), ("sweep_count", 1),
-                         ("seed", 0), ("angular_truncation", 0), ("max_modes", 0)):
+                         ("seed", 0), ("angular_truncation", 0)):
             if getattr(self, key) < low:
                 raise ConfigurationError(f"{key} must be >= {low}")
         # each range test is False on NaN, so a NaN fails it too
         for key in ("gamma_max", "fit_decades", "sweep_t"):
             if not 0.0 < getattr(self, key) < math.inf:
                 raise ConfigurationError(f"{key} must be positive and finite")
+        if self.fit_decades > 12.0:  # a run stores <= 6 decades: 12 and its half hold all
+            raise ConfigurationError("fit_decades must be <= 12")
         if not 0.0 <= self.h_const < math.inf:
             raise ConfigurationError("h_const must be >= 0 and finite")
         if not 0.0 < self.dtau <= DTAU_MAX:

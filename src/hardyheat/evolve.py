@@ -44,7 +44,6 @@ TAU_FLOOR = math.log(1e-6)
 DTAU_MAX = 0.01
 HALVING_TOL = 1e-8
 PROJECTION_RESIDUAL_TOL = 1e-3
-TRUNCATION_FLAG = 1e-6
 # RK4 steps (or rows) whose forcing matrices one stacked build holds
 MARCH_BLOCK = 64
 # times at which check_h_admissible samples h: 25 log-spaced from 1e-6 to 1
@@ -196,6 +195,8 @@ class Trajectory:
     :func:`trajectory_from_rows` the same forcing evaluated once per row.
     ``collocation`` is the rule the forcing was evaluated on; it is None
     exactly for the unperturbed flow, which evaluates no forcing.
+    ``halving_error`` and ``admissibility_ratio`` are the gate values the
+    run measured, each None where it measured none.
     """
 
     basis: OUBasis
@@ -205,7 +206,8 @@ class Trajectory:
     forcing: np.ndarray
     perturbation: PerturbationSpec
     dtau: float
-    metadata: dict = field(default_factory=dict)
+    halving_error: float | None = None
+    admissibility_ratio: float | None = None
     t: np.ndarray = field(init=False)  # e^tau row by row, the one time grid
 
     def __post_init__(self):
@@ -218,8 +220,8 @@ class Trajectory:
     def truncation_shares(self) -> np.ndarray:
         """Row by row, the top-gamma shell's share of ||c|| (0 where c = 0).
 
-        The shell is every mode within 1e-9 of the largest gamma; a share
-        above TRUNCATION_FLAG at tau_min flags an unresolved run.
+        The shell is every mode within 1e-9 of the largest gamma; a large
+        share at tau_min marks a run the basis does not resolve.
         """
         top = self.basis.gammas >= self.basis.gammas.max() - 1e-9
         total = np.linalg.norm(self.coeffs, axis=1)
@@ -381,30 +383,6 @@ def _check_inputs(basis, col, rows, tau_min, dtau, pert) -> float | None:
     return ratio
 
 
-def _record(basis, col, tau, coeffs, forcing, pert, step, ratio) -> Trajectory:
-    """Trajectory of the stored rows with the run metadata."""
-    meta = {
-        "basis_hash": basis.content_hash(),
-        "dtau": step,
-        "tau_min": float(tau[-1]),
-        "perturbation": pert.label,
-        "collocation_rule": ("none" if col is None
-                             else "radial" if col.radial else "product"),
-        "collocation_nodes": 0 if col is None else len(col.weights),
-    }
-    if ratio is not None:
-        meta["admissibility_ratio"] = ratio
-    if pert.kind == "semilinear":
-        # Gaussian nodes cannot test the unweighted L^{p+1} hypotheses; the
-        # run verifies conclusions only.
-        meta["hypotheses_verified"] = False
-    traj = Trajectory(basis, col, tau, coeffs, forcing, pert, step, metadata=meta)
-    flag = float(traj.truncation_shares()[-1])
-    if flag > TRUNCATION_FLAG:
-        meta["truncation_flag"] = flag
-    return traj
-
-
 def trajectory_from_rows(
     basis: OUBasis,
     col: Collocation | None,
@@ -429,7 +407,8 @@ def trajectory_from_rows(
     taus, step = tau_grid(tau[-1], dtau)
     if step != dtau or not np.array_equal(tau, taus):
         raise ConfigurationError(f"rows off the uniform tau grid of step dtau = {dtau}")
-    traj = _record(basis, col, tau, coeffs, np.zeros_like(coeffs), pert, dtau, ratio)
+    traj = Trajectory(basis, col, tau, coeffs, np.zeros_like(coeffs), pert, dtau,
+                      admissibility_ratio=ratio)
     if pert.kind != "none":
         traj.forcing = _row_forcing(traj.t, coeffs, pert, col)
     return traj
@@ -451,16 +430,15 @@ def integrate_backward(
     ConfigurationError.  The unperturbed flow builds and keeps no
     collocation, and ignores ``col``.
     A linear h must first pass :func:`check_h_admissible` with the spec's
-    C_h and eps_h, else ConfigurationError; its worst |h| / bound ratio goes
-    into the metadata as ``admissibility_ratio``.  The unperturbed flow uses
+    C_h and eps_h, else ConfigurationError; its worst |h| / bound ratio is
+    kept as ``Trajectory.admissibility_ratio``.  The unperturbed flow uses
     the exact diagonal propagator c0 e^{gamma tau} and stores zero forcing;
     perturbed kinds march RK4 at dtau and keep its rows, with the forcing
     its first stages evaluated there.  One RK4 march on every second row
     (and the last row when n is odd) at 2 dtau verifies them: the sup of
     |coarse - kept| over the coarse rows must stay <= 1e-8, else
-    AccuracyError suggests a smaller step; the measured sup and its
-    threshold go into the metadata as ``halving_error`` and
-    ``halving_tol``.  A radial linear h marches by step matrices
+    AccuracyError suggests a smaller step; the measured sup is kept as
+    ``Trajectory.halving_error``.  A radial linear h marches by step matrices
     (:func:`_march_linear`) and makes no forcing call: the two marches build
     M at 3n + 3 ceil(n/2) + 2 times.  Nodal forcing makes
     4n + 4 ceil(n/2) + 2 forcing calls for n steps.
@@ -474,7 +452,7 @@ def integrate_backward(
     taus, step = tau_grid(tau_min, dtau)
     if pert.kind == "none":
         coeffs = c0[None, :] * np.exp(np.outer(taus, basis.gammas))
-        return _record(basis, col, taus, coeffs, np.zeros_like(coeffs), pert, step, ratio)
+        return Trajectory(basis, col, taus, coeffs, np.zeros_like(coeffs), pert, step)
 
     if pert.h_radial is not None:
         march = lambda grid: _march_linear(grid, c0, pert, basis, col)
@@ -502,9 +480,8 @@ def integrate_backward(
             f"step-halving disagreement {err:.3e} exceeds {HALVING_TOL}",
             suggestion=f"dtau <= {step / 4.0}",
         )
-    traj = _record(basis, col, taus, coeffs, forcing, pert, step, ratio)
-    traj.metadata.update(halving_error=err, halving_tol=HALVING_TOL)
-    return traj
+    return Trajectory(basis, col, taus, coeffs, forcing, pert, step,
+                      halving_error=err, admissibility_ratio=ratio)
 
 
 def closed_form_reference(basis: OUBasis, family, t: float) -> np.ndarray:

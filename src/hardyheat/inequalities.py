@@ -321,17 +321,22 @@ def _values(inequalities, ints: dict, t: float, N: int, spec, s: float) -> dict:
 
 def _gate(inequalities, values: dict) -> None:
     """Raise on the first member, then the first inequality in the order of
-    ``inequalities``, whose gap is below the relative slack."""
+    ``inequalities``, whose gap is below the relative slack, or measures
+    nothing: a gap that is not finite, or a scale not positive and finite."""
     names = [name for name in inequalities if name != "sobolev"]
     gaps = [np.atleast_1d(values[name][0]) for name in names]
     scales = [np.atleast_1d(values[name][1]) for name in names]
-    low = np.array([g < -GAP_SLACK * sc for g, sc in zip(gaps, scales)])
+    empty = np.array([~(np.isfinite(g) & (sc > 0.0) & (sc < math.inf))
+                      for g, sc in zip(gaps, scales)])
+    low = np.logical_or(empty, [g < -GAP_SLACK * sc for g, sc in zip(gaps, scales)])
     if low.any():
         i = int(np.argmax(low.any(axis=0)))
         k = int(np.argmax(low[:, i]))
+        what, why = (("measures nothing", "closed forms not representable at this t")
+                     if empty[k, i] else ("violated", "signals an integration bug"))
         raise InvariantViolationError(
-            f"{names[k]} violated: gap {float(gaps[k][i])} vs slack "
-            f"{-GAP_SLACK * float(scales[k][i])} (signals an integration bug)"
+            f"{names[k]} {what}: gap {float(gaps[k][i])} vs slack "
+            f"{-GAP_SLACK * float(scales[k][i])} ({why})"
         )
 
 
@@ -434,10 +439,10 @@ def sweep(
             report["mean_ratio"] = float(np.mean(values[name]))
         else:
             gap, scale = values[name]
-            head = np.divide(gap, scale, out=np.full(len(gap), math.inf), where=scale > 0)
+            head = gap / scale
             i = int(np.argmin(head))
             report["min_relative_gap"] = float(head[i])
-            report["argmin"] = f"member #{i} ({members[i]!r})" if head[i] < math.inf else None
+            report["argmin"] = f"member #{i} ({members[i]!r})"
         reports.append(report)
     return reports
 

@@ -172,15 +172,12 @@ def _certify_coverage(spectrum: ang.AngularSpectrum, gamma_max: float, alphas) -
         )
 
 
-def enumerate_modes(
-    spectrum: ang.AngularSpectrum,
-    gamma_max: float,
-    max_modes: int | None = None,
-) -> OUBasis:
+def enumerate_modes(spectrum: ang.AngularSpectrum, gamma_max: float) -> OUBasis:
     """All modes with gamma = n - alpha_j/2 <= gamma_max, certified complete.
 
-    Requires the positivity gate and a spectrum long enough that the last
-    angular eigenvalue already sits above the gamma_max window.  The norms
+    Requires the positivity gate, a spectrum long enough that the last
+    angular eigenvalue already sits above the gamma_max window, and at
+    least one mode in the window (else ConfigurationError).  The norms
     and both certification residuals come from one certification_matrices
     call; residuals are maxima over the upper triangle in mode order.
     """
@@ -193,7 +190,12 @@ def enumerate_modes(
         for j0, alpha in enumerate(alphas)
         for n in range(math.floor(gamma_max + alpha / 2.0 + 1e-12) + 1)
     )
-    keys = [key for key in keys if key[0] <= gamma_max + 1e-12][:max_modes]
+    keys = [key for key in keys if key[0] <= gamma_max + 1e-12]
+    if not keys:
+        raise ConfigurationError(
+            f"no mode at or below gamma_max = {gamma_max}: the lowest eigenvalue "
+            f"under this potential is gamma = {gamma_mk(0, alphas[0])}"
+        )
     unnormalized = [
         OUMode(j, n, float(alphas[j - 1]), float(gamma), p_poly(n, alphas[j - 1], N),
                1.0, int(spectrum.degrees[j - 1]))

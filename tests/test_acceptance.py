@@ -50,11 +50,11 @@ def test_c1_spectrum_ladder():
 
 
 def test_c2_basis_certification():
-    with criterion("c2 basis certification (32 modes, a=0 and a=0.1)"):
+    with criterion("c2 basis certification (every mode up to gamma 2.5, a=0 and a=0.1)"):
         for lam in (0.0, 0.1):
             spec = ang.solve_angular(ang.AngularPotential.constant(lam), K=49, N=3)
-            basis = ou.enumerate_modes(spec, 2.5, max_modes=32)
-            assert basis.size == 32
+            basis = ou.enumerate_modes(spec, 2.5)
+            assert basis.size == 56
             assert basis.gram_residual < 1e-8
             assert basis.bilinear_residual < 1e-6
 

@@ -1,9 +1,12 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
 import shutil
+import signal
 import string
 import subprocess
 import sys
@@ -55,7 +58,6 @@ _CONFIGS = st.builds(
     angular_truncation=st.integers(0, 10**6),
     angular_count=st.integers(1, 10**6),
     gamma_max=_positive,
-    max_modes=st.integers(0, 10**6),
     radial_nodes=st.integers(4, 1024),
     dtau=st.floats(min_value=0.0, max_value=0.01, exclude_min=True),
     tau_min=st.floats(min_value=math.log(1e-6), max_value=0.0, exclude_max=True),
@@ -63,7 +65,7 @@ _CONFIGS = st.builds(
     lambda_grid=st.lists(_positive, min_size=1, max_size=5).map(tuple),
     recon_lambdas=st.lists(_positive, max_size=5).map(tuple),
     recon_tau=_unit_open,
-    fit_decades=_positive,
+    fit_decades=st.floats(min_value=0.0, max_value=12.0, exclude_min=True),
     sweep_count=st.integers(1, 10**9),
     sweep_dims=st.lists(st.integers(3, 10), min_size=1, max_size=4).map(tuple),
     sweep_t=_positive,
@@ -106,8 +108,10 @@ def test_config_rejects_unknown_key():
         RunConfig.from_text("[problem]\nnonsense = 1\n")
     with pytest.raises(ConfigurationError):
         RunConfig.from_text("[mystery]\nx = 1\n")
-    with pytest.raises(ConfigurationError):  # a key that was removed
-        RunConfig.from_text("[experiment]\nscaling_lambdas = 0.5\n")
+    for removed in ("[experiment]\nscaling_lambdas = 0.5\n",
+                    "[discretization]\nmax_modes = 4\n"):
+        with pytest.raises(ConfigurationError, match="unknown key"):
+            RunConfig.from_text(removed)
 
 
 def test_config_validation_ranges():
@@ -121,7 +125,7 @@ def test_config_validation_ranges():
                      ("lambda_grid", ()), ("lambda_grid", (0.1, 0.0)),
                      ("recon_lambdas", (0.5, 0.0)), ("angular_count", 0),
                      ("angular_count", -1), ("fit_decades", 0.0), ("fit_decades", -1.0),
-                     ("fit_decades", math.nan), ("seed", -1)):
+                     ("fit_decades", math.nan), ("fit_decades", 12.5), ("seed", -1)):
         cfg = RunConfig()
         setattr(cfg, key, bad)
         with pytest.raises(ConfigurationError):
@@ -635,12 +639,15 @@ def test_config_hash_leaves_out_the_output_directory(tmp_path, monkeypatch, caps
     assert "rebuilt from trajectory.csv" in capsys.readouterr().err
 
 
-# (key, value): each ran, exited 3 or 4 for the wrong reason, or raised a traceback
+# (key, value): each ran, exited 3 or 4 for the wrong reason, or raised a
+# traceback; constant:-50 leaves no mode below gamma_max = 1 (the lowest is
+# gamma = 3.3), and fit_decades = 1e300 overflowed 10**fit_decades
 _BAD_VALUES = [("perturbation", "linear_bounded:nan"), ("initial", "modes:0=nan"),
                ("initial", "family:exp_linear:0:inf"), ("h_const", math.nan),
-               ("h_const", -1.0), ("max_modes", -3), ("angular_truncation", -5),
+               ("h_const", -1.0), ("fit_decades", 1e300), ("angular_truncation", -5),
                ("recon_lambdas", (0.5, math.inf)), ("lambda_grid", (0.1, math.inf)),
-               ("potential", "harmonic_table:1,0,nan"), ("potential", "constant:nan")]
+               ("potential", "harmonic_table:1,0,nan"), ("potential", "constant:nan"),
+               ("potential", "constant:-50")]
 
 
 @pytest.mark.parametrize("key, value", _BAD_VALUES)
@@ -652,26 +659,62 @@ def test_bad_value_exits_2_naming_the_key(tmp_path, capsys, key, value):
     assert not (tmp_path / "trajectory.csv").exists()
 
 
-# gamma_max = 1 holds 1 mode at gamma = 0 and 3 at gamma = 0.5
-_CAPPED = dict(perturbation="linear_bounded:0.1", gamma_max=1.0, initial="modes:1=1.0",
-               radial_nodes=16, dtau=0.01, tau_min=math.log(1e-6))
+class _TimeBound(BaseException):
+    """Raised by SIGALRM inside an example that ran past its time bound; a
+    BaseException, so no handler in the package can swallow it."""
 
 
-@pytest.mark.parametrize("max_modes", [2, 4])
-def test_max_modes_must_end_on_a_complete_shell(tmp_path, monkeypatch, capsys, max_modes):
-    # a cap of 2 kept 1 of the 3 gamma = 0.5 modes: simulate exited 0 and
-    # beta 2 with "mode (n=0, j=3) not in basis"; now every command exits 2
-    # before any march, naming the key and the shell.  A cap of 4 runs
-    path, _ = write_config(tmp_path, directory=str(tmp_path), max_modes=max_modes, **_CAPPED)
-    calls = _count_work(monkeypatch)
-    for command in ("spectrum", "simulate", "beta"):
-        code = main([command, "--config", path])
-        err = capsys.readouterr().err
-        if max_modes == 2:
-            assert code == 2 and "max_modes = 2" in err and "gamma = 0.5 shell" in err
-        else:
-            assert code == 0, err
-    assert calls["march"] == (0 if max_modes == 2 else 2)
+def _raise_time_bound(signum, frame):
+    raise _TimeBound("the command ran past its time bound")
+
+
+# one cheap valid run: at most 10 modes, 16 radial nodes, t down to 1e-2
+_CHEAP_RUNS = st.builds(
+    RunConfig,
+    potential=st.sampled_from(("constant:0.0", "constant:0.1")),
+    perturbation=st.sampled_from(("none", "linear_bounded:0.1", "semilinear:0.05:2.0")),
+    gamma_max=st.floats(0.05, 1.0),
+    radial_nodes=st.just(16),
+    dtau=st.just(0.01),
+    tau_min=st.just(math.log(1e-2)),
+    sweep_count=st.integers(1, 10),
+)
+_HOSTILE = ("nan", "inf", "-inf", "0", "-1", "1e300", "", "x", "1,,2", ":", "modes:",
+            "modes:0=", "constant:", "constant:-50", "harmonic_table:1,0",
+            "linear_bounded:", "semilinear:0.05", "family:pure", "family:mixture:0")
+# each sizes an allocation that validate does not bound, so never a huge value
+_SIZING = ("gamma_max", "angular_count", "angular_truncation", "sweep_count", "dimension")
+_KEYS = [key for key in _KNOWN_KEYS if key != "directory"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=_CHEAP_RUNS, key=st.sampled_from(_KEYS), value=st.sampled_from(_HOSTILE),
+       command=st.sampled_from(sorted(cli.COMMANDS)))
+@example(cfg=RunConfig(gamma_max=0.1, radial_nodes=16, tau_min=math.log(1e-2)),
+         key="potential", value="constant:-50", command="spectrum")
+@example(cfg=RunConfig(gamma_max=1.0, radial_nodes=16, tau_min=math.log(1e-2)),
+         key="fit_decades", value="1e300", command="simulate")
+def test_hostile_value_exits_with_a_documented_code(cfg, key, value, command):
+    # one key of a cheap valid run overwritten by a hostile value: the
+    # command ends in 0, 2, 3 or 4, never in a traceback or a hang
+    assume(not (key in _SIZING and value == "1e300"))
+    with tempfile.TemporaryDirectory() as tmp:
+        lines = [f"{key} = {value}" if line.startswith(f"{key} = ") else line
+                 for line in cfg.to_text().splitlines()]
+        path = os.path.join(tmp, "run.ini")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        err = io.StringIO()
+        previous = signal.signal(signal.SIGALRM, _raise_time_bound)
+        signal.setitimer(signal.ITIMER_REAL, 30.0)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([command, "--config", path, "--out", tmp])
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+    assert code in (0, 2, 3, 4), err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 # semilinear forcing down to t = 1e-2 only: a march of well under a second

@@ -314,7 +314,7 @@ def test_stored_forcing_is_the_rowwise_forcing(name, basis0, col0, monkeypatch):
         steps = n + math.ceil(n / 2)
         assert len(calls) == (0 if radial else 4 * steps + 2)
         assert sum(times) == (3 * steps + 2 if radial else 0)
-        assert 0.0 < traj.metadata["halving_error"] <= ev.HALVING_TOL
+        assert 0.0 < traj.halving_error <= ev.HALVING_TOL
         (fine_name, fine), (coarse_name, coarse) = grids
         assert fine_name == coarse_name == ("_march_linear" if radial else "_march_rk4")
         np.testing.assert_array_equal(fine, traj.tau)
@@ -349,8 +349,7 @@ def test_step_matrix_march_matches_nodal_march(name, basis0, col0):
         scale = np.max(np.abs(slow.coeffs))
         assert np.max(np.abs(fast.coeffs - slow.coeffs)) <= 1e-15 * scale
         assert np.max(np.abs(fast.forcing - slow.forcing)) <= 1e-15 * scale
-        assert abs(fast.metadata["halving_error"] - slow.metadata["halving_error"]) \
-            <= 1e-15 * scale
+        assert abs(fast.halving_error - slow.halving_error) <= 1e-15 * scale
 
 
 @settings(max_examples=25, deadline=None)
@@ -472,16 +471,14 @@ def test_trajectory_from_rows_unperturbed_and_gates(basis0, col0):
 
 
 def test_truncation_flag(basis0, col0):
-    # unperturbed runs on both sides of TRUNCATION_FLAG: all mass in the
-    # last mode is flagged with its ratio, the ground mode is not flagged
-    for k, flagged in ((basis0.size - 1, True), (0, False)):
+    # unperturbed runs at both ends: all mass in the last mode is all in
+    # the top shell, the ground mode has none there
+    for k, share in ((basis0.size - 1, 1.0), (0, 0.0)):
         c0 = np.zeros(basis0.size)
         c0[k] = 1.0
         traj = ev.integrate_backward(basis0, c0, math.log(1e-3), 0.01,
                                      ev.PerturbationSpec.none(), col0)
-        ratio = float(traj.truncation_shares()[-1])
-        assert (ratio > ev.TRUNCATION_FLAG) == flagged
-        assert traj.metadata.get("truncation_flag") == (ratio if flagged else None)
+        assert traj.truncation_shares()[-1] == share
     # the flag reads the whole top shell, not the mode that sorts last: the
     # shell's first (radial) mode carries the top-gamma mass here
     top = np.flatnonzero(basis0.gammas == basis0.gammas.max())
@@ -494,7 +491,6 @@ def test_truncation_flag(basis0, col0):
     tg = traj.t ** basis0.gammas.max()
     np.testing.assert_allclose(shares, tg / np.sqrt(1.0 + tg * tg), rtol=1e-14, atol=0.0)
     assert shares.max() == shares[0] == pytest.approx(math.sqrt(0.5), rel=1e-15)
-    assert traj.metadata.get("truncation_flag") == shares[-1] > ev.TRUNCATION_FLAG
     # a non-radial nodal h inside its bound passes the admissibility check
     pert = ev.PerturbationSpec.linear(
         lambda x, t: 0.4 * x[:, 0] ** 2 / (1.0 + np.sum(x * x, axis=1)),
@@ -505,14 +501,25 @@ def test_truncation_flag(basis0, col0):
 
 
 def test_metadata(basis0, col0, tau_small):
+    # each run keeps the gate values it measured, and None for the others
     c0 = np.zeros(basis0.size)
     c0[0] = 1.0
-    pert = ev.PerturbationSpec.semilinear(0.05, 2.0, 3)
-    traj = ev.integrate_backward(basis0, c0, tau_small, 0.01, pert, col0)
-    assert traj.metadata["hypotheses_verified"] is False
-    assert traj.metadata["basis_hash"] == basis0.content_hash()
-    assert traj.metadata["halving_tol"] == ev.HALVING_TOL
-    assert 0.0 < traj.metadata["halving_error"] <= ev.HALVING_TOL
+    both = {"halving_error", "admissibility_ratio"}
+    for pert, measured in ((ev.PerturbationSpec.none(), set()),
+                           (ev.PerturbationSpec.semilinear(0.05, 2.0, 3), {"halving_error"}),
+                           (ev.PerturbationSpec.linear_bounded(0.1), both)):
+        traj = ev.integrate_backward(basis0, c0, tau_small, 0.01, pert, col0)
+        for key in both:
+            assert (getattr(traj, key) is None) == (key not in measured), (pert.label, key)
+        if measured:
+            assert 0.0 < traj.halving_error <= ev.HALVING_TOL
+        if "admissibility_ratio" in measured:
+            assert 0.0 < traj.admissibility_ratio <= 1.0
+        # rows read back are gated again but not marched
+        rebuilt = ev.trajectory_from_rows(basis0, col0, traj.tau, traj.coeffs, pert,
+                                          traj.dtau)
+        assert rebuilt.halving_error is None
+        assert rebuilt.admissibility_ratio == traj.admissibility_ratio
 
 
 def test_semilinear_end_to_end(spec0):

@@ -362,6 +362,21 @@ def test_sweep_rejects_before_first_member(monkeypatch):
     assert calls == []
 
 
+def test_sweep_rejects_gaps_that_measure_nothing():
+    # at t = 1e300 every closed-form integral of the bumps at t underflows to
+    # 0: gap 0 at scale 0, which returned min_relative_gap = inf (x2_bound
+    # integrates at t = 1)
+    fam = ineq.TestFamily("bumps", 3, 5, 1)
+    spec = ang.solve_angular(ang.AngularPotential.constant(0.1), K=4, N=3)
+    for name in ("hardy_parabolic", "hardy_anisotropic"):
+        with pytest.raises(InvariantViolationError, match=f"{name} measures nothing"):
+            ineq.sweep((name,), fam, t=1e300, spec=spec)
+    for gap, scale in ((math.nan, 1.0), (math.inf, 1.0), (0.5, math.inf), (0.0, 0.0)):
+        with pytest.raises(InvariantViolationError, match="measures nothing"):
+            ineq._gate(("x2_bound",), {"x2_bound": (np.array([1.0, gap]),
+                                                    np.array([1.0, scale]))})
+
+
 CLOSED_KEYS = ("u2", "grad2", "hardy", "a_hardy", "sob", "u2_1", "grad2_1", "r2u2_1")
 
 

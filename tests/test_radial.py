@@ -81,9 +81,7 @@ def test_reduced_run_matches_the_product_rule(reduced_and_full):
     # measured: rows within 5.3e-19, beta bit for bit
     cfg, spec, reduced, full = reduced_and_full
     assert reduced.collocation.radial and not full.collocation.radial
-    assert reduced.metadata["collocation_rule"] == "radial"
-    assert reduced.metadata["collocation_nodes"] == cfg.radial_nodes
-    assert full.metadata["collocation_rule"] == "product"
+    assert len(reduced.collocation.weights) == cfg.radial_nodes
     assert not np.any(reduced.coeffs[:, ~ou.radial_modes(reduced.basis)])
     assert np.max(np.abs(reduced.coeffs - full.coeffs)) <= 1e-15
     beta, beta_full = _beta(cfg, spec, reduced), _beta(cfg, spec, full)
@@ -176,7 +174,7 @@ def test_non_radial_h_takes_the_product_rule(basis0):
     assert not ev.radial_invariant(basis0, pert, c0)
     assert ev.radial_invariant(basis0, ev.PerturbationSpec.linear_bounded(0.1), c0)
     traj = ev.integrate_backward(basis0, c0, math.log(0.5), 0.01, pert)
-    assert traj.metadata["collocation_rule"] == "product"
+    assert not traj.collocation.radial
 
 
 def test_radial_collocation_guard(basis0):

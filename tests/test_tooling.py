@@ -1,9 +1,10 @@
 """Tooling ratchets: the benchmark's per-layer tables name package functions
-that must exist, the package imports no scipy and its commands load none
-and no numpy.ma, and ``verify`` samples a node only where a sweep needs
-quadrature."""
+that must exist, every config key is read, the package imports no scipy and
+its commands load none and no numpy.ma, and ``verify`` samples a node only
+where a sweep needs quadrature."""
 
 import ast
+import dataclasses
 import importlib
 import math
 import os
@@ -52,6 +53,22 @@ def test_perfbench_names_resolve_to_public_callables():
     assert len(names) > 20
     unresolved = {name for name in names if not _resolves(name)}
     assert unresolved <= DEAD_BUCKETS, sorted(unresolved - DEAD_BUCKETS)
+
+
+def test_every_config_key_is_read():
+    # a key that is parsed and validated but never read does nothing: every
+    # RunConfig field must be read as cfg.<field> outside the class itself
+    read = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if path.name == "config.py" and isinstance(node, ast.ClassDef) \
+                    and node.name == "RunConfig":
+                continue
+            read |= {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)
+                     and isinstance(sub.value, ast.Name) and sub.value.id == "cfg"}
+    fields = {field.name for field in dataclasses.fields(RunConfig)}
+    assert fields - read == set()
 
 
 def test_package_imports_no_scipy():
