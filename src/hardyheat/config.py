@@ -66,14 +66,19 @@ class RunConfig:
         from .evolve import DTAU_MAX, TAU_FLOOR
         from .inequalities import SOBOLEV_EXPONENT as s
 
-        for key, low in (("dimension", 3), ("angular_count", 1), ("sweep_count", 1),
-                         ("seed", 0), ("angular_truncation", 0)):
-            if getattr(self, key) < low:
-                raise ConfigurationError(f"{key} must be >= {low}")
+        # the upper bounds keep what each key sizes small (README, config table)
+        for key, low, high in (("dimension", 3, 10), ("angular_count", 1, 1024),
+                               ("sweep_count", 1, 100_000), ("angular_truncation", 0, 64)):
+            if not low <= getattr(self, key) <= high:
+                raise ConfigurationError(f"{key} must lie in [{low}, {high}]")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be >= 0")
         # each range test is False on NaN, so a NaN fails it too
-        for key in ("gamma_max", "fit_decades", "sweep_t"):
+        for key in ("fit_decades", "sweep_t"):
             if not 0.0 < getattr(self, key) < math.inf:
                 raise ConfigurationError(f"{key} must be positive and finite")
+        if not 0.0 < self.gamma_max <= 8.0:
+            raise ConfigurationError("gamma_max must lie in (0, 8]")
         if self.fit_decades > 12.0:  # a run stores <= 6 decades: 12 and its half hold all
             raise ConfigurationError("fit_decades must be <= 12")
         if not 0.0 <= self.h_const < math.inf:

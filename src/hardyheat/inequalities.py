@@ -11,12 +11,13 @@ by the Sobolev quotient, over reproducible randomized families:
                                                     + (N/4) int u^2 G
   sobolev         :  (int |u|^s G^{s/2})^{2/s} / (t^{-(N/s)(s-2)/2} ||u||_Ht^2)
 
-``sweep`` runs the named ones over a family in one pass.  Gaussian bumps
-(centers drawn with density ~ 1/r in radius to stress the Hardy
-singularity) and the near-extremal power family take closed forms under an
-absent or constant potential, in any N; every other sweep is quadrature on
-the N = 3 full product cubature of ``rule_pair``, one ``member_values`` per
-member.
+``sweep`` runs the named ones over a family in one pass, on closed forms
+only, vectorized over the family: Gaussian bumps (centers drawn with
+density ~ 1/r in radius to stress the Hardy singularity) in any N, and the
+near-extremal power family for the two Hardy inequalities.  The potential
+of the anisotropic form is absent, constant, or (N = 3) a real-harmonic
+table, whose term the Funk-Hecke formula gives in closed form degree by
+degree (:func:`bump_table_hardy`).  Anything else raises ConfigurationError.
 
 The module also estimates the coercivity infimum of the shifted quadratic
 form, in both quotient normalizations (the equivalence-of-norms one and
@@ -32,9 +33,9 @@ import numpy as np
 
 from . import angular as ang
 from .errors import ConfigurationError, InvariantViolationError
-from .ou_basis import OUBasis, eval_grad_V, eval_V, hardy_matrix, potential_coupling_matrix
-from .quadrature import product_rule, sphere_area
-from .specfun import hyp1f1_one
+from .ou_basis import OUBasis, hardy_matrix, potential_coupling_matrix
+from .quadrature import sphere_area
+from .specfun import hyp1f1_minus
 
 GAP_SLACK = 1e-10  # violations are gap < -GAP_SLACK * scale
 SOBOLEV_EXPONENT = 2.5  # the s of the Sobolev quotient in sweeps
@@ -73,68 +74,16 @@ class PowerGaussian:
     kappa: float
 
 
-_MONOMIALS3 = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
-               (2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1)]
-
-
-@dataclass(frozen=True)
-class PolyGaussian:
-    """u(x) = q(x) exp(-kappa |x|^2) with q a random quadratic; N = 3."""
-
-    coeffs: tuple
-    kappa: float
-
-    def _q(self, x):
-        out = np.zeros(len(x))
-        for c, (a, b, d) in zip(self.coeffs, _MONOMIALS3):
-            out += c * x[:, 0] ** a * x[:, 1] ** b * x[:, 2] ** d
-        return out
-
-    def value(self, x):
-        return self._q(x) * np.exp(-self.kappa * np.sum(x * x, axis=-1))
-
-    def value_grad(self, x):
-        e = np.exp(-self.kappa * np.sum(x * x, axis=-1))
-        q = self._q(x)
-        gq = np.zeros_like(x)
-        for c, pw in zip(self.coeffs, _MONOMIALS3):
-            for d in range(3):
-                if pw[d] == 0:
-                    continue
-                dpw = list(pw)
-                dpw[d] -= 1
-                gq[:, d] += c * pw[d] * x[:, 0] ** dpw[0] * x[:, 1] ** dpw[1] * x[:, 2] ** dpw[2]
-        return q * e, (gq - 2.0 * self.kappa * x * q[:, None]) * e[:, None]
-
-
-class BasisModeFunction:
-    """A normalized eigenbasis mode as a point-function test member."""
-
-    def __init__(self, basis: OUBasis, k: int):
-        self.mode = basis.modes[k]
-        self.spectrum = basis.spectrum
-
-    def __repr__(self):
-        return f"BasisModeFunction(j={self.mode.j}, n={self.mode.n})"
-
-    def value(self, x):
-        return eval_V(self.spectrum, [self.mode], x)[0]
-
-    def value_grad(self, x):
-        values, grads = eval_grad_V(self.spectrum, [self.mode], x)
-        return values[0], grads[0]
-
-
 @dataclass(frozen=True)
 class TestFamily:
     """Reproducible generator description for a randomized sweep."""
 
-    kind: str          # 'bumps' | 'power' | 'polygauss' | 'modes'
+    kind: str          # 'bumps' | 'power'
     N: int
     count: int
     seed: int
 
-    def members(self, basis: OUBasis | None = None):
+    def members(self):
         rng = np.random.default_rng(self.seed)
         if self.kind == "bumps":
             for _ in range(self.count):
@@ -149,19 +98,9 @@ class TestFamily:
                 eps = math.exp(rng.uniform(math.log(1e-3), math.log(0.1)))
                 kappa = math.exp(rng.uniform(math.log(1e-4), math.log(1.0)))
                 yield PowerGaussian((self.N - 2) / 2.0 - eps, kappa)
-        elif self.kind == "polygauss":
-            if self.N != 3:
-                raise ConfigurationError("polynomial-x-Gaussian family is N=3 only")
-            for _ in range(self.count):
-                yield PolyGaussian(tuple(rng.normal(size=len(_MONOMIALS3))),
-                                   rng.uniform(1.0 / 12.0, 1.0 / 6.0))
-        elif self.kind == "modes":
-            if basis is None:
-                raise ConfigurationError("mode family needs a basis")
-            for i in range(self.count):
-                yield BasisModeFunction(basis, i % basis.size)
         else:
-            raise ConfigurationError(f"unknown family kind {self.kind!r}")
+            raise ConfigurationError(f"unknown family kind {self.kind!r}; "
+                                     "the sweeps take 'bumps' and 'power'")
 
 
 # -- integrals ----------------------------------------------------------------
@@ -175,6 +114,14 @@ class TestFamily:
 def hardy_constant(N: int) -> float:
     """The sharp constant (N-2)^2/4 of both Hardy inequalities."""
     return (N - 2) ** 2 / 4.0
+
+
+def _bump_gaussian(b, w, t: float, N: int):
+    """(a, q, M0) of the Gaussian u^2 G of the bumps at time t; see
+    :func:`bump_integrals`."""
+    a = 1.0 / w**2 + 1.0 / (4.0 * t)
+    q = 1.0 / (4.0 * t * a)
+    return a, q, (math.pi / (a * t)) ** (N / 2.0) * np.exp(-(b / w) ** 2 * q)
 
 
 def bump_integrals(b, w, t: float, N: int, s: float = SOBOLEV_EXPONENT) -> dict:
@@ -195,25 +142,46 @@ def bump_integrals(b, w, t: float, N: int, s: float = SOBOLEV_EXPONENT) -> dict:
     rejects it.
     """
     b, w = np.asarray(b, dtype=float), np.asarray(w, dtype=float)
-
-    def gaussian(t):
-        a = 1.0 / w**2 + 1.0 / (4.0 * t)
-        q = 1.0 / (4.0 * t * a)
-        return a, q, (math.pi / (a * t)) ** (N / 2.0) * np.exp(-(b / w) ** 2 * q)
-
     with np.errstate(over="ignore", invalid="ignore"):
-        a, q, u2 = gaussian(t)
-        a1, q1, u2_1 = gaussian(1.0)
+        a, q, u2 = _bump_gaussian(b, w, t, N)
+        a1, q1, u2_1 = _bump_gaussian(b, w, 1.0, N)
         return {
             "u2": u2,
             "grad2": u2 / w**4 * (N / (2.0 * a) + (b * q) ** 2),
-            "hardy": u2 * (2.0 * a / (N - 2)) * hyp1f1_one(N / 2.0, b**2 / (w**4 * a)),
+            "hardy": u2 * (2.0 * a / (N - 2)) * hyp1f1_minus(1.0, N / 2.0, b**2 / (w**4 * a)),
             "sob": t ** (-N * s / 4.0) * (2.0 * math.pi / (s * a)) ** (N / 2.0)
             * np.exp(-(s / 2.0) * (b / w) ** 2 * q),
             "u2_1": u2_1,
             "grad2_1": u2_1 / w**4 * (N / (2.0 * a1) + (b * q1) ** 2),
             "r2u2_1": u2_1 * (N / (2.0 * a1) + (b / (w**2 * a1)) ** 2),
         }
+
+
+def bump_table_hardy(table, b, w, axes, t: float):
+    """a_hardy of the N = 3 bumps exp(-|x - b e|^2 / (2 w^2)) under the
+    potential a = sum c_lm Y_lm of a harmonic table of (l, m, c_lm), in closed
+    form, elementwise over the arrays b, w and the rows e of ``axes``.
+
+    With a, m and M0 of :func:`bump_integrals` and sigma = sqrt(a) m,
+
+        a_hardy = M0 a sum_lm c_lm Y_lm(e) sigma^l Gamma((l+1)/2) / Gamma(l + 3/2)
+                  1F1(1 + l/2; l + 3/2; -sigma^2):
+
+    the Funk-Hecke formula int_{S^2} Y_l e^{kappa theta.e} = 4 pi i_l(kappa) Y_l(e)
+    (Atkinson & Han, LNM 2044, ch. 2), Weber's integral of a Gaussian against
+    i_l (Watson 1944, section 13.3) and Kummer's transformation.  At l = 0
+    it is c_00 Y_00 times the hardy of :func:`bump_integrals`.
+    """
+    b, w = np.asarray(b, dtype=float), np.asarray(w, dtype=float)
+    a, _, m0 = _bump_gaussian(b, w, t, 3)
+    sigma = b / (w**2 * np.sqrt(a))
+    Y = ang.real_sph_block(max((l for l, _, _ in table), default=0), axes)
+    total = np.zeros_like(sigma)
+    for l in sorted({l for l, _, _ in table}):
+        y = sum(c * Y[ang.sph_index(l, m)] for l2, m, c in table if l2 == l)
+        total += (y * sigma**l * math.gamma((l + 1) / 2.0) / math.gamma(l + 1.5)
+                  * hyp1f1_minus(1.0 + l / 2.0, l + 1.5, sigma * sigma))
+    return m0 * a * total
 
 
 def power_integrals(beta, kappa, t: float, N: int) -> dict:
@@ -232,57 +200,6 @@ def power_integrals(beta, kappa, t: float, N: int) -> dict:
     u2 = hardy * half / c
     grad2 = beta**2 * hardy + 4.0 * beta * kappa * u2 + 4.0 * kappa**2 * u2 * (half + 1.0) / c
     return {"u2": u2, "grad2": grad2, "hardy": hardy}
-
-
-def rule_pair(N: int, n_r: int = 48) -> tuple:
-    """(plain, hardy) full product cubature pair; N = 3 only.
-
-    The 1/|x|^2 integrands carry an s^{-1} factor relative to the surface
-    Jacobian; the hardy twin's exponent a_GL = N/2 - 2 restores exactness
-    there, while everything regular uses the plain N/2 - 1 rule.
-    """
-    if N != 3:
-        raise ConfigurationError(f"the full cubature pair is N = 3 only, got N = {N}; "
-                                 "other N take bumps under a constant potential")
-    return product_rule(N, n_r, 14, 28), product_rule(N, n_r, 14, 28, a_gl=N / 2.0 - 2.0)
-
-
-def _sample(member, rule, t: float, grad: bool = True):
-    """(u, |grad u|^2 or None, |x|^2) at the nodes of ``rule`` at time t."""
-    pts = math.sqrt(t) * rule.points
-    if not grad:
-        return np.asarray(member.value(pts), dtype=float), None, t * rule.radii**2
-    u, g = (np.asarray(a, dtype=float) for a in member.value_grad(pts))
-    return u, np.sum(g * g, axis=-1), t * rule.radii**2
-
-
-def _rule_integrals(want: set, member, t: float, rules: tuple, spec, s: float) -> dict:
-    """The integrals ``want`` needs, by quadrature on the rule pair.
-
-    The member is sampled at most once per rule and time: the plain rule at
-    t, the plain rule at t = 1 (the |x|^2 bound) and the singular twin at t.
-    The potential term is nodal.
-    """
-    plain, twin = rules
-    out = {}
-    if "x2_bound" in want:
-        u, g2, r2 = _sample(member, plain, 1.0)
-        out.update(u2_1=plain.integrate(u * u), grad2_1=plain.integrate(g2),
-                   r2u2_1=plain.integrate(r2 * (u * u)))
-    if want & {"hardy_parabolic", "hardy_anisotropic", "sobolev"}:
-        u, g2, _ = _sample(member, plain, t)
-        out.update(u2=plain.integrate(u * u), grad2=plain.integrate(g2))
-    if want & {"hardy_parabolic", "hardy_anisotropic"}:
-        uh, _, r2h = _sample(member, twin, t, grad=False)
-        out["hardy"] = twin.integrate(uh * uh / r2h)
-    if "hardy_anisotropic" in want:
-        a = np.tile(spec.potential.evaluate(twin.angular_dirs), twin.radial.count)
-        out["a_hardy"] = twin.integrate(a * uh * uh / r2h)
-    if "sobolev" in want:
-        # G^{s/2 - 1} at the scaled nodes; the base radius is t-invariant
-        Gpow = (t ** (-plain.N / 2.0) * np.exp(-plain.radii**2 / 4.0)) ** (s / 2.0 - 1.0)
-        out["sob"] = plain.integrate(np.abs(u) ** s * Gpow)
-    return out
 
 
 # -- verifiers ---------------------------------------------------------------
@@ -340,76 +257,66 @@ def _gate(inequalities, values: dict) -> None:
         )
 
 
-def member_values(inequalities, member, t: float, rules: tuple,
-                  spec: ang.AngularSpectrum | None = None,
-                  s: float = SOBOLEV_EXPONENT) -> dict:
-    """Each requested inequality's gated (gap, scale), or the Sobolev quotient,
-    by quadrature.
-
-    ``rules`` is a (plain, hardy twin) pair such as :func:`rule_pair`'s;
-    ``spec`` supplies mu_1 and the potential of the anisotropic form.  The
-    member is sampled at most once per rule and time.  Gaps are gated in the
-    order of ``inequalities``.
-    """
-    N = rules[0].N
-    _check_request(inequalities, N, s)
-    ints = _rule_integrals(set(inequalities), member, t, rules, spec, s)
-    out = _values(inequalities, ints, t, N, spec, s)
-    _gate(inequalities, out)
-    return out
-
-
 # -- family sweeps ------------------------------------------------------------
 
-def _closed_integrals(kind: str, members: list, t: float, N: int) -> dict:
-    if kind == "bumps":
-        return bump_integrals(np.array([m.b for m in members]),
-                              np.array([m.w for m in members]), t, N)
-    return power_integrals(np.array([m.beta for m in members]),
-                           np.array([m.kappa for m in members]), t, N)
+def _closed_integrals(family: TestFamily, members: list, t: float, potential) -> dict:
+    """The members' integrals in closed form, with a_hardy under ``potential``
+    unless it is None (no anisotropic sweep asks for it)."""
+    N = family.N
+    if family.kind == "power":
+        ints = power_integrals(np.array([m.beta for m in members]),
+                               np.array([m.kappa for m in members]), t, N)
+    else:
+        b, w = np.array([m.b for m in members]), np.array([m.w for m in members])
+        ints = bump_integrals(b, w, t, N)
+    if potential is None:
+        return ints
+    if potential.is_constant:
+        ints["a_hardy"] = potential.value * ints["hardy"]
+    else:
+        ints["a_hardy"] = bump_table_hardy(potential.table, b, w,
+                                           np.array([m.axis for m in members]), t)
+    return ints
 
 
-def sweep(
-    inequalities,
-    family: TestFamily,
-    t: float = 0.7,
-    spec: ang.AngularSpectrum | None = None,
-    basis: OUBasis | None = None,
-    n_r: int = 48,
-) -> list:
+def sweep(inequalities, family: TestFamily, t: float = 0.7,
+          spec: ang.AngularSpectrum | None = None) -> list:
     """Run the named inequalities over a family in one pass; one report each.
 
-    Raises InvariantViolationError on any gap below the relative slack, and
-    PositivityError before the first member when an anisotropic sweep's
-    spectrum fails positivity.  Bumps and power members under an absent or
-    constant potential take closed forms in any N, vectorized over the
-    family and sampling no node; every other sweep is quadrature on the
-    N = 3 :func:`rule_pair`, one :func:`member_values` per member.  A Sobolev
-    sweep first checks its path on the centred bump exp(-|x|^2 / 4t), whose
-    quotient has an independent closed form free of t, to GAP_SLACK relative.
+    Every integral is a closed form, vectorized over the family: bumps in
+    any N under an absent or constant potential, or a harmonic table in
+    N = 3, and power members for the two Hardy inequalities under an
+    absent or constant potential.  Any other family or potential, and an
+    anisotropic sweep whose spectrum is for another N, raise
+    ConfigurationError before the first member is evaluated;
+    PositivityError when the spectrum fails positivity.  Raises
+    InvariantViolationError on any gap below the relative slack.  A Sobolev
+    sweep first checks the closed forms on the centred bump exp(-|x|^2 / 4t),
+    whose quotient has an independent closed form free of t, to GAP_SLACK
+    relative.
     """
     N = family.N
     _check_request(inequalities, N, SOBOLEV_EXPONENT)
-    potential = None
-    if "hardy_anisotropic" in inequalities:
-        if spec is None:
-            raise ConfigurationError("anisotropic sweep needs an angular spectrum")
-        ang.require_positivity(spec)
-        potential = spec.potential
-    closed = family.kind in ("bumps", "power") and (potential is None or potential.is_constant)
+    anisotropic = "hardy_anisotropic" in inequalities
+    if anisotropic and spec is None:
+        raise ConfigurationError("anisotropic sweep needs an angular spectrum")
+    potential = spec.potential if anisotropic else None
     if family.kind == "power" and not (
-            closed and set(inequalities) <= {"hardy_parabolic", "hardy_anisotropic"}):
+            set(inequalities) <= {"hardy_parabolic", "hardy_anisotropic"}
+            and (potential is None or potential.is_constant)):
         raise ConfigurationError("the power family has the two Hardy inequalities only, "
                                  "under an absent or constant potential")
-    rules = None if closed else rule_pair(N, n_r)
+    if anisotropic:
+        if spec.N != N:
+            raise ConfigurationError(f"angular spectrum for N = {spec.N}, family for N = {N}")
+        if potential.kind not in ("constant", "harmonic_table"):
+            raise ConfigurationError(f"a {potential.kind!r} potential has no closed form; "
+                                     "the sweeps take constant and harmonic-table ones")
+        ang.require_positivity(spec)
+    members = list(family.members())
 
     def evaluate(names, members):
-        if not closed:
-            rows = [member_values(names, m, t, rules, spec) for m in members]
-            return {name: np.array([row[name] for row in rows]).T for name in names}
-        ints = _closed_integrals(family.kind, members, t, N)
-        if potential is not None:
-            ints["a_hardy"] = potential.value * ints["hardy"]
+        ints = _closed_integrals(family, members, t, potential)
         values = _values(names, ints, t, N, spec, SOBOLEV_EXPONENT)
         _gate(names, values)
         return values
@@ -421,14 +328,12 @@ def sweep(
         centred = GaussianBump(0.0, math.sqrt(2.0 * t), np.eye(N)[0])
         got = float(evaluate(("sobolev",), [centred])["sobolev"][0])
         if not abs(got - exact) <= GAP_SLACK * exact:  # a NaN fails too
-            cause = ("closed forms not representable at this t" if closed
-                     else f"integration bug, or n_r = {n_r} too coarse")
             raise InvariantViolationError(
                 f"Sobolev quotient of the centred bump {got} misses its closed form "
-                f"{exact} by over {GAP_SLACK} relative ({cause})"
+                f"{exact} by over {GAP_SLACK} relative (closed forms not representable "
+                "at this t)"
             )
 
-    members = list(family.members(basis))
     values = evaluate(inequalities, members)
     reports = []
     for name in inequalities:

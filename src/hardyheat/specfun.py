@@ -11,8 +11,9 @@ together with the exponent map
     alpha(mu) = (N-2)/2 - sqrt(((N-2)/2)^2 + mu)
 
 and the eigenvalue ladder gamma = m - alpha/2.  The inequality sweeps take
-the non-terminating 1F1(1; c; -z) of :func:`hyp1f1_one`.  Everything here
-is pure and stateless.
+the non-terminating 1F1(alpha; c; -z) of :func:`hyp1f1_minus`: alpha = 1
+for the inverse-square moment of a bump, alpha = 1 + l/2 for its degree-l
+anisotropic part.  Everything here is pure and stateless.
 """
 
 from __future__ import annotations
@@ -102,28 +103,35 @@ def p_poly(n: int, alpha_j: float, N: int) -> Polynomial:
     return Polynomial(tuple(coeffs))
 
 
-def hyp1f1_one(c: float, z):
-    """Kummer's 1F1(1; c; -z) for c > 1 and 0 <= z < 700, elementwise.
+def hyp1f1_minus(alpha: float, c: float, z):
+    """Kummer's 1F1(alpha; c; -z) for 0 < alpha < c and 0 <= z < 700, elementwise.
 
     Kummer's transformation (Abramowitz & Stegun 13.1.27) turns it into
-    (c - 1) sum_k e^{-z} z^k / (k! (c - 1 + k)), a Poisson(z) mean of
-    1 / (c - 1 + k) times c - 1: positive terms, so no cancellation.  Past
-    k = 2z each term is at least twice the next, and the sum stops once
-    every term is below 2^-56 of its sum.  e^{-z} underflows for z > 745.
-    A z outside [0, 700), NaN included, raises AccuracyError.
+    e^{-z} sum_k (c - alpha)_k / (c)_k z^k / k!, a Poisson(z) mean of
+    (c - alpha)_k / (c)_k: positive terms, so no cancellation.  Each term is
+    summed as (c - alpha) / (c - alpha + k) times q_k = (c - alpha + 1)_k / (c)_k,
+    so at alpha = 1, where q_k = 1, it is the series of 1 / (c - 1 + k).
+    Past k = 2z each term is at most half the one before, and the sum stops
+    once every term is below 2^-56 of its sum.  e^{-z} underflows for
+    z > 745.  A z outside [0, 700), NaN included, raises AccuracyError.
     """
+    if not 0.0 < alpha < c:
+        raise ValueError(f"need 0 < alpha < c, got alpha = {alpha}, c = {c}")
     z = np.asarray(z, dtype=float)
     ok = (z >= 0.0) & (z < 700.0)  # False on NaN, where the loop would never end
     if not np.all(ok):
-        raise AccuracyError(f"1F1(1; c; -z) is summed for 0 <= z < 700 only, "
+        raise AccuracyError(f"1F1(alpha; c; -z) is summed for 0 <= z < 700 only, "
                             f"got z = {z[~ok].flat[0]}")
+    d = c - alpha
     p = np.exp(-z)  # the Poisson(z) probability of k
-    total = p / (c - 1.0)
+    q = 1.0
+    total = p / d
     k, z_max = 0, float(np.max(z, initial=0.0))
     while True:
         k += 1
         p = p * z / k
-        term = p / (c - 1.0 + k)
+        q = q * (d + k) / (d + k + (alpha - 1.0))  # exactly 1 at alpha = 1
+        term = p * q / (d + k)
         total = total + term
         if k >= 2.0 * z_max and np.all(term <= 2.0**-56 * total):
-            return (c - 1.0) * total
+            return d * total

@@ -50,14 +50,14 @@ _spec_text = st.text(alphabet=string.ascii_letters + string.digits + ":,;=._-+",
                      max_size=30)
 _CONFIGS = st.builds(
     RunConfig,
-    dimension=st.integers(3, 10**6),
+    dimension=st.integers(3, 10),
     potential=_spec_text,
     perturbation=_spec_text,
     h_eps=_finite,
     h_const=st.floats(min_value=0.0, allow_infinity=False),
-    angular_truncation=st.integers(0, 10**6),
-    angular_count=st.integers(1, 10**6),
-    gamma_max=_positive,
+    angular_truncation=st.integers(0, 64),
+    angular_count=st.integers(1, 1024),
+    gamma_max=st.floats(min_value=0.0, max_value=8.0, exclude_min=True),
     radial_nodes=st.integers(4, 1024),
     dtau=st.floats(min_value=0.0, max_value=0.01, exclude_min=True),
     tau_min=st.floats(min_value=math.log(1e-6), max_value=0.0, exclude_max=True),
@@ -66,7 +66,7 @@ _CONFIGS = st.builds(
     recon_lambdas=st.lists(_positive, max_size=5).map(tuple),
     recon_tau=_unit_open,
     fit_decades=st.floats(min_value=0.0, max_value=12.0, exclude_min=True),
-    sweep_count=st.integers(1, 10**9),
+    sweep_count=st.integers(1, 10**5),
     sweep_dims=st.lists(st.integers(3, 10), min_size=1, max_size=4).map(tuple),
     sweep_t=_positive,
     seed=st.integers(0, 2**63),
@@ -125,11 +125,16 @@ def test_config_validation_ranges():
                      ("lambda_grid", ()), ("lambda_grid", (0.1, 0.0)),
                      ("recon_lambdas", (0.5, 0.0)), ("angular_count", 0),
                      ("angular_count", -1), ("fit_decades", 0.0), ("fit_decades", -1.0),
-                     ("fit_decades", math.nan), ("fit_decades", 12.5), ("seed", -1)):
+                     ("fit_decades", math.nan), ("fit_decades", 12.5), ("seed", -1),
+                     ("dimension", 11), ("angular_truncation", 65), ("angular_count", 1025),
+                     ("sweep_count", 100_001), ("gamma_max", 8.5)):
         cfg = RunConfig()
         setattr(cfg, key, bad)
         with pytest.raises(ConfigurationError):
             cfg.validate()
+    # each upper bound is itself valid
+    RunConfig(dimension=10, angular_truncation=64, angular_count=1024, sweep_count=100_000,
+              gamma_max=8.0).validate()
 
 
 def test_parse_potential_and_perturbation():
@@ -679,11 +684,12 @@ _CHEAP_RUNS = st.builds(
     tau_min=st.just(math.log(1e-2)),
     sweep_count=st.integers(1, 10),
 )
-_HOSTILE = ("nan", "inf", "-inf", "0", "-1", "1e300", "", "x", "1,,2", ":", "modes:",
-            "modes:0=", "constant:", "constant:-50", "harmonic_table:1,0",
+# "1000000000" is a huge value that parses as an int too: the sizing keys
+# (dimension, angular_count, angular_truncation, sweep_count, gamma_max)
+# exit 2 on their upper bounds
+_HOSTILE = ("nan", "inf", "-inf", "0", "-1", "1e300", "1000000000", "", "x", "1,,2", ":",
+            "modes:", "modes:0=", "constant:", "constant:-50", "harmonic_table:1,0",
             "linear_bounded:", "semilinear:0.05", "family:pure", "family:mixture:0")
-# each sizes an allocation that validate does not bound, so never a huge value
-_SIZING = ("gamma_max", "angular_count", "angular_truncation", "sweep_count", "dimension")
 _KEYS = [key for key in _KNOWN_KEYS if key != "directory"]
 
 
@@ -697,7 +703,6 @@ _KEYS = [key for key in _KNOWN_KEYS if key != "directory"]
 def test_hostile_value_exits_with_a_documented_code(cfg, key, value, command):
     # one key of a cheap valid run overwritten by a hostile value: the
     # command ends in 0, 2, 3 or 4, never in a traceback or a hang
-    assume(not (key in _SIZING and value == "1e300"))
     with tempfile.TemporaryDirectory() as tmp:
         lines = [f"{key} = {value}" if line.startswith(f"{key} = ") else line
                  for line in cfg.to_text().splitlines()]

@@ -13,6 +13,8 @@ from hardyheat import quadrature as quad
 from hardyheat.config import RunConfig, parse_potential
 from hardyheat.errors import ConfigurationError, InvariantViolationError, PositivityError
 
+import sweep_oracle as oracle
+
 
 class Constant:
     def value(self, x):
@@ -38,7 +40,7 @@ class RescaledFunction:
 
 
 def gap_of(name, member, t, rules, spec=None):
-    return ineq.member_values((name,), member, t, rules, spec)[name][0]
+    return oracle.member_values((name,), member, t, rules, spec)[name][0]
 
 
 def zonal_pair(N, n_r=48, n_polar=28):
@@ -53,7 +55,7 @@ def on_e1(bump):
 
 def test_hardy_parabolic_constant_oracle():
     # LHS = 4 pi^{3/2}, RHS = 8 pi^{3/2} from 1-D Gaussian integrals
-    gap = gap_of("hardy_parabolic", Constant(), 1.0, ineq.rule_pair(3))
+    gap = gap_of("hardy_parabolic", Constant(), 1.0, oracle.rule_pair(3))
     np.testing.assert_allclose(gap, 4.0 * math.pi**1.5, rtol=1e-12)
 
 
@@ -63,7 +65,7 @@ def test_hardy_parabolic_scaling_relation(N):
     # on the full rule (N = 3) and on the zonal one (N = 4), and in closed
     # form, where u(./sqrt(tau)) is the bump of center and width times sqrt(tau)
     bump = ineq.GaussianBump(0.5, 0.8, np.eye(N)[0])
-    rules = ineq.rule_pair(N) if N == 3 else zonal_pair(N)
+    rules = oracle.rule_pair(N) if N == 3 else zonal_pair(N)
     g1 = gap_of("hardy_parabolic", bump, 1.0, rules)
     tau = 2.2
     g2 = gap_of("hardy_parabolic", RescaledFunction(bump, tau), tau, rules)
@@ -82,8 +84,8 @@ def test_zonal_rules_match_full_rules():
     bump = ineq.GaussianBump(0.6, 0.9, axis / np.linalg.norm(axis))
     spec = ang.solve_angular(ang.AngularPotential.constant(0.1), K=4, N=3)
     for t in (1.0, 0.4):
-        vf = ineq.member_values(ineq.INEQUALITIES, bump, t, ineq.rule_pair(3), spec)
-        vz = ineq.member_values(ineq.INEQUALITIES, on_e1(bump), t, zonal_pair(3), spec)
+        vf = oracle.member_values(ineq.INEQUALITIES, bump, t, oracle.rule_pair(3), spec)
+        vz = oracle.member_values(ineq.INEQUALITIES, on_e1(bump), t, zonal_pair(3), spec)
         assert list(vf) == list(vz) and set(vf) == set(ineq.INEQUALITIES)
         for name in ineq.INEQUALITIES:
             np.testing.assert_allclose(vz[name], vf[name], rtol=1e-12, err_msg=name)
@@ -92,7 +94,7 @@ def test_zonal_rules_match_full_rules():
 def _sweep_values(bump, rules, spec):
     """The four values a sweep keeps of one member: three relative gaps and
     the Sobolev quotient."""
-    values = ineq.member_values(ineq.INEQUALITIES, bump, 0.7, rules, spec)
+    values = oracle.member_values(ineq.INEQUALITIES, bump, 0.7, rules, spec)
     return [v if name == "sobolev" else v[0] / v[1] for name, v in values.items()]
 
 
@@ -113,60 +115,61 @@ def test_zonal_sweep_rule_converged_in_angle():
 def test_full_rule_pair_is_three_dimensional_only():
     for N in (4, 11):
         with pytest.raises(ConfigurationError, match="N = 3 only"):
-            ineq.rule_pair(N)
+            oracle.rule_pair(N)
 
 
 POTENTIALS = {"constant": ang.AngularPotential.constant(0.1),
+              "table": ang.AngularPotential.harmonic_table({(1, 0): 0.1, (2, 1): 0.05}),
               "cos": ang.AngularPotential.zonal(lambda c: 0.1 * c)}
 
 
 @pytest.mark.parametrize("kind, potential, closed", [
-    ("bumps", None, True), ("bumps", "constant", True), ("bumps", "cos", False),
-    ("polygauss", None, False), ("modes", None, False)])
-def test_sweep_rule_choice(kind, potential, closed, basis0, monkeypatch):
-    # closed forms or quadrature follow the family and the potential: closed
-    # forms sample no node in any N, quadrature samples N = 3 on the full pair
-    chosen, rule_pair = [], ineq.rule_pair
-    monkeypatch.setattr(ineq, "rule_pair", lambda N, n_r: chosen.append(N) or rule_pair(N, n_r))
-    sample, samples = ineq._sample, []
-    monkeypatch.setattr(ineq, "_sample", lambda *a, **k: samples.append(a[1]) or sample(*a, **k))
+    ("bumps", None, True), ("bumps", "constant", True), ("bumps", "table", True),
+    ("bumps", "cos", False), ("polygauss", None, False), ("modes", None, False)])
+def test_sweep_rule_choice(kind, potential, closed, monkeypatch):
+    # the sweep has one path, closed forms, which evaluate no member at a
+    # point: bumps under an absent or constant potential in any N, or a
+    # harmonic table in N = 3 (its spectrum's N); a zonal callable and the
+    # quadrature-only families raise in every N
+    evaluated = []
+    for name in ("value", "value_grad"):
+        monkeypatch.setattr(ineq.GaussianBump, name, lambda self, x: evaluated.append(x))
     names = ("hardy_parabolic",) if potential is None else ("hardy_anisotropic",)
     for N in (3, 4, 5):
         spec = None if potential is None else ang.solve_angular(
             POTENTIALS[potential], L=8, K=4, N=N if potential == "constant" else 3)
         fam = ineq.TestFamily(kind, N, 2, 1)
-        if N == 3 or closed:
-            ineq.sweep(names, fam, spec=spec, basis=basis0)
+        if closed and (N == 3 or potential != "table"):
+            [rep] = ineq.sweep(names, fam, spec=spec)
+            assert rep["count"] == 2 and rep["min_relative_gap"] > 0.0
         else:
-            with pytest.raises(ConfigurationError, match="N = 3 only"):
-                ineq.sweep(names, fam, spec=spec, basis=basis0)
-    assert chosen == ([] if closed else [3, 4, 5])
-    assert len(samples) == (0 if closed else 2 * 2)
-    assert all(rule.N == 3 and len(rule.angular_weights) == 14 * 28 for rule in samples)
+            with pytest.raises(ConfigurationError):
+                ineq.sweep(names, fam, spec=spec)
+    assert evaluated == []
 
 
 def test_x2_bound_constant_oracle():
     # (1/16) * 48 pi^{3/2} = 3 pi^{3/2} vs (3/4) * 8 pi^{3/2} = 6 pi^{3/2}
-    gap = gap_of("x2_bound", Constant(), 1.0, ineq.rule_pair(3))
+    gap = gap_of("x2_bound", Constant(), 1.0, oracle.rule_pair(3))
     np.testing.assert_allclose(gap, 3.0 * math.pi**1.5, rtol=1e-12)
 
 
 def test_x2_bound_near_equality_probe():
-    probe = ineq.PolyGaussian((1.0, 0.0, 0.0, 0.0, 0.3, 0.3, 0.3, 0, 0, 0), 1.0 / 8.0)
-    gap = gap_of("x2_bound", probe, 1.0, ineq.rule_pair(3))
+    probe = oracle.PolyGaussian((1.0, 0.0, 0.0, 0.0, 0.3, 0.3, 0.3, 0, 0, 0), 1.0 / 8.0)
+    gap = gap_of("x2_bound", probe, 1.0, oracle.rule_pair(3))
     assert gap > 0.0
 
 
 def test_sobolev_s2_ratio_below_one():
-    r = ineq.member_values(("sobolev",), Constant(), 1.0, ineq.rule_pair(3), s=2.0)
+    r = oracle.member_values(("sobolev",), Constant(), 1.0, oracle.rule_pair(3), s=2.0)
     assert r["sobolev"] <= 1.0 + 1e-12
 
 
 def test_sobolev_scaling_invariance_exact():
     bump = ineq.GaussianBump(0.7, 0.9, np.array([0.0, 1.0, 0.0]))
-    rules, tau = ineq.rule_pair(3), 2.7
-    r1 = ineq.member_values(("sobolev",), bump, 0.7, rules)["sobolev"]
-    r2 = ineq.member_values(("sobolev",), RescaledFunction(bump, tau), 0.7 * tau,
+    rules, tau = oracle.rule_pair(3), 2.7
+    r1 = oracle.member_values(("sobolev",), bump, 0.7, rules)["sobolev"]
+    r2 = oracle.member_values(("sobolev",), RescaledFunction(bump, tau), 0.7 * tau,
                             rules)["sobolev"]
     np.testing.assert_allclose(r2, r1, rtol=1e-10)
 
@@ -175,17 +178,19 @@ def test_sobolev_scaling_invariance_exact():
 def test_sobolev_closed_form_check(N, monkeypatch):
     # the sweep's check on the centred bump holds to 1e-10 at every t on
     # the bumps' closed forms, and a closed-form quotient off by 1e-9 trips
-    # it; the quadrature path (N = 3 only) holds on the default rule and a
-    # 16-node rule trips it
+    # it; in N = 3 the cubature oracle holds the same quotient to the
+    # closed form on its default rule, and a 16-node rule misses it
     fam = ineq.TestFamily("bumps", N, 1, 0)
-    poly = ineq.TestFamily("polygauss", 3, 1, 0)
     for t in (0.01, 0.7, 50.0):
         ineq.sweep(("sobolev",), fam, t=t)
         if N == 3:
-            ineq.sweep(("sobolev",), poly, t=t)
-    if N == 3:
-        with pytest.raises(InvariantViolationError, match="closed form"):
-            ineq.sweep(("sobolev",), poly, n_r=16)
+            centred = ineq.GaussianBump(0.0, math.sqrt(2.0 * t), np.eye(3)[0])
+            closed = ineq._values(("sobolev",), ineq.bump_integrals(0.0, math.sqrt(2.0 * t), t, 3),
+                                  t, 3, None, ineq.SOBOLEV_EXPONENT)["sobolev"]
+            for n_r, held in ((48, True), (16, False)):
+                got = oracle.member_values(("sobolev",), centred, t,
+                                           oracle.rule_pair(3, n_r))["sobolev"]
+                assert (abs(got - closed) <= ineq.GAP_SLACK * closed) == held, (t, n_r)
     bump_integrals = ineq.bump_integrals
 
     def off(*args):
@@ -206,7 +211,7 @@ def test_sobolev_exponent_range():
         ineq.sweep(("x2_bound", "sobolev"), fam)
     bump = ineq.GaussianBump(0.5, 0.8, np.eye(3)[0])
     with pytest.raises(ConfigurationError, match="outside"):
-        ineq.member_values(("x2_bound", "sobolev"), bump, 0.7, ineq.rule_pair(3), s=6.5)
+        oracle.member_values(("x2_bound", "sobolev"), bump, 0.7, oracle.rule_pair(3), s=6.5)
 
 
 def test_sobolev_family_sup_stable_under_doubling():
@@ -220,15 +225,15 @@ def test_sobolev_family_sup_stable_under_doubling():
 
 def test_anisotropic_reduces_to_parabolic_at_zero(spec0):
     # a = 0: mu_1 = 0 and the bound is a rearranged parabolic Hardy
-    gap = gap_of("hardy_anisotropic", Constant(), 1.0, ineq.rule_pair(3), spec0)
+    gap = gap_of("hardy_anisotropic", Constant(), 1.0, oracle.rule_pair(3), spec0)
     assert gap > 0.0
 
 
 def test_anisotropic_ground_mode_near_extremal(basis0, spec0):
     # B(V~, V~) = 0 and the mode is radial-extremal: small positive gap
-    member = ineq.BasisModeFunction(basis0, 0)
+    member = oracle.BasisModeFunction(basis0, 0)
     assert repr(member) == "BasisModeFunction(j=1, n=0)"
-    gap = gap_of("hardy_anisotropic", member, 1.0, ineq.rule_pair(3), spec0)
+    gap = gap_of("hardy_anisotropic", member, 1.0, oracle.rule_pair(3), spec0)
     assert 0.0 < gap < 0.2
     np.testing.assert_allclose(gap, 0.125, atol=5e-3)
 
@@ -236,7 +241,7 @@ def test_anisotropic_ground_mode_near_extremal(basis0, spec0):
 def test_constant_potential_gap_is_lambda_free():
     # for a = lambda the two sides shift identically: the gap cannot move
     gaps = [
-        gap_of("hardy_anisotropic", Constant(), 1.0, ineq.rule_pair(3),
+        gap_of("hardy_anisotropic", Constant(), 1.0, oracle.rule_pair(3),
                ang.solve_angular(ang.AngularPotential.constant(lam), K=4, N=3))
         for lam in (0.0, 0.1, 0.2)
     ]
@@ -251,14 +256,14 @@ def test_anisotropic_gap_monotone_trend():
     for lam in (0.0, 0.1, 0.2, 0.3):
         pot = ang.AngularPotential.zonal(lambda c, s=lam: s * c)
         spec = ang.solve_angular(pot, L=12, K=4)
-        gaps.append(gap_of("hardy_anisotropic", bump, 1.0, ineq.rule_pair(3), spec))
+        gaps.append(gap_of("hardy_anisotropic", bump, 1.0, oracle.rule_pair(3), spec))
     assert all(np.diff(gaps) < 0)
 
 
 def test_mode_family_sweep(basis0, spec0):
     fam = ineq.TestFamily("modes", 3, basis0.size, 0)
-    [rep] = ineq.sweep(("hardy_parabolic",), fam, t=1.0, basis=basis0)
-    assert rep["min_relative_gap"] > -1e-10
+    values = oracle.sweep_values(("hardy_parabolic",), fam, t=1.0, basis=basis0)
+    assert oracle.min_relative_gap(values, "hardy_parabolic") > -1e-10
 
 
 def test_randomized_sweeps_no_violation():
@@ -267,8 +272,8 @@ def test_randomized_sweeps_no_violation():
         for rep in ineq.sweep(("hardy_parabolic", "x2_bound"), fam, t=0.7):
             assert rep["min_relative_gap"] > -1e-10
     famp = ineq.TestFamily("polygauss", 3, 150, 66)
-    [rep] = ineq.sweep(("hardy_parabolic",), famp, t=0.4)
-    assert rep["min_relative_gap"] > -1e-10
+    values = oracle.sweep_values(("hardy_parabolic",), famp, t=0.4)
+    assert oracle.min_relative_gap(values, "hardy_parabolic") > -1e-10
 
 
 def test_family_reproducibility():
@@ -335,30 +340,47 @@ def test_sweep_report_fields():
                                      ("modes", 3)])
 def test_one_pass_equals_single_sweeps(kind, N, basis0):
     # bump sweeps with "sobolev" also run the closed-form Sobolev check;
-    # mode members are slow to evaluate and take no Sobolev quotient
+    # polygauss and mode members take the cubature oracle, and mode members
+    # are slow to evaluate and take no Sobolev quotient
     names = ineq.INEQUALITIES if kind == "bumps" else ("hardy_parabolic", "hardy_anisotropic",
                                                        "x2_bound")
     fam = ineq.TestFamily(kind, N, 6 if kind == "modes" else 60, 5)
     spec = ang.solve_angular(ang.AngularPotential.constant(0.15), K=8, N=N)
     if kind == "modes":
         spec = basis0.spectrum
-    one_pass = ineq.sweep(names, fam, t=0.6, spec=spec, basis=basis0)
-    single = [ineq.sweep((iq,), fam, t=0.6, spec=spec, basis=basis0)[0] for iq in names]
-    assert one_pass == single
-    assert [rep["inequality"] for rep in one_pass] == list(names)
+    if kind == "bumps":
+        one_pass = ineq.sweep(names, fam, t=0.6, spec=spec)
+        single = [ineq.sweep((iq,), fam, t=0.6, spec=spec)[0] for iq in names]
+        assert one_pass == single
+        assert [rep["inequality"] for rep in one_pass] == list(names)
+        return
+    one_pass = oracle.sweep_values(names, fam, t=0.6, spec=spec, basis=basis0)
+    assert list(one_pass) == list(names)
+    for iq in names:
+        single = oracle.sweep_values((iq,), fam, t=0.6, spec=spec, basis=basis0)[iq]
+        np.testing.assert_array_equal(one_pass[iq], single, err_msg=iq)
 
 
 def test_sweep_rejects_before_first_member(monkeypatch):
-    # neither a node sample nor a closed-form integral before the rejection
+    # no closed-form integral before the rejection
     calls = []
-    monkeypatch.setattr(ineq, "_sample", lambda *a, **k: calls.append(a))
     monkeypatch.setattr(ineq, "bump_integrals", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(ineq, "bump_table_hardy", lambda *a, **k: calls.append(a))
     fam = ineq.TestFamily("bumps", 3, 5, 1)
     with pytest.raises(ConfigurationError, match="unknown inequality"):
         ineq.sweep(("hardy_parabolic", "hardy_parabolc"), fam)
     bad = ang.solve_angular(ang.AngularPotential.constant(0.3), K=4, N=3)
     with pytest.raises(PositivityError):
         ineq.sweep(ineq.INEQUALITIES, fam, spec=bad)
+    # no closed form: a zonal callable, a quadrature-only family, and a
+    # harmonic table (N = 3 only) under an N = 4 family
+    cos = ang.solve_angular(POTENTIALS["cos"], L=8, K=4, N=3)
+    table = ang.solve_angular(POTENTIALS["table"], L=8, K=4, N=3)
+    for names, family, spec in ((ineq.INEQUALITIES, fam, cos),
+                                (ineq.INEQUALITIES, ineq.TestFamily("polygauss", 3, 5, 1), table),
+                                (("hardy_anisotropic",), ineq.TestFamily("bumps", 4, 5, 1), table)):
+        with pytest.raises(ConfigurationError):
+            ineq.sweep(names, family, spec=spec)
     assert calls == []
 
 
@@ -394,13 +416,67 @@ def test_closed_forms_match_rules(N):
     assert len(members) > 100
     closed = ineq.bump_integrals([m.b for m in members], [m.w for m in members], 0.7, N)
     closed["a_hardy"] = lam * closed["hardy"]
-    pairs = [(zonal_pair(N), on_e1)] + ([(ineq.rule_pair(3), lambda m: m)] if N == 3 else [])
+    pairs = [(zonal_pair(N), on_e1)] + ([(oracle.rule_pair(3), lambda m: m)] if N == 3 else [])
     for rules, place in pairs:
         for i, member in enumerate(members):
-            got = ineq._rule_integrals(set(ineq.INEQUALITIES), place(member), 0.7, rules,
+            got = oracle._rule_integrals(set(ineq.INEQUALITIES), place(member), 0.7, rules,
                                        spec, ineq.SOBOLEV_EXPONENT)
             for key in CLOSED_KEYS:
                 assert abs(got[key] - closed[key][i]) <= 1e-12 * closed[key][i], (key, member)
+
+
+def _angular_grid(n_polar=40, n_az=80):
+    """Gauss-Legendre in cos(polar angle) times the uniform azimuth rule on
+    S^2 (polar axis e1): directions and weights, exact for harmonics of
+    degree < 80."""
+    c, wc = np.polynomial.legendre.leggauss(n_polar)
+    phi = 2.0 * math.pi * np.arange(n_az) / n_az
+    C, P = np.meshgrid(c, phi, indexing="ij")
+    S = np.sqrt(1.0 - C * C)
+    dirs = np.stack([C, S * np.cos(P), S * np.sin(P)], axis=-1).reshape(-1, 3)
+    return dirs, np.repeat(wc, n_az) * (2.0 * math.pi / n_az)
+
+
+def test_table_hardy_matches_radial_quadrature():
+    # the Funk-Hecke closed form of a_hardy, degree by degree (l = 0..4, the
+    # orders -l, 0 and l), against adaptive radial quadrature of the angular
+    # sum over a 40 x 80 rule, for b of both signs (a bump about -e), narrow
+    # and wide; measured within 1.9e-15 of hardy over these 156 cases
+    from scipy.integrate import quad as radial_quad
+
+    t, axis = 0.7, np.array([0.3, -0.5, 0.8]) / math.sqrt(0.98)
+    dirs, weights = _angular_grid()
+    Y = ang.real_sph_block(4, dirs)
+    for b, w in ((0.8, 0.7), (-0.8, 0.7), (1.9, 0.55), (-1.9, 0.55), (0.3, 1.4), (-0.3, 1.4)):
+        hardy = ineq.bump_integrals(b, w, t, 3)["hardy"]
+        for l in range(5):
+            for m in sorted({-l, 0, l}):
+                got = ineq.bump_table_hardy(((l, m, 1.0),), [b], [w], axis[None], t)[0]
+                a = Y[ang.sph_index(l, m)] * weights
+                proj = dirs @ axis
+
+                def f(r):  # int a u^2 dtheta times r^2 G / r^2
+                    d2 = r * r - 2.0 * r * b * proj + b * b
+                    return a @ np.exp(-d2 / w**2) * t**-1.5 * math.exp(-r * r / (4.0 * t))
+
+                want = sum(radial_quad(f, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                           for lo, hi in ((0.0, 1.0), (1.0, math.inf)))
+                assert abs(got - want) <= 1e-13 * hardy, (b, w, l, m, got, want)
+
+
+def test_table_hardy_sums_its_degrees():
+    # a table is the sum of its entries, and its degree-0 entry is c Y_00
+    # times the closed-form hardy of every bump
+    members = list(ineq.TestFamily("bumps", 3, 50, 4).members())
+    b, w = [m.b for m in members], [m.w for m in members]
+    axes = np.array([m.axis for m in members])
+    table = ((0, 0, 0.3), (1, -1, 0.2), (2, 1, -0.1), (3, 0, 0.05))
+    whole = ineq.bump_table_hardy(table, b, w, axes, 0.7)
+    parts = sum(ineq.bump_table_hardy((entry,), b, w, axes, 0.7) for entry in table)
+    np.testing.assert_allclose(whole, parts, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(ineq.bump_table_hardy(table[:1], b, w, axes, 0.7),
+                               0.3 / math.sqrt(4.0 * math.pi)
+                               * ineq.bump_integrals(b, w, 0.7, 3)["hardy"], rtol=1e-14)
 
 
 @pytest.mark.parametrize("beta, kappa", [(0.2, 0.0), (0.2, 0.3), (0.05, 1.5)])

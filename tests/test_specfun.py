@@ -175,25 +175,52 @@ def test_polynomial_horner_and_derivative():
 
 @pytest.mark.parametrize("c", [1.5, 2.0, 2.5, 5.0])
 def test_hyp1f1_one_matches_scipy(c):
-    # Kummer's series of 1F1(1; c; -z) against scipy over the z the bump
+    # the alpha = 1 case, 1F1(1; c; -z), against scipy over the z the bump
     # sweeps reach (below b^2/w^2 = 16); measured within 5.6e-15 at c = 1.5,
     # where scipy itself is 4.1e-15 off a 40-digit mpmath value
     z = np.linspace(0.0, 15.0, 1501)
-    np.testing.assert_allclose(sf.hyp1f1_one(c, z), hyp1f1(1.0, c, -z), rtol=1e-14, atol=0.0)
-    assert sf.hyp1f1_one(c, 0.0) == 1.0
+    np.testing.assert_allclose(sf.hyp1f1_minus(1.0, c, z), hyp1f1(1.0, c, -z),
+                               rtol=1e-14, atol=0.0)
+    assert sf.hyp1f1_minus(1.0, c, 0.0) == 1.0
+
+
+# the anisotropic sweep's (1 + l/2, l + 3/2) for l = 0..4, then other alpha in (0, c)
+@pytest.mark.parametrize("alpha, c", [(1.0, 1.5), (1.5, 2.5), (2.0, 3.5), (2.5, 4.5),
+                                      (3.0, 5.5), (0.5, 1.5), (0.25, 0.5), (3.5, 4.0)])
+def test_hyp1f1_minus_matches_scipy(alpha, c):
+    # against scipy where the sweeps reach (z < 16), and against 30-digit
+    # mpmath over the whole domain [0, 700), where scipy is itself up to
+    # 1.7e-14 off mpmath near z = 20-40; measured within 4.3e-15 of scipy
+    # and 7.5e-15 of mpmath
+    import mpmath
+
+    z = np.linspace(0.0, 16.0, 321)
+    np.testing.assert_allclose(sf.hyp1f1_minus(alpha, c, z), hyp1f1(alpha, c, -z),
+                               rtol=1e-14, atol=0.0)
+    z = np.concatenate([np.linspace(0.0, 40.0, 81), np.linspace(40.0, 699.9, 67)[1:]])
+    with mpmath.workdps(30):
+        want = [float(mpmath.hyp1f1(alpha, c, -x)) for x in z]
+    np.testing.assert_allclose(sf.hyp1f1_minus(alpha, c, z), want, rtol=1e-14, atol=0.0)
+    assert sf.hyp1f1_minus(alpha, c, 0.0) == 1.0
+
+
+@pytest.mark.parametrize("alpha, c", [(0.0, 1.5), (1.5, 1.5), (2.0, 1.5), (-1.0, 2.0)])
+def test_hyp1f1_minus_rejects_alpha_outside_zero_c(alpha, c):
+    with pytest.raises(ValueError, match="0 < alpha < c"):
+        sf.hyp1f1_minus(alpha, c, 1.0)
 
 
 @pytest.mark.parametrize("z", (math.nan, math.inf, -1.0, 700.0, [1.0, math.nan]))
 def test_hyp1f1_one_rejects_z_outside_its_range(z):
     # a NaN z looped forever (k >= 2 * nan is never true): bound the call
     def stuck(signum, frame):
-        raise TimeoutError("hyp1f1_one did not return")
+        raise TimeoutError("hyp1f1_minus did not return")
 
     previous = signal.signal(signal.SIGALRM, stuck)
     signal.alarm(5)
     try:
         with pytest.raises(AccuracyError, match="0 <= z < 700"):
-            sf.hyp1f1_one(1.5, z)
+            sf.hyp1f1_minus(1.0, 1.5, z)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)

@@ -1,7 +1,7 @@
 """Tooling ratchets: the benchmark's per-layer tables name package functions
 that must exist, every config key is read, the package imports no scipy and
-its commands load none and no numpy.ma, and ``verify`` samples a node only
-where a sweep needs quadrature."""
+its commands load none and no numpy.ma, and ``verify`` evaluates no test
+function at a node: every sweep is closed form."""
 
 import ast
 import dataclasses
@@ -128,21 +128,39 @@ def test_commands_load_no_numpy_ma(tmp_path):
     assert [m for m in modules if m == "numpy.ma" or m.startswith("numpy.ma.")] == []
 
 
+def test_inequalities_take_only_sphere_area_from_quadrature():
+    # the sweeps are closed forms: no cubature rule reaches inequalities
+    imported = set()
+    for node in ast.walk(ast.parse((SRC / "inequalities.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            imported |= {f"{node.module}.{a.name}" if node.module else a.name
+                         for a in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {a.name for a in node.names}
+    assert {name for name in imported if "quadrature" in name.split(".")} == {
+        "quadrature.sphere_area"}
+
+
 def _counted_verify(tmp_path, monkeypatch, **settings) -> dict:
-    """Sweeps and member samplings of one ``verify`` run over 10 members in N = 3."""
+    """Sweeps, and test-function evaluations at points, of one ``verify`` run
+    over 10 members in N = 3."""
     calls = {"sweep": 0, "sample": 0}
-    sweep, sample = inequalities.sweep, inequalities._sample
+    sweep = inequalities.sweep
 
     def counted_sweep(*args, **kwargs):
         calls["sweep"] += 1
         return sweep(*args, **kwargs)
 
-    def counted_sample(*args, **kwargs):
-        calls["sample"] += 1
-        return sample(*args, **kwargs)
+    def counted(original):
+        def sample(*args, **kwargs):
+            calls["sample"] += 1
+            return original(*args, **kwargs)
+        return sample
 
     monkeypatch.setattr(inequalities, "sweep", counted_sweep)
-    monkeypatch.setattr(inequalities, "_sample", counted_sample)
+    for name in ("value", "value_grad"):
+        monkeypatch.setattr(inequalities.GaussianBump, name,
+                            counted(getattr(inequalities.GaussianBump, name)))
     cfg = RunConfig()
     cfg.sweep_dims, cfg.sweep_count, cfg.directory = (3,), 10, str(tmp_path)
     for key, value in settings.items():
@@ -161,10 +179,9 @@ def test_constant_potential_verify_samples_no_node(tmp_path, monkeypatch):
             "sweep": 1, "sample": 0}
 
 
-def test_nonconstant_anisotropic_sweep_samples_once_per_rule_and_time(tmp_path, monkeypatch):
+def test_harmonic_table_verify_samples_no_node(tmp_path, monkeypatch):
     # the four closed-form sweeps, then the N = 3 anisotropic sweep under the
-    # non-constant potential by quadrature: per member, the plain rule and
-    # the singular twin, each at t
+    # harmonic-table potential, also in closed form
     calls = _counted_verify(tmp_path, monkeypatch, angular_truncation=16,
                             potential="harmonic_table:1,0,0.15;2,0,0.05")
-    assert calls == {"sweep": 2, "sample": 2 * 10}
+    assert calls == {"sweep": 2, "sample": 0}
