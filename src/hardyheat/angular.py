@@ -35,8 +35,11 @@ from .quadrature import polar_rule, sphere_area
 
 DEGENERACY_GAP = 1e-9  # eigenvalues closer than this form one cluster
 DEFAULT_L = 16
-# directions per pass of eval_psi_block and eval_grad_psi_block: a pass holds
-# the harmonic table of its own directions, never one over all M points
+# the largest truncation degree and harmonic-table degree: each sizes the
+# Galerkin assembly (README, config table)
+MAX_DEGREE = 64
+# directions per pass of eval_psi_block: a pass holds the harmonic table of
+# its own directions, never one over all M points
 DIRS_PER_PASS = 1024
 
 
@@ -119,34 +122,6 @@ def real_sph_block(L: int, dirs: np.ndarray) -> np.ndarray:
     return out
 
 
-def real_sph_grad_block(L: int, dirs: np.ndarray) -> np.ndarray:
-    """Surface gradients of the real harmonics, shape (basis, M, 3).
-
-    Uses grad_S Y = (dY/dtheta) e_theta + (dY/dphi / sin theta) e_phi;
-    callers must keep evaluation points away from the poles.
-    """
-    dirs = np.atleast_2d(dirs)
-    ct, phi = _polar_azimuth(dirs)
-    st = np.sqrt(np.clip(1.0 - ct * ct, 1e-300, None))
-    cphi, sphi = np.cos(phi), np.sin(phi)
-    e_theta = np.stack([-st, ct * cphi, ct * sphi], axis=-1)
-    e_phi = np.stack([np.zeros_like(phi), -sphi, cphi], axis=-1)
-    P, E = _legendre_table(L, ct), _azimuth_table(L, phi)
-    out = np.zeros((basis_size(L), len(dirs), 3))
-    for l in range(1, L + 1):
-        m = np.arange(-l, l + 1)
-        am = np.abs(m)
-        # d/dtheta P_l^m(cos theta) = (l c P_l^m - c_lm P_{l-1}^m) / sin theta
-        c_lm = np.sqrt((2.0 * l + 1.0) / (2.0 * l - 1.0) * (l * l - am * am))
-        dtheta = (l * ct * P[l, am] - c_lm[:, None] * P[l - 1, am]) / st
-        # d/dphi e_m = -m e_{-m}
-        dphi = -m[:, None] * P[l, am] / st * E[L - m]
-        out[l * l:(l + 1) ** 2] = (
-            (dtheta * E[L + m])[..., None] * e_theta + dphi[..., None] * e_phi
-        )
-    return out
-
-
 def harmonic_multiplicity(l: int, N: int) -> int:
     """Dimension of the degree-l spherical harmonics on S^{N-1}."""
     if l == 0:
@@ -181,8 +156,17 @@ class AngularPotential:
         return AngularPotential("zonal", zonal_fn=fn)
 
     @staticmethod
-    def harmonic_table(table: dict) -> "AngularPotential":
-        items = tuple(sorted((int(l), int(m), float(c)) for (l, m), c in table.items()))
+    def harmonic_table(entries) -> "AngularPotential":
+        """a = sum c Y_lm over the (l, m, c) entries, each (l, m) at most once
+        and with |m| <= l <= MAX_DEGREE."""
+        items = tuple(sorted((int(l), int(m), float(c)) for l, m, c in entries))
+        for l, m, _ in items:
+            if not abs(m) <= l <= MAX_DEGREE:
+                raise ConfigurationError(f"harmonic (l, m) = ({l}, {m}) outside "
+                                         f"|m| <= l <= {MAX_DEGREE}")
+        for (l, m, _), (l2, m2, _) in zip(items, items[1:]):
+            if (l, m) == (l2, m2):
+                raise ConfigurationError(f"harmonic (l, m) = ({l}, {m}) given twice")
         return AngularPotential("harmonic_table", table=items)
 
     @property
@@ -483,18 +467,6 @@ def eval_psi_block(spec: AngularSpectrum, dirs: np.ndarray) -> np.ndarray:
     for lo in range(0, len(dirs), DIRS_PER_PASS):
         Y = real_sph_block(spec.truncation_degree, dirs[lo:lo + DIRS_PER_PASS])
         out[:, lo:lo + DIRS_PER_PASS] = spec.eigenvectors.T @ Y
-    return out
-
-
-def eval_grad_psi_block(spec: AngularSpectrum, dirs: np.ndarray) -> np.ndarray:
-    """Surface gradients of all eigenfunctions; shape (K, M, 3).  N=3 only."""
-    if spec.eigenvectors is None:
-        raise ConfigurationError("angular gradients require the N=3 Galerkin basis")
-    dirs = np.atleast_2d(dirs)
-    out = np.empty((spec.count, len(dirs), 3))
-    for lo in range(0, len(dirs), DIRS_PER_PASS):
-        grads = real_sph_grad_block(spec.truncation_degree, dirs[lo:lo + DIRS_PER_PASS])
-        out[:, lo:lo + DIRS_PER_PASS] = np.tensordot(spec.eigenvectors, grads, axes=(0, 0))
     return out
 
 

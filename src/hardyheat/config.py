@@ -63,12 +63,14 @@ class RunConfig:
     }
 
     def validate(self) -> None:
+        from .angular import MAX_DEGREE
         from .evolve import DTAU_MAX, TAU_FLOOR
         from .inequalities import SOBOLEV_EXPONENT as s
 
         # the upper bounds keep what each key sizes small (README, config table)
         for key, low, high in (("dimension", 3, 10), ("angular_count", 1, 1024),
-                               ("sweep_count", 1, 100_000), ("angular_truncation", 0, 64)):
+                               ("sweep_count", 1, 100_000),
+                               ("angular_truncation", 0, MAX_DEGREE)):
             if not low <= getattr(self, key) <= high:
                 raise ConfigurationError(f"{key} must lie in [{low}, {high}]")
         if self.seed < 0:
@@ -187,13 +189,13 @@ def parse_potential(cfg: RunConfig):
         if spec.startswith("constant:"):
             return AngularPotential.constant(_finite(spec.split(":", 1)[1]))
         if spec.startswith("harmonic_table:"):
-            table = {}
+            entries = []
             for item in spec.split(":", 1)[1].split(";"):
                 if not item.strip():
                     continue
                 l, m, c = item.split(",")
-                table[(int(l), int(m))] = _finite(c)
-            return AngularPotential.harmonic_table(table)
+                entries.append((int(l), int(m), _finite(c)))
+            return AngularPotential.harmonic_table(entries)
         raise ConfigurationError(
             "unsupported kind (constant:<v> or harmonic_table:<l,m,c;...>; "
             "zonal potentials are library-only)"

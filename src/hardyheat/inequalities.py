@@ -19,9 +19,8 @@ of the anisotropic form is absent, constant, or (N = 3) a real-harmonic
 table, whose term the Funk-Hecke formula gives in closed form degree by
 degree (:func:`bump_table_hardy`).  Anything else raises ConfigurationError.
 
-The module also estimates the coercivity infimum of the shifted quadratic
-form, in both quotient normalizations (the equivalence-of-norms one and
-the plain H_t-denominator one used by the frequency lower bound).
+The module also gives the coercivity constant of the quadratic form with
+the plain H_t denominator, which the frequency lower bound uses.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ import numpy as np
 
 from . import angular as ang
 from .errors import ConfigurationError, InvariantViolationError
-from .ou_basis import OUBasis, hardy_matrix, potential_coupling_matrix
+from .ou_basis import OUBasis, potential_coupling_matrix
 from .quadrature import sphere_area
 from .specfun import hyp1f1_minus
 
@@ -376,15 +375,6 @@ def _coercivity(basis: OUBasis, K: int | None, shift: float) -> float:
     return float(1.0 / lam[-1])
 
 
-def coercivity_infimum(basis: OUBasis, K: int | None = None) -> float:
-    """Rayleigh-quotient infimum with the (N-2)/4-shifted denominator.
-
-    Equals 1 for a = 0 (the quotient is identically 1); degenerates to 0
-    as the potential approaches the Hardy constant.
-    """
-    return _coercivity(basis, K, (basis.N - 2) / 4.0)
-
-
 def coercivity_bound_constant(basis: OUBasis) -> float:
     """Quotient with the plain H-norm denominator (E + ||.||^2).
 
@@ -392,16 +382,3 @@ def coercivity_bound_constant(basis: OUBasis) -> float:
     N(t) >= C1 - (N-2)/4, tight for the unperturbed ground state.
     """
     return _coercivity(basis, None, 1.0)
-
-
-def hardy_mode_consistency(basis: OUBasis) -> float:
-    """Max over modes of the anisotropic-Hardy consistency defect.
-
-    Every mode must satisfy
-    int V~^2/|x|^2 G <= (mu_1 + (N-2)^2/4)^{-1} (B(V~,V~) + (N-2)/4);
-    returns the worst (most positive) LHS - RHS, expected <= 0.
-    """
-    mu1 = float(basis.spectrum.eigenvalues[0])
-    coef = 1.0 / (mu1 + (basis.N - 2) ** 2 / 4.0)
-    bound = coef * (basis.gammas + (basis.N - 2) / 4.0)
-    return float(np.max(np.diag(hardy_matrix(basis)) - bound))

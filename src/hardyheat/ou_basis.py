@@ -33,7 +33,6 @@ from .errors import (
     ConfigurationError,
     DegeneracyAmbiguityError,
     QuadratureError,
-    SingularNodeError,
     TruncationError,
 )
 from .quadrature import ProductRule, laguerre_rule, product_rule, zonal_rule
@@ -269,50 +268,6 @@ def _radial_rows(modes, r: np.ndarray) -> np.ndarray:
     """f(r) / norm_L, f = r^{-alpha} P(r^2/4), of each mode at the radii r;
     shape (len(modes), M)."""
     return np.array([r ** (-m.alpha_j) * m.poly(r * r / 4.0) / m.norm_L for m in modes])
-
-
-def _psi_rows(spectrum: ang.AngularSpectrum, modes, dirs: np.ndarray) -> np.ndarray:
-    """psi_j of each mode at unit vectors; shape (len(modes), M)."""
-    if spectrum.eigenvectors is None and any(m.j > 1 for m in modes):
-        raise ConfigurationError("only psi_1 is evaluable off the N = 3 harmonic basis")
-    return ang.eval_psi_block(spectrum, dirs)[[m.j - 1 for m in modes]]
-
-
-def eval_V(spectrum: ang.AngularSpectrum, modes, x: np.ndarray) -> np.ndarray:
-    """Normalized values of the modes at points x (shape (M, N)); shape
-    (len(modes), M).  At x = 0 a mode takes its limit: 0 for alpha < 0,
-    P(0) psi for degree 0 and alpha = 0; any other mode raises."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    r = np.linalg.norm(x, axis=-1)
-    at_origin = r == 0.0
-    bad = [m for m in modes if m.alpha_j > 0.0 or (m.alpha_j == 0.0 and m.degree != 0)]
-    if bad and np.any(at_origin):
-        raise SingularNodeError(f"mode (n={bad[0].n}, j={bad[0].j}) has no limit at x = 0")
-    # the direction at x = 0 matters only for a degree-0 mode; take e1
-    dirs = x / np.where(at_origin, 1.0, r)[:, None]
-    dirs[at_origin] = np.eye(spectrum.N)[0]
-    return _radial_rows(modes, r) * _psi_rows(spectrum, modes, dirs)
-
-
-def eval_grad_V(spectrum: ang.AngularSpectrum, modes, x: np.ndarray):
-    """(values, gradients) of the normalized modes at points x away from the
-    origin; shapes (len(modes), M) and (len(modes), M, N).
-
-    grad V = f'(r) psi x/r + f(r)/r grad_S psi with f' = r^{-alpha-1} Q(r^2/4).
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    r = np.linalg.norm(x, axis=-1)
-    if np.any(r == 0.0):
-        raise SingularNodeError("gradient undefined at x = 0")
-    dirs = x / r[:, None]
-    psi = _psi_rows(spectrum, modes, dirs)
-    s = r * r / 4.0
-    scale = np.array([r ** (-m.alpha_j - 1.0) / m.norm_L for m in modes])
-    grads = (scale * np.array([_q_poly(m)(s) for m in modes]) * psi)[..., None] * dirs
-    if spectrum.eigenvectors is not None:  # else every mode is the constant psi_1
-        grad_psi = ang.eval_grad_psi_block(spectrum, dirs)[[m.j - 1 for m in modes]]
-        grads += (scale * np.array([m.poly(s) for m in modes]))[..., None] * grad_psi
-    return _radial_rows(modes, r) * psi, grads
 
 
 def _radial_coupling(basis: OUBasis, S: np.ndarray) -> np.ndarray:

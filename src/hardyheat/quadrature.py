@@ -211,11 +211,6 @@ class ProductRule:
     weights: np.ndarray = field(repr=False)
     radial_weights: np.ndarray = field(repr=False)
 
-    @property
-    def radii(self) -> np.ndarray:
-        """|x| of each node at t = 1."""
-        return np.repeat(self.radial.nodes_r, len(self.angular_weights))
-
     def points_at(self, t: float) -> np.ndarray:
         return math.sqrt(t) * self.points
 

@@ -51,11 +51,6 @@ class Polynomial:
             acc = acc * t + c
         return acc if acc.shape else float(acc)
 
-    def derivative(self) -> "Polynomial":
-        if self.degree == 0:
-            return Polynomial((0.0,))
-        return Polynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
-
 
 def alpha_from_mu(mu: float, N: int) -> float:
     """Singularity exponent alpha = (N-2)/2 - sqrt(((N-2)/2)^2 + mu).

@@ -1,0 +1,146 @@
+"""Pointwise evaluators of the eigenbasis, and quotients over it: test oracles.
+
+The package never evaluates a mode or a harmonic gradient at an arbitrary
+point: its pairings are matched Gauss-Laguerre rules times angular factors,
+and its nodal tables come from ``angular.eval_psi_block``.  This module
+gives the independent nodal route the tests compare against:
+- the surface gradients of the real harmonics (``real_sph_grad_block``);
+- mode values and gradients at points (``eval_V``, ``eval_grad_V``), for
+  the energy identity, the nodal-gradient check of the bilinear reduction
+  and the basis members of ``sweep_oracle``;
+- the coercivity infimum of the (N-2)/4-shifted quotient and the per-mode
+  anisotropic-Hardy defect;
+- ``derivative`` of a polynomial and ``radii`` of a product rule's nodes.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from hardyheat import angular as ang
+from hardyheat import inequalities as ineq
+from hardyheat.errors import ConfigurationError, SingularNodeError
+from hardyheat.ou_basis import OUBasis, _q_poly, _radial_rows, hardy_matrix
+from hardyheat.quadrature import ProductRule
+from hardyheat.specfun import Polynomial
+
+
+def derivative(poly: Polynomial) -> Polynomial:
+    if poly.degree == 0:
+        return Polynomial((0.0,))
+    return Polynomial(tuple(i * c for i, c in enumerate(poly.coeffs) if i > 0))
+
+
+def radii(rule: ProductRule) -> np.ndarray:
+    """|x| of each node of the rule at t = 1."""
+    return np.repeat(rule.radial.nodes_r, len(rule.angular_weights))
+
+
+def real_sph_grad_block(L: int, dirs: np.ndarray) -> np.ndarray:
+    """Surface gradients of the real harmonics, shape (basis, M, 3).
+
+    Uses grad_S Y = (dY/dtheta) e_theta + (dY/dphi / sin theta) e_phi;
+    callers must keep evaluation points away from the poles.
+    """
+    dirs = np.atleast_2d(dirs)
+    ct, phi = ang._polar_azimuth(dirs)
+    st = np.sqrt(np.clip(1.0 - ct * ct, 1e-300, None))
+    cphi, sphi = np.cos(phi), np.sin(phi)
+    e_theta = np.stack([-st, ct * cphi, ct * sphi], axis=-1)
+    e_phi = np.stack([np.zeros_like(phi), -sphi, cphi], axis=-1)
+    P, E = ang._legendre_table(L, ct), ang._azimuth_table(L, phi)
+    out = np.zeros((ang.basis_size(L), len(dirs), 3))
+    for l in range(1, L + 1):
+        m = np.arange(-l, l + 1)
+        am = np.abs(m)
+        # d/dtheta P_l^m(cos theta) = (l c P_l^m - c_lm P_{l-1}^m) / sin theta
+        c_lm = np.sqrt((2.0 * l + 1.0) / (2.0 * l - 1.0) * (l * l - am * am))
+        dtheta = (l * ct * P[l, am] - c_lm[:, None] * P[l - 1, am]) / st
+        # d/dphi e_m = -m e_{-m}
+        dphi = -m[:, None] * P[l, am] / st * E[L - m]
+        out[l * l:(l + 1) ** 2] = (
+            (dtheta * E[L + m])[..., None] * e_theta + dphi[..., None] * e_phi
+        )
+    return out
+
+
+def _psi_rows(spectrum: ang.AngularSpectrum, modes, dirs: np.ndarray) -> np.ndarray:
+    """psi_j of each mode at unit vectors; shape (len(modes), M)."""
+    if spectrum.eigenvectors is None and any(m.j > 1 for m in modes):
+        raise ConfigurationError("only psi_1 is evaluable off the N = 3 harmonic basis")
+    return ang.eval_psi_block(spectrum, dirs)[[m.j - 1 for m in modes]]
+
+
+def _grad_psi_rows(spectrum: ang.AngularSpectrum, modes, dirs: np.ndarray) -> np.ndarray:
+    """Surface gradients of psi_j of each mode at unit vectors; shape
+    (len(modes), M, 3).  N = 3 only.
+
+    Only the modes' eigenvector columns are contracted, one column at a
+    time, so a mode's rows are the same bits in any list of modes.
+    """
+    cols = spectrum.eigenvectors[:, [m.j - 1 for m in modes]].T
+    out = np.empty((len(modes), len(dirs), 3))
+    for lo in range(0, len(dirs), ang.DIRS_PER_PASS):
+        grads = real_sph_grad_block(spectrum.truncation_degree, dirs[lo:lo + ang.DIRS_PER_PASS])
+        for row, col in zip(out, cols):
+            row[lo:lo + ang.DIRS_PER_PASS] = np.tensordot(col, grads, axes=(0, 0))
+    return out
+
+
+def eval_V(spectrum: ang.AngularSpectrum, modes, x: np.ndarray) -> np.ndarray:
+    """Normalized values of the modes at points x (shape (M, N)); shape
+    (len(modes), M).  At x = 0 a mode takes its limit: 0 for alpha < 0,
+    P(0) psi for degree 0 and alpha = 0; any other mode raises."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    r = np.linalg.norm(x, axis=-1)
+    at_origin = r == 0.0
+    bad = [m for m in modes if m.alpha_j > 0.0 or (m.alpha_j == 0.0 and m.degree != 0)]
+    if bad and np.any(at_origin):
+        raise SingularNodeError(f"mode (n={bad[0].n}, j={bad[0].j}) has no limit at x = 0")
+    # the direction at x = 0 matters only for a degree-0 mode; take e1
+    dirs = x / np.where(at_origin, 1.0, r)[:, None]
+    dirs[at_origin] = np.eye(spectrum.N)[0]
+    return _radial_rows(modes, r) * _psi_rows(spectrum, modes, dirs)
+
+
+def eval_grad_V(spectrum: ang.AngularSpectrum, modes, x: np.ndarray):
+    """(values, gradients) of the normalized modes at points x away from the
+    origin; shapes (len(modes), M) and (len(modes), M, N).
+
+    grad V = f'(r) psi x/r + f(r)/r grad_S psi with f' = r^{-alpha-1} Q(r^2/4).
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    r = np.linalg.norm(x, axis=-1)
+    if np.any(r == 0.0):
+        raise SingularNodeError("gradient undefined at x = 0")
+    dirs = x / r[:, None]
+    psi = _psi_rows(spectrum, modes, dirs)
+    s = r * r / 4.0
+    scale = np.array([r ** (-m.alpha_j - 1.0) / m.norm_L for m in modes])
+    grads = (scale * np.array([_q_poly(m)(s) for m in modes]) * psi)[..., None] * dirs
+    if spectrum.eigenvectors is not None:  # else every mode is the constant psi_1
+        grads += ((scale * np.array([m.poly(s) for m in modes]))[..., None]
+                  * _grad_psi_rows(spectrum, modes, dirs))
+    return _radial_rows(modes, r) * psi, grads
+
+
+def coercivity_infimum(basis: OUBasis, K: int | None = None) -> float:
+    """Rayleigh-quotient infimum with the (N-2)/4-shifted denominator.
+
+    Equals 1 for a = 0 (the quotient is identically 1); degenerates to 0
+    as the potential approaches the Hardy constant.
+    """
+    return ineq._coercivity(basis, K, (basis.N - 2) / 4.0)
+
+
+def hardy_mode_consistency(basis: OUBasis) -> float:
+    """Max over modes of the anisotropic-Hardy consistency defect.
+
+    Every mode must satisfy
+    int V~^2/|x|^2 G <= (mu_1 + (N-2)^2/4)^{-1} (B(V~,V~) + (N-2)/4);
+    returns the worst (most positive) LHS - RHS, expected <= 0.
+    """
+    mu1 = float(basis.spectrum.eigenvalues[0])
+    coef = 1.0 / (mu1 + (basis.N - 2) ** 2 / 4.0)
+    bound = coef * (basis.gammas + (basis.N - 2) / 4.0)
+    return float(np.max(np.diag(hardy_matrix(basis)) - bound))

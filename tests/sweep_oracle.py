@@ -19,8 +19,9 @@ import numpy as np
 from hardyheat import angular as ang
 from hardyheat import inequalities as ineq
 from hardyheat.errors import ConfigurationError
-from hardyheat.ou_basis import OUBasis, eval_grad_V, eval_V
+from hardyheat.ou_basis import OUBasis
 from hardyheat.quadrature import product_rule
+from mode_oracle import eval_grad_V, eval_V, radii
 
 _MONOMIALS3 = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
                (2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1)]
@@ -110,9 +111,9 @@ def _sample(member, rule, t: float, grad: bool = True):
     """(u, |grad u|^2 or None, |x|^2) at the nodes of ``rule`` at time t."""
     pts = math.sqrt(t) * rule.points
     if not grad:
-        return np.asarray(member.value(pts), dtype=float), None, t * rule.radii**2
+        return np.asarray(member.value(pts), dtype=float), None, t * radii(rule)**2
     u, g = (np.asarray(a, dtype=float) for a in member.value_grad(pts))
-    return u, np.sum(g * g, axis=-1), t * rule.radii**2
+    return u, np.sum(g * g, axis=-1), t * radii(rule)**2
 
 
 def _rule_integrals(want: set, member, t: float, rules: tuple, spec, s: float) -> dict:
@@ -139,7 +140,7 @@ def _rule_integrals(want: set, member, t: float, rules: tuple, spec, s: float) -
         out["a_hardy"] = twin.integrate(a * uh * uh / r2h)
     if "sobolev" in want:
         # G^{s/2 - 1} at the scaled nodes; the base radius is t-invariant
-        Gpow = (t ** (-plain.N / 2.0) * np.exp(-plain.radii**2 / 4.0)) ** (s / 2.0 - 1.0)
+        Gpow = (t ** (-plain.N / 2.0) * np.exp(-radii(plain)**2 / 4.0)) ** (s / 2.0 - 1.0)
         out["sob"] = plain.integrate(np.abs(u) ** s * Gpow)
     return out
 

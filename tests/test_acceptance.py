@@ -221,9 +221,9 @@ def test_c8_inequality_sweeps():
         # N = 3 anisotropic potential 0.15 c + 0.05 c^2, c the polar cosine,
         # as its exact harmonic table: c^2 = 1/3 + (2/3) P_2(c)
         four_pi = 4.0 * math.pi
-        pot = ang.AngularPotential.harmonic_table({
-            (0, 0): 0.05 / 3.0 * math.sqrt(four_pi), (1, 0): 0.15 * math.sqrt(four_pi / 3.0),
-            (2, 0): 0.1 / 3.0 * math.sqrt(four_pi / 5.0)})
+        pot = ang.AngularPotential.harmonic_table([
+            (0, 0, 0.05 / 3.0 * math.sqrt(four_pi)), (1, 0, 0.15 * math.sqrt(four_pi / 3.0)),
+            (2, 0, 0.1 / 3.0 * math.sqrt(four_pi / 5.0))])
         dirs = np.random.default_rng(seed).normal(size=(500, 3))
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
         c = dirs[:, 0]

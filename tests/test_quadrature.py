@@ -16,6 +16,7 @@ from scipy.special import gammaln, roots_genlaguerre, roots_jacobi, roots_legend
 
 from hardyheat import quadrature as quad
 from hardyheat.errors import QuadratureError, SingularNodeError
+from mode_oracle import radii
 
 
 def test_laguerre_single_node():
@@ -327,5 +328,5 @@ def test_zonal_matches_full_rule():
 def test_zonal_hardy_exponent():
     # 1/r^2 weighted mass: int G/|x|^2 = 4 pi^{3/2} at N=3, t=1
     zr = quad.zonal_rule(3, 32, 16, a_gl=-0.5)
-    np.testing.assert_allclose(zr.integrate(1.0 / zr.radii**2), 4.0 * math.pi**1.5,
+    np.testing.assert_allclose(zr.integrate(1.0 / radii(zr)**2), 4.0 * math.pi**1.5,
                                rtol=1e-12)

@@ -194,7 +194,7 @@ def test_radial_collocation_guard(basis0):
         ev.trajectory_from_rows(basis0, col, traj.tau, rows, semi, traj.dtau)
     nodal = ev.PerturbationSpec.linear(lambda x, t: np.full(len(x), 0.1), 0.1, 1.0)
     aniso = dataclasses.replace(basis0, spectrum=dataclasses.replace(
-        basis0.spectrum, potential=ang.AngularPotential.harmonic_table({(1, 0): 0.1})))
+        basis0.spectrum, potential=ang.AngularPotential.harmonic_table([(1, 0, 0.1)])))
     for basis, pert in ((basis0, nodal), (aniso, semi)):
         for call in (lambda: ev.integrate_backward(basis, c0, math.log(0.5), 0.01, pert, col),
                      lambda: ev.trajectory_from_rows(basis, col, traj.tau, traj.coeffs,

@@ -1,19 +1,23 @@
 """Tooling ratchets: the benchmark's per-layer tables name package functions
-that must exist, every config key is read, the package imports no scipy and
-its commands load none and no numpy.ma, and ``verify`` evaluates no test
-function at a node: every sweep is closed form."""
+that must exist, every config key is read, every package function is run by
+some command, the package imports no scipy and its commands load none and no
+numpy.ma, and ``verify`` evaluates no test function at a node: every sweep is
+closed form."""
 
 import ast
 import dataclasses
 import importlib
+import inspect
 import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
+import hardyheat
 from hardyheat import inequalities
 from hardyheat.cli import main
 from hardyheat.config import RunConfig
@@ -22,7 +26,23 @@ PERFBENCH = Path(__file__).parents[1] / "perfbench"
 SRC = Path(__file__).parents[1] / "src" / "hardyheat"
 # buckets kept for functions that were removed; dropping one is a benchmark change
 DEAD_BUCKETS = {"evolve.forcing_coefficients_scaled", "almgren.check_scaling",
-                "angular.eval_psi"}
+                "angular.eval_psi", "angular.real_sph_grad_block",
+                "angular.eval_grad_psi_block", "ou_basis.eval_V", "ou_basis.eval_grad_V",
+                "inequalities.coercivity_infimum", "inequalities.hardy_mode_consistency"}
+# package functions no command enters on the shipped configs, and why each stays
+UNREACHED = {
+    "errors.PositivityError.__init__": "runs when a gate fails; no shipped config fails one",
+    "errors.SingularNodeError.__init__": "runs when a gate fails; no shipped config fails one",
+    "errors.AccuracyError.__init__": "runs when a gate fails; no shipped config fails one",
+    "angular.AngularPotential.zonal": "the zonal kind's library API (ROADMAP item 8)",
+    "angular.AngularPotential.evaluate": "the Galerkin assembly of the zonal kind "
+                                         "(ROADMAP item 8)",
+    "evolve.PerturbationSpec.linear": "the paper's general h, marched by c6 and the "
+                                      "matrix-march oracle",
+    "inequalities.power_integrals": "the power family, which ROADMAP item 2 puts into verify",
+    "inequalities.GaussianBump.value": "counted to show that verify samples no node",
+    "inequalities.GaussianBump.value_grad": "counted to show that verify samples no node",
+}
 
 
 def _dict_keys(path: Path, name: str) -> list:
@@ -69,6 +89,53 @@ def test_every_config_key_is_read():
                      and isinstance(sub.value, ast.Name) and sub.value.id == "cfg"}
     fields = {field.name for field in dataclasses.fields(RunConfig)}
     assert fields - read == set()
+
+
+def _package_functions(pkg: Path) -> set:
+    """module.qualname of every named function and method in the package."""
+    out = set()
+    for path in sorted(pkg.glob("*.py")):
+        todo = [compile(path.read_text(encoding="utf-8"), str(path), "exec")]
+        while todo:
+            for const in todo.pop().co_consts:
+                if isinstance(const, types.CodeType):
+                    todo.append(const)
+                    # class bodies, comprehensions and lambdas are code objects too
+                    if const.co_flags & inspect.CO_NEWLOCALS and const.co_name[0] != "<":
+                        out.add(f"{path.stem}.{const.co_qualname}")
+    return out
+
+
+def test_every_package_function_is_run_by_a_command(tmp_path):
+    # every command on the default config, the shipped configs and the
+    # benchmark workloads, in process; what none of them enters is dead
+    # code unless UNREACHED says why it stays
+    pkg = Path(hardyheat.__file__).parent
+    for name, module in list(sys.modules.items()):  # a cached call enters nothing
+        if name.startswith("hardyheat."):
+            for obj in vars(module).values():
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()
+    codes = {}
+
+    def profile(frame, event, arg):
+        if event == "call":
+            codes[id(frame.f_code)] = frame.f_code
+
+    configs = [[]] + [["--config", str(path)] for path in
+                      sorted(SRC.parents[1].glob("configs/*.ini"))
+                      + sorted(PERFBENCH.glob("workloads/*.ini"))]
+    assert len(configs) == 9
+    sys.setprofile(profile)
+    try:
+        for i, config in enumerate(configs):
+            for command in ("spectrum", "simulate", "beta", "verify", "quadcheck"):
+                assert main([command, "--out", str(tmp_path / str(i))] + config) == 0
+    finally:
+        sys.setprofile(None)
+    entered = {f"{Path(code.co_filename).stem}.{code.co_qualname}" for code in codes.values()
+               if Path(code.co_filename).parent == pkg}
+    assert _package_functions(pkg) - entered == set(UNREACHED)
 
 
 def test_package_imports_no_scipy():
