@@ -38,7 +38,7 @@ DEFAULT_L = 16
 # the largest truncation degree and harmonic-table degree: each sizes the
 # Galerkin assembly (README, config table)
 MAX_DEGREE = 64
-# directions per pass of eval_psi_block: a pass holds the harmonic table of
+# directions per pass of harmonic_sums: a pass holds the harmonic table of
 # its own directions, never one over all M points
 DIRS_PER_PASS = 1024
 
@@ -58,10 +58,10 @@ def basis_size(L: int) -> int:
     return (L + 1) ** 2
 
 
-def laplacian_diagonal(L: int, N: int = 3) -> np.ndarray:
-    """-Lap_S eigenvalue l(l+N-2) of each flat basis index of degree <= L."""
+def laplacian_diagonal(L: int) -> np.ndarray:
+    """-Lap_S eigenvalue l(l+1) on S^2 of each flat basis index of degree <= L."""
     l = np.arange(L + 1)
-    return np.repeat(l * (l + N - 2), 2 * l + 1).astype(float)
+    return np.repeat(l * (l + 1), 2 * l + 1).astype(float)
 
 
 def _polar_azimuth(dirs: np.ndarray):
@@ -173,9 +173,6 @@ class AngularPotential:
     def is_constant(self) -> bool:
         return self.kind == "constant"
 
-    def compatible_N(self, N: int) -> bool:
-        return self.kind == "constant" or N == 3
-
     def evaluate(self, dirs: np.ndarray) -> np.ndarray:
         dirs = np.atleast_2d(dirs)
         if self.kind == "constant":
@@ -214,10 +211,6 @@ class AngularSpectrum:
     degrees: np.ndarray
     truncation_degree: int
     residual_bound: float
-
-    @property
-    def count(self) -> int:
-        return len(self.eigenvalues)
 
     def to_jsonable(self) -> dict:
         return {
@@ -296,14 +289,15 @@ def _order_groups(couplings: dict, L: int) -> list:
     return groups
 
 
-def assemble_angular(a: AngularPotential, L: int, N: int = 3) -> list:
-    """Galerkin matrix diag(l(l+N-2)) - A in the real-harmonic basis, by blocks.
+def assemble_angular(a: AngularPotential, L: int) -> list:
+    """Galerkin matrix diag(l(l+1)) - A in the real-harmonic basis of S^2, by
+    blocks (N = 3: the flat basis holds 2l + 1 harmonics per degree).
 
-    Anisotropic kinds require N = 3.  A is assembled per pair of coupled
-    real orders (m, m'): the azimuthal integral is taken in closed form and
-    the polar one with 2L + max(8, table degree) Gauss-Legendre nodes in
-    cos theta, which is exact for harmonic-table potentials.  Each block of
-    coupled orders is symmetrized after a 1e-13 asymmetry check.
+    A is assembled per pair of coupled real orders (m, m'): the azimuthal
+    integral is taken in closed form and the polar one with
+    2L + max(8, table degree) Gauss-Legendre nodes in cos theta, which is
+    exact for harmonic-table potentials.  Each block of coupled orders is
+    symmetrized after a 1e-13 asymmetry check.
 
     Returns the matrix as (flat basis indices, block) pairs, one per group
     of coupled orders; the index sets tile the (L+1)^2 basis and every entry
@@ -311,11 +305,7 @@ def assemble_angular(a: AngularPotential, L: int, N: int = 3) -> list:
     """
     if L < 2:
         raise ConfigurationError("truncation degree L must be >= 2")
-    if not a.compatible_N(N):
-        raise ConfigurationError(f"potential kind {a.kind!r} requires N=3, got N={N}")
-    if N != 3:
-        raise ConfigurationError("Galerkin assembly is implemented for N=3 only")
-    lap = laplacian_diagonal(L, N)
+    lap = laplacian_diagonal(L)
     table_L = max((l for l, _, _ in a.table), default=0)
     x, w = polar_rule(3, 2 * L + max(8, table_L))
     P = _legendre_table(max(L, table_L), x)
@@ -418,7 +408,7 @@ def solve_angular(
     With L=None the truncation starts at DEFAULT_L and doubles until the
     top reported eigenvalue moves by less than 1e-9.
     """
-    if not a.compatible_N(N):
+    if not a.is_constant and N != 3:
         raise ConfigurationError(f"potential kind {a.kind!r} requires N=3, got N={N}")
     if a.is_constant:
         return _solve_constant(a, K, N, L)
@@ -448,8 +438,7 @@ def require_positivity(spec: AngularSpectrum) -> None:
     if not ok:
         raise PositivityError(
             f"mu_1 = {spec.eigenvalues[0]} violates mu_1 > -(N-2)^2/4 "
-            f"(margin {margin}); the quadratic form is not positive definite",
-            margin=margin,
+            f"(margin {margin}); the quadratic form is not positive definite"
         )
 
 
@@ -458,15 +447,19 @@ def eval_psi_block(spec: AngularSpectrum, dirs: np.ndarray) -> np.ndarray:
     dirs = np.atleast_2d(dirs)
     if spec.eigenvectors is None:
         # constant-potential N != 3: only the constant mode is evaluable
-        out = np.zeros((spec.count, len(dirs)))
+        out = np.full((len(spec.eigenvalues), len(dirs)), np.nan)
         out[0] = 1.0 / math.sqrt(sphere_area(spec.N))
-        if spec.count > 1:
-            out[1:] = np.nan
         return out
-    out = np.empty((spec.count, len(dirs)))
-    for lo in range(0, len(dirs), DIRS_PER_PASS):
-        Y = real_sph_block(spec.truncation_degree, dirs[lo:lo + DIRS_PER_PASS])
-        out[:, lo:lo + DIRS_PER_PASS] = spec.eigenvectors.T @ Y
+    return harmonic_sums(spec.eigenvectors, spec.truncation_degree, dirs)
+
+
+def harmonic_sums(coeffs: np.ndarray, L: int, dirs: np.ndarray) -> np.ndarray:
+    """coeffs.T @ Y, shape (columns, M), for the real harmonics Y of degree
+    <= L at unit vectors, built DIRS_PER_PASS directions at a time."""
+    dirs = np.atleast_2d(dirs)
+    out = np.empty((coeffs.shape[1], len(dirs)))
+    for lo in range(0, len(dirs), DIRS_PER_PASS):  # no pass's Y outlives it
+        out[:, lo:lo + DIRS_PER_PASS] = coeffs.T @ real_sph_block(L, dirs[lo:lo + DIRS_PER_PASS])
     return out
 
 

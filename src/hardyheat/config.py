@@ -83,6 +83,8 @@ class RunConfig:
             raise ConfigurationError("gamma_max must lie in (0, 8]")
         if self.fit_decades > 12.0:  # a run stores <= 6 decades: 12 and its half hold all
             raise ConfigurationError("fit_decades must be <= 12")
+        if not 0.0 < self.h_eps < 2.0:
+            raise ConfigurationError("h_eps must lie in (0, 2)")
         if not 0.0 <= self.h_const < math.inf:
             raise ConfigurationError("h_const must be >= 0 and finite")
         if not 0.0 < self.dtau <= DTAU_MAX:
@@ -173,10 +175,10 @@ def _finite(text: str) -> float:
 @contextmanager
 def _spec_errors(key: str, spec: str):
     """Any fault in the ``key`` spec string (unknown kind, missing field, bad
-    number, rejected value) becomes a ConfigurationError naming the key."""
+    number, rejected value, overflow) becomes a ConfigurationError naming the key."""
     try:
         yield
-    except (ConfigurationError, ValueError, IndexError) as exc:
+    except (ConfigurationError, ValueError, IndexError, OverflowError) as exc:
         raise ConfigurationError(f"bad {key} = {spec!r}: {exc}") from exc
 
 
@@ -221,35 +223,37 @@ def parse_perturbation(cfg: RunConfig):
         raise ConfigurationError("unsupported kind")
 
 
+def _mode_pairs(text: str) -> list:
+    """[(k, c), ...] from '<k>=<c>,...'."""
+    return [(int(k), _finite(v)) for k, _, v in (item.partition("=") for item in text.split(","))]
+
+
 def parse_initial(cfg: RunConfig, basis):
     """Initial data from the config string.
 
     modes:<k>=<coeff>,... sets coefficients directly; family:pure:<k>,
     family:mixture:<k>=<c>,..., family:exp_linear:<k>:<eps> evaluate the
-    closed forms at t = 1.
+    closed forms at t = 1.  The datum's H = |c|^2 must lie above the trace's
+    underflow floor and be finite.
     """
+    from .almgren import H_FLOOR
     from .evolve import build_initial, closed_form_reference
 
     spec = cfg.initial.strip()
+    kind, _, rest = spec.partition(":")
     with _spec_errors("initial", spec):
-        if spec.startswith("modes:"):
-            pairs = []
-            for item in spec.split(":", 1)[1].split(","):
-                k, _, v = item.partition("=")
-                pairs.append((int(k), _finite(v)))
-            return build_initial(basis, pairs)
-        if spec.startswith("family:"):
-            parts = spec.split(":")[1:]
-            if parts[0] == "pure":
-                return closed_form_reference(basis, ("pure", int(parts[1])), 1.0)
-            if parts[0] == "mixture":
-                comps = []
-                for item in parts[1].split(","):
-                    k, _, v = item.partition("=")
-                    comps.append((int(k), _finite(v)))
-                return closed_form_reference(basis, ("mixture", comps), 1.0)
-            if parts[0] == "exp_linear":
-                return closed_form_reference(
-                    basis, ("exp_linear", int(parts[1]), _finite(parts[2])), 1.0
-                )
-        raise ConfigurationError("unsupported kind")
+        parts = rest.split(":")
+        if kind == "modes":
+            c = build_initial(basis, _mode_pairs(rest))
+        elif kind == "family" and parts[0] == "pure":
+            c = closed_form_reference(basis, ("pure", int(parts[1])), 1.0)
+        elif kind == "family" and parts[0] == "mixture":
+            c = closed_form_reference(basis, ("mixture", _mode_pairs(parts[1])), 1.0)
+        elif kind == "family" and parts[0] == "exp_linear":
+            c = closed_form_reference(basis, ("exp_linear", int(parts[1]), _finite(parts[2])), 1.0)
+        else:
+            raise ConfigurationError("unsupported kind")
+        H = sum(x * x for x in c.tolist())  # Python floats overflow to inf quietly
+        if not H_FLOOR < H < math.inf:
+            raise ConfigurationError(f"H = |c|^2 = {H!r} outside ({H_FLOOR}, inf)")
+        return c

@@ -2,7 +2,9 @@
 
 Every failure mode that callers are expected to branch on gets its own
 class; the CLI maps them to exit codes (configuration -> 2, positivity
-of the quadratic form -> 4, everything numerical -> 3).
+of the quadratic form -> 4, everything numerical -> 3).  A message carries
+its measured values; only AccuracyError keeps one as a field, the fix a
+library caller retries with.
 """
 
 
@@ -15,14 +17,7 @@ class ConfigurationError(HardyHeatError):
 
 
 class PositivityError(HardyHeatError):
-    """The quadratic form is not positive definite: mu_1 <= -(N-2)^2/4.
-
-    Carries the margin mu_1 + (N-2)^2/4 when available.
-    """
-
-    def __init__(self, message, margin=None):
-        super().__init__(message)
-        self.margin = margin
+    """The quadratic form is not positive definite: mu_1 <= -(N-2)^2/4."""
 
 
 class TruncationError(HardyHeatError):
@@ -35,10 +30,6 @@ class DegeneracyAmbiguityError(HardyHeatError):
 
 class SingularNodeError(HardyHeatError):
     """An integrand evaluated non-finite at a cubature node."""
-
-    def __init__(self, message, node=None):
-        super().__init__(message)
-        self.node = node
 
 
 class QuadratureError(HardyHeatError):

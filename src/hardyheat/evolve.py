@@ -43,7 +43,6 @@ from .ou_basis import Collocation, OUBasis, build_collocation, radial_modes
 TAU_FLOOR = math.log(1e-6)
 DTAU_MAX = 0.01
 HALVING_TOL = 1e-8
-PROJECTION_RESIDUAL_TOL = 1e-3
 # RK4 steps (or rows) whose forcing matrices one stacked build holds
 MARCH_BLOCK = 64
 # times at which check_h_admissible samples h: 25 log-spaced from 1e-6 to 1
@@ -236,36 +235,11 @@ class Trajectory:
         return int(np.argmin(np.abs(self.tau - tau)))
 
 
-def build_initial(
-    basis: OUBasis,
-    spec,
-    col: Collocation | None = None,
-) -> np.ndarray:
-    """Initial coefficient vector at tau = 0.
-
-    ``spec`` is either a list of (mode index, coefficient) pairs, each
-    index in 0..K-1, or a callable sampled on the cubature; in the sampled
-    case the projection residual ||v - sum c_k V_tilde_k||_L must stay
-    below 1e-3 ||v||_L.
-    """
-    if callable(spec):
-        if col is None:
-            col = build_collocation(basis)
-        vals = np.asarray(spec(col.points), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise ConfigurationError("initial datum is non-finite at a cubature node")
-        c = col.project(vals)
-        norm2 = float(col.weights @ (vals * vals))
-        resid2 = max(norm2 - float(c @ c), 0.0)
-        if norm2 > 0 and math.sqrt(resid2) > PROJECTION_RESIDUAL_TOL * math.sqrt(norm2):
-            raise AccuracyError(
-                f"initial datum under-resolved: projection residual "
-                f"{math.sqrt(resid2):.3e} vs norm {math.sqrt(norm2):.3e}",
-                suggestion="enlarge gamma_max / basis size",
-            )
-        return c
+def build_initial(basis: OUBasis, pairs) -> np.ndarray:
+    """Initial coefficient vector at tau = 0 from (mode index, coefficient)
+    pairs, each index in 0..K-1."""
     c = np.zeros(basis.size)
-    for k, coeff in spec:
+    for k, coeff in pairs:
         if not 0 <= k < basis.size:
             raise ConfigurationError(f"mode index {k} outside 0..{basis.size - 1}")
         c[k] = coeff

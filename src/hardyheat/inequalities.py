@@ -174,10 +174,14 @@ def bump_table_hardy(table, b, w, axes, t: float):
     b, w = np.asarray(b, dtype=float), np.asarray(w, dtype=float)
     a, _, m0 = _bump_gaussian(b, w, t, 3)
     sigma = b / (w**2 * np.sqrt(a))
-    Y = ang.real_sph_block(max((l for l, _, _ in table), default=0), axes)
+    degrees = sorted({l for l, _, _ in table})
+    L = max(degrees, default=0)
+    coeffs = np.zeros((ang.basis_size(L), len(degrees)))
+    for l, m, c in table:  # one column per degree: its part of a at the axes
+        coeffs[ang.sph_index(l, m), degrees.index(l)] = c
+    ys = ang.harmonic_sums(coeffs, L, axes)
     total = np.zeros_like(sigma)
-    for l in sorted({l for l, _, _ in table}):
-        y = sum(c * Y[ang.sph_index(l, m)] for l2, m, c in table if l2 == l)
+    for l, y in zip(degrees, ys):
         total += (y * sigma**l * math.gamma((l + 1) / 2.0) / math.gamma(l + 1.5)
                   * hyp1f1_minus(1.0 + l / 2.0, l + 1.5, sigma * sigma))
     return m0 * a * total

@@ -38,11 +38,10 @@ def sphere_area(N: int) -> float:
 class RadialRule:
     """Generalized Gauss-Laguerre rule in the substituted variable s = r^2/4.
 
-    Sum(weights * g(nodes)) approximates int_0^inf s^gl_parameter e^-s g(s) ds,
-    exactly for polynomial g of degree <= 2*count - 1.
+    Sum(weights * g(nodes)) approximates int_0^inf s^a_gl e^-s g(s) ds (a_gl of
+    :func:`laguerre_rule`), exactly for polynomial g of degree <= 2*count - 1.
     """
 
-    gl_parameter: float
     nodes: np.ndarray
     weights: np.ndarray
 
@@ -154,7 +153,7 @@ def laguerre_rule(a_gl: float, n_r: int) -> RadialRule:
     if n_r < 1:
         raise QuadratureError("need at least one radial node")
     nodes, weights = _laguerre_cached(float(a_gl), int(n_r))
-    return RadialRule(float(a_gl), nodes, weights)
+    return RadialRule(nodes, weights)
 
 
 def polar_rule(N: int, n: int):
@@ -304,7 +303,6 @@ def integrate_G(f, t: float, rule: ProductRule) -> float:
     if not np.all(np.isfinite(vals)):
         bad = int(np.argmax(~np.isfinite(vals)))
         raise SingularNodeError(
-            f"integrand non-finite at node {bad}, x = {rule.points_at(t)[bad]}",
-            node=rule.points_at(t)[bad],
+            f"integrand non-finite at node {bad}, x = {rule.points_at(t)[bad]}"
         )
     return rule.integrate(vals)

@@ -64,8 +64,7 @@ def alpha_from_mu(mu: float, N: int) -> float:
     disc = half * half + mu
     if disc <= 0.0:
         raise PositivityError(
-            f"mu={mu} violates mu > -(N-2)^2/4 = {-half * half} (N={N})",
-            margin=disc,
+            f"mu={mu} violates mu > -(N-2)^2/4 = {-half * half} (N={N})"
         )
     return half - math.sqrt(disc)
 

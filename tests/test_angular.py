@@ -254,7 +254,7 @@ def test_anisotropic_config_blocks_match_dense_eigh():
     spec = _anisotropic_config_spectrum()
     dense = np.linalg.eigvalsh(_dense(spec.potential, spec.truncation_degree))
     assert abs(spec.eigenvalues[0] - dense[0]) < 1e-14
-    np.testing.assert_allclose(spec.eigenvalues, dense[:spec.count], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(spec.eigenvalues, dense[:len(spec.eigenvalues)], rtol=0, atol=1e-12)
 
 
 def test_potential_pairing_matches_grid_quadrature():

@@ -42,7 +42,6 @@ def test_config_roundtrip_bit_identical():
     assert again.content_hash() == cfg.content_hash()
 
 
-_finite = st.floats(allow_nan=False, allow_infinity=False)
 _positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 _unit_open = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
 # no whitespace (values are stripped) and no '%' (INI interpolation)
@@ -53,7 +52,7 @@ _CONFIGS = st.builds(
     dimension=st.integers(3, 10),
     potential=_spec_text,
     perturbation=_spec_text,
-    h_eps=_finite,
+    h_eps=st.floats(min_value=0.0, max_value=2.0, exclude_min=True, exclude_max=True),
     h_const=st.floats(min_value=0.0, allow_infinity=False),
     angular_truncation=st.integers(0, 64),
     angular_count=st.integers(1, 1024),
@@ -663,21 +662,28 @@ def test_config_hash_leaves_out_the_output_directory(tmp_path, monkeypatch, caps
 
 # (key, value): each ran, exited 3 or 4 for the wrong reason, or raised a
 # traceback; constant:-50 leaves no mode below gamma_max = 1 (the lowest is
-# gamma = 3.3), and fit_decades = 1e300 overflowed 10**fit_decades
+# gamma = 3.3), and fit_decades = 1e300 overflowed 10**fit_decades; h_eps
+# outside (0, 2) ran unless a linear h read it; a zero datum (exp(-1000)
+# underflows) marched to an all-underflowed trace, exp(1000) raised
+# OverflowError and |c|^2 = 1e400 overflowed H
 _BAD_VALUES = [("perturbation", "linear_bounded:nan"), ("initial", "modes:0=nan"),
                ("initial", "family:exp_linear:0:inf"), ("h_const", math.nan),
                ("h_const", -1.0), ("fit_decades", 1e300), ("angular_truncation", -5),
                ("recon_lambdas", (0.5, math.inf)), ("lambda_grid", (0.1, math.inf)),
                ("potential", "harmonic_table:1,0,nan"), ("potential", "constant:nan"),
-               ("potential", "constant:-50")]
+               ("potential", "constant:-50"), ("h_eps", 5.0), ("h_eps", math.nan),
+               ("h_eps", -1.0), ("initial", "family:exp_linear:0:-1000"),
+               ("initial", "modes:0=0.0"), ("initial", "family:mixture:0=0.0"),
+               ("initial", "family:exp_linear:0:1000"), ("initial", "modes:0=1e200")]
 
 
 @pytest.mark.parametrize("key, value", _BAD_VALUES)
 def test_bad_value_exits_2_naming_the_key(tmp_path, capsys, key, value):
     path, _ = write_config(tmp_path, directory=str(tmp_path), tau_min=math.log(1e-2),
                            gamma_max=1.0, angular_count=16, **{key: value})
-    assert main(["simulate", "--config", path]) == 2
-    assert key in capsys.readouterr().err
+    for command in ("simulate", "beta"):
+        assert main([command, "--config", path]) == 2
+        assert key in capsys.readouterr().err
     assert not (tmp_path / "trajectory.csv").exists()
 
 
@@ -706,7 +712,9 @@ _CHEAP_RUNS = st.builds(
 # exit 2 on their upper bounds
 _HOSTILE = ("nan", "inf", "-inf", "0", "-1", "1e300", "1000000000", "", "x", "1,,2", ":",
             "modes:", "modes:0=", "constant:", "constant:-50", "harmonic_table:1,0",
-            "linear_bounded:", "semilinear:0.05", "family:pure", "family:mixture:0")
+            "linear_bounded:", "semilinear:0.05", "family:pure", "family:mixture:0",
+            "modes:0=0.0", "family:mixture:0=0.0", "family:exp_linear:0:1000",
+            "family:exp_linear:0:-1000", "modes:0=1e200")
 _KEYS = [key for key in _KNOWN_KEYS if key != "directory"]
 
 

@@ -480,6 +480,25 @@ def test_table_hardy_sums_its_degrees():
                                * ineq.bump_integrals(b, w, 0.7, 3)["hardy"], rtol=1e-14)
 
 
+def test_table_hardy_holds_one_pass_of_harmonics():
+    # the harmonics of a degree-32 table are built angular.DIRS_PER_PASS
+    # axes at a time: one table over all 8,192 axes, with its Legendre table,
+    # peaked at 156 MB under tracemalloc, the passes at 20 MB
+    import tracemalloc
+
+    rng = np.random.default_rng(7)
+    axes = rng.normal(size=(8192, 3))
+    axes /= np.linalg.norm(axes, axis=1)[:, None]
+    b, w = rng.uniform(-2.0, 2.0, 8192), rng.uniform(0.5, 1.5, 8192)
+    tracemalloc.start()
+    try:
+        ineq.bump_table_hardy(((0, 0, 0.3), (32, 5, 0.01)), b, w, axes, 0.7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6, peak
+
+
 @pytest.mark.parametrize("beta, kappa", [(0.2, 0.0), (0.2, 0.3), (0.05, 1.5)])
 def test_power_integrals_match_radial_quadrature(beta, kappa):
     # the J(p) closed forms of |x|^{-beta} e^{-kappa |x|^2} against adaptive

@@ -1,8 +1,9 @@
 """Tooling ratchets: the benchmark's per-layer tables name package functions
-that must exist, every config key is read, every package function is run by
-some command, the package imports no scipy and its commands load none and no
-numpy.ma, and ``verify`` evaluates no test function at a node: every sweep is
-closed form."""
+that must exist, every config key is read and the README's config tables
+list each with its default, every stored field is read, every package
+function is run by some command, the package imports no scipy and its
+commands load none and no numpy.ma, and ``verify`` evaluates no test
+function at a node: every sweep is closed form."""
 
 import ast
 import dataclasses
@@ -31,8 +32,6 @@ DEAD_BUCKETS = {"evolve.forcing_coefficients_scaled", "almgren.check_scaling",
                 "inequalities.coercivity_infimum", "inequalities.hardy_mode_consistency"}
 # package functions no command enters on the shipped configs, and why each stays
 UNREACHED = {
-    "errors.PositivityError.__init__": "runs when a gate fails; no shipped config fails one",
-    "errors.SingularNodeError.__init__": "runs when a gate fails; no shipped config fails one",
     "errors.AccuracyError.__init__": "runs when a gate fails; no shipped config fails one",
     "angular.AngularPotential.zonal": "the zonal kind's library API (ROADMAP item 8)",
     "angular.AngularPotential.evaluate": "the Galerkin assembly of the zonal kind "
@@ -89,6 +88,70 @@ def test_every_config_key_is_read():
                      and isinstance(sub.value, ast.Name) and sub.value.id == "cfg"}
     fields = {field.name for field in dataclasses.fields(RunConfig)}
     assert fields - read == set()
+
+
+def test_readme_config_tables_list_every_key_with_its_default():
+    # each `### [section]` table of the README lists that section's keys in
+    # order, each default cell as the config text writes it
+    from hardyheat.config import _fmt
+
+    lines = (SRC.parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+    tables = {}
+    for i, line in enumerate(lines):
+        if line.startswith("### `[") and line.endswith("]`"):
+            rows = []
+            for row in lines[i + 3:]:
+                if not row.startswith("| `"):
+                    break
+                rows.append([cell.strip().strip("`") for cell in row.split("|")[1:3]])
+            tables[line[6:-2]] = rows
+    assert list(tables) == list(RunConfig._SECTIONS)
+    default = RunConfig()
+    for section, keys in RunConfig._SECTIONS.items():
+        assert [key for key, _ in tables[section]] == list(keys), section
+        for key, cell in tables[section]:
+            if key == "tau_min":  # the one default written as its formula, log(1e-3)
+                assert cell.startswith("log(") and cell.endswith(")")
+                assert math.log(float(cell[4:-1])) == default.tau_min
+            else:
+                assert cell == _fmt(getattr(default, key)), key
+
+
+# a stored field that no src line reads, and why it stays
+UNREAD_FIELDS = {
+    "AccuracyError.suggestion": "the replacement parameter (a dtau) a library caller "
+                                "retries with",
+}
+
+
+def test_every_stored_field_is_read():
+    # a value that is stored and never read does nothing: every dataclass
+    # field and every attribute an __init__ assigns to self must be loaded
+    # somewhere in src, as .name or as getattr(x, "name")
+    stored, loaded = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                is_dataclass = any(
+                    "dataclass" in ast.unparse(deco) for deco in node.decorator_list)
+                for stmt in node.body:
+                    if is_dataclass and isinstance(stmt, ast.AnnAssign):
+                        stored.add(f"{node.name}.{stmt.target.id}")
+                    if isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__":
+                        stored |= {f"{node.name}.{sub.attr}" for sub in ast.walk(stmt)
+                                   if isinstance(sub, ast.Attribute)
+                                   and isinstance(sub.ctx, ast.Store)
+                                   and isinstance(sub.value, ast.Name)
+                                   and sub.value.id == "self"}
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id == "getattr" and len(node.args) >= 2 \
+                    and isinstance(node.args[1], ast.Constant):
+                loaded.add(node.args[1].value)
+    assert len(stored) > 40
+    unread = {name for name in stored if name.partition(".")[2] not in loaded}
+    assert unread == set(UNREAD_FIELDS)
 
 
 def _package_functions(pkg: Path) -> set:
