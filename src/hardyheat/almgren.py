@@ -260,7 +260,7 @@ def empirical_forcing_allowance(traj: Trajectory) -> float:
 def run_diagnostics(
     traj: Trajectory,
     trace: FrequencyTrace,
-    coercivity_constant: float | None = None,
+    coercivity_constant: float,
 ) -> dict:
     """Cross-checks asserted on every trace; raises on violations.
 
@@ -279,21 +279,20 @@ def run_diagnostics(
                 f"unperturbed frequency decreased by {-steps.min():.3e}"
             )
         report["N_monotone"] = True
-    if coercivity_constant is not None:
-        allowance = 0.0 if unperturbed else empirical_forcing_allowance(traj)
-        c1_eff = coercivity_constant - allowance
-        bound = c1_eff - (N_dim - 2) / 4.0
-        if np.any(trace.N < bound - 1e-10):
-            raise InvariantViolationError(
-                f"N(t) dropped below the coercivity bound {bound}"
-            )
-        mono = trace.t ** (-2.0 * c1_eff + (N_dim - 2) / 2.0) * trace.H
-        if np.any(np.diff(mono) < -MONOTONE_SLACK * np.abs(mono[:-1])):
-            raise InvariantViolationError(
-                "t^{-2 C1 + (N-2)/2} H(t) failed to be nondecreasing"
-            )
-        report["coercivity_bound"] = bound
-        report["forcing_allowance"] = allowance
+    allowance = 0.0 if unperturbed else empirical_forcing_allowance(traj)
+    c1_eff = coercivity_constant - allowance
+    bound = c1_eff - (N_dim - 2) / 4.0
+    if np.any(trace.N < bound - 1e-10):
+        raise InvariantViolationError(
+            f"N(t) dropped below the coercivity bound {bound}"
+        )
+    mono = trace.t ** (-2.0 * c1_eff + (N_dim - 2) / 2.0) * trace.H
+    if np.any(np.diff(mono) < -MONOTONE_SLACK * np.abs(mono[:-1])):
+        raise InvariantViolationError(
+            "t^{-2 C1 + (N-2)/2} H(t) failed to be nondecreasing"
+        )
+    report["coercivity_bound"] = bound
+    report["forcing_allowance"] = allowance
     converged = (
         trace.fit_residual <= FIT_RESIDUAL_FLAG
         and trace.gamma_uncertainty <= SNAP_TOL / 2.0

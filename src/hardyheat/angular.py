@@ -16,8 +16,7 @@ recurrence of Holmes & Featherstone, J. Geodesy 76 (2002)) and e_m equal to
 1, sqrt(2) cos(m phi) or sqrt(2) sin(|m| phi) for m = 0, m > 0, m < 0.  The
 azimuthal integral of a e_m e_m' is taken in closed form, so A is assembled
 per pair of real orders (m, m') with a Gauss-Legendre polar_rule in cos theta.
-A constant or zonal potential couples each order only to itself; a
-harmonic table couples m to m' only through its own orders (product to
+A harmonic table couples m to m' only through its own orders (product to
 sum).  M is therefore block diagonal over groups of coupled orders, and each
 block is diagonalized on its own.
 """
@@ -26,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -137,23 +135,17 @@ def harmonic_multiplicity(l: int, N: int) -> int:
 class AngularPotential:
     """Bounded potential a(theta) on the sphere.
 
-    kind 'constant' is valid for any N >= 3; 'zonal' (function of the
-    cosine of the polar angle) and 'harmonic_table' (real-harmonic
-    coefficients) require N = 3.
+    kind 'constant' is valid for any N >= 3; 'harmonic_table' (real-harmonic
+    coefficients) requires N = 3.
     """
 
     kind: str
     value: float = 0.0
-    zonal_fn: Callable | None = None
     table: tuple = ()
 
     @staticmethod
     def constant(lam: float) -> "AngularPotential":
         return AngularPotential("constant", value=float(lam))
-
-    @staticmethod
-    def zonal(fn: Callable) -> "AngularPotential":
-        return AngularPotential("zonal", zonal_fn=fn)
 
     @staticmethod
     def harmonic_table(entries) -> "AngularPotential":
@@ -172,23 +164,6 @@ class AngularPotential:
     @property
     def is_constant(self) -> bool:
         return self.kind == "constant"
-
-    def evaluate(self, dirs: np.ndarray) -> np.ndarray:
-        dirs = np.atleast_2d(dirs)
-        if self.kind == "constant":
-            return np.full(len(dirs), self.value)
-        if self.kind == "zonal":
-            return np.asarray(self.zonal_fn(dirs[..., 0]), dtype=float)
-        if self.kind == "harmonic_table":
-            if not self.table:
-                return np.zeros(len(dirs))
-            L = max(l for l, _, _ in self.table)
-            Y = real_sph_block(L, dirs)
-            out = np.zeros(len(dirs))
-            for l, m, c in self.table:
-                out += c * Y[sph_index(l, m)]
-            return out
-        raise ConfigurationError(f"unknown potential kind {self.kind!r}")
 
 
 # -- spectrum ----------------------------------------------------------------
@@ -243,19 +218,14 @@ def _azimuth_integral(m1: int, m2: int, m3: int) -> float:
     return 2.0 * math.pi * 2.0 ** (nonzero / 2.0) * terms.get(0, 0.0).real
 
 
-def _order_couplings(a: AngularPotential, L: int, x: np.ndarray, w: np.ndarray,
-                     P: np.ndarray) -> dict:
-    """Polar weights of the coupled order pairs on the Gauss-Legendre rule (x, w).
+def _order_couplings(a: AngularPotential, L: int, w: np.ndarray, P: np.ndarray) -> dict:
+    """Polar weights of the coupled order pairs of a harmonic table on the
+    Gauss-Legendre weights w, with P the Legendre table at their nodes.
 
     Returns {(m, m'): v} with A_{(l,m),(l',m')} = sum(v * P[l,|m|] * P[l',|m'|]).
     A pair is present only where the azimuthal integral of a e_m e_m' is
-    nonzero: m = m' for constant and zonal potentials, and the product-to-sum
-    partners of m through the table's orders for a harmonic table.
+    nonzero: the product-to-sum partners of m through the table's orders.
     """
-    if a.kind != "harmonic_table":
-        dirs = np.stack([x, np.sqrt(1.0 - x * x), np.zeros_like(x)], axis=1)
-        v = 2.0 * math.pi * w * a.evaluate(dirs)
-        return {(m, m): v for m in range(-L, L + 1)}
     couplings = {}
     for lt, mt, c in a.table:
         v = c * w * P[lt, abs(mt)]
@@ -290,14 +260,15 @@ def _order_groups(couplings: dict, L: int) -> list:
 
 
 def assemble_angular(a: AngularPotential, L: int) -> list:
-    """Galerkin matrix diag(l(l+1)) - A in the real-harmonic basis of S^2, by
-    blocks (N = 3: the flat basis holds 2l + 1 harmonics per degree).
+    """Galerkin matrix diag(l(l+1)) - A of a harmonic-table potential in the
+    real-harmonic basis of S^2, by blocks (N = 3: the flat basis holds 2l + 1
+    harmonics per degree).  A constant potential raises ConfigurationError:
+    its spectrum is analytic (``solve_angular``).
 
     A is assembled per pair of coupled real orders (m, m'): the azimuthal
-    integral is taken in closed form and the polar one with
-    2L + max(8, table degree) Gauss-Legendre nodes in cos theta, which is
-    exact for harmonic-table potentials.  Each block of coupled orders is
-    symmetrized after a 1e-13 asymmetry check.
+    integral is taken in closed form and the polar one, exactly, with
+    2L + max(8, table degree) Gauss-Legendre nodes in cos theta.  Each block
+    of coupled orders is symmetrized after a 1e-13 asymmetry check.
 
     Returns the matrix as (flat basis indices, block) pairs, one per group
     of coupled orders; the index sets tile the (L+1)^2 basis and every entry
@@ -305,11 +276,14 @@ def assemble_angular(a: AngularPotential, L: int) -> list:
     """
     if L < 2:
         raise ConfigurationError("truncation degree L must be >= 2")
+    if a.is_constant:
+        raise ConfigurationError("a constant potential has the analytic spectrum; "
+                                 "the Galerkin assembles harmonic tables only")
     lap = laplacian_diagonal(L)
     table_L = max((l for l, _, _ in a.table), default=0)
     x, w = polar_rule(3, 2 * L + max(8, table_L))
     P = _legendre_table(max(L, table_L), x)
-    couplings = _order_couplings(a, L, x, w, P)
+    couplings = _order_couplings(a, L, w, P)
     groups = _order_groups(couplings, L)
     where, mats, indices = {}, [], []
     for g, group in enumerate(groups):

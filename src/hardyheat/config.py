@@ -183,7 +183,8 @@ def _spec_errors(key: str, spec: str):
 
 
 def parse_potential(cfg: RunConfig):
-    """AngularPotential from the config string."""
+    """AngularPotential from the config string: a constant in any dimension,
+    a harmonic table in dimension = 3."""
     from .angular import AngularPotential
 
     spec = cfg.potential.strip()
@@ -197,10 +198,13 @@ def parse_potential(cfg: RunConfig):
                     continue
                 l, m, c = item.split(",")
                 entries.append((int(l), int(m), _finite(c)))
+            if cfg.dimension != 3:
+                raise ConfigurationError("a harmonic table needs dimension = 3, "
+                                         f"got {cfg.dimension}")
             return AngularPotential.harmonic_table(entries)
         raise ConfigurationError(
-            "unsupported kind (constant:<v> or harmonic_table:<l,m,c;...>; "
-            "zonal potentials are library-only)"
+            "unsupported kind (constant:<v> in any dimension or "
+            "harmonic_table:<l,m,c;...> in dimension = 3)"
         )
 
 

@@ -289,9 +289,9 @@ def sweep(inequalities, family: TestFamily, t: float = 0.7,
     Every integral is a closed form, vectorized over the family: bumps in
     any N under an absent or constant potential, or a harmonic table in
     N = 3, and power members for the two Hardy inequalities under an
-    absent or constant potential.  Any other family or potential, and an
-    anisotropic sweep whose spectrum is for another N, raise
-    ConfigurationError before the first member is evaluated;
+    absent or constant potential.  Any other family, and an anisotropic
+    sweep whose spectrum is for another N, raise ConfigurationError
+    before the first member is evaluated;
     PositivityError when the spectrum fails positivity.  Raises
     InvariantViolationError on any gap below the relative slack.  A Sobolev
     sweep first checks the closed forms on the centred bump exp(-|x|^2 / 4t),
@@ -312,9 +312,6 @@ def sweep(inequalities, family: TestFamily, t: float = 0.7,
     if anisotropic:
         if spec.N != N:
             raise ConfigurationError(f"angular spectrum for N = {spec.N}, family for N = {N}")
-        if potential.kind not in ("constant", "harmonic_table"):
-            raise ConfigurationError(f"a {potential.kind!r} potential has no closed form; "
-                                     "the sweeps take constant and harmonic-table ones")
         ang.require_positivity(spec)
     members = list(family.members())
 

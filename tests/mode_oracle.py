@@ -4,6 +4,11 @@ The package never evaluates a mode or a harmonic gradient at an arbitrary
 point: its pairings are matched Gauss-Laguerre rules times angular factors,
 and its nodal tables come from ``angular.eval_psi_block``.  This module
 gives the independent nodal route the tests compare against:
+- the real harmonics from scipy's ``lpmv`` (``lpmv_harmonics``), one
+  (l, m) at a time and free of the package's Legendre recurrence, and from
+  them the potential a at unit vectors (``potential_values``);
+- the exact harmonic table of a quadratic zonal potential
+  (``zonal_quadratic``), the form a zonal potential takes in the package;
 - the surface gradients of the real harmonics (``real_sph_grad_block``);
 - mode values and gradients at points (``eval_V``, ``eval_grad_V``), for
   the energy identity, the nodal-gradient check of the bilinear reduction
@@ -15,7 +20,10 @@ gives the independent nodal route the tests compare against:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+from scipy.special import gammaln, lpmv
 
 from hardyheat import angular as ang
 from hardyheat import inequalities as ineq
@@ -34,6 +42,48 @@ def derivative(poly: Polynomial) -> Polynomial:
 def radii(rule: ProductRule) -> np.ndarray:
     """|x| of each node of the rule at t = 1."""
     return np.repeat(rule.radial.nodes_r, len(rule.angular_weights))
+
+
+def lpmv_norm(l: int, m: int) -> float:
+    """N_lm of the fully normalized P_l^m: sqrt((2l+1)/(4 pi) (l-m)!/(l+m)!)."""
+    return math.sqrt((2 * l + 1) / (4.0 * math.pi)
+                     * math.exp(gammaln(l - m + 1) - gammaln(l + m + 1)))
+
+
+def lpmv_harmonics(L: int, dirs: np.ndarray) -> np.ndarray:
+    """The real harmonics of degree <= L at unit vectors (polar axis = first
+    coordinate), shape (basis_size(L), M), from scipy's lpmv per (l, m)."""
+    dirs = np.atleast_2d(dirs)
+    ct = np.clip(dirs[:, 0], -1.0, 1.0)
+    phi = np.arctan2(dirs[:, 2], dirs[:, 1])
+    out = np.empty((ang.basis_size(L), len(dirs)))
+    for l in range(L + 1):
+        out[ang.sph_index(l, 0)] = lpmv_norm(l, 0) * lpmv(0, l, ct)
+        for m in range(1, l + 1):
+            base = math.sqrt(2.0) * lpmv_norm(l, m) * lpmv(m, l, ct)
+            out[ang.sph_index(l, m)] = base * np.cos(m * phi)
+            out[ang.sph_index(l, -m)] = base * np.sin(m * phi)
+    return out
+
+
+def potential_values(pot: ang.AngularPotential, dirs: np.ndarray) -> np.ndarray:
+    """a at unit vectors: a constant in any N, a harmonic table (N = 3) as
+    the sum of its entries over :func:`lpmv_harmonics`."""
+    dirs = np.atleast_2d(dirs)
+    if pot.is_constant:
+        return np.full(len(dirs), pot.value)
+    Y = lpmv_harmonics(max((l for l, _, _ in pot.table), default=0), dirs)
+    return sum((c * Y[ang.sph_index(l, m)] for l, m, c in pot.table), np.zeros(len(dirs)))
+
+
+def zonal_quadratic(a0: float, a1: float, a2: float) -> ang.AngularPotential:
+    """a0 + a1 c + a2 c^2, c the polar cosine, as its exact m = 0 harmonic
+    table (c^2 = 1/3 + (2/3) P_2(c)); zero coefficients give no entry."""
+    four_pi = 4.0 * math.pi
+    entries = [(0, 0, (a0 + a2 / 3.0) * math.sqrt(four_pi)),
+               (1, 0, a1 * math.sqrt(four_pi / 3.0)),
+               (2, 0, 2.0 * a2 / 3.0 * math.sqrt(four_pi / 5.0))]
+    return ang.AngularPotential.harmonic_table([e for e in entries if e[2] != 0.0])
 
 
 def real_sph_grad_block(L: int, dirs: np.ndarray) -> np.ndarray:

@@ -5,8 +5,9 @@ module integrates the same quantities by cubature on the N = 3 product rule
 pair, member by member, for any point-function member with ``value`` and
 ``value_grad``: Gaussian bumps, the random quadratic-times-Gaussian
 ``PolyGaussian``, basis eigenfunctions (``BasisModeFunction``), under any
-potential the angular solver takes, zonal callables included.  The tests
-compare the two paths, and use this one for members no closed form covers.
+potential the angular solver takes, a evaluated by ``potential_values``.
+The tests compare the two paths, and use this one for members no closed
+form covers.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from hardyheat import inequalities as ineq
 from hardyheat.errors import ConfigurationError
 from hardyheat.ou_basis import OUBasis
 from hardyheat.quadrature import product_rule
-from mode_oracle import eval_grad_V, eval_V, radii
+from mode_oracle import eval_grad_V, eval_V, potential_values, radii
 
 _MONOMIALS3 = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
                (2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1)]
@@ -136,7 +137,7 @@ def _rule_integrals(want: set, member, t: float, rules: tuple, spec, s: float) -
         uh, _, r2h = _sample(member, twin, t, grad=False)
         out["hardy"] = twin.integrate(uh * uh / r2h)
     if "hardy_anisotropic" in want:
-        a = np.tile(spec.potential.evaluate(twin.angular_dirs), twin.radial.count)
+        a = np.tile(potential_values(spec.potential, twin.angular_dirs), twin.radial.count)
         out["a_hardy"] = twin.integrate(a * uh * uh / r2h)
     if "sobolev" in want:
         # G^{s/2 - 1} at the scaled nodes; the base radius is t-invariant

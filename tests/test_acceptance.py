@@ -18,6 +18,7 @@ from hardyheat import asymptotics as asym
 from hardyheat import evolve as ev
 from hardyheat import inequalities as ineq
 from hardyheat import ou_basis as ou
+from mode_oracle import potential_values, zonal_quadratic
 
 
 @contextmanager
@@ -219,15 +220,12 @@ def test_c8_inequality_sweeps():
                     assert rep["min_relative_gap"] > -1e-10
             seed += 1
         # N = 3 anisotropic potential 0.15 c + 0.05 c^2, c the polar cosine,
-        # as its exact harmonic table: c^2 = 1/3 + (2/3) P_2(c)
-        four_pi = 4.0 * math.pi
-        pot = ang.AngularPotential.harmonic_table([
-            (0, 0, 0.05 / 3.0 * math.sqrt(four_pi)), (1, 0, 0.15 * math.sqrt(four_pi / 3.0)),
-            (2, 0, 0.1 / 3.0 * math.sqrt(four_pi / 5.0))])
+        # as its exact harmonic table
+        pot = zonal_quadratic(0.0, 0.15, 0.05)
         dirs = np.random.default_rng(seed).normal(size=(500, 3))
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
         c = dirs[:, 0]
-        assert np.max(np.abs(pot.evaluate(dirs) - (0.15 * c + 0.05 * c * c))) <= 1e-15
+        assert np.max(np.abs(potential_values(pot, dirs) - (0.15 * c + 0.05 * c * c))) <= 1e-15
         spec3 = ang.solve_angular(pot, L=16, K=16)
         fam3 = ineq.TestFamily("bumps", 3, 1000, seed)
         [rep] = ineq.sweep(("hardy_anisotropic",), fam3, t=0.7, spec=spec3)

@@ -360,16 +360,17 @@ def test_run_diagnostics_perturbed(traj_exp, basis0):
     np.testing.assert_allclose(report["forcing_allowance"], 0.1, rtol=1e-10)
 
 
-def test_monotonicity_violation_detection(traj_exp):
+def test_monotonicity_violation_detection(traj_exp, basis0):
     # the perturbed trace is decreasing; asking for the unperturbed
     # invariant must fail loudly
+    c1 = ineq.coercivity_bound_constant(basis0)
     tr = al.frequency_trace(traj_exp)
     fake = ev.PerturbationSpec.none()
     real = traj_exp.perturbation
     traj_exp.perturbation = fake
     try:
         with pytest.raises(InvariantViolationError):
-            al.run_diagnostics(traj_exp, tr)
+            al.run_diagnostics(traj_exp, tr, coercivity_constant=c1)
     finally:
         traj_exp.perturbation = real
 

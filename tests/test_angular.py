@@ -5,45 +5,28 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln, lpmv
+from scipy.special import lpmv
 
 from hardyheat import angular as ang
 from hardyheat.config import RunConfig, parse_potential
 from hardyheat.errors import ConfigurationError
 from hardyheat.quadrature import _angular_nodes
-from mode_oracle import real_sph_grad_block
+from mode_oracle import (lpmv_harmonics, lpmv_norm, potential_values, real_sph_grad_block,
+                         zonal_quadratic)
 
 
-# -- test-only oracle: per-(l, m) lpmv harmonics and the dense 2-D-grid Galerkin
-
-def _lpmv_norm(l, m):
-    return math.sqrt((2 * l + 1) / (4.0 * math.pi)
-                     * math.exp(gammaln(l - m + 1) - gammaln(l + m + 1)))
-
-
-def _lpmv_harmonics(L, dirs):
-    ct = np.clip(dirs[:, 0], -1.0, 1.0)
-    phi = np.arctan2(dirs[:, 2], dirs[:, 1])
-    out = np.empty((ang.basis_size(L), len(dirs)))
-    for l in range(L + 1):
-        out[ang.sph_index(l, 0)] = _lpmv_norm(l, 0) * lpmv(0, l, ct)
-        for m in range(1, l + 1):
-            base = math.sqrt(2.0) * _lpmv_norm(l, m) * lpmv(m, l, ct)
-            out[ang.sph_index(l, m)] = base * np.cos(m * phi)
-            out[ang.sph_index(l, -m)] = base * np.sin(m * phi)
-    return out
-
+# -- test-only oracle: the dense 2-D-grid Galerkin on the lpmv harmonics
 
 def _dense_grid_galerkin(pot, L):
     table_L = max((l for l, _, _ in pot.table), default=0)
     dirs, w = _angular_nodes(3, 2 * L + max(8, table_L), 4 * L + 2 * table_L + 18)
-    Y = _lpmv_harmonics(L, dirs)
-    A = (Y * (w * pot.evaluate(dirs))) @ Y.T
+    Y = lpmv_harmonics(L, dirs)
+    A = (Y * (w * potential_values(pot, dirs))) @ Y.T
     return np.diag(ang.laplacian_diagonal(L)) - 0.5 * (A + A.T)
 
 
 ORACLE_POTENTIALS = {
-    "zonal_callable": lambda: ang.AngularPotential.zonal(lambda c: 0.3 * c - 0.1 * c**2),
+    "zonal_quadratic": lambda: zonal_quadratic(0.0, 0.3, -0.1),
     "zonal_table": lambda: ang.AngularPotential.harmonic_table(
         [(1, 0, 0.15), (2, 0, 0.05)]),
     "table_even_orders": lambda: ang.AngularPotential.harmonic_table(
@@ -69,22 +52,30 @@ def _dense(pot, L):
     return M
 
 
+ZERO = ang.AngularPotential.harmonic_table([])
+
+
 def test_assemble_zero_potential_diagonal():
-    M = _dense(ang.AngularPotential.constant(0.0), 2)
+    M = _dense(ZERO, 2)
     np.testing.assert_allclose(np.diag(M), [0, 2, 2, 2, 6, 6, 6, 6, 6], atol=1e-14)
     assert np.max(np.abs(M - np.diag(np.diag(M)))) == 0.0
 
 
 def test_assemble_constant_is_shift():
-    M0 = _dense(ang.AngularPotential.constant(0.0), 4)
-    Ml = _dense(ang.AngularPotential.constant(0.7), 4)
+    # the table of a = 0.7 shifts the matrix by -0.7, and its Galerkin
+    # spectrum is the analytic one of the constant 0.7
+    table = zonal_quadratic(0.7, 0.0, 0.0)
+    M0, Ml = _dense(ZERO, 4), _dense(table, 4)
     np.testing.assert_allclose(Ml, M0 - 0.7 * np.eye(len(M0)), atol=1e-14)
+    analytic = ang.solve_angular(ang.AngularPotential.constant(0.7), K=9, N=3)
+    np.testing.assert_allclose(ang.solve_angular(table, L=4, K=9).eigenvalues,
+                               analytic.eigenvalues, rtol=0, atol=1e-14)
 
 
 def test_assemble_harmonic_table_constant_term():
     # a = c Y_00 acts as the constant c / sqrt(4 pi)
     c = 0.5
-    M0 = _dense(ang.AngularPotential.constant(0.0), 3)
+    M0 = _dense(ZERO, 3)
     Mht = _dense(ang.AngularPotential.harmonic_table([(0, 0, c)]), 3)
     shift = c / math.sqrt(4.0 * math.pi)
     np.testing.assert_allclose(Mht, M0 - shift * np.eye(len(M0)), atol=1e-13)
@@ -111,8 +102,8 @@ def test_galerkin_matches_analytic_for_harmonic_table():
 
 
 def test_zonal_cos_polar_oracle():
-    # oracle: the same Galerkin at L = 48
-    pot = ang.AngularPotential.zonal(lambda c: c)
+    # a = cos(polar angle); oracle: the same Galerkin at L = 48
+    pot = zonal_quadratic(0.0, 1.0, 0.0)
     s24 = ang.solve_angular(pot, L=24, K=4)
     s48 = ang.solve_angular(pot, L=48, K=4)
     assert abs(s24.eigenvalues[0] - s48.eigenvalues[0]) < 1e-9
@@ -131,7 +122,7 @@ def test_interlacing_in_truncation():
 
 def test_weyl_perturbation_bound():
     fn = lambda c: 0.3 * c - 0.1 * c**2
-    spec = ang.solve_angular(ang.AngularPotential.zonal(fn), L=16, K=9)
+    spec = ang.solve_angular(zonal_quadratic(0.0, 0.3, -0.1), L=16, K=9)
     mu0 = np.array([0, 2, 2, 2, 6, 6, 6, 6, 6], dtype=float)
     # sup |a| on a dense polar grid
     sup = float(np.max(np.abs(fn(np.cos(np.linspace(0.0, math.pi, 4001))))))
@@ -159,7 +150,7 @@ def test_eval_psi_constant_mode():
 
 
 def test_psi_orthonormality_under_quadrature():
-    pot = ang.AngularPotential.zonal(lambda c: 0.2 * c)
+    pot = zonal_quadratic(0.0, 0.2, 0.0)
     spec = ang.solve_angular(pot, L=16, K=9)
     dirs, w = _angular_nodes(3, 24, 48)
     Y = ang.eval_psi_block(spec, dirs)
@@ -193,11 +184,14 @@ def test_constant_spectrum_higher_N():
 
 
 def test_kind_dimension_compatibility():
-    pot = ang.AngularPotential.zonal(lambda c: c)
-    with pytest.raises(ConfigurationError):
+    pot = ang.AngularPotential.harmonic_table([(1, 0, 0.1)])
+    with pytest.raises(ConfigurationError, match="requires N=3"):
         ang.solve_angular(pot, L=8, K=4, N=4)
-    with pytest.raises(ConfigurationError):
-        ang.assemble_angular(ang.AngularPotential.constant(0.0), 1)
+    with pytest.raises(ConfigurationError, match="L must be >= 2"):
+        ang.assemble_angular(pot, 1)
+    # a constant's spectrum is analytic; the Galerkin must not assemble a = 0
+    with pytest.raises(ConfigurationError, match="constant potential"):
+        ang.assemble_angular(ang.AngularPotential.constant(0.3), 8)
 
 
 def test_spectrum_json_dump():
@@ -218,7 +212,7 @@ def test_surface_gradient_identity():
 
 
 def test_auto_doubling_truncation():
-    pot = ang.AngularPotential.zonal(lambda c: 0.3 * c)
+    pot = zonal_quadratic(0.0, 0.3, 0.0)
     auto = ang.solve_angular(pot, L=None, K=6)
     fixed = ang.solve_angular(pot, L=2 * auto.truncation_degree, K=6)
     np.testing.assert_allclose(auto.eigenvalues, fixed.eigenvalues, atol=1e-9)
@@ -230,7 +224,7 @@ def test_auto_doubling_truncation():
 def test_legendre_recurrence_matches_lpmv(l, frac, x):
     m = min(l, int(frac * (l + 1)))
     P = ang._legendre_table(l, np.array([x]))
-    ref = _lpmv_norm(l, m) * lpmv(m, l, x)
+    ref = lpmv_norm(l, m) * lpmv(m, l, x)
     assert abs(P[l, m, 0] - ref) <= 1e-12 * max(1.0, np.max(np.abs(P)))
 
 
@@ -262,7 +256,7 @@ def test_potential_pairing_matches_grid_quadrature():
     spec = _anisotropic_config_spectrum()
     dirs, w = _angular_nodes(3, 48, 96)
     psi = ang.eval_psi_block(spec, dirs)
-    S_grid = (psi * (w * spec.potential.evaluate(dirs))) @ psi.T
+    S_grid = (psi * (w * potential_values(spec.potential, dirs))) @ psi.T
     assert np.max(np.abs(ang.potential_pairing(spec) - S_grid)) < 1e-12
 
 

@@ -170,6 +170,20 @@ def test_malformed_harmonic_table_exits_2(tmp_path, capsys, command, table):
     assert err.startswith("configuration error") and "potential" in err, err
 
 
+def test_harmonic_table_outside_dimension_three_exits_2(tmp_path, capsys):
+    # a table is N = 3 only: every command that reads the potential exits 2
+    # before it writes anything, verify (whose sweeps ignore dimension) included
+    path, _ = write_config(tmp_path, directory=str(tmp_path), dimension=4,
+                           potential="harmonic_table:1,0,0.1", angular_count=16,
+                           gamma_max=1.0, sweep_count=50)
+    for command in ("spectrum", "simulate", "beta", "verify"):
+        assert main([command, "--config", path]) == 2, command
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and "potential" in err, err
+        assert "dimension = 3" in err, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ini"]
+
+
 def test_cli_inadmissible_h_exit_code(tmp_path, capsys):
     # |h| = 0.5 beats C_h (1 + |x|^{-1}) = 0.1 (1 + |x|^{-1}) away from the origin
     path, _ = write_config(tmp_path, perturbation="linear_constant:0.5", h_const=0.1,

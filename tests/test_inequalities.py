@@ -14,7 +14,7 @@ from hardyheat.config import RunConfig, parse_potential
 from hardyheat.errors import ConfigurationError, InvariantViolationError, PositivityError
 
 import sweep_oracle as oracle
-from mode_oracle import coercivity_infimum
+from mode_oracle import coercivity_infimum, zonal_quadratic
 
 
 class Constant:
@@ -120,18 +120,17 @@ def test_full_rule_pair_is_three_dimensional_only():
 
 
 POTENTIALS = {"constant": ang.AngularPotential.constant(0.1),
-              "table": ang.AngularPotential.harmonic_table([(1, 0, 0.1), (2, 1, 0.05)]),
-              "cos": ang.AngularPotential.zonal(lambda c: 0.1 * c)}
+              "table": ang.AngularPotential.harmonic_table([(1, 0, 0.1), (2, 1, 0.05)])}
 
 
 @pytest.mark.parametrize("kind, potential, closed", [
     ("bumps", None, True), ("bumps", "constant", True), ("bumps", "table", True),
-    ("bumps", "cos", False), ("polygauss", None, False), ("modes", None, False)])
+    ("polygauss", None, False), ("modes", None, False)])
 def test_sweep_rule_choice(kind, potential, closed, monkeypatch):
     # the sweep has one path, closed forms, which evaluate no member at a
     # point: bumps under an absent or constant potential in any N, or a
-    # harmonic table in N = 3 (its spectrum's N); a zonal callable and the
-    # quadrature-only families raise in every N
+    # harmonic table in N = 3 (its spectrum's N); the quadrature-only
+    # families raise in every N
     evaluated = []
     for name in ("value", "value_grad"):
         monkeypatch.setattr(ineq.GaussianBump, name, lambda self, x: evaluated.append(x))
@@ -255,8 +254,7 @@ def test_anisotropic_gap_monotone_trend():
     bump = ineq.GaussianBump(0.8, 0.8, np.array([1.0, 0.0, 0.0]))
     gaps = []
     for lam in (0.0, 0.1, 0.2, 0.3):
-        pot = ang.AngularPotential.zonal(lambda c, s=lam: s * c)
-        spec = ang.solve_angular(pot, L=12, K=4)
+        spec = ang.solve_angular(zonal_quadratic(0.0, lam, 0.0), L=12, K=4)
         gaps.append(gap_of("hardy_anisotropic", bump, 1.0, oracle.rule_pair(3), spec))
     assert all(np.diff(gaps) < 0)
 
@@ -373,12 +371,10 @@ def test_sweep_rejects_before_first_member(monkeypatch):
     bad = ang.solve_angular(ang.AngularPotential.constant(0.3), K=4, N=3)
     with pytest.raises(PositivityError):
         ineq.sweep(ineq.INEQUALITIES, fam, spec=bad)
-    # no closed form: a zonal callable, a quadrature-only family, and a
-    # harmonic table (N = 3 only) under an N = 4 family
-    cos = ang.solve_angular(POTENTIALS["cos"], L=8, K=4, N=3)
+    # no closed form: a quadrature-only family, and a harmonic table (N = 3
+    # only) under an N = 4 family
     table = ang.solve_angular(POTENTIALS["table"], L=8, K=4, N=3)
-    for names, family, spec in ((ineq.INEQUALITIES, fam, cos),
-                                (ineq.INEQUALITIES, ineq.TestFamily("polygauss", 3, 5, 1), table),
+    for names, family, spec in ((ineq.INEQUALITIES, ineq.TestFamily("polygauss", 3, 5, 1), table),
                                 (("hardy_anisotropic",), ineq.TestFamily("bumps", 4, 5, 1), table)):
         with pytest.raises(ConfigurationError):
             ineq.sweep(names, family, spec=spec)
@@ -553,8 +549,8 @@ def test_power_family_at_kappa_zero():
 
 def test_power_family_is_closed_form_hardy_only():
     fam = ineq.TestFamily("power", 3, 5, 1)
-    cos = ang.solve_angular(POTENTIALS["cos"], L=8, K=4, N=3)
+    table = ang.solve_angular(POTENTIALS["table"], L=8, K=4, N=3)
     for names, spec in ((("x2_bound",), None), (("sobolev",), None),
-                        (("hardy_anisotropic",), cos)):
+                        (("hardy_anisotropic",), table)):
         with pytest.raises(ConfigurationError, match="power family"):
             ineq.sweep(names, fam, spec=spec)

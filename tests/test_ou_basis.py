@@ -17,7 +17,8 @@ from hardyheat.errors import (
     TruncationError,
 )
 from hardyheat.quadrature import laguerre_rule, product_rule
-from mode_oracle import derivative, eval_grad_V, eval_V, hardy_mode_consistency, radii
+from mode_oracle import (derivative, eval_grad_V, eval_V, hardy_mode_consistency,
+                         potential_values, radii)
 
 
 def closed_form_norm2(n, alpha, N):
@@ -294,7 +295,7 @@ def test_potential_coupling_vs_nodal_quadrature():
     basis = ou.enumerate_modes(spec, cfg.gamma_max)
     rule = product_rule(3, 48, 18, 26, a_gl=3 / 2.0 - 2.0)
     V = eval_V(spec, basis.modes, rule.points)
-    avals = np.tile(pot.evaluate(rule.angular_dirs), rule.radial.count)
+    avals = np.tile(potential_values(pot, rule.angular_dirs), rule.radial.count)
     nodal = (V * (rule.weights * avals / radii(rule)**2)) @ V.T
     gram_residual = np.max(np.abs((V * rule.weights) @ V.T - np.eye(basis.size)))
     # the fractional exponents converge only algebraically on the shared
@@ -377,7 +378,7 @@ def test_bilinear_reduction_vs_nodal_gradient_oracle():
     col = ou.build_collocation(basis, n_r=96)
     _, grads = eval_grad_V(spec, basis.modes[:5], col.points)
     hrule = product_rule(3, 96, 18, 26, a_gl=-0.5)
-    avals = np.tile(pot.evaluate(hrule.angular_dirs), hrule.radial.count)
+    avals = np.tile(potential_values(pot, hrule.angular_dirs), hrule.radial.count)
     r2 = radii(hrule)**2
     V = eval_V(spec, basis.modes[:5], hrule.points)
     _, _, bilinear = ou.certification_matrices(spec, basis.modes)

@@ -33,9 +33,6 @@ DEAD_BUCKETS = {"evolve.forcing_coefficients_scaled", "almgren.check_scaling",
 # package functions no command enters on the shipped configs, and why each stays
 UNREACHED = {
     "errors.AccuracyError.__init__": "runs when a gate fails; no shipped config fails one",
-    "angular.AngularPotential.zonal": "the zonal kind's library API (ROADMAP item 8)",
-    "angular.AngularPotential.evaluate": "the Galerkin assembly of the zonal kind "
-                                         "(ROADMAP item 8)",
     "evolve.PerturbationSpec.linear": "the paper's general h, marched by c6 and the "
                                       "matrix-march oracle",
     "inequalities.power_integrals": "the power family, which ROADMAP item 2 puts into verify",
