@@ -78,7 +78,7 @@ def _spectrum_and_basis(cfg):
 
 
 def _stored_rows(cfg, outdir, basis, pert):
-    """(tau, coeffs, step) of the trajectory.csv that ``simulate`` wrote to
+    """The coefficient rows of the trajectory.csv that ``simulate`` wrote to
     outdir for this run.
 
     Raises ValueError naming the first mismatch: trajectory.json must carry
@@ -106,7 +106,7 @@ def _stored_rows(cfg, outdir, basis, pert):
     rows = _read_csv(data)
     if rows.shape != (len(taus), basis.size + 2) or not np.array_equal(rows[:, 0], taus):
         raise ValueError("the rows are not this run's tau grid")
-    return rows[:, 0], rows[:, 2:], step
+    return rows[:, 2:]
 
 
 def _trajectory(cfg, basis, reuse_dir=None):
@@ -123,12 +123,13 @@ def _trajectory(cfg, basis, reuse_dir=None):
     col = evolve.collocation_for(basis, pert, c0, n_r=cfg.radial_nodes)
     if reuse_dir is not None:
         try:
-            tau, coeffs, step = _stored_rows(cfg, reuse_dir, basis, pert)
+            coeffs = _stored_rows(cfg, reuse_dir, basis, pert)
         except (OSError, ValueError) as exc:
             print(f"trajectory.csv not reused ({exc}); integrating", file=sys.stderr)
         else:
             print("trajectory rebuilt from trajectory.csv", file=sys.stderr)
-            return evolve.trajectory_from_rows(basis, col, tau, coeffs, pert, step)
+            return evolve.trajectory_from_rows(basis, col, coeffs, pert, cfg.tau_min,
+                                               cfg.dtau)
     return evolve.integrate_backward(basis, c0, cfg.tau_min, cfg.dtau, pert, col)
 
 
@@ -257,6 +258,11 @@ def cmd_beta(cfg, outdir) -> int:
 
 def cmd_verify(cfg, outdir) -> int:
     pot = parse_potential(cfg)
+    # a table passes the positivity gate before any sweep, whatever sweep_dims holds
+    if not pot.is_constant:
+        spec3 = angular.solve_angular(pot, L=cfg.angular_truncation or None,
+                                      K=cfg.angular_count, N=3)
+        angular.require_positivity(spec3)
     reports = []
     seed = cfg.seed
     for N in cfg.sweep_dims:
@@ -269,8 +275,6 @@ def cmd_verify(cfg, outdir) -> int:
         reports += inequalities.sweep(inequalities.INEQUALITIES, fam, t=cfg.sweep_t,
                                       spec=spec_const)
     if not pot.is_constant and 3 in tuple(int(x) for x in cfg.sweep_dims):
-        spec3 = angular.solve_angular(pot, L=cfg.angular_truncation or None,
-                                      K=cfg.angular_count, N=3)
         fam = inequalities.TestFamily("bumps", 3, cfg.sweep_count, seed)
         reports += inequalities.sweep(("hardy_anisotropic",), fam, t=cfg.sweep_t, spec=spec3)
     _write_json(os.path.join(outdir, "verify.json"),

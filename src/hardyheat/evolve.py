@@ -16,15 +16,15 @@ asymptotic coefficient formulas integrate later.  Stored rows read back
 from an earlier run go through the same input gates and get the same
 forcing, one evaluation per row, without a march.
 
-A radial linear h acts on c as a K x K matrix M(t), known in advance at
-every stage time, so its RK4 step is one increment matrix B_i and the
-march is c_{i+1} = c_i + B_i c_i (:func:`_march_linear`): the stage and row
-matrices are built in stacked blocks and no forcing is evaluated per stage.
-Nodal forcing (the semilinear term, a non-radial h) is evaluated at every
-stage (:func:`_march_rk4`).
+A linear h is a radial profile h(|x|, t), so it acts on c as a K x K
+matrix M(t), known in advance at every stage time: its RK4 step is one
+increment matrix B_i and the march is c_{i+1} = c_i + B_i c_i
+(:func:`_march_linear`), with the stage and row matrices built in stacked
+blocks and no forcing evaluated per stage.  The semilinear term is
+evaluated at the nodes at every stage (:func:`_march_rk4`).
 
-Under a constant potential a radial forcing maps radial functions to
-radial functions, so data on the degree-0 modes never leaves their span
+Under a constant potential both forcings map radial functions to radial
+functions, so data on the degree-0 modes never leaves their span
 (:func:`radial_invariant`); such a run forces on the radial rule's n_r
 nodes instead of the product rule's.
 """
@@ -53,16 +53,14 @@ ADMISSIBILITY_TIMES = np.exp(np.linspace(TAU_FLOOR, 0.0, 25))
 class PerturbationSpec:
     """Forcing term f(x, t, s) of the evolution.
 
-    kinds: 'none'; 'linear' with f = h(x,t) s and the admissibility bound
-    |h| <= C_h (1 + |x|^{-2+eps_h}); 'semilinear' with f = eps |s|^{p-1} s,
-    1 < p < (N+2)/(N-2).  A radial linear h = h_radial(|x|, t) also keeps
-    its profile ``h_radial``, which turns its forcing into a K x K matrix;
-    the profile is called elementwise on arrays, r of shape (n, n_r) with
-    t of shape (n, 1).
+    kinds: 'none'; 'linear' with f = h(|x|, t) s for the radial profile
+    ``h_radial``, which turns the forcing into a K x K matrix, and the
+    admissibility bound |h| <= C_h (1 + |x|^{-2+eps_h}); 'semilinear' with
+    f = eps |s|^{p-1} s, 1 < p < (N+2)/(N-2).  The profile is called
+    elementwise on arrays, r of shape (n, n_r) with t of shape (n, 1).
     """
 
     kind: str
-    h: Callable | None = None
     h_radial: Callable | None = None
     C_h: float = 0.0
     eps_h: float = 1.0
@@ -75,21 +73,17 @@ class PerturbationSpec:
         return PerturbationSpec("none")
 
     @staticmethod
-    def linear(h: Callable, C_h: float, eps_h: float, label: str = "linear(<callable>)"):
-        if not 0.0 < eps_h < 2.0:
-            raise ConfigurationError(f"eps_h must lie in (0, 2), got {eps_h}")
-        return PerturbationSpec("linear", h=h, C_h=C_h, eps_h=eps_h, label=label)
-
-    @staticmethod
     def linear_constant(eps: float, eps_h: float = 1.0) -> "PerturbationSpec":
-        return _radial_linear(lambda r, t: np.full(np.shape(r), eps), eps, eps_h,
-                              f"linear_constant({eps!r})")
+        return PerturbationSpec("linear", h_radial=lambda r, t: np.full(np.shape(r), eps),
+                                C_h=abs(eps), eps_h=eps_h, eps=eps,
+                                label=f"linear_constant({eps!r})")
 
     @staticmethod
     def linear_bounded(eps: float, eps_h: float = 1.0) -> "PerturbationSpec":
         # h = eps / (1 + |x|^2): smooth, bounded, admissible
-        return _radial_linear(lambda r, t: eps / (1.0 + r * r), eps, eps_h,
-                              f"linear_bounded({eps!r})")
+        return PerturbationSpec("linear", h_radial=lambda r, t: eps / (1.0 + r * r),
+                                C_h=abs(eps), eps_h=eps_h, eps=eps,
+                                label=f"linear_bounded({eps!r})")
 
     @staticmethod
     def semilinear(eps: float, p: float, N: int) -> "PerturbationSpec":
@@ -118,27 +112,12 @@ class PerturbationSpec:
         return (N + 2 - self.p * (N - 2)) / (2.0 * (self.p + 1))
 
 
-def _radial_linear(profile: Callable, eps: float, eps_h: float, label: str):
-    """Linear spec for h(x, t) = profile(|x|, t); the nodal h derives from it."""
-    return PerturbationSpec(
-        "linear",
-        h=lambda x, t: profile(np.sqrt(np.sum(x * x, axis=-1)), t),
-        h_radial=profile,
-        C_h=abs(eps),
-        eps_h=eps_h,
-        eps=eps,
-        label=label,
-    )
-
-
-def radial_invariant(basis: OUBasis, pert: PerturbationSpec, c0: np.ndarray) -> bool:
-    """True when the run stays in the span of the radial (degree-0) modes:
-    a constant potential, a semilinear or radial linear forcing, and c0
-    exactly zero on every other mode.  Such a run may use the radial rule
-    (``build_collocation(basis, radial=True)``)."""
-    return (basis.spectrum.potential.is_constant
-            and (pert.kind == "semilinear" or pert.h_radial is not None)
-            and not np.any(c0[~radial_modes(basis)]))
+def radial_invariant(basis: OUBasis, c0: np.ndarray) -> bool:
+    """True when a perturbed run stays in the span of the radial (degree-0)
+    modes: a constant potential and c0 exactly zero on every other mode.
+    Such a run may use the radial rule (``build_collocation(basis,
+    radial=True)``)."""
+    return basis.spectrum.potential.is_constant and not np.any(c0[~radial_modes(basis)])
 
 
 def collocation_for(basis: OUBasis, pert: PerturbationSpec, c0: np.ndarray,
@@ -148,12 +127,12 @@ def collocation_for(basis: OUBasis, pert: PerturbationSpec, c0: np.ndarray,
     nodes, on the radial rule when :func:`radial_invariant` holds."""
     if pert.kind == "none":
         return None
-    return build_collocation(basis, n_r=n_r, radial=radial_invariant(basis, pert, c0))
+    return build_collocation(basis, n_r=n_r, radial=radial_invariant(basis, c0))
 
 
 def linear_forcing_matrices(ts, pert: PerturbationSpec, col: Collocation) -> np.ndarray:
     """M(t) for each t of ``ts``, stacked (len(ts), K, K), with
-    M(t) @ c = <h(sqrt(t) . , t) v, V_tilde_k>_L for a radial h.
+    M(t) @ c = <h(sqrt(t) . , t) v, V_tilde_k>_L for the spec's linear h.
 
     M = (R diag(w_r h(sqrt(t) r, t)) R^T) o A, with R = col.radial_table,
     w_r the radial weights and A = col.angular_gram: the nodal quadrature
@@ -166,20 +145,13 @@ def linear_forcing_matrices(ts, pert: PerturbationSpec, col: Collocation) -> np.
     return ((R * (col.rule.radial_weights * hr)[:, None, :]) @ R.T) * col.angular_gram
 
 
-def forcing_coefficients(
-    t: float, c: np.ndarray, pert: PerturbationSpec, col: Collocation
-) -> np.ndarray:
-    """F_k = < f(sqrt(t) . , t, v), V_tilde_k >_L of a nodal forcing: the
-    semilinear term, or a linear h without ``h_radial``, evaluated at the
-    nodes and projected back.  A radial h acts through
-    :func:`linear_forcing_matrices` instead, and the unperturbed flow
-    evaluates no forcing.
+def forcing_coefficients(c: np.ndarray, pert: PerturbationSpec, col: Collocation) -> np.ndarray:
+    """F_k = < eps |v|^{p-1} v, V_tilde_k >_L of the semilinear term, which
+    depends on no time: v = col.reconstruct(c) at the nodes, projected back.
+    A linear h acts through :func:`linear_forcing_matrices` instead, and
+    the unperturbed flow evaluates no forcing.
     """
     v = col.reconstruct(c)
-    if pert.kind == "linear":
-        hvals = np.asarray(pert.h(math.sqrt(t) * col.points, t), dtype=float)
-        return col.project(hvals * v)
-    # semilinear: eps |v|^{p-1} v, projected nodewise
     return pert.eps * col.project(np.abs(v) ** (pert.p - 1.0) * v)
 
 
@@ -269,7 +241,7 @@ def _march_rk4(taus, c0, f):
 
 
 def _march_linear(taus, c0, pert, basis, col):
-    """The RK4 march of :func:`_march_rk4` for a radial linear h, by matrices.
+    """The RK4 march of :func:`_march_rk4` for a linear h, by matrices.
 
     There dc/dtau = A(tau) c with A = Gamma - t M(t), t = e^tau, so each RK4
     step is c_{i+1} = c_i + B_i c_i with h = tau_{i+1} - tau_i and
@@ -303,11 +275,11 @@ def _march_linear(taus, c0, pert, basis, col):
 
 
 def _row_forcing(ts, coeffs, pert, col) -> np.ndarray:
-    """F(t_i, c_i) row by row: one :func:`forcing_coefficients` call per row
-    for nodal forcing, M(t_i) c_i for a radial h, whose M(t_i) are built
-    MARCH_BLOCK rows at a time."""
-    if pert.h_radial is None:
-        return np.array([forcing_coefficients(t, c, pert, col) for t, c in zip(ts, coeffs)])
+    """F(t_i, c_i) row by row: M(t_i) c_i for a linear h, whose M(t_i) are
+    built MARCH_BLOCK rows at a time, else one :func:`forcing_coefficients`
+    call per row."""
+    if pert.kind != "linear":
+        return np.array([forcing_coefficients(c, pert, col) for c in coeffs])
     F = np.empty_like(coeffs)
     for lo in range(0, len(ts), MARCH_BLOCK):
         M = linear_forcing_matrices(ts[lo:lo + MARCH_BLOCK], pert, col)
@@ -330,14 +302,12 @@ def _check_inputs(basis, col, rows, tau_min, dtau, pert) -> float | None:
     admissibility ratio (None unless linear).
 
     A radial collocation sees only the radial span: a non-constant
-    potential, a linear h without ``h_radial`` or a nonzero non-radial
-    coefficient in ``rows`` raises ConfigurationError.
+    potential or a nonzero non-radial coefficient in ``rows`` raises
+    ConfigurationError.
     """
     if col is not None and col.radial:
         if not basis.spectrum.potential.is_constant:
             raise ConfigurationError("the radial rule needs a constant potential")
-        if pert.kind == "linear" and pert.h_radial is None:
-            raise ConfigurationError("the radial rule needs a radial h (h_radial)")
         if np.any(rows[:, ~radial_modes(basis)]):
             raise ConfigurationError("the radial rule needs data on the radial modes only")
     if dtau <= 0.0 or dtau > DTAU_MAX:
@@ -348,11 +318,11 @@ def _check_inputs(basis, col, rows, tau_min, dtau, pert) -> float | None:
         )
     if pert.kind != "linear":
         return None
-    ok, failures, ratio = check_h_admissible(pert.h, pert.C_h, pert.eps_h, col)
+    ok, failures, ratio = check_h_admissible(pert.h_radial, pert.C_h, pert.eps_h, col)
     if not ok:
         raise ConfigurationError(
             f"perturbing potential violates the admissibility bound at "
-            f"{len(failures)}+ sampled nodes, e.g. {failures[0]}"
+            f"{len(failures)} sampled (t, radius) pairs, e.g. {failures[0]}"
         )
     return ratio
 
@@ -360,28 +330,29 @@ def _check_inputs(basis, col, rows, tau_min, dtau, pert) -> float | None:
 def trajectory_from_rows(
     basis: OUBasis,
     col: Collocation | None,
-    tau: np.ndarray,
     coeffs: np.ndarray,
     pert: PerturbationSpec,
+    tau_min: float,
     dtau: float,
 ) -> Trajectory:
-    """Trajectory of given rows c(tau[i]) = coeffs[i], e.g. read back from
-    the trajectory.csv of an earlier run.
+    """Trajectory of given rows, c(tau_i) = coeffs[i] on the
+    ``tau_grid(tau_min, dtau)`` that :func:`integrate_backward` marches,
+    e.g. read back from the trajectory.csv of an earlier run.
 
-    Runs the input gates of :func:`integrate_backward` on (tau[-1], dtau)
-    and the rows; rows off ``tau_grid(tau[-1], dtau)``, which ``beta``
-    integrates at step dtau, raise ConfigurationError.  A perturbed kind gets
-    the forcing of :func:`_row_forcing` at (t[i], coeffs[i]), bit for bit
-    what the march stored there.  The unperturbed flow gets zero forcing
-    and no collocation: ``col`` is not read, and may be None.
+    Runs the input gates of :func:`integrate_backward` on (tau_min, dtau)
+    and the rows; rows that do not match the grid's length and the basis
+    raise ConfigurationError.  A perturbed kind gets the forcing of
+    :func:`_row_forcing` at (t[i], coeffs[i]), bit for bit what the march
+    stored there.  The unperturbed flow gets zero forcing and no
+    collocation: ``col`` is not read, and may be None.
     """
     if pert.kind == "none":
         col = None
-    ratio = _check_inputs(basis, col, coeffs, tau[-1], dtau, pert)
-    taus, step = tau_grid(tau[-1], dtau)
-    if step != dtau or not np.array_equal(tau, taus):
-        raise ConfigurationError(f"rows off the uniform tau grid of step dtau = {dtau}")
-    traj = Trajectory(basis, col, tau, coeffs, np.zeros_like(coeffs), pert, dtau,
+    ratio = _check_inputs(basis, col, coeffs, tau_min, dtau, pert)
+    taus, step = tau_grid(tau_min, dtau)
+    if coeffs.shape != (len(taus), basis.size):
+        raise ConfigurationError(f"{coeffs.shape} rows for a grid of {len(taus)} x {basis.size}")
+    traj = Trajectory(basis, col, taus, coeffs, np.zeros_like(coeffs), pert, step,
                       admissibility_ratio=ratio)
     if pert.kind != "none":
         traj.forcing = _row_forcing(traj.t, coeffs, pert, col)
@@ -412,9 +383,9 @@ def integrate_backward(
     (and the last row when n is odd) at 2 dtau verifies them: the sup of
     |coarse - kept| over the coarse rows must stay <= 1e-8, else
     AccuracyError suggests a smaller step; the measured sup is kept as
-    ``Trajectory.halving_error``.  A radial linear h marches by step matrices
+    ``Trajectory.halving_error``.  A linear h marches by step matrices
     (:func:`_march_linear`) and makes no forcing call: the two marches build
-    M at 3n + 3 ceil(n/2) + 2 times.  Nodal forcing makes
+    M at 3n + 3 ceil(n/2) + 2 times.  The semilinear term makes
     4n + 4 ceil(n/2) + 2 forcing calls for n steps.
     """
     c0 = np.asarray(c0, dtype=float)
@@ -428,13 +399,12 @@ def integrate_backward(
         coeffs = c0[None, :] * np.exp(np.outer(taus, basis.gammas))
         return Trajectory(basis, col, taus, coeffs, np.zeros_like(coeffs), pert, step)
 
-    if pert.h_radial is not None:
+    if pert.kind == "linear":
         march = lambda grid: _march_linear(grid, c0, pert, basis, col)
     else:
         def f(tau, c):  # (Gamma c - t F, F) at t = e^tau
-            t = math.exp(tau)
-            F = forcing_coefficients(t, c, pert, col)
-            return basis.gammas * c - t * F, F
+            F = forcing_coefficients(c, pert, col)
+            return basis.gammas * c - math.exp(tau) * F, F
         march = lambda grid: _march_rk4(grid, c0, f)
     coeffs, forcing = march(taus)
     if not np.all(np.isfinite(coeffs)):
@@ -479,31 +449,26 @@ def closed_form_reference(basis: OUBasis, family, t: float) -> np.ndarray:
 
 
 def check_h_admissible(
-    h: Callable,
+    h_radial: Callable,
     C_h: float,
     eps_h: float,
     col: Collocation,
 ) -> tuple[bool, list, float]:
-    """Sample |h(x, t)| <= C_h (1 + |x|^{-2+eps_h}) at all cubature nodes
-    and at every time of ADMISSIBILITY_TIMES.
+    """Sample |h_radial(r, t)| <= C_h (1 + r^{-2+eps_h}) at the radii
+    r = sqrt(t) r_i of the collocation's radial nodes r_i, at every time of
+    ADMISSIBILITY_TIMES: h and its bound take one value on each node sphere.
 
-    Returns (ok, failures, worst) with failures listing (t, node index,
-    |h|, bound) and worst the largest sampled |h| / bound.
+    Returns (ok, failures, worst) with failures listing (t, radial node
+    index i, |h|, bound) and worst the largest sampled |h| / bound.
     """
     if not 0.0 < eps_h < 2.0:
         raise ConfigurationError(f"eps_h must lie in (0, 2), got {eps_h}")
-    failures = []
-    worst = 0.0
-    base_r = np.linalg.norm(col.points, axis=1)
-    for t in ADMISSIBILITY_TIMES:
-        pts = math.sqrt(t) * col.points
-        r = math.sqrt(t) * base_r
-        bound = C_h * (1.0 + r ** (-2.0 + eps_h))
-        vals = np.abs(np.asarray(h(pts, t), dtype=float))
-        with np.errstate(divide="ignore"):  # C_h = 0: a nonzero h is infinitely over
-            ratio = np.divide(vals, bound, out=np.zeros_like(vals), where=vals > 0.0)
-        worst = max(worst, float(ratio.max()))
-        bad = vals > bound * (1.0 + 1e-12)
-        for idx in np.nonzero(bad)[0][:5]:
-            failures.append((float(t), int(idx), float(vals[idx]), float(bound[idx])))
-    return len(failures) == 0, failures, worst
+    ts = ADMISSIBILITY_TIMES[:, None]
+    r = np.sqrt(ts) * col.rule.radial.nodes_r
+    bound = C_h * (1.0 + r ** (-2.0 + eps_h))
+    vals = np.abs(np.asarray(h_radial(r, ts), dtype=float))
+    with np.errstate(divide="ignore"):  # C_h = 0: a nonzero h is infinitely over
+        ratio = np.divide(vals, bound, out=np.zeros_like(vals), where=vals > 0.0)
+    failures = [(float(ts[j, 0]), int(i), float(vals[j, i]), float(bound[j, i]))
+                for j, i in zip(*np.nonzero(vals > bound * (1.0 + 1e-12)))]
+    return not failures, failures, float(ratio.max())

@@ -323,12 +323,12 @@ def radial_modes(basis: OUBasis) -> np.ndarray:
 class Collocation:
     """Cubature nodes plus the basis value matrix Phi[k, m] = V_tilde_k(x_m).
 
-    Projections <g, V_tilde_k> are Phi @ (weights * g(points)); nodal
-    reconstruction is Phi.T @ c.  Points are the t = 1 nodes; at time t the
-    physical points are sqrt(t) * points.  ``gram_residual`` measures how
-    well the shared-node rule reproduces the orthonormality: exact (1e-14)
-    for integer singular exponents, algebraic (~1e-6 at n_r = 64) for the
-    fractional exponents of anisotropic potentials.
+    Projections <g, V_tilde_k> are Phi @ (weights * g(rule.points)); nodal
+    reconstruction is Phi.T @ c.  The rule's points are the t = 1 nodes; at
+    time t the physical points are sqrt(t) * rule.points.  ``gram_residual``
+    measures how well the shared-node rule reproduces the orthonormality:
+    exact (1e-14) for integer singular exponents, algebraic (~1e-6 at
+    n_r = 64) for the fractional exponents of anisotropic potentials.
 
     Each row of Phi is outer(radial_table[k], psi_{j_k}) over (radial node,
     direction); ``angular_gram[k, l]`` is the angular quadrature of
@@ -347,10 +347,6 @@ class Collocation:
     radial_table: np.ndarray
     angular_gram: np.ndarray
     gram_residual: float = 0.0
-
-    @property
-    def points(self) -> np.ndarray:
-        return self.rule.points
 
     @property
     def weights(self) -> np.ndarray:

@@ -15,7 +15,12 @@ gives the independent nodal route the tests compare against:
   and the basis members of ``sweep_oracle``;
 - the coercivity infimum of the (N-2)/4-shifted quotient and the per-mode
   anisotropic-Hardy defect;
-- ``derivative`` of a polynomial and ``radii`` of a product rule's nodes.
+- ``derivative`` of a polynomial and ``radii`` of a product rule's nodes;
+- a linear h(x, t) of any shape evaluated at every node of a collocation
+  (``nodal_linear_forcing``, ``nodal_linear_march``), the route the package
+  replaced by K x K matrices of a radial profile, with ``radial_h`` the
+  nodal h of a profile, and the admissibility ratio sampled at every node
+  (``admissibility_at_nodes``).
 """
 
 from __future__ import annotations
@@ -26,9 +31,10 @@ import numpy as np
 from scipy.special import gammaln, lpmv
 
 from hardyheat import angular as ang
+from hardyheat import evolve as ev
 from hardyheat import inequalities as ineq
 from hardyheat.errors import ConfigurationError, SingularNodeError
-from hardyheat.ou_basis import OUBasis, _q_poly, _radial_rows, hardy_matrix
+from hardyheat.ou_basis import Collocation, OUBasis, _q_poly, _radial_rows, hardy_matrix
 from hardyheat.quadrature import ProductRule
 from hardyheat.specfun import Polynomial
 
@@ -194,3 +200,40 @@ def hardy_mode_consistency(basis: OUBasis) -> float:
     coef = 1.0 / (mu1 + (basis.N - 2) ** 2 / 4.0)
     bound = coef * (basis.gammas + (basis.N - 2) / 4.0)
     return float(np.max(np.diag(hardy_matrix(basis)) - bound))
+
+
+def radial_h(profile):
+    """h(x, t) = profile(|x|, t) at points x of shape (M, N)."""
+    return lambda x, t: profile(np.sqrt(np.sum(x * x, axis=-1)), t)
+
+
+def nodal_linear_forcing(h, t: float, c: np.ndarray, col: Collocation) -> np.ndarray:
+    """F_k = <h(sqrt(t) . , t) v, V_tilde_k>_L with h evaluated at every node
+    of col and v = col.reconstruct(c), projected back."""
+    hvals = np.asarray(h(math.sqrt(t) * col.rule.points, t), dtype=float)
+    return col.project(hvals * col.reconstruct(c))
+
+
+def nodal_linear_march(basis: OUBasis, col: Collocation, h, c0: np.ndarray,
+                       taus: np.ndarray) -> ev.Trajectory:
+    """The RK4 march of dc/dtau = Gamma c - t F, F = :func:`nodal_linear_forcing`
+    at t = e^tau, over the grid taus by ``evolve._march_rk4``, with no gate."""
+    def f(tau, c):
+        t = math.exp(tau)
+        F = nodal_linear_forcing(h, t, c, col)
+        return basis.gammas * c - t * F, F
+
+    coeffs, forcing = ev._march_rk4(taus, c0, f)
+    return ev.Trajectory(basis, col, taus, coeffs, forcing,
+                         ev.PerturbationSpec("linear", label="nodal h"), float(taus[0] - taus[1]))
+
+
+def admissibility_at_nodes(h, C_h: float, eps_h: float, col: Collocation) -> float:
+    """The largest |h(x, t)| / (C_h (1 + |x|^{-2+eps_h})) over every node
+    x = sqrt(t) x_m of col's rule, at every time of ADMISSIBILITY_TIMES."""
+    worst = 0.0
+    for t in ev.ADMISSIBILITY_TIMES:
+        x = math.sqrt(t) * col.rule.points
+        bound = C_h * (1.0 + np.linalg.norm(x, axis=1) ** (-2.0 + eps_h))
+        worst = max(worst, float(np.max(np.abs(h(x, t)) / bound)))
+    return worst

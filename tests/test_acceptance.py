@@ -18,7 +18,7 @@ from hardyheat import asymptotics as asym
 from hardyheat import evolve as ev
 from hardyheat import inequalities as ineq
 from hardyheat import ou_basis as ou
-from mode_oracle import potential_values, zonal_quadratic
+from mode_oracle import nodal_linear_march, potential_values, zonal_quadratic
 
 
 @contextmanager
@@ -124,15 +124,12 @@ def test_c5_exact_perturbed_family(spec0):
 
 
 def _radial_h(profile):
-    """Linear spec for h(x, t) = profile(|x|, t), |h| <= 0.1, on the matrix route."""
-    return ev.PerturbationSpec(
-        "linear", h=lambda x, t: profile(np.linalg.norm(x, axis=-1), t),
-        h_radial=profile, C_h=0.1,
-    )
+    """Linear spec for h(x, t) = profile(|x|, t), |h| <= 0.1."""
+    return ev.PerturbationSpec("linear", h_radial=profile, C_h=0.1)
 
 
 def _tilted_h(x, t):
-    """A non-radial h with |h| <= 0.15: no radial profile, so nodal forcing."""
+    """A non-radial h with |h| <= 0.15, marched by the tests' nodal oracle."""
     r2 = np.sum(x * x, axis=-1)
     return 0.1 * (1.0 + 0.5 * x[..., 0] / np.sqrt(1.0 + r2)) / (1.0 + r2 + t)
 
@@ -160,27 +157,34 @@ def test_c6_scaling_identity(spec0):
         radial_b = _radial_h(lambda r, t: lam2 * profile(lam * r, lam2 * t))
         p = 3.0
         semi = ev.PerturbationSpec.semilinear(0.05, p, 3)
+
+        def march(pert):  # (c0, tau_min, col) -> the package's trajectory
+            return lambda c0, tau_min, col: ev.integrate_backward(basis, c0, tau_min, dtau,
+                                                                  pert, col)
+
+        def nodal(h):  # the same, for an h of any shape, on the nodal oracle
+            return lambda c0, tau_min, col: nodal_linear_march(
+                basis, col, h, c0, ev.tau_grid(tau_min, dtau)[0])
+
         cases = (  # (data, problem A, problem B, k)
-            ("radial", _radial_h(profile), radial_b, 1.0),
-            ("mixed", _radial_h(profile), radial_b, 1.0),
-            ("mixed", ev.PerturbationSpec.linear(_tilted_h, 0.15, 1.0),
-             ev.PerturbationSpec.linear(lambda x, t: lam2 * _tilted_h(lam * x, lam2 * t),
-                                        0.15, 1.0), 1.0),
-            ("radial", semi, semi, lam ** (2.0 / (p - 1.0))),
-            ("mixed", semi, semi, lam ** (2.0 / (p - 1.0))),
+            ("radial", march(_radial_h(profile)), march(radial_b), 1.0),
+            ("mixed", march(_radial_h(profile)), march(radial_b), 1.0),
+            ("mixed", nodal(_tilted_h),
+             nodal(lambda x, t: lam2 * _tilted_h(lam * x, lam2 * t)), 1.0),
+            ("radial", march(semi), march(semi), lam ** (2.0 / (p - 1.0))),
+            ("mixed", march(semi), march(semi), lam ** (2.0 / (p - 1.0))),
         )
-        for data, pert_a, pert_b, k in cases:
+        for data, run_a, run_b, k in cases:
             col, c0 = runs[data]
-            a = ev.integrate_backward(basis, c0, taus[-1], dtau, pert_a, col)
-            b = ev.integrate_backward(basis, k * a.coeffs[m], taus[-1] - taus[m], dtau,
-                                      pert_b, col)
+            a = run_a(c0, taus[-1], col)
+            b = run_b(k * a.coeffs[m], taus[-1] - taus[m], col)
             want = k * a.coeffs[m:]
             assert b.size == len(want) == 121
             np.testing.assert_allclose(lam2 * b.t, a.t[m:], rtol=1e-14)
             rel = np.max(np.abs(b.coeffs - want), axis=1) / np.max(np.abs(want), axis=1)
-            assert np.max(rel) < 1e-12, (data, pert_a.kind, np.max(rel))
+            assert np.max(rel) < 1e-12, (data, a.perturbation.label, np.max(rel))
             N_a, N_b = al.compute_HDN(a)[2], al.compute_HDN(b)[2]
-            assert np.max(np.abs(N_b - N_a[m:])) < 1e-9, (data, pert_a.kind)
+            assert np.max(np.abs(N_b - N_a[m:])) < 1e-9, (data, a.perturbation.label)
 
 
 def test_c7_reconstruction_convergence(basis0, col0):

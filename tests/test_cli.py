@@ -313,6 +313,17 @@ def test_cmd_verify_positivity_exit(tmp_path, capsys):
     assert not (tmp_path / "verify.json").exists()
 
 
+def test_cmd_verify_gates_a_table_whatever_sweep_dims_holds(tmp_path, capsys):
+    # mu_1 = -0.78 < -1/4: verify refuses the table before any sweep, as
+    # spectrum does, though no N = 3 sweep would read it
+    path, _ = write_config(tmp_path, potential="harmonic_table:1,0,5.0", sweep_dims=(4, 5),
+                           sweep_count=5, directory=str(tmp_path))
+    for command in ("spectrum", "verify"):
+        assert main([command, "--config", path]) == 4, command
+        assert "positiv" in capsys.readouterr().err.lower()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ini"]
+
+
 def test_cmd_spectrum_dimension_four(tmp_path):
     # half-integer ladder again: gamma = m + l/2
     path, _ = write_config(tmp_path, dimension=4, gamma_max=1.5,

@@ -330,7 +330,7 @@ def test_gradient_finite_difference(basis0, spec0):
 def test_gradient_energy_identity(basis0, spec0, col0):
     # int |grad V~|^2 G = B(V~, V~) + int (a/|x|^2) V~^2 G; here a = 0
     ks = [1, 5, 12]
-    _, g = eval_grad_V(spec0, [basis0.modes[k] for k in ks], col0.points)
+    _, g = eval_grad_V(spec0, [basis0.modes[k] for k in ks], col0.rule.points)
     energy = np.sum(g * g, axis=-1) @ col0.weights
     np.testing.assert_allclose(energy, basis0.gammas[ks], rtol=1e-10, atol=1e-12)
 
@@ -376,7 +376,7 @@ def test_bilinear_reduction_vs_nodal_gradient_oracle():
     spec = ang.solve_angular(pot, L=16, K=36)
     basis = ou.enumerate_modes(spec, 1.5)
     col = ou.build_collocation(basis, n_r=96)
-    _, grads = eval_grad_V(spec, basis.modes[:5], col.points)
+    _, grads = eval_grad_V(spec, basis.modes[:5], col.rule.points)
     hrule = product_rule(3, 96, 18, 26, a_gl=-0.5)
     avals = np.tile(potential_values(pot, hrule.angular_dirs), hrule.radial.count)
     r2 = radii(hrule)**2

@@ -95,8 +95,8 @@ def test_radial_simulate_forces_on_one_direction(tmp_path, monkeypatch):
     counted = ev.forcing_coefficients
     monkeypatch.setattr(
         ev, "forcing_coefficients",
-        lambda t, c, pert, col, *a, **k: calls.append(len(col.rule.angular_weights))
-        or counted(t, c, pert, col, *a, **k),
+        lambda c, pert, col, *a, **k: calls.append(len(col.rule.angular_weights))
+        or counted(c, pert, col, *a, **k),
     )
     cfg = _config(SEMILINEAR, tau_min=math.log(1e-2), dtau=0.01, radial_nodes=16)
     doc = _run(tmp_path, cfg, "simulate")
@@ -120,9 +120,10 @@ def test_fallbacks_take_the_product_rule(name, tmp_path):
     path, overrides = PRODUCT_CASES[name]
     cfg = _config(path, tau_min=math.log(1e-2), dtau=0.01, **overrides)
     _, basis = cli._spectrum_and_basis(cfg)
-    assert not ev.radial_invariant(basis, parse_perturbation(cfg), parse_initial(cfg, basis))
+    # the unperturbed data stay radial, but it forces nothing, so it takes no rule at all
+    assert ev.radial_invariant(basis, parse_initial(cfg, basis)) == (name == "unperturbed")
     doc = _run(tmp_path, cfg, "simulate")
-    if name == "unperturbed":  # forces nothing, so it takes no rule at all
+    if name == "unperturbed":
         assert (doc["collocation_rule"], doc["collocation_nodes"],
                 doc["collocation_gram_residual"]) == ("none", 0, None)
     else:
@@ -165,14 +166,15 @@ def test_collocations_built_per_command(perturbation, tmp_path, monkeypatch):
         calls.update(dict.fromkeys(calls, 0))
 
 
-def test_non_radial_h_takes_the_product_rule(basis0):
-    # a linear h given without h_radial may be any function of x
-    pert = ev.PerturbationSpec.linear(
-        lambda x, t: 0.1 / (1.0 + np.sum(x * x, axis=1)), 0.1, 1.0)
+def test_non_radial_data_under_linear_bounded_takes_the_product_rule(basis0):
+    # a linear h is radial, so the data alone decide the rule
+    pert = ev.PerturbationSpec.linear_bounded(0.1)
     c0 = np.zeros(basis0.size)
     c0[0] = 1.0
-    assert not ev.radial_invariant(basis0, pert, c0)
-    assert ev.radial_invariant(basis0, ev.PerturbationSpec.linear_bounded(0.1), c0)
+    assert ev.radial_invariant(basis0, c0)
+    assert ev.integrate_backward(basis0, c0, math.log(0.5), 0.01, pert).collocation.radial
+    c0[np.flatnonzero(~ou.radial_modes(basis0))[0]] = 0.5
+    assert not ev.radial_invariant(basis0, c0)
     traj = ev.integrate_backward(basis0, c0, math.log(0.5), 0.01, pert)
     assert not traj.collocation.radial
 
@@ -191,16 +193,14 @@ def test_radial_collocation_guard(basis0):
     rows = traj.coeffs.copy()
     rows[-1, off[-1]] = 1e-300
     with pytest.raises(ConfigurationError, match="radial"):
-        ev.trajectory_from_rows(basis0, col, traj.tau, rows, semi, traj.dtau)
-    nodal = ev.PerturbationSpec.linear(lambda x, t: np.full(len(x), 0.1), 0.1, 1.0)
+        ev.trajectory_from_rows(basis0, col, rows, semi, math.log(0.5), 0.01)
     aniso = dataclasses.replace(basis0, spectrum=dataclasses.replace(
         basis0.spectrum, potential=ang.AngularPotential.harmonic_table([(1, 0, 0.1)])))
-    for basis, pert in ((basis0, nodal), (aniso, semi)):
-        for call in (lambda: ev.integrate_backward(basis, c0, math.log(0.5), 0.01, pert, col),
-                     lambda: ev.trajectory_from_rows(basis, col, traj.tau, traj.coeffs,
-                                                     pert, traj.dtau)):
-            with pytest.raises(ConfigurationError, match="radial"):
-                call()
+    for call in (lambda: ev.integrate_backward(aniso, c0, math.log(0.5), 0.01, semi, col),
+                 lambda: ev.trajectory_from_rows(aniso, col, traj.coeffs, semi,
+                                                 math.log(0.5), 0.01)):
+        with pytest.raises(ConfigurationError, match="radial"):
+            call()
 
 
 @pytest.mark.parametrize("N", (3, 4, 5))

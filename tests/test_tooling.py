@@ -1,9 +1,10 @@
 """Tooling ratchets: the benchmark's per-layer tables name package functions
 that must exist, every config key is read and the README's config tables
-list each with its default, every stored field is read, every package
-function is run by some command, the package imports no scipy and its
-commands load none and no numpy.ma, and ``verify`` evaluates no test
-function at a node: every sweep is closed form."""
+list each with its default, every code name of the README's library layout
+is defined, every stored field is read, every package function is run by
+some command, the package imports no scipy and its commands load none and
+no numpy.ma, and ``verify`` evaluates no test function at a node: every
+sweep is closed form."""
 
 import ast
 import dataclasses
@@ -11,6 +12,7 @@ import importlib
 import inspect
 import math
 import os
+import re
 import subprocess
 import sys
 import types
@@ -33,8 +35,6 @@ DEAD_BUCKETS = {"evolve.forcing_coefficients_scaled", "almgren.check_scaling",
 # package functions no command enters on the shipped configs, and why each stays
 UNREACHED = {
     "errors.AccuracyError.__init__": "runs when a gate fails; no shipped config fails one",
-    "evolve.PerturbationSpec.linear": "the paper's general h, marched by c6 and the "
-                                      "matrix-march oracle",
     "inequalities.power_integrals": "the power family, which ROADMAP item 2 puts into verify",
     "inequalities.GaussianBump.value": "counted to show that verify samples no node",
     "inequalities.GaussianBump.value_grad": "counted to show that verify samples no node",
@@ -112,6 +112,57 @@ def test_readme_config_tables_list_every_key_with_its_default():
                 assert math.log(float(cell[4:-1])) == default.tau_min
             else:
                 assert cell == _fmt(getattr(default, key)), key
+
+
+ORACLES = [Path(__file__).parent / f"{name}.py"
+           for name in ("mode_oracle", "sweep_oracle", "kummer")]
+CODE_NAME = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+
+def _defined_names() -> set:
+    """Every module, function, class and module- or class-level assignment
+    of the package and the tests' oracle modules, bare and as
+    ``Class.member`` or ``module.name``; and the CLI command names."""
+    from hardyheat.cli import COMMANDS
+
+    names = set(COMMANDS)
+    for path in sorted(SRC.glob("*.py")) + ORACLES:
+        names.add(path.stem)
+        scopes = [(path.stem, ast.parse(path.read_text(encoding="utf-8")).body)]
+        while scopes:
+            owner, body = scopes.pop()
+            for node in body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    found = [node.name]
+                    if isinstance(node, ast.ClassDef):
+                        scopes.append((node.name, node.body))
+                else:
+                    targets = (node.targets if isinstance(node, ast.Assign)
+                               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+                    found = [t.id for t in targets if isinstance(t, ast.Name)]
+                names |= set(found) | {f"{owner}.{name}" for name in found}
+    return names
+
+
+def _unresolved_layout_names(readme: str) -> list:
+    """Backticked code names of the README's `## Library layout` table that
+    no definition in src or in the oracle modules carries; file paths,
+    config syntax and string literals are not code names."""
+    table = readme.split("\n## Library layout\n", 1)[1].split("\n## ", 1)[0]
+    names = [tok for tok in re.findall(r"`([^`]+)`", table) if CODE_NAME.fullmatch(tok)]
+    defined = _defined_names()
+    return [name for name in names if name not in defined]
+
+
+def test_readme_library_layout_names_resolve():
+    readme = (SRC.parents[1] / "README.md").read_text(encoding="utf-8")
+    assert _unresolved_layout_names(readme) == []
+    # a name that left the package fails the ratchet, dotted or bare
+    row = "| `cli`, `config` |"
+    stale = readme.replace(row, row[:-1] + "`PerturbationSpec.linear`, "
+                                            "`forcing_coefficients_scaled` |")
+    assert _unresolved_layout_names(stale) == ["PerturbationSpec.linear",
+                                               "forcing_coefficients_scaled"]
 
 
 # a stored field that no src line reads, and why it stays
