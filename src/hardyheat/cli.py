@@ -111,16 +111,11 @@ def _stored_rows(cfg, outdir, basis, pert):
 
 def _trajectory(cfg, basis, reuse_dir=None):
     """Integrate the flow, or rebuild it from the trajectory.csv in reuse_dir
-    when that file is valid for this run (see :func:`_stored_rows`).
-
-    The collocation is :func:`evolve.collocation_for` on ``radial_nodes``,
-    for ``simulate`` and ``beta`` alike: none for the unperturbed flow,
-    the radial rule when the configured initial data and forcing keep the
-    radial span (:func:`evolve.radial_invariant`), else the product rule.
+    when that file is valid for this run (see :func:`_stored_rows`); either
+    way on rules of ``radial_nodes`` radial nodes.
     """
     pert = parse_perturbation(cfg)
     c0 = parse_initial(cfg, basis)
-    col = evolve.collocation_for(basis, pert, c0, n_r=cfg.radial_nodes)
     if reuse_dir is not None:
         try:
             coeffs = _stored_rows(cfg, reuse_dir, basis, pert)
@@ -128,9 +123,10 @@ def _trajectory(cfg, basis, reuse_dir=None):
             print(f"trajectory.csv not reused ({exc}); integrating", file=sys.stderr)
         else:
             print("trajectory rebuilt from trajectory.csv", file=sys.stderr)
-            return evolve.trajectory_from_rows(basis, col, coeffs, pert, cfg.tau_min,
-                                               cfg.dtau)
-    return evolve.integrate_backward(basis, c0, cfg.tau_min, cfg.dtau, pert, col)
+            return evolve.trajectory_from_rows(basis, None, coeffs, pert, cfg.tau_min,
+                                               cfg.dtau, cfg.radial_nodes)
+    return evolve.integrate_backward(basis, c0, cfg.tau_min, cfg.dtau, pert,
+                                     n_r=cfg.radial_nodes)
 
 
 def cmd_spectrum(cfg, outdir) -> int:
@@ -161,7 +157,7 @@ def cmd_simulate(cfg, outdir) -> int:
     c1 = inequalities.coercivity_bound_constant(basis)
     report = almgren.run_diagnostics(traj, trace, coercivity_constant=c1)
     shares = traj.truncation_shares()
-    col = traj.collocation
+    col = traj.collocation or traj.blocks
     meta = _meta(cfg, basis)
     meta["dtau"] = traj.dtau
     meta["perturbation"] = traj.perturbation.label
@@ -196,7 +192,8 @@ def cmd_simulate(cfg, outdir) -> int:
             "truncation_ratio": float(shares[-1]),
             "truncation_ratio_max": float(shares.max()),
             "collocation_gram_residual": None if col is None else col.gram_residual,
-            "collocation_rule": "none" if col is None else "radial" if col.radial else "product",
+            "collocation_rule": "none" if col is None else "matched" if traj.blocks
+                                else "radial" if col.radial else "product",
             "collocation_nodes": 0 if col is None else len(col.weights),
             "halving_error": traj.halving_error,
             "halving_tol": None if col is None else evolve.HALVING_TOL,

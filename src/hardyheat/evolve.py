@@ -8,25 +8,23 @@ With v(x, t) = u(sqrt(t) x, t) and tau = log t, the flow becomes
 which is diagonal plus a small forcing; integration runs backward from
 tau = 0 toward the singularity.  The unperturbed flow is advanced by its
 exact diagonal propagator e^{gamma_k dtau} and evaluates no forcing, so it
-builds no collocation (:func:`collocation_for`); perturbed kinds use classical
-RK4 at dtau, verified against one RK4 march at 2 dtau on every second row.
+builds no rule; perturbed kinds use classical RK4 at dtau, verified against
+one RK4 march at 2 dtau on every second row.
 Every stored row keeps the forcing coefficients that the first RK4 stage of
 the dtau march evaluated there: they are exactly the xi_{m,k} data the
 asymptotic coefficient formulas integrate later.  Stored rows read back
 from an earlier run go through the same input gates and get the same
 forcing, one evaluation per row, without a march.
 
-A linear h is a radial profile h(|x|, t), so it acts on c as a K x K
-matrix M(t), known in advance at every stage time: its RK4 step is one
-increment matrix B_i and the march is c_{i+1} = c_i + B_i c_i
-(:func:`_march_linear`), with the stage and row matrices built in stacked
-blocks and no forcing evaluated per stage.  The semilinear term is
-evaluated at the nodes at every stage (:func:`_march_rk4`).
-
-Under a constant potential both forcings map radial functions to radial
-functions, so data on the degree-0 modes never leaves their span
-(:func:`radial_invariant`); such a run forces on the radial rule's n_r
-nodes instead of the product rule's.
+A linear h is a radial profile h(|x|, t), which couples only modes of one
+angular index j: it acts on the data's j-blocks alone, each on its matched
+radial rule (:func:`ou_basis.matched_blocks`), as a matrix M(t) known at
+every stage time, and every other mode stays exactly 0.  Its RK4 step is
+one increment matrix B_i, c_{i+1} = c_i + B_i c_i (:func:`_march_linear`).
+The semilinear term is evaluated at the nodes at every stage
+(:func:`_march_rk4`); under a constant potential, data on the degree-0
+modes keep their span (:func:`radial_invariant`) and force on the radial
+rule's n_r nodes instead of the product rule's.
 """
 
 from __future__ import annotations
@@ -38,7 +36,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import AccuracyError, ConfigurationError
-from .ou_basis import Collocation, OUBasis, build_collocation, radial_modes
+from .ou_basis import (Collocation, MatchedBlocks, OUBasis, build_collocation,
+                       matched_blocks, radial_modes)
 
 TAU_FLOOR = math.log(1e-6)
 DTAU_MAX = 0.01
@@ -54,10 +53,10 @@ class PerturbationSpec:
     """Forcing term f(x, t, s) of the evolution.
 
     kinds: 'none'; 'linear' with f = h(|x|, t) s for the radial profile
-    ``h_radial``, which turns the forcing into a K x K matrix, and the
+    ``h_radial``, which turns the forcing into a matrix per j-block, and the
     admissibility bound |h| <= C_h (1 + |x|^{-2+eps_h}); 'semilinear' with
     f = eps |s|^{p-1} s, 1 < p < (N+2)/(N-2).  The profile is called
-    elementwise on arrays, r of shape (n, n_r) with t of shape (n, 1).
+    elementwise on arrays, r of shape (n, nodes), t of shape (n, 1).
     """
 
     kind: str
@@ -113,43 +112,27 @@ class PerturbationSpec:
 
 
 def radial_invariant(basis: OUBasis, c0: np.ndarray) -> bool:
-    """True when a perturbed run stays in the span of the radial (degree-0)
-    modes: a constant potential and c0 exactly zero on every other mode.
-    Such a run may use the radial rule (``build_collocation(basis,
-    radial=True)``)."""
+    """True when a semilinear run stays in the span of the radial (degree-0)
+    modes, so that it may force on the radial rule: a constant potential and
+    c0 exactly zero on every other mode."""
     return basis.spectrum.potential.is_constant and not np.any(c0[~radial_modes(basis)])
 
 
-def collocation_for(basis: OUBasis, pert: PerturbationSpec, c0: np.ndarray,
-                    n_r: int = 64) -> Collocation | None:
-    """The collocation a run forces on: None for the unperturbed flow, which
-    reads none, else :func:`ou_basis.build_collocation` with n_r radial
-    nodes, on the radial rule when :func:`radial_invariant` holds."""
-    if pert.kind == "none":
-        return None
-    return build_collocation(basis, n_r=n_r, radial=radial_invariant(basis, c0))
-
-
-def linear_forcing_matrices(ts, pert: PerturbationSpec, col: Collocation) -> np.ndarray:
-    """M(t) for each t of ``ts``, stacked (len(ts), K, K), with
-    M(t) @ c = <h(sqrt(t) . , t) v, V_tilde_k>_L for the spec's linear h.
-
-    M = (R diag(w_r h(sqrt(t) r, t)) R^T) o A, with R = col.radial_table,
-    w_r the radial weights and A = col.angular_gram: the nodal quadrature
-    summed radius by radius and direction by direction.  Each slice is a
-    product of its own, so it does not depend on the other times in ``ts``.
+def linear_forcing_matrices(ts, pert: PerturbationSpec, blocks: MatchedBlocks) -> np.ndarray:
+    """M(t) for each t of ``ts``, stacked (len(ts), L, L) over the L live
+    modes of ``blocks``: M(t) @ c[live] = <h(sqrt(t) . , t) v, V_tilde_k>_L,
+    k in live, for the spec's linear h.  M = T diag(w h(sqrt(t) r, t)) T^T
+    with the blocks' table, weights and radii; each slice is a product of
+    its own, so it does not depend on the other times in ``ts``.
     """
     ts = np.asarray(ts, dtype=float).reshape(-1, 1)
-    R = col.radial_table
-    hr = np.asarray(pert.h_radial(np.sqrt(ts) * col.rule.radial.nodes_r, ts), dtype=float)
-    return ((R * (col.rule.radial_weights * hr)[:, None, :]) @ R.T) * col.angular_gram
+    hr = np.asarray(pert.h_radial(np.sqrt(ts) * blocks.radii, ts), dtype=float)
+    return (blocks.table * (blocks.weights * hr)[:, None, :]) @ blocks.table.T
 
 
 def forcing_coefficients(c: np.ndarray, pert: PerturbationSpec, col: Collocation) -> np.ndarray:
     """F_k = < eps |v|^{p-1} v, V_tilde_k >_L of the semilinear term, which
     depends on no time: v = col.reconstruct(c) at the nodes, projected back.
-    A linear h acts through :func:`linear_forcing_matrices` instead, and
-    the unperturbed flow evaluates no forcing.
     """
     v = col.reconstruct(c)
     return pert.eps * col.project(np.abs(v) ** (pert.p - 1.0) * v)
@@ -164,8 +147,8 @@ class Trajectory:
     perturbation at each stored time ``t[i]``: the forcing the first RK4
     stage of the dtau march evaluated at that row, or for rows given to
     :func:`trajectory_from_rows` the same forcing evaluated once per row.
-    ``collocation`` is the rule the forcing was evaluated on; it is None
-    exactly for the unperturbed flow, which evaluates no forcing.
+    ``collocation`` is the rule of the semilinear term and ``blocks`` the
+    matched blocks of a linear h, each None for every other kind.
     ``halving_error`` and ``admissibility_ratio`` are the gate values the
     run measured, each None where it measured none.
     """
@@ -179,6 +162,7 @@ class Trajectory:
     dtau: float
     halving_error: float | None = None
     admissibility_ratio: float | None = None
+    blocks: MatchedBlocks | None = None
     t: np.ndarray = field(init=False)  # e^tau row by row, the one time grid
 
     def __post_init__(self):
@@ -240,8 +224,9 @@ def _march_rk4(taus, c0, f):
     return c, forcing
 
 
-def _march_linear(taus, c0, pert, basis, col):
-    """The RK4 march of :func:`_march_rk4` for a linear h, by matrices.
+def _march_linear(taus, c0, pert, basis, blocks):
+    """The RK4 march of :func:`_march_rk4` for a linear h, by matrices, on
+    the live modes of ``blocks``; every other mode stays exactly 0.
 
     There dc/dtau = A(tau) c with A = Gamma - t M(t), t = e^tau, so each RK4
     step is c_{i+1} = c_i + B_i c_i with h = tau_{i+1} - tau_i and
@@ -250,17 +235,16 @@ def _march_linear(taus, c0, pert, basis, col):
     A_1 are A at tau_i, tau_i + h/2 and tau_i + h.  The stage matrices are
     built MARCH_BLOCK steps at a time; each row keeps F_i = M(t_i) c_i.
     """
-    n = len(taus) - 1
-    c = np.empty((n + 1, len(c0)))
-    forcing = np.empty_like(c)
-    c[0] = c0
-    gamma = np.diag(basis.gammas)
+    n, live = len(taus) - 1, blocks.live
+    c, forcing = np.empty((n + 1, len(live))), np.empty((n + 1, len(live)))
+    c[0] = c0[live]
+    gamma = np.diag(basis.gammas[live])
     for lo in range(0, n, MARCH_BLOCK):
         hi = min(lo + MARCH_BLOCK, n)
         t0 = taus[lo:hi]
         h = taus[lo + 1:hi + 1] - t0
         ts = np.array([math.exp(tau) for tau in np.concatenate([t0, t0 + 0.5 * h, t0 + h])])
-        M = linear_forcing_matrices(ts, pert, col)
+        M = linear_forcing_matrices(ts, pert, blocks)
         A0, Ah, A1 = np.split(gamma - ts[:, None, None] * M, 3)
         h = h[:, None, None]
         S2 = Ah + 0.5 * h * (Ah @ A0)
@@ -270,61 +254,68 @@ def _march_linear(taus, c0, pert, basis, col):
         for i in range(lo, hi):  # the increment, as RK4 adds it: never (I + B) c
             c[i + 1] = c[i] + B[i - lo] @ c[i]
         forcing[lo:hi] = (M[:hi - lo] @ c[lo:hi, :, None])[..., 0]
-    forcing[n] = _row_forcing([math.exp(taus[n])], c[n:], pert, col)[0]
-    return c, forcing
+    M = linear_forcing_matrices([math.exp(taus[n])], pert, blocks)
+    forcing[n] = (M @ c[n:, :, None])[0, :, 0]
+    coeffs, F = np.zeros((n + 1, len(c0))), np.zeros((n + 1, len(c0)))
+    coeffs[:, live], F[:, live] = c, forcing
+    return coeffs, F
 
 
-def _row_forcing(ts, coeffs, pert, col) -> np.ndarray:
-    """F(t_i, c_i) row by row: M(t_i) c_i for a linear h, whose M(t_i) are
-    built MARCH_BLOCK rows at a time, else one :func:`forcing_coefficients`
-    call per row."""
+def _row_forcing(ts, coeffs, pert, col, blocks) -> np.ndarray:
+    """F(t_i, c_i) row by row: M(t_i) c_i on the live modes of ``blocks``
+    for a linear h, whose M(t_i) are built MARCH_BLOCK rows at a time, else
+    one :func:`forcing_coefficients` call per row on ``col``."""
     if pert.kind != "linear":
         return np.array([forcing_coefficients(c, pert, col) for c in coeffs])
-    F = np.empty_like(coeffs)
+    F, live = np.zeros_like(coeffs), coeffs[:, blocks.live]
     for lo in range(0, len(ts), MARCH_BLOCK):
-        M = linear_forcing_matrices(ts[lo:lo + MARCH_BLOCK], pert, col)
-        F[lo:lo + MARCH_BLOCK] = (M @ coeffs[lo:lo + MARCH_BLOCK, :, None])[..., 0]
+        M = linear_forcing_matrices(ts[lo:lo + MARCH_BLOCK], pert, blocks)
+        F[lo:lo + MARCH_BLOCK, blocks.live] = (M @ live[lo:lo + MARCH_BLOCK, :, None])[..., 0]
     return F
 
 
 def tau_grid(tau_min: float, dtau: float) -> tuple[np.ndarray, float]:
     """(taus, step): the stored rows from tau = 0 down to tau_min, in
-    n = ceil(-tau_min / dtau) equal steps of ``step`` <= dtau."""
+    n = ceil(-tau_min / dtau) equal steps of ``step`` <= dtau.  A dtau
+    outside (0, DTAU_MAX] or a tau_min outside [TAU_FLOOR, 0) raises
+    ConfigurationError."""
+    if dtau <= 0.0 or dtau > DTAU_MAX:
+        raise ConfigurationError(f"dtau must lie in (0, {DTAU_MAX}], got {dtau}")
+    if tau_min >= 0.0 or tau_min < TAU_FLOOR - 1e-12:
+        raise ConfigurationError(f"tau_min must lie in [log(1e-6), 0) = "
+                                 f"[{TAU_FLOOR}, 0), got {tau_min}")
     n = max(1, math.ceil(-tau_min / dtau - 1e-12))
     return np.linspace(0.0, tau_min, n + 1), -tau_min / n
 
 
-def _check_inputs(basis, col, rows, tau_min, dtau, pert) -> float | None:
-    """The input gates of a trajectory: the dtau and tau_min ranges, the
-    span of a radial collocation (``col`` is None for the unperturbed flow)
-    and, for a linear h,
-    :func:`check_h_admissible` with the spec's C_h and eps_h.  Returns the
-    admissibility ratio (None unless linear).
-
-    A radial collocation sees only the radial span: a non-constant
-    potential or a nonzero non-radial coefficient in ``rows`` raises
-    ConfigurationError.
+def _check_inputs(basis, pert, col, rows, n_r):
+    """(col, blocks, admissibility ratio) of a run on ``rows`` past its input
+    gates, each None where the kind reads none: the semilinear term's ``col``
+    (when None, an n_r-node :func:`ou_basis.build_collocation`, radial if
+    :func:`radial_invariant`), which refuses rows off a radial rule's span,
+    and a linear h's n_r-node :func:`ou_basis.matched_blocks` of the rows, at
+    whose radii h must pass :func:`check_h_admissible`.
     """
+    if pert.kind != "semilinear":
+        col = None
+    elif col is None:
+        col = build_collocation(basis, n_r=n_r, radial=radial_invariant(basis, rows[0]))
     if col is not None and col.radial:
         if not basis.spectrum.potential.is_constant:
             raise ConfigurationError("the radial rule needs a constant potential")
         if np.any(rows[:, ~radial_modes(basis)]):
             raise ConfigurationError("the radial rule needs data on the radial modes only")
-    if dtau <= 0.0 or dtau > DTAU_MAX:
-        raise ConfigurationError(f"dtau must lie in (0, {DTAU_MAX}], got {dtau}")
-    if tau_min >= 0.0 or tau_min < TAU_FLOOR - 1e-12:
-        raise ConfigurationError(
-            f"tau_min must lie in [log(1e-6), 0) = [{TAU_FLOOR}, 0), got {tau_min}"
-        )
     if pert.kind != "linear":
-        return None
-    ok, failures, ratio = check_h_admissible(pert.h_radial, pert.C_h, pert.eps_h, col)
+        return col, None, None
+    blocks = matched_blocks(basis, rows, n_r)
+    ok, failures, ratio = check_h_admissible(pert.h_radial, pert.C_h, pert.eps_h,
+                                             blocks.radii)
     if not ok:
         raise ConfigurationError(
             f"perturbing potential violates the admissibility bound at "
             f"{len(failures)} sampled (t, radius) pairs, e.g. {failures[0]}"
         )
-    return ratio
+    return col, blocks, ratio
 
 
 def trajectory_from_rows(
@@ -334,28 +325,25 @@ def trajectory_from_rows(
     pert: PerturbationSpec,
     tau_min: float,
     dtau: float,
+    n_r: int = 64,
 ) -> Trajectory:
     """Trajectory of given rows, c(tau_i) = coeffs[i] on the
     ``tau_grid(tau_min, dtau)`` that :func:`integrate_backward` marches,
     e.g. read back from the trajectory.csv of an earlier run.
 
-    Runs the input gates of :func:`integrate_backward` on (tau_min, dtau)
-    and the rows; rows that do not match the grid's length and the basis
-    raise ConfigurationError.  A perturbed kind gets the forcing of
-    :func:`_row_forcing` at (t[i], coeffs[i]), bit for bit what the march
-    stored there.  The unperturbed flow gets zero forcing and no
-    collocation: ``col`` is not read, and may be None.
+    The rows pass the gates of :func:`integrate_backward` and must match
+    the grid's length and the basis, else ConfigurationError.  A perturbed
+    kind gets the forcing of :func:`_row_forcing` at (t[i], coeffs[i]) on
+    the same rules, bit for bit what the march stored there.
     """
-    if pert.kind == "none":
-        col = None
-    ratio = _check_inputs(basis, col, coeffs, tau_min, dtau, pert)
     taus, step = tau_grid(tau_min, dtau)
     if coeffs.shape != (len(taus), basis.size):
         raise ConfigurationError(f"{coeffs.shape} rows for a grid of {len(taus)} x {basis.size}")
+    col, blocks, ratio = _check_inputs(basis, pert, col, coeffs, n_r)
     traj = Trajectory(basis, col, taus, coeffs, np.zeros_like(coeffs), pert, step,
-                      admissibility_ratio=ratio)
+                      admissibility_ratio=ratio, blocks=blocks)
     if pert.kind != "none":
-        traj.forcing = _row_forcing(traj.t, coeffs, pert, col)
+        traj.forcing = _row_forcing(traj.t, coeffs, pert, col, blocks)
     return traj
 
 
@@ -366,41 +354,33 @@ def integrate_backward(
     dtau: float,
     pert: PerturbationSpec,
     col: Collocation | None = None,
+    n_r: int = 64,
 ) -> Trajectory:
-    """March c from tau = 0 down to tau_min on :func:`tau_grid`.
+    """March c from tau = 0 down to tau_min on :func:`tau_grid`, on the
+    rules and past the gates of :func:`_check_inputs` (a linear h reads no
+    ``col``: it marches the j-blocks on which c0 is nonzero).
 
-    Without ``col`` a perturbed run builds :func:`collocation_for` (the
-    radial rule when :func:`radial_invariant` holds, else the product
-    rule); a radial ``col`` with inputs outside the radial span raises
-    ConfigurationError.  The unperturbed flow builds and keeps no
-    collocation, and ignores ``col``.
-    A linear h must first pass :func:`check_h_admissible` with the spec's
-    C_h and eps_h, else ConfigurationError; its worst |h| / bound ratio is
-    kept as ``Trajectory.admissibility_ratio``.  The unperturbed flow uses
-    the exact diagonal propagator c0 e^{gamma tau} and stores zero forcing;
-    perturbed kinds march RK4 at dtau and keep its rows, with the forcing
-    its first stages evaluated there.  One RK4 march on every second row
-    (and the last row when n is odd) at 2 dtau verifies them: the sup of
-    |coarse - kept| over the coarse rows must stay <= 1e-8, else
-    AccuracyError suggests a smaller step; the measured sup is kept as
-    ``Trajectory.halving_error``.  A linear h marches by step matrices
-    (:func:`_march_linear`) and makes no forcing call: the two marches build
-    M at 3n + 3 ceil(n/2) + 2 times.  The semilinear term makes
-    4n + 4 ceil(n/2) + 2 forcing calls for n steps.
+    The unperturbed flow uses the exact propagator c0 e^{gamma tau} with
+    zero forcing.  Perturbed kinds march RK4 at dtau and keep its rows, with
+    the forcing its first stages evaluated there.  One RK4 march on every
+    second row (and the last row when n is odd) at 2 dtau verifies them: the
+    sup of |coarse - kept| over the coarse rows (``halving_error``) must
+    stay <= 1e-8, else AccuracyError suggests a smaller step.  A linear h
+    marches by step matrices (:func:`_march_linear`) and makes no forcing
+    call: the two marches build M at 3n + 3 ceil(n/2) + 2 times.  The
+    semilinear term makes 4n + 4 ceil(n/2) + 2 forcing calls for n steps.
     """
     c0 = np.asarray(c0, dtype=float)
     if len(c0) != basis.size:
         raise ConfigurationError("initial coefficient vector does not match the basis")
-    if col is None or pert.kind == "none":
-        col = collocation_for(basis, pert, c0)
-    ratio = _check_inputs(basis, col, c0[None], tau_min, dtau, pert)
     taus, step = tau_grid(tau_min, dtau)
+    col, blocks, ratio = _check_inputs(basis, pert, col, c0[None], n_r)
     if pert.kind == "none":
         coeffs = c0[None, :] * np.exp(np.outer(taus, basis.gammas))
         return Trajectory(basis, col, taus, coeffs, np.zeros_like(coeffs), pert, step)
 
     if pert.kind == "linear":
-        march = lambda grid: _march_linear(grid, c0, pert, basis, col)
+        march = lambda grid: _march_linear(grid, c0, pert, basis, blocks)
     else:
         def f(tau, c):  # (Gamma c - t F, F) at t = e^tau
             F = forcing_coefficients(c, pert, col)
@@ -425,7 +405,7 @@ def integrate_backward(
             suggestion=f"dtau <= {step / 4.0}",
         )
     return Trajectory(basis, col, taus, coeffs, forcing, pert, step,
-                      halving_error=err, admissibility_ratio=ratio)
+                      halving_error=err, admissibility_ratio=ratio, blocks=blocks)
 
 
 def closed_form_reference(basis: OUBasis, family, t: float) -> np.ndarray:
@@ -452,19 +432,19 @@ def check_h_admissible(
     h_radial: Callable,
     C_h: float,
     eps_h: float,
-    col: Collocation,
+    radii: np.ndarray,
 ) -> tuple[bool, list, float]:
-    """Sample |h_radial(r, t)| <= C_h (1 + r^{-2+eps_h}) at the radii
-    r = sqrt(t) r_i of the collocation's radial nodes r_i, at every time of
-    ADMISSIBILITY_TIMES: h and its bound take one value on each node sphere.
+    """Sample |h_radial(r, t)| <= C_h (1 + r^{-2+eps_h}) at r = sqrt(t) r_i
+    for the t = 1 node radii r_i, at every time of ADMISSIBILITY_TIMES: h
+    and its bound take one value on each node sphere.
 
-    Returns (ok, failures, worst) with failures listing (t, radial node
-    index i, |h|, bound) and worst the largest sampled |h| / bound.
+    Returns (ok, failures, worst) with failures listing (t, node index i,
+    |h|, bound) and worst the largest sampled |h| / bound.
     """
     if not 0.0 < eps_h < 2.0:
         raise ConfigurationError(f"eps_h must lie in (0, 2), got {eps_h}")
     ts = ADMISSIBILITY_TIMES[:, None]
-    r = np.sqrt(ts) * col.rule.radial.nodes_r
+    r = np.sqrt(ts) * radii
     bound = C_h * (1.0 + r ** (-2.0 + eps_h))
     vals = np.abs(np.asarray(h_radial(r, ts), dtype=float))
     with np.errstate(divide="ignore"):  # C_h = 0: a nonzero h is infinitely over

@@ -165,9 +165,9 @@ def _certify_coverage(spectrum: ang.AngularSpectrum, gamma_max: float, alphas) -
     # -alpha_K/2 exceeds gamma_max.
     if -alphas[-1] / 2.0 <= gamma_max:
         raise TruncationError(
-            f"angular spectrum too short to certify completeness up to "
-            f"gamma_max={gamma_max}: -alpha_K/2 = {-alphas[-1] / 2.0} must exceed it; "
-            "increase the angular eigenvalue count"
+            f"angular_count = {len(alphas)} certifies completeness only below "
+            f"-alpha_K/2 = {-alphas[-1] / 2.0}, not up to gamma_max = {gamma_max}; "
+            "raise angular_count"
         )
 
 
@@ -328,24 +328,14 @@ class Collocation:
     time t the physical points are sqrt(t) * rule.points.  ``gram_residual``
     measures how well the shared-node rule reproduces the orthonormality:
     exact (1e-14) for integer singular exponents, algebraic (~1e-6 at
-    n_r = 64) for the fractional exponents of anisotropic potentials.
-
-    Each row of Phi is outer(radial_table[k], psi_{j_k}) over (radial node,
-    direction); ``angular_gram[k, l]`` is the angular quadrature of
-    psi_{j_k} psi_{j_l}.  Multiplying by a radial function therefore acts
-    on coefficients as the K x K matrix
-    (radial_table diag(radial_weights g) radial_table^T) o angular_gram.
-
-    On the radial rule (``radial``: one direction carrying the whole
-    sphere's weight) the rows of the non-radial modes are zero, so every
-    projection is exactly zero off the radial span: the collocation of a
-    run whose data and forcing keep that span invariant.
+    n_r = 64) for the fractional exponents of anisotropic potentials.  On
+    the radial rule (``radial``: one direction carrying the whole sphere's
+    weight) the rows of the non-radial modes are zero, so every projection
+    is exactly zero off the radial span.
     """
 
     rule: ProductRule
     Phi: np.ndarray
-    radial_table: np.ndarray
-    angular_gram: np.ndarray
     gram_residual: float = 0.0
 
     @property
@@ -365,41 +355,77 @@ class Collocation:
 
 
 def build_collocation(basis: OUBasis, n_r: int = 64, radial: bool = False) -> Collocation:
-    """Nodal table of the basis on the product rule, or with ``radial`` on
-    the radial rule ``zonal_rule(N, n_r, 1)``.
-
-    The product rule's angular sizes track the largest harmonic degree in
-    the basis so that mode-pair products integrate exactly.  The radial
-    rule (n_r nodes, any N) is exact for radial integrands only; the caller
-    takes it when the run stays in the span of the degree-0 modes under a
-    constant potential (``evolve.radial_invariant``), and the table keeps
-    that span alone: the other modes' rows are zero and the Gram residual
-    is measured against the identity on the radial block.
+    """Nodal table of the basis on the product rule, whose angular sizes
+    track the largest harmonic degree so that mode-pair products integrate
+    exactly, or with ``radial`` on the radial rule ``zonal_rule(N, n_r, 1)``
+    (any N), exact for radial integrands only: its table keeps the span of
+    the degree-0 modes (``evolve.radial_invariant``), the other rows zero.
+    :func:`_gram_residual` gates the table against the identity on its span.
     """
     spec = basis.spectrum
     lmax = basis.max_degree()
     if radial:
         rule = zonal_rule(spec.N, n_r, 1)
     elif spec.N != 3 and lmax > 0:
-        raise ConfigurationError(
-            "nodal collocation with anisotropic modes requires N = 3"
-        )
+        raise ConfigurationError("nodal collocation with anisotropic modes requires N = 3")
     else:
         rule = product_rule(spec.N, n_r, 2 * lmax + 10, 4 * lmax + 10)
     span = radial_modes(basis) if radial else np.ones(basis.size, dtype=bool)
-    r = rule.radial.nodes_r
-    radial_table = _radial_rows(basis.modes, r)
+    radial_table = _radial_rows(basis.modes, rule.radial.nodes_r)
     psi_k = ang.eval_psi_block(spec, rule.angular_dirs)[[m.j - 1 for m in basis.modes]]
     # off the span both factors are zero (psi is not evaluable for l > 0 in N > 3)
     radial_table[~span] = 0.0
     psi_k[~span] = 0.0
     Phi = (radial_table[:, :, None] * psi_k[:, None, :]).reshape(basis.size, -1)
-    angular_gram = (psi_k * rule.angular_weights) @ psi_k.T
-    gram = (Phi * rule.weights) @ Phi.T
-    gram_residual = float(np.max(np.abs(gram - np.diag(span.astype(float)))))
-    if gram_residual > 1e-4:
-        raise QuadratureError(
-            f"collocation Gram residual {gram_residual:.3e}: the shared-node "
-            "rule cannot represent this basis; raise n_r"
-        )
-    return Collocation(rule, Phi, radial_table, angular_gram, gram_residual)
+    return Collocation(rule, Phi, _gram_residual(Phi, rule.weights, span.astype(float)))
+
+
+def _gram_residual(table, weights, span) -> float:
+    """max |table diag(weights) table^T - diag(span)| of a rule's mode table;
+    above 1e-4 the rule cannot represent the modes: QuadratureError."""
+    residual = float(np.max(np.abs((table * weights) @ table.T - np.diag(span)), initial=0.0))
+    if residual > 1e-4:
+        raise QuadratureError(f"Gram residual {residual:.3e} > 1e-4; raise radial_nodes")
+    return residual
+
+
+@dataclass(frozen=True)
+class MatchedBlocks:
+    """A radial g on the modes: <g V_p, V_q> is 0 unless p and q share the
+    angular index j, hence alpha_j, and the Gauss-Laguerre rule of exponent
+    N/2 - 1 - alpha_j (``_pair_matrix``'s at shift 0) integrates a j-block.
+
+    ``live`` indexes the modes of the blocks kept, block after block;
+    ``radii`` (r = 2 sqrt(s)) and ``weights`` (times 2^(N-1-2 alpha_j))
+    concatenate their rules; ``table[k]`` is P_k(s) / norm_k at its block's
+    nodes, 0 at the others'.  So g acts on c[live] as table diag(weights
+    g(radii)) table^T, exactly 0 between blocks, and I at g = 1 up to
+    ``gram_residual``.
+    """
+
+    live: np.ndarray
+    radii: np.ndarray
+    weights: np.ndarray
+    table: np.ndarray
+    gram_residual: float
+
+
+def matched_blocks(basis: OUBasis, rows: np.ndarray, n_r: int = 64) -> MatchedBlocks:
+    """The j-blocks on which the coefficient ``rows`` are nonzero, each on
+    its matched n_r-node rule, past :func:`_gram_residual`'s gate."""
+    modes, N, on = basis.modes, basis.N, np.any(rows, axis=0)
+    blocks = [idx for _, idx in _j_blocks(modes) if np.any(on[idx])]
+    alphas = [modes[idx[0]].alpha_j for idx in blocks]
+    rules = [laguerre_rule(N / 2.0 - 1.0 - alpha, n_r) for alpha in alphas]
+    live = np.concatenate([np.zeros(0, dtype=int), *blocks])
+    table = np.zeros((len(live), sum(rule.count for rule in rules)))
+    row = col = 0
+    for idx, rule in zip(blocks, rules):
+        table[row:row + len(idx), col:col + rule.count] = [
+            modes[i].poly(rule.nodes) / modes[i].norm_L for i in idx]
+        row, col = row + len(idx), col + rule.count
+    radii = np.concatenate([np.zeros(0), *(rule.nodes_r for rule in rules)])
+    weights = np.concatenate([np.zeros(0), *(2.0 ** (N - 1 - 2.0 * alpha) * rule.weights
+                                             for alpha, rule in zip(alphas, rules))])
+    return MatchedBlocks(live, radii, weights, table,
+                         _gram_residual(table, weights, np.ones(len(live))))

@@ -197,8 +197,8 @@ class ProductRule:
 
         int f(x) G(x,t) dx  ~=  sum(weights * f(sqrt(t) * points)).
 
-    The weights factor as weights[i * n_ang + a] = radial_weights[i] *
-    angular_weights[a] (up to rounding), radial node i outermost.  A
+    The weights factor into radial and angular weights (up to rounding),
+    radial node i outermost.  A
     :func:`zonal_rule` is exact only for integrands zonal about e1.
     """
 
@@ -208,7 +208,6 @@ class ProductRule:
     angular_weights: np.ndarray
     points: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
-    radial_weights: np.ndarray = field(repr=False)
 
     def points_at(self, t: float) -> np.ndarray:
         return math.sqrt(t) * self.points
@@ -242,12 +241,10 @@ def _radial_x_angular(N: int, n_r: int, a_gl: float | None, dirs, aw) -> Product
     jacobian = 2.0 ** (N - 1)
     weights = (jacobian * np.repeat(radial.weights, n_ang) * np.tile(aw, n_eff)
                * np.repeat(s_pow, n_ang))
-    radial_weights = jacobian * radial.weights * s_pow
     points.setflags(write=False)
     weights = np.ascontiguousarray(weights)
     weights.setflags(write=False)
-    radial_weights.setflags(write=False)
-    rule = ProductRule(N, radial, dirs, aw, points, weights, radial_weights)
+    rule = ProductRule(N, radial, dirs, aw, points, weights)
     if a_gl == N / 2.0 - 1.0:
         _check_unit_mass(rule)
     return rule

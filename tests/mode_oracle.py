@@ -18,9 +18,9 @@ gives the independent nodal route the tests compare against:
 - ``derivative`` of a polynomial and ``radii`` of a product rule's nodes;
 - a linear h(x, t) of any shape evaluated at every node of a collocation
   (``nodal_linear_forcing``, ``nodal_linear_march``), the route the package
-  replaced by K x K matrices of a radial profile, with ``radial_h`` the
-  nodal h of a profile, and the admissibility ratio sampled at every node
-  (``admissibility_at_nodes``).
+  replaced by matched radial blocks of a radial profile, with ``radial_h``
+  the nodal h of a profile, and the admissibility ratio sampled at points
+  (``admissibility_at_points``).
 """
 
 from __future__ import annotations
@@ -228,12 +228,13 @@ def nodal_linear_march(basis: OUBasis, col: Collocation, h, c0: np.ndarray,
                          ev.PerturbationSpec("linear", label="nodal h"), float(taus[0] - taus[1]))
 
 
-def admissibility_at_nodes(h, C_h: float, eps_h: float, col: Collocation) -> float:
-    """The largest |h(x, t)| / (C_h (1 + |x|^{-2+eps_h})) over every node
-    x = sqrt(t) x_m of col's rule, at every time of ADMISSIBILITY_TIMES."""
+def admissibility_at_points(h, C_h: float, eps_h: float, points: np.ndarray) -> float:
+    """The largest |h(x, t)| / (C_h (1 + |x|^{-2+eps_h})) over every point
+    x = sqrt(t) x_m of the t = 1 points x_m (shape (M, N)), at every time of
+    ADMISSIBILITY_TIMES."""
     worst = 0.0
     for t in ev.ADMISSIBILITY_TIMES:
-        x = math.sqrt(t) * col.rule.points
+        x = math.sqrt(t) * points
         bound = C_h * (1.0 + np.linalg.norm(x, axis=1) ** (-2.0 + eps_h))
         worst = max(worst, float(np.max(np.abs(h(x, t)) / bound)))
     return worst

@@ -348,6 +348,35 @@ def test_cmd_beta_unperturbed_dimension_four(tmp_path):
     assert json.loads((tmp_path / "beta.json").read_text())["gamma"] == 0.0
 
 
+def test_cmd_linear_non_radial_dimension_four(tmp_path):
+    # a radial h needs no eigenfunction value, so data on an l > 0 mode,
+    # which has no nodal table in N = 4, marches its two j-blocks on their
+    # matched rules, and the run snaps to the lower eigenvalue
+    path, _ = write_config(tmp_path, dimension=4, perturbation="linear_bounded:0.1",
+                           initial="modes:0=1.0,1=0.5", gamma_max=1.0, dtau=0.01,
+                           tau_min=math.log(1e-6), directory=str(tmp_path))
+    for cmd in ("simulate", "beta"):
+        assert main([cmd, "--config", path]) == 0, cmd
+    doc = json.loads((tmp_path / "frequency.json").read_text())
+    assert doc["fit"]["snapped"] and doc["fit"]["gamma_hat"] == 0.0
+    assert (doc["collocation_rule"], doc["collocation_nodes"]) == ("matched", 128)
+    beta = json.loads((tmp_path / "beta.json").read_text())
+    assert beta["gamma"] == 0.0 and beta["integral_vs_direct"] < 1e-8
+
+
+def test_short_angular_spectrum_names_angular_count(tmp_path, capsys):
+    # the default 36 eigenvalues certify gamma_max < -alpha_K/2 = 2.5 at
+    # a = 0 in N = 3, so gamma_max = 3 exits 3 and names the key to raise
+    path, _ = write_config(tmp_path, gamma_max=3.0, directory=str(tmp_path))
+    for cmd in ("spectrum", "simulate"):
+        assert main([cmd, "--config", path]) == 3, cmd
+        err = capsys.readouterr().err
+        assert "angular_count = 36" in err and "-alpha_K/2 = 2.5" in err, err
+        assert err.rstrip().endswith("raise angular_count"), err
+    path, _ = write_config(tmp_path, gamma_max=3.0, angular_count=64, directory=str(tmp_path))
+    assert main(["spectrum", "--config", path]) == 0
+
+
 def test_cmd_simulate_outputs_and_determinism(tmp_path):
     path, _ = write_config(
         tmp_path, gamma_max=1.0, tau_min=math.log(1e-2),

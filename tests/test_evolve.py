@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from hardyheat import angular as ang
 from hardyheat import evolve as ev
 from hardyheat import ou_basis as ou
-from hardyheat.errors import AccuracyError, ConfigurationError
-from mode_oracle import admissibility_at_nodes, nodal_linear_forcing, nodal_linear_march, radial_h
+from hardyheat.errors import AccuracyError, ConfigurationError, QuadratureError
+from mode_oracle import admissibility_at_points, nodal_linear_forcing, nodal_linear_march, radial_h
 
 
 def test_build_initial_mode_list(basis0):
@@ -71,14 +71,25 @@ def test_rhs_unperturbed_diagonal(basis0):
     assert not np.any(traj.forcing) and traj.collocation is None
 
 
+def _all_blocks(basis, n_r=64):
+    """The matched blocks of every mode of the basis."""
+    return ou.matched_blocks(basis, np.ones((1, basis.size)), n_r)
+
+
+def _forcing(pert, t, c, blocks):
+    """M(t) c on the live modes of blocks, 0 on the others."""
+    F = np.zeros_like(c)
+    F[blocks.live] = ev.linear_forcing_matrices([t], pert, blocks)[0] @ c[blocks.live]
+    return F
+
+
 def test_rhs_constant_h_identity_coupling(basis0, col0):
     # <eps v, V_k> = eps c_k by orthonormality, on the matrix route and on
     # the nodal oracle
     eps, t = 0.1, math.exp(-0.7)
     c = np.random.default_rng(1).normal(size=basis0.size)
     pert = ev.PerturbationSpec.linear_constant(eps)
-    M = ev.linear_forcing_matrices([t], pert, col0)[0]
-    np.testing.assert_allclose(M @ c, eps * c, atol=1e-12)
+    np.testing.assert_allclose(_forcing(pert, t, c, _all_blocks(basis0)), eps * c, atol=1e-12)
     np.testing.assert_allclose(nodal_linear_forcing(radial_h(pert.h_radial), t, c, col0),
                                eps * c, atol=1e-12)
 
@@ -95,10 +106,9 @@ def test_rhs_semilinear_parity(basis0, col0):
 
 
 @pytest.fixture(scope="module")
-def col_aniso():
+def basis_aniso():
     # configs/anisotropic.ini: fractional radial exponents and mixed
-    # harmonics, where the shared-node rule is not exact
-    from hardyheat import angular as ang
+    # harmonics, where the shared-node product rule is not exact
     from hardyheat.config import RunConfig, parse_potential
 
     cfg = RunConfig.from_file(
@@ -106,35 +116,107 @@ def col_aniso():
     )
     spec = ang.solve_angular(parse_potential(cfg), L=cfg.angular_truncation,
                              K=cfg.angular_count, N=cfg.dimension)
-    basis = ou.enumerate_modes(spec, cfg.gamma_max)
-    return ou.build_collocation(basis, n_r=cfg.radial_nodes)
+    return ou.enumerate_modes(spec, cfg.gamma_max)
 
 
 @pytest.mark.parametrize("which", ["a0", "aniso"])
-def test_radial_forcing_matrix_matches_nodal(which, col0, col_aniso):
-    col = col0 if which == "a0" else col_aniso
-    K = col.Phi.shape[0]
-    # A couples every pair of modes sharing psi_j, so M is no diagonal shortcut
-    assert np.max(np.abs(col.angular_gram - np.eye(K))) > 0.5
-    if which == "aniso":
-        assert col.gram_residual > 1e-8  # inexact rule: the match is order-of-sum only
+def test_radial_forcing_matrix_matches_nodal(which, basis0, col0, basis_aniso):
+    # the matched blocks against h at every node of the product rule (the
+    # tests' nodal oracle) on the same n_r.  On the a = 0 basis (the
+    # configs/bounded_h.ini basis) the radial block shares the product
+    # rule's radial rule, so it matches to rounding at every t, and so does
+    # every block where h(sqrt(t) r) is nearly constant (t <= 0.02); at t = 1
+    # the pole of 0.1 / (1 + r^2) at s = -1/4 leaves the product rule's
+    # s^l-weighted integrands of degree l > 0 off by up to 3.0e-6 relative
+    # (measured).  On the anisotropic basis the product rule itself is off
+    # by its Gram residual (1.5e-6).
+    basis = basis0 if which == "a0" else basis_aniso
+    col = col0 if which == "a0" else ou.build_collocation(basis, n_r=48)
+    blocks = _all_blocks(basis, 48)
     rng = np.random.default_rng(3)
+    for pert, constant in ((ev.PerturbationSpec.linear_bounded(0.1), False),
+                           (ev.PerturbationSpec.linear_constant(-0.3), True)):
+        for t in (1.0, 0.02, 1e-6):
+            c = rng.normal(size=basis.size)
+            nodal = nodal_linear_forcing(radial_h(pert.h_radial), t, c, col)
+            F = _forcing(pert, t, c, blocks)
+            if which == "aniso":
+                bound = 4.0 * col.gram_residual
+            else:
+                bound = 1e-14 if constant or t < 1.0 else 1e-5
+            assert np.max(np.abs(F - nodal)) <= bound * np.max(np.abs(nodal)), (pert.label, t)
+            if which == "a0":  # the radial block alone: the same rule at every t
+                c[~ou.radial_modes(basis)] = 0.0
+                nodal = nodal_linear_forcing(radial_h(pert.h_radial), t, c, col)
+                F = _forcing(pert, t, c, blocks)
+                assert np.max(np.abs(F - nodal)) <= 1e-14 * np.max(np.abs(nodal))
+
+
+def test_linear_constant_matrix_is_scaled_identity(basis0, basis_aniso):
+    # orthonormality: <eps V_l, V_k> = eps delta_kl, whatever t, to rounding
+    # on each block's matched rule, on the a = 0 basis and on the
+    # anisotropic one, where the shared product rule was off by 1.5e-6
+    for basis in (basis0, basis_aniso):
+        blocks = _all_blocks(basis)
+        assert sorted(blocks.live) == list(range(basis.size))
+        M = ev.linear_forcing_matrices([1.0, 1e-4], ev.PerturbationSpec.linear_constant(0.7),
+                                       blocks)
+        assert np.max(np.abs(M - 0.7 * np.eye(basis.size))) <= 1e-14
+        assert blocks.gram_residual <= 1e-14
+
+
+def test_matched_blocks_gram_gate(basis0):
+    # T diag(w) T^T - I, the M of h = 1, is gated at 1e-4: two nodes cannot
+    # integrate the radial block's degree-4 products (its residual is O(1)),
+    # and a linear run refuses them before marching, as the product rule's
+    # gate refuses a collocation; three nodes are exact again
+    c0 = np.zeros(basis0.size)
+    c0[0] = 1.0
+    with pytest.raises(QuadratureError, match="raise radial_nodes"):
+        ou.matched_blocks(basis0, c0[None], 2)
+    pert = ev.PerturbationSpec.linear_bounded(0.1)
+    with pytest.raises(QuadratureError, match="raise radial_nodes"):
+        ev.integrate_backward(basis0, c0, math.log(0.5), 0.01, pert, n_r=2)
+    assert ou.matched_blocks(basis0, c0[None], 3).gram_residual < 1e-13
+    with pytest.raises(QuadratureError, match="raise radial_nodes"):
+        ou.build_collocation(basis0, n_r=2)
+
+
+def test_matched_blocks_match_adaptive_radial_quadrature(basis_aniso):
+    # each entry of M against scipy's adaptive quad of
+    # int f_p f_q h(sqrt(t) r, t) r^2 e^{-r^2/4} dr on the anisotropic
+    # basis; entries between two angular indices are exactly 0.  At t = 1
+    # the pole of 0.1 / (1 + r^2) at s = -1/4 bounds the rule's geometric
+    # convergence: measured 2.4e-8 at n_r = 64 and 3.2e-11 at n_r = 128
+    import warnings
+    from scipy.integrate import quad
+
+    from hardyheat.ou_basis import _radial_rows
+
+    basis, K = basis_aniso, basis_aniso.size
+    js = np.array([m.j for m in basis.modes])
+    by_nr = {n_r: _all_blocks(basis, n_r) for n_r in (64, 128)}
+    bounds = {1.0: {64: 5e-8, 128: 1e-10}, 1e-3: {64: 1e-15, 128: 1e-15}}
     for pert in (ev.PerturbationSpec.linear_bounded(0.1),
                  ev.PerturbationSpec.linear_constant(-0.3)):
-        for t in (1.0, 0.02, 1e-6):
-            c = rng.normal(size=K)
-            nodal = nodal_linear_forcing(radial_h(pert.h_radial), t, c, col)
-            M = ev.linear_forcing_matrices([t], pert, col)[0]
-            scale = np.max(np.abs(nodal))
-            assert np.max(np.abs(M @ c - nodal)) <= 1e-13 * scale
-            np.testing.assert_array_equal(ev._row_forcing([t], c[None], pert, col)[0], M @ c)
-
-
-def test_linear_constant_matrix_is_scaled_identity(basis0, col0):
-    # orthonormality: <eps V_l, V_k> = eps delta_kl, whatever t
-    for t in (1.0, 1e-4):
-        M = ev.linear_forcing_matrices([t], ev.PerturbationSpec.linear_constant(0.7), col0)[0]
-        assert np.max(np.abs(M - 0.7 * np.eye(basis0.size))) <= 1e-13
+        for t, bound in bounds.items():
+            ref = np.zeros((K, K))
+            for p, q in zip(*np.nonzero(np.triu(js[:, None] == js[None, :]))):
+                modes = [basis.modes[p], basis.modes[q]]
+                def f(r):
+                    h = pert.h_radial(np.array([math.sqrt(t) * r]), np.array([t]))[0]
+                    return np.prod(_radial_rows(modes, np.array([r]))) * r * r \
+                        * math.exp(-r * r / 4.0) * h
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # quad's round-off notice
+                    ref[p, q] = ref[q, p] = quad(f, 0.0, np.inf, epsabs=1e-16,
+                                                 epsrel=1e-14, limit=200)[0]
+            for n_r, blocks in by_nr.items():
+                M = np.zeros((K, K))
+                M[np.ix_(blocks.live, blocks.live)] = ev.linear_forcing_matrices(
+                    [t], pert, blocks)[0]
+                assert not np.any(M[js[:, None] != js[None, :]])
+                assert np.max(np.abs(M - ref)) <= bound[n_r], (pert.label, t, n_r)
 
 
 def test_pure_mode_power_law(basis0, col0, tau_small):
@@ -259,7 +341,8 @@ def test_stored_forcing_is_the_rowwise_forcing(name, basis0, col0, monkeypatch):
     # row's F is the one a direct call at (t_i, c_i) returns, bit for bit;
     # the check marches every second row and ends on the last, for odd n too.
     # The semilinear term is called at every RK4 stage; a linear h makes no
-    # call and builds M at the three stage times of each step and at the last row
+    # call and builds M at the three stage times of each step and at the last
+    # row, on the live modes of its matched blocks, which stored rows rebuild
     pert = _STORED_FORCING_CASES[name]
     radial = pert.kind == "linear"
     c0 = np.zeros(basis0.size)
@@ -287,7 +370,7 @@ def test_stored_forcing_is_the_rowwise_forcing(name, basis0, col0, monkeypatch):
         np.testing.assert_array_equal(coarse, traj.tau[sorted({*range(0, n + 1, 2), n})])
         monkeypatch.undo()
         # a linear h forces through its single-time M, the semilinear term by one call
-        rowwise = np.array([ev.linear_forcing_matrices([t], pert, col0)[0] @ c if radial
+        rowwise = np.array([_forcing(pert, t, c, traj.blocks) if radial
                             else ev.forcing_coefficients(c, pert, col0)
                             for t, c in zip(traj.t, traj.coeffs)])
         assert np.any(rowwise)
@@ -297,18 +380,24 @@ def test_stored_forcing_is_the_rowwise_forcing(name, basis0, col0, monkeypatch):
         np.testing.assert_array_equal(rebuilt.tau, traj.tau)
         np.testing.assert_array_equal(rebuilt.t, traj.t)
         np.testing.assert_array_equal(rebuilt.forcing, traj.forcing)
+        if radial:
+            np.testing.assert_array_equal(rebuilt.blocks.live, traj.blocks.live)
 
 
 @pytest.mark.parametrize("name", ["linear_bounded", "linear_constant"])
 def test_step_matrix_march_matches_nodal_march(name, basis0, col0):
     # the same h evaluated at every node and RK4 stage (the tests' nodal
-    # oracle, fine and coarse marches alike): the two differ by round-off only
+    # oracle, fine and coarse marches alike) on the same n_r: the two differ
+    # by round-off only where the rules integrate alike, a constant h on
+    # every block and any h on the radial block, whose matched rule is the
+    # product rule's radial rule
     pert = getattr(ev.PerturbationSpec, name)(0.1)
     h = radial_h(pert.h_radial)
     c0 = np.zeros(basis0.size)
-    c0[0], c0[3], c0[7] = 1.0, 0.5, -0.25
+    picks = (0, 3, 7) if name == "linear_constant" else np.flatnonzero(ou.radial_modes(basis0))
+    c0[list(picks)] = 1.0, 0.5, -0.25
     for tau_min in (math.log(0.5), -0.705):
-        fast = ev.integrate_backward(basis0, c0, tau_min, 0.01, pert, col0)
+        fast = ev.integrate_backward(basis0, c0, tau_min, 0.01, pert, n_r=48)
         taus, _ = ev.tau_grid(tau_min, 0.01)
         slow = nodal_linear_march(basis0, col0, h, c0, taus)
         n = slow.size - 1
@@ -325,25 +414,28 @@ def test_step_matrix_march_matches_nodal_march(name, basis0, col0):
 @settings(max_examples=25, deadline=None)
 @given(taus=st.lists(st.floats(ev.TAU_FLOOR, 0.0), min_size=1, max_size=40),
        cut=st.integers(0, 40), seed=st.integers(0, 2**32 - 1))
-def test_stacked_forcing_matrices_are_the_single_time_ones(taus, cut, seed, col0):
+def test_stacked_forcing_matrices_are_the_single_time_ones(taus, cut, seed, basis0):
     # the bitwise identities behind the stored forcing: each slice of a
     # stacked build is the single-time M whatever else shares the call, the
     # stacked product (M @ C[..., None])[..., 0] is M_i @ c_i row by row, and
-    # the forcing of stored rows is that product
+    # the forcing of stored rows is that product on the live modes
     ts = np.array([math.exp(tau) for tau in taus])
-    c = np.random.default_rng(seed).normal(size=(len(ts), col0.Phi.shape[0]))
+    blocks = _all_blocks(basis0, 48)
+    c = np.random.default_rng(seed).normal(size=(len(ts), basis0.size))
+    live = c[:, blocks.live]
     for pert in (ev.PerturbationSpec.linear_bounded(0.1),
                  ev.PerturbationSpec.linear_constant(-0.3)):
-        M = ev.linear_forcing_matrices(ts, pert, col0)
-        parts = [ev.linear_forcing_matrices(part, pert, col0)
+        M = ev.linear_forcing_matrices(ts, pert, blocks)
+        parts = [ev.linear_forcing_matrices(part, pert, blocks)
                  for part in (ts[:cut], ts[cut:]) if len(part)]
         np.testing.assert_array_equal(np.concatenate(parts), M)
-        F = (M @ c[..., None])[..., 0]
+        F = np.zeros_like(c)
+        F[:, blocks.live] = (M @ live[..., None])[..., 0]
         for i, t in enumerate(ts):
-            single = ev.linear_forcing_matrices([t], pert, col0)[0]
+            single = ev.linear_forcing_matrices([t], pert, blocks)[0]
             np.testing.assert_array_equal(M[i], single)
-            np.testing.assert_array_equal(F[i], single @ c[i])
-        np.testing.assert_array_equal(ev._row_forcing(ts, c, pert, col0), F)
+            np.testing.assert_array_equal(F[i, blocks.live], single @ live[i])
+        np.testing.assert_array_equal(ev._row_forcing(ts, c, pert, None, blocks), F)
 
 
 def test_backward_stability_nonincreasing(basis0, col0, tau_small):
@@ -383,53 +475,59 @@ def test_parameter_validation(basis0, col0):
         ev.PerturbationSpec.semilinear(0.1, 6.0, 3)
 
 
-def test_check_h_admissible(basis0, col0):
+def test_check_h_admissible(basis0):
+    radii = _all_blocks(basis0, 48).radii
     ok, fails, ratio = ev.check_h_admissible(lambda r, t: np.full(np.shape(r), 0.3), 0.3, 1.0,
-                                             col0)
+                                             radii)
     assert ok and not fails
     # |h| = C_h sits below C_h (1 + r^{-1}) everywhere, closest at the
     # outermost node at t = 1; an h on the bound reaches ratio 1
-    r_max = float(np.max(col0.rule.radial.nodes_r))
+    r_max = float(np.max(radii))
     assert ratio <= 1.0 and ratio == pytest.approx(1.0 / (1.0 + 1.0 / r_max), rel=1e-14)
-    ok, _, ratio = ev.check_h_admissible(lambda r, t: 0.3 * (1.0 + 1.0 / r), 0.3, 1.0, col0)
+    ok, _, ratio = ev.check_h_admissible(lambda r, t: 0.3 * (1.0 + 1.0 / r), 0.3, 1.0, radii)
     assert ok and ratio == pytest.approx(1.0, rel=1e-14)
-    ok, _, _ = ev.check_h_admissible(lambda r, t: 1.0 / r, 1.0, 1.0, col0)
+    ok, _, _ = ev.check_h_admissible(lambda r, t: 1.0 / r, 1.0, 1.0, radii)
     assert ok  # exact form of the bound
-    ok, fails, ratio = ev.check_h_admissible(lambda r, t: 1.0 / (r * r), 1.0, 1.5, col0)
+    ok, fails, ratio = ev.check_h_admissible(lambda r, t: 1.0 / (r * r), 1.0, 1.5, radii)
     assert not ok and fails  # |x|^{-2} beats the bound at small nodes
     assert ratio >= (1.0 - 1e-14) * max(f[2] / f[3] for f in fails) > 1.0
 
 
-def test_admissibility_on_radii_matches_every_node(col_aniso):
-    # a radial h and its bound take one value on each node sphere, so the
-    # rule's n_r radii give the worst ratio that all its nodes give: bit for
-    # bit on the radial rule, whose one direction is a unit axis, and to
-    # rounding of the node norms on the product rule
+def test_admissibility_on_radii_matches_every_node(basis_aniso):
+    # a radial h and its bound take one value on each sphere, so the radii of
+    # the matched rules give the worst ratio that every point of their
+    # spheres gives: bit for bit on the unit axis e1, and to rounding of the
+    # norms on the directions of a product rule
     from hardyheat import cli
     from hardyheat.config import RunConfig, parse_initial, parse_perturbation
+    from hardyheat.quadrature import product_rule
 
     cfg = RunConfig.from_file(os.path.join(os.path.dirname(__file__), "..", "perfbench",
                                            "workloads", "bounded_h.ini"))
     _, basis = cli._spectrum_and_basis(cfg)
-    workload = parse_perturbation(cfg)
-    col = ev.collocation_for(basis, workload, parse_initial(cfg, basis), n_r=cfg.radial_nodes)
-    assert col.radial and len(col.weights) == cfg.radial_nodes
+    workload, c0 = parse_perturbation(cfg), parse_initial(cfg, basis)
+    radii = ou.matched_blocks(basis, c0[None], cfg.radial_nodes).radii
+    assert len(radii) == cfg.radial_nodes  # the radial block alone
+    axis = radii[:, None] * np.eye(3)[0]
+    aniso_radii = _all_blocks(basis_aniso).radii
+    dirs = product_rule(3, 4, 6, 12).angular_dirs
+    spheres = (aniso_radii[:, None, None] * dirs).reshape(-1, 3)
     aging = ev.PerturbationSpec("linear", h_radial=lambda r, t: 0.1 / (1.0 + r * r + t),
                                 C_h=0.1)
     for pert in (workload, aging):
         args = (pert.h_radial, pert.C_h, pert.eps_h)
-        ok, fails, worst = ev.check_h_admissible(*args, col)
+        ok, fails, worst = ev.check_h_admissible(*args, radii)
         assert ok and not fails and 0.0 < worst < 1.0
-        assert worst == admissibility_at_nodes(radial_h(pert.h_radial), *args[1:], col)
-        ok, _, worst = ev.check_h_admissible(*args, col_aniso)
-        oracle = admissibility_at_nodes(radial_h(pert.h_radial), *args[1:], col_aniso)
+        assert worst == admissibility_at_points(radial_h(pert.h_radial), *args[1:], axis)
+        ok, _, worst = ev.check_h_admissible(*args, aniso_radii)
+        oracle = admissibility_at_points(radial_h(pert.h_radial), *args[1:], spheres)
         assert ok and abs(worst - oracle) <= 1e-15 * oracle
-    # an inverse-square h fails, and each failure names a radial node
-    ok, fails, worst = ev.check_h_admissible(lambda r, t: 1.0 / (r * r), 1.0, 1.5, col)
-    assert not ok and worst == admissibility_at_nodes(
-        lambda x, t: 1.0 / np.sum(x * x, axis=1), 1.0, 1.5, col) > 1.0
+    # an inverse-square h fails, and each failure names a radius
+    ok, fails, worst = ev.check_h_admissible(lambda r, t: 1.0 / (r * r), 1.0, 1.5, radii)
+    assert not ok and worst == admissibility_at_points(
+        lambda x, t: 1.0 / np.sum(x * x, axis=1), 1.0, 1.5, axis) > 1.0
     for t, i, h, bound in fails:
-        r = math.sqrt(t) * col.rule.radial.nodes_r[i]
+        r = math.sqrt(t) * radii[i]
         assert (h, bound) == pytest.approx((1.0 / (r * r), 1.0 + r ** -0.5), rel=1e-15)
 
 

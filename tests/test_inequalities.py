@@ -105,7 +105,7 @@ def test_zonal_sweep_rule_converged_in_angle():
     # within 4.4e-16 over 1,000 members
     fine = zonal_pair(3, n_polar=128)
     rules = zonal_pair(3)
-    assert all(np.array_equal(f.radial_weights, r.radial_weights) for f, r in zip(fine, rules))
+    assert all(np.array_equal(f.radial.weights, r.radial.weights) for f, r in zip(fine, rules))
     spec = ang.solve_angular(ang.AngularPotential.constant(0.15), K=8, N=3)
     for bump in map(on_e1, ineq.TestFamily("bumps", 3, 200, 1).members()):
         np.testing.assert_allclose(_sweep_values(bump, rules, spec),

@@ -1,11 +1,13 @@
-"""The radial rule: runs that stay in the span of the degree-0 modes.
+"""The radial rule and the matched blocks: runs that keep a span.
 
-Under a constant potential a semilinear or radial linear forcing maps radial
-functions to radial functions, so such a run is marched on the n_r-node
-radial rule.  These tests hold it against the product rule, check the
-fallbacks and the guard, and check the semilinear workload against the
-closed form of its Bernoulli ODE.  The unperturbed flow forces nothing, so
-it builds no collocation at all.
+Under a constant potential the semilinear term maps radial functions to
+radial functions, so a semilinear run on the degree-0 modes is marched on
+the n_r-node radial rule.  These tests hold it against the product rule,
+check the fallbacks and the guard, and check the semilinear workload
+against the closed form of its Bernoulli ODE.  A radial linear h keeps every
+angular block, so a linear run marches the data's j-blocks alone, each on
+its matched radial rule, and builds no collocation; the unperturbed flow
+forces nothing, so it builds none either.
 """
 
 import dataclasses
@@ -26,6 +28,7 @@ from hardyheat import ou_basis as ou
 from hardyheat import quadrature as quad
 from hardyheat.config import RunConfig, parse_initial, parse_perturbation
 from hardyheat.errors import ConfigurationError
+from mode_oracle import nodal_linear_march, radial_h
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -66,22 +69,30 @@ def _beta(cfg, spec, traj):
 
 @pytest.fixture(scope="module", params=sorted(RADIAL_CASES))
 def reduced_and_full(request):
-    """(cfg, spec, the CLI's trajectory, the same run on the product rule)."""
+    """(cfg, spec, the CLI's trajectory, the same run on the product rule:
+    the semilinear march, or a linear h at every node by the tests' nodal
+    oracle)."""
     path, overrides = RADIAL_CASES[request.param]
     cfg = _config(path, **overrides)
     spec, basis = cli._spectrum_and_basis(cfg)
     reduced = cli._trajectory(cfg, basis)
     product = ou.build_collocation(basis, n_r=cfg.radial_nodes)
-    full = ev.integrate_backward(basis, parse_initial(cfg, basis), cfg.tau_min, cfg.dtau,
-                                 parse_perturbation(cfg), product)
+    pert, c0 = parse_perturbation(cfg), parse_initial(cfg, basis)
+    if pert.kind == "linear":
+        full = nodal_linear_march(basis, product, radial_h(pert.h_radial), c0, reduced.tau)
+    else:
+        full = ev.integrate_backward(basis, c0, cfg.tau_min, cfg.dtau, pert, product)
     return cfg, spec, reduced, full
 
 
 def test_reduced_run_matches_the_product_rule(reduced_and_full):
-    # measured: rows within 5.3e-19, beta bit for bit
+    # measured: rows within 5.3e-19, beta bit for bit; a linear h's radial
+    # block is matched by the product rule's own radial rule
     cfg, spec, reduced, full = reduced_and_full
-    assert reduced.collocation.radial and not full.collocation.radial
-    assert len(reduced.collocation.weights) == cfg.radial_nodes
+    assert not full.collocation.radial
+    rule = reduced.blocks or reduced.collocation
+    assert len(rule.weights) == cfg.radial_nodes
+    assert (reduced.collocation is None) == (reduced.blocks is not None)
     assert not np.any(reduced.coeffs[:, ~ou.radial_modes(reduced.basis)])
     assert np.max(np.abs(reduced.coeffs - full.coeffs)) <= 1e-15
     beta, beta_full = _beta(cfg, spec, reduced), _beta(cfg, spec, full)
@@ -110,7 +121,7 @@ def test_radial_simulate_forces_on_one_direction(tmp_path, monkeypatch):
 PRODUCT_CASES = {
     "non_radial_mode_in_c0": (SEMILINEAR, {"initial": "modes:0=1.0,1=0.5"}),
     "anisotropic_potential": ("configs/anisotropic.ini",
-                              {"perturbation": "linear_bounded:0.1"}),
+                              {"perturbation": "semilinear:0.05:2.0"}),
     "unperturbed": (SEMILINEAR, {"perturbation": "none"}),
 }
 
@@ -166,17 +177,37 @@ def test_collocations_built_per_command(perturbation, tmp_path, monkeypatch):
         calls.update(dict.fromkeys(calls, 0))
 
 
-def test_non_radial_data_under_linear_bounded_takes_the_product_rule(basis0):
-    # a linear h is radial, so the data alone decide the rule
-    pert = ev.PerturbationSpec.linear_bounded(0.1)
-    c0 = np.zeros(basis0.size)
-    c0[0] = 1.0
-    assert ev.radial_invariant(basis0, c0)
-    assert ev.integrate_backward(basis0, c0, math.log(0.5), 0.01, pert).collocation.radial
-    c0[np.flatnonzero(~ou.radial_modes(basis0))[0]] = 0.5
-    assert not ev.radial_invariant(basis0, c0)
-    traj = ev.integrate_backward(basis0, c0, math.log(0.5), 0.01, pert)
-    assert not traj.collocation.radial
+@pytest.mark.parametrize("name", ("radial_data", "non_radial_data", "anisotropic"))
+def test_linear_run_marches_only_the_data_j_blocks(name, tmp_path, monkeypatch):
+    # a linear h is radial, so it builds no collocation, evaluates no
+    # eigenfunction and marches the j-blocks of the data alone, each on its
+    # matched rule; every other mode stays exactly 0 (the shared product
+    # rule's march left up to 3.1e-18 there on the anisotropic basis)
+    path, overrides = {
+        "radial_data": ("perfbench/workloads/bounded_h.ini", {}),
+        "non_radial_data": ("perfbench/workloads/bounded_h.ini",
+                            {"initial": "modes:0=1.0,1=0.5"}),
+        "anisotropic": ("configs/anisotropic.ini", {"perturbation": "linear_bounded:0.1"}),
+    }[name]
+    cfg = _config(path, tau_min=math.log(1e-2), dtau=0.01, **overrides)
+    _, basis = cli._spectrum_and_basis(cfg)
+    calls = {"build_collocation": 0, "eval_psi_block": 0}
+    _counted(monkeypatch, ou, "build_collocation", calls)
+    psi = ang.eval_psi_block
+    monkeypatch.setattr(ang, "eval_psi_block", lambda *a: calls.update(eval_psi_block=1) or psi(*a))
+    doc = _run(tmp_path, cfg, "simulate")
+    traj = cli._trajectory(cfg, basis)
+    assert calls == {"build_collocation": 0, "eval_psi_block": 0}
+    js = np.array([m.j for m in basis.modes])
+    data_js = set(js[parse_initial(cfg, basis) != 0.0].tolist())
+    live = np.isin(js, sorted(data_js))
+    assert traj.collocation is None
+    assert sorted(traj.blocks.live) == list(np.flatnonzero(live))
+    assert np.all(traj.coeffs[1:, live] != traj.coeffs[0, live])  # the h moves every live mode
+    assert not np.any(traj.coeffs[:, ~live]) and not np.any(traj.forcing[:, ~live])
+    assert (doc["collocation_rule"], doc["collocation_nodes"]) == (
+        "matched", cfg.radial_nodes * len(data_js))
+    assert doc["collocation_gram_residual"] == traj.blocks.gram_residual < 1e-14
 
 
 def test_radial_collocation_guard(basis0):
