@@ -1,10 +1,14 @@
 """Explicit eigenbasis of L = -Lap + x/2 . grad - a(x/|x|)/|x|^2.
 
-Each mode is V_{n,j}(x) = |x|^{-alpha_j} P_{j,n}(|x|^2/4) psi_j(x/|x|) with
-eigenvalue gamma = n - alpha_j/2.  Every mode-pair integral separates into
-an angular factor times a radial integral
+Each mode is V_{n,j}(x) = 2^{-(N-1-2 alpha_j)/2} |x|^{-alpha_j} l_n(|x|^2/4)
+psi_j(x/|x|) with eigenvalue gamma = n - alpha_j/2, where l_n is the
+orthonormal Laguerre polynomial of exponent a_j = N/2 - 1 - alpha_j
+(``specfun.laguerre_table``): M(-n, N/2 - alpha_j, s) up to a positive
+factor, so the modes are orthonormal in closed form.  Every mode-pair
+integral separates into an angular factor times a radial integral
 
-    int_0^inf f_a f_b r^{N-1-2 shift} e^{-r^2/4} dr,    f = r^{-alpha} P(r^2/4),
+    int_0^inf f_a f_b r^{N-1-2 shift} e^{-r^2/4} dr,
+    f = 2^{-(N-1-2 alpha)/2} r^{-alpha} l_n(r^2/4),
 
 and the modes of one angular index share alpha_j, so one generalized
 Gauss-Laguerre rule with the matched exponent integrates a whole (j, j')
@@ -24,7 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,7 +40,7 @@ from .errors import (
     TruncationError,
 )
 from .quadrature import ProductRule, laguerre_rule, product_rule, zonal_rule
-from .specfun import Polynomial, alpha_from_mu, gamma_mk, p_poly
+from .specfun import alpha_from_mu, gamma_mk, laguerre_table
 
 # eq-of-integers detection for the multiplicity count: inside INT_TOL the
 # value is an integer, inside the (INT_TOL, INT_AMBIG) band it is refused.
@@ -49,21 +53,21 @@ BILINEAR_TOL = 1e-6
 
 @dataclass(frozen=True)
 class OUMode:
-    """One eigenfunction V_{n,j} with its normalization constant."""
+    """One orthonormal eigenfunction V_{n,j}."""
 
     j: int                # angular index, 1-based
     n: int                # radial index
     alpha_j: float
     gamma: float
-    poly: Polynomial
-    norm_L: float
     degree: int           # (dominant) harmonic degree of psi_j
 
 
-def _q_poly(mode: OUMode) -> Polynomial:
-    """Q = -alpha P + 2 s P', the polynomial factor of r^{alpha+1} f'."""
-    return Polynomial(tuple(-mode.alpha_j * c + 2.0 * (i * c)
-                            for i, c in enumerate(mode.poly.coeffs)))
+def _laguerre_rows(modes, N: int, s: np.ndarray):
+    """(l, D) rows of the modes, all of one angular index, at the points s:
+    :func:`laguerre_table` of exponent N/2 - 1 - alpha_j picked by n."""
+    table, D = laguerre_table(N / 2.0 - 1.0 - modes[0].alpha_j, max(m.n for m in modes), s)
+    ns = [m.n for m in modes]
+    return table[ns], D[ns]
 
 
 def _pair_matrix(modes_a, modes_b, N: int, shift: int, mu: float | None = None):
@@ -71,22 +75,24 @@ def _pair_matrix(modes_a, modes_b, N: int, shift: int, mu: float | None = None):
 
     Each list holds modes of one angular index, so every entry shares the
     weight s^{N/2-1-shift-(alpha_a+alpha_b)/2} e^-s and one matched
-    Gauss-Laguerre rule integrates the whole block exactly.  With ``mu``
-    the integrand is the bilinear form's Q_a Q_b + mu P_a P_b instead.
+    Gauss-Laguerre rule integrates the whole block exactly; the modes'
+    factors 2^{-(N-1-2 alpha)/2} leave 2^{-2 shift}.  With ``mu`` the
+    integrand is the bilinear form's Q_a Q_b + mu l_a l_b instead, with
+    Q = -alpha l + 2 s l' the factor of r^{alpha+1} f'.
     """
     alpha2 = modes_a[0].alpha_j + modes_b[0].alpha_j
-    degree = max(m.poly.degree for m in modes_a) + max(m.poly.degree for m in modes_b)
+    degree = max(m.n for m in modes_a) + max(m.n for m in modes_b)
     rule = laguerre_rule(N / 2.0 - 1.0 - shift - alpha2 / 2.0,
                          max(8, degree + 2) + (mu is not None))
-    Pa = np.array([m.poly(rule.nodes) for m in modes_a])[:, None]
-    Pb = np.array([m.poly(rule.nodes) for m in modes_b])[None]
+    Pa, Da = _laguerre_rows(modes_a, N, rule.nodes)
+    Pb, Db = (Pa, Da) if modes_b is modes_a else _laguerre_rows(modes_b, N, rule.nodes)
     if mu is None:
-        vals = Pa * Pb
+        vals = Pa[:, None] * Pb[None]
     else:
-        Qa = np.array([_q_poly(m)(rule.nodes) for m in modes_a])[:, None]
-        Qb = np.array([_q_poly(m)(rule.nodes) for m in modes_b])[None]
-        vals = Qa * Qb + (mu * Pa) * Pb
-    return 2.0 ** (N - 1 - 2 * shift - alpha2) * np.vecdot(vals, rule.weights)
+        Qa = -modes_a[0].alpha_j * Pa + 2.0 * Da
+        Qb = -modes_b[0].alpha_j * Pb + 2.0 * Db
+        vals = Qa[:, None] * Qb[None] + (mu * Pa[:, None]) * Pb[None]
+    return 2.0 ** (-2 * shift) * np.vecdot(vals, rule.weights)
 
 
 def _j_blocks(modes) -> list:
@@ -139,8 +145,6 @@ class OUBasis:
                     "n": m.n,
                     "alpha": m.alpha_j,
                     "gamma": m.gamma,
-                    "poly": list(m.poly.coeffs),
-                    "norm": m.norm_L,
                 }
                 for m in self.modes
             ],
@@ -176,14 +180,14 @@ def enumerate_modes(spectrum: ang.AngularSpectrum, gamma_max: float) -> OUBasis:
 
     Requires the positivity gate, a spectrum long enough that the last
     angular eigenvalue already sits above the gamma_max window, and at
-    least one mode in the window (else ConfigurationError).  The norms
-    and both certification residuals come from one certification_matrices
-    call; residuals are maxima over the upper triangle in mode order.
+    least one mode in the window (else ConfigurationError).  Both
+    certification residuals, against I and diag(gamma), come from one
+    certification_matrices call; they are maxima over the upper triangle,
+    diagonal included, in mode order.
     """
     ang.require_positivity(spectrum)
     alphas = _alphas(spectrum)
     _certify_coverage(spectrum, gamma_max, alphas)
-    N = spectrum.N
     keys = sorted(
         (gamma_mk(n, alpha), j0 + 1, n)
         for j0, alpha in enumerate(alphas)
@@ -195,13 +199,9 @@ def enumerate_modes(spectrum: ang.AngularSpectrum, gamma_max: float) -> OUBasis:
             f"no mode at or below gamma_max = {gamma_max}: the lowest eigenvalue "
             f"under this potential is gamma = {gamma_mk(0, alphas[0])}"
         )
-    unnormalized = [
-        OUMode(j, n, float(alphas[j - 1]), float(gamma), p_poly(n, alphas[j - 1], N),
-               1.0, int(spectrum.degrees[j - 1]))
-        for gamma, j, n in keys
-    ]
-    norms, gram, bilinear = certification_matrices(spectrum, unnormalized)
-    modes = [replace(m, norm_L=float(s)) for m, s in zip(unnormalized, norms)]
+    modes = [OUMode(j, n, float(alphas[j - 1]), float(gamma), int(spectrum.degrees[j - 1]))
+             for gamma, j, n in keys]
+    gram, bilinear = certification_matrices(spectrum, modes)
     gram_res = float(np.max(np.triu(np.abs(gram - np.eye(len(modes))))))
     bil_res = float(np.max(np.triu(np.abs(bilinear - np.diag([m.gamma for m in modes])))))
     if gram_res >= GRAM_TOL:
@@ -214,12 +214,10 @@ def enumerate_modes(spectrum: ang.AngularSpectrum, gamma_max: float) -> OUBasis:
 
 
 def certification_matrices(spectrum: ang.AngularSpectrum, modes):
-    """(norms, Gram, bilinear) of the modes, normalized by their Gram diagonal.
+    """(Gram, bilinear): entry (p, q) is <V_p, V_q> and B(V_p, V_q).
 
     Both matrices are block diagonal in j by psi-orthogonality; each j block
-    is one _pair_matrix call.  Entry (p, q) of the normalized matrices is
-    <V_p, V_q> and B(V_p, V_q); ``norms`` is sqrt of the unnormalized Gram
-    diagonal, whatever the modes' own norm_L.
+    is one _pair_matrix call.
     """
     N = spectrum.N
     K = len(modes)
@@ -229,13 +227,7 @@ def certification_matrices(spectrum: ang.AngularSpectrum, modes):
         mu_j = float(spectrum.eigenvalues[j - 1])
         gram[np.ix_(idx, idx)] = _pair_matrix(block, block, N, 0)
         bilinear[np.ix_(idx, idx)] = _pair_matrix(block, block, N, 1, mu_j)
-    norm2 = np.diag(gram)
-    if np.any(norm2 <= 0.0):
-        bad = modes[int(np.argmin(norm2))]
-        raise TruncationError(f"non-positive norm for mode (n={bad.n}, j={bad.j})")
-    norms = np.sqrt(norm2)
-    scale = 1.0 / np.outer(norms, norms)
-    return norms, gram * scale, bilinear * scale
+    return gram, bilinear
 
 
 def multiplicity(gamma: float, spectrum: ang.AngularSpectrum):
@@ -264,14 +256,19 @@ def multiplicity(gamma: float, spectrum: ang.AngularSpectrum):
     return len(J), J
 
 
-def _radial_rows(modes, r: np.ndarray) -> np.ndarray:
-    """f(r) / norm_L, f = r^{-alpha} P(r^2/4), of each mode at the radii r;
-    shape (len(modes), M)."""
-    return np.array([r ** (-m.alpha_j) * m.poly(r * r / 4.0) / m.norm_L for m in modes])
+def _radial_rows(modes, N: int, r: np.ndarray) -> np.ndarray:
+    """2^{-(N-1-2 alpha)/2} r^{-alpha} l_n(r^2/4) of each mode at the radii r,
+    one table per angular index; shape (len(modes), M)."""
+    out = np.empty((len(modes), len(r)))
+    for _, idx in _j_blocks(modes):
+        alpha = modes[idx[0]].alpha_j
+        out[idx] = 2.0 ** (alpha - (N - 1) / 2.0) * r ** (-alpha) \
+            * _laguerre_rows([modes[i] for i in idx], N, r * r / 4.0)[0]
+    return out
 
 
 def _radial_coupling(basis: OUBasis, S: np.ndarray) -> np.ndarray:
-    """Matrix of S[j_p, j_q] int f_p f_q r^{N-3} e^{-r^2/4} dr / (norm_p norm_q).
+    """Matrix of S[j_p, j_q] int f_p f_q r^{N-3} e^{-r^2/4} dr.
 
     The radial factor is one _pair_matrix block per (j, j') pair with a
     nonzero angular factor, mirrored; the product is formed on the upper
@@ -290,8 +287,7 @@ def _radial_coupling(basis: OUBasis, S: np.ndarray) -> np.ndarray:
             R[np.ix_(ia, ib)] = block
             R[np.ix_(ib, ia)] = block.T
     js = [m.j - 1 for m in modes]
-    norms = np.asarray([m.norm_L for m in modes])
-    C = np.triu(R * S[np.ix_(js, js)] * (1.0 / np.outer(norms, norms)))
+    C = np.triu(R * S[np.ix_(js, js)])
     return C + np.triu(C, 1).T
 
 
@@ -371,7 +367,7 @@ def build_collocation(basis: OUBasis, n_r: int = 64, radial: bool = False) -> Co
     else:
         rule = product_rule(spec.N, n_r, 2 * lmax + 10, 4 * lmax + 10)
     span = radial_modes(basis) if radial else np.ones(basis.size, dtype=bool)
-    radial_table = _radial_rows(basis.modes, rule.radial.nodes_r)
+    radial_table = _radial_rows(basis.modes, spec.N, rule.radial.nodes_r)
     psi_k = ang.eval_psi_block(spec, rule.angular_dirs)[[m.j - 1 for m in basis.modes]]
     # off the span both factors are zero (psi is not evaluable for l > 0 in N > 3)
     radial_table[~span] = 0.0
@@ -396,11 +392,10 @@ class MatchedBlocks:
     N/2 - 1 - alpha_j (``_pair_matrix``'s at shift 0) integrates a j-block.
 
     ``live`` indexes the modes of the blocks kept, block after block;
-    ``radii`` (r = 2 sqrt(s)) and ``weights`` (times 2^(N-1-2 alpha_j))
-    concatenate their rules; ``table[k]`` is P_k(s) / norm_k at its block's
-    nodes, 0 at the others'.  So g acts on c[live] as table diag(weights
-    g(radii)) table^T, exactly 0 between blocks, and I at g = 1 up to
-    ``gram_residual``.
+    ``radii`` (r = 2 sqrt(s)) and ``weights`` concatenate their rules;
+    ``table[k]`` is l_n(s) of mode k at its block's nodes, 0 at the
+    others'.  So g acts on c[live] as table diag(weights g(radii)) table^T,
+    exactly 0 between blocks, and I at g = 1 up to ``gram_residual``.
     """
 
     live: np.ndarray
@@ -421,11 +416,10 @@ def matched_blocks(basis: OUBasis, rows: np.ndarray, n_r: int = 64) -> MatchedBl
     table = np.zeros((len(live), sum(rule.count for rule in rules)))
     row = col = 0
     for idx, rule in zip(blocks, rules):
-        table[row:row + len(idx), col:col + rule.count] = [
-            modes[i].poly(rule.nodes) / modes[i].norm_L for i in idx]
+        table[row:row + len(idx), col:col + rule.count] = _laguerre_rows(
+            [modes[i] for i in idx], N, rule.nodes)[0]
         row, col = row + len(idx), col + rule.count
     radii = np.concatenate([np.zeros(0), *(rule.nodes_r for rule in rules)])
-    weights = np.concatenate([np.zeros(0), *(2.0 ** (N - 1 - 2.0 * alpha) * rule.weights
-                                             for alpha, rule in zip(alphas, rules))])
+    weights = np.concatenate([np.zeros(0), *(rule.weights for rule in rules)])
     return MatchedBlocks(live, radii, weights, table,
                          _gram_residual(table, weights, np.ones(len(live))))

@@ -1,12 +1,10 @@
 """Scalar special functions behind the explicit eigenbasis.
 
-The singular self-similar eigenfunctions are built from the terminating
-Kummer confluent hypergeometric series M(-n, N/2 - alpha, t), that is the
-polynomials
-
-    P(t) = sum_{i=0}^{n} (-n)_i / ((N/2 - alpha)_i) * t^i / i!,
-
-together with the exponent map
+The radial factor of each singular self-similar eigenfunction is the
+terminating Kummer series M(-n, N/2 - alpha, s) = n! / (a + 1)_n L_n^{(a)}(s),
+a generalized Laguerre polynomial of exponent a = N/2 - 1 - alpha, which
+:func:`laguerre_table` evaluates orthonormally by its recurrence; together
+with it come the exponent map
 
     alpha(mu) = (N-2)/2 - sqrt(((N-2)/2)^2 + mu)
 
@@ -19,37 +17,10 @@ anisotropic part.  Everything here is pure and stateless.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AccuracyError, PositivityError
-
-
-@dataclass(frozen=True)
-class Polynomial:
-    """Real polynomial; coeffs[i] multiplies t**i."""
-
-    coeffs: tuple
-
-    def __post_init__(self):
-        if len(self.coeffs) == 0:
-            raise ValueError("empty coefficient list")
-        if not all(math.isfinite(c) for c in self.coeffs):
-            raise ValueError("non-finite coefficient")
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, t):
-        """Horner evaluation; accepts scalars or numpy arrays."""
-        t = np.asarray(t, dtype=float)
-        acc = np.full(t.shape, self.coeffs[-1])
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * t + c
-        return acc if acc.shape else float(acc)
 
 
 def alpha_from_mu(mu: float, N: int) -> float:
@@ -76,25 +47,28 @@ def gamma_mk(m: int, alpha_k: float) -> float:
     return m - alpha_k / 2.0
 
 
-def p_poly(n: int, alpha_j: float, N: int) -> Polynomial:
-    """Degree-n polynomial with coefficients (-n)_i / ((N/2-alpha_j)_i i!).
+def laguerre_table(a: float, n_max: int, s):
+    """(l, D): the orthonormal Laguerre polynomials
+    l_n = sqrt(n! / Gamma(n + a + 1)) L_n^{(a)} for n = 0..n_max at the
+    points s, rows in n, and D = s dl_n/ds.
 
-    This is the terminating Kummer series M(-n, N/2-alpha_j, t); P(0)=1.
-    Requires N/2 - alpha_j > 0 (automatic when alpha_j < (N-2)/2).
+    Built by the three-term recurrence
+    sqrt((n+1)(n+a+1)) l_{n+1} = (2n + a + 1 - s) l_n - sqrt(n(n+a)) l_{n-1}
+    and s L_n' = n L_n - (n + a) L_{n-1} (Abramowitz & Stegun, ch. 22),
+    with no cancelling power sum.  l_n(0) > 0, and
+    int_0^inf s^a e^-s l_m l_n ds = [m = n] for a > -1.
     """
-    if n < 0:
-        raise ValueError("degree must be non-negative")
-    b = N / 2.0 - alpha_j
-    if b <= 0.0:
-        raise ValueError(f"need N/2 - alpha_j > 0, got {b}")
-    coeffs = []
-    num = 1.0  # (-n)_i
-    den = 1.0  # (b)_i * i!
-    for i in range(n + 1):
-        coeffs.append(num / den)
-        num *= (-n) + i
-        den *= (b + i) * (i + 1)
-    return Polynomial(tuple(coeffs))
+    s = np.asarray(s, dtype=float)
+    table, D = np.empty((n_max + 1,) + s.shape), np.empty((n_max + 1,) + s.shape)
+    table[0], prev = 1.0 / math.sqrt(math.gamma(a + 1.0)), np.zeros(s.shape)
+    for n in range(n_max + 1):
+        b = math.sqrt(n * (n + a))
+        D[n] = n * table[n] - b * prev
+        if n < n_max:
+            table[n + 1] = (((2 * n + a + 1.0) - s) * table[n] - b * prev) \
+                / math.sqrt((n + 1) * (n + a + 1.0))
+        prev = table[n]
+    return table, D
 
 
 def hyp1f1_minus(alpha: float, c: float, z):

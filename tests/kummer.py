@@ -1,11 +1,16 @@
-"""Kummer's series and Pochhammer symbols: test oracles for specfun.p_poly.
+"""Kummer's series, Pochhammer symbols and the closed-form mode norm: test
+oracles for ``specfun.laguerre_table``.
 
-The package builds its terminating Kummer polynomials coefficient by
-coefficient in ``specfun.p_poly``; these reference implementations sum the
-series directly, so the tests can compare the two.
+The package evaluates each radial factor as the orthonormal Laguerre
+polynomial l_n of exponent a = N/2 - 1 - alpha by its three-term
+recurrence.  These reference implementations sum the Kummer series
+M(-n, a + 1, s) directly and divide by its norm from Laguerre
+orthogonality (:func:`closed_form_norm2`), so the tests can compare the two.
 """
 
 from __future__ import annotations
+
+import math
 
 from hardyheat.errors import QuadratureError
 
@@ -66,3 +71,12 @@ def kummer_m(c: float, b: float, t: float) -> float:
         n += 1
         if n_exact is None and abs(term) < KUMMER_RTOL * abs(total):
             return total
+
+
+def closed_form_norm2(n: int, alpha: float, N: int) -> float:
+    """int r^{N-1-2 alpha} M(-n, b, r^2/4)^2 e^{-r^2/4} dr for b = N/2 - alpha, the
+    squared norm of the mode r^{-alpha} M(-n, b, r^2/4) psi: by Laguerre
+    orthogonality 2^{N-1-2 alpha} n! Gamma(b)^2 / Gamma(n + b)."""
+    b = N / 2.0 - alpha
+    return 2.0 ** (N - 1 - 2 * alpha) * math.exp(
+        math.lgamma(n + 1) + 2 * math.lgamma(b) - math.lgamma(n + b))

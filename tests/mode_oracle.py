@@ -12,10 +12,12 @@ gives the independent nodal route the tests compare against:
 - the surface gradients of the real harmonics (``real_sph_grad_block``);
 - mode values and gradients at points (``eval_V``, ``eval_grad_V``), for
   the energy identity, the nodal-gradient check of the bilinear reduction
-  and the basis members of ``sweep_oracle``;
+  and the basis members of ``sweep_oracle``; the gradients take their
+  radial factors from ``kummer.kummer_m`` and ``kummer.closed_form_norm2``,
+  not from the package's Laguerre table;
 - the coercivity infimum of the (N-2)/4-shifted quotient and the per-mode
   anisotropic-Hardy defect;
-- ``derivative`` of a polynomial and ``radii`` of a product rule's nodes;
+- ``radii`` of a product rule's nodes;
 - a linear h(x, t) of any shape evaluated at every node of a collocation
   (``nodal_linear_forcing``, ``nodal_linear_march``), the route the package
   replaced by matched radial blocks of a radial profile, with ``radial_h``
@@ -34,15 +36,25 @@ from hardyheat import angular as ang
 from hardyheat import evolve as ev
 from hardyheat import inequalities as ineq
 from hardyheat.errors import ConfigurationError, SingularNodeError
-from hardyheat.ou_basis import Collocation, OUBasis, _q_poly, _radial_rows, hardy_matrix
+from hardyheat.ou_basis import Collocation, OUBasis, _radial_rows, hardy_matrix
 from hardyheat.quadrature import ProductRule
-from hardyheat.specfun import Polynomial
+from kummer import closed_form_norm2, kummer_m
 
 
-def derivative(poly: Polynomial) -> Polynomial:
-    if poly.degree == 0:
-        return Polynomial((0.0,))
-    return Polynomial(tuple(i * c for i, c in enumerate(poly.coeffs) if i > 0))
+def kummer_factors(modes, N: int, s: np.ndarray):
+    """(P, Q) of each mode at the points s, each divided by the mode's
+    closed-form norm: P = M(-n, b, s) summed as Kummer's series,
+    b = N/2 - alpha, and Q = -alpha P + 2 s P' with
+    P' = -(n/b) M(1 - n, b + 1, s); shapes (len(modes), len(s))."""
+    P, Q = [], []
+    for m in modes:
+        b = N / 2.0 - m.alpha_j
+        p = kummer_m(-float(m.n), b, s) + np.zeros_like(s)
+        dp = -m.n / b * kummer_m(1.0 - m.n, b + 1.0, s) if m.n else np.zeros_like(s)
+        norm = math.sqrt(closed_form_norm2(m.n, m.alpha_j, N))
+        P.append(p / norm)
+        Q.append((-m.alpha_j * p + 2.0 * s * dp) / norm)
+    return np.array(P), np.array(Q)
 
 
 def radii(rule: ProductRule) -> np.ndarray:
@@ -156,14 +168,16 @@ def eval_V(spectrum: ang.AngularSpectrum, modes, x: np.ndarray) -> np.ndarray:
     # the direction at x = 0 matters only for a degree-0 mode; take e1
     dirs = x / np.where(at_origin, 1.0, r)[:, None]
     dirs[at_origin] = np.eye(spectrum.N)[0]
-    return _radial_rows(modes, r) * _psi_rows(spectrum, modes, dirs)
+    return _radial_rows(modes, spectrum.N, r) * _psi_rows(spectrum, modes, dirs)
 
 
 def eval_grad_V(spectrum: ang.AngularSpectrum, modes, x: np.ndarray):
     """(values, gradients) of the normalized modes at points x away from the
     origin; shapes (len(modes), M) and (len(modes), M, N).
 
-    grad V = f'(r) psi x/r + f(r)/r grad_S psi with f' = r^{-alpha-1} Q(r^2/4).
+    grad V = f'(r) psi x/r + f(r)/r grad_S psi with f = r^{-alpha} P(r^2/4) and
+    f' = r^{-alpha-1} Q(r^2/4), P and Q from :func:`kummer_factors`; the
+    values are :func:`eval_V`'s.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     r = np.linalg.norm(x, axis=-1)
@@ -171,13 +185,12 @@ def eval_grad_V(spectrum: ang.AngularSpectrum, modes, x: np.ndarray):
         raise SingularNodeError("gradient undefined at x = 0")
     dirs = x / r[:, None]
     psi = _psi_rows(spectrum, modes, dirs)
-    s = r * r / 4.0
-    scale = np.array([r ** (-m.alpha_j - 1.0) / m.norm_L for m in modes])
-    grads = (scale * np.array([_q_poly(m)(s) for m in modes]) * psi)[..., None] * dirs
+    P, Q = kummer_factors(modes, spectrum.N, r * r / 4.0)
+    scale = np.array([r ** (-m.alpha_j - 1.0) for m in modes])
+    grads = (scale * Q * psi)[..., None] * dirs
     if spectrum.eigenvectors is not None:  # else every mode is the constant psi_1
-        grads += ((scale * np.array([m.poly(s) for m in modes]))[..., None]
-                  * _grad_psi_rows(spectrum, modes, dirs))
-    return _radial_rows(modes, r) * psi, grads
+        grads += (scale * P)[..., None] * _grad_psi_rows(spectrum, modes, dirs)
+    return _radial_rows(modes, spectrum.N, r) * psi, grads
 
 
 def coercivity_infimum(basis: OUBasis, K: int | None = None) -> float:

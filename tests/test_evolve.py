@@ -205,7 +205,7 @@ def test_matched_blocks_match_adaptive_radial_quadrature(basis_aniso):
                 modes = [basis.modes[p], basis.modes[q]]
                 def f(r):
                     h = pert.h_radial(np.array([math.sqrt(t) * r]), np.array([t]))[0]
-                    return np.prod(_radial_rows(modes, np.array([r]))) * r * r \
+                    return np.prod(_radial_rows(modes, 3, np.array([r]))) * r * r \
                         * math.exp(-r * r / 4.0) * h
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")  # quad's round-off notice

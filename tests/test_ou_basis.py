@@ -5,7 +5,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
 
 from hardyheat import angular as ang
 from hardyheat import ou_basis as ou
@@ -17,16 +16,15 @@ from hardyheat.errors import (
     TruncationError,
 )
 from hardyheat.quadrature import laguerre_rule, product_rule
-from mode_oracle import (derivative, eval_grad_V, eval_V, hardy_mode_consistency,
+from kummer import closed_form_norm2
+from mode_oracle import (eval_grad_V, eval_V, hardy_mode_consistency, kummer_factors,
                          potential_values, radii)
 
 
-def closed_form_norm2(n, alpha, N):
-    # Laguerre orthogonality: int s^{b-1} e^-s P_n^2 ds = n! Gamma(b)^2 / Gamma(n+b)
-    b = N / 2.0 - alpha
-    return 2.0 ** (N - 1 - 2 * alpha) * math.exp(
-        gammaln(n + 1) + 2 * gammaln(b) - gammaln(n + b)
-    )
+def kummer_scale(mode, N=3):
+    """The closed-form norm of r^{-alpha} M(-n, N/2 - alpha, r^2/4) psi: a
+    normalized mode's value times it is the unnormalized one."""
+    return math.sqrt(closed_form_norm2(mode.n, mode.alpha_j, N))
 
 
 def test_halfinteger_ladder_and_multiplicities(basis0):
@@ -43,10 +41,10 @@ def test_certification_residuals(basis0):
 
 
 def test_norms_against_closed_form(basis0):
-    for mode in basis0.modes:
-        np.testing.assert_allclose(
-            mode.norm_L**2, closed_form_norm2(mode.n, mode.alpha_j, 3), rtol=1e-12
-        )
+    # the modes carry their closed-form normalization, so the quadrature
+    # Gram diagonal is 1
+    gram, _ = ou.certification_matrices(basis0.spectrum, basis0.modes)
+    np.testing.assert_allclose(np.diag(gram), 1.0, rtol=0.0, atol=1e-13)
 
 
 def test_constant_tower_shift():
@@ -104,7 +102,7 @@ def test_eval_ground_mode_constant(basis0, spec0):
     mode = basis0.modes[basis0.mode_index(1, 0)]
     x = np.array([[0.3, -0.2, 0.9], [2.0, 0.0, 0.0], [0.01, 0.02, -0.03]])
     np.testing.assert_allclose(
-        eval_V(spec0, [mode], x)[0] * mode.norm_L,
+        eval_V(spec0, [mode], x)[0] * kummer_scale(mode),
         1.0 / math.sqrt(4.0 * math.pi), rtol=1e-14,
     )
 
@@ -115,7 +113,7 @@ def test_eval_first_radial_mode(basis0, spec0):
     x = np.array([[0.5, 0.2, 0.1], [1.0, 1.0, 1.0], [0.0, 3.0, 0.0]])
     r2 = np.sum(x * x, axis=1)
     np.testing.assert_allclose(
-        eval_V(spec0, [mode], x)[0] * mode.norm_L,
+        eval_V(spec0, [mode], x)[0] * kummer_scale(mode),
         (1.0 - r2 / 6.0) / math.sqrt(4.0 * math.pi), rtol=1e-13,
     )
 
@@ -137,7 +135,7 @@ def test_eval_at_origin_limits(basis0, spec0):
     assert eval_V(spec0, [l1], x0)[0, 0] == 0.0
     g = basis0.modes[basis0.mode_index(1, 0)]
     np.testing.assert_allclose(
-        eval_V(spec0, [g], x0)[0, 0] * g.norm_L, 1.0 / math.sqrt(4 * math.pi)
+        eval_V(spec0, [g], x0)[0, 0] * kummer_scale(g), 1.0 / math.sqrt(4 * math.pi)
     )
     # an l > 0 mode with alpha = 0 has no limit there, and no gradient does
     with pytest.raises(SingularNodeError):
@@ -181,7 +179,7 @@ def test_eval_l_positive_mode_off_n3_raises():
     l1 = next(m for m in basis.modes if m.degree == 1)
     x = np.random.default_rng(5).normal(size=(6, 4))
     v, g = eval_grad_V(spec, [ground], x)
-    np.testing.assert_allclose(v * ground.norm_L, 1.0 / math.sqrt(2.0 * math.pi**2),
+    np.testing.assert_allclose(v * kummer_scale(ground, 4), 1.0 / math.sqrt(2.0 * math.pi**2),
                                rtol=1e-14)
     np.testing.assert_array_equal(g, 0.0)
     for evaluate in (eval_V, eval_grad_V):
@@ -190,7 +188,7 @@ def test_eval_l_positive_mode_off_n3_raises():
 
 
 def test_inner_products(basis0):
-    _, gram, _ = ou.certification_matrices(basis0.spectrum, basis0.modes)
+    gram, _ = ou.certification_matrices(basis0.spectrum, basis0.modes)
     i0 = basis0.mode_index(1, 0)
     i1 = basis0.mode_index(1, 1)
     np.testing.assert_allclose(gram[i0, i0], 1.0, rtol=1e-12)
@@ -202,7 +200,7 @@ def test_inner_products(basis0):
 
 
 def test_bilinear_weak_eigen_relation(basis0):
-    _, _, bilinear = ou.certification_matrices(basis0.spectrum, basis0.modes)
+    _, bilinear = ou.certification_matrices(basis0.spectrum, basis0.modes)
     i0 = basis0.mode_index(1, 0)
     i1 = basis0.mode_index(1, 1)
     assert abs(bilinear[i0, i0]) < 1e-14          # gamma = 0
@@ -212,7 +210,7 @@ def test_bilinear_weak_eigen_relation(basis0):
 
 def test_weak_eigen_relation_all_pairs_perturbed(spec01):
     basis = ou.enumerate_modes(spec01, 2.0)
-    _, _, bilinear = ou.certification_matrices(spec01, basis.modes)
+    _, bilinear = ou.certification_matrices(spec01, basis.modes)
     for p in range(basis.size):
         for q in range(p, basis.size):
             expected = basis.gammas[q] if p == q else 0.0
@@ -221,9 +219,9 @@ def test_weak_eigen_relation_all_pairs_perturbed(spec01):
 
 def test_certification_matrices_match_pairwise_quadrature(spec01):
     # reference: one matched Gauss-Laguerre rule per pair, sized from that
-    # pair's degrees; the Gram sums are the same products in the same order
+    # pair's degrees, over Kummer's series divided by the closed-form norms
     basis = ou.enumerate_modes(spec01, 2.0)
-    norms, gram, bilinear = ou.certification_matrices(spec01, basis.modes)
+    gram, bilinear = ou.certification_matrices(spec01, basis.modes)
     mu = spec01.eigenvalues
     for p, mp in enumerate(basis.modes):
         for q, mq in enumerate(basis.modes):
@@ -231,19 +229,48 @@ def test_certification_matrices_match_pairwise_quadrature(spec01):
                 assert gram[p, q] == bilinear[p, q] == 0.0
                 continue
             a2 = mp.alpha_j + mq.alpha_j
-            size = max(8, mp.poly.degree + mq.poly.degree + 2)
+            size = max(8, mp.n + mq.n + 2)
             rule = laguerre_rule(1.5 - 1.0 - a2 / 2.0, size)
-            s = rule.nodes
-            raw = 2.0 ** (3 - 1 - a2) * float(rule.weights @ (mp.poly(s) * mq.poly(s)))
-            assert gram[p, q] == raw * (1.0 / (norms[p] * norms[q]))
+            P, _ = kummer_factors([mp, mq], 3, rule.nodes)
+            raw = 2.0 ** (3 - 1 - a2) * float(rule.weights @ (P[0] * P[1]))
+            assert abs(gram[p, q] - raw) < 1e-14
             rule = laguerre_rule(1.5 - 2.0 - a2 / 2.0, size + 1)
-            s = rule.nodes
-            qp, qq = (-m.alpha_j * m.poly(s) + 2.0 * s * derivative(m.poly)(s)
-                      for m in (mp, mq))
-            vals = qp * qq + mu[mp.j - 1] * mp.poly(s) * mq.poly(s)
+            P, Q = kummer_factors([mp, mq], 3, rule.nodes)
+            vals = Q[0] * Q[1] + mu[mp.j - 1] * P[0] * P[1]
             raw = 2.0 ** (3 - 3 - a2) * float(rule.weights @ vals)
-            assert abs(bilinear[p, q] - raw / (norms[p] * norms[q])) < 1e-13
-    np.testing.assert_array_equal(norms, [m.norm_L for m in basis.modes])
+            assert abs(bilinear[p, q] - raw) < 1e-13
+
+
+@pytest.mark.parametrize("alpha", (0.0, 9.385026740700853e-4))
+def test_certification_through_radial_degree_32(alpha):
+    # radial-only modes n = 0..32 at a = 0 and at the anisotropic ground
+    # block of configs/anisotropic.ini; power coefficients summed by Horner
+    # read a Gram residual of 1.1e-2 and a bilinear one of 0.135 here, the
+    # Laguerre table 3.6e-15 and 2.2e-13
+    mu = alpha * alpha - alpha  # alpha = 1/2 - sqrt(1/4 + mu) in N = 3
+    spec = ang.AngularSpectrum(N=3, potential=ang.AngularPotential.constant(0.0),
+                               eigenvalues=np.array([mu]), eigenvectors=None,
+                               degrees=np.array([0]), truncation_degree=0, residual_bound=0.0)
+    modes = [ou.OUMode(1, n, alpha, n - alpha / 2.0, 0) for n in range(33)]
+    gram, bilinear = ou.certification_matrices(spec, modes)
+    assert np.max(np.abs(gram - np.eye(33))) <= 1e-13
+    assert np.max(np.abs(bilinear - np.diag([m.gamma for m in modes]))) <= 1e-11
+
+
+def test_gram_gate_sees_a_normalization_error(spec0, monkeypatch):
+    # the modes are normalized in closed form, so a table row off by 1e-6
+    # reaches the Gram diagonal and the gate
+    table = ou.laguerre_table
+
+    def skewed(a, n_max, s):
+        rows, D = table(a, n_max, s)
+        rows[n_max], D[n_max] = rows[n_max] * (1.0 + 1e-6), D[n_max] * (1.0 + 1e-6)
+        return rows, D
+
+    ou.enumerate_modes(spec0, 2.0)
+    monkeypatch.setattr(ou, "laguerre_table", skewed)
+    with pytest.raises(TruncationError, match="Gram residual"):
+        ou.enumerate_modes(spec0, 2.0)
 
 
 def test_hardy_mode_consistency(basis0, spec01):
@@ -343,7 +370,7 @@ def test_enumeration_deterministic_order(basis0):
 def test_basis_json_and_hash(basis0):
     d = basis0.to_jsonable()
     assert len(d["modes"]) == basis0.size
-    assert set(d["modes"][0]) == {"j", "n", "alpha", "gamma", "poly", "norm"}
+    assert set(d["modes"][0]) == {"j", "n", "alpha", "gamma"}
     assert len(basis0.content_hash()) == 16
 
 
@@ -381,7 +408,7 @@ def test_bilinear_reduction_vs_nodal_gradient_oracle():
     avals = np.tile(potential_values(pot, hrule.angular_dirs), hrule.radial.count)
     r2 = radii(hrule)**2
     V = eval_V(spec, basis.modes[:5], hrule.points)
-    _, _, bilinear = ou.certification_matrices(spec, basis.modes)
+    _, bilinear = ou.certification_matrices(spec, basis.modes)
     for p, q in ((0, 0), (0, 3), (2, 2), (1, 4)):
         grad_term = col.weights @ np.sum(grads[p] * grads[q], axis=-1)
         nodal = grad_term - hrule.weights @ (avals * V[p] * V[q] / r2)

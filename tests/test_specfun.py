@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from scipy.special import hyp1f1
 
 from hardyheat import specfun as sf
-from kummer import kummer_m, pochhammer
-from mode_oracle import derivative
+from hardyheat.quadrature import laguerre_rule
+from kummer import closed_form_norm2, kummer_m, pochhammer
 from hardyheat.errors import AccuracyError, PositivityError, QuadratureError
 
 
@@ -104,50 +104,126 @@ def test_gamma_mk():
     np.testing.assert_allclose(sf.gamma_mk(2, 0.2), 1.9, rtol=1e-15)
 
 
-def test_p_poly_degree_zero():
-    p = sf.p_poly(0, 0.37, 3)
-    assert p.coeffs == (1.0,)
+# the radial block of configs/anisotropic.ini: a = N/2 - 1 - alpha_1 with
+# alpha_1 = 9.385e-4, a fractional exponent
+A_ANISO = 0.4990614973259299
 
 
-def test_p_poly_degree_one():
-    np.testing.assert_allclose(sf.p_poly(1, -1.0, 3).coeffs, (1.0, -0.4), rtol=1e-15)
-    np.testing.assert_allclose(sf.p_poly(1, 0.0, 3).coeffs, (1.0, -2.0 / 3.0),
-                               rtol=1e-15)
+def _l_at_zero(n, a):
+    """l_n(0) = sqrt(Gamma(n + a + 1) / n!) / Gamma(a + 1)."""
+    return math.exp(0.5 * (math.lgamma(n + a + 1.0) - math.lgamma(n + 1.0))
+                    - math.lgamma(a + 1.0))
 
 
-def test_p_poly_value_at_zero_and_degree():
-    p = sf.p_poly(5, -0.7, 4)
-    assert p.degree == 5
-    assert p(0.0) == 1.0
+def _envelope(n_max, a, s):
+    """l_n(0) e^{s/2}, which bounds |l_n(s)| for a >= 0 (Szego 7.21.3); shape
+    (n_max + 1, len(s))."""
+    return np.array([_l_at_zero(n, a) for n in range(n_max + 1)])[:, None] * np.exp(s / 2.0)
 
 
-def test_p_poly_sign_alternation():
+def _mp_points(a):
+    # the origin, two small points and the nodes of a 34-point matched rule,
+    # which reach s = 120
+    return np.concatenate([[0.0, 1e-3, 0.3], laguerre_rule(a, 34).nodes])
+
+
+def test_laguerre_table_degree_zero():
+    s = np.array([0.0, 0.7, 30.0])
+    table, D = sf.laguerre_table(0.37, 0, s)
+    assert table.shape == D.shape == (1, 3)
+    np.testing.assert_allclose(table[0], 1.0 / math.sqrt(math.gamma(1.37)), rtol=1e-15)
+    assert np.all(D == 0.0)
+
+
+def test_laguerre_table_degree_one():
+    # l_1 = (1 + a - s) / sqrt(Gamma(a + 2)) and s l_1' = -s / sqrt(Gamma(a + 2))
+    s = np.array([0.0, 0.5, 2.5, 9.0])
+    for a in (0.5, 1.5, A_ANISO):
+        table, D = sf.laguerre_table(a, 1, s)
+        c = 1.0 / math.sqrt(math.gamma(a + 2.0))
+        np.testing.assert_allclose(table[1], (1.0 + a - s) * c, rtol=1e-15, atol=1e-15)
+        np.testing.assert_allclose(D[1], -s * c, rtol=1e-15, atol=1e-15)
+
+
+def test_laguerre_table_value_at_zero_and_degree():
+    table, D = sf.laguerre_table(2.3, 5, np.zeros(2))
+    assert table.shape == (6, 2)
+    np.testing.assert_allclose(table[:, 0], [_l_at_zero(n, 2.3) for n in range(6)],
+                               rtol=1e-14)
+    # s l' vanishes at s = 0
+    np.testing.assert_allclose(D, 0.0, rtol=0.0, atol=1e-14)
+
+
+def test_laguerre_table_sign_pattern():
+    # positive at s = 0, as M(-n, a + 1, 0) = 1, and (-1)^n past the largest
+    # zero (below 4n + 2a + 3), where the leading term s^n rules
     rng = np.random.default_rng(7)
     for _ in range(40):
-        N = int(rng.integers(3, 6))
-        alpha = rng.uniform(-4.0, (N - 2) / 2.0 - 1e-3)
+        a = rng.uniform(0.0, 8.0)
         n = int(rng.integers(1, 9))
-        coeffs = sf.p_poly(n, alpha, N).coeffs
-        signs = np.sign(coeffs)
-        assert np.all(signs == [(-1.0) ** i for i in range(n + 1)])
+        table, _ = sf.laguerre_table(a, n, np.array([0.0, 5.0 * n + 2.0 * a + 5.0]))
+        assert np.all(table[:, 0] > 0.0)
+        assert np.all(np.sign(table[:, 1]) == [(-1.0) ** k for k in range(n + 1)])
 
 
-def test_kummer_matches_p_poly():
+def test_laguerre_table_against_mpmath():
+    # 30-digit mpmath laguerre, orthonormalized, through degree 32; measured
+    # within 2.3e-14 of the envelope l_n(0) e^{s/2}
+    import mpmath
+
+    for a in (0.5, 1.5, A_ANISO):
+        s = _mp_points(a)
+        table, _ = sf.laguerre_table(a, 32, s)
+        with mpmath.workdps(30):
+            want = [[float(mpmath.sqrt(mpmath.factorial(n) / mpmath.gamma(n + a + 1))
+                           * mpmath.laguerre(n, a, x)) for x in s] for n in range(33)]
+        assert np.max(np.abs(table - want) / _envelope(32, a, s)) <= 1e-13, a
+
+
+def test_laguerre_table_derivative_against_mpmath():
+    # D = s l' against mpmath's numerical derivative at 30 digits through
+    # degree 32, relative to (2n + a + 1) l_n(0) e^{s/2}, which bounds
+    # n l_n - sqrt(n (n + a)) l_{n-1}; measured within 1.2e-15
+    import mpmath
+
+    for a in (0.5, 1.5, A_ANISO):
+        s = _mp_points(a)
+        _, D = sf.laguerre_table(a, 32, s)
+        with mpmath.workdps(30):
+            want = [[float(x * mpmath.sqrt(mpmath.factorial(n) / mpmath.gamma(n + a + 1))
+                           * mpmath.diff(lambda y: mpmath.laguerre(n, a, y), x))
+                     for x in s] for n in range(33)]
+        scale = (2.0 * np.arange(33) + a + 1.0)[:, None] * _envelope(32, a, s)
+        assert np.max(np.abs(D - want) / scale) <= 1e-13, a
+
+
+def _kummer_norm(n, alpha, N):
+    """The L2(s^{b-1} e^-s) norm of M(-n, b, s), b = N/2 - alpha: closed_form_norm2
+    without its 2^{N-1-2 alpha} from the change of variable s = r^2/4."""
+    return math.sqrt(closed_form_norm2(n, alpha, N) / 2.0 ** (N - 1 - 2 * alpha))
+
+
+def _kummer_laguerre(n, alpha, N, s):
+    """Kummer's series M(-n, b, s) over its closed-form norm: the oracle of
+    l_n of exponent b - 1."""
+    return kummer_m(-float(n), N / 2.0 - alpha, s) / _kummer_norm(n, alpha, N)
+
+
+def test_kummer_matches_laguerre_table():
     rng = np.random.default_rng(13)
     for m in range(7):
         for _ in range(6):
             N = int(rng.integers(3, 6))
             alpha = rng.uniform(-3.0, (N - 2) / 2.0 - 1e-3)
             t = rng.uniform(0.0, 10.0)
-            b = N / 2.0 - alpha
-            poly = sf.p_poly(m, alpha, N)
+            table, _ = sf.laguerre_table(N / 2.0 - 1.0 - alpha, m, t)
             np.testing.assert_allclose(
-                kummer_m(-float(m), b, t), poly(t), rtol=1e-12, atol=1e-14
+                _kummer_laguerre(m, alpha, N, t), table[m], rtol=1e-12, atol=1e-14
             )
 
 
 @st.composite
-def _p_poly_args(draw):
+def _laguerre_args(draw):
     N = draw(st.sampled_from((3, 4, 5)))
     # positivity mu > -(N-2)^2/4 is alpha < (N-2)/2
     alpha = draw(st.floats(min_value=-8.0, max_value=(N - 2) / 2.0, exclude_max=True))
@@ -155,23 +231,18 @@ def _p_poly_args(draw):
 
 
 @settings(deadline=None, max_examples=300)
-@given(args=_p_poly_args())
-def test_p_poly_is_terminating_kummer_property(args):
+@given(args=_laguerre_args())
+def test_laguerre_table_is_terminating_kummer_property(args):
     n, alpha, N, s = args
-    p = sf.p_poly(n, alpha, N)
     b = N / 2.0 - alpha
-    # the terms alternate in sign, so the error scale is the largest term
-    scale = max(abs(c) * s**i for i, c in enumerate(p.coeffs))
-    assert abs(p(s) - kummer_m(-float(n), b, s)) <= 1e-13 * scale
-    assert abs(p(s) - hyp1f1(-n, b, s)) <= 1e-13 * scale
-
-
-def test_polynomial_horner_and_derivative():
-    p = sf.Polynomial((2.0, -1.0, 3.0))
-    t = np.array([0.0, 1.0, 2.0])
-    np.testing.assert_allclose(p(t), 2.0 - t + 3.0 * t * t)
-    np.testing.assert_allclose(derivative(p)(t), -1.0 + 6.0 * t)
-    assert math.isfinite(p(1e8))
+    table, _ = sf.laguerre_table(b - 1.0, n, s)
+    norm = _kummer_norm(n, alpha, N)
+    # Kummer's terms alternate in sign, so the oracle's error scale is its
+    # largest term, over the norm
+    scale = max(abs(pochhammer(-n, i) / (pochhammer(b, i) * math.factorial(i))) * s**i
+                for i in range(n + 1)) / norm
+    assert abs(table[n] - _kummer_laguerre(n, alpha, N, s)) <= 1e-13 * scale
+    assert abs(table[n] - hyp1f1(-n, b, s) / norm) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("c", [1.5, 2.0, 2.5, 5.0])
