@@ -30,6 +30,11 @@ MONOTONE_SLACK = 1e-10
 DELTA_BOUNDS = (0.05, 4.0)  # range of the fitted exponent delta
 
 
+def _rates(gammas, c, F, t):
+    """c' = dc/dt = (Gamma c - t F) / t, row by row."""
+    return (gammas * c - t * F) / t
+
+
 def compute_HDN(traj: Trajectory):
     """(H, D, N, nu1) arrays over the stored rows, in stored order.
 
@@ -42,7 +47,7 @@ def compute_HDN(traj: Trajectory):
     gammas = traj.basis.gammas
     H = np.vecdot(C, C)
     tD = np.vecdot(C * C, gammas) - t * np.vecdot(F, C)
-    cp = (gammas * C - t[:, None] * F) / t[:, None]
+    cp = _rates(gammas, C, F, t[:, None])
     with np.errstate(divide="ignore", invalid="ignore"):
         perp = cp - (np.vecdot(cp, C) / H)[:, None] * C
         return H, tD / t, tD / H, 2.0 * t * np.vecdot(perp, perp) / H
@@ -264,12 +269,20 @@ def run_diagnostics(
 ) -> dict:
     """Cross-checks asserted on every trace; raises on violations.
 
+    ``nu1_min`` comes with ``nu1_scale`` = 2t ||c'||^2 / H at the same row,
+    the Schwarz bound on nu1 there: a minimum many digits below its scale
+    is a zero at round-off.
+
     - unperturbed monotonicity of N;
     - N(t) >= C1_eff - (N-2)/4 with C1_eff = C1 - empirical forcing share;
     - t^{-2 C1_eff + (N-2)/2} H(t) nondecreasing;
     - gamma_hat within snap distance of the spectrum for converged runs.
     """
-    report = {"nu1_min": float(np.min(trace.nu1))}
+    i = int(np.argmin(trace.nu1))
+    row = traj.row_at_t(trace.t[i])
+    cp = _rates(traj.basis.gammas, traj.coeffs[row], traj.forcing[row], traj.t[row])
+    report = {"nu1_min": float(trace.nu1[i]),
+              "nu1_scale": float(2.0 * traj.t[row] * (cp @ cp) / trace.H[i])}
     N_dim = traj.basis.N
     unperturbed = traj.perturbation.kind == "none"
     if unperturbed:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, PositivityError, QuadratureError, TruncationError
-from .quadrature import polar_rule, sphere_area
+from .quadrature import polar_rule
 
 DEGENERACY_GAP = 1e-9  # eigenvalues closer than this form one cluster
 DEFAULT_L = 16
@@ -418,12 +418,6 @@ def require_positivity(spec: AngularSpectrum) -> None:
 
 def eval_psi_block(spec: AngularSpectrum, dirs: np.ndarray) -> np.ndarray:
     """All eigenfunctions at unit vectors; shape (K, M)."""
-    dirs = np.atleast_2d(dirs)
-    if spec.eigenvectors is None:
-        # constant-potential N != 3: only the constant mode is evaluable
-        out = np.full((len(spec.eigenvalues), len(dirs)), np.nan)
-        out[0] = 1.0 / math.sqrt(sphere_area(spec.N))
-        return out
     return harmonic_sums(spec.eigenvectors, spec.truncation_degree, dirs)
 
 

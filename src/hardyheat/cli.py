@@ -193,7 +193,7 @@ def cmd_simulate(cfg, outdir) -> int:
             "truncation_ratio_max": float(shares.max()),
             "collocation_gram_residual": None if col is None else col.gram_residual,
             "collocation_rule": "none" if col is None else "matched" if traj.blocks
-                                else "radial" if col.radial else "product",
+                                else "product",
             "collocation_nodes": 0 if col is None else len(col.weights),
             "halving_error": traj.halving_error,
             "halving_tol": None if col is None else evolve.HALVING_TOL,

@@ -23,8 +23,8 @@ every stage time, and every other mode stays exactly 0.  Its RK4 step is
 one increment matrix B_i, c_{i+1} = c_i + B_i c_i (:func:`_march_linear`).
 The semilinear term is evaluated at the nodes at every stage
 (:func:`_march_rk4`); under a constant potential, data on the degree-0
-modes keep their span (:func:`radial_invariant`) and force on the radial
-rule's n_r nodes instead of the product rule's.
+modes keep their span (:func:`radial_invariant`), the j = 1 block, and
+force on its matched rule's n_r nodes instead of the product rule's.
 """
 
 from __future__ import annotations
@@ -111,11 +111,12 @@ class PerturbationSpec:
         return (N + 2 - self.p * (N - 2)) / (2.0 * (self.p + 1))
 
 
-def radial_invariant(basis: OUBasis, c0: np.ndarray) -> bool:
+def radial_invariant(basis: OUBasis, rows: np.ndarray) -> bool:
     """True when a semilinear run stays in the span of the radial (degree-0)
-    modes, so that it may force on the radial rule: a constant potential and
-    c0 exactly zero on every other mode."""
-    return basis.spectrum.potential.is_constant and not np.any(c0[~radial_modes(basis)])
+    modes, so that it may force on their matched block: a constant potential
+    and every row of ``rows`` (one row or a stack) exactly zero on every
+    other mode."""
+    return basis.spectrum.potential.is_constant and not np.any(rows[..., ~radial_modes(basis)])
 
 
 def linear_forcing_matrices(ts, pert: PerturbationSpec, blocks: MatchedBlocks) -> np.ndarray:
@@ -130,9 +131,11 @@ def linear_forcing_matrices(ts, pert: PerturbationSpec, blocks: MatchedBlocks) -
     return (blocks.table * (blocks.weights * hr)[:, None, :]) @ blocks.table.T
 
 
-def forcing_coefficients(c: np.ndarray, pert: PerturbationSpec, col: Collocation) -> np.ndarray:
+def forcing_coefficients(c: np.ndarray, pert: PerturbationSpec,
+                         col: Collocation | MatchedBlocks) -> np.ndarray:
     """F_k = < eps |v|^{p-1} v, V_tilde_k >_L of the semilinear term, which
-    depends on no time: v = col.reconstruct(c) at the nodes, projected back.
+    depends on no time: v = col.reconstruct(c) at the nodes of the product
+    collocation or of the matched blocks, projected back.
     """
     v = col.reconstruct(c)
     return pert.eps * col.project(np.abs(v) ** (pert.p - 1.0) * v)
@@ -147,8 +150,9 @@ class Trajectory:
     perturbation at each stored time ``t[i]``: the forcing the first RK4
     stage of the dtau march evaluated at that row, or for rows given to
     :func:`trajectory_from_rows` the same forcing evaluated once per row.
-    ``collocation`` is the rule of the semilinear term and ``blocks`` the
-    matched blocks of a linear h, each None for every other kind.
+    ``blocks`` are the matched blocks of a linear h or of a semilinear run
+    on the radial span, ``collocation`` the product rule of any other
+    semilinear run; each is None where the run reads none.
     ``halving_error`` and ``admissibility_ratio`` are the gate values the
     run measured, each None where it measured none.
     """
@@ -264,9 +268,9 @@ def _march_linear(taus, c0, pert, basis, blocks):
 def _row_forcing(ts, coeffs, pert, col, blocks) -> np.ndarray:
     """F(t_i, c_i) row by row: M(t_i) c_i on the live modes of ``blocks``
     for a linear h, whose M(t_i) are built MARCH_BLOCK rows at a time, else
-    one :func:`forcing_coefficients` call per row on ``col``."""
+    one :func:`forcing_coefficients` call per row on ``col`` or ``blocks``."""
     if pert.kind != "linear":
-        return np.array([forcing_coefficients(c, pert, col) for c in coeffs])
+        return np.array([forcing_coefficients(c, pert, col or blocks) for c in coeffs])
     F, live = np.zeros_like(coeffs), coeffs[:, blocks.live]
     for lo in range(0, len(ts), MARCH_BLOCK):
         M = linear_forcing_matrices(ts[lo:lo + MARCH_BLOCK], pert, blocks)
@@ -290,23 +294,19 @@ def tau_grid(tau_min: float, dtau: float) -> tuple[np.ndarray, float]:
 
 def _check_inputs(basis, pert, col, rows, n_r):
     """(col, blocks, admissibility ratio) of a run on ``rows`` past its input
-    gates, each None where the kind reads none: the semilinear term's ``col``
-    (when None, an n_r-node :func:`ou_basis.build_collocation`, radial if
-    :func:`radial_invariant`), which refuses rows off a radial rule's span,
-    and a linear h's n_r-node :func:`ou_basis.matched_blocks` of the rows, at
-    whose radii h must pass :func:`check_h_admissible`.
+    gates, each None where the kind reads none: the n_r-node
+    :func:`ou_basis.matched_blocks` of the rows for a linear h, at whose
+    radii h must pass :func:`check_h_admissible`, and for a semilinear term
+    without ``col`` on :func:`radial_invariant` rows; any other semilinear
+    run forces on ``col``, by default the n_r-node
+    :func:`ou_basis.build_collocation`.
     """
-    if pert.kind != "semilinear":
-        col = None
-    elif col is None:
-        col = build_collocation(basis, n_r=n_r, radial=radial_invariant(basis, rows[0]))
-    if col is not None and col.radial:
-        if not basis.spectrum.potential.is_constant:
-            raise ConfigurationError("the radial rule needs a constant potential")
-        if np.any(rows[:, ~radial_modes(basis)]):
-            raise ConfigurationError("the radial rule needs data on the radial modes only")
-    if pert.kind != "linear":
-        return col, None, None
+    if pert.kind == "none":
+        return None, None, None
+    if pert.kind == "semilinear":
+        if col is None and radial_invariant(basis, rows):
+            return None, matched_blocks(basis, rows, n_r), None
+        return col or build_collocation(basis, n_r=n_r), None, None
     blocks = matched_blocks(basis, rows, n_r)
     ok, failures, ratio = check_h_admissible(pert.h_radial, pert.C_h, pert.eps_h,
                                              blocks.radii)
@@ -315,7 +315,7 @@ def _check_inputs(basis, pert, col, rows, n_r):
             f"perturbing potential violates the admissibility bound at "
             f"{len(failures)} sampled (t, radius) pairs, e.g. {failures[0]}"
         )
-    return col, blocks, ratio
+    return None, blocks, ratio
 
 
 def trajectory_from_rows(
@@ -382,8 +382,10 @@ def integrate_backward(
     if pert.kind == "linear":
         march = lambda grid: _march_linear(grid, c0, pert, basis, blocks)
     else:
+        rule = col or blocks
+
         def f(tau, c):  # (Gamma c - t F, F) at t = e^tau
-            F = forcing_coefficients(c, pert, col)
+            F = forcing_coefficients(c, pert, rule)
             return basis.gammas * c - math.exp(tau) * F, F
         march = lambda grid: _march_rk4(grid, c0, f)
     coeffs, forcing = march(taus)

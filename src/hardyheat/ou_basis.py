@@ -39,7 +39,7 @@ from .errors import (
     QuadratureError,
     TruncationError,
 )
-from .quadrature import ProductRule, laguerre_rule, product_rule, zonal_rule
+from .quadrature import ProductRule, laguerre_rule, product_rule, sphere_area
 from .specfun import alpha_from_mu, gamma_mk, laguerre_table
 
 # eq-of-integers detection for the multiplicity count: inside INT_TOL the
@@ -324,10 +324,7 @@ class Collocation:
     time t the physical points are sqrt(t) * rule.points.  ``gram_residual``
     measures how well the shared-node rule reproduces the orthonormality:
     exact (1e-14) for integer singular exponents, algebraic (~1e-6 at
-    n_r = 64) for the fractional exponents of anisotropic potentials.  On
-    the radial rule (``radial``: one direction carrying the whole sphere's
-    weight) the rows of the non-radial modes are zero, so every projection
-    is exactly zero off the radial span.
+    n_r = 64) for the fractional exponents of anisotropic potentials.
     """
 
     rule: ProductRule
@@ -338,11 +335,6 @@ class Collocation:
     def weights(self) -> np.ndarray:
         return self.rule.weights
 
-    @property
-    def radial(self) -> bool:
-        """True on the radial rule: one direction."""
-        return len(self.rule.angular_weights) == 1
-
     def project(self, values: np.ndarray) -> np.ndarray:
         return self.Phi @ (self.weights * values)
 
@@ -350,36 +342,28 @@ class Collocation:
         return self.Phi.T @ coeffs
 
 
-def build_collocation(basis: OUBasis, n_r: int = 64, radial: bool = False) -> Collocation:
+def build_collocation(basis: OUBasis, n_r: int = 64) -> Collocation:
     """Nodal table of the basis on the product rule, whose angular sizes
     track the largest harmonic degree so that mode-pair products integrate
-    exactly, or with ``radial`` on the radial rule ``zonal_rule(N, n_r, 1)``
-    (any N), exact for radial integrands only: its table keeps the span of
-    the degree-0 modes (``evolve.radial_invariant``), the other rows zero.
-    :func:`_gram_residual` gates the table against the identity on its span.
+    exactly, past :func:`_gram_residual`'s gate.  The eigenfunctions are
+    evaluable at the nodes in N = 3 only.
     """
     spec = basis.spectrum
+    if spec.N != 3:
+        raise ConfigurationError("nodal collocation requires N = 3")
     lmax = basis.max_degree()
-    if radial:
-        rule = zonal_rule(spec.N, n_r, 1)
-    elif spec.N != 3 and lmax > 0:
-        raise ConfigurationError("nodal collocation with anisotropic modes requires N = 3")
-    else:
-        rule = product_rule(spec.N, n_r, 2 * lmax + 10, 4 * lmax + 10)
-    span = radial_modes(basis) if radial else np.ones(basis.size, dtype=bool)
+    rule = product_rule(spec.N, n_r, 2 * lmax + 10, 4 * lmax + 10)
     radial_table = _radial_rows(basis.modes, spec.N, rule.radial.nodes_r)
     psi_k = ang.eval_psi_block(spec, rule.angular_dirs)[[m.j - 1 for m in basis.modes]]
-    # off the span both factors are zero (psi is not evaluable for l > 0 in N > 3)
-    radial_table[~span] = 0.0
-    psi_k[~span] = 0.0
     Phi = (radial_table[:, :, None] * psi_k[:, None, :]).reshape(basis.size, -1)
-    return Collocation(rule, Phi, _gram_residual(Phi, rule.weights, span.astype(float)))
+    return Collocation(rule, Phi, _gram_residual(Phi, rule.weights))
 
 
-def _gram_residual(table, weights, span) -> float:
-    """max |table diag(weights) table^T - diag(span)| of a rule's mode table;
-    above 1e-4 the rule cannot represent the modes: QuadratureError."""
-    residual = float(np.max(np.abs((table * weights) @ table.T - np.diag(span)), initial=0.0))
+def _gram_residual(table, weights) -> float:
+    """max |table diag(weights) table^T - I| of a rule's mode table; above
+    1e-4 the rule cannot represent the modes: QuadratureError."""
+    residual = float(np.max(np.abs((table * weights) @ table.T - np.eye(len(table))),
+                            initial=0.0))
     if residual > 1e-4:
         raise QuadratureError(f"Gram residual {residual:.3e} > 1e-4; raise radial_nodes")
     return residual
@@ -391,18 +375,35 @@ class MatchedBlocks:
     angular index j, hence alpha_j, and the Gauss-Laguerre rule of exponent
     N/2 - 1 - alpha_j (``_pair_matrix``'s at shift 0) integrates a j-block.
 
-    ``live`` indexes the modes of the blocks kept, block after block;
-    ``radii`` (r = 2 sqrt(s)) and ``weights`` concatenate their rules;
-    ``table[k]`` is l_n(s) of mode k at its block's nodes, 0 at the
+    ``live`` indexes the modes of the blocks kept, block after block, out of
+    ``size``; ``radii`` (r = 2 sqrt(s)) and ``weights`` concatenate their
+    rules; ``table[k]`` is l_n(s) of mode k at its block's nodes, 0 at the
     others'.  So g acts on c[live] as table diag(weights g(radii)) table^T,
     exactly 0 between blocks, and I at g = 1 up to ``gram_residual``.
+    ``phi`` = 2^{alpha_j - (N-1)/2} r^{-alpha_j} / sqrt(|S^{N-1}|) is the
+    node factor V / l of a mode with the constant psi_1, so on the radial
+    span the blocks are a rule for any radial function: :meth:`reconstruct`
+    and :meth:`project` act as a :class:`Collocation`'s.
     """
 
     live: np.ndarray
+    size: int
     radii: np.ndarray
     weights: np.ndarray
     table: np.ndarray
+    phi: np.ndarray
     gram_residual: float
+
+    def reconstruct(self, coeffs: np.ndarray) -> np.ndarray:
+        """v = phi (table^T c[live]) at the nodes."""
+        return self.phi * (self.table.T @ coeffs[self.live])
+
+    def project(self, values: np.ndarray) -> np.ndarray:
+        """<g, V_tilde_k>_L of g given at the nodes: table (weights/phi g)
+        on the live modes, 0 on the others."""
+        out = np.zeros(self.size)
+        out[self.live] = self.table @ (self.weights / self.phi * values)
+        return out
 
 
 def matched_blocks(basis: OUBasis, rows: np.ndarray, n_r: int = 64) -> MatchedBlocks:
@@ -421,5 +422,7 @@ def matched_blocks(basis: OUBasis, rows: np.ndarray, n_r: int = 64) -> MatchedBl
         row, col = row + len(idx), col + rule.count
     radii = np.concatenate([np.zeros(0), *(rule.nodes_r for rule in rules)])
     weights = np.concatenate([np.zeros(0), *(rule.weights for rule in rules)])
-    return MatchedBlocks(live, radii, weights, table,
-                         _gram_residual(table, weights, np.ones(len(live))))
+    phi = np.concatenate([np.zeros(0), *(2.0 ** (alpha - (N - 1) / 2.0) * rule.nodes_r ** (-alpha)
+                                         for alpha, rule in zip(alphas, rules))])
+    return MatchedBlocks(live, basis.size, radii, weights, table,
+                         phi / math.sqrt(sphere_area(N)), _gram_residual(table, weights))

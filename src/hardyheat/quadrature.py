@@ -10,9 +10,8 @@ s = r^2/4, exploiting
 so a rule with exponent a_GL = N/2 - 1 - beta/2 is *exact* for integrands
 r^{-beta} * (polynomial in r^2/4), which is what basis-pair inner products
 look like.  The angular factor chains :func:`polar_rule` (Gauss-Legendre on
-S^2, Gauss-Gegenbauer on S^{N-1}) down to a trapezoid rule in azimuth; the
-zonal rule keeps the polar factor alone, for integrands zonal about e1.
-Both are a :class:`ProductRule`.  Time enters only through the node scaling
+S^2, Gauss-Gegenbauer on S^{N-1}) down to a trapezoid rule in azimuth, in a
+:class:`ProductRule`.  Time enters only through the node scaling
 x = sqrt(t) * 2 sqrt(s) * theta.
 """
 
@@ -198,14 +197,12 @@ class ProductRule:
         int f(x) G(x,t) dx  ~=  sum(weights * f(sqrt(t) * points)).
 
     The weights factor into radial and angular weights (up to rounding),
-    radial node i outermost.  A
-    :func:`zonal_rule` is exact only for integrands zonal about e1.
+    radial node i outermost.
     """
 
     N: int
     radial: RadialRule
     angular_dirs: np.ndarray
-    angular_weights: np.ndarray
     points: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
 
@@ -244,7 +241,7 @@ def _radial_x_angular(N: int, n_r: int, a_gl: float | None, dirs, aw) -> Product
     points.setflags(write=False)
     weights = np.ascontiguousarray(weights)
     weights.setflags(write=False)
-    rule = ProductRule(N, radial, dirs, aw, points, weights)
+    rule = ProductRule(N, radial, dirs, points, weights)
     if a_gl == N / 2.0 - 1.0:
         _check_unit_mass(rule)
     return rule
@@ -267,24 +264,6 @@ def product_rule(
     if N < 2:
         raise QuadratureError("dimension must be >= 2")
     return _radial_x_angular(N, n_r, a_gl, *_angular_nodes(N, n_polar, n_az))
-
-
-@lru_cache(maxsize=32)
-def zonal_rule(
-    N: int, n_r: int = DEFAULT_NR, n_polar: int = 32, a_gl: float | None = None
-) -> ProductRule:
-    """The cubature for integrands zonal about e1: f(x) = g(|x|, x_1/|x|).
-
-    Its directions (c, sqrt(1 - c^2), 0, ...) are the :func:`polar_rule`
-    nodes in the (e1, e2) plane, and the S^{N-2} measure of each polar
-    circle is folded into the angular weights.
-    """
-    if N < 3:
-        raise QuadratureError("zonal reduction needs N >= 3")
-    c, wc = polar_rule(N, n_polar)
-    dirs = np.zeros((len(c), N))
-    dirs[:, 0], dirs[:, 1] = c, np.sqrt(1.0 - c**2)
-    return _radial_x_angular(N, n_r, a_gl, dirs, sphere_area(N - 1) * wc)
 
 
 def integrate_G(f, t: float, rule: ProductRule) -> float:

@@ -22,7 +22,10 @@ gives the independent nodal route the tests compare against:
   (``nodal_linear_forcing``, ``nodal_linear_march``), the route the package
   replaced by matched radial blocks of a radial profile, with ``radial_h``
   the nodal h of a profile, and the admissibility ratio sampled at points
-  (``admissibility_at_points``).
+  (``admissibility_at_points``);
+- the semilinear forcing of data on the ground block on the Gauss-Laguerre
+  rule of its integrand's own exponent (``IntegrandExponentRule``), from
+  scipy's ``roots_genlaguerre`` and the Kummer factors.
 """
 
 from __future__ import annotations
@@ -30,14 +33,14 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln, lpmv
+from scipy.special import gammaln, lpmv, roots_genlaguerre
 
 from hardyheat import angular as ang
 from hardyheat import evolve as ev
 from hardyheat import inequalities as ineq
 from hardyheat.errors import ConfigurationError, SingularNodeError
 from hardyheat.ou_basis import Collocation, OUBasis, _radial_rows, hardy_matrix
-from hardyheat.quadrature import ProductRule
+from hardyheat.quadrature import ProductRule, sphere_area
 from kummer import closed_form_norm2, kummer_m
 
 
@@ -59,7 +62,7 @@ def kummer_factors(modes, N: int, s: np.ndarray):
 
 def radii(rule: ProductRule) -> np.ndarray:
     """|x| of each node of the rule at t = 1."""
-    return np.repeat(rule.radial.nodes_r, len(rule.angular_weights))
+    return np.repeat(rule.radial.nodes_r, len(rule.angular_dirs))
 
 
 def lpmv_norm(l: int, m: int) -> float:
@@ -134,9 +137,11 @@ def real_sph_grad_block(L: int, dirs: np.ndarray) -> np.ndarray:
 
 def _psi_rows(spectrum: ang.AngularSpectrum, modes, dirs: np.ndarray) -> np.ndarray:
     """psi_j of each mode at unit vectors; shape (len(modes), M)."""
-    if spectrum.eigenvectors is None and any(m.j > 1 for m in modes):
+    if spectrum.eigenvectors is not None:
+        return ang.eval_psi_block(spectrum, dirs)[[m.j - 1 for m in modes]]
+    if any(m.j > 1 for m in modes):
         raise ConfigurationError("only psi_1 is evaluable off the N = 3 harmonic basis")
-    return ang.eval_psi_block(spectrum, dirs)[[m.j - 1 for m in modes]]
+    return np.full((len(modes), len(dirs)), 1.0 / math.sqrt(sphere_area(spectrum.N)))
 
 
 def _grad_psi_rows(spectrum: ang.AngularSpectrum, modes, dirs: np.ndarray) -> np.ndarray:
@@ -251,3 +256,38 @@ def admissibility_at_points(h, C_h: float, eps_h: float, points: np.ndarray) -> 
         bound = C_h * (1.0 + np.linalg.norm(x, axis=1) ** (-2.0 + eps_h))
         worst = max(worst, float(np.max(np.abs(h(x, t)) / bound)))
     return worst
+
+
+class IntegrandExponentRule:
+    """The semilinear term eps |v|^{p-1} v of data on the j = 1 modes under
+    a constant potential, for ``evolve.forcing_coefficients`` in place of a
+    collocation.
+
+    There v = r^{-alpha_1} P(s) psi_1 with P a polynomial in s = r^2/4, so
+    |v|^{p-1} v V_k carries r^{-(p+1) alpha_1} and the Gauss-Laguerre rule of
+    exponent N/2 - 1 - (p+1) alpha_1/2 absorbs it: for p = 2 and a P of one
+    sign the integrand left is a polynomial, integrated exactly.  The modes
+    come from :func:`kummer_factors` and the rule from scipy.
+    """
+
+    def __init__(self, basis: OUBasis, p: float, n_r: int):
+        N = basis.N
+        self.size = basis.size
+        self.live = np.array([k for k, m in enumerate(basis.modes) if m.j == 1])
+        alpha = basis.modes[self.live[0]].alpha_j
+        a = N / 2.0 - 1.0 - (p + 1.0) * alpha / 2.0
+        s, w = roots_genlaguerre(n_r, a)
+        r = 2.0 * np.sqrt(s)
+        P, _ = kummer_factors([basis.modes[k] for k in self.live], N, s)
+        area = sphere_area(N)
+        self.values = r ** (-alpha) * P / math.sqrt(area)  # V_k at the nodes
+        # int g dx = |S^{N-1}| 2^{N-1} int g s^{N/2-1} e^{-s} ds for radial g
+        self.weights = area * 2.0 ** (N - 1) * w * s ** (N / 2.0 - 1.0 - a)
+
+    def reconstruct(self, coeffs: np.ndarray) -> np.ndarray:
+        return coeffs[self.live] @ self.values
+
+    def project(self, values: np.ndarray) -> np.ndarray:
+        out = np.zeros(self.size)
+        out[self.live] = self.values @ (self.weights * values)
+        return out

@@ -7,22 +7,43 @@ pair, member by member, for any point-function member with ``value`` and
 ``PolyGaussian``, basis eigenfunctions (``BasisModeFunction``), under any
 potential the angular solver takes, a evaluated by ``potential_values``.
 The tests compare the two paths, and use this one for members no closed
-form covers.
+form covers.  ``zonal_rule`` is the cubature for integrands zonal about e1
+in any N >= 3, which the zonal sweep checks are held to.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from hardyheat import angular as ang
 from hardyheat import inequalities as ineq
-from hardyheat.errors import ConfigurationError
+from hardyheat.errors import ConfigurationError, QuadratureError
 from hardyheat.ou_basis import OUBasis
-from hardyheat.quadrature import product_rule
+from hardyheat.quadrature import (DEFAULT_NR, ProductRule, _radial_x_angular, polar_rule,
+                                  product_rule, sphere_area)
 from mode_oracle import eval_grad_V, eval_V, potential_values, radii
+
+@lru_cache(maxsize=32)
+def zonal_rule(
+    N: int, n_r: int = DEFAULT_NR, n_polar: int = 32, a_gl: float | None = None
+) -> ProductRule:
+    """The cubature for integrands zonal about e1: f(x) = g(|x|, x_1/|x|).
+
+    Its directions (c, sqrt(1 - c^2), 0, ...) are the ``polar_rule`` nodes
+    in the (e1, e2) plane, and the S^{N-2} measure of each polar circle is
+    folded into the angular weights.
+    """
+    if N < 3:
+        raise QuadratureError("zonal reduction needs N >= 3")
+    c, wc = polar_rule(N, n_polar)
+    dirs = np.zeros((len(c), N))
+    dirs[:, 0], dirs[:, 1] = c, np.sqrt(1.0 - c**2)
+    return _radial_x_angular(N, n_r, a_gl, dirs, sphere_area(N - 1) * wc)
+
 
 _MONOMIALS3 = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
                (2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1)]

@@ -478,7 +478,7 @@ def _one_shell_heavier(monkeypatch):
 
     def build(*args, **kwargs):
         rule = real(*args, **kwargs)
-        n_ang = len(rule.angular_weights)
+        n_ang = len(rule.angular_dirs)
         i = int(np.argmax(rule.radial.weights)) * n_ang
         weights = rule.weights.copy()
         weights[i:i + n_ang] *= 1.0 + 1e-9

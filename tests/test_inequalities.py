@@ -47,7 +47,7 @@ def gap_of(name, member, t, rules, spec=None):
 def zonal_pair(N, n_r=48, n_polar=28):
     """The plain and singular-twin zonal rules: exact for integrands zonal
     about e1, such as a bump on the axis e1."""
-    return quad.zonal_rule(N, n_r, n_polar), quad.zonal_rule(N, n_r, n_polar, a_gl=N / 2.0 - 2.0)
+    return oracle.zonal_rule(N, n_r, n_polar), oracle.zonal_rule(N, n_r, n_polar, a_gl=N / 2.0 - 2.0)
 
 
 def on_e1(bump):

@@ -17,6 +17,7 @@ from scipy.special import gammaln, roots_genlaguerre, roots_jacobi, roots_legend
 from hardyheat import quadrature as quad
 from hardyheat.errors import QuadratureError, SingularNodeError
 from mode_oracle import radii
+from sweep_oracle import zonal_rule
 
 
 def test_laguerre_single_node():
@@ -173,19 +174,21 @@ def test_polar_rule_matches_scipy(N):
 ROOT = Path(__file__).resolve().parents[1]
 # Records every (a_GL, n_r) Laguerre rule that the shipped configs and
 # workloads build outside the march: spectrum and basis certification,
-# collocation, the coupling matrices, the rules of a one-member verify and
-# quadcheck.  A fresh process, so no rule comes from a cache.
+# collocation, the matched blocks of the initial data (exponents
+# N/2 - 1 - alpha_j), the coupling matrices, the rules of a one-member
+# verify and quadcheck.  A fresh process, so no rule comes from a cache.
 SHIPPED_RULES = """
 import json, sys, tempfile
 from hardyheat import quadrature
 seen, build = set(), quadrature._laguerre_cached
 quadrature._laguerre_cached = lambda a, n: seen.add((a, n)) or build(a, n)
 from hardyheat import cli, inequalities, ou_basis
-from hardyheat.config import RunConfig
+from hardyheat.config import RunConfig, parse_initial
 for path in [None] + sys.argv[1:]:
     cfg = RunConfig.from_file(path) if path else RunConfig()
     spec, basis = cli._spectrum_and_basis(cfg)
     ou_basis.build_collocation(basis, n_r=cfg.radial_nodes)
+    ou_basis.matched_blocks(basis, parse_initial(cfg, basis)[None], cfg.radial_nodes)
     ou_basis.hardy_matrix(basis)
     inequalities.coercivity_bound_constant(basis)
     cfg.sweep_count = 1
@@ -320,13 +323,13 @@ def test_zonal_matches_full_rule():
 
     full = quad.product_rule(3, 40, 14, 28)
     i_full = full.integrate(squared_bump(full.points, np.array([0.0, 0.0, 1.0])))
-    zr = quad.zonal_rule(3, 40, 24)
+    zr = zonal_rule(3, 40, 24)
     i_zonal = zr.integrate(squared_bump(zr.points, np.array([1.0, 0.0, 0.0])))
     np.testing.assert_allclose(i_full, i_zonal, rtol=1e-12)
 
 
 def test_zonal_hardy_exponent():
     # 1/r^2 weighted mass: int G/|x|^2 = 4 pi^{3/2} at N=3, t=1
-    zr = quad.zonal_rule(3, 32, 16, a_gl=-0.5)
+    zr = zonal_rule(3, 32, 16, a_gl=-0.5)
     np.testing.assert_allclose(zr.integrate(1.0 / radii(zr)**2), 4.0 * math.pi**1.5,
                                rtol=1e-12)

@@ -1,13 +1,15 @@
-"""The radial rule and the matched blocks: runs that keep a span.
+"""The matched blocks: runs that keep a span.
 
 Under a constant potential the semilinear term maps radial functions to
-radial functions, so a semilinear run on the degree-0 modes is marched on
-the n_r-node radial rule.  These tests hold it against the product rule,
-check the fallbacks and the guard, and check the semilinear workload
-against the closed form of its Bernoulli ODE.  A radial linear h keeps every
-angular block, so a linear run marches the data's j-blocks alone, each on
-its matched radial rule, and builds no collocation; the unperturbed flow
-forces nothing, so it builds none either.
+radial functions, so a semilinear run on the degree-0 modes (the j = 1
+block) is marched on that block's matched n_r-node radial rule.  These
+tests hold it against the product rule, check the fallbacks and the route
+of stored rows, check the semilinear workload against the closed form of
+its Bernoulli ODE and a Hardy potential's run against a rule of its
+integrand's own exponent.  A radial linear h keeps every angular block, so
+a linear run marches the data's j-blocks alone, each on its matched radial
+rule, and builds no collocation; the unperturbed flow forces nothing, so it
+builds none either.
 """
 
 import dataclasses
@@ -27,8 +29,7 @@ from hardyheat import inequalities as ineq
 from hardyheat import ou_basis as ou
 from hardyheat import quadrature as quad
 from hardyheat.config import RunConfig, parse_initial, parse_perturbation
-from hardyheat.errors import ConfigurationError
-from mode_oracle import nodal_linear_march, radial_h
+from mode_oracle import IntegrandExponentRule, nodal_linear_march, radial_h
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -86,13 +87,12 @@ def reduced_and_full(request):
 
 
 def test_reduced_run_matches_the_product_rule(reduced_and_full):
-    # measured: rows within 5.3e-19, beta bit for bit; a linear h's radial
-    # block is matched by the product rule's own radial rule
+    # measured: rows within 5.4e-19 (semilinear) and 2.6e-18 (bounded_h),
+    # beta bit for bit; at a = 0 the radial block is matched by the product
+    # rule's own radial rule
     cfg, spec, reduced, full = reduced_and_full
-    assert not full.collocation.radial
-    rule = reduced.blocks or reduced.collocation
-    assert len(rule.weights) == cfg.radial_nodes
-    assert (reduced.collocation is None) == (reduced.blocks is not None)
+    assert len(full.collocation.rule.angular_dirs) > 1
+    assert reduced.collocation is None and len(reduced.blocks.weights) == cfg.radial_nodes
     assert not np.any(reduced.coeffs[:, ~ou.radial_modes(reduced.basis)])
     assert np.max(np.abs(reduced.coeffs - full.coeffs)) <= 1e-15
     beta, beta_full = _beta(cfg, spec, reduced), _beta(cfg, spec, full)
@@ -101,20 +101,20 @@ def test_reduced_run_matches_the_product_rule(reduced_and_full):
         assert abs(beta[mk] - value) <= 1e-14 * abs(value)
 
 
-def test_radial_simulate_forces_on_one_direction(tmp_path, monkeypatch):
+def test_radial_simulate_forces_on_the_matched_block(tmp_path, monkeypatch):
     calls = []
     counted = ev.forcing_coefficients
     monkeypatch.setattr(
         ev, "forcing_coefficients",
-        lambda c, pert, col, *a, **k: calls.append(len(col.rule.angular_weights))
+        lambda c, pert, col, *a, **k: calls.append((type(col), len(col.weights)))
         or counted(c, pert, col, *a, **k),
     )
     cfg = _config(SEMILINEAR, tau_min=math.log(1e-2), dtau=0.01, radial_nodes=16)
     doc = _run(tmp_path, cfg, "simulate")
-    assert (doc["collocation_rule"], doc["collocation_nodes"]) == ("radial", 16)
+    assert (doc["collocation_rule"], doc["collocation_nodes"]) == ("matched", 16)
     n = math.ceil(-cfg.tau_min / cfg.dtau - 1e-12)
-    assert len(calls) >= 4 * n + 4 * math.ceil(n / 2) + 2
-    assert set(calls) == {1}
+    assert len(calls) == 4 * n + 4 * math.ceil(n / 2) + 2
+    assert set(calls) == {(ou.MatchedBlocks, 16)}
 
 
 # runs outside the radial span: (config, overrides)
@@ -158,10 +158,13 @@ def _counted(monkeypatch, module, name, calls):
 
 @pytest.mark.parametrize("perturbation", ("none", "semilinear:0.05:2.0"))
 def test_collocations_built_per_command(perturbation, tmp_path, monkeypatch):
-    # the unperturbed flow reads no collocation, so it builds none and no
-    # product rule; a perturbed run builds one per command, and beta's rows
-    # come back from trajectory.csv with one forcing call each
-    calls = {"build_collocation": 0, "product_rule": 0, "forcing_coefficients": 0}
+    # the unperturbed flow reads no rule, so it builds none; a perturbed run
+    # on the radial span builds one matched block per command and no
+    # collocation or product rule, and beta's rows come back from
+    # trajectory.csv with one forcing call each
+    calls = {"matched_blocks": 0, "build_collocation": 0, "product_rule": 0,
+             "forcing_coefficients": 0}
+    _counted(monkeypatch, ou, "matched_blocks", calls)
     _counted(monkeypatch, ou, "build_collocation", calls)
     _counted(monkeypatch, quad, "product_rule", calls)
     _counted(monkeypatch, ev, "forcing_coefficients", calls)
@@ -172,7 +175,8 @@ def test_collocations_built_per_command(perturbation, tmp_path, monkeypatch):
     for command, forcing in (("simulate", 4 * n + 4 * math.ceil(n / 2) + 2),
                              ("beta", n + 1)):
         _run(tmp_path, cfg, command)
-        assert calls == {"build_collocation": int(perturbed), "product_rule": 0,
+        assert calls == {"matched_blocks": int(perturbed), "build_collocation": 0,
+                         "product_rule": 0,
                          "forcing_coefficients": forcing if perturbed else 0}, command
         calls.update(dict.fromkeys(calls, 0))
 
@@ -210,33 +214,34 @@ def test_linear_run_marches_only_the_data_j_blocks(name, tmp_path, monkeypatch):
     assert doc["collocation_gram_residual"] == traj.blocks.gram_residual < 1e-14
 
 
-def test_radial_collocation_guard(basis0):
-    col = ou.build_collocation(basis0, n_r=16, radial=True)
+def test_stored_rows_take_the_rule_of_their_span(basis0):
+    # trajectory_from_rows checks the span on every row: rows marched on the
+    # matched block come back on it with the march's forcing bit for bit, and
+    # one stored row off the span, or a potential that is not constant,
+    # sends the whole run to the product rule
     semi = ev.PerturbationSpec.semilinear(0.05, 2.0, 3)
     c0 = np.zeros(basis0.size)
     c0[0] = 1.0
-    traj = ev.integrate_backward(basis0, c0, math.log(0.5), 0.01, semi, col)
-    off = np.flatnonzero(~ou.radial_modes(basis0))
-    bad = c0.copy()
-    bad[off[0]] = 1e-300
-    with pytest.raises(ConfigurationError, match="radial"):
-        ev.integrate_backward(basis0, bad, math.log(0.5), 0.01, semi, col)
+    tau_min = math.log(0.5)
+    traj = ev.integrate_backward(basis0, c0, tau_min, 0.01, semi, n_r=16)
+    assert traj.collocation is None and len(traj.blocks.weights) == 16
+    back = ev.trajectory_from_rows(basis0, None, traj.coeffs, semi, tau_min, 0.01, 16)
+    assert back.collocation is None and np.array_equal(back.blocks.live, traj.blocks.live)
+    assert np.array_equal(back.forcing, traj.forcing)
     rows = traj.coeffs.copy()
-    rows[-1, off[-1]] = 1e-300
-    with pytest.raises(ConfigurationError, match="radial"):
-        ev.trajectory_from_rows(basis0, col, rows, semi, math.log(0.5), 0.01)
+    rows[-1, np.flatnonzero(~ou.radial_modes(basis0))[-1]] = 1e-300
     aniso = dataclasses.replace(basis0, spectrum=dataclasses.replace(
         basis0.spectrum, potential=ang.AngularPotential.harmonic_table([(1, 0, 0.1)])))
-    for call in (lambda: ev.integrate_backward(aniso, c0, math.log(0.5), 0.01, semi, col),
-                 lambda: ev.trajectory_from_rows(aniso, col, traj.coeffs, semi,
-                                                 math.log(0.5), 0.01)):
-        with pytest.raises(ConfigurationError, match="radial"):
-            call()
+    for run in (ev.trajectory_from_rows(basis0, None, rows, semi, tau_min, 0.01, 16),
+                ev.integrate_backward(aniso, c0, tau_min, 0.01, semi, n_r=16),
+                ev.trajectory_from_rows(aniso, None, traj.coeffs, semi, tau_min, 0.01, 16)):
+        assert run.blocks is None and len(run.collocation.rule.angular_dirs) > 1
+        assert np.max(np.abs(run.forcing - traj.forcing)) <= 1e-15
 
 
 @pytest.mark.parametrize("N", (3, 4, 5))
 def test_radial_rule_in_every_dimension(N):
-    # l > 0 modes have no nodal table for N > 3, but the radial rule needs
+    # l > 0 modes have no nodal table for N > 3, but the matched block needs
     # none: the ground mode follows its Bernoulli ODE, the rest stay zero
     spec = ang.solve_angular(ang.AngularPotential.constant(0.0), K=40, N=N)
     basis = ou.enumerate_modes(spec, 1.0)
@@ -246,11 +251,35 @@ def test_radial_rule_in_every_dimension(N):
     c0 = np.zeros(basis.size)
     c0[0] = 1.0
     traj = ev.integrate_backward(basis, c0, math.log(0.5), 0.01, pert)
-    assert traj.collocation.radial and traj.collocation.gram_residual < 1e-13
+    assert traj.collocation is None and traj.blocks.gram_residual < 1e-13
+    assert list(traj.blocks.live) == list(np.flatnonzero(ou.radial_modes(basis)))
     kappa = eps * ((4.0 * math.pi) ** (-N / 4.0)) ** (p - 1.0)
     exact = (1.0 + (p - 1.0) * kappa * (traj.t - 1.0)) ** (1.0 / (1.0 - p))
     np.testing.assert_allclose(traj.coeffs[:, 0], exact, rtol=1e-12, atol=0.0)
     assert not np.any(traj.coeffs[:, ~ou.radial_modes(basis)])
+
+
+def test_hardy_potential_semilinear_run_on_the_matched_block(tmp_path):
+    # a = 0.2 gives alpha_1 = 0.276: the block's matched rule is exact for
+    # its Gram (the shared exponent N/2 - 1 read 1.5e-3 and failed its 1e-4
+    # gate), and beta is held to the rule of the integrand's own exponent
+    # N/2 - 1 - 3 alpha_1/2, which reads 1.0090741080433072 at every n_r
+    # from 16 to 256.  The matched block's beta drifts algebraically in n_r:
+    # measured 4.0e-5, 9.1e-6 and 2.0e-6 relative at n_r = 16, 64 and 256
+    cfg = _config(SEMILINEAR, potential="constant:0.2")
+    freq = _run(tmp_path, cfg, "simulate", "beta")
+    assert (freq["collocation_rule"], freq["collocation_nodes"]) == ("matched", cfg.radial_nodes)
+    assert freq["collocation_gram_residual"] <= 1e-14
+    beta = json.loads((tmp_path / "beta.json").read_text())["beta"]["beta"]
+    spec, basis = cli._spectrum_and_basis(cfg)
+    pert, c0 = parse_perturbation(cfg), parse_initial(cfg, basis)
+    oracle = [_beta(cfg, spec, ev.integrate_backward(
+        basis, c0, cfg.tau_min, cfg.dtau, pert, IntegrandExponentRule(basis, pert.p, n_r)))
+        for n_r in (16, cfg.radial_nodes)]
+    assert list(beta) == ["0,1"] and list(oracle[0]) == [(0, 1)]
+    exact = oracle[1][(0, 1)]
+    assert abs(oracle[0][(0, 1)] - exact) <= 1e-13 * exact
+    assert abs(beta["0,1"] - exact) <= 2e-5 * exact
 
 
 def test_semilinear_workload_bernoulli_beta(tmp_path):
