@@ -123,8 +123,8 @@ def _trajectory(cfg, basis, reuse_dir=None):
             print(f"trajectory.csv not reused ({exc}); integrating", file=sys.stderr)
         else:
             print("trajectory rebuilt from trajectory.csv", file=sys.stderr)
-            return evolve.trajectory_from_rows(basis, None, coeffs, pert, cfg.tau_min,
-                                               cfg.dtau, cfg.radial_nodes)
+            return evolve.trajectory_from_rows(basis, coeffs, pert, cfg.tau_min, cfg.dtau,
+                                               cfg.radial_nodes)
     return evolve.integrate_backward(basis, c0, cfg.tau_min, cfg.dtau, pert,
                                      n_r=cfg.radial_nodes)
 
@@ -157,7 +157,7 @@ def cmd_simulate(cfg, outdir) -> int:
     c1 = inequalities.coercivity_bound_constant(basis)
     report = almgren.run_diagnostics(traj, trace, coercivity_constant=c1)
     shares = traj.truncation_shares()
-    col = traj.collocation or traj.blocks
+    rule = traj.rule
     meta = _meta(cfg, basis)
     meta["dtau"] = traj.dtau
     meta["perturbation"] = traj.perturbation.label
@@ -191,12 +191,12 @@ def cmd_simulate(cfg, outdir) -> int:
             "diagnostics": report,
             "truncation_ratio": float(shares[-1]),
             "truncation_ratio_max": float(shares.max()),
-            "collocation_gram_residual": None if col is None else col.gram_residual,
-            "collocation_rule": "none" if col is None else "matched" if traj.blocks
-                                else "product",
-            "collocation_nodes": 0 if col is None else len(col.weights),
+            "collocation_gram_residual": None if rule is None else rule.gram_residual,
+            "collocation_rule": "none" if rule is None else "product"
+                                if isinstance(rule, ou_basis.Collocation) else "matched",
+            "collocation_nodes": 0 if rule is None else len(rule.weights),
             "halving_error": traj.halving_error,
-            "halving_tol": None if col is None else evolve.HALVING_TOL,
+            "halving_tol": None if rule is None else evolve.HALVING_TOL,
             "admissibility_ratio": traj.admissibility_ratio,
         },
         meta,

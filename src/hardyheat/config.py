@@ -172,6 +172,14 @@ def _finite(text: str) -> float:
     return val
 
 
+def _fields(text: str, count: int) -> list:
+    """The ':'-separated fields of text, exactly ``count`` of them."""
+    fields = text.split(":")
+    if len(fields) != count:
+        raise ConfigurationError(f"{len(fields)} fields where the kind takes {count}")
+    return fields
+
+
 @contextmanager
 def _spec_errors(key: str, spec: str):
     """Any fault in the ``key`` spec string (unknown kind, missing field, bad
@@ -217,13 +225,12 @@ def parse_perturbation(cfg: RunConfig):
         if spec == "none":
             return PerturbationSpec.none()
         kind, _, rest = spec.partition(":")
-        parts = [p for p in rest.split(":") if p]
         if kind in ("linear_constant", "linear_bounded"):
-            pert = getattr(PerturbationSpec, kind)(_finite(parts[0]), eps_h=cfg.h_eps)
+            pert = getattr(PerturbationSpec, kind)(_finite(rest), eps_h=cfg.h_eps)
             return replace(pert, C_h=cfg.h_const) if cfg.h_const > 0 else pert
         if kind == "semilinear":
-            return PerturbationSpec.semilinear(_finite(parts[0]), _finite(parts[1]),
-                                               cfg.dimension)
+            eps, p = _fields(rest, 2)
+            return PerturbationSpec.semilinear(_finite(eps), _finite(p), cfg.dimension)
         raise ConfigurationError("unsupported kind")
 
 
@@ -235,28 +242,31 @@ def _mode_pairs(text: str) -> list:
 def parse_initial(cfg: RunConfig, basis):
     """Initial data from the config string.
 
-    modes:<k>=<coeff>,... sets coefficients directly; family:pure:<k>,
-    family:mixture:<k>=<c>,..., family:exp_linear:<k>:<eps> evaluate the
-    closed forms at t = 1.  The datum's H = |c|^2 must lie above the trace's
-    underflow floor and be finite.
+    modes:<k>=<coeff>,... sets coefficients directly, each mode once;
+    family:pure:<k>, family:mixture:<k>=<c>,... and
+    family:exp_linear:<k>:<eps> are the closed-form families at t = 1: c_k = 1,
+    the given c's, and c_k = e^{-eps}.  The datum's H = |c|^2 must lie above
+    the trace's underflow floor and be finite.
     """
     from .almgren import H_FLOOR
-    from .evolve import build_initial, closed_form_reference
+    from .evolve import build_initial
 
     spec = cfg.initial.strip()
     kind, _, rest = spec.partition(":")
+    family, _, args = rest.partition(":")
     with _spec_errors("initial", spec):
-        parts = rest.split(":")
         if kind == "modes":
-            c = build_initial(basis, _mode_pairs(rest))
-        elif kind == "family" and parts[0] == "pure":
-            c = closed_form_reference(basis, ("pure", int(parts[1])), 1.0)
-        elif kind == "family" and parts[0] == "mixture":
-            c = closed_form_reference(basis, ("mixture", _mode_pairs(parts[1])), 1.0)
-        elif kind == "family" and parts[0] == "exp_linear":
-            c = closed_form_reference(basis, ("exp_linear", int(parts[1]), _finite(parts[2])), 1.0)
+            pairs = _mode_pairs(rest)
+        elif kind == "family" and family == "pure":
+            pairs = [(int(args), 1.0)]
+        elif kind == "family" and family == "mixture":
+            pairs = _mode_pairs(args)
+        elif kind == "family" and family == "exp_linear":
+            k, eps = _fields(args, 2)
+            pairs = [(int(k), math.exp(-_finite(eps)))]
         else:
             raise ConfigurationError("unsupported kind")
+        c = build_initial(basis, pairs)
         H = sum(x * x for x in c.tolist())  # Python floats overflow to inf quietly
         if not H_FLOOR < H < math.inf:
             raise ConfigurationError(f"H = |c|^2 = {H!r} outside ({H_FLOOR}, inf)")

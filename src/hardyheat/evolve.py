@@ -8,8 +8,9 @@ With v(x, t) = u(sqrt(t) x, t) and tau = log t, the flow becomes
 which is diagonal plus a small forcing; integration runs backward from
 tau = 0 toward the singularity.  The unperturbed flow is advanced by its
 exact diagonal propagator e^{gamma_k dtau} and evaluates no forcing, so it
-builds no rule; perturbed kinds use classical RK4 at dtau, verified against
-one RK4 march at 2 dtau on every second row.
+builds no rule; perturbed kinds march the live modes of their one rule
+by classical RK4 at dtau, verified against one RK4 march at 2 dtau on
+every second row, and every other mode stays exactly 0.
 Every stored row keeps the forcing coefficients that the first RK4 stage of
 the dtau march evaluated there: they are exactly the xi_{m,k} data the
 asymptotic coefficient formulas integrate later.  Stored rows read back
@@ -19,7 +20,7 @@ forcing, one evaluation per row, without a march.
 A linear h is a radial profile h(|x|, t), which couples only modes of one
 angular index j: it acts on the data's j-blocks alone, each on its matched
 radial rule (:func:`ou_basis.matched_blocks`), as a matrix M(t) known at
-every stage time, and every other mode stays exactly 0.  Its RK4 step is
+every stage time.  Its RK4 step is
 one increment matrix B_i, c_{i+1} = c_i + B_i c_i (:func:`_march_linear`).
 The semilinear term is evaluated at the nodes at every stage
 (:func:`_march_rk4`); under a constant potential, data on the degree-0
@@ -133,8 +134,9 @@ def linear_forcing_matrices(ts, pert: PerturbationSpec, blocks: MatchedBlocks) -
 
 def forcing_coefficients(c: np.ndarray, pert: PerturbationSpec,
                          col: Collocation | MatchedBlocks) -> np.ndarray:
-    """F_k = < eps |v|^{p-1} v, V_tilde_k >_L of the semilinear term, which
-    depends on no time: v = col.reconstruct(c) at the nodes of the product
+    """F_k = < eps |v|^{p-1} v, V_tilde_k >_L, k in col.live, of the
+    semilinear term, which depends on no time: c holds the live
+    coefficients, v = col.reconstruct(c) at the nodes of the product
     collocation or of the matched blocks, projected back.
     """
     v = col.reconstruct(c)
@@ -150,15 +152,14 @@ class Trajectory:
     perturbation at each stored time ``t[i]``: the forcing the first RK4
     stage of the dtau march evaluated at that row, or for rows given to
     :func:`trajectory_from_rows` the same forcing evaluated once per row.
-    ``blocks`` are the matched blocks of a linear h or of a semilinear run
-    on the radial span, ``collocation`` the product rule of any other
-    semilinear run; each is None where the run reads none.
+    ``rule`` is the run's rule of :func:`_check_inputs`, None for the
+    unperturbed flow.
     ``halving_error`` and ``admissibility_ratio`` are the gate values the
     run measured, each None where it measured none.
     """
 
     basis: OUBasis
-    collocation: Collocation | None
+    rule: Collocation | MatchedBlocks | None
     tau: np.ndarray
     coeffs: np.ndarray
     forcing: np.ndarray
@@ -166,7 +167,6 @@ class Trajectory:
     dtau: float
     halving_error: float | None = None
     admissibility_ratio: float | None = None
-    blocks: MatchedBlocks | None = None
     t: np.ndarray = field(init=False)  # e^tau row by row, the one time grid
 
     def __post_init__(self):
@@ -197,11 +197,14 @@ class Trajectory:
 
 def build_initial(basis: OUBasis, pairs) -> np.ndarray:
     """Initial coefficient vector at tau = 0 from (mode index, coefficient)
-    pairs, each index in 0..K-1."""
-    c = np.zeros(basis.size)
+    pairs, each index in 0..K-1 and given once."""
+    c, seen = np.zeros(basis.size), set()
     for k, coeff in pairs:
         if not 0 <= k < basis.size:
             raise ConfigurationError(f"mode index {k} outside 0..{basis.size - 1}")
+        if k in seen:
+            raise ConfigurationError(f"mode index {k} given twice")
+        seen.add(k)
         c[k] = coeff
     return c
 
@@ -228,9 +231,9 @@ def _march_rk4(taus, c0, f):
     return c, forcing
 
 
-def _march_linear(taus, c0, pert, basis, blocks):
-    """The RK4 march of :func:`_march_rk4` for a linear h, by matrices, on
-    the live modes of ``blocks``; every other mode stays exactly 0.
+def _march_linear(taus, c0, gammas, pert, blocks):
+    """The RK4 march of :func:`_march_rk4` for a linear h, by matrices, of
+    c0 = c[live] with eigenvalues ``gammas`` on the live modes of ``blocks``.
 
     There dc/dtau = A(tau) c with A = Gamma - t M(t), t = e^tau, so each RK4
     step is c_{i+1} = c_i + B_i c_i with h = tau_{i+1} - tau_i and
@@ -239,10 +242,10 @@ def _march_linear(taus, c0, pert, basis, blocks):
     A_1 are A at tau_i, tau_i + h/2 and tau_i + h.  The stage matrices are
     built MARCH_BLOCK steps at a time; each row keeps F_i = M(t_i) c_i.
     """
-    n, live = len(taus) - 1, blocks.live
-    c, forcing = np.empty((n + 1, len(live))), np.empty((n + 1, len(live)))
-    c[0] = c0[live]
-    gamma = np.diag(basis.gammas[live])
+    n = len(taus) - 1
+    c, forcing = np.empty((n + 1, len(c0))), np.empty((n + 1, len(c0)))
+    c[0] = c0
+    gamma = np.diag(gammas)
     for lo in range(0, n, MARCH_BLOCK):
         hi = min(lo + MARCH_BLOCK, n)
         t0 = taus[lo:hi]
@@ -260,21 +263,19 @@ def _march_linear(taus, c0, pert, basis, blocks):
         forcing[lo:hi] = (M[:hi - lo] @ c[lo:hi, :, None])[..., 0]
     M = linear_forcing_matrices([math.exp(taus[n])], pert, blocks)
     forcing[n] = (M @ c[n:, :, None])[0, :, 0]
-    coeffs, F = np.zeros((n + 1, len(c0))), np.zeros((n + 1, len(c0)))
-    coeffs[:, live], F[:, live] = c, forcing
-    return coeffs, F
+    return c, forcing
 
 
-def _row_forcing(ts, coeffs, pert, col, blocks) -> np.ndarray:
-    """F(t_i, c_i) row by row: M(t_i) c_i on the live modes of ``blocks``
-    for a linear h, whose M(t_i) are built MARCH_BLOCK rows at a time, else
-    one :func:`forcing_coefficients` call per row on ``col`` or ``blocks``."""
+def _row_forcing(ts, rows, pert, rule) -> np.ndarray:
+    """F(t_i, c_i) on the live modes of ``rule`` of the rows c_i = c[live]:
+    M(t_i) c_i for a linear h, whose M(t_i) are built MARCH_BLOCK rows at a
+    time, else one :func:`forcing_coefficients` call per row."""
     if pert.kind != "linear":
-        return np.array([forcing_coefficients(c, pert, col or blocks) for c in coeffs])
-    F, live = np.zeros_like(coeffs), coeffs[:, blocks.live]
+        return np.array([forcing_coefficients(c, pert, rule) for c in rows])
+    F = np.empty_like(rows)
     for lo in range(0, len(ts), MARCH_BLOCK):
-        M = linear_forcing_matrices(ts[lo:lo + MARCH_BLOCK], pert, blocks)
-        F[lo:lo + MARCH_BLOCK, blocks.live] = (M @ live[lo:lo + MARCH_BLOCK, :, None])[..., 0]
+        M = linear_forcing_matrices(ts[lo:lo + MARCH_BLOCK], pert, rule)
+        F[lo:lo + MARCH_BLOCK] = (M @ rows[lo:lo + MARCH_BLOCK, :, None])[..., 0]
     return F
 
 
@@ -292,21 +293,20 @@ def tau_grid(tau_min: float, dtau: float) -> tuple[np.ndarray, float]:
     return np.linspace(0.0, tau_min, n + 1), -tau_min / n
 
 
-def _check_inputs(basis, pert, col, rows, n_r):
-    """(col, blocks, admissibility ratio) of a run on ``rows`` past its input
+def _check_inputs(basis, pert, rows, n_r):
+    """(rule, admissibility ratio) of a run on ``rows`` past its input
     gates, each None where the kind reads none: the n_r-node
     :func:`ou_basis.matched_blocks` of the rows for a linear h, at whose
     radii h must pass :func:`check_h_admissible`, and for a semilinear term
-    without ``col`` on :func:`radial_invariant` rows; any other semilinear
-    run forces on ``col``, by default the n_r-node
-    :func:`ou_basis.build_collocation`.
+    on :func:`radial_invariant` rows; any other semilinear run forces on the
+    n_r-node :func:`ou_basis.build_collocation`.
     """
     if pert.kind == "none":
-        return None, None, None
+        return None, None
     if pert.kind == "semilinear":
-        if col is None and radial_invariant(basis, rows):
-            return None, matched_blocks(basis, rows, n_r), None
-        return col or build_collocation(basis, n_r=n_r), None, None
+        if radial_invariant(basis, rows):
+            return matched_blocks(basis, rows, n_r), None
+        return build_collocation(basis, n_r=n_r), None
     blocks = matched_blocks(basis, rows, n_r)
     ok, failures, ratio = check_h_admissible(pert.h_radial, pert.C_h, pert.eps_h,
                                              blocks.radii)
@@ -315,12 +315,11 @@ def _check_inputs(basis, pert, col, rows, n_r):
             f"perturbing potential violates the admissibility bound at "
             f"{len(failures)} sampled (t, radius) pairs, e.g. {failures[0]}"
         )
-    return None, blocks, ratio
+    return blocks, ratio
 
 
 def trajectory_from_rows(
     basis: OUBasis,
-    col: Collocation | None,
     coeffs: np.ndarray,
     pert: PerturbationSpec,
     tau_min: float,
@@ -334,16 +333,18 @@ def trajectory_from_rows(
     The rows pass the gates of :func:`integrate_backward` and must match
     the grid's length and the basis, else ConfigurationError.  A perturbed
     kind gets the forcing of :func:`_row_forcing` at (t[i], coeffs[i]) on
-    the same rules, bit for bit what the march stored there.
+    the same rule, bit for bit what the march stored there, and 0 off its
+    live modes.
     """
     taus, step = tau_grid(tau_min, dtau)
     if coeffs.shape != (len(taus), basis.size):
         raise ConfigurationError(f"{coeffs.shape} rows for a grid of {len(taus)} x {basis.size}")
-    col, blocks, ratio = _check_inputs(basis, pert, col, coeffs, n_r)
-    traj = Trajectory(basis, col, taus, coeffs, np.zeros_like(coeffs), pert, step,
-                      admissibility_ratio=ratio, blocks=blocks)
-    if pert.kind != "none":
-        traj.forcing = _row_forcing(traj.t, coeffs, pert, col, blocks)
+    rule, ratio = _check_inputs(basis, pert, coeffs, n_r)
+    traj = Trajectory(basis, rule, taus, coeffs, np.zeros_like(coeffs), pert, step,
+                      admissibility_ratio=ratio)
+    if rule is not None:  # C-ordered rows as the march's: BLAS sums strided ones otherwise
+        traj.forcing[:, rule.live] = _row_forcing(traj.t, coeffs.take(rule.live, axis=1),
+                                                  pert, rule)
     return traj
 
 
@@ -353,43 +354,42 @@ def integrate_backward(
     tau_min: float,
     dtau: float,
     pert: PerturbationSpec,
-    col: Collocation | None = None,
     n_r: int = 64,
 ) -> Trajectory:
     """March c from tau = 0 down to tau_min on :func:`tau_grid`, on the
-    rules and past the gates of :func:`_check_inputs` (a linear h reads no
-    ``col``: it marches the j-blocks on which c0 is nonzero).
+    rule and past the gates of :func:`_check_inputs`.
 
     The unperturbed flow uses the exact propagator c0 e^{gamma tau} with
-    zero forcing.  Perturbed kinds march RK4 at dtau and keep its rows, with
-    the forcing its first stages evaluated there.  One RK4 march on every
-    second row (and the last row when n is odd) at 2 dtau verifies them: the
-    sup of |coarse - kept| over the coarse rows (``halving_error``) must
-    stay <= 1e-8, else AccuracyError suggests a smaller step.  A linear h
-    marches by step matrices (:func:`_march_linear`) and makes no forcing
-    call: the two marches build M at 3n + 3 ceil(n/2) + 2 times.  The
-    semilinear term makes 4n + 4 ceil(n/2) + 2 forcing calls for n steps.
+    zero forcing.  Perturbed kinds march c[live] of the rule's live modes
+    by RK4 at dtau and keep its rows, with the forcing its first stages
+    evaluated there; every other mode stays exactly 0.  One RK4 march on
+    every second row (and the last row when n is odd) at 2 dtau verifies
+    them: the sup of |coarse - kept| over the coarse rows
+    (``halving_error``) must stay <= 1e-8, else AccuracyError suggests a
+    smaller step.  A linear h marches by step matrices
+    (:func:`_march_linear`) and makes no forcing call: the two marches
+    build M at 3n + 3 ceil(n/2) + 2 times.  The semilinear term makes
+    4n + 4 ceil(n/2) + 2 forcing calls for n steps.
     """
     c0 = np.asarray(c0, dtype=float)
     if len(c0) != basis.size:
         raise ConfigurationError("initial coefficient vector does not match the basis")
     taus, step = tau_grid(tau_min, dtau)
-    col, blocks, ratio = _check_inputs(basis, pert, col, c0[None], n_r)
-    if pert.kind == "none":
+    rule, ratio = _check_inputs(basis, pert, c0[None], n_r)
+    if rule is None:
         coeffs = c0[None, :] * np.exp(np.outer(taus, basis.gammas))
-        return Trajectory(basis, col, taus, coeffs, np.zeros_like(coeffs), pert, step)
+        return Trajectory(basis, None, taus, coeffs, np.zeros_like(coeffs), pert, step)
 
+    c0, gammas = c0[rule.live], basis.gammas[rule.live]
     if pert.kind == "linear":
-        march = lambda grid: _march_linear(grid, c0, pert, basis, blocks)
+        march = lambda grid: _march_linear(grid, c0, gammas, pert, rule)
     else:
-        rule = col or blocks
-
         def f(tau, c):  # (Gamma c - t F, F) at t = e^tau
             F = forcing_coefficients(c, pert, rule)
-            return basis.gammas * c - math.exp(tau) * F, F
+            return gammas * c - math.exp(tau) * F, F
         march = lambda grid: _march_rk4(grid, c0, f)
-    coeffs, forcing = march(taus)
-    if not np.all(np.isfinite(coeffs)):
+    c, F = march(taus)
+    if not np.all(np.isfinite(c)):
         raise AccuracyError(
             "trajectory left the finite range (perturbation too strong for "
             "backward continuation)",
@@ -400,34 +400,16 @@ def integrate_backward(
     n = len(taus) - 1
     rows2 = [*range(0, n, 2), n]
     coarse, _ = march(taus[rows2])
-    err = float(np.max(np.abs(coarse - coeffs[rows2])))
+    err = float(np.max(np.abs(coarse - c[rows2])))
     if not math.isfinite(err) or err > HALVING_TOL:
         raise AccuracyError(
             f"step-halving disagreement {err:.3e} exceeds {HALVING_TOL}",
             suggestion=f"dtau <= {step / 4.0}",
         )
-    return Trajectory(basis, col, taus, coeffs, forcing, pert, step,
-                      halving_error=err, admissibility_ratio=ratio, blocks=blocks)
-
-
-def closed_form_reference(basis: OUBasis, family, t: float) -> np.ndarray:
-    """Exact coefficient vectors for the analytic solution families.
-
-    families: ('pure', k); ('mixture', [(k, coeff), ...]);
-    ('exp_linear', k, eps) for the exact solution e^{-eps t} t^gamma of the
-    constant-h linear problem.
-    """
-    kind = family[0]
-    if kind == "pure":
-        terms = [(family[1], 1.0)]
-    elif kind == "mixture":
-        terms = family[1]
-    elif kind == "exp_linear":
-        terms = [(family[1], math.exp(-family[2] * t))]
-    else:
-        raise ConfigurationError(f"unknown closed-form family {kind!r}")
-    c = build_initial(basis, terms)  # rejects a mode index outside 0..K-1
-    return np.array([x * t ** g for x, g in zip(c, basis.gammas)])
+    coeffs, forcing = np.zeros((n + 1, basis.size)), np.zeros((n + 1, basis.size))
+    coeffs[:, rule.live], forcing[:, rule.live] = c, F
+    return Trajectory(basis, rule, taus, coeffs, forcing, pert, step,
+                      halving_error=err, admissibility_ratio=ratio)
 
 
 def check_h_admissible(

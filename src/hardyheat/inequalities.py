@@ -123,7 +123,7 @@ def _bump_gaussian(b, w, t: float, N: int):
     return a, q, (math.pi / (a * t)) ** (N / 2.0) * np.exp(-(b / w) ** 2 * q)
 
 
-def bump_integrals(b, w, t: float, N: int, s: float = SOBOLEV_EXPONENT) -> dict:
+def bump_integrals(b, w, t: float, N: int) -> dict:
     """Every integral but a_hardy of the bumps exp(-|x - b e|^2 / (2 w^2)),
     in closed form, elementwise over the arrays b and w.
 
@@ -134,13 +134,14 @@ def bump_integrals(b, w, t: float, N: int, s: float = SOBOLEV_EXPONENT) -> dict:
     - hardy = M0 (2a/(N-2)) 1F1(1; N/2; -a m^2), the inverse moment of a
       noncentral chi-square (Johnson, Kotz & Balakrishnan, ch. 29);
     - r2u2 = M0 (N/(2a) + m^2);
-    - sob = t^{-Ns/4} (2 pi/(s a))^{N/2} exp(-(s/2)(b/w)^2 q).
+    - sob = t^{-Ns/4} (2 pi/(s a))^{N/2} exp(-(s/2)(b/w)^2 q), s = SOBOLEV_EXPONENT.
 
     A value that is not representable (w^4 overflows at a huge t) comes out
     inf or NaN without a warning; the Sobolev self-check of :func:`sweep`
     rejects it.
     """
     b, w = np.asarray(b, dtype=float), np.asarray(w, dtype=float)
+    s = SOBOLEV_EXPONENT
     with np.errstate(over="ignore", invalid="ignore"):
         a, q, u2 = _bump_gaussian(b, w, t, N)
         a1, q1, u2_1 = _bump_gaussian(b, w, 1.0, N)

@@ -321,15 +321,18 @@ class Collocation:
 
     Projections <g, V_tilde_k> are Phi @ (weights * g(rule.points)); nodal
     reconstruction is Phi.T @ c.  The rule's points are the t = 1 nodes; at
-    time t the physical points are sqrt(t) * rule.points.  ``gram_residual``
-    measures how well the shared-node rule reproduces the orthonormality:
-    exact (1e-14) for integer singular exponents, algebraic (~1e-6 at
-    n_r = 64) for the fractional exponents of anisotropic potentials.
+    time t the physical points are sqrt(t) * rule.points.  ``live`` indexes
+    every mode, as :class:`MatchedBlocks` index the modes they keep.
+    ``gram_residual`` measures how well the shared-node rule reproduces the
+    orthonormality: exact (1e-14) for integer singular exponents, algebraic
+    (~1e-6 at n_r = 64) for the fractional exponents of anisotropic
+    potentials.
     """
 
     rule: ProductRule
     Phi: np.ndarray
-    gram_residual: float = 0.0
+    live: np.ndarray
+    gram_residual: float
 
     @property
     def weights(self) -> np.ndarray:
@@ -356,7 +359,7 @@ def build_collocation(basis: OUBasis, n_r: int = 64) -> Collocation:
     radial_table = _radial_rows(basis.modes, spec.N, rule.radial.nodes_r)
     psi_k = ang.eval_psi_block(spec, rule.angular_dirs)[[m.j - 1 for m in basis.modes]]
     Phi = (radial_table[:, :, None] * psi_k[:, None, :]).reshape(basis.size, -1)
-    return Collocation(rule, Phi, _gram_residual(Phi, rule.weights))
+    return Collocation(rule, Phi, np.arange(basis.size), _gram_residual(Phi, rule.weights))
 
 
 def _gram_residual(table, weights) -> float:
@@ -375,19 +378,19 @@ class MatchedBlocks:
     angular index j, hence alpha_j, and the Gauss-Laguerre rule of exponent
     N/2 - 1 - alpha_j (``_pair_matrix``'s at shift 0) integrates a j-block.
 
-    ``live`` indexes the modes of the blocks kept, block after block, out of
-    ``size``; ``radii`` (r = 2 sqrt(s)) and ``weights`` concatenate their
-    rules; ``table[k]`` is l_n(s) of mode k at its block's nodes, 0 at the
+    ``live`` indexes the modes of the blocks kept, block after block;
+    ``radii`` (r = 2 sqrt(s)) and ``weights`` concatenate their rules;
+    ``table[k]`` is l_n(s) of live mode k at its block's nodes, 0 at the
     others'.  So g acts on c[live] as table diag(weights g(radii)) table^T,
     exactly 0 between blocks, and I at g = 1 up to ``gram_residual``.
     ``phi`` = 2^{alpha_j - (N-1)/2} r^{-alpha_j} / sqrt(|S^{N-1}|) is the
     node factor V / l of a mode with the constant psi_1, so on the radial
     span the blocks are a rule for any radial function: :meth:`reconstruct`
-    and :meth:`project` act as a :class:`Collocation`'s.
+    and :meth:`project` act on the live modes as a :class:`Collocation`'s
+    on all of them.
     """
 
     live: np.ndarray
-    size: int
     radii: np.ndarray
     weights: np.ndarray
     table: np.ndarray
@@ -395,15 +398,13 @@ class MatchedBlocks:
     gram_residual: float
 
     def reconstruct(self, coeffs: np.ndarray) -> np.ndarray:
-        """v = phi (table^T c[live]) at the nodes."""
-        return self.phi * (self.table.T @ coeffs[self.live])
+        """v = phi (table^T c[live]) at the nodes, of ``coeffs`` = c[live]."""
+        return self.phi * (self.table.T @ coeffs)
 
     def project(self, values: np.ndarray) -> np.ndarray:
-        """<g, V_tilde_k>_L of g given at the nodes: table (weights/phi g)
-        on the live modes, 0 on the others."""
-        out = np.zeros(self.size)
-        out[self.live] = self.table @ (self.weights / self.phi * values)
-        return out
+        """<g, V_tilde_k>_L, k in live, of g given at the nodes: table
+        (weights/phi g)."""
+        return self.table @ (self.weights / self.phi * values)
 
 
 def matched_blocks(basis: OUBasis, rows: np.ndarray, n_r: int = 64) -> MatchedBlocks:
@@ -424,5 +425,5 @@ def matched_blocks(basis: OUBasis, rows: np.ndarray, n_r: int = 64) -> MatchedBl
     weights = np.concatenate([np.zeros(0), *(rule.weights for rule in rules)])
     phi = np.concatenate([np.zeros(0), *(2.0 ** (alpha - (N - 1) / 2.0) * rule.nodes_r ** (-alpha)
                                          for alpha, rule in zip(alphas, rules))])
-    return MatchedBlocks(live, basis.size, radii, weights, table,
+    return MatchedBlocks(live, radii, weights, table,
                          phi / math.sqrt(sphere_area(N)), _gram_residual(table, weights))

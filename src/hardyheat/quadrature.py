@@ -223,27 +223,19 @@ def _check_unit_mass(rule: ProductRule) -> None:
         )
 
 
-def _radial_x_angular(N: int, n_r: int, a_gl: float | None, dirs, aw) -> ProductRule:
-    """The Gauss-Laguerre rule in s = r^2/4 times the angular rule (dirs, aw)."""
-    if a_gl is None:
-        a_gl = N / 2.0 - 1.0
-    radial = laguerre_rule(a_gl, n_r)
+def _radial_x_angular(N: int, n_r: int, dirs, aw) -> ProductRule:
+    """The Gauss-Laguerre rule of exponent N/2 - 1 in s = r^2/4, which
+    absorbs the surface Jacobian's s^{N/2-1}, times the angular rule
+    (dirs, aw)."""
+    radial = laguerre_rule(N / 2.0 - 1.0, n_r)
     n_eff = radial.count  # underflowed tail nodes may have been dropped
     n_ang = len(aw)
     points = np.repeat(radial.nodes_r, n_ang)[:, None] * np.tile(dirs, (n_eff, 1))
-    # The plain-exponent rule absorbs s^{N/2-1}; a shifted-exponent rule
-    # needs the residual power made explicit at the nodes.
-    power = N / 2.0 - 1.0 - a_gl
-    s_pow = radial.nodes ** power if power != 0.0 else np.ones(n_eff)
-    jacobian = 2.0 ** (N - 1)
-    weights = (jacobian * np.repeat(radial.weights, n_ang) * np.tile(aw, n_eff)
-               * np.repeat(s_pow, n_ang))
+    weights = 2.0 ** (N - 1) * np.repeat(radial.weights, n_ang) * np.tile(aw, n_eff)
     points.setflags(write=False)
-    weights = np.ascontiguousarray(weights)
     weights.setflags(write=False)
     rule = ProductRule(N, radial, dirs, points, weights)
-    if a_gl == N / 2.0 - 1.0:
-        _check_unit_mass(rule)
+    _check_unit_mass(rule)
     return rule
 
 
@@ -253,17 +245,16 @@ def product_rule(
     n_r: int = DEFAULT_NR,
     n_polar: int = 16,
     n_az: int = 32,
-    a_gl: float | None = None,
 ) -> ProductRule:
     """Build the full cubature on R^N for the heat-kernel weight.
 
-    The default radial exponent a_gl = N/2 - 1 matches the plain surface
-    Jacobian; matched-exponent rules for singular basis pairs are built
-    separately via :func:`laguerre_rule`.
+    The radial exponent N/2 - 1 matches the plain surface Jacobian;
+    matched-exponent rules for singular basis pairs are built separately
+    via :func:`laguerre_rule`.
     """
     if N < 2:
         raise QuadratureError("dimension must be >= 2")
-    return _radial_x_angular(N, n_r, a_gl, *_angular_nodes(N, n_polar, n_az))
+    return _radial_x_angular(N, n_r, *_angular_nodes(N, n_polar, n_az))
 
 
 def integrate_G(f, t: float, rule: ProductRule) -> float:

@@ -25,12 +25,17 @@ gives the independent nodal route the tests compare against:
   (``admissibility_at_points``);
 - the semilinear forcing of data on the ground block on the Gauss-Laguerre
   rule of its integrand's own exponent (``IntegrandExponentRule``), from
-  scipy's ``roots_genlaguerre`` and the Kummer factors.
+  scipy's ``roots_genlaguerre`` and the Kummer factors;
+- the exact coefficients of the closed-form solution families at any t
+  (``closed_form_reference``);
+- ``product_route``, under which a semilinear run on the radial span takes
+  the product collocation that any other semilinear run takes.
 """
 
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 from scipy.special import gammaln, lpmv, roots_genlaguerre
@@ -260,8 +265,8 @@ def admissibility_at_points(h, C_h: float, eps_h: float, points: np.ndarray) -> 
 
 class IntegrandExponentRule:
     """The semilinear term eps |v|^{p-1} v of data on the j = 1 modes under
-    a constant potential, for ``evolve.forcing_coefficients`` in place of a
-    collocation.
+    a constant potential, for ``evolve.forcing_coefficients`` in place of
+    their matched block: it acts on c[live] of the same ``live`` modes.
 
     There v = r^{-alpha_1} P(s) psi_1 with P a polynomial in s = r^2/4, so
     |v|^{p-1} v V_k carries r^{-(p+1) alpha_1} and the Gauss-Laguerre rule of
@@ -272,7 +277,6 @@ class IntegrandExponentRule:
 
     def __init__(self, basis: OUBasis, p: float, n_r: int):
         N = basis.N
-        self.size = basis.size
         self.live = np.array([k for k, m in enumerate(basis.modes) if m.j == 1])
         alpha = basis.modes[self.live[0]].alpha_j
         a = N / 2.0 - 1.0 - (p + 1.0) * alpha / 2.0
@@ -285,9 +289,34 @@ class IntegrandExponentRule:
         self.weights = area * 2.0 ** (N - 1) * w * s ** (N / 2.0 - 1.0 - a)
 
     def reconstruct(self, coeffs: np.ndarray) -> np.ndarray:
-        return coeffs[self.live] @ self.values
+        return coeffs @ self.values
 
     def project(self, values: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.size)
-        out[self.live] = self.values @ (self.weights * values)
-        return out
+        return self.values @ (self.weights * values)
+
+
+def product_route():
+    """Context in which ``evolve.radial_invariant`` reads False, so that a
+    semilinear run on the radial span forces on the n_r-node product
+    collocation instead of its matched block."""
+    return mock.patch.object(ev, "radial_invariant", return_value=False)
+
+
+def closed_form_reference(basis: OUBasis, family, t: float) -> np.ndarray:
+    """Exact coefficient vectors for the analytic solution families.
+
+    families: ('pure', k); ('mixture', [(k, coeff), ...]);
+    ('exp_linear', k, eps) for the exact solution e^{-eps t} t^gamma of the
+    constant-h linear problem.
+    """
+    kind = family[0]
+    if kind == "pure":
+        terms = [(family[1], 1.0)]
+    elif kind == "mixture":
+        terms = family[1]
+    elif kind == "exp_linear":
+        terms = [(family[1], math.exp(-family[2] * t))]
+    else:
+        raise ConfigurationError(f"unknown closed-form family {kind!r}")
+    c = ev.build_initial(basis, terms)  # rejects a mode index outside 0..K-1
+    return np.array([x * t ** g for x, g in zip(c, basis.gammas)])

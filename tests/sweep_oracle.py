@@ -8,7 +8,9 @@ pair, member by member, for any point-function member with ``value`` and
 potential the angular solver takes, a evaluated by ``potential_values``.
 The tests compare the two paths, and use this one for members no closed
 form covers.  ``zonal_rule`` is the cubature for integrands zonal about e1
-in any N >= 3, which the zonal sweep checks are held to.
+in any N >= 3, which the zonal sweep checks are held to.  Either cubature
+also comes on the shifted Gauss-Laguerre exponent a_GL = N/2 - 2 that the
+1/|x|^2 integrands need (``radial_x_angular``, ``shifted_product_rule``).
 """
 
 from __future__ import annotations
@@ -23,9 +25,31 @@ from hardyheat import angular as ang
 from hardyheat import inequalities as ineq
 from hardyheat.errors import ConfigurationError, QuadratureError
 from hardyheat.ou_basis import OUBasis
-from hardyheat.quadrature import (DEFAULT_NR, ProductRule, _radial_x_angular, polar_rule,
-                                  product_rule, sphere_area)
+from hardyheat.quadrature import (DEFAULT_NR, ProductRule, _angular_nodes, _radial_x_angular,
+                                  laguerre_rule, polar_rule, product_rule, sphere_area)
 from mode_oracle import eval_grad_V, eval_V, potential_values, radii
+
+
+def radial_x_angular(N: int, n_r: int, a_gl: float | None, dirs, aw) -> ProductRule:
+    """The Gauss-Laguerre rule of exponent a_gl in s = r^2/4 times the
+    angular rule (dirs, aw); None is the package's plain N/2 - 1, and any
+    other exponent carries the residual power s^{N/2-1-a_gl} of the surface
+    Jacobian in its weights."""
+    if a_gl is None:
+        return _radial_x_angular(N, n_r, dirs, aw)
+    radial = laguerre_rule(a_gl, n_r)
+    n_eff, n_ang = radial.count, len(aw)
+    points = np.repeat(radial.nodes_r, n_ang)[:, None] * np.tile(dirs, (n_eff, 1))
+    weights = (2.0 ** (N - 1) * np.repeat(radial.weights, n_ang) * np.tile(aw, n_eff)
+               * np.repeat(radial.nodes ** (N / 2.0 - 1.0 - a_gl), n_ang))
+    return ProductRule(N, radial, dirs, points, weights)
+
+
+@lru_cache(maxsize=8)
+def shifted_product_rule(N: int, n_r: int, n_polar: int, n_az: int, a_gl: float) -> ProductRule:
+    """``quadrature.product_rule`` on the Gauss-Laguerre exponent a_gl."""
+    return radial_x_angular(N, n_r, a_gl, *_angular_nodes(N, n_polar, n_az))
+
 
 @lru_cache(maxsize=32)
 def zonal_rule(
@@ -42,7 +66,7 @@ def zonal_rule(
     c, wc = polar_rule(N, n_polar)
     dirs = np.zeros((len(c), N))
     dirs[:, 0], dirs[:, 1] = c, np.sqrt(1.0 - c**2)
-    return _radial_x_angular(N, n_r, a_gl, dirs, sphere_area(N - 1) * wc)
+    return radial_x_angular(N, n_r, a_gl, dirs, sphere_area(N - 1) * wc)
 
 
 _MONOMIALS3 = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
@@ -126,7 +150,7 @@ def rule_pair(N: int, n_r: int = 48) -> tuple:
     """
     if N != 3:
         raise ConfigurationError(f"the full cubature pair is N = 3 only, got N = {N}")
-    return product_rule(N, n_r, 14, 28), product_rule(N, n_r, 14, 28, a_gl=N / 2.0 - 2.0)
+    return product_rule(N, n_r, 14, 28), shifted_product_rule(N, n_r, 14, 28, N / 2.0 - 2.0)
 
 
 def _sample(member, rule, t: float, grad: bool = True):

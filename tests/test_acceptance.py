@@ -18,7 +18,8 @@ from hardyheat import asymptotics as asym
 from hardyheat import evolve as ev
 from hardyheat import inequalities as ineq
 from hardyheat import ou_basis as ou
-from mode_oracle import nodal_linear_march, potential_values, zonal_quadratic
+from mode_oracle import (closed_form_reference, nodal_linear_march, potential_values,
+                         zonal_quadratic)
 
 
 @contextmanager
@@ -60,7 +61,7 @@ def test_c2_basis_certification():
             assert basis.bilinear_residual < 1e-6
 
 
-def test_c3_pure_mode_frequency(basis0, col0):
+def test_c3_pure_mode_frequency(basis0):
     with criterion("c3 pure-mode frequency N(t) = gamma to 1e-8"):
         picks = [_mode(basis0, 0.0), _mode(basis0, 0.5, 0), _mode(basis0, 0.5, 1),
                  _mode(basis0, 1.0), _mode(basis0, 2.0)]
@@ -68,17 +69,17 @@ def test_c3_pure_mode_frequency(basis0, col0):
         for k in picks:
             c0 = ev.build_initial(basis0, [(k, 1.0)])
             traj = ev.integrate_backward(basis0, c0, math.log(1e-3), 0.01,
-                                         ev.PerturbationSpec.none(), col0)
+                                         ev.PerturbationSpec.none())
             trace = al.frequency_trace(traj)
             assert np.max(np.abs(trace.N - basis0.gammas[k])) < 1e-8
 
 
-def test_c4_mixture_limit(basis0, col0):
+def test_c4_mixture_limit(basis0):
     with criterion("c4 mixture limit: N = 0.5t/(1+t), gamma_hat, delta_hat"):
         c0 = ev.build_initial(basis0, [(_mode(basis0, 0.0), 1.0),
                                        (_mode(basis0, 0.5), 1.0)])
         traj = ev.integrate_backward(basis0, c0, math.log(1e-4), 0.005,
-                                     ev.PerturbationSpec.none(), col0)
+                                     ev.PerturbationSpec.none())
         trace = al.frequency_trace(traj)
         assert np.max(np.abs(trace.N - 0.5 * trace.t / (1.0 + trace.t))) < 1e-8
         assert abs(trace.gamma_raw - 0.0) < 1e-6
@@ -90,22 +91,21 @@ def test_c5_exact_perturbed_family(spec0):
         # gamma <= 1 covers the three modes; the smaller basis keeps the
         # 9 deep runs inside the stated budget
         basis0 = ou.enumerate_modes(spec0, 1.0)
-        col0 = ou.build_collocation(basis0, n_r=48)
         tau_lo = math.log(1e-3)
         for eps in (0.05, 0.1, 0.2):
             pert = ev.PerturbationSpec.linear_constant(eps)
             for gamma in (0.0, 0.5, 1.0):
                 k = _mode(basis0, gamma)
-                c0 = ev.closed_form_reference(basis0, ("exp_linear", k, eps), 1.0)
+                c0 = closed_form_reference(basis0, ("exp_linear", k, eps), 1.0)
                 traj = ev.integrate_backward(basis0, c0, math.log(1e-6), 0.01,
-                                             pert, col0)
+                                             pert)
                 # simulator vs closed form over tau in [log 1e-3, 0]
                 sup = 0.0
                 for i in range(traj.size):
                     if traj.tau[i] < tau_lo - 1e-12:
                         continue
                     t = math.exp(traj.tau[i])
-                    exact = ev.closed_form_reference(basis0, ("exp_linear", k, eps), t)
+                    exact = closed_form_reference(basis0, ("exp_linear", k, eps), t)
                     sup = max(sup, float(np.max(np.abs(traj.coeffs[i] - exact))))
                 assert sup < 1e-8
                 # N(t) = gamma - eps t rowwise
@@ -143,13 +143,13 @@ def test_c6_scaling_identity(spec0):
     with criterion("c6 scaling law: rescaled march = k c(lambda^2 t), N to 1e-9"):
         basis = ou.enumerate_modes(spec0, 1.0)
         radial = np.flatnonzero(ou.radial_modes(basis))
-        runs = {  # data kind: (the semilinear term's collocation, c0); a radial
-            # h, and the semilinear term on radial data, read none and march
-            # the data's matched j-blocks
-            "radial": (None, ev.build_initial(basis, [(radial[0], 1.0), (radial[1], 0.5)])),
-            "mixed": (ou.build_collocation(basis, n_r=16),
-                      ev.build_initial(basis, [(radial[0], 1.0), (_mode(basis, 0.5), 0.5)])),
+        runs = {  # data kind: c0; a radial h, and the semilinear term on
+            # radial data, march the data's matched j-blocks, the semilinear
+            # term on mixed data the product collocation
+            "radial": ev.build_initial(basis, [(radial[0], 1.0), (radial[1], 0.5)]),
+            "mixed": ev.build_initial(basis, [(radial[0], 1.0), (_mode(basis, 0.5), 0.5)]),
         }
+        col = ou.build_collocation(basis, n_r=16)  # the nodal oracle's rule
         dtau, m = 0.01, 40
         taus, _ = ev.tau_grid(-160 * dtau, dtau)
         lam2 = math.exp(taus[m])  # lambda^2 on the grid
@@ -159,12 +159,12 @@ def test_c6_scaling_identity(spec0):
         p = 3.0
         semi = ev.PerturbationSpec.semilinear(0.05, p, 3)
 
-        def march(pert):  # (c0, tau_min, col) -> the package's trajectory
-            return lambda c0, tau_min, col: ev.integrate_backward(basis, c0, tau_min, dtau,
-                                                                  pert, col)
+        def march(pert, n_r=64):  # (c0, tau_min) -> the package's trajectory
+            return lambda c0, tau_min: ev.integrate_backward(basis, c0, tau_min, dtau, pert,
+                                                             n_r=n_r)
 
         def nodal(h):  # the same, for an h of any shape, on the nodal oracle
-            return lambda c0, tau_min, col: nodal_linear_march(
+            return lambda c0, tau_min: nodal_linear_march(
                 basis, col, h, c0, ev.tau_grid(tau_min, dtau)[0])
 
         cases = (  # (data, problem A, problem B, k)
@@ -173,12 +173,11 @@ def test_c6_scaling_identity(spec0):
             ("mixed", nodal(_tilted_h),
              nodal(lambda x, t: lam2 * _tilted_h(lam * x, lam2 * t)), 1.0),
             ("radial", march(semi), march(semi), lam ** (2.0 / (p - 1.0))),
-            ("mixed", march(semi), march(semi), lam ** (2.0 / (p - 1.0))),
+            ("mixed", march(semi, 16), march(semi, 16), lam ** (2.0 / (p - 1.0))),
         )
         for data, run_a, run_b, k in cases:
-            col, c0 = runs[data]
-            a = run_a(c0, taus[-1], col)
-            b = run_b(k * a.coeffs[m], taus[-1] - taus[m], col)
+            a = run_a(runs[data], taus[-1])
+            b = run_b(k * a.coeffs[m], taus[-1] - taus[m])
             want = k * a.coeffs[m:]
             assert b.size == len(want) == 121
             np.testing.assert_allclose(lam2 * b.t, a.t[m:], rtol=1e-14)
@@ -188,13 +187,13 @@ def test_c6_scaling_identity(spec0):
             assert np.max(np.abs(N_b - N_a[m:])) < 1e-9, (data, a.perturbation.label)
 
 
-def test_c7_reconstruction_convergence(basis0, col0):
+def test_c7_reconstruction_convergence(basis0):
     with criterion("c7 reconstruction error rates along lambda"):
         k0, k05 = _mode(basis0, 0.0), _mode(basis0, 0.5)
         _, J0 = ou.multiplicity(0.0, basis0.spectrum)
         c0 = ev.build_initial(basis0, [(k0, 1.0), (k05, 1.0)])
         traj = ev.integrate_backward(basis0, c0, math.log(1e-3), 0.005,
-                                     ev.PerturbationSpec.none(), col0)
+                                     ev.PerturbationSpec.none())
         tb = asym.beta_integral(traj, 0.3, J0, 0.0)
         errs = [asym.reconstruction_error(traj, tb, lam, 0.25)[1]
                 for lam in (0.5, 0.25, 0.125)]
@@ -206,7 +205,7 @@ def test_c7_reconstruction_convergence(basis0, col0):
         _, J05 = ou.multiplicity(0.5, basis0.spectrum)
         cp = ev.build_initial(basis0, [(k05, 1.0)])
         pure = ev.integrate_backward(basis0, cp, math.log(1e-3), 0.005,
-                                     ev.PerturbationSpec.none(), col0)
+                                     ev.PerturbationSpec.none())
         tbp = asym.beta_integral(pure, 0.3, J05, 0.5)
         for lam in (0.5, 0.25, 0.125):
             errH, errL = asym.reconstruction_error(pure, tbp, lam, 0.25)
@@ -237,16 +236,15 @@ def test_c8_inequality_sweeps():
         assert rep["min_relative_gap"] > -1e-10
 
 
-def test_c9_identities(basis0, col0):
+def test_c9_identities(basis0):
     with criterion("c9 H' = 2D order 2.0, nu1 >= -1e-10, H > 0"):
         # measured order under dtau halving on the curved exp_linear family
         k = _mode(basis0, 0.0)
         pert = ev.PerturbationSpec.linear_constant(0.2)
-        c0 = ev.closed_form_reference(basis0, ("exp_linear", k, 0.2), 1.0)
+        c0 = closed_form_reference(basis0, ("exp_linear", k, 0.2), 1.0)
         resid = {}
         for dtau in (0.008, 0.004):
-            traj = ev.integrate_backward(basis0, c0, math.log(0.25), dtau, pert,
-                                         col0)
+            traj = ev.integrate_backward(basis0, c0, math.log(0.25), dtau, pert)
             resid[dtau] = al.check_Hprime(al.frequency_trace(traj))
         order = math.log2(resid[0.008] / resid[0.004])
         assert abs(order - 2.0) < 0.1
@@ -254,13 +252,13 @@ def test_c9_identities(basis0, col0):
         runs = []
         runs.append(ev.integrate_backward(
             basis0, ev.build_initial(basis0, [(k, 1.0)]), math.log(1e-3), 0.005,
-            ev.PerturbationSpec.none(), col0))
+            ev.PerturbationSpec.none()))
         runs.append(ev.integrate_backward(
             basis0,
             ev.build_initial(basis0, [(k, 1.0), (_mode(basis0, 0.5), 1.0)]),
-            math.log(1e-3), 0.005, ev.PerturbationSpec.none(), col0))
+            math.log(1e-3), 0.005, ev.PerturbationSpec.none()))
         runs.append(ev.integrate_backward(basis0, c0, math.log(1e-3), 0.005,
-                                          pert, col0))
+                                          pert))
         for traj in runs:
             trace = al.frequency_trace(traj)
             assert np.all(trace.nu1 >= -1e-10)

@@ -13,6 +13,7 @@ from hardyheat import evolve as ev
 from hardyheat import inequalities as ineq
 from hardyheat import ou_basis as ou
 from hardyheat.errors import AccuracyError, InvariantViolationError
+from mode_oracle import closed_form_reference
 
 
 def _mode(basis, gamma):
@@ -20,46 +21,46 @@ def _mode(basis, gamma):
 
 
 @pytest.fixture(scope="module")
-def traj_pure(basis0, col0, tau_small):
+def traj_pure(basis0, tau_small):
     k = _mode(basis0, 0.5)
     c0 = ev.build_initial(basis0, [(k, 1.0)])
     return ev.integrate_backward(basis0, c0, tau_small, 0.005,
-                                 ev.PerturbationSpec.none(), col0), k
+                                 ev.PerturbationSpec.none()), k
 
 
 @pytest.fixture(scope="module")
-def traj_mix(basis0, col0):
+def traj_mix(basis0):
     c0 = ev.build_initial(basis0, [(_mode(basis0, 0.0), 1.0),
                                    (_mode(basis0, 0.5), 1.0)])
     return ev.integrate_backward(basis0, c0, math.log(1e-4), 0.005,
-                                 ev.PerturbationSpec.none(), col0)
+                                 ev.PerturbationSpec.none())
 
 
 @pytest.fixture(scope="module")
-def traj_exp(basis0, col0, tau_small):
+def traj_exp(basis0, tau_small):
     k = _mode(basis0, 0.0)
     pert = ev.PerturbationSpec.linear_constant(0.1)
-    c0 = ev.closed_form_reference(basis0, ("exp_linear", k, 0.1), 1.0)
-    return ev.integrate_backward(basis0, c0, tau_small, 0.005, pert, col0)
+    c0 = closed_form_reference(basis0, ("exp_linear", k, 0.1), 1.0)
+    return ev.integrate_backward(basis0, c0, tau_small, 0.005, pert)
 
 
 @pytest.fixture(scope="module")
-def traj_dense(basis0, col0):
+def traj_dense(basis0):
     # every mode populated, so a reordered row sum changes the last bits;
     # dtau = 0.005 because the 2 dtau check at 0.01 fails (see below)
-    return _dense_run(basis0, col0, 0.005)
+    return _dense_run(basis0, 0.005)
 
 
-def _dense_run(basis0, col0, dtau):
+def _dense_run(basis0, dtau):
     c0 = np.random.default_rng(5).normal(size=basis0.size)
     return ev.integrate_backward(basis0, c0, math.log(0.1), dtau,
-                                 ev.PerturbationSpec.linear_bounded(0.1), col0)
+                                 ev.PerturbationSpec.linear_bounded(0.1))
 
 
-def test_dense_run_at_coarse_step_fails_the_gate(basis0, col0):
+def test_dense_run_at_coarse_step_fails_the_gate(basis0):
     # the 2 dtau march at dtau = 0.01 misses the kept rows by about 1.2e-8
     with pytest.raises(AccuracyError, match="step-halving disagreement") as info:
-        _dense_run(basis0, col0, 0.01)
+        _dense_run(basis0, 0.01)
     step = ev.tau_grid(math.log(0.1), 0.01)[1]
     assert info.value.suggestion == f"dtau <= {step / 4.0}"
 
@@ -116,7 +117,7 @@ def test_trace_drops_underflowed_rows(traj_mix):
     coeffs = traj_mix.coeffs.copy()
     coeffs[-40:] *= 1e-160  # H ~ 1e-320 <= H_FLOOR
     coeffs[-10:] = 0.0      # H = 0 exactly
-    traj = ev.Trajectory(traj_mix.basis, traj_mix.collocation, traj_mix.tau, coeffs,
+    traj = ev.Trajectory(traj_mix.basis, traj_mix.rule, traj_mix.tau, coeffs,
                          traj_mix.forcing, traj_mix.perturbation, traj_mix.dtau)
     tr = al.frequency_trace(traj)
     assert "trace truncated: H underflowed on 40 rows" in tr.warnings
@@ -130,7 +131,7 @@ def test_trace_drops_underflowed_rows(traj_mix):
         al.frequency_trace(traj)
 
 
-def test_frequency_trace_fits(traj_pure, traj_mix, traj_exp, basis0, col0, tau_small):
+def test_frequency_trace_fits(traj_pure, traj_mix, traj_exp, basis0, tau_small):
     tr_p = al.frequency_trace(traj_pure[0])
     assert tr_p.gamma_hat == 0.5 and abs(tr_p.fit_C) < 1e-10
     tr_m = al.frequency_trace(traj_mix)
@@ -139,8 +140,8 @@ def test_frequency_trace_fits(traj_pure, traj_mix, traj_exp, basis0, col0, tau_s
     # exp_linear at gamma = 0.5: gamma_hat = 0.5, delta ~ 1
     k = _mode(basis0, 0.5)
     pert = ev.PerturbationSpec.linear_constant(0.1)
-    c0 = ev.closed_form_reference(basis0, ("exp_linear", k, 0.1), 1.0)
-    traj = ev.integrate_backward(basis0, c0, math.log(1e-4), 0.005, pert, col0)
+    c0 = closed_form_reference(basis0, ("exp_linear", k, 0.1), 1.0)
+    traj = ev.integrate_backward(basis0, c0, math.log(1e-4), 0.005, pert)
     tr = al.frequency_trace(traj)
     assert tr.gamma_hat == 0.5 and abs(tr.gamma_raw - 0.5) < 1e-6
     assert abs(tr.delta_hat - 1.0) < 0.05
@@ -235,26 +236,26 @@ def test_fit_limit_exp_linear_delta_is_one():
     assert abs(d - 1.0) <= 1e-14
 
 
-def test_check_Hprime_pure_and_exp(traj_pure, basis0, col0):
+def test_check_Hprime_pure_and_exp(traj_pure, basis0):
     # gamma = 1/2 makes the nonuniform central stencil exact
     tr = al.frequency_trace(traj_pure[0])
     assert al.check_Hprime(tr) < 1e-8
     # exp_linear needs a fine step for the 1e-8 target
     k = _mode(basis0, 0.0)
     pert = ev.PerturbationSpec.linear_constant(0.1)
-    c0 = ev.closed_form_reference(basis0, ("exp_linear", k, 0.1), 1.0)
-    traj = ev.integrate_backward(basis0, c0, math.log(0.5), 0.00025, pert, col0)
+    c0 = closed_form_reference(basis0, ("exp_linear", k, 0.1), 1.0)
+    traj = ev.integrate_backward(basis0, c0, math.log(0.5), 0.00025, pert)
     assert al.check_Hprime(al.frequency_trace(traj)) < 1e-8
 
 
-def test_check_Hprime_second_order(basis0, col0):
+def test_check_Hprime_second_order(basis0):
     # residual divides by ~4 under dtau halving
     k = _mode(basis0, 0.0)
     pert = ev.PerturbationSpec.linear_constant(0.2)
-    c0 = ev.closed_form_reference(basis0, ("exp_linear", k, 0.2), 1.0)
+    c0 = closed_form_reference(basis0, ("exp_linear", k, 0.2), 1.0)
     resid = {}
     for dtau in (0.008, 0.004):
-        traj = ev.integrate_backward(basis0, c0, math.log(0.25), dtau, pert, col0)
+        traj = ev.integrate_backward(basis0, c0, math.log(0.25), dtau, pert)
         resid[dtau] = al.check_Hprime(al.frequency_trace(traj))
     order = math.log2(resid[0.008] / resid[0.004])
     assert abs(order - 2.0) < 0.1
@@ -312,12 +313,11 @@ def test_nu1_against_finite_difference_v_t(spec0, pert):
     # independent v_t: central differences of the stored c in tau (v_t =
     # c_tau / t) through the same projection; the gap is O(dtau^2)
     basis = ou.enumerate_modes(spec0, 1.0)
-    col = ou.build_collocation(basis, n_r=16)
     c0 = np.zeros(basis.size)
     c0[0], c0[3] = 1.0, 0.5
     err = {}
     for dtau in (0.01, 0.005):
-        traj = ev.integrate_backward(basis, c0, math.log(1e-2), dtau, pert, col)
+        traj = ev.integrate_backward(basis, c0, math.log(1e-2), dtau, pert, n_r=16)
         C, t = traj.coeffs[1:-1], traj.t[1:-1]
         cp = (traj.coeffs[:-2] - traj.coeffs[2:]) / (2.0 * traj.dtau * t[:, None])
         H = np.vecdot(C, C)

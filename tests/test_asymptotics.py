@@ -8,6 +8,7 @@ from hardyheat import asymptotics as asym
 from hardyheat import evolve as ev
 from hardyheat import ou_basis as ou
 from hardyheat.errors import ResolutionError
+from mode_oracle import closed_form_reference
 
 
 def _mode(basis, gamma):
@@ -15,12 +16,12 @@ def _mode(basis, gamma):
 
 
 @pytest.fixture(scope="module")
-def deep_exp(basis0, col0):
+def deep_exp(basis0):
     """exp_linear eps = 0.1 on the ground mode, integrated to t = 1e-6."""
     k = _mode(basis0, 0.0)
     pert = ev.PerturbationSpec.linear_constant(0.1)
-    c0 = ev.closed_form_reference(basis0, ("exp_linear", k, 0.1), 1.0)
-    return ev.integrate_backward(basis0, c0, math.log(1e-6), 0.005, pert, col0)
+    c0 = closed_form_reference(basis0, ("exp_linear", k, 0.1), 1.0)
+    return ev.integrate_backward(basis0, c0, math.log(1e-6), 0.005, pert)
 
 
 @pytest.fixture(scope="module")
@@ -59,11 +60,11 @@ def test_lambda_independence_exp_linear(deep_exp, J0_ground):
     assert max(abs(v) for v in table.beta.values()) > 0  # non-triviality
 
 
-def test_beta_unperturbed_mixture(basis0, col0, J0_ground, tau_small):
+def test_beta_unperturbed_mixture(basis0, J0_ground, tau_small):
     k0, k05 = _mode(basis0, 0.0), _mode(basis0, 0.5)
     c0 = ev.build_initial(basis0, [(k0, 1.0), (k05, 2.0)])
     traj = ev.integrate_backward(basis0, c0, tau_small, 0.005,
-                                 ev.PerturbationSpec.none(), col0)
+                                 ev.PerturbationSpec.none())
     tb = asym.beta_integral(traj, 0.3, J0_ground, 0.0)
     # minimal-mode coefficient passes through bit-for-bit (xi == 0)
     assert tb.beta[(0, 1)] == 1.0
@@ -71,18 +72,18 @@ def test_beta_unperturbed_mixture(basis0, col0, J0_ground, tau_small):
     assert spread == 0.0
 
 
-def test_beta_pure_mode_bit_exact(basis0, col0, tau_small):
+def test_beta_pure_mode_bit_exact(basis0, tau_small):
     k05 = _mode(basis0, 0.5)
     _, J05 = ou.multiplicity(0.5, basis0.spectrum)
     c0 = ev.build_initial(basis0, [(k05, 2.0)])  # power of two
     traj = ev.integrate_backward(basis0, c0, tau_small, 0.005,
-                                 ev.PerturbationSpec.none(), col0)
+                                 ev.PerturbationSpec.none())
     tb = asym.beta_integral(traj, 0.25, J05, 0.5)
     vals = [tb.beta[mk] for mk in tb.J0]
     assert 2.0 in vals and all(v in (0.0, 2.0) for v in vals)
 
 
-def test_beta_unperturbed_returns_the_initial_coefficient(basis0, col0, tau_small):
+def test_beta_unperturbed_returns_the_initial_coefficient(basis0, tau_small):
     # on a gamma = 0.5 mode of the unperturbed flow both routes return c0 bit
     # for bit, also at rows where (c0 e^{gamma tau}) / e^{gamma tau} misses it
     k = _mode(basis0, 0.5)
@@ -90,7 +91,7 @@ def test_beta_unperturbed_returns_the_initial_coefficient(basis0, col0, tau_smal
     _, J05 = ou.multiplicity(0.5, basis0.spectrum)
     c0 = ev.build_initial(basis0, [(k, 0.7)])  # not dyadic
     traj = ev.integrate_backward(basis0, c0, tau_small, 0.005,
-                                 ev.PerturbationSpec.none(), col0)
+                                 ev.PerturbationSpec.none())
     rows = [12, 37]
     E = np.exp(np.outer(traj.tau, basis0.gammas))
     assert all(traj.coeffs[i, k] / E[i, k] != 0.7 for i in rows)
@@ -102,7 +103,7 @@ def test_beta_unperturbed_returns_the_initial_coefficient(basis0, col0, tau_smal
     assert list(seq) == [0.7, 0.7] and limit == 0.7
 
 
-def test_beta_direct_sequences(deep_exp, basis0, col0, J0_ground, tau_small):
+def test_beta_direct_sequences(deep_exp, basis0, J0_ground, tau_small):
     out = asym.beta_direct(deep_exp, [0.025, 0.05, 0.1, 0.2], J0_ground, 0.0)
     lams, seq, limit = out[(0, 1)]
     np.testing.assert_allclose(seq, np.exp(-0.1 * lams**2), atol=1e-9)
@@ -111,7 +112,7 @@ def test_beta_direct_sequences(deep_exp, basis0, col0, J0_ground, tau_small):
     k0, k05 = _mode(basis0, 0.0), _mode(basis0, 0.5)
     c0 = ev.build_initial(basis0, [(k0, 0.7), (k05, 1.0)])
     traj = ev.integrate_backward(basis0, c0, tau_small, 0.005,
-                                 ev.PerturbationSpec.none(), col0)
+                                 ev.PerturbationSpec.none())
     outm = asym.beta_direct(traj, [0.1, 0.2, 0.4], J0_ground, 0.0)
     lams, seq, limit = outm[(0, 1)]
     np.testing.assert_allclose(seq, 0.7, rtol=1e-13)
@@ -130,32 +131,32 @@ def test_integral_vs_direct_agreement(deep_exp, J0_ground):
     assert abs(tb.beta[(0, 1)] - direct[(0, 1)][2]) < 1e-6
 
 
-def test_resolution_error_for_shallow_trace(basis0, col0, J0_ground, tau_small):
+def test_resolution_error_for_shallow_trace(basis0, J0_ground, tau_small):
     k = _mode(basis0, 0.0)
     pert = ev.PerturbationSpec.linear_constant(0.1)
-    c0 = ev.closed_form_reference(basis0, ("exp_linear", k, 0.1), 1.0)
-    shallow = ev.integrate_backward(basis0, c0, tau_small, 0.005, pert, col0)
+    c0 = closed_form_reference(basis0, ("exp_linear", k, 0.1), 1.0)
+    shallow = ev.integrate_backward(basis0, c0, tau_small, 0.005, pert)
     with pytest.raises(ResolutionError):
         asym.beta_integral(shallow, 0.3, J0_ground, 0.0)
 
 
-def test_reconstruction_pure_mode(basis0, col0, tau_small):
+def test_reconstruction_pure_mode(basis0, tau_small):
     k05 = _mode(basis0, 0.5)
     _, J05 = ou.multiplicity(0.5, basis0.spectrum)
     c0 = ev.build_initial(basis0, [(k05, 1.0)])
     traj = ev.integrate_backward(basis0, c0, tau_small, 0.005,
-                                 ev.PerturbationSpec.none(), col0)
+                                 ev.PerturbationSpec.none())
     tb = asym.beta_integral(traj, 0.3, J05, 0.5)
     for lam in (0.5, 0.25, 0.125):
         errH, errL = asym.reconstruction_error(traj, tb, lam, 0.25)
         assert errH < 1e-10 and errL < 1e-10
 
 
-def test_reconstruction_mixture_rates(basis0, col0, J0_ground, tau_small):
+def test_reconstruction_mixture_rates(basis0, J0_ground, tau_small):
     k0, k05 = _mode(basis0, 0.0), _mode(basis0, 0.5)
     c0 = ev.build_initial(basis0, [(k0, 1.0), (k05, 1.0)])
     traj = ev.integrate_backward(basis0, c0, tau_small, 0.005,
-                                 ev.PerturbationSpec.none(), col0)
+                                 ev.PerturbationSpec.none())
     tb = asym.beta_integral(traj, 0.3, J0_ground, 0.0)
     errs = [asym.reconstruction_error(traj, tb, lam, 0.25)[1]
             for lam in (0.5, 0.25, 0.125)]

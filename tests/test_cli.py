@@ -728,7 +728,12 @@ _BAD_VALUES = [("perturbation", "linear_bounded:nan"), ("initial", "modes:0=nan"
                ("potential", "constant:-50"), ("h_eps", 5.0), ("h_eps", math.nan),
                ("h_eps", -1.0), ("initial", "family:exp_linear:0:-1000"),
                ("initial", "modes:0=0.0"), ("initial", "family:mixture:0=0.0"),
-               ("initial", "family:exp_linear:0:1000"), ("initial", "modes:0=1e200")]
+               ("initial", "family:exp_linear:0:1000"), ("initial", "modes:0=1e200"),
+               # a repeated mode and a field too many, once dropped silently
+               ("initial", "family:mixture:0=1.0,0=-1.0"), ("initial", "modes:0=1.0,1=0.5,0=2.0"),
+               ("initial", "family:pure:0:extra"), ("initial", "family:exp_linear:0:0.1:9"),
+               ("perturbation", "linear_bounded:0.1:7"),
+               ("perturbation", "semilinear::0.1::2.0:")]
 
 
 @pytest.mark.parametrize("key, value", _BAD_VALUES)

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import itertools
 import math
@@ -12,7 +13,8 @@ from hardyheat import angular as ang
 from hardyheat import evolve as ev
 from hardyheat import ou_basis as ou
 from hardyheat.errors import AccuracyError, ConfigurationError, QuadratureError
-from mode_oracle import admissibility_at_points, nodal_linear_forcing, nodal_linear_march, radial_h
+from mode_oracle import (admissibility_at_points, closed_form_reference, nodal_linear_forcing,
+                         nodal_linear_march, product_route, radial_h)
 
 
 def test_build_initial_mode_list(basis0):
@@ -20,6 +22,8 @@ def test_build_initial_mode_list(basis0):
     assert c[3] == 1.0 and np.count_nonzero(c) == 1
     c2 = ev.build_initial(basis0, [(0, 1.0), (2, 2.0)])
     assert c2[0] == 1.0 and c2[2] == 2.0
+    with pytest.raises(ConfigurationError, match="mode index 0 given twice"):
+        ev.build_initial(basis0, [(0, 1.0), (2, 2.0), (0, -1.0)])
 
 
 @pytest.mark.parametrize("side", ["below", "above"])
@@ -28,10 +32,10 @@ def test_mode_index_outside_basis_rejected(basis0, side):
     # K - 1 are the edges that pass
     edge, k = (0, -1) if side == "below" else (basis0.size - 1, basis0.size)
     assert ev.build_initial(basis0, [(edge, 1.0)])[edge] == 1.0
-    assert ev.closed_form_reference(basis0, ("pure", edge), 0.5)[edge] > 0.0
+    assert closed_form_reference(basis0, ("pure", edge), 0.5)[edge] > 0.0
     for family in (("pure", k), ("mixture", [(0, 1.0), (k, 1.0)]), ("exp_linear", k, 0.1)):
         with pytest.raises(ConfigurationError, match="mode index"):
-            ev.closed_form_reference(basis0, family, 0.5)
+            closed_form_reference(basis0, family, 0.5)
     with pytest.raises(ConfigurationError, match="mode index"):
         ev.build_initial(basis0, [(k, 1.0)])
 
@@ -69,7 +73,7 @@ def test_rhs_unperturbed_diagonal(basis0):
     traj = ev.integrate_backward(basis0, c, -0.3, 0.01, ev.PerturbationSpec.none())
     np.testing.assert_allclose(traj.coeffs, c * traj.t[:, None] ** basis0.gammas,
                                rtol=1e-14)
-    assert not np.any(traj.forcing) and traj.collocation is None
+    assert not np.any(traj.forcing) and traj.rule is None
 
 
 def _all_blocks(basis, n_r=64):
@@ -220,12 +224,12 @@ def test_matched_blocks_match_adaptive_radial_quadrature(basis_aniso):
                 assert np.max(np.abs(M - ref)) <= bound[n_r], (pert.label, t, n_r)
 
 
-def test_pure_mode_power_law(basis0, col0, tau_small):
+def test_pure_mode_power_law(basis0, tau_small):
     k = basis0.mode_index(1, 0)  # use gamma = 0.5 mode below
     k05 = next(i for i, m in enumerate(basis0.modes) if abs(m.gamma - 0.5) < 1e-12)
     c0 = ev.build_initial(basis0, [(k05, 1.0)])
     traj = ev.integrate_backward(basis0, c0, tau_small, 0.005,
-                                 ev.PerturbationSpec.none(), col0)
+                                 ev.PerturbationSpec.none())
     i = traj.row_at_t(0.25)
     t = math.exp(traj.tau[i])
     np.testing.assert_allclose(traj.coeffs[i, k05], t**0.5, rtol=1e-14)
@@ -234,31 +238,31 @@ def test_pure_mode_power_law(basis0, col0, tau_small):
     assert np.max(np.abs(traj.coeffs[:, others])) == 0.0
 
 
-def test_exp_linear_closed_form(basis0, col0, tau_small):
+def test_exp_linear_closed_form(basis0, tau_small):
     # c(t) = e^{-0.1 t}, c(0.5) ~ 0.951229 (= e^{-0.05})
     k0 = basis0.mode_index(1, 0)
     pert = ev.PerturbationSpec.linear_constant(0.1)
-    c0 = ev.closed_form_reference(basis0, ("exp_linear", k0, 0.1), 1.0)
-    traj = ev.integrate_backward(basis0, c0, tau_small, 0.005, pert, col0)
+    c0 = closed_form_reference(basis0, ("exp_linear", k0, 0.1), 1.0)
+    traj = ev.integrate_backward(basis0, c0, tau_small, 0.005, pert)
     i = traj.row_at_t(0.5)
     t = math.exp(traj.tau[i])
     np.testing.assert_allclose(traj.coeffs[i, k0], math.exp(-0.1 * t), atol=1e-10)
     np.testing.assert_allclose(math.exp(-0.05), 0.951229424500714, rtol=1e-14)
     # sup error against the family over the whole trace
     sup = max(
-        np.max(np.abs(traj.coeffs[i] - ev.closed_form_reference(
+        np.max(np.abs(traj.coeffs[i] - closed_form_reference(
             basis0, ("exp_linear", k0, 0.1), math.exp(traj.tau[i]))))
         for i in range(traj.size)
     )
     assert sup < 1e-8
 
 
-def test_mixture_diagonal_flow(basis0, col0, tau_small):
+def test_mixture_diagonal_flow(basis0, tau_small):
     k0 = basis0.mode_index(1, 0)
     k05 = next(i for i, m in enumerate(basis0.modes) if abs(m.gamma - 0.5) < 1e-12)
     c0 = ev.build_initial(basis0, [(k0, 1.0), (k05, 1.0)])
     traj = ev.integrate_backward(basis0, c0, tau_small, 0.005,
-                                 ev.PerturbationSpec.none(), col0)
+                                 ev.PerturbationSpec.none())
     for i in (0, traj.size // 2, traj.size - 1):
         t = math.exp(traj.tau[i])
         np.testing.assert_allclose(traj.coeffs[i, k0], 1.0, rtol=1e-14)
@@ -268,13 +272,27 @@ def test_mixture_diagonal_flow(basis0, col0, tau_small):
 def test_closed_form_reference_values(basis0):
     k0 = basis0.mode_index(1, 0)
     k1 = basis0.mode_index(1, 1)  # gamma = 1
-    assert ev.closed_form_reference(basis0, ("pure", k0), 1.0)[k0] == 1.0
-    c = ev.closed_form_reference(basis0, ("mixture", [(k0, 2.0), (k1, 3.0)]), 0.1)
+    assert closed_form_reference(basis0, ("pure", k0), 1.0)[k0] == 1.0
+    c = closed_form_reference(basis0, ("mixture", [(k0, 2.0), (k1, 3.0)]), 0.1)
     np.testing.assert_allclose([c[k0], c[k1]], [2.0, 0.3], rtol=1e-14)
     k05 = next(i for i, m in enumerate(basis0.modes) if abs(m.gamma - 0.5) < 1e-12)
-    val = ev.closed_form_reference(basis0, ("exp_linear", k05, 0.2), 0.25)[k05]
+    val = closed_form_reference(basis0, ("exp_linear", k05, 0.2), 0.25)[k05]
     np.testing.assert_allclose(val, math.exp(-0.05) * 0.5, rtol=1e-14)
     np.testing.assert_allclose(val, 0.475614712250357, rtol=1e-14)
+
+
+def test_family_initial_data_are_the_closed_forms_at_t1(basis0):
+    # parse_initial builds each family by build_initial, bit for bit the
+    # oracle's closed form at t = 1
+    from hardyheat.config import RunConfig, parse_initial
+
+    cfg = RunConfig()
+    for spec, family in (("family:pure:4", ("pure", 4)),
+                         ("family:mixture:0=2.0,5=-0.5", ("mixture", [(0, 2.0), (5, -0.5)])),
+                         ("family:exp_linear:3:0.3", ("exp_linear", 3, 0.3))):
+        cfg.initial = spec
+        np.testing.assert_array_equal(parse_initial(cfg, basis0),
+                                      closed_form_reference(basis0, family, 1.0))
 
 
 def test_exp_linear_against_independent_rk4():
@@ -309,24 +327,25 @@ def test_semilinear_ground_mode_bernoulli(N, p):
     spec = ang.solve_angular(ang.AngularPotential.constant(0.0), K=N + 1, N=N)
     basis = ou.enumerate_modes(spec, 0.0)
     assert basis.size == 1 and basis.max_degree() == 0
-    cols = [None] + ([ou.build_collocation(basis, n_r=8)] if N == 3 else [])
+    routes = [contextlib.nullcontext] + ([product_route] if N == 3 else [])
     eps = 0.05  # the semilinear workload's
     kappa = eps * ((4.0 * math.pi) ** (-N / 4.0)) ** (p - 1.0)
     pert = ev.PerturbationSpec.semilinear(eps, p, N)
-    for c0, col in itertools.product((1.0, -1.0), cols):
-        traj = ev.integrate_backward(basis, np.array([c0]), math.log(0.5), 0.01, pert, col,
-                                     n_r=8)
-        assert (traj.blocks is None) == (col is not None)
+    for c0, route in itertools.product((1.0, -1.0), routes):
+        with route():
+            traj = ev.integrate_backward(basis, np.array([c0]), math.log(0.5), 0.01, pert,
+                                         n_r=8)
+        assert isinstance(traj.rule, ou.Collocation) == (route is product_route)
         exact = c0 * (1.0 + (p - 1.0) * kappa * (traj.t - 1.0)) ** (1.0 / (1.0 - p))
         assert abs(exact[-1] - c0) > 1e-4  # the forcing moves the rows
         np.testing.assert_allclose(traj.coeffs[:, 0], exact, rtol=1e-12, atol=0.0)
 
 
-def test_linearity_of_linear_flow(basis0, col0):
+def test_linearity_of_linear_flow(basis0):
     pert = ev.PerturbationSpec.linear_bounded(0.1)
     k0, k1 = 0, 2
     tau_min = math.log(0.05)
-    run = lambda c0: ev.integrate_backward(basis0, c0, tau_min, 0.01, pert, col0).coeffs
+    run = lambda c0: ev.integrate_backward(basis0, c0, tau_min, 0.01, pert).coeffs
     e0, e1 = np.zeros(basis0.size), np.zeros(basis0.size)
     e0[k0], e1[k1] = 1.0, 1.0
     combo = run(2.0 * e0 + 3.0 * e1)
@@ -340,7 +359,7 @@ _STORED_FORCING_CASES = {
 
 
 @pytest.mark.parametrize("name", sorted(_STORED_FORCING_CASES))
-def test_stored_forcing_is_the_rowwise_forcing(name, basis0, col0, monkeypatch):
+def test_stored_forcing_is_the_rowwise_forcing(name, basis0, monkeypatch):
     # the march keeps its first-stage forcing: no post-march pass, and each
     # row's F is the one a direct call at (t_i, c_i) returns, bit for bit;
     # the check marches every second row and ends on the last, for odd n too.
@@ -362,7 +381,7 @@ def test_stored_forcing_is_the_rowwise_forcing(name, basis0, col0, monkeypatch):
         for fname, march in marches.items():
             monkeypatch.setattr(ev, fname, lambda taus, *a, march=march, fname=fname:
                                 grids.append((fname, taus)) or march(taus, *a))
-        traj = ev.integrate_backward(basis0, c0, tau_min, 0.01, pert, col0)
+        traj = ev.integrate_backward(basis0, c0, tau_min, 0.01, pert)
         assert traj.size - 1 == n
         steps = n + math.ceil(n / 2)
         assert len(calls) == (0 if radial else 4 * steps + 2)
@@ -373,19 +392,19 @@ def test_stored_forcing_is_the_rowwise_forcing(name, basis0, col0, monkeypatch):
         np.testing.assert_array_equal(fine, traj.tau)
         np.testing.assert_array_equal(coarse, traj.tau[sorted({*range(0, n + 1, 2), n})])
         monkeypatch.undo()
-        # a linear h forces through its single-time M, the semilinear term by one call
-        rowwise = np.array([_forcing(pert, t, c, traj.blocks) if radial
-                            else ev.forcing_coefficients(c, pert, col0)
+        # a linear h forces through its single-time M, the semilinear term by
+        # one call on the product rule, whose live modes are every mode
+        rowwise = np.array([_forcing(pert, t, c, traj.rule) if radial
+                            else ev.forcing_coefficients(c, pert, traj.rule)
                             for t, c in zip(traj.t, traj.coeffs)])
         assert np.any(rowwise)
         np.testing.assert_array_equal(traj.forcing, rowwise)
         # the rows alone rebuild the same trajectory
-        rebuilt = ev.trajectory_from_rows(basis0, col0, traj.coeffs, pert, tau_min, 0.01)
+        rebuilt = ev.trajectory_from_rows(basis0, traj.coeffs, pert, tau_min, 0.01)
         np.testing.assert_array_equal(rebuilt.tau, traj.tau)
         np.testing.assert_array_equal(rebuilt.t, traj.t)
         np.testing.assert_array_equal(rebuilt.forcing, traj.forcing)
-        if radial:
-            np.testing.assert_array_equal(rebuilt.blocks.live, traj.blocks.live)
+        np.testing.assert_array_equal(rebuilt.rule.live, traj.rule.live)
 
 
 @pytest.mark.parametrize("name", ["linear_bounded", "linear_constant"])
@@ -439,42 +458,42 @@ def test_stacked_forcing_matrices_are_the_single_time_ones(taus, cut, seed, basi
             single = ev.linear_forcing_matrices([t], pert, blocks)[0]
             np.testing.assert_array_equal(M[i], single)
             np.testing.assert_array_equal(F[i, blocks.live], single @ live[i])
-        np.testing.assert_array_equal(ev._row_forcing(ts, c, pert, None, blocks), F)
+        np.testing.assert_array_equal(ev._row_forcing(ts, live, pert, blocks), F[:, blocks.live])
 
 
-def test_backward_stability_nonincreasing(basis0, col0, tau_small):
+def test_backward_stability_nonincreasing(basis0, tau_small):
     rng = np.random.default_rng(2)
     c0 = rng.normal(size=basis0.size)
     traj = ev.integrate_backward(basis0, c0, tau_small, 0.005,
-                                 ev.PerturbationSpec.none(), col0)
+                                 ev.PerturbationSpec.none())
     mags = np.abs(traj.coeffs)  # tau descending: |c_k| must not increase
     assert np.all(np.diff(mags, axis=0) <= 1e-15)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_step_halving_gate(basis0, col0):
+def test_step_halving_gate(basis0):
     # a violently stiff semilinear forcing cannot pass the 1e-8 agreement
     pert = ev.PerturbationSpec.semilinear(40.0, 3.0, 3)
     c0 = np.zeros(basis0.size)
     c0[0] = 2.0
     with pytest.raises(AccuracyError):
-        ev.integrate_backward(basis0, c0, math.log(0.05), 0.01, pert, col0)
+        ev.integrate_backward(basis0, c0, math.log(0.05), 0.01, pert)
 
 
-def test_parameter_validation(basis0, col0):
+def test_parameter_validation(basis0):
     c0 = np.zeros(basis0.size)
     c0[0] = 1.0
     with pytest.raises(ConfigurationError):
         ev.integrate_backward(basis0, c0, math.log(0.5), 0.02,
-                              ev.PerturbationSpec.none(), col0)
+                              ev.PerturbationSpec.none())
     with pytest.raises(ConfigurationError):
         ev.integrate_backward(basis0, c0, math.log(1e-7), 0.01,
-                              ev.PerturbationSpec.none(), col0)
+                              ev.PerturbationSpec.none())
     with pytest.raises(ConfigurationError, match="tau_min"):
-        ev.integrate_backward(basis0, c0, 0.5, 0.01, ev.PerturbationSpec.none(), col0)
+        ev.integrate_backward(basis0, c0, 0.5, 0.01, ev.PerturbationSpec.none())
     with pytest.raises(ConfigurationError, match="eps_h"):
         ev.integrate_backward(basis0, c0, math.log(0.5), 0.01,
-                              ev.PerturbationSpec.linear_constant(0.1, eps_h=2.5), col0)
+                              ev.PerturbationSpec.linear_constant(0.1, eps_h=2.5))
     with pytest.raises(ConfigurationError):
         ev.PerturbationSpec.semilinear(0.1, 6.0, 3)
 
@@ -535,7 +554,7 @@ def test_admissibility_on_radii_matches_every_node(basis_aniso):
         assert (h, bound) == pytest.approx((1.0 / (r * r), 1.0 + r ** -0.5), rel=1e-15)
 
 
-def test_integrate_backward_rejects_inadmissible_h(basis0, col0):
+def test_integrate_backward_rejects_inadmissible_h(basis0):
     c0 = np.zeros(basis0.size)
     c0[0] = 1.0
     inverse_square = ev.PerturbationSpec("linear", h_radial=lambda r, t: 1.0 / (r * r),
@@ -543,46 +562,46 @@ def test_integrate_backward_rejects_inadmissible_h(basis0, col0):
     too_large = dataclasses.replace(ev.PerturbationSpec.linear_constant(0.5), C_h=0.1)
     for pert in (inverse_square, too_large):
         with pytest.raises(ConfigurationError, match="admissibility bound"):
-            ev.integrate_backward(basis0, c0, math.log(0.5), 0.01, pert, col0)
+            ev.integrate_backward(basis0, c0, math.log(0.5), 0.01, pert)
 
 
-def test_trajectory_from_rows_unperturbed_and_gates(basis0, col0):
+def test_trajectory_from_rows_unperturbed_and_gates(basis0):
     c0 = np.zeros(basis0.size)
     c0[0], c0[3] = 1.0, 0.5
     none = ev.PerturbationSpec.none()
-    traj = ev.integrate_backward(basis0, c0, math.log(0.5), 0.01, none, col0)
-    assert not np.any(traj.forcing) and traj.collocation is None
+    traj = ev.integrate_backward(basis0, c0, math.log(0.5), 0.01, none)
+    assert not np.any(traj.forcing) and traj.rule is None
     np.testing.assert_allclose(traj.coeffs / np.exp(np.outer(traj.tau, basis0.gammas)),
                                np.tile(c0, (traj.size, 1)), rtol=1e-15)
     # its rows alone rebuild it, with zero forcing and no collocation
-    rebuilt = ev.trajectory_from_rows(basis0, col0, traj.coeffs, none, math.log(0.5), 0.01)
+    rebuilt = ev.trajectory_from_rows(basis0, traj.coeffs, none, math.log(0.5), 0.01)
     np.testing.assert_array_equal(rebuilt.tau, traj.tau)
     np.testing.assert_array_equal(rebuilt.coeffs, traj.coeffs)
     assert rebuilt.dtau == traj.dtau
-    assert not np.any(rebuilt.forcing) and rebuilt.collocation is None
+    assert not np.any(rebuilt.forcing) and rebuilt.rule is None
     # the input gates of integrate_backward hold for given rows too
     too_large = dataclasses.replace(ev.PerturbationSpec.linear_constant(0.5), C_h=0.1)
     with pytest.raises(ConfigurationError, match="admissibility bound"):
-        ev.trajectory_from_rows(basis0, col0, traj.coeffs, too_large, math.log(0.5), 0.01)
+        ev.trajectory_from_rows(basis0, traj.coeffs, too_large, math.log(0.5), 0.01)
     with pytest.raises(ConfigurationError, match="dtau"):
-        ev.trajectory_from_rows(basis0, col0, traj.coeffs, none, math.log(0.5), 0.02)
+        ev.trajectory_from_rows(basis0, traj.coeffs, none, math.log(0.5), 0.02)
     with pytest.raises(ConfigurationError, match="tau_min"):
-        ev.trajectory_from_rows(basis0, col0, traj.coeffs, none, -math.log(0.5), 0.01)
+        ev.trajectory_from_rows(basis0, traj.coeffs, none, -math.log(0.5), 0.01)
     # one row per point of tau_grid(tau_min, dtau), each of the basis size
     for rows, dtau in ((traj.coeffs, 0.005), (traj.coeffs[:-1], 0.01),
                        (traj.coeffs[:, :-1], 0.01)):
         with pytest.raises(ConfigurationError, match="rows for a grid"):
-            ev.trajectory_from_rows(basis0, col0, rows, none, math.log(0.5), dtau)
+            ev.trajectory_from_rows(basis0, rows, none, math.log(0.5), dtau)
 
 
-def test_truncation_flag(basis0, col0):
+def test_truncation_flag(basis0):
     # unperturbed runs at both ends: all mass in the last mode is all in
     # the top shell, the ground mode has none there
     for k, share in ((basis0.size - 1, 1.0), (0, 0.0)):
         c0 = np.zeros(basis0.size)
         c0[k] = 1.0
         traj = ev.integrate_backward(basis0, c0, math.log(1e-3), 0.01,
-                                     ev.PerturbationSpec.none(), col0)
+                                     ev.PerturbationSpec.none())
         assert traj.truncation_shares()[-1] == share
     # the flag reads the whole top shell, not the mode that sorts last: the
     # shell's first (radial) mode carries the top-gamma mass here
@@ -591,14 +610,14 @@ def test_truncation_flag(basis0, col0):
     c0 = np.zeros(basis0.size)
     c0[0], c0[top[0]] = 1.0, 1.0
     traj = ev.integrate_backward(basis0, c0, math.log(1e-2), 0.01,
-                                 ev.PerturbationSpec.none(), col0)
+                                 ev.PerturbationSpec.none())
     shares = traj.truncation_shares()
     tg = traj.t ** basis0.gammas.max()
     np.testing.assert_allclose(shares, tg / np.sqrt(1.0 + tg * tg), rtol=1e-14, atol=0.0)
     assert shares.max() == shares[0] == pytest.approx(math.sqrt(0.5), rel=1e-15)
 
 
-def test_metadata(basis0, col0, tau_small):
+def test_metadata(basis0, tau_small):
     # each run keeps the gate values it measured, and None for the others
     c0 = np.zeros(basis0.size)
     c0[0] = 1.0
@@ -606,7 +625,7 @@ def test_metadata(basis0, col0, tau_small):
     for pert, measured in ((ev.PerturbationSpec.none(), set()),
                            (ev.PerturbationSpec.semilinear(0.05, 2.0, 3), {"halving_error"}),
                            (ev.PerturbationSpec.linear_bounded(0.1), both)):
-        traj = ev.integrate_backward(basis0, c0, tau_small, 0.01, pert, col0)
+        traj = ev.integrate_backward(basis0, c0, tau_small, 0.01, pert)
         for key in both:
             assert (getattr(traj, key) is None) == (key not in measured), (pert.label, key)
         if measured:
@@ -614,7 +633,7 @@ def test_metadata(basis0, col0, tau_small):
         if "admissibility_ratio" in measured:
             assert 0.0 < traj.admissibility_ratio <= 1.0
         # rows read back are gated again but not marched
-        rebuilt = ev.trajectory_from_rows(basis0, col0, traj.coeffs, pert, tau_small, 0.01)
+        rebuilt = ev.trajectory_from_rows(basis0, traj.coeffs, pert, tau_small, 0.01)
         assert rebuilt.halving_error is None
         assert rebuilt.admissibility_ratio == traj.admissibility_ratio
 
@@ -626,11 +645,10 @@ def test_semilinear_end_to_end(spec0):
     from hardyheat import ou_basis as ou
 
     basis0 = ou.enumerate_modes(spec0, 1.0)
-    col0 = ou.build_collocation(basis0, n_r=48)
     pert = ev.PerturbationSpec.semilinear(0.05, 2.0, 3)
     assert pert.delta_tilde(3) == 1.0 and pert.delta_theory(3) == 0.5
     c0 = ev.build_initial(basis0, [(0, 1.0)])
-    traj = ev.integrate_backward(basis0, c0, math.log(1e-5), 0.01, pert, col0)
+    traj = ev.integrate_backward(basis0, c0, math.log(1e-5), 0.01, pert)
     tr = al.frequency_trace(traj)
     assert tr.snapped and tr.gamma_hat == 0.0
     _, J0 = ou.multiplicity(0.0, basis0.spectrum)

@@ -19,6 +19,7 @@ from hardyheat.quadrature import laguerre_rule, product_rule
 from kummer import closed_form_norm2
 from mode_oracle import (eval_grad_V, eval_V, hardy_mode_consistency, kummer_factors,
                          potential_values, radii)
+from sweep_oracle import shifted_product_rule
 
 
 def kummer_scale(mode, N=3):
@@ -320,7 +321,7 @@ def test_potential_coupling_vs_nodal_quadrature():
     pot = parse_potential(cfg)
     spec = ang.solve_angular(pot, L=cfg.angular_truncation, K=cfg.angular_count)
     basis = ou.enumerate_modes(spec, cfg.gamma_max)
-    rule = product_rule(3, 48, 18, 26, a_gl=3 / 2.0 - 2.0)
+    rule = shifted_product_rule(3, 48, 18, 26, 3 / 2.0 - 2.0)
     V = eval_V(spec, basis.modes, rule.points)
     avals = np.tile(potential_values(pot, rule.angular_dirs), rule.radial.count)
     nodal = (V * (rule.weights * avals / radii(rule)**2)) @ V.T
@@ -404,7 +405,7 @@ def test_bilinear_reduction_vs_nodal_gradient_oracle():
     basis = ou.enumerate_modes(spec, 1.5)
     col = ou.build_collocation(basis, n_r=96)
     _, grads = eval_grad_V(spec, basis.modes[:5], col.rule.points)
-    hrule = product_rule(3, 96, 18, 26, a_gl=-0.5)
+    hrule = shifted_product_rule(3, 96, 18, 26, -0.5)
     avals = np.tile(potential_values(pot, hrule.angular_dirs), hrule.radial.count)
     r2 = radii(hrule)**2
     V = eval_V(spec, basis.modes[:5], hrule.points)

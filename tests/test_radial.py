@@ -29,7 +29,7 @@ from hardyheat import inequalities as ineq
 from hardyheat import ou_basis as ou
 from hardyheat import quadrature as quad
 from hardyheat.config import RunConfig, parse_initial, parse_perturbation
-from mode_oracle import IntegrandExponentRule, nodal_linear_march, radial_h
+from mode_oracle import IntegrandExponentRule, nodal_linear_march, product_route, radial_h
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -77,12 +77,14 @@ def reduced_and_full(request):
     cfg = _config(path, **overrides)
     spec, basis = cli._spectrum_and_basis(cfg)
     reduced = cli._trajectory(cfg, basis)
-    product = ou.build_collocation(basis, n_r=cfg.radial_nodes)
     pert, c0 = parse_perturbation(cfg), parse_initial(cfg, basis)
     if pert.kind == "linear":
+        product = ou.build_collocation(basis, n_r=cfg.radial_nodes)
         full = nodal_linear_march(basis, product, radial_h(pert.h_radial), c0, reduced.tau)
     else:
-        full = ev.integrate_backward(basis, c0, cfg.tau_min, cfg.dtau, pert, product)
+        with product_route():
+            full = ev.integrate_backward(basis, c0, cfg.tau_min, cfg.dtau, pert,
+                                         n_r=cfg.radial_nodes)
     return cfg, spec, reduced, full
 
 
@@ -91,8 +93,9 @@ def test_reduced_run_matches_the_product_rule(reduced_and_full):
     # beta bit for bit; at a = 0 the radial block is matched by the product
     # rule's own radial rule
     cfg, spec, reduced, full = reduced_and_full
-    assert len(full.collocation.rule.angular_dirs) > 1
-    assert reduced.collocation is None and len(reduced.blocks.weights) == cfg.radial_nodes
+    assert len(full.rule.rule.angular_dirs) > 1
+    assert isinstance(reduced.rule, ou.MatchedBlocks)
+    assert len(reduced.rule.weights) == cfg.radial_nodes
     assert not np.any(reduced.coeffs[:, ~ou.radial_modes(reduced.basis)])
     assert np.max(np.abs(reduced.coeffs - full.coeffs)) <= 1e-15
     beta, beta_full = _beta(cfg, spec, reduced), _beta(cfg, spec, full)
@@ -102,11 +105,13 @@ def test_reduced_run_matches_the_product_rule(reduced_and_full):
 
 
 def test_radial_simulate_forces_on_the_matched_block(tmp_path, monkeypatch):
+    # every call forces on the 16-node matched block and takes the 2 live
+    # radial modes of the K = 10 basis, not all K
     calls = []
     counted = ev.forcing_coefficients
     monkeypatch.setattr(
         ev, "forcing_coefficients",
-        lambda c, pert, col, *a, **k: calls.append((type(col), len(col.weights)))
+        lambda c, pert, col, *a, **k: calls.append((type(col), len(col.weights), len(c)))
         or counted(c, pert, col, *a, **k),
     )
     cfg = _config(SEMILINEAR, tau_min=math.log(1e-2), dtau=0.01, radial_nodes=16)
@@ -114,7 +119,7 @@ def test_radial_simulate_forces_on_the_matched_block(tmp_path, monkeypatch):
     assert (doc["collocation_rule"], doc["collocation_nodes"]) == ("matched", 16)
     n = math.ceil(-cfg.tau_min / cfg.dtau - 1e-12)
     assert len(calls) == 4 * n + 4 * math.ceil(n / 2) + 2
-    assert set(calls) == {(ou.MatchedBlocks, 16)}
+    assert set(calls) == {(ou.MatchedBlocks, 16, 2)}
 
 
 # runs outside the radial span: (config, overrides)
@@ -205,13 +210,13 @@ def test_linear_run_marches_only_the_data_j_blocks(name, tmp_path, monkeypatch):
     js = np.array([m.j for m in basis.modes])
     data_js = set(js[parse_initial(cfg, basis) != 0.0].tolist())
     live = np.isin(js, sorted(data_js))
-    assert traj.collocation is None
-    assert sorted(traj.blocks.live) == list(np.flatnonzero(live))
+    assert isinstance(traj.rule, ou.MatchedBlocks)
+    assert sorted(traj.rule.live) == list(np.flatnonzero(live))
     assert np.all(traj.coeffs[1:, live] != traj.coeffs[0, live])  # the h moves every live mode
     assert not np.any(traj.coeffs[:, ~live]) and not np.any(traj.forcing[:, ~live])
     assert (doc["collocation_rule"], doc["collocation_nodes"]) == (
         "matched", cfg.radial_nodes * len(data_js))
-    assert doc["collocation_gram_residual"] == traj.blocks.gram_residual < 1e-14
+    assert doc["collocation_gram_residual"] == traj.rule.gram_residual < 1e-14
 
 
 def test_stored_rows_take_the_rule_of_their_span(basis0):
@@ -224,18 +229,19 @@ def test_stored_rows_take_the_rule_of_their_span(basis0):
     c0[0] = 1.0
     tau_min = math.log(0.5)
     traj = ev.integrate_backward(basis0, c0, tau_min, 0.01, semi, n_r=16)
-    assert traj.collocation is None and len(traj.blocks.weights) == 16
-    back = ev.trajectory_from_rows(basis0, None, traj.coeffs, semi, tau_min, 0.01, 16)
-    assert back.collocation is None and np.array_equal(back.blocks.live, traj.blocks.live)
+    assert isinstance(traj.rule, ou.MatchedBlocks) and len(traj.rule.weights) == 16
+    back = ev.trajectory_from_rows(basis0, traj.coeffs, semi, tau_min, 0.01, 16)
+    assert isinstance(back.rule, ou.MatchedBlocks)
+    assert np.array_equal(back.rule.live, traj.rule.live)
     assert np.array_equal(back.forcing, traj.forcing)
     rows = traj.coeffs.copy()
     rows[-1, np.flatnonzero(~ou.radial_modes(basis0))[-1]] = 1e-300
     aniso = dataclasses.replace(basis0, spectrum=dataclasses.replace(
         basis0.spectrum, potential=ang.AngularPotential.harmonic_table([(1, 0, 0.1)])))
-    for run in (ev.trajectory_from_rows(basis0, None, rows, semi, tau_min, 0.01, 16),
+    for run in (ev.trajectory_from_rows(basis0, rows, semi, tau_min, 0.01, 16),
                 ev.integrate_backward(aniso, c0, tau_min, 0.01, semi, n_r=16),
-                ev.trajectory_from_rows(aniso, None, traj.coeffs, semi, tau_min, 0.01, 16)):
-        assert run.blocks is None and len(run.collocation.rule.angular_dirs) > 1
+                ev.trajectory_from_rows(aniso, traj.coeffs, semi, tau_min, 0.01, 16)):
+        assert isinstance(run.rule, ou.Collocation) and len(run.rule.rule.angular_dirs) > 1
         assert np.max(np.abs(run.forcing - traj.forcing)) <= 1e-15
 
 
@@ -251,15 +257,15 @@ def test_radial_rule_in_every_dimension(N):
     c0 = np.zeros(basis.size)
     c0[0] = 1.0
     traj = ev.integrate_backward(basis, c0, math.log(0.5), 0.01, pert)
-    assert traj.collocation is None and traj.blocks.gram_residual < 1e-13
-    assert list(traj.blocks.live) == list(np.flatnonzero(ou.radial_modes(basis)))
+    assert isinstance(traj.rule, ou.MatchedBlocks) and traj.rule.gram_residual < 1e-13
+    assert list(traj.rule.live) == list(np.flatnonzero(ou.radial_modes(basis)))
     kappa = eps * ((4.0 * math.pi) ** (-N / 4.0)) ** (p - 1.0)
     exact = (1.0 + (p - 1.0) * kappa * (traj.t - 1.0)) ** (1.0 / (1.0 - p))
     np.testing.assert_allclose(traj.coeffs[:, 0], exact, rtol=1e-12, atol=0.0)
     assert not np.any(traj.coeffs[:, ~ou.radial_modes(basis)])
 
 
-def test_hardy_potential_semilinear_run_on_the_matched_block(tmp_path):
+def test_hardy_potential_semilinear_run_on_the_matched_block(tmp_path, monkeypatch):
     # a = 0.2 gives alpha_1 = 0.276: the block's matched rule is exact for
     # its Gram (the shared exponent N/2 - 1 read 1.5e-3 and failed its 1e-4
     # gate), and beta is held to the rule of the integrand's own exponent
@@ -273,8 +279,11 @@ def test_hardy_potential_semilinear_run_on_the_matched_block(tmp_path):
     beta = json.loads((tmp_path / "beta.json").read_text())["beta"]["beta"]
     spec, basis = cli._spectrum_and_basis(cfg)
     pert, c0 = parse_perturbation(cfg), parse_initial(cfg, basis)
+    # the oracle rule forces in place of the run's matched block
+    monkeypatch.setattr(ev, "matched_blocks",
+                        lambda basis, rows, n_r: IntegrandExponentRule(basis, pert.p, n_r))
     oracle = [_beta(cfg, spec, ev.integrate_backward(
-        basis, c0, cfg.tau_min, cfg.dtau, pert, IntegrandExponentRule(basis, pert.p, n_r)))
+        basis, c0, cfg.tau_min, cfg.dtau, pert, n_r=n_r))
         for n_r in (16, cfg.radial_nodes)]
     assert list(beta) == ["0,1"] and list(oracle[0]) == [(0, 1)]
     exact = oracle[1][(0, 1)]

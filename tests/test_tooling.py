@@ -1,10 +1,11 @@
 """Tooling ratchets: the benchmark's per-layer tables name package functions
 that must exist, every config key is read and the README's config tables
 list each with its default, every code name of the README's library layout
-is defined, every stored field is read, every package function is run by
-some command, the package imports no scipy and its commands load none and
-no numpy.ma, and ``verify`` evaluates no test function at a node: every
-sweep is closed form."""
+is defined, every stored field is read, every defaulted parameter is passed
+by some src call, every package function is run by some command, the
+package imports no scipy and its commands load none and no numpy.ma, and
+``verify`` evaluates no test function at a node: every sweep is closed
+form."""
 
 import ast
 import dataclasses
@@ -201,6 +202,57 @@ def test_every_stored_field_is_read():
     assert len(stored) > 40
     unread = {name for name in stored if name.partition(".")[2] not in loaded}
     assert unread == set(UNREAD_FIELDS)
+
+
+# a defaulted parameter of a public function that no src call passes, and why it stays
+UNPASSED = {
+    "cli.main.argv": "the console entry point takes sys.argv; tests pass their own",
+}
+
+
+def _defaulted_parameters(body, prefix: str) -> dict:
+    """module.qualname.param -> (function name, param, positional index or
+    None) for every defaulted parameter of the public functions and methods
+    in ``body``; a method's index does not count self."""
+    out = {}
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            out |= _defaulted_parameters(node.body, f"{prefix}{node.name}.")
+        elif isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            bound = prefix.count(".") > 1 and "staticmethod" not in {
+                ast.unparse(deco) for deco in node.decorator_list}
+            for i, arg in enumerate(positional[len(positional) - len(args.defaults):],
+                                    len(positional) - len(args.defaults)):
+                out[f"{prefix}{node.name}.{arg.arg}"] = (node.name, arg.arg, i - bound)
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    out[f"{prefix}{node.name}.{arg.arg}"] = (node.name, arg.arg, None)
+    return out
+
+
+def test_every_defaulted_parameter_is_passed():
+    # a default that no src call overrides is a knob only tests turn: each
+    # must be passed somewhere in src, by keyword in any call or by position
+    # to a call of its function's name, unless UNPASSED says why it stays
+    params, calls = {}, []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        params |= _defaulted_parameters(tree.body, f"{path.stem}.")
+        calls += [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    assert len(params) > 10
+
+    def passed(name, param, index):
+        for call in calls:
+            func = getattr(call.func, "id", getattr(call.func, "attr", None))
+            n_positional = sum(not isinstance(a, ast.Starred) for a in call.args)
+            if any(k.arg == param for k in call.keywords) or (
+                    func == name and index is not None and n_positional > index):
+                return True
+        return False
+
+    assert {key for key, spec in params.items() if not passed(*spec)} == set(UNPASSED)
 
 
 def _package_functions(pkg: Path) -> set:
