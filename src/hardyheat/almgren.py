@@ -110,6 +110,14 @@ def _linear_fit(log_t: np.ndarray, Nval: np.ndarray, d):
     return u, uc, C, nc - C[..., None] * uc
 
 
+def _scan(log_t: np.ndarray, Nval: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Squared residual sums of :func:`_linear_fit` at each d of ``grid``,
+    eight points at a time: no temporary holds the whole (len(grid), m)
+    stack, and each sum is the scalar-d fit's, bit for bit."""
+    return np.concatenate([np.sum(_linear_fit(log_t, Nval, grid[k:k + 8, None])[3] ** 2, axis=1)
+                           for k in range(0, len(grid), 8)])
+
+
 def _projected(log_t: np.ndarray, Nval: np.ndarray, d: float):
     """(g, C, residual) of :func:`_linear_fit` at d, and d/dd of half the
     squared residual at that (g, C).
@@ -141,7 +149,7 @@ def _fit_limit(t: np.ndarray, Nval: np.ndarray):
     log_t = np.log(t)
     grid = np.linspace(*DELTA_BOUNDS, 80)
     # the scan: squared residuals at every d of the grid, without derivatives
-    i = int(np.argmin(np.sum(_linear_fit(log_t, Nval, grid[:, None])[3] ** 2, axis=1)))
+    i = int(np.argmin(_scan(log_t, Nval, grid)))
     a, b = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
     fa, fb = _projected(log_t, Nval, a)[3], _projected(log_t, Nval, b)[3]
     # no sign change: the residual falls towards a bound, and d stays there

@@ -11,7 +11,6 @@ failure, 4 positivity rejection.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -21,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from . import almgren, angular, asymptotics, evolve, inequalities, ou_basis
-from .config import RunConfig, parse_initial, parse_perturbation, parse_potential
+from .config import RunConfig, _sha256, parse_initial, parse_perturbation, parse_potential
 from .errors import (
     AccuracyError,
     ConfigurationError,
@@ -36,22 +35,47 @@ def _fmt(v) -> str:
 
 
 def _write_csv(path, columns, rows, meta) -> str:
-    """Write the file; returns the sha256 of its bytes."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write the file; returns the sha256 of its bytes, hashed as written.
+
+    A column whose every entry is +0.0 (all bits zero) is written as the
+    cell "0.0", its repr, fixed in the line's template: the exact zeros of
+    a wide basis cost no repr each.
+    """
+    rows = np.asarray(rows, dtype=float)
+    zero = ~np.any(rows.view(np.int64), axis=0)
+    line = ",".join("0.0" if z else "{}" for z in zero) + "\n"
+    digest = _sha256()
+
+    def put(text):
+        data = text.encode("utf-8")
+        fh.write(data)
+        digest.update(data)
+
+    with open(path, "wb") as fh:
         for key, val in meta.items():
-            fh.write(f"# {key} = {val}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in np.asarray(rows, dtype=float):  # row by row: no list of every value
-            fh.write(",".join(map(repr, row.tolist())) + "\n")
+            put(f"# {key} = {val}\n")
+        put(",".join(columns) + "\n")
+        for row in rows[:, ~zero]:  # row by row: no list of every value
+            put(line.format(*map(repr, row.tolist())))
+    return digest.hexdigest()
+
+
+def _read_csv(path):
+    """(rows, sha256) of a :func:`_write_csv` file in one pass: every line is
+    hashed and only the numeric rows, past the meta lines and the header, go
+    to the parser; they come back exactly (the fields are round-trip
+    decimals), without a Python float per field."""
+    digest = _sha256()
+
+    def unmeta(fh):
+        for data in fh:
+            digest.update(data)
+            if not data.startswith(b"#"):
+                yield data.decode("utf-8")
+
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
-def _read_csv(data: bytes) -> np.ndarray:
-    """The numeric rows of a :func:`_write_csv` file's bytes, exactly (the
-    fields are round-trip decimals), parsed without a Python float per field."""
-    lines = [l for l in data.decode("utf-8").splitlines() if not l.startswith("#")]
-    return np.loadtxt(lines[1:], delimiter=",", ndmin=2)
+        rows = np.loadtxt(unmeta(fh), delimiter=",", skiprows=1, ndmin=2)
+    return rows, digest.hexdigest()
 
 
 def _write_json(path, payload, meta):
@@ -89,8 +113,6 @@ def _stored_rows(cfg, outdir, basis, pert):
     """
     with open(os.path.join(outdir, "trajectory.json"), encoding="utf-8") as fh:
         doc = json.load(fh)
-    with open(os.path.join(outdir, "trajectory.csv"), "rb") as fh:
-        data = fh.read()
     taus, step = evolve.tau_grid(cfg.tau_min, cfg.dtau)
     meta = doc.get("meta") if isinstance(doc, dict) else None
     if not isinstance(meta, dict):
@@ -98,12 +120,12 @@ def _stored_rows(cfg, outdir, basis, pert):
     for key, want in dict(_meta(cfg, basis), dtau=step).items():
         if meta.get(key) != want:
             raise ValueError(f"{key} {meta.get(key)!r} is not {want!r}")
-    if doc.get("rows_sha256") != hashlib.sha256(data).hexdigest():
+    rows, digest = _read_csv(os.path.join(outdir, "trajectory.csv"))
+    if doc.get("rows_sha256") != digest:
         raise ValueError("rows_sha256 does not match trajectory.csv")
     err = doc.get("halving_error")
     if pert.kind != "none" and not (isinstance(err, float) and err <= evolve.HALVING_TOL):
         raise ValueError(f"halving_error {err!r} does not pass {evolve.HALVING_TOL}")
-    rows = _read_csv(data)
     if rows.shape != (len(taus), basis.size + 2) or not np.array_equal(rows[:, 0], taus):
         raise ValueError("the rows are not this run's tau grid")
     return rows[:, 2:]

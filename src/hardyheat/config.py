@@ -8,13 +8,22 @@ formatting is the shortest round-trip decimal, i.e. repr).
 from __future__ import annotations
 
 import configparser
-import hashlib
 import io
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 from .errors import ConfigurationError
+
+# SHA-256 from CPython's own module: hashlib would load OpenSSL (about
+# 3.6 MB of resident memory) for three digests of under 1 MB each
+try:
+    from _sha2 import sha256 as _sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 
 def _fmt(v) -> str:
@@ -117,7 +126,7 @@ class RunConfig:
     def content_hash(self) -> str:
         """Hash of the config text without its output directory, so a run
         keeps one hash wherever it is written or moved."""
-        return hashlib.sha256(replace(self, directory="").to_text().encode()).hexdigest()[:16]
+        return _sha256(replace(self, directory="").to_text().encode()).hexdigest()[:16]
 
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":

@@ -116,8 +116,8 @@ def radial_invariant(basis: OUBasis, rows: np.ndarray) -> bool:
     """True when a semilinear run stays in the span of the radial (degree-0)
     modes, so that it may force on their matched block: a constant potential
     and every row of ``rows`` (one row or a stack) exactly zero on every
-    other mode."""
-    return basis.spectrum.potential.is_constant and not np.any(rows[..., ~radial_modes(basis)])
+    other mode, tested in place: no copy of that block."""
+    return basis.spectrum.potential.is_constant and not np.any(rows, where=~radial_modes(basis))
 
 
 def linear_forcing_matrices(ts, pert: PerturbationSpec, blocks: MatchedBlocks) -> np.ndarray:

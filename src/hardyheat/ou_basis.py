@@ -25,7 +25,6 @@ certification target: the bilinear form separates as
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -33,6 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import angular as ang
+from .config import _sha256
 from .errors import (
     ConfigurationError,
     DegeneracyAmbiguityError,
@@ -154,7 +154,7 @@ class OUBasis:
 
     def content_hash(self) -> str:
         payload = json.dumps(self.to_jsonable(), sort_keys=True).encode()
-        return hashlib.sha256(payload).hexdigest()[:16]
+        return _sha256(payload).hexdigest()[:16]
 
 
 def _alphas(spectrum: ang.AngularSpectrum) -> np.ndarray:

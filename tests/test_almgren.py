@@ -209,8 +209,9 @@ def test_fit_limit_matches_least_squares(name, data):
 
 @pytest.mark.parametrize("name, data", _fit_cases().items())
 def test_scan_residuals_equal_the_pointwise_projection(name, data):
-    # the delta scan's one (80, n) call of the shared fit core against one
-    # scalar-d call per point, and against the residual _projected returns
+    # one (80, n) call of the shared fit core against one scalar-d call per
+    # point, and against the residual _projected returns; the delta scan's
+    # blocks of it against the pointwise squared residual sums
     t, Nval = data
     log_t, grid = np.log(t), np.linspace(*al.DELTA_BOUNDS, 80)
     scan = al._linear_fit(log_t, Nval, grid[:, None])
@@ -219,6 +220,9 @@ def test_scan_residuals_equal_the_pointwise_projection(name, data):
             np.testing.assert_array_equal(row[i].view(np.int64), ref.view(np.int64))
         np.testing.assert_array_equal(scan[3][i].view(np.int64),
                                       al._projected(log_t, Nval, d)[2].view(np.int64))
+    pointwise = np.array([np.sum(al._projected(log_t, Nval, d)[2] ** 2) for d in grid])
+    np.testing.assert_array_equal(al._scan(log_t, Nval, grid).view(np.int64),
+                                  pointwise.view(np.int64))
 
 
 def test_fit_limit_bounds_and_constant():

@@ -515,17 +515,20 @@ def test_quadcheck_gates_fail_on_broken_rules(tmp_path, monkeypatch, broken):
 @given(rows=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=8),
                        elements=st.floats(allow_nan=False)))
 @example(rows=np.array([[5e-324, -0.0, 0.0, 1.7976931348623157e308, -2.2250738585072014e-308]]))
+@example(rows=np.array([[0.0, -0.0], [0.0, 1.5], [0.0, 0.0]]))
 def test_csv_round_trip_is_bit_exact(rows):
     # what _write_csv writes, _read_csv reads back bit for bit: every
-    # double but NaN, subnormals, -0.0 and +-inf included
+    # double but NaN, subnormals, -0.0 and +-inf included, an all +0.0
+    # column (written from the line template) beside a -0.0 one; both hash
+    # the file's bytes
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "rows.csv")
         written = cli._write_csv(path, [f"c_{k}" for k in range(rows.shape[1])], rows,
                                  {"config_hash": "0" * 16})
         with open(path, "rb") as fh:
             data = fh.read()
-    assert written == hashlib.sha256(data).hexdigest()
-    back = cli._read_csv(data)
+        back, digest = cli._read_csv(path)
+    assert written == digest == hashlib.sha256(data).hexdigest()
     assert back.shape == rows.shape
     np.testing.assert_array_equal(back.view(np.int64), rows.view(np.int64))
 
@@ -849,8 +852,20 @@ def _edit_coefficient_digit(out):
     (out / "trajectory.csv").write_text(head + "\n" + ",".join(fields) + "\n")
 
 
+def _edit_csv_line(out, prefix, old, new):
+    # one edit to the first trajectory.csv line that starts with prefix
+    lines = (out / "trajectory.csv").read_text().split("\n")
+    i = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+    assert old in lines[i]
+    lines[i] = lines[i].replace(old, new, 1)
+    (out / "trajectory.csv").write_text("\n".join(lines))
+
+
 _STALE_EDITS = {
     "config_hash": lambda out: _edit_json(out, "config_hash", "0" * 16),
+    # lines the reader skips but hashes: a meta line and the column header
+    "csv_meta_line": lambda out: _edit_csv_line(out, "# version", " = ", " =  "),
+    "csv_header": lambda out: _edit_csv_line(out, "tau,", ",c_0", ",c_00"),
     "coefficient_digit": _edit_coefficient_digit,
     "no_trajectory_json": lambda out: (out / "trajectory.json").unlink(),
     "halving_error": lambda out: _edit_json(out, "halving_error", 2.0 * evolve.HALVING_TOL),

@@ -3,12 +3,15 @@ that must exist, every config key is read and the README's config tables
 list each with its default, every code name of the README's library layout
 is defined, every stored field is read, every defaulted parameter is passed
 by some src call, every package function is run by some command, the
-package imports no scipy and its commands load none and no numpy.ma, and
+package imports no scipy and its commands load none and no numpy.ma, the
+commands but ``verify`` load no OpenSSL (neither ``hashlib`` nor
+``_hashlib``: their SHA-256 is CPython's own, equal to OpenSSL's), and
 ``verify`` evaluates no test function at a node: every sweep is closed
 form."""
 
 import ast
 import dataclasses
+import hashlib
 import importlib
 import inspect
 import math
@@ -22,7 +25,7 @@ from pathlib import Path
 import pytest
 
 import hardyheat
-from hardyheat import inequalities
+from hardyheat import config, inequalities
 from hardyheat.cli import main
 from hardyheat.config import RunConfig
 
@@ -357,6 +360,27 @@ def test_commands_load_no_numpy_ma(tmp_path):
     modules = _modules_after(tmp_path, "spectrum", "simulate", "beta", "verify")
     assert "numpy" in modules
     assert [m for m in modules if m == "numpy.ma" or m.startswith("numpy.ma.")] == []
+
+
+@pytest.mark.parametrize("perturbation", ("linear_bounded:0.1", "semilinear:0.05:2.0"))
+def test_commands_but_verify_load_no_openssl(tmp_path, perturbation):
+    # import hashlib maps about 3.6 MB of OpenSSL; verify's numpy.random
+    # still loads it (secrets -> hmac -> _hashlib)
+    modules = _modules_after(tmp_path, "spectrum", "simulate", "beta", "quadcheck",
+                             perturbation=perturbation)
+    assert "hardyheat.cli" in modules
+    assert [m for m in modules if m in ("hashlib", "_hashlib")] == []
+
+
+@pytest.mark.parametrize("size", (0, 3, 64 * 1024 + 17))
+def test_package_sha256_is_openssl_sha256(size):
+    # OpenSSL's digest is the independent oracle, whole and fed in pieces
+    data = bytes((7 * k + 3) % 256 for k in range(size))
+    assert config._sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+    pieces = config._sha256()
+    for k in range(0, size, 1000):
+        pieces.update(data[k:k + 1000])
+    assert pieces.hexdigest() == hashlib.sha256(data).hexdigest()
 
 
 def test_inequalities_take_only_sphere_area_from_quadrature():
