@@ -41,7 +41,7 @@ def _write_csv(path, columns, rows, meta) -> str:
     cell "0.0", its repr, fixed in the line's template: the exact zeros of
     a wide basis cost no repr each.
     """
-    rows = np.asarray(rows, dtype=float)
+    rows = np.asarray(rows, dtype=float).reshape(-1, len(columns))  # no rows: (0, n)
     zero = ~np.any(rows.view(np.int64), axis=0)
     line = ",".join("0.0" if z else "{}" for z in zero) + "\n"
     digest = _sha256()

@@ -533,6 +533,17 @@ def test_csv_round_trip_is_bit_exact(rows):
     np.testing.assert_array_equal(back.view(np.int64), rows.view(np.int64))
 
 
+def test_beta_with_no_recon_lambdas_writes_the_header_only(tmp_path):
+    # an empty recon_lambdas is a valid config: reconstruction.csv holds
+    # its meta lines and header and no row
+    out = tmp_path / "out"
+    path, _ = write_config(tmp_path, recon_lambdas=(), gamma_max=1.0, dtau=0.01,
+                           radial_nodes=16, directory=str(out))
+    assert main(["beta", "--config", path]) == 0
+    lines = (out / "reconstruction.csv").read_text().splitlines()
+    assert [l for l in lines if not l.startswith("#")] == ["lambda,errH,errL"]
+
+
 # (command, key, value, exit code): each ran into a traceback or a hang
 _NON_FINITE = [("verify", "sweep_t", math.inf, 2), ("verify", "sweep_t", math.nan, 2),
                ("verify", "sweep_t", 1e300, 3), ("simulate", "tau_min", math.nan, 2)]

@@ -340,9 +340,16 @@ def _modules_after(tmp_path, *commands, perturbation="linear_bounded:0.1") -> li
     return out.stdout.splitlines()[-1].split()
 
 
+def _openssl(modules) -> list:
+    # import hashlib maps about 3.6 MB of OpenSSL; verify's numpy.random
+    # still loads it (secrets -> hmac -> _hashlib)
+    return [m for m in modules if m in ("hashlib", "_hashlib")]
+
+
 def test_commands_load_no_scipy(tmp_path):
-    modules = _modules_after(tmp_path, "spectrum", "simulate", "beta")
+    modules = _modules_after(tmp_path, "spectrum", "simulate", "beta", "quadcheck")
     assert [m for m in modules if m.split(".")[0] == "scipy"] == []
+    assert _openssl(modules) == []
 
 
 @pytest.mark.parametrize("perturbation", ("none", "semilinear:0.05:2.0"))
@@ -353,6 +360,7 @@ def test_simulate_and_beta_load_no_scipy_or_numpy_ma(tmp_path, perturbation):
     assert "hardyheat.evolve" in modules
     assert [m for m in modules if m.split(".")[0] == "scipy"
             or m == "numpy.ma" or m.startswith("numpy.ma.")] == []
+    assert _openssl(modules) == []
 
 
 def test_commands_load_no_numpy_ma(tmp_path):
@@ -360,16 +368,6 @@ def test_commands_load_no_numpy_ma(tmp_path):
     modules = _modules_after(tmp_path, "spectrum", "simulate", "beta", "verify")
     assert "numpy" in modules
     assert [m for m in modules if m == "numpy.ma" or m.startswith("numpy.ma.")] == []
-
-
-@pytest.mark.parametrize("perturbation", ("linear_bounded:0.1", "semilinear:0.05:2.0"))
-def test_commands_but_verify_load_no_openssl(tmp_path, perturbation):
-    # import hashlib maps about 3.6 MB of OpenSSL; verify's numpy.random
-    # still loads it (secrets -> hmac -> _hashlib)
-    modules = _modules_after(tmp_path, "spectrum", "simulate", "beta", "quadcheck",
-                             perturbation=perturbation)
-    assert "hardyheat.cli" in modules
-    assert [m for m in modules if m in ("hashlib", "_hashlib")] == []
 
 
 @pytest.mark.parametrize("size", (0, 3, 64 * 1024 + 17))
