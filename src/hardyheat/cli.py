@@ -27,7 +27,10 @@ from .errors import (
     HardyHeatError,
     PositivityError,
 )
-from .quadrature import integrate_G, laguerre_rule, product_rule
+from .quadrature import sphere_area
+
+# the quadcheck gate on a rule's radial moments, relative
+MOMENT_TOL = 1e-11
 
 
 def _fmt(v) -> str:
@@ -214,8 +217,7 @@ def cmd_simulate(cfg, outdir) -> int:
             "truncation_ratio": float(shares[-1]),
             "truncation_ratio_max": float(shares.max()),
             "collocation_gram_residual": None if rule is None else rule.gram_residual,
-            "collocation_rule": "none" if rule is None else "product"
-                                if isinstance(rule, ou_basis.Collocation) else "matched",
+            "collocation_rule": _rule_kind(rule),
             "collocation_nodes": 0 if rule is None else len(rule.weights),
             "halving_error": traj.halving_error,
             "halving_tol": None if rule is None else evolve.HALVING_TOL,
@@ -306,56 +308,47 @@ def cmd_verify(cfg, outdir) -> int:
     return 0
 
 
+def _rule_kind(rule) -> str:
+    """The name frequency.json and quadcheck.json give a run's rule."""
+    if rule is None:
+        return "none"
+    return "product" if isinstance(rule, ou_basis.Collocation) else "matched"
+
+
 def cmd_quadcheck(cfg, outdir) -> int:
-    checks = {}
-    # generalized Laguerre mass and moment exactness
-    for a_gl in (0.0, 0.5, -0.5, 1.5):
-        rule = laguerre_rule(a_gl, 16)
-        mass_err = abs(rule.weights.sum() - math.gamma(a_gl + 1.0)) / math.gamma(a_gl + 1.0)
-        mom3 = float(rule.weights @ rule.nodes**3)
-        exact3 = math.gamma(a_gl + 4.0)
-        checks[f"laguerre_a={a_gl}"] = {
-            "mass_rel_err": mass_err,
-            "moment3_rel_err": abs(mom3 - exact3) / exact3,
-        }
-    # product-rule mass, and the |x|^2 moment 2 N t (2 sqrt(pi))^N at t = 0.37,
-    # which sees how the nodes scale with t
-    t = 0.37
-    for N in (3, 4, 5):
-        rule = product_rule(int(N), 32, 10, 20)
-        exact = (2.0 * math.sqrt(math.pi)) ** N
-        mass = integrate_G(lambda x: np.ones(len(x)), 1.0, rule)
-        moment = integrate_G(lambda x: np.sum(x * x, axis=1), t, rule)
-        checks[f"product_N={N}"] = {
-            "mass_rel_err": abs(mass - exact) / exact,
-            "moment_x2_rel_err": abs(moment - 2.0 * N * t * exact) / (2.0 * N * t * exact),
-        }
-    # |x|^2 moment, N = 3: 2 N t (2 sqrt(pi))^N at t = 1
-    rule3 = product_rule(3, 32, 10, 20)
-    sq = integrate_G(lambda x: np.sum(x * x, axis=1), 1.0, rule3)
-    checks["moment_x2_N3"] = {
-        "rel_err": abs(sq - 48.0 * math.pi**1.5) / (48.0 * math.pi**1.5)
-    }
-    # a smooth non-polynomial integrand on the 64-node rule, against its
-    # closed form 5/3 (4 pi/3)^{3/2}; the key names the n_r doubling that
-    # this one rule replaced
-    val = integrate_G(
-        lambda x: np.exp(-0.5 * np.sum(x * x, axis=1)) * (1.0 + x[:, 0] ** 2),
-        1.0, product_rule(3, 64),
-    )
-    exact = 5.0 / 3.0 * (4.0 * math.pi / 3.0) ** 1.5
-    checks["doubling_stable"] = {"value": val, "rel_err": abs(val - exact) / exact}
-    ok = all(
-        err < 1e-11
-        for entry in checks.values()
-        for key, err in entry.items()
-        if key != "value"
-    )
+    """Check the rule this config's run forces on, chosen by the march's own
+    ``evolve._check_inputs``; an unperturbed run forces on none, so there
+    the matched blocks of the initial data, the rule they would take under
+    a linear h.  Its radial moments of degree 2 and 3 (degrees 0 and 1 are
+    checked when a rule is built) go against closed forms in s = r^2/4:
+    sum_j Gamma(a_j + 1 + d) over the blocks' exponents
+    a_j = N/2 - 1 - alpha_j, or 2^{N-1} |S^{N-1}| Gamma(N/2 + d) for the
+    product rule.
+    """
+    _, basis = _spectrum_and_basis(cfg)
+    c0 = parse_initial(cfg, basis)[None]
+    rule, _ = evolve._check_inputs(basis, parse_perturbation(cfg), c0, cfg.radial_nodes)
+    if rule is None:
+        rule = ou_basis.matched_blocks(basis, c0, cfg.radial_nodes)
+    N = basis.N
+    if isinstance(rule, ou_basis.Collocation):
+        s = np.sum(rule.rule.points ** 2, axis=1) / 4.0
+        exact = lambda d: 2.0 ** (N - 1) * sphere_area(N) * math.gamma(N / 2.0 + d)
+    else:
+        s = rule.radii ** 2 / 4.0
+        alphas = {basis.modes[k].j: basis.modes[k].alpha_j for k in rule.live}.values()
+        exact = lambda d: sum(math.gamma(N / 2.0 + d - alpha) for alpha in alphas)
+    moments = {f"moment{d}_rel_err": abs(float(rule.weights @ s ** d) / exact(d) - 1.0)
+               for d in (2, 3)}
+    ok = max(moments.values()) < MOMENT_TOL
+    kind = _rule_kind(rule)
     _write_json(os.path.join(outdir, "quadcheck.json"),
-                {"checks": checks, "ok": ok}, _meta(cfg))
-    print(f"quadcheck: {'ok' if ok else 'FAILED'}")
+                {"rule": kind, "nodes": len(rule.weights), "gram_residual": rule.gram_residual,
+                 "gram_tol": ou_basis.RULE_GRAM_TOL, **moments, "moment_tol": MOMENT_TOL,
+                 "ok": ok}, _meta(cfg, basis))
+    print(f"quadcheck: {kind} rule of {len(rule.weights)} nodes {'ok' if ok else 'FAILED'}")
     if not ok:
-        raise AccuracyError("quadrature self-checks failed; see quadcheck.json")
+        raise AccuracyError("quadrature moment checks failed; see quadcheck.json")
     return 0
 
 

@@ -28,10 +28,6 @@ class DegeneracyAmbiguityError(HardyHeatError):
     """An eigenvalue sits in the ambiguous band of the integer test."""
 
 
-class SingularNodeError(HardyHeatError):
-    """An integrand evaluated non-finite at a cubature node."""
-
-
 class QuadratureError(HardyHeatError):
     """A quadrature rule cannot be built, or cannot represent its integrand."""
 

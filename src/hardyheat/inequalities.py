@@ -51,14 +51,6 @@ class GaussianBump:
     w: float
     axis: np.ndarray
 
-    def value(self, x):
-        d = x - self.b * self.axis
-        return np.exp(-np.sum(d * d, axis=-1) / (2.0 * self.w**2))
-
-    def value_grad(self, x):
-        u = self.value(x)  # one exponential for both
-        return u, -((x - self.b * self.axis) / self.w**2) * u[..., None]
-
 
 @dataclass(frozen=True)
 class PowerGaussian:

@@ -49,6 +49,8 @@ INT_AMBIG = 1e-6
 
 GRAM_TOL = 1e-8
 BILINEAR_TOL = 1e-6
+# the Gram residual above which a rule cannot represent the modes
+RULE_GRAM_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -364,11 +366,12 @@ def build_collocation(basis: OUBasis, n_r: int = 64) -> Collocation:
 
 def _gram_residual(table, weights) -> float:
     """max |table diag(weights) table^T - I| of a rule's mode table; above
-    1e-4 the rule cannot represent the modes: QuadratureError."""
+    RULE_GRAM_TOL the rule cannot represent the modes: QuadratureError."""
     residual = float(np.max(np.abs((table * weights) @ table.T - np.eye(len(table))),
                             initial=0.0))
-    if residual > 1e-4:
-        raise QuadratureError(f"Gram residual {residual:.3e} > 1e-4; raise radial_nodes")
+    if residual > RULE_GRAM_TOL:
+        raise QuadratureError(f"Gram residual {residual:.3e} > {RULE_GRAM_TOL}; "
+                              "raise radial_nodes")
     return residual
 
 

@@ -23,9 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import QuadratureError, SingularNodeError
-
-DEFAULT_NR = 64
+from .errors import QuadratureError
 
 
 def sphere_area(N: int) -> float:
@@ -206,13 +204,6 @@ class ProductRule:
     points: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
 
-    def points_at(self, t: float) -> np.ndarray:
-        return math.sqrt(t) * self.points
-
-    def integrate(self, values: np.ndarray) -> float:
-        """Weighted sum of precomputed node values."""
-        return float(self.weights @ values)
-
 
 def _check_unit_mass(rule: ProductRule) -> None:
     total = rule.weights.sum()
@@ -240,12 +231,7 @@ def _radial_x_angular(N: int, n_r: int, dirs, aw) -> ProductRule:
 
 
 @lru_cache(maxsize=64)
-def product_rule(
-    N: int,
-    n_r: int = DEFAULT_NR,
-    n_polar: int = 16,
-    n_az: int = 32,
-) -> ProductRule:
+def product_rule(N: int, n_r: int, n_polar: int, n_az: int) -> ProductRule:
     """Build the full cubature on R^N for the heat-kernel weight.
 
     The radial exponent N/2 - 1 matches the plain surface Jacobian;
@@ -256,20 +242,3 @@ def product_rule(
         raise QuadratureError("dimension must be >= 2")
     return _radial_x_angular(N, n_r, *_angular_nodes(N, n_polar, n_az))
 
-
-def integrate_G(f, t: float, rule: ProductRule) -> float:
-    """Quadrature estimate of int f(x) G(x,t) dx.
-
-    ``f`` maps an (M, N) array of points to M values.  Raises
-    SingularNodeError if any node value is non-finite (nodes avoid the
-    origin by construction, so this flags a genuinely bad integrand).
-    """
-    if t <= 0.0:
-        raise QuadratureError("t must be positive")
-    vals = np.asarray(f(rule.points_at(t)), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        bad = int(np.argmax(~np.isfinite(vals)))
-        raise SingularNodeError(
-            f"integrand non-finite at node {bad}, x = {rule.points_at(t)[bad]}"
-        )
-    return rule.integrate(vals)

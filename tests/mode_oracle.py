@@ -10,7 +10,8 @@ gives the independent nodal route the tests compare against:
 - the exact harmonic table of a quadratic zonal potential
   (``zonal_quadratic``), the form a zonal potential takes in the package;
 - the surface gradients of the real harmonics (``real_sph_grad_block``);
-- mode values and gradients at points (``eval_V``, ``eval_grad_V``), for
+- mode values and gradients at points (``eval_V``, ``eval_grad_V``, which
+  raise ``SingularPointError`` at x = 0 where there is no limit), for
   the energy identity, the nodal-gradient check of the bilinear reduction
   and the basis members of ``sweep_oracle``; the gradients take their
   radial factors from ``kummer.kummer_m`` and ``kummer.closed_form_norm2``,
@@ -43,10 +44,14 @@ from scipy.special import gammaln, lpmv, roots_genlaguerre
 from hardyheat import angular as ang
 from hardyheat import evolve as ev
 from hardyheat import inequalities as ineq
-from hardyheat.errors import ConfigurationError, SingularNodeError
+from hardyheat.errors import ConfigurationError
 from hardyheat.ou_basis import Collocation, OUBasis, _radial_rows, hardy_matrix
 from hardyheat.quadrature import ProductRule, sphere_area
 from kummer import closed_form_norm2, kummer_m
+
+
+class SingularPointError(ArithmeticError):
+    """A mode value or gradient asked for at x = 0, where it has no limit."""
 
 
 def kummer_factors(modes, N: int, s: np.ndarray):
@@ -174,7 +179,7 @@ def eval_V(spectrum: ang.AngularSpectrum, modes, x: np.ndarray) -> np.ndarray:
     at_origin = r == 0.0
     bad = [m for m in modes if m.alpha_j > 0.0 or (m.alpha_j == 0.0 and m.degree != 0)]
     if bad and np.any(at_origin):
-        raise SingularNodeError(f"mode (n={bad[0].n}, j={bad[0].j}) has no limit at x = 0")
+        raise SingularPointError(f"mode (n={bad[0].n}, j={bad[0].j}) has no limit at x = 0")
     # the direction at x = 0 matters only for a degree-0 mode; take e1
     dirs = x / np.where(at_origin, 1.0, r)[:, None]
     dirs[at_origin] = np.eye(spectrum.N)[0]
@@ -192,7 +197,7 @@ def eval_grad_V(spectrum: ang.AngularSpectrum, modes, x: np.ndarray):
     x = np.atleast_2d(np.asarray(x, dtype=float))
     r = np.linalg.norm(x, axis=-1)
     if np.any(r == 0.0):
-        raise SingularNodeError("gradient undefined at x = 0")
+        raise SingularPointError("gradient undefined at x = 0")
     dirs = x / r[:, None]
     psi = _psi_rows(spectrum, modes, dirs)
     P, Q = kummer_factors(modes, spectrum.N, r * r / 4.0)

@@ -7,10 +7,13 @@ pair, member by member, for any point-function member with ``value`` and
 ``PolyGaussian``, basis eigenfunctions (``BasisModeFunction``), under any
 potential the angular solver takes, a evaluated by ``potential_values``.
 The tests compare the two paths, and use this one for members no closed
-form covers.  ``zonal_rule`` is the cubature for integrands zonal about e1
-in any N >= 3, which the zonal sweep checks are held to.  Either cubature
-also comes on the shifted Gauss-Laguerre exponent a_GL = N/2 - 2 that the
-1/|x|^2 integrands need (``radial_x_angular``, ``shifted_product_rule``).
+form covers; a package ``GaussianBump`` holds only its fields, and is
+evaluated here (``PointBump``).  ``zonal_rule`` is the cubature for
+integrands zonal about e1 in any N >= 3, which the zonal sweep checks are
+held to.  Either cubature also comes on the shifted Gauss-Laguerre exponent
+a_GL = N/2 - 2 that the 1/|x|^2 integrands need (``radial_x_angular``,
+``shifted_product_rule``), and ``integrate_G`` sums a point function
+against G(., t) on any of them.
 """
 
 from __future__ import annotations
@@ -25,9 +28,17 @@ from hardyheat import angular as ang
 from hardyheat import inequalities as ineq
 from hardyheat.errors import ConfigurationError, QuadratureError
 from hardyheat.ou_basis import OUBasis
-from hardyheat.quadrature import (DEFAULT_NR, ProductRule, _angular_nodes, _radial_x_angular,
-                                  laguerre_rule, polar_rule, product_rule, sphere_area)
+from hardyheat.quadrature import (ProductRule, _angular_nodes, _radial_x_angular, laguerre_rule,
+                                  polar_rule, product_rule, sphere_area)
 from mode_oracle import eval_grad_V, eval_V, potential_values, radii
+
+DEFAULT_NR = 64  # radial nodes of a zonal rule
+
+
+def integrate_G(f, t: float, rule: ProductRule) -> float:
+    """int f(x) G(x, t) dx on the rule: sum(weights * f(sqrt(t) * points)),
+    f mapping an (M, N) array of points to M values."""
+    return float(rule.weights @ f(math.sqrt(t) * rule.points))
 
 
 def radial_x_angular(N: int, n_r: int, a_gl: float | None, dirs, aw) -> ProductRule:
@@ -103,6 +114,28 @@ class PolyGaussian:
         return q * e, (gq - 2.0 * self.kappa * x * q[:, None]) * e[:, None]
 
 
+@dataclass(frozen=True)
+class PointBump:
+    """A package ``GaussianBump`` u(x) = exp(-|x - b e|^2 / (2 w^2)) as a
+    point function."""
+
+    bump: ineq.GaussianBump
+
+    def value(self, x):
+        d = x - self.bump.b * self.bump.axis
+        return np.exp(-np.sum(d * d, axis=-1) / (2.0 * self.bump.w**2))
+
+    def value_grad(self, x):
+        u = self.value(x)  # one exponential for both
+        return u, -((x - self.bump.b * self.bump.axis) / self.bump.w**2) * u[..., None]
+
+
+def point_function(member):
+    """The member with ``value`` and ``value_grad``: a GaussianBump as a
+    :class:`PointBump`, any other member as it is."""
+    return PointBump(member) if isinstance(member, ineq.GaussianBump) else member
+
+
 class BasisModeFunction:
     """A normalized eigenbasis mode as a point-function test member."""
 
@@ -155,6 +188,7 @@ def rule_pair(N: int, n_r: int = 48) -> tuple:
 
 def _sample(member, rule, t: float, grad: bool = True):
     """(u, |grad u|^2 or None, |x|^2) at the nodes of ``rule`` at time t."""
+    member = point_function(member)
     pts = math.sqrt(t) * rule.points
     if not grad:
         return np.asarray(member.value(pts), dtype=float), None, t * radii(rule)**2
@@ -173,21 +207,21 @@ def _rule_integrals(want: set, member, t: float, rules: tuple, spec, s: float) -
     out = {}
     if "x2_bound" in want:
         u, g2, r2 = _sample(member, plain, 1.0)
-        out.update(u2_1=plain.integrate(u * u), grad2_1=plain.integrate(g2),
-                   r2u2_1=plain.integrate(r2 * (u * u)))
+        out.update(u2_1=plain.weights @ (u * u), grad2_1=plain.weights @ g2,
+                   r2u2_1=plain.weights @ (r2 * (u * u)))
     if want & {"hardy_parabolic", "hardy_anisotropic", "sobolev"}:
         u, g2, _ = _sample(member, plain, t)
-        out.update(u2=plain.integrate(u * u), grad2=plain.integrate(g2))
+        out.update(u2=plain.weights @ (u * u), grad2=plain.weights @ g2)
     if want & {"hardy_parabolic", "hardy_anisotropic"}:
         uh, _, r2h = _sample(member, twin, t, grad=False)
-        out["hardy"] = twin.integrate(uh * uh / r2h)
+        out["hardy"] = twin.weights @ (uh * uh / r2h)
     if "hardy_anisotropic" in want:
         a = np.tile(potential_values(spec.potential, twin.angular_dirs), twin.radial.count)
-        out["a_hardy"] = twin.integrate(a * uh * uh / r2h)
+        out["a_hardy"] = twin.weights @ (a * uh * uh / r2h)
     if "sobolev" in want:
         # G^{s/2 - 1} at the scaled nodes; the base radius is t-invariant
         Gpow = (t ** (-plain.N / 2.0) * np.exp(-radii(plain)**2 / 4.0)) ** (s / 2.0 - 1.0)
-        out["sob"] = plain.integrate(np.abs(u) ** s * Gpow)
+        out["sob"] = plain.weights @ (np.abs(u) ** s * Gpow)
     return out
 
 

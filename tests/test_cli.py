@@ -19,7 +19,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from hardyheat import cli, evolve, quadrature
+from hardyheat import cli, evolve, ou_basis, quadrature
 from hardyheat.cli import main
 from hardyheat.config import RunConfig, parse_perturbation, parse_potential
 from hardyheat.errors import ConfigurationError
@@ -286,10 +286,13 @@ def test_cmd_spectrum_ladder(tmp_path):
 
 
 def test_cmd_spectrum_positivity_exit(tmp_path, capsys):
+    # quadcheck builds the run's basis, so it refuses the potential too
     path, _ = write_config(tmp_path, potential="constant:0.3",
                            directory=str(tmp_path))
-    assert main(["spectrum", "--config", path]) == 4
-    assert "positiv" in capsys.readouterr().err.lower()
+    for command in ("spectrum", "quadcheck"):
+        assert main([command, "--config", path]) == 4, command
+        assert "positiv" in capsys.readouterr().err.lower()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ini"]
 
 
 @pytest.mark.parametrize("N", (3, 4, 5))
@@ -465,10 +468,29 @@ def test_cmd_verify_rejects_dimension_before_sweeps(tmp_path, monkeypatch, capsy
 
 
 def test_cmd_quadcheck(tmp_path):
+    # the default run is unperturbed: quadcheck checks the matched block of
+    # its data, the 64-node Gauss-Laguerre rule of exponent 1/2
     path, _ = write_config(tmp_path, directory=str(tmp_path))
     assert main(["quadcheck", "--config", path]) == 0
     data = json.loads((tmp_path / "quadcheck.json").read_text())
     assert data["ok"] is True
+    assert (data["rule"], data["nodes"]) == ("matched", 64)
+    assert data["gram_residual"] <= data["gram_tol"] == 1e-4
+    assert max(data["moment2_rel_err"], data["moment3_rel_err"]) < data["moment_tol"] == 1e-11
+
+
+def _one_block_weight_heavier(monkeypatch):
+    """The matched_blocks of a perturbed run with its largest weight
+    multiplied by 1 + 1e-9, past the blocks' own Gram gate."""
+    real = evolve.matched_blocks
+
+    def build(*args, **kwargs):
+        blocks = real(*args, **kwargs)
+        weights = blocks.weights.copy()
+        weights[np.argmax(weights)] *= 1.0 + 1e-9
+        return dataclasses.replace(blocks, weights=weights)
+
+    monkeypatch.setattr(evolve, "matched_blocks", build)
 
 
 def _one_shell_heavier(monkeypatch):
@@ -484,31 +506,39 @@ def _one_shell_heavier(monkeypatch):
         weights[i:i + n_ang] *= 1.0 + 1e-9
         return dataclasses.replace(rule, weights=weights)
 
-    monkeypatch.setattr(cli, "product_rule", build)
-    monkeypatch.setattr(quadrature, "product_rule", build)
+    monkeypatch.setattr(ou_basis, "product_rule", build)
 
 
-_MOMENT_GATES = {f"product_N={N}.moment_x2_rel_err" for N in (3, 4, 5)}
-_BROKEN_RULES = {
-    # doubling_stable integrates at t = 1, where sqrt(t) = t
-    "points_at_scaled_by_t": (
-        lambda mp: mp.setattr(quadrature.ProductRule, "points_at", lambda self, t: t * self.points),
-        _MOMENT_GATES),
-    "one_weight_off_by_1e-9": (_one_shell_heavier, _MOMENT_GATES | {"doubling_stable.rel_err"}),
-}
+ROOT = Path(__file__).resolve().parents[1]
+_BROKEN_RULES = {"bounded_h": _one_block_weight_heavier, "semilinear": _one_shell_heavier}
 
 
-@pytest.mark.parametrize("broken", sorted(_BROKEN_RULES))
-def test_quadcheck_gates_fail_on_broken_rules(tmp_path, monkeypatch, broken):
-    # measured on the sound rules: at most 1.1e-14 (moments), 6.2e-16 (doubling)
-    breaks, gates = _BROKEN_RULES[broken]
-    breaks(monkeypatch)
-    path, _ = write_config(tmp_path, directory=str(tmp_path))
-    assert main(["quadcheck", "--config", path]) == 3
-    checks = json.loads((tmp_path / "quadcheck.json").read_text())["checks"]
-    failed = {f"{name}.{key}" for name, entry in checks.items()
-              for key, err in entry.items() if key != "value" and err >= 1e-11}
-    assert gates <= failed
+@pytest.mark.parametrize("name", sorted(_BROKEN_RULES))
+def test_quadcheck_gates_fail_on_broken_rules(tmp_path, monkeypatch, name):
+    # a broken copy of the rule the run itself forces on: configs/bounded_h.ini
+    # marches its matched block, configs/semilinear.ini (off the radial span)
+    # the product collocation.  Measured at most 1.8e-15 on the sound rules
+    _BROKEN_RULES[name](monkeypatch)
+    config = str(ROOT / "configs" / f"{name}.ini")
+    assert main(["quadcheck", "--config", config, "--out", str(tmp_path)]) == 3
+    data = json.loads((tmp_path / "quadcheck.json").read_text())
+    assert data["rule"] == ("matched" if name == "bounded_h" else "product")
+    assert data["ok"] is False and data["moment2_rel_err"] >= 1e-11
+
+
+_PERTURBED = sorted(path for path in [*ROOT.glob("configs/*.ini"),
+                                      *ROOT.glob("perfbench/workloads/*.ini")]
+                    if parse_perturbation(RunConfig.from_file(str(path))).kind != "none")
+
+
+@pytest.mark.parametrize("config", _PERTURBED, ids=lambda path: f"{path.parent.name}/{path.stem}")
+def test_quadcheck_checks_the_rule_simulate_forces_on(tmp_path, config):
+    for cmd in ("simulate", "quadcheck"):
+        assert main([cmd, "--config", str(config), "--out", str(tmp_path)]) == 0
+    freq = json.loads((tmp_path / "frequency.json").read_text())
+    quad = json.loads((tmp_path / "quadcheck.json").read_text())
+    assert (quad["rule"], quad["nodes"]) == (freq["collocation_rule"], freq["collocation_nodes"])
+    assert quad["gram_residual"] == freq["collocation_gram_residual"]
 
 
 @settings(deadline=None)

@@ -12,14 +12,13 @@ from hardyheat.config import RunConfig, parse_potential
 from hardyheat.errors import (
     ConfigurationError,
     DegeneracyAmbiguityError,
-    SingularNodeError,
     TruncationError,
 )
 from hardyheat.quadrature import laguerre_rule, product_rule
 from kummer import closed_form_norm2
-from mode_oracle import (eval_grad_V, eval_V, hardy_mode_consistency, kummer_factors,
-                         potential_values, radii)
-from sweep_oracle import shifted_product_rule
+from mode_oracle import (SingularPointError, eval_grad_V, eval_V, hardy_mode_consistency,
+                         kummer_factors, potential_values, radii)
+from sweep_oracle import integrate_G, shifted_product_rule
 
 
 def kummer_scale(mode, N=3):
@@ -139,9 +138,9 @@ def test_eval_at_origin_limits(basis0, spec0):
         eval_V(spec0, [g], x0)[0, 0] * kummer_scale(g), 1.0 / math.sqrt(4 * math.pi)
     )
     # an l > 0 mode with alpha = 0 has no limit there, and no gradient does
-    with pytest.raises(SingularNodeError):
+    with pytest.raises(SingularPointError):
         eval_V(spec0, [replace(l1, alpha_j=0.0)], x0)
-    with pytest.raises(SingularNodeError):
+    with pytest.raises(SingularPointError):
         eval_grad_V(spec0, [g], x0)
 
 
@@ -150,7 +149,7 @@ def test_eval_origin_singular_alpha_positive():
     basis = ou.enumerate_modes(spec, 1.0)
     mode = basis.modes[0]
     assert mode.alpha_j > 0
-    with pytest.raises(SingularNodeError):
+    with pytest.raises(SingularPointError):
         eval_V(spec, [mode], np.zeros((1, 3)))
 
 
@@ -377,8 +376,6 @@ def test_basis_json_and_hash(basis0):
 
 def test_norm_Ht_ground_mode_is_one(basis0, spec0):
     # gradient vanishes only for the constant mode: ||V~||_H = ||V~||_L = 1
-    from hardyheat.quadrature import integrate_G
-
     mode = basis0.modes[basis0.mode_index(1, 0)]
 
     def integrand(x):  # t |grad V|^2 + V^2 at t = 1

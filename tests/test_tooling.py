@@ -41,8 +41,6 @@ DEAD_BUCKETS = {"evolve.forcing_coefficients_scaled", "almgren.check_scaling",
 UNREACHED = {
     "errors.AccuracyError.__init__": "runs when a gate fails; no shipped config fails one",
     "inequalities.power_integrals": "the power family, which ROADMAP item 2 puts into verify",
-    "inequalities.GaussianBump.value": "counted to show that verify samples no node",
-    "inequalities.GaussianBump.value_grad": "counted to show that verify samples no node",
 }
 
 
@@ -394,26 +392,27 @@ def test_inequalities_take_only_sphere_area_from_quadrature():
         "quadrature.sphere_area"}
 
 
-def _counted_verify(tmp_path, monkeypatch, **settings) -> dict:
-    """Sweeps, and test-function evaluations at points, of one ``verify`` run
-    over 10 members in N = 3."""
-    calls = {"sweep": 0, "sample": 0}
+def test_gaussian_bump_is_its_fields_alone():
+    # verify's bumps are closed forms only: the package's GaussianBump holds
+    # its fields and no callable, so no sweep can evaluate one at a point
+    # (tests/sweep_oracle.py does, as a PointBump)
+    fields = {field.name for field in dataclasses.fields(inequalities.GaussianBump)}
+    assert fields == {"b", "w", "axis"}
+    own = {name for name, value in vars(inequalities.GaussianBump).items()
+           if callable(value) and not name.startswith("__")}
+    assert own == set()
+
+
+def _counted_verify(tmp_path, monkeypatch, **settings) -> int:
+    """Sweeps of one ``verify`` run over 10 members in N = 3."""
+    calls = []
     sweep = inequalities.sweep
 
     def counted_sweep(*args, **kwargs):
-        calls["sweep"] += 1
+        calls.append(args[0])
         return sweep(*args, **kwargs)
 
-    def counted(original):
-        def sample(*args, **kwargs):
-            calls["sample"] += 1
-            return original(*args, **kwargs)
-        return sample
-
     monkeypatch.setattr(inequalities, "sweep", counted_sweep)
-    for name in ("value", "value_grad"):
-        monkeypatch.setattr(inequalities.GaussianBump, name,
-                            counted(getattr(inequalities.GaussianBump, name)))
     cfg = RunConfig()
     cfg.sweep_dims, cfg.sweep_count, cfg.directory = (3,), 10, str(tmp_path)
     for key, value in settings.items():
@@ -421,20 +420,18 @@ def _counted_verify(tmp_path, monkeypatch, **settings) -> dict:
     path = tmp_path / "run.ini"
     path.write_text(cfg.to_text())
     assert main(["verify", "--config", str(path)]) == 0
-    return calls
+    return len(calls)
 
 
 def test_constant_potential_verify_samples_no_node(tmp_path, monkeypatch):
-    # bumps under a constant potential take closed forms: no node is sampled,
+    # bumps under a constant potential: the four inequalities in one sweep,
     # the centred Sobolev check included
     for potential in ("constant:0.0", "constant:0.1"):
-        assert _counted_verify(tmp_path, monkeypatch, potential=potential) == {
-            "sweep": 1, "sample": 0}
+        assert _counted_verify(tmp_path, monkeypatch, potential=potential) == 1
 
 
 def test_harmonic_table_verify_samples_no_node(tmp_path, monkeypatch):
     # the four closed-form sweeps, then the N = 3 anisotropic sweep under the
     # harmonic-table potential, also in closed form
-    calls = _counted_verify(tmp_path, monkeypatch, angular_truncation=16,
-                            potential="harmonic_table:1,0,0.15;2,0,0.05")
-    assert calls == {"sweep": 2, "sample": 0}
+    assert _counted_verify(tmp_path, monkeypatch, angular_truncation=16,
+                           potential="harmonic_table:1,0,0.15;2,0,0.05") == 2
