@@ -238,21 +238,23 @@ def _order_couplings(a: AngularPotential, L: int, w: np.ndarray, P: np.ndarray) 
     return couplings
 
 
-def _order_groups(couplings: dict, L: int) -> list:
-    """Orders -L..L split into the connected groups of the coupling pairs."""
-    partners = {m: [] for m in range(-L, L + 1)}
-    for m, m2 in couplings:
-        partners[m].append(m2)
+def connected_groups(pairs, labels) -> list:
+    """The labels split into the connected groups of the pairs, each group
+    sorted, in the order of their first label."""
+    partners = {label: set() for label in labels}
+    for a, b in pairs:
+        partners[a].add(b)
+        partners[b].add(a)
     seen, groups = set(), []
-    for m0 in range(-L, L + 1):
-        if m0 in seen:
+    for first in labels:
+        if first in seen:
             continue
-        seen.add(m0)
-        todo, group = [m0], []
+        seen.add(first)
+        todo, group = [first], []
         while todo:
-            m = todo.pop()
-            group.append(m)
-            fresh = [m2 for m2 in partners[m] if m2 not in seen]
+            label = todo.pop()
+            group.append(label)
+            fresh = [b for b in partners[label] if b not in seen]
             seen.update(fresh)
             todo.extend(fresh)
         groups.append(sorted(group))
@@ -284,7 +286,7 @@ def assemble_angular(a: AngularPotential, L: int) -> list:
     x, w = polar_rule(3, 2 * L + max(8, table_L))
     P = _legendre_table(max(L, table_L), x)
     couplings = _order_couplings(a, L, w, P)
-    groups = _order_groups(couplings, L)
+    groups = connected_groups(couplings, range(-L, L + 1))
     where, mats, indices = {}, [], []
     for g, group in enumerate(groups):
         size = 0

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import angular as ang
 from .errors import ConfigurationError, InvariantViolationError
-from .ou_basis import OUBasis, potential_coupling_matrix
+from .ou_basis import OUBasis, coupling_blocks
 from .quadrature import sphere_area
 from .specfun import hyp1f1_minus
 
@@ -347,32 +347,26 @@ def sweep(inequalities, family: TestFamily, t: float = 0.7,
 
 # -- coercivity quotients ------------------------------------------------------
 
-def _coercivity(basis: OUBasis, K: int | None, shift: float) -> float:
-    """Smallest generalized eigenvalue q of
-    (Gamma + (N-2)/4) v = q (E + shift) v over the first K modes.
-
-    The left matrix A is diagonal and positive (every basis gamma exceeds
-    -(N-2)/4), so with w = A^{1/2} v the problem is the symmetric
-    A^{-1/2} M A^{-1/2} w = w / q and q_min = 1 / lambda_max.
-    """
-    K = basis.size if K is None else min(K, basis.size)
-    gam = basis.gammas[:K]
-    M = np.diag(gam) + potential_coupling_matrix(basis)[:K, :K] + shift * np.eye(K)
-    s = 1.0 / np.sqrt(gam + (basis.N - 2) / 4.0)
-    lam = np.linalg.eigvalsh(s[:, None] * M * s)
-    ok, _ = ang.check_positivity(basis.spectrum)
-    if ok and lam[0] <= 0.0:
-        raise InvariantViolationError(
-            f"coercivity denominator has eigenvalue {lam[0]} <= 0 under verified "
-            "positivity: basis/quadrature inconsistency"
-        )
-    return float(1.0 / lam[-1])
-
-
 def coercivity_bound_constant(basis: OUBasis) -> float:
     """Quotient with the plain H-norm denominator (E + ||.||^2).
 
     This is the constant entering the frequency lower bound
-    N(t) >= C1 - (N-2)/4, tight for the unperturbed ground state.
+    N(t) >= C1 - (N-2)/4, tight for the unperturbed ground state: the
+    smallest q of (Gamma + (N-2)/4) v = q (E + I) v, E = Gamma + coupling,
+    over the coupling_blocks.  The left matrix A is diagonal and positive
+    (every gamma exceeds -(N-2)/4), so with w = A^{1/2} v a block's problem is
+    A^{-1/2} (E + I) A^{-1/2} w = w / q and q_min = 1 / lambda_max.
     """
-    return _coercivity(basis, None, 1.0)
+    q, low = math.inf, math.inf
+    for idx, C in coupling_blocks(basis):
+        gam = basis.gammas[idx]
+        s = 1.0 / np.sqrt(gam + (basis.N - 2) / 4.0)
+        lam = np.linalg.eigvalsh(np.outer(s, s) * (np.diag(gam) + C + np.eye(len(idx))))
+        q, low = min(q, 1.0 / lam[-1]), min(low, lam[0])
+    ok, _ = ang.check_positivity(basis.spectrum)
+    if ok and low <= 0.0:
+        raise InvariantViolationError(
+            f"coercivity denominator has eigenvalue {low} <= 0 under verified "
+            "positivity: basis/quadrature inconsistency"
+        )
+    return float(q)

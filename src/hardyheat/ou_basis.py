@@ -12,12 +12,13 @@ integral separates into an angular factor times a radial integral
 
 and the modes of one angular index share alpha_j, so one generalized
 Gauss-Laguerre rule with the matched exponent integrates a whole (j, j')
-block exactly.  ``_pair_matrix`` is that block evaluator.  It serves the
-Gram and bilinear matrices of ``certification_matrices`` (block diagonal
-in j), ``hardy_matrix`` (shift 1, identity angular factor) and
-``potential_coupling_matrix`` (angular factor ``ang.potential_pairing``).
-The weak eigen-equation B(V_p, V_q) = gamma_q <V_p, V_q> is the
-certification target: the bilinear form separates as
+block exactly.  ``_pair_matrix`` is that block evaluator.  Every basis-wide
+matrix is block diagonal and kept as its blocks: the Gram and bilinear
+j-blocks of ``certification_blocks`` and the a/|x|^2 coupling of
+``coupling_blocks`` (shift 1), one block per group of angular indices that
+its angular factor connects.  The weak eigen-equation
+B(V_p, V_q) = gamma_q <V_p, V_q> is the certification target: the bilinear
+form separates as
 
     B(V_A, V_B) = delta_{j_A j_B} [ int f_A' f_B' r^{N-1} e^{-r^2/4} dr
                                     + mu_j int f_A f_B r^{N-3} e^{-r^2/4} dr ].
@@ -183,9 +184,9 @@ def enumerate_modes(spectrum: ang.AngularSpectrum, gamma_max: float) -> OUBasis:
     Requires the positivity gate, a spectrum long enough that the last
     angular eigenvalue already sits above the gamma_max window, and at
     least one mode in the window (else ConfigurationError).  Both
-    certification residuals, against I and diag(gamma), come from one
-    certification_matrices call; they are maxima over the upper triangle,
-    diagonal included, in mode order.
+    certification residuals, against I and diag(gamma), are maxima over the
+    upper triangle, diagonal included, of the certification_blocks; the
+    zeros between blocks never set them.
     """
     ang.require_positivity(spectrum)
     alphas = _alphas(spectrum)
@@ -203,9 +204,11 @@ def enumerate_modes(spectrum: ang.AngularSpectrum, gamma_max: float) -> OUBasis:
         )
     modes = [OUMode(j, n, float(alphas[j - 1]), float(gamma), int(spectrum.degrees[j - 1]))
              for gamma, j, n in keys]
-    gram, bilinear = certification_matrices(spectrum, modes)
-    gram_res = float(np.max(np.triu(np.abs(gram - np.eye(len(modes))))))
-    bil_res = float(np.max(np.triu(np.abs(bilinear - np.diag([m.gamma for m in modes])))))
+    gram_res = bil_res = 0.0
+    for idx, gram, bilinear in certification_blocks(spectrum, modes):
+        gamma = np.diag([modes[i].gamma for i in idx])
+        gram_res = max(gram_res, float(np.max(np.triu(np.abs(gram - np.eye(len(idx)))))))
+        bil_res = max(bil_res, float(np.max(np.triu(np.abs(bilinear - gamma)))))
     if gram_res >= GRAM_TOL:
         raise TruncationError(f"basis Gram residual {gram_res} exceeds {GRAM_TOL}")
     if bil_res >= BILINEAR_TOL:
@@ -215,21 +218,20 @@ def enumerate_modes(spectrum: ang.AngularSpectrum, gamma_max: float) -> OUBasis:
     return OUBasis(spectrum, modes, gram_res, bil_res)
 
 
-def certification_matrices(spectrum: ang.AngularSpectrum, modes):
-    """(Gram, bilinear): entry (p, q) is <V_p, V_q> and B(V_p, V_q).
+def certification_blocks(spectrum: ang.AngularSpectrum, modes) -> list:
+    """(indices, Gram, bilinear) of each j-block: entry (p, q) of a block is
+    <V_p, V_q> and B(V_p, V_q) of the modes at its indices.
 
-    Both matrices are block diagonal in j by psi-orthogonality; each j block
-    is one _pair_matrix call.
+    Both forms vanish between angular indices by psi-orthogonality; each
+    j-block is one _pair_matrix call.
     """
-    N = spectrum.N
-    K = len(modes)
-    gram, bilinear = np.zeros((K, K)), np.zeros((K, K))
+    out = []
     for j, idx in _j_blocks(modes):
         block = [modes[i] for i in idx]
         mu_j = float(spectrum.eigenvalues[j - 1])
-        gram[np.ix_(idx, idx)] = _pair_matrix(block, block, N, 0)
-        bilinear[np.ix_(idx, idx)] = _pair_matrix(block, block, N, 1, mu_j)
-    return gram, bilinear
+        out.append((idx, _pair_matrix(block, block, spectrum.N, 0),
+                    _pair_matrix(block, block, spectrum.N, 1, mu_j)))
+    return out
 
 
 def multiplicity(gamma: float, spectrum: ang.AngularSpectrum):
@@ -269,23 +271,21 @@ def _radial_rows(modes, N: int, r: np.ndarray) -> np.ndarray:
     return out
 
 
-def _radial_coupling(basis: OUBasis, S: np.ndarray) -> np.ndarray:
-    """Matrix of S[j_p, j_q] int f_p f_q r^{N-3} e^{-r^2/4} dr.
+def _radial_coupling(modes, N: int, S: np.ndarray) -> np.ndarray:
+    """Matrix of S[j_p, j_q] int f_p f_q r^{N-3} e^{-r^2/4} dr over a mode list.
 
     The radial factor is one _pair_matrix block per (j, j') pair with a
     nonzero angular factor, mirrored; the product is formed on the upper
-    triangle in mode order and mirrored, since S need not be bitwise
+    triangle in list order and mirrored, since S need not be bitwise
     symmetric.
     """
-    modes = basis.modes
     blocks = _j_blocks(modes)
-    R = np.zeros((basis.size, basis.size))
+    R = np.zeros((len(modes), len(modes)))
     for a, (ja, ia) in enumerate(blocks):
         for jb, ib in blocks[a:]:
             if S[ja - 1, jb - 1] == 0.0 and S[jb - 1, ja - 1] == 0.0:
                 continue
-            block = _pair_matrix([modes[i] for i in ia], [modes[i] for i in ib],
-                                 basis.N, 1)
+            block = _pair_matrix([modes[i] for i in ia], [modes[i] for i in ib], N, 1)
             R[np.ix_(ia, ib)] = block
             R[np.ix_(ib, ia)] = block.T
     js = [m.j - 1 for m in modes]
@@ -293,22 +293,22 @@ def _radial_coupling(basis: OUBasis, S: np.ndarray) -> np.ndarray:
     return C + np.triu(C, 1).T
 
 
-def hardy_matrix(basis: OUBasis) -> np.ndarray:
-    """Matrix of <V_tilde_p, V_tilde_q / |x|^2> pairings (diagonal in j)."""
-    return _radial_coupling(basis, np.eye(len(basis.spectrum.eigenvalues)))
-
-
-def potential_coupling_matrix(basis: OUBasis) -> np.ndarray:
-    """Matrix of int a/|x|^2 V_p V_q G dx over normalized modes.
-
-    Separates into (angular pairing int a psi_jp psi_jq, taken from the
-    Galerkin eigenpairs) x (matched radial integral); constant potentials
-    reduce to a * hardy_matrix.
+def coupling_blocks(basis: OUBasis) -> list:
+    """(indices, C) of each group of angular indices that the pairing
+    S[j, j'] = int a psi_j psi_j' connects (a I for a constant potential, from
+    the Galerkin eigenpairs for a table): C[p, q] = int a/|x|^2 V_p V_q G dx,
+    S times a matched radial integral, over the modes at the indices.  Every
+    pairing between groups is zero.
     """
     spec = basis.spectrum
-    if spec.potential.is_constant:
-        return spec.potential.value * hardy_matrix(basis)
-    return _radial_coupling(basis, ang.potential_pairing(spec))
+    S = (spec.potential.value * np.eye(len(spec.eigenvalues)) if spec.potential.is_constant
+         else ang.potential_pairing(spec))
+    js = np.array([m.j for m in basis.modes])
+    labels = np.array(sorted(set(js.tolist())))  # np.unique would import numpy.ma
+    p, q = np.nonzero(S[np.ix_(labels - 1, labels - 1)])
+    groups = ang.connected_groups(zip(labels[p].tolist(), labels[q].tolist()), labels.tolist())
+    idxs = (np.flatnonzero(np.isin(js, group)) for group in groups)
+    return [(idx, _radial_coupling([basis.modes[i] for i in idx], basis.N, S)) for idx in idxs]
 
 
 def radial_modes(basis: OUBasis) -> np.ndarray:

@@ -16,7 +16,13 @@ gives the independent nodal route the tests compare against:
   and the basis members of ``sweep_oracle``; the gradients take their
   radial factors from ``kummer.kummer_m`` and ``kummer.closed_form_norm2``,
   not from the package's Laguerre table;
-- the coercivity infimum of the (N-2)/4-shifted quotient and the per-mode
+- the dense K x K matrices the package keeps as blocks, scattered with
+  zeros between them (``scatter``): the Gram and bilinear matrices
+  (``certification_matrices``), the a/|x|^2 coupling (``coupling_matrix``)
+  and the Hardy pairings of one ``_pair_matrix`` j-block each
+  (``hardy_matrix``);
+- the coercivity infimum of the (N-2)/4-shifted quotient over the first K
+  modes, by scipy's dense generalized ``eigh``, and the per-mode
   anisotropic-Hardy defect;
 - ``radii`` of a product rule's nodes;
 - a linear h(x, t) of any shape evaluated at every node of a collocation
@@ -39,13 +45,14 @@ import math
 from unittest import mock
 
 import numpy as np
+from scipy.linalg import eigh
 from scipy.special import gammaln, lpmv, roots_genlaguerre
 
 from hardyheat import angular as ang
 from hardyheat import evolve as ev
-from hardyheat import inequalities as ineq
+from hardyheat import ou_basis as ou
 from hardyheat.errors import ConfigurationError
-from hardyheat.ou_basis import Collocation, OUBasis, _radial_rows, hardy_matrix
+from hardyheat.ou_basis import Collocation, OUBasis, _radial_rows
 from hardyheat.quadrature import ProductRule, sphere_area
 from kummer import closed_form_norm2, kummer_m
 
@@ -208,13 +215,51 @@ def eval_grad_V(spectrum: ang.AngularSpectrum, modes, x: np.ndarray):
     return _radial_rows(modes, spectrum.N, r) * psi, grads
 
 
-def coercivity_infimum(basis: OUBasis, K: int | None = None) -> float:
-    """Rayleigh-quotient infimum with the (N-2)/4-shifted denominator.
+def scatter(blocks, K: int) -> np.ndarray:
+    """The K x K matrix of the (indices, block) pairs, zero between blocks."""
+    out = np.zeros((K, K))
+    for idx, block in blocks:
+        out[np.ix_(idx, idx)] = block
+    return out
 
-    Equals 1 for a = 0 (the quotient is identically 1); degenerates to 0
-    as the potential approaches the Hardy constant.
+
+def certification_matrices(spectrum: ang.AngularSpectrum, modes):
+    """(Gram, bilinear) over the modes, scattered from ``certification_blocks``."""
+    blocks = ou.certification_blocks(spectrum, modes)
+    return (scatter([(idx, gram) for idx, gram, _ in blocks], len(modes)),
+            scatter([(idx, bilinear) for idx, _, bilinear in blocks], len(modes)))
+
+
+def coupling_matrix(basis: OUBasis) -> np.ndarray:
+    """int a/|x|^2 V_p V_q G over the modes, scattered from ``coupling_blocks``."""
+    return scatter(ou.coupling_blocks(basis), basis.size)
+
+
+def hardy_matrix(basis: OUBasis) -> np.ndarray:
+    """int V_p V_q / |x|^2 G over the modes: one ``_pair_matrix`` j-block at
+    shift 1 each, zero between angular indices."""
+    blocks = []
+    for _, idx in ou._j_blocks(basis.modes):
+        block = [basis.modes[i] for i in idx]
+        blocks.append((idx, ou._pair_matrix(block, block, basis.N, 1)))
+    return scatter(blocks, basis.size)
+
+
+def coercivity_infimum(basis: OUBasis, K: int | None = None, shift: float | None = None) -> float:
+    """Smallest generalized eigenvalue of (Gamma + (N-2)/4) v = q (E + shift) v
+    over the first K modes, E = Gamma + the dense coupling, by scipy's eigh.
+
+    At the default shift (N-2)/4 it is the Rayleigh-quotient infimum, which
+    equals 1 for a = 0 (the quotient is identically 1) and degenerates to 0
+    as the potential approaches the Hardy constant; at shift 1 it is the
+    package's ``coercivity_bound_constant``.
     """
-    return ineq._coercivity(basis, K, (basis.N - 2) / 4.0)
+    K = basis.size if K is None else K
+    shift = (basis.N - 2) / 4.0 if shift is None else shift
+    gam = basis.gammas[:K]
+    E = np.diag(gam) + coupling_matrix(basis)[:K, :K]
+    return float(eigh(np.diag(gam + (basis.N - 2) / 4.0), E + shift * np.eye(K),
+                      eigvals_only=True)[0])
 
 
 def hardy_mode_consistency(basis: OUBasis) -> float:

@@ -1,10 +1,9 @@
 import math
-
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh
 
 from hardyheat import angular as ang
 from hardyheat import inequalities as ineq
@@ -288,6 +287,21 @@ def test_coercivity_infimum_zero_potential(basis0):
     np.testing.assert_allclose(coercivity_infimum(basis0), 1.0, rtol=1e-12)
     np.testing.assert_allclose(ineq.coercivity_bound_constant(basis0), 0.25,
                                rtol=1e-12)
+    # at a = 0 every block is diagonal, and the constant is the closed form
+    # min_k (gamma_k + (N-2)/4) / (gamma_k + 1): at the ground mode below
+    # N = 6, at the top of the window above it (1.125 and 13/12 in N = 7)
+    for N, gamma_max, want in ((4, 2.0, 0.5), (5, 2.0, 0.75), (7, 1.0, 1.125),
+                               (7, 2.0, 13.0 / 12.0)):
+        # the angular count that certifies the window: every degree up to
+        # 2 gamma_max, and one harmonic of the next
+        K = sum(ang.harmonic_multiplicity(l, N) for l in range(int(2 * gamma_max) + 1)) + 1
+        basis = ou.enumerate_modes(
+            ang.solve_angular(ang.AngularPotential.constant(0.0), K=K, N=N), gamma_max)
+        closed = np.min((basis.gammas + (N - 2) / 4.0) / (basis.gammas + 1.0))
+        assert closed == want
+        got = ineq.coercivity_bound_constant(basis)
+        assert abs(got - closed) <= 4.0 * np.spacing(closed), (N, gamma_max, got)
+        np.testing.assert_allclose(coercivity_infimum(basis), 1.0, rtol=1e-12)
 
 
 def test_coercivity_degenerates_toward_hardy_constant():
@@ -300,30 +314,48 @@ def test_coercivity_degenerates_toward_hardy_constant():
     assert vals[2] < 0.1  # approaching 0 as lambda -> (N-2)^2/4
 
 
-def test_coercivity_monotone_in_K(spec01):
-    basis = ou.enumerate_modes(spec01, 2.0)
-    prev = math.inf
-    for K in (4, 8, 16, basis.size):
-        val = coercivity_infimum(basis, K)
-        assert val <= prev + 1e-14
-        prev = val
+def test_coercivity_falls_as_gamma_max_rises():
+    # Rayleigh-Ritz on nested bases: the constant is a minimum over a growing
+    # subspace, so it can only fall; the values are the dense solve's, which
+    # the blocks reproduce within 1e-16
+    spec = ang.solve_angular(ang.AngularPotential.constant(0.2), K=400, N=3)
+    want = (0.1025646080398807, 0.1023587919917522, 0.1021351011049211,
+            0.1019132801922601)
+    got = [ineq.coercivity_bound_constant(ou.enumerate_modes(spec, g)) for g in (1, 2, 4, 8)]
+    assert all(a > b for a, b in zip(got, got[1:]))
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-16)
 
 
 def test_coercivity_matches_generalized_eigh(basis0, spec01):
-    # the scaled symmetric solve against scipy's generalized eigh(A, M);
-    # measured within 4.6e-16 relative
+    # the blockwise scaled symmetric solves against scipy's dense generalized
+    # eigh(A, E + I) over every mode; measured within 2.9e-16 relative
     cfg = RunConfig.from_file(str(Path(__file__).parents[1] / "configs" / "anisotropic.ini"))
     aniso = ang.solve_angular(parse_potential(cfg), L=cfg.angular_truncation,
                               K=cfg.angular_count, N=3)
     for basis in (basis0, ou.enumerate_modes(spec01, 2.0), ou.enumerate_modes(aniso, 1.5)):
-        for K in (1, 4, None):
-            n = basis.size if K is None else K
-            A = np.diag(basis.gammas[:n] + (basis.N - 2) / 4.0)
-            E = np.diag(basis.gammas[:n]) + ou.potential_coupling_matrix(basis)[:n, :n]
-            for shift, got in (((basis.N - 2) / 4.0, coercivity_infimum(basis, K)),
-                               (1.0, ineq._coercivity(basis, K, 1.0))):
-                want = eigh(A, E + shift * np.eye(n), eigvals_only=True)[0]
-                assert abs(got - want) <= 1e-13 * abs(want), (basis.size, K, shift)
+        want = coercivity_infimum(basis, shift=1.0)
+        got = ineq.coercivity_bound_constant(basis)
+        assert abs(got - want) <= 1e-13 * abs(want), basis.size
+
+
+@pytest.mark.parametrize("a", (0.0, 0.2))
+def test_basis_matrices_stay_below_one_K_by_K_array(a):
+    # K = 969 modes at gamma_max = 8: the certification and the coercivity
+    # constant work block by block, so neither peaks at one dense K x K float64
+    # array (7.2 MiB); dense builds peaked at 29.8 and 37.4 MiB here
+    spec = ang.solve_angular(ang.AngularPotential.constant(a), K=400, N=3)
+    tracemalloc.start()
+    try:
+        basis = ou.enumerate_modes(spec, 8.0)
+        enumerate_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        ineq.coercivity_bound_constant(basis)
+        coercivity_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert basis.size == 969
+    assert max(enumerate_peak, coercivity_peak) < 969 * 969 * 8, (enumerate_peak,
+                                                                   coercivity_peak)
 
 
 def test_sweep_report_fields():

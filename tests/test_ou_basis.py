@@ -16,7 +16,8 @@ from hardyheat.errors import (
 )
 from hardyheat.quadrature import laguerre_rule, product_rule
 from kummer import closed_form_norm2
-from mode_oracle import (SingularPointError, eval_grad_V, eval_V, hardy_mode_consistency,
+from mode_oracle import (SingularPointError, certification_matrices, coupling_matrix,
+                         eval_grad_V, eval_V, hardy_matrix, hardy_mode_consistency,
                          kummer_factors, potential_values, radii)
 from sweep_oracle import integrate_G, shifted_product_rule
 
@@ -43,7 +44,7 @@ def test_certification_residuals(basis0):
 def test_norms_against_closed_form(basis0):
     # the modes carry their closed-form normalization, so the quadrature
     # Gram diagonal is 1
-    gram, _ = ou.certification_matrices(basis0.spectrum, basis0.modes)
+    gram, _ = certification_matrices(basis0.spectrum, basis0.modes)
     np.testing.assert_allclose(np.diag(gram), 1.0, rtol=0.0, atol=1e-13)
 
 
@@ -188,19 +189,21 @@ def test_eval_l_positive_mode_off_n3_raises():
 
 
 def test_inner_products(basis0):
-    gram, _ = ou.certification_matrices(basis0.spectrum, basis0.modes)
+    gram, _ = certification_matrices(basis0.spectrum, basis0.modes)
     i0 = basis0.mode_index(1, 0)
     i1 = basis0.mode_index(1, 1)
     np.testing.assert_allclose(gram[i0, i0], 1.0, rtol=1e-12)
     # same angular index, different radial index: quadrature-exact zero
     assert abs(gram[i0, i1]) < 1e-12
-    # different angular index: analytic zero
+    # different angular index: analytic zero, so no block pairs the two
     j1 = next(i for i, m in enumerate(basis0.modes) if m.degree == 1)
-    assert gram[i0, j1] == 0.0
+    blocks = ou.certification_blocks(basis0.spectrum, basis0.modes)
+    assert not any(i0 in idx and j1 in idx for idx, _, _ in blocks)
+    assert sorted(np.concatenate([idx for idx, _, _ in blocks])) == list(range(basis0.size))
 
 
 def test_bilinear_weak_eigen_relation(basis0):
-    _, bilinear = ou.certification_matrices(basis0.spectrum, basis0.modes)
+    _, bilinear = certification_matrices(basis0.spectrum, basis0.modes)
     i0 = basis0.mode_index(1, 0)
     i1 = basis0.mode_index(1, 1)
     assert abs(bilinear[i0, i0]) < 1e-14          # gamma = 0
@@ -210,7 +213,7 @@ def test_bilinear_weak_eigen_relation(basis0):
 
 def test_weak_eigen_relation_all_pairs_perturbed(spec01):
     basis = ou.enumerate_modes(spec01, 2.0)
-    _, bilinear = ou.certification_matrices(spec01, basis.modes)
+    _, bilinear = certification_matrices(spec01, basis.modes)
     for p in range(basis.size):
         for q in range(p, basis.size):
             expected = basis.gammas[q] if p == q else 0.0
@@ -221,7 +224,7 @@ def test_certification_matrices_match_pairwise_quadrature(spec01):
     # reference: one matched Gauss-Laguerre rule per pair, sized from that
     # pair's degrees, over Kummer's series divided by the closed-form norms
     basis = ou.enumerate_modes(spec01, 2.0)
-    gram, bilinear = ou.certification_matrices(spec01, basis.modes)
+    gram, bilinear = certification_matrices(spec01, basis.modes)
     mu = spec01.eigenvalues
     for p, mp in enumerate(basis.modes):
         for q, mq in enumerate(basis.modes):
@@ -252,7 +255,7 @@ def test_certification_through_radial_degree_32(alpha):
                                eigenvalues=np.array([mu]), eigenvectors=None,
                                degrees=np.array([0]), truncation_degree=0, residual_bound=0.0)
     modes = [ou.OUMode(1, n, alpha, n - alpha / 2.0, 0) for n in range(33)]
-    gram, bilinear = ou.certification_matrices(spec, modes)
+    gram, bilinear = certification_matrices(spec, modes)
     assert np.max(np.abs(gram - np.eye(33))) <= 1e-13
     assert np.max(np.abs(bilinear - np.diag([m.gamma for m in modes]))) <= 1e-11
 
@@ -273,6 +276,32 @@ def test_gram_gate_sees_a_normalization_error(spec0, monkeypatch):
         ou.enumerate_modes(spec0, 2.0)
 
 
+def test_gram_gate_reads_every_block(spec0, monkeypatch):
+    # the skew of the test above in the degree-4 blocks alone (exponent
+    # N/2 - 1 - alpha_j = 4.5), which come last in mode order
+    table = ou.laguerre_table
+
+    def skewed(a, n_max, s):
+        rows, D = table(a, n_max, s)
+        if a > 4.0:
+            rows[n_max], D[n_max] = rows[n_max] * (1.0 + 1e-6), D[n_max] * (1.0 + 1e-6)
+        return rows, D
+
+    monkeypatch.setattr(ou, "laguerre_table", skewed)
+    with pytest.raises(TruncationError, match="Gram residual"):
+        ou.enumerate_modes(spec0, 2.0)
+
+
+def test_certification_residuals_are_the_dense_maxima(basis0, spec01):
+    # the maxima over the blocks are those over the dense upper triangles,
+    # whose zeros between blocks never set them
+    for basis in (basis0, ou.enumerate_modes(spec01, 2.0)):
+        gram, bilinear = certification_matrices(basis.spectrum, basis.modes)
+        assert basis.gram_residual == np.max(np.triu(np.abs(gram - np.eye(basis.size))))
+        assert basis.bilinear_residual == np.max(
+            np.triu(np.abs(bilinear - np.diag(basis.gammas))))
+
+
 def test_hardy_mode_consistency(basis0, spec01):
     assert hardy_mode_consistency(basis0) <= 1e-12
     basis01 = ou.enumerate_modes(spec01, 2.0)
@@ -291,7 +320,7 @@ def test_hardy_matrix_ground_diagonal_closed_form(N, a):
     basis = ou.enumerate_modes(spec, 1.0)
     ground = [i for i, m in enumerate(basis.modes) if m.n == 0]
     closed = [1.0 / (2.0 * (N - 2 - 2 * basis.modes[i].alpha_j)) for i in ground]
-    np.testing.assert_allclose(np.diag(ou.hardy_matrix(basis))[ground], closed,
+    np.testing.assert_allclose(np.diag(hardy_matrix(basis))[ground], closed,
                                rtol=1e-14, atol=0.0)
 
 
@@ -304,12 +333,12 @@ def test_potential_coupling_constant_is_scaled_hardy(a):
     table = ou.enumerate_modes(ang.solve_angular(
         ang.AngularPotential.harmonic_table([(0, 0, a * math.sqrt(4.0 * math.pi))]),
         L=8, K=36), 1.5)
-    hardy = ou.hardy_matrix(const)
-    np.testing.assert_array_equal(ou.potential_coupling_matrix(const), a * hardy)
+    hardy = hardy_matrix(const)
+    np.testing.assert_array_equal(coupling_matrix(const), a * hardy)
     order = {(m.j, m.n): i for i, m in enumerate(const.modes)}
     assert sorted(order) == sorted((m.j, m.n) for m in table.modes)
     perm = [order[(m.j, m.n)] for m in table.modes]
-    np.testing.assert_allclose(ou.potential_coupling_matrix(table),
+    np.testing.assert_allclose(coupling_matrix(table),
                                a * hardy[np.ix_(perm, perm)], rtol=0.0, atol=1e-13)
 
 
@@ -330,9 +359,17 @@ def test_potential_coupling_vs_nodal_quadrature():
     # the Gram one and its error is 30-70 times the Gram residual for
     # n_r = 32..96 (1.8e-6 here)
     tol = 100.0 * gram_residual
-    coupling = ou.potential_coupling_matrix(basis)
+    coupling = coupling_matrix(basis)
     assert np.max(np.abs(coupling)) > 10.0 * tol  # the check can see the coupling
     assert np.max(np.abs(nodal - coupling)) < tol
+    # the pairings between coupling groups are exact zeros, and the
+    # cubature finds them zero too
+    group = np.zeros(basis.size, dtype=int)
+    for g, (idx, _) in enumerate(ou.coupling_blocks(basis)):
+        group[idx] = g
+    between = group[:, None] != group[None]
+    assert group.max() > 0 and np.all(coupling[between] == 0.0)
+    assert np.max(np.abs(nodal[between])) < tol
 
 
 def test_collocation_gram(basis0, col0):
@@ -406,7 +443,7 @@ def test_bilinear_reduction_vs_nodal_gradient_oracle():
     avals = np.tile(potential_values(pot, hrule.angular_dirs), hrule.radial.count)
     r2 = radii(hrule)**2
     V = eval_V(spec, basis.modes[:5], hrule.points)
-    _, bilinear = ou.certification_matrices(spec, basis.modes)
+    _, bilinear = certification_matrices(spec, basis.modes)
     for p, q in ((0, 0), (0, 3), (2, 2), (1, 4)):
         grad_term = col.weights @ np.sum(grads[p] * grads[q], axis=-1)
         nodal = grad_term - hrule.weights @ (avals * V[p] * V[q] / r2)

@@ -163,7 +163,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # Records every (a_GL, n_r) Laguerre rule that the shipped configs and
 # workloads build outside the march: spectrum and basis certification,
 # collocation, the matched blocks of the initial data (exponents
-# N/2 - 1 - alpha_j), the coupling matrices and the rules of a one-member
+# N/2 - 1 - alpha_j), the coupling blocks and the rules of a one-member
 # verify (quadcheck checks the collocation or matched blocks above and
 # builds no rule of its own).  A fresh process, so no rule comes from a cache.
 SHIPPED_RULES = """
@@ -178,7 +178,6 @@ for path in [None] + sys.argv[1:]:
     spec, basis = cli._spectrum_and_basis(cfg)
     ou_basis.build_collocation(basis, n_r=cfg.radial_nodes)
     ou_basis.matched_blocks(basis, parse_initial(cfg, basis)[None], cfg.radial_nodes)
-    ou_basis.hardy_matrix(basis)
     inequalities.coercivity_bound_constant(basis)
     cfg.sweep_count = 1
     cli.cmd_verify(cfg, tempfile.mkdtemp())

@@ -36,7 +36,8 @@ DEAD_BUCKETS = {"evolve.forcing_coefficients_scaled", "almgren.check_scaling",
                 "angular.eval_psi", "angular.real_sph_grad_block",
                 "angular.eval_grad_psi_block", "ou_basis.eval_V", "ou_basis.eval_grad_V",
                 "inequalities.coercivity_infimum", "inequalities.hardy_mode_consistency",
-                "quadrature.zonal_rule"}
+                "quadrature.zonal_rule", "ou_basis.hardy_matrix",
+                "ou_basis.potential_coupling_matrix"}
 # package functions no command enters on the shipped configs, and why each stays
 UNREACHED = {
     "errors.AccuracyError.__init__": "runs when a gate fails; no shipped config fails one",
