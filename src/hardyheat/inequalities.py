@@ -26,6 +26,7 @@ the plain H_t denominator, which the frequency lower bound uses.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,7 +68,19 @@ class PowerGaussian:
 
 @dataclass(frozen=True)
 class TestFamily:
-    """Reproducible generator description for a randomized sweep."""
+    """Reproducible generator description for a randomized sweep.
+
+    Every draw is one value u of ``random.Random(seed).random()``, whose
+    stream Python keeps the same across versions, taken in this order per
+    member:
+    - 'bumps': b in [1e-3, 2] and w in [0.5, 1.5], each log-uniform
+      (density ~ 1/r in radius), exp(log lo + (log hi - log lo) u); then
+      each of the N axis components by Box-Muller from two draws u, v,
+      sqrt(-2 log(1 - u)) cos(2 pi v), the axis divided by its
+      ``math.hypot``;
+    - 'power': eps in [1e-3, 0.1] and kappa in [1e-4, 1], log-uniform as
+      above, and beta = (N-2)/2 - eps.
+    """
 
     kind: str          # 'bumps' | 'power'
     N: int
@@ -75,19 +88,23 @@ class TestFamily:
     seed: int
 
     def members(self):
-        rng = np.random.default_rng(self.seed)
+        rng = random.Random(self.seed)
+
+        def log_uniform(lo, hi):
+            return math.exp(math.log(lo) + (math.log(hi) - math.log(lo)) * rng.random())
+
+        def normal():
+            return math.sqrt(-2.0 * math.log(1.0 - rng.random())) * math.cos(
+                2.0 * math.pi * rng.random())
+
         if self.kind == "bumps":
             for _ in range(self.count):
-                # density ~ 1/r in radius: log-uniform draw
-                b = math.exp(rng.uniform(math.log(1e-3), math.log(2.0)))
-                w = math.exp(rng.uniform(math.log(0.5), math.log(1.5)))
-                axis = rng.normal(size=self.N)
-                axis /= np.linalg.norm(axis)
-                yield GaussianBump(b, w, axis)
+                b, w = log_uniform(1e-3, 2.0), log_uniform(0.5, 1.5)
+                axis = [normal() for _ in range(self.N)]
+                yield GaussianBump(b, w, np.array(axis) / math.hypot(*axis))
         elif self.kind == "power":
             for _ in range(self.count):
-                eps = math.exp(rng.uniform(math.log(1e-3), math.log(0.1)))
-                kappa = math.exp(rng.uniform(math.log(1e-4), math.log(1.0)))
+                eps, kappa = log_uniform(1e-3, 0.1), log_uniform(1e-4, 1.0)
                 yield PowerGaussian((self.N - 2) / 2.0 - eps, kappa)
         else:
             raise ConfigurationError(f"unknown family kind {self.kind!r}; "

@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -404,10 +405,15 @@ class MatchedBlocks:
         """v = phi (table^T c[live]) at the nodes, of ``coeffs`` = c[live]."""
         return self.phi * (self.table.T @ coeffs)
 
+    @cached_property
+    def _weights_over_phi(self) -> np.ndarray:
+        # formed once per blocks, not on every forcing call of a march
+        return self.weights / self.phi
+
     def project(self, values: np.ndarray) -> np.ndarray:
         """<g, V_tilde_k>_L, k in live, of g given at the nodes: table
         (weights/phi g)."""
-        return self.table @ (self.weights / self.phi * values)
+        return self.table @ (self._weights_over_phi * values)
 
 
 def matched_blocks(basis: OUBasis, rows: np.ndarray, n_r: int = 64) -> MatchedBlocks:

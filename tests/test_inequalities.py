@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 from pathlib import Path
 
@@ -276,6 +277,59 @@ def test_family_reproducibility():
     f2 = list(ineq.TestFamily("bumps", 3, 5, 7).members())
     for a, b in zip(f1, f2):
         assert a.b == b.b and a.w == b.w and np.array_equal(a.axis, b.axis)
+
+
+def _log_uniform(u, lo, hi):
+    return math.exp(math.log(lo) + (math.log(hi) - math.log(lo)) * u())
+
+
+def test_family_members_are_the_documented_random_stream():
+    # bit for bit, each draw recomputed from random.Random(1).random(),
+    # whose stream Python keeps across versions (its first value pinned too):
+    # b and w log-uniform, then one Box-Muller pair per axis component, the
+    # axis divided by its hypot; eps and kappa log-uniform
+    assert random.Random(1).random() == 0.13436424411240122
+    u = random.Random(1).random
+    for member in ineq.TestFamily("bumps", 3, 3, 1).members():
+        b, w = _log_uniform(u, 1e-3, 2.0), _log_uniform(u, 0.5, 1.5)
+        z = [math.sqrt(-2.0 * math.log(1.0 - u())) * math.cos(2.0 * math.pi * u())
+             for _ in range(3)]
+        assert (member.b, member.w) == (b, w)
+        assert member.axis.tolist() == [c / math.hypot(*z) for c in z]
+    u = random.Random(1).random
+    for member in ineq.TestFamily("power", 4, 3, 1).members():
+        eps, kappa = _log_uniform(u, 1e-3, 0.1), _log_uniform(u, 1e-4, 1.0)
+        assert (member.beta, member.kappa) == (1.0 - eps, kappa)
+
+
+def _assert_mean(samples, mean):
+    """Each column's mean within 4 standard errors of ``mean``."""
+    samples = np.asarray(samples)
+    se = samples.std(axis=0, ddof=1) / math.sqrt(len(samples))
+    assert np.all(np.abs(samples.mean(axis=0) - mean) <= 4.0 * se), (samples.mean(axis=0), se)
+
+
+@pytest.mark.parametrize("N", [3, 5])
+def test_family_members_have_their_distributions(N):
+    # 20,000 members of each kind: unit axes, uniform on the sphere (mean 0,
+    # axis_k^2 of mean 1/N, axis_k^4 of mean 3/(N(N+2))), and log-uniform
+    # b, w, eps and kappa inside their intervals, their logs centred on the
+    # intervals' midpoints
+    bumps = list(ineq.TestFamily("bumps", N, 20_000, 1).members())
+    axes = np.array([m.axis for m in bumps])
+    assert np.max(np.abs(np.linalg.norm(axes, axis=1) - 1.0)) <= 1e-15
+    _assert_mean(axes, 0.0)
+    _assert_mean(axes**2 - 1.0 / N, 0.0)
+    # any exchangeable axis gives 1/N above; the fourth moment is the sphere's
+    _assert_mean(axes**4 - 3.0 / (N * (N + 2)), 0.0)
+    powers = list(ineq.TestFamily("power", N, 20_000, 1).members())
+    # eps = (N-2)/2 - beta, exact but for beta's one rounding (2e-16)
+    for lo, hi, values in ((1e-3, 2.0, [m.b for m in bumps]), (0.5, 1.5, [m.w for m in bumps]),
+                           (1e-3, 0.1, [(N - 2) / 2.0 - m.beta for m in powers]),
+                           (1e-4, 1.0, [m.kappa for m in powers])):
+        values = np.array(values)
+        assert np.all((values >= lo) & (values <= hi)), (lo, hi)
+        _assert_mean(np.log(values), (math.log(lo) + math.log(hi)) / 2.0)
 
 
 def test_zonal_family_requires_bumps():

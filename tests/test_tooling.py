@@ -4,10 +4,10 @@ list each with its default, every code name of the README's library layout
 is defined, every stored field is read, every defaulted parameter is passed
 by some src call, every package function is run by some command, the
 package imports no scipy and its commands load none and no numpy.ma, the
-commands but ``verify`` load no OpenSSL (neither ``hashlib`` nor
-``_hashlib``: their SHA-256 is CPython's own, equal to OpenSSL's), and
-``verify`` evaluates no test function at a node: every sweep is closed
-form."""
+package reads no numpy.random and no command loads it or OpenSSL (neither
+``hashlib`` nor ``_hashlib``: their SHA-256 is CPython's own, equal to
+OpenSSL's), and ``verify`` evaluates no test function at a node: every
+sweep is closed form."""
 
 import ast
 import dataclasses
@@ -316,6 +316,23 @@ def test_package_imports_no_scipy():
             assert not any(n.split(".")[0] == "scipy" for n in names), path.name
 
 
+def test_package_reads_no_numpy_random():
+    # verify draws its members from random.Random; np.random is an attribute
+    # read, which an import check alone would miss
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [f"{node.value.id}.{node.attr}"]
+            else:
+                continue
+            assert not any(n.split(".")[:2] in (["numpy", "random"], ["np", "random"])
+                           for n in names), (path.name, node.lineno)
+
+
 LOADED_MODULES = """
 import sys
 from hardyheat.cli import main
@@ -340,8 +357,7 @@ def _modules_after(tmp_path, *commands, perturbation="linear_bounded:0.1") -> li
 
 
 def _openssl(modules) -> list:
-    # import hashlib maps about 3.6 MB of OpenSSL; verify's numpy.random
-    # still loads it (secrets -> hmac -> _hashlib)
+    # import hashlib maps about 3.6 MB of OpenSSL
     return [m for m in modules if m in ("hashlib", "_hashlib")]
 
 
@@ -359,6 +375,15 @@ def test_simulate_and_beta_load_no_scipy_or_numpy_ma(tmp_path, perturbation):
     assert "hardyheat.evolve" in modules
     assert [m for m in modules if m.split(".")[0] == "scipy"
             or m == "numpy.ma" or m.startswith("numpy.ma.")] == []
+    assert _openssl(modules) == []
+
+
+def test_verify_loads_no_numpy_random_or_openssl(tmp_path):
+    # numpy.random maps nine extension modules and OpenSSL (secrets -> hmac
+    # -> _hashlib); verify's members come from random.Random instead
+    modules = _modules_after(tmp_path, "verify")
+    assert [m for m in modules if m.split(".")[:2] == ["numpy", "random"]
+            or m in ("secrets", "hmac")] == []
     assert _openssl(modules) == []
 
 
