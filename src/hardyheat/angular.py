@@ -432,13 +432,3 @@ def harmonic_sums(coeffs: np.ndarray, L: int, dirs: np.ndarray) -> np.ndarray:
         out[:, lo:lo + DIRS_PER_PASS] = coeffs.T @ real_sph_block(L, dirs[lo:lo + DIRS_PER_PASS])
     return out
 
-
-def potential_pairing(spec: AngularSpectrum) -> np.ndarray:
-    """S_jk = int_{S^2} a psi_j psi_k dS from the Galerkin eigenpairs.
-
-    M V = V diag(mu) with M = diag(l(l+1)) - A gives
-    V^T A V = V^T diag(l(l+1)) V - diag(mu), so no quadrature is needed.
-    """
-    V = spec.eigenvectors
-    lap = laplacian_diagonal(spec.truncation_degree)
-    return (V.T * lap) @ V - np.diag(spec.eigenvalues)

@@ -179,7 +179,7 @@ def cmd_simulate(cfg, outdir) -> int:
     traj = _trajectory(cfg, basis)
     trace = almgren.frequency_trace(traj, cfg.fit_decades)
     hprime = almgren.check_Hprime(trace)
-    c1 = inequalities.coercivity_bound_constant(basis)
+    c1 = inequalities.coercivity_bound_constant(spec)
     report = almgren.run_diagnostics(traj, trace, coercivity_constant=c1)
     shares = traj.truncation_shares()
     rule = traj.rule

@@ -19,8 +19,9 @@ of the anisotropic form is absent, constant, or (N = 3) a real-harmonic
 table, whose term the Funk-Hecke formula gives in closed form degree by
 degree (:func:`bump_table_hardy`).  Anything else raises ConfigurationError.
 
-The module also gives the coercivity constant of the quadratic form with
-the plain H_t denominator, which the frequency lower bound uses.
+The module also gives the coercivity constant C1 of the quadratic form
+with the plain H_t denominator, which the frequency lower bound uses: an
+exact scalar root on the angular ground state, with no basis.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import numpy as np
 
 from . import angular as ang
 from .errors import ConfigurationError, InvariantViolationError
-from .ou_basis import OUBasis, coupling_blocks
 from .quadrature import sphere_area
 from .specfun import hyp1f1_minus
 
@@ -362,28 +362,46 @@ def sweep(inequalities, family: TestFamily, t: float = 0.7,
     return reports
 
 
-# -- coercivity quotients ------------------------------------------------------
+# -- coercivity constant ------------------------------------------------------
 
-def coercivity_bound_constant(basis: OUBasis) -> float:
-    """Quotient with the plain H-norm denominator (E + ||.||^2).
-
-    This is the constant entering the frequency lower bound
-    N(t) >= C1 - (N-2)/4, tight for the unperturbed ground state: the
-    smallest q of (Gamma + (N-2)/4) v = q (E + I) v, E = Gamma + coupling,
-    over the coupling_blocks.  The left matrix A is diagonal and positive
-    (every gamma exceeds -(N-2)/4), so with w = A^{1/2} v a block's problem is
-    A^{-1/2} (E + I) A^{-1/2} w = w / q and q_min = 1 / lambda_max.
+def _scaled_ground(spectrum: ang.AngularSpectrum):
+    """q -> the ground eigenvalue of -(1 - q) Lap_S - a: -a for a constant a,
+    and for a table the smallest eigenvalue of B - q diag(l(l+1)), with B the
+    block of :func:`angular.assemble_angular` at the spectrum's truncation
+    degree that holds Y_00 (the positive ground state has a Y_00 component).
     """
-    q, low = math.inf, math.inf
-    for idx, C in coupling_blocks(basis):
-        gam = basis.gammas[idx]
-        s = 1.0 / np.sqrt(gam + (basis.N - 2) / 4.0)
-        lam = np.linalg.eigvalsh(np.outer(s, s) * (np.diag(gam) + C + np.eye(len(idx))))
-        q, low = min(q, 1.0 / lam[-1]), min(low, lam[0])
-    ok, _ = ang.check_positivity(basis.spectrum)
-    if ok and low <= 0.0:
-        raise InvariantViolationError(
-            f"coercivity denominator has eigenvalue {low} <= 0 under verified "
-            "positivity: basis/quadrature inconsistency"
-        )
-    return float(q)
+    a = spectrum.potential
+    if a.is_constant:
+        return lambda q: -a.value
+    L = spectrum.truncation_degree
+    idx, B = next((idx, B) for idx, B in ang.assemble_angular(a, L) if 0 in idx)
+    lap = np.diag(ang.laplacian_diagonal(L)[idx])
+    return lambda q: float(np.linalg.eigvalsh(B - q * lap)[0])
+
+
+def coercivity_bound_constant(spectrum: ang.AngularSpectrum) -> float:
+    """C1 = inf_v (D_a(v) + c ||v||^2) / (D_0(v) + ||v||^2), c = (N-2)/4, the
+    constant of the frequency bound N(t) >= C1 - c (D_a and D_0 the
+    Dirichlet forms with and without a/|x|^2, against G).
+
+    With h = (N-2)/2, the quotient is at least q < 1 exactly when the OU
+    ground eigenvalue under a/(1-q), (sqrt(h^2 + mu_1) - h)/2 with mu_1 that
+    of -Lap_S - a/(1-q), is at least (q - c)/(1 - q); with
+    e = (1 - q)(h^2 + mu_1) = (1 - q) h^2 + :func:`_scaled_ground`, when
+    e >= 0 and sqrt((1 - q) e) >= q (2 - h).  The form's minimum is concave
+    in q, so the allowed q form one interval, which holds 0 under
+    positivity: bisection returns its largest float, and exactly 1 when
+    every q < 1 is allowed.
+    """
+    ang.require_positivity(spectrum)
+    h = (spectrum.N - 2) / 2.0
+    ground = _scaled_ground(spectrum)
+
+    def allowed(q):
+        e = (1.0 - q) * h * h + ground(q)
+        return e >= 0.0 and math.sqrt((1.0 - q) * e) >= q * (2.0 - h)
+
+    lo, hi = 0.0, 1.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if allowed(mid) else (lo, mid)
+    return 1.0 if lo == math.nextafter(1.0, 0.0) else lo

@@ -12,11 +12,9 @@ integral separates into an angular factor times a radial integral
 
 and the modes of one angular index share alpha_j, so one generalized
 Gauss-Laguerre rule with the matched exponent integrates a whole (j, j')
-block exactly.  ``_pair_matrix`` is that block evaluator.  Every basis-wide
-matrix is block diagonal and kept as its blocks: the Gram and bilinear
-j-blocks of ``certification_blocks`` and the a/|x|^2 coupling of
-``coupling_blocks`` (shift 1), one block per group of angular indices that
-its angular factor connects.  The weak eigen-equation
+block exactly.  ``_pair_matrix`` is that block evaluator.  The basis-wide
+Gram and bilinear matrices vanish between angular indices and are kept as
+the j-blocks of ``certification_blocks``.  The weak eigen-equation
 B(V_p, V_q) = gamma_q <V_p, V_q> is the certification target: the bilinear
 form separates as
 
@@ -270,46 +268,6 @@ def _radial_rows(modes, N: int, r: np.ndarray) -> np.ndarray:
         out[idx] = 2.0 ** (alpha - (N - 1) / 2.0) * r ** (-alpha) \
             * _laguerre_rows([modes[i] for i in idx], N, r * r / 4.0)[0]
     return out
-
-
-def _radial_coupling(modes, N: int, S: np.ndarray) -> np.ndarray:
-    """Matrix of S[j_p, j_q] int f_p f_q r^{N-3} e^{-r^2/4} dr over a mode list.
-
-    The radial factor is one _pair_matrix block per (j, j') pair with a
-    nonzero angular factor, mirrored; the product is formed on the upper
-    triangle in list order and mirrored, since S need not be bitwise
-    symmetric.
-    """
-    blocks = _j_blocks(modes)
-    R = np.zeros((len(modes), len(modes)))
-    for a, (ja, ia) in enumerate(blocks):
-        for jb, ib in blocks[a:]:
-            if S[ja - 1, jb - 1] == 0.0 and S[jb - 1, ja - 1] == 0.0:
-                continue
-            block = _pair_matrix([modes[i] for i in ia], [modes[i] for i in ib], N, 1)
-            R[np.ix_(ia, ib)] = block
-            R[np.ix_(ib, ia)] = block.T
-    js = [m.j - 1 for m in modes]
-    C = np.triu(R * S[np.ix_(js, js)])
-    return C + np.triu(C, 1).T
-
-
-def coupling_blocks(basis: OUBasis) -> list:
-    """(indices, C) of each group of angular indices that the pairing
-    S[j, j'] = int a psi_j psi_j' connects (a I for a constant potential, from
-    the Galerkin eigenpairs for a table): C[p, q] = int a/|x|^2 V_p V_q G dx,
-    S times a matched radial integral, over the modes at the indices.  Every
-    pairing between groups is zero.
-    """
-    spec = basis.spectrum
-    S = (spec.potential.value * np.eye(len(spec.eigenvalues)) if spec.potential.is_constant
-         else ang.potential_pairing(spec))
-    js = np.array([m.j for m in basis.modes])
-    labels = np.array(sorted(set(js.tolist())))  # np.unique would import numpy.ma
-    p, q = np.nonzero(S[np.ix_(labels - 1, labels - 1)])
-    groups = ang.connected_groups(zip(labels[p].tolist(), labels[q].tolist()), labels.tolist())
-    idxs = (np.flatnonzero(np.isin(js, group)) for group in groups)
-    return [(idx, _radial_coupling([basis.modes[i] for i in idx], basis.N, S)) for idx in idxs]
 
 
 def radial_modes(basis: OUBasis) -> np.ndarray:

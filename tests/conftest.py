@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -31,3 +32,30 @@ def spec01():
 @pytest.fixture(scope="session")
 def tau_small():
     return math.log(1e-3)
+
+
+@pytest.fixture(scope="session")
+def command_runs(tmp_path_factory):
+    """(manifest, code objects entered) of one ``output_manifest.collect``,
+    every command on every shipped config in process, run under a profile
+    hook after every package cache is cleared: a cached call enters
+    nothing."""
+    from output_manifest import collect
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hardyheat."):
+            for obj in vars(module).values():
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()
+    codes = {}
+
+    def profile(frame, event, arg):
+        if event == "call":
+            codes[id(frame.f_code)] = frame.f_code
+
+    sys.setprofile(profile)
+    try:
+        manifest = collect(tmp_path_factory.mktemp("commands"))
+    finally:
+        sys.setprofile(None)
+    return manifest, list(codes.values())

@@ -18,11 +18,14 @@ gives the independent nodal route the tests compare against:
   not from the package's Laguerre table;
 - the dense K x K matrices the package keeps as blocks, scattered with
   zeros between them (``scatter``): the Gram and bilinear matrices
-  (``certification_matrices``), the a/|x|^2 coupling (``coupling_matrix``)
-  and the Hardy pairings of one ``_pair_matrix`` j-block each
-  (``hardy_matrix``);
-- the coercivity infimum of the (N-2)/4-shifted quotient over the first K
-  modes, by scipy's dense generalized ``eigh``, and the per-mode
+  (``certification_matrices``) and the Hardy pairings of one
+  ``_pair_matrix`` j-block each (``hardy_matrix``);
+- the a/|x|^2 coupling (``coupling_matrix``), from the angular pairing of
+  the Galerkin eigenpairs (``potential_pairing``) and one ``_pair_matrix``
+  block per pair of angular indices;
+- the Galerkin coercivity infimum over the first K modes, by scipy's dense
+  generalized ``eigh``: at shift 1 a Rayleigh-Ritz bound from above on the
+  package's ``coercivity_bound_constant``; and the per-mode
   anisotropic-Hardy defect;
 - ``radii`` of a product rule's nodes;
 - a linear h(x, t) of any shape evaluated at every node of a collocation
@@ -230,9 +233,36 @@ def certification_matrices(spectrum: ang.AngularSpectrum, modes):
             scatter([(idx, bilinear) for idx, _, bilinear in blocks], len(modes)))
 
 
+def potential_pairing(spec: ang.AngularSpectrum) -> np.ndarray:
+    """S_jk = int_{S^2} a psi_j psi_k dS from the Galerkin eigenpairs.
+
+    M V = V diag(mu) with M = diag(l(l+1)) - A gives
+    V^T A V = V^T diag(l(l+1)) V - diag(mu), so no quadrature is needed.
+    """
+    V = spec.eigenvectors
+    lap = ang.laplacian_diagonal(spec.truncation_degree)
+    return (V.T * lap) @ V - np.diag(spec.eigenvalues)
+
+
 def coupling_matrix(basis: OUBasis) -> np.ndarray:
-    """int a/|x|^2 V_p V_q G over the modes, scattered from ``coupling_blocks``."""
-    return scatter(ou.coupling_blocks(basis), basis.size)
+    """int a/|x|^2 V_p V_q G over the modes: S[j_p, j_q] times one
+    ``_pair_matrix`` block at shift 1 for each pair of angular indices with
+    a nonzero pairing S (a I for a constant potential, else
+    :func:`potential_pairing`), formed on the upper block triangle in list
+    order and mirrored, since S need not be bitwise symmetric."""
+    spec = basis.spectrum
+    S = (spec.potential.value * np.eye(len(spec.eigenvalues)) if spec.potential.is_constant
+         else potential_pairing(spec))
+    blocks = ou._j_blocks(basis.modes)
+    C = np.zeros((basis.size, basis.size))
+    for a, (ja, ia) in enumerate(blocks):
+        for jb, ib in blocks[a:]:
+            if S[ja - 1, jb - 1] != 0.0:
+                block = S[ja - 1, jb - 1] * ou._pair_matrix(
+                    [basis.modes[i] for i in ia], [basis.modes[i] for i in ib], basis.N, 1)
+                C[np.ix_(ia, ib)] = block
+                C[np.ix_(ib, ia)] = block.T
+    return C
 
 
 def hardy_matrix(basis: OUBasis) -> np.ndarray:
@@ -252,7 +282,9 @@ def coercivity_infimum(basis: OUBasis, K: int | None = None, shift: float | None
     At the default shift (N-2)/4 it is the Rayleigh-quotient infimum, which
     equals 1 for a = 0 (the quotient is identically 1) and degenerates to 0
     as the potential approaches the Hardy constant; at shift 1 it is the
-    package's ``coercivity_bound_constant``.
+    minimum over the span of the modes of the quotient whose infimum over
+    every v is the package's ``coercivity_bound_constant``, so by
+    Rayleigh-Ritz at or above it, and falling toward it as the span grows.
     """
     K = basis.size if K is None else K
     shift = (basis.N - 2) / 4.0 if shift is None else shift

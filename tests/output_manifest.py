@@ -124,7 +124,8 @@ def _number_moves(old: dict, new: dict) -> str:
     parts = []
     if diffs:
         diff, key = max(diffs)
-        parts.append(f"largest numeric difference {diff:.3e} at {key}")
+        parts.append(f"largest numeric difference {diff:.3e} at {key}" if diff > 0.0
+                     else "no number moved")
     for label, keys in (("new", new.keys() - old.keys()), ("gone", old.keys() - new.keys())):
         if keys:
             parts.append(f"{label} numbers {sorted(keys)}")
@@ -154,15 +155,11 @@ def differences(old: dict, new: dict) -> list:
     return lines
 
 
-def write(manifest: dict, path: Path = MANIFEST) -> None:
-    path.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-
-
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         fresh = collect(Path(tmp))
     if MANIFEST.exists():
         for line in differences(json.loads(MANIFEST.read_text(encoding="utf-8")), fresh):
             print(line)
-    write(fresh)
+    MANIFEST.write_text(json.dumps(fresh, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {MANIFEST.relative_to(ROOT)}: {len(fresh['runs'])} runs", file=sys.stderr)

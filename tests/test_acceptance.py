@@ -275,7 +275,7 @@ def test_c10_simulated_admissible_perturbation(basis0):
         def run(dtau, n_r):
             traj = ev.integrate_backward(basis0, c0, tau_min, dtau, pert, n_r=n_r)
             trace = al.frequency_trace(traj)
-            c1 = ineq.coercivity_bound_constant(basis0)
+            c1 = ineq.coercivity_bound_constant(basis0.spectrum)
             al.run_diagnostics(traj, trace, coercivity_constant=c1)
             assert abs(trace.gamma_raw - trace.gamma_hat) < 1e-5  # snaps
             _, J0 = ou.multiplicity(trace.gamma_hat, basis0.spectrum)

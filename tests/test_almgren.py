@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -349,7 +350,7 @@ def test_check_H_powerlaw(traj_pure, traj_mix, traj_exp):
 
 
 def test_run_diagnostics_unperturbed(traj_mix, basis0):
-    c1 = ineq.coercivity_bound_constant(basis0)
+    c1 = ineq.coercivity_bound_constant(basis0.spectrum)
     report = al.run_diagnostics(traj_mix, al.frequency_trace(traj_mix),
                                 coercivity_constant=c1)
     assert report["N_monotone"] and report["gamma_hat"] == 0.0
@@ -357,17 +358,31 @@ def test_run_diagnostics_unperturbed(traj_mix, basis0):
 
 
 def test_run_diagnostics_perturbed(traj_exp, basis0):
-    c1 = ineq.coercivity_bound_constant(basis0)
+    c1 = ineq.coercivity_bound_constant(basis0.spectrum)
     report = al.run_diagnostics(traj_exp, al.frequency_trace(traj_exp),
                                 coercivity_constant=c1)
     # forcing allowance ~ max |t <hv, v>| / H = eps * t_max = 0.1
     np.testing.assert_allclose(report["forcing_allowance"], 0.1, rtol=1e-10)
 
 
+def test_forcing_share_gate(traj_exp, basis0):
+    # h = eps is constant, so t <F, c> = eps t H on every row up to the rule's
+    # Gram residual: the share ratio sits at 1, the vacuous coercivity bound
+    # is met with equality at t = 1, and a forcing 1e-5 too large fails
+    c1 = ineq.coercivity_bound_constant(basis0.spectrum)
+    trace = al.frequency_trace(traj_exp)
+    report = al.run_diagnostics(traj_exp, trace, coercivity_constant=c1)
+    assert abs(report["forcing_share_ratio"] - 1.0) < 1e-14
+    assert abs(report["coercivity_margin"]) < 1e-15
+    broken = replace(traj_exp, forcing=traj_exp.forcing * (1.0 + 1e-5))
+    with pytest.raises(InvariantViolationError, match=r"forcing share .* row \d+ .* is 1\.00001"):
+        al.run_diagnostics(broken, trace, coercivity_constant=c1)
+
+
 def test_monotonicity_violation_detection(traj_exp, basis0):
     # the perturbed trace is decreasing; asking for the unperturbed
     # invariant must fail loudly
-    c1 = ineq.coercivity_bound_constant(basis0)
+    c1 = ineq.coercivity_bound_constant(basis0.spectrum)
     tr = al.frequency_trace(traj_exp)
     fake = ev.PerturbationSpec.none()
     real = traj_exp.perturbation

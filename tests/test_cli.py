@@ -194,6 +194,32 @@ def test_cli_inadmissible_h_exit_code(tmp_path, capsys):
     assert not (tmp_path / "trajectory.csv").exists()
 
 
+def test_forcing_share_gate_bounds_by_eps_not_h_const(tmp_path):
+    # h = 0.1/(1 + |x|^2) is admissible under C_h = 0.05 (h_const), which sets
+    # only the admissibility bound: the share gate reads sup|h| = |eps| = 0.1,
+    # against which the share nears 1, about 2 times C_h
+    path, _ = write_config(tmp_path, perturbation="linear_bounded:0.1", h_const=0.05,
+                           gamma_max=1.0, radial_nodes=16, dtau=0.01,
+                           tau_min=math.log(1e-6), directory=str(tmp_path))
+    assert main(["simulate", "--config", path]) == 0
+    doc = json.loads((tmp_path / "frequency.json").read_text())
+    assert doc["admissibility_ratio"] <= 1.0
+    ratio = doc["diagnostics"]["forcing_share_ratio"]
+    assert 0.99 < ratio <= 1.0 and ratio * 0.1 / 0.05 > 1.9
+
+
+@pytest.mark.parametrize("config", ("bounded_h", "exp_linear"))
+def test_forcing_off_by_1e5_exits_3(tmp_path, monkeypatch, capsys, config):
+    # a linear forcing 1 + 1e-5 times too large exceeds |eps| t H on the
+    # rows where the share nears its bound
+    build = evolve.linear_forcing_matrices
+    monkeypatch.setattr(evolve, "linear_forcing_matrices",
+                        lambda *args: build(*args) * (1.0 + 1e-5))
+    path = str(Path(__file__).resolve().parents[1] / "configs" / f"{config}.ini")
+    assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == 3
+    assert "forcing share" in capsys.readouterr().err
+
+
 def _csv_numbers(path):
     lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
     return np.array([[float(x) for x in l.split(",")] for l in lines[1:]])

@@ -3,6 +3,7 @@ import random
 import tracemalloc
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -339,21 +340,23 @@ def test_zonal_family_requires_bumps():
 
 def test_coercivity_infimum_zero_potential(basis0):
     np.testing.assert_allclose(coercivity_infimum(basis0), 1.0, rtol=1e-12)
-    np.testing.assert_allclose(ineq.coercivity_bound_constant(basis0), 0.25,
-                               rtol=1e-12)
-    # at a = 0 every block is diagonal, and the constant is the closed form
-    # min_k (gamma_k + (N-2)/4) / (gamma_k + 1): at the ground mode below
-    # N = 6, at the top of the window above it (1.125 and 13/12 in N = 7)
-    for N, gamma_max, want in ((4, 2.0, 0.5), (5, 2.0, 0.75), (7, 1.0, 1.125),
-                               (7, 2.0, 13.0 / 12.0)):
+    assert ineq.coercivity_bound_constant(basis0.spectrum) == 0.25
+    # at a = 0 the root is min((N-2)/4, 1), exactly.  Every block of the
+    # Galerkin quotient is diagonal there, so its minimum over a basis is
+    # min_k (gamma_k + (N-2)/4) / (gamma_k + 1): at the ground mode, the root,
+    # below N = 6; at the top of the window above it, 1.125 and 13/12 in
+    # N = 7 against the root 1 (Rayleigh-Ritz bounds from above)
+    for N, gamma_max, root, galerkin in ((4, 2.0, 0.5, 0.5), (5, 2.0, 0.75, 0.75),
+                                         (7, 1.0, 1.0, 1.125), (7, 2.0, 1.0, 13.0 / 12.0)):
         # the angular count that certifies the window: every degree up to
         # 2 gamma_max, and one harmonic of the next
         K = sum(ang.harmonic_multiplicity(l, N) for l in range(int(2 * gamma_max) + 1)) + 1
         basis = ou.enumerate_modes(
             ang.solve_angular(ang.AngularPotential.constant(0.0), K=K, N=N), gamma_max)
         closed = np.min((basis.gammas + (N - 2) / 4.0) / (basis.gammas + 1.0))
-        assert closed == want
-        got = ineq.coercivity_bound_constant(basis)
+        assert closed == galerkin
+        assert ineq.coercivity_bound_constant(basis.spectrum) == root
+        got = coercivity_infimum(basis, shift=1.0)
         assert abs(got - closed) <= 4.0 * np.spacing(closed), (N, gamma_max, got)
         np.testing.assert_allclose(coercivity_infimum(basis), 1.0, rtol=1e-12)
 
@@ -368,42 +371,118 @@ def test_coercivity_degenerates_toward_hardy_constant():
     assert vals[2] < 0.1  # approaching 0 as lambda -> (N-2)^2/4
 
 
+def _mp_root(N: int, a: float):
+    """The largest q in [0, 1) of the root's predicate for a constant a, by
+    bisection in 40-digit arithmetic: (1 - q) h^2 - a >= 0 and
+    sqrt((1 - q)((1 - q) h^2 - a)) >= q (2 - h), h = (N-2)/2; 1 when every
+    q < 1 passes."""
+    mp.mp.dps = 40
+    h, a = mp.mpf(N - 2) / 2, mp.mpf(a)
+
+    def allowed(q):
+        e = (1 - q) * h * h - a
+        return e >= 0 and mp.sqrt((1 - q) * e) >= q * (2 - h)
+
+    lo, hi = mp.mpf(0), mp.mpf(1)
+    for _ in range(140):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if allowed(mid) else (lo, mid)
+    return lo
+
+
+@pytest.mark.parametrize("N, a", [(3, 0.2), (3, 0.1), (3, 0.24), (3, -0.5), (4, 0.5),
+                                  (4, 0.9), (5, 1.0), (5, -1.0), (7, 0.5), (7, 0.0),
+                                  (10, 2.0), (10, -3.0)])
+def test_coercivity_root_matches_mpmath(N, a):
+    # in N >= 6, 2 - h <= 0 and the sqrt's domain binds: 1 - a/h^2 for a > 0
+    # (0.92 and 0.875 here), else every q < 1 passes and the root is 1
+    spec = ang.solve_angular(ang.AngularPotential.constant(a), K=1, N=N)
+    want = _mp_root(N, a)
+    if N >= 6:
+        assert abs(want - (1 - mp.mpf(a) / ((N - 2) / 2) ** 2 if a > 0 else 1)) < 1e-35
+    got = ineq.coercivity_bound_constant(spec)
+    assert abs(got - want) <= np.finfo(float).eps, (got, want)
+    assert (got == 1.0) == (want == 1)  # exactly 1 when every q < 1 passes
+
+
+def _anisotropic_config_spectrum(count: int):
+    cfg = RunConfig.from_file(str(Path(__file__).parents[1] / "configs" / "anisotropic.ini"))
+    return ang.solve_angular(parse_potential(cfg), L=cfg.angular_truncation, K=count, N=3)
+
+
 def test_coercivity_falls_as_gamma_max_rises():
-    # Rayleigh-Ritz on nested bases: the constant is a minimum over a growing
-    # subspace, so it can only fall; the values are the dense solve's, which
-    # the blocks reproduce within 1e-16
-    spec = ang.solve_angular(ang.AngularPotential.constant(0.2), K=400, N=3)
-    want = (0.1025646080398807, 0.1023587919917522, 0.1021351011049211,
-            0.1019132801922601)
-    got = [ineq.coercivity_bound_constant(ou.enumerate_modes(spec, g)) for g in (1, 2, 4, 8)]
-    assert all(a > b for a, b in zip(got, got[1:]))
-    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-16)
+    # the Galerkin quotient over a basis is a minimum over the span of its
+    # modes, nested as gamma_max rises: by Rayleigh-Ritz it stays at or
+    # above the root and falls toward it.  The constant's pins are the
+    # dense solves'; the table's are known to 10 digits, and 0.2493909172
+    # at the shipped gamma_max = 1.5 lies 1.85e-5 over its root
+    cases = [(ang.solve_angular(ang.AngularPotential.constant(0.2), K=400, N=3), 0.1,
+              (1, 2, 4, 8), (0.1025646080398807, 0.1023587919917522, 0.1021351011049211,
+                             0.1019132801922601), 1e-15),
+             (_anisotropic_config_spectrum(100), 0.2493724273,
+              (1.5, 2, 3, 4), (0.2493909172, 0.2493907235, 0.2493879891, 0.2493862072), 1e-10)]
+    for spec, root, gamma_maxes, want, atol in cases:
+        assert ineq.coercivity_bound_constant(spec) == pytest.approx(root, abs=atol)
+        got = [coercivity_infimum(ou.enumerate_modes(spec, g), shift=1.0) for g in gamma_maxes]
+        assert all(a > b for a, b in zip(got, got[1:])) and got[-1] > root, got
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=atol)
 
 
 def test_coercivity_matches_generalized_eigh(basis0, spec01):
-    # the blockwise scaled symmetric solves against scipy's dense generalized
-    # eigh(A, E + I) over every mode; measured within 2.9e-16 relative
-    cfg = RunConfig.from_file(str(Path(__file__).parents[1] / "configs" / "anisotropic.ini"))
-    aniso = ang.solve_angular(parse_potential(cfg), L=cfg.angular_truncation,
-                              K=cfg.angular_count, N=3)
-    for basis in (basis0, ou.enumerate_modes(spec01, 2.0), ou.enumerate_modes(aniso, 1.5)):
-        want = coercivity_infimum(basis, shift=1.0)
-        got = ineq.coercivity_bound_constant(basis)
-        assert abs(got - want) <= 1e-13 * abs(want), basis.size
+    # scipy's dense generalized eigh(A, E + I) over every mode bounds the
+    # root from above, and meets it where the ground mode attains the
+    # infimum: at a = 0 (and N < 6) the root (N-2)/4 is R(V_0)
+    aniso = _anisotropic_config_spectrum(36)
+    for basis, gap in ((basis0, 1e-15), (ou.enumerate_modes(spec01, 2.0), 1e-3),
+                       (ou.enumerate_modes(aniso, 1.5), 1e-4)):
+        galerkin = coercivity_infimum(basis, shift=1.0)
+        root = ineq.coercivity_bound_constant(basis.spectrum)
+        assert root <= galerkin <= root + gap, (basis.size, root, galerkin)
+
+
+def test_table_root_solves_the_ground_equation():
+    # at the root q the OU ground eigenvalue under a/(1-q), from a full
+    # Galerkin solve of the scaled table over every block, is (q - c)/(1 - q)
+    spec = _anisotropic_config_spectrum(36)
+    q = ineq.coercivity_bound_constant(spec)
+    scaled = ang.AngularPotential.harmonic_table(
+        [(l, m, c / (1.0 - q)) for l, m, c in spec.potential.table])
+    mu1 = ang.solve_angular(scaled, L=spec.truncation_degree, K=4).eigenvalues[0]
+    ground = (math.sqrt(0.25 + mu1) - 0.5) / 2.0
+    assert abs(ground - (q - 0.25) / (1.0 - q)) < 1e-14
+
+
+def test_ground_block_holds_the_ground_eigenvalue():
+    # a cos(2 phi) entry splits the orders into four groups (even and odd,
+    # cosine and sine); the block holding Y_00 carries the smallest
+    # eigenvalue of -Lap_S - s a over all of them, (1 - q) mu_1(s) at s = 1/(1-q)
+    table = ang.AngularPotential.harmonic_table([(1, 0, 0.15), (2, 0, 0.05), (2, 2, 0.1)])
+    spec = ang.solve_angular(table, L=16, K=4)
+    blocks = ang.assemble_angular(table, 16)
+    assert len(blocks) == 4
+    lap = ang.laplacian_diagonal(16)
+    ground = ineq._scaled_ground(spec)
+    assert ground(0.0) == pytest.approx(spec.eigenvalues[0], abs=1e-13)
+    for s in np.linspace(1.0, 20.0, 12):
+        mu1 = min(np.linalg.eigvalsh((1.0 - s) * np.diag(lap[idx]) + s * B)[0]
+                  for idx, B in blocks)
+        q = 1.0 - 1.0 / s
+        assert ground(q) == pytest.approx((1.0 - q) * mu1, rel=1e-12, abs=1e-13), s
 
 
 @pytest.mark.parametrize("a", (0.0, 0.2))
 def test_basis_matrices_stay_below_one_K_by_K_array(a):
-    # K = 969 modes at gamma_max = 8: the certification and the coercivity
-    # constant work block by block, so neither peaks at one dense K x K float64
-    # array (7.2 MiB); dense builds peaked at 29.8 and 37.4 MiB here
+    # K = 969 modes at gamma_max = 8: the certification works block by
+    # block, so it does not peak at one dense K x K float64 array (7.2 MiB;
+    # dense builds peaked at 29.8 and 37.4 MiB here), and the coercivity
+    # constant needs no basis
     spec = ang.solve_angular(ang.AngularPotential.constant(a), K=400, N=3)
     tracemalloc.start()
     try:
         basis = ou.enumerate_modes(spec, 8.0)
         enumerate_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        ineq.coercivity_bound_constant(basis)
+        ineq.coercivity_bound_constant(basis.spectrum)
         coercivity_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

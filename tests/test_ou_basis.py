@@ -18,7 +18,7 @@ from hardyheat.quadrature import laguerre_rule, product_rule
 from kummer import closed_form_norm2
 from mode_oracle import (SingularPointError, certification_matrices, coupling_matrix,
                          eval_grad_V, eval_V, hardy_matrix, hardy_mode_consistency,
-                         kummer_factors, potential_values, radii)
+                         kummer_factors, potential_pairing, potential_values, radii)
 from sweep_oracle import integrate_G, shifted_product_rule
 
 
@@ -362,11 +362,14 @@ def test_potential_coupling_vs_nodal_quadrature():
     coupling = coupling_matrix(basis)
     assert np.max(np.abs(coupling)) > 10.0 * tol  # the check can see the coupling
     assert np.max(np.abs(nodal - coupling)) < tol
-    # the pairings between coupling groups are exact zeros, and the
-    # cubature finds them zero too
+    # the pairings between the groups of angular indices that S connects
+    # are exact zeros, and the cubature finds them zero too
+    S = potential_pairing(spec)
+    labels = sorted({m.j for m in basis.modes})
+    pairs = [(j, k) for j in labels for k in labels if S[j - 1, k - 1] != 0.0]
     group = np.zeros(basis.size, dtype=int)
-    for g, (idx, _) in enumerate(ou.coupling_blocks(basis)):
-        group[idx] = g
+    for g, members in enumerate(ang.connected_groups(pairs, labels)):
+        group[[m.j in members for m in basis.modes]] = g
     between = group[:, None] != group[None]
     assert group.max() > 0 and np.all(coupling[between] == 0.0)
     assert np.max(np.abs(nodal[between])) < tol

@@ -272,34 +272,15 @@ def _package_functions(pkg: Path) -> set:
     return out
 
 
-def test_every_package_function_is_run_by_a_command(tmp_path):
+def test_every_package_function_is_run_by_a_command(command_runs):
     # every command on the default config, the shipped configs and the
     # benchmark workloads, in process; what none of them enters is dead
     # code unless UNREACHED says why it stays
+    manifest, codes = command_runs
+    assert len(manifest["runs"]) == 50
+    assert {run["exit"] for run in manifest["runs"].values()} == {0}
     pkg = Path(hardyheat.__file__).parent
-    for name, module in list(sys.modules.items()):  # a cached call enters nothing
-        if name.startswith("hardyheat."):
-            for obj in vars(module).values():
-                if hasattr(obj, "cache_clear"):
-                    obj.cache_clear()
-    codes = {}
-
-    def profile(frame, event, arg):
-        if event == "call":
-            codes[id(frame.f_code)] = frame.f_code
-
-    configs = [[]] + [["--config", str(path)] for path in
-                      sorted(SRC.parents[1].glob("configs/*.ini"))
-                      + sorted(PERFBENCH.glob("workloads/*.ini"))]
-    assert len(configs) == 10
-    sys.setprofile(profile)
-    try:
-        for i, config in enumerate(configs):
-            for command in ("spectrum", "simulate", "beta", "verify", "quadcheck"):
-                assert main([command, "--out", str(tmp_path / str(i))] + config) == 0
-    finally:
-        sys.setprofile(None)
-    entered = {f"{Path(code.co_filename).stem}.{code.co_qualname}" for code in codes.values()
+    entered = {f"{Path(code.co_filename).stem}.{code.co_qualname}" for code in codes
                if Path(code.co_filename).parent == pkg}
     assert _package_functions(pkg) - entered == set(UNREACHED)
 
