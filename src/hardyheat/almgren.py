@@ -6,11 +6,13 @@ Spectral identities make the trace cheap: with v(., t) = sum c_k V_tilde_k,
     t D(t) = sum gamma_k c_k^2 - t <f, v>_L,
     nu_1  = (2t/H^2) [ ||v_t||^2 H - <v_t, v>^2 ]  >= 0   (Schwarz),
 
-each evaluated at once over all stored rows.  The scaling law
-N_lambda(t) = N(lambda^2 t) is the identity c_lambda(t) = c(lambda^2 t) in
-these variables, so no run re-evaluates it.  The limit gamma is estimated
-by fitting N(t) ~ gamma + C t^delta over the smallest stored decade and
-snapped (never silently) to the nearest eigenvalue.
+each evaluated at once over all stored rows, with the forcing's share
+t |<f, v>_L| / H of the frequency from the same t <f, v>_L term.  The
+scaling law N_lambda(t) = N(lambda^2 t) is the identity
+c_lambda(t) = c(lambda^2 t) in these variables, so no run re-evaluates it.
+The limit gamma is estimated by fitting N(t) ~ gamma + C t^delta over the
+smallest stored decade and snapped (never silently) to the nearest
+eigenvalue.
 """
 
 from __future__ import annotations
@@ -36,21 +38,24 @@ def _rates(gammas, c, F, t):
 
 
 def compute_HDN(traj: Trajectory):
-    """(H, D, N, nu1) arrays over the stored rows, in stored order.
+    """(H, D, N, nu1, share) arrays over the stored rows, in stored order,
+    with share = t |<F, c>| / H the forcing's share of the frequency, from
+    the t <F, c> term of tD.
 
     nu1 comes from the exact rhs (no differencing) in the projection form
     2t ||v_t - (<v_t, v>/H) v||^2 / H, which keeps the Gram determinant
     non-negative instead of cancelling two large products.  Rows with
-    H <= H_FLOOR carry no usable D, N or nu1; callers mask them out.
+    H <= H_FLOOR carry no usable D, N, nu1 or share; callers mask them out.
     """
     C, F, t = traj.coeffs, traj.forcing, traj.t
     gammas = traj.basis.gammas
     H = np.vecdot(C, C)
-    tD = np.vecdot(C * C, gammas) - t * np.vecdot(F, C)
+    tFC = t * np.vecdot(F, C)
+    tD = np.vecdot(C * C, gammas) - tFC
     cp = _rates(gammas, C, F, t[:, None])
     with np.errstate(divide="ignore", invalid="ignore"):
         perp = cp - (np.vecdot(cp, C) / H)[:, None] * C
-        return H, tD / t, tD / H, 2.0 * t * np.vecdot(perp, perp) / H
+        return H, tD / t, tD / H, 2.0 * t * np.vecdot(perp, perp) / H, np.abs(tFC) / H
 
 
 def _finite_or_none(x: float):
@@ -60,7 +65,8 @@ def _finite_or_none(x: float):
 
 @dataclass
 class FrequencyTrace:
-    """Rows (t, H, D, N, nu1) in ascending t, plus the fitted limit.
+    """Rows (t, H, D, N, nu1, forcing_share) in ascending t, plus the fitted
+    limit; ``forcing_share`` is :func:`compute_HDN`'s t |<F, c>| / H.
 
     ``gamma_raw`` is the fit value; ``gamma_hat`` equals the nearest
     eigenvalue when within SNAP_TOL (``snapped`` True), else the raw value
@@ -72,6 +78,7 @@ class FrequencyTrace:
     D: np.ndarray
     N: np.ndarray
     nu1: np.ndarray
+    forcing_share: np.ndarray
     gamma_raw: float
     gamma_hat: float
     snapped: bool
@@ -176,14 +183,14 @@ def frequency_trace(
     traj: Trajectory,
     fit_window_decades: float = 1.0,
 ) -> FrequencyTrace:
-    """Full (t, H, D, N, nu1) trace with the fitted t -> 0 limit.
+    """Full (t, H, D, N, nu1, forcing_share) trace with the fitted t -> 0 limit.
 
     The fit window is the smallest stored ``fit_window_decades`` decades of
     t; a fit residual above 1e-3 is flagged and gamma_hat falls back to
     N at the smallest t.
     """
     warnings = []
-    H, D, Nv, n1 = compute_HDN(traj)
+    H, D, Nv, n1, share = compute_HDN(traj)
     # underflow guard: truncate the trace below the smallest usable row
     rows = np.flatnonzero(H > H_FLOOR)[::-1]  # ascending t
     if len(rows) == 0:
@@ -192,7 +199,7 @@ def frequency_trace(
         warnings.append(
             f"trace truncated: H underflowed on {traj.size - len(rows)} rows"
         )
-    t, H, D, Nv, n1 = (a[rows] for a in (traj.t, H, D, Nv, n1))
+    t, H, D, Nv, n1, share = (a[rows] for a in (traj.t, H, D, Nv, n1, share))
 
     window = t <= t[0] * 10.0**fit_window_decades
     gamma_raw, fit_C, delta_hat, fit_resid = _fit_limit(t[window], Nv[window])
@@ -224,7 +231,7 @@ def frequency_trace(
             "nearest eigenvalue; reported unsnapped"
         )
     return FrequencyTrace(
-        t, H, D, Nv, n1, gamma_raw, gamma_hat, snapped, delta_hat, fit_C,
+        t, H, D, Nv, n1, share, gamma_raw, gamma_hat, snapped, delta_hat, fit_C,
         (float(t[window][0]), float(t[window][-1])), fit_resid, gamma_unc,
         traj.perturbation.delta_theory(traj.basis.N), warnings,
     )
@@ -261,16 +268,6 @@ def check_H_powerlaw(trace: FrequencyTrace, gamma_hat: float):
     return K1_hat, liminf_positive
 
 
-def empirical_forcing_allowance(traj: Trajectory):
-    """(rows, t |<f, v>| / H) over the stored rows with H > H_FLOOR: the
-    forcing's share of the frequency row by row, whose largest value is the
-    allowance of the frequency bound."""
-    H = np.vecdot(traj.coeffs, traj.coeffs)
-    share = np.abs(traj.t * np.vecdot(traj.forcing, traj.coeffs))
-    rows = np.flatnonzero(H > H_FLOOR)
-    return rows, share[rows] / H[rows]
-
-
 def run_diagnostics(
     traj: Trajectory,
     trace: FrequencyTrace,
@@ -285,7 +282,8 @@ def run_diagnostics(
     - unperturbed monotonicity of N;
     - for a linear h, whose |h| is at most |eps|, the forcing share
       t |<F, c>| <= |eps| t H (1 + len(live) gram_residual + 4 machine eps)
-      on every row with H > H_FLOOR: the rule's weights are positive, so
+      on every row of the trace (``trace.forcing_share``, so the trace must
+      be the trajectory's own): the rule's weights are positive, so
       the bound holds on it up to its Gram residual.  ``forcing_share_ratio``
       is the largest t |<F, c>| / (|eps| t H); a semilinear run has no such
       bound and only reports it;
@@ -315,9 +313,9 @@ def run_diagnostics(
             )
         report["N_monotone"] = True
     else:
-        rows, share = empirical_forcing_allowance(traj)
+        share = trace.forcing_share
         allowance = float(np.max(share))
-        ratios = np.divide(share, abs(pert.eps) * traj.t[rows],
+        ratios = np.divide(share, abs(pert.eps) * trace.t,
                            out=np.zeros_like(share), where=share > 0.0)
         k = int(np.argmax(ratios))
         ratio = float(ratios[k])
@@ -325,8 +323,9 @@ def run_diagnostics(
             rule = traj.rule
             tol = 1.0 + len(rule.live) * rule.gram_residual + 4.0 * np.finfo(float).eps
             if not ratio <= tol:
+                stored = traj.row_at_t(trace.t[k])
                 raise InvariantViolationError(
-                    f"forcing share t|<F, c>| at row {rows[k]} (t = {traj.t[rows[k]]}) is "
+                    f"forcing share t|<F, c>| at row {stored} (t = {traj.t[stored]}) is "
                     f"{ratio} times |eps| t H, over {tol}: the forcing exceeds "
                     "sup|h| = |eps|"
                 )

@@ -18,7 +18,8 @@ azimuthal integral of a e_m e_m' is taken in closed form, so A is assembled
 per pair of real orders (m, m') with a Gauss-Legendre polar_rule in cos theta.
 A harmonic table couples m to m' only through its own orders (product to
 sum).  M is therefore block diagonal over groups of coupled orders, and each
-block is diagonalized on its own.
+block is diagonalized on its own; the spectrum keeps the block that holds
+Y_00 (``ground_block``), which the coercivity constant reads.
 """
 
 from __future__ import annotations
@@ -176,7 +177,9 @@ class AngularSpectrum:
     real-harmonic basis of degree <= L; for analytic constant-potential
     spectra in N != 3 only the constant mode is evaluable and
     ``eigenvectors`` is None.  ``degrees`` records the (dominant) harmonic
-    degree of each eigenfunction.
+    degree of each eigenfunction.  ``ground_block`` is the (indices, block)
+    pair of the Galerkin matrix (``assemble_angular``) that holds flat index
+    0, Y_00, kept from the solve; None for an analytic spectrum.
     """
 
     N: int
@@ -186,6 +189,7 @@ class AngularSpectrum:
     degrees: np.ndarray
     truncation_degree: int
     residual_bound: float
+    ground_block: tuple | None = None
 
     def to_jsonable(self) -> dict:
         return {
@@ -351,6 +355,8 @@ def _solve_galerkin(a: AngularPotential, K: int, L: int) -> AngularSpectrum:
     # one eigh per block; the K smallest pairs are merged across blocks
     blocks, pairs = [], []
     for idx, B in assemble_angular(a, L):
+        if 0 in idx:
+            ground_block = (idx, B)
         vals, vecs = np.linalg.eigh(B)
         vals, vecs = vals[:K], vecs[:, :K]
         res = np.linalg.norm(B @ vecs - vecs * vals, axis=0)
@@ -370,7 +376,7 @@ def _solve_galerkin(a: AngularPotential, K: int, L: int) -> AngularSpectrum:
             f"10 x residual {10 * residual}; increase L"
         )
     degrees = np.asarray([sph_degree_of(int(np.argmax(np.abs(v)))) for v in vecs.T])
-    return AngularSpectrum(3, a, vals, vecs, degrees, L, residual)
+    return AngularSpectrum(3, a, vals, vecs, degrees, L, residual, ground_block)
 
 
 def solve_angular(

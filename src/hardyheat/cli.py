@@ -158,7 +158,7 @@ def cmd_spectrum(cfg, outdir) -> int:
     spec, basis = _spectrum_and_basis(cfg)
     table = {}
     for g in sorted(set(round(float(x), 9) for x in basis.gammas)):
-        count, J = ou_basis.multiplicity(g, spec)
+        count, J = ou_basis.multiplicity(g, basis)
         table[_fmt(g)] = {"multiplicity": count, "J": [list(mk) for mk in J]}
     _write_json(
         os.path.join(outdir, "spectrum.json"),
@@ -231,7 +231,7 @@ def cmd_simulate(cfg, outdir) -> int:
 
 
 def cmd_beta(cfg, outdir) -> int:
-    spec, basis = _spectrum_and_basis(cfg)
+    _, basis = _spectrum_and_basis(cfg)
     traj = _trajectory(cfg, basis, reuse_dir=outdir)
     trace = almgren.frequency_trace(traj, cfg.fit_decades)
     if not trace.snapped:
@@ -240,7 +240,7 @@ def cmd_beta(cfg, outdir) -> int:
             "(within 1e-6); deepen tau_min before extracting beta"
         )
     gamma = trace.gamma_hat
-    _, J0 = ou_basis.multiplicity(gamma, spec)
+    _, J0 = ou_basis.multiplicity(gamma, basis)
     spread, tables = asymptotics.lambda_independence(traj, cfg.lambda_grid, J0, gamma)
     table = tables[0]  # at the smallest Lambda
     direct = asymptotics.beta_direct(traj, None, J0, gamma)

@@ -21,7 +21,8 @@ degree (:func:`bump_table_hardy`).  Anything else raises ConfigurationError.
 
 The module also gives the coercivity constant C1 of the quadratic form
 with the plain H_t denominator, which the frequency lower bound uses: an
-exact scalar root on the angular ground state, with no basis.
+exact scalar root on the angular ground state, with no basis; a table's
+comes from the Galerkin block the spectrum kept (``ground_block``).
 """
 
 from __future__ import annotations
@@ -367,15 +368,14 @@ def sweep(inequalities, family: TestFamily, t: float = 0.7,
 def _scaled_ground(spectrum: ang.AngularSpectrum):
     """q -> the ground eigenvalue of -(1 - q) Lap_S - a: -a for a constant a,
     and for a table the smallest eigenvalue of B - q diag(l(l+1)), with B the
-    block of :func:`angular.assemble_angular` at the spectrum's truncation
-    degree that holds Y_00 (the positive ground state has a Y_00 component).
+    spectrum's ``ground_block``, the Galerkin block that holds Y_00 (the
+    positive ground state has a Y_00 component).
     """
     a = spectrum.potential
     if a.is_constant:
         return lambda q: -a.value
-    L = spectrum.truncation_degree
-    idx, B = next((idx, B) for idx, B in ang.assemble_angular(a, L) if 0 in idx)
-    lap = np.diag(ang.laplacian_diagonal(L)[idx])
+    idx, B = spectrum.ground_block
+    lap = np.diag(ang.laplacian_diagonal(spectrum.truncation_degree)[idx])
     return lambda q: float(np.linalg.eigvalsh(B - q * lap)[0])
 
 

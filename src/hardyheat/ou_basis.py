@@ -20,6 +20,9 @@ form separates as
 
     B(V_A, V_B) = delta_{j_A j_B} [ int f_A' f_B' r^{N-1} e^{-r^2/4} dr
                                     + mu_j int f_A f_B r^{N-3} e^{-r^2/4} dr ].
+
+The basis is complete up to gamma_max, so the multiplicity of an eigenvalue
+and its index set J are read off its modes (``multiplicity``).
 """
 
 from __future__ import annotations
@@ -42,8 +45,8 @@ from .errors import (
 from .quadrature import ProductRule, laguerre_rule, product_rule, sphere_area
 from .specfun import alpha_from_mu, gamma_mk, laguerre_table
 
-# eq-of-integers detection for the multiplicity count: inside INT_TOL the
-# value is an integer, inside the (INT_TOL, INT_AMBIG) band it is refused.
+# the multiplicity count: a mode within INT_TOL of gamma is at gamma, one
+# inside the (INT_TOL, INT_AMBIG) band is refused.
 INT_TOL = 1e-9
 INT_AMBIG = 1e-6
 
@@ -159,24 +162,6 @@ class OUBasis:
         return _sha256(payload).hexdigest()[:16]
 
 
-def _alphas(spectrum: ang.AngularSpectrum) -> np.ndarray:
-    return np.asarray(
-        [alpha_from_mu(float(mu), spectrum.N) for mu in spectrum.eigenvalues]
-    )
-
-
-def _certify_coverage(spectrum: ang.AngularSpectrum, gamma_max: float, alphas) -> None:
-    # any j beyond the computed window has mu_j >= mu_K, hence a smaller
-    # alpha_j; it cannot reach gamma <= gamma_max even at n = 0 once
-    # -alpha_K/2 exceeds gamma_max.
-    if -alphas[-1] / 2.0 <= gamma_max:
-        raise TruncationError(
-            f"angular_count = {len(alphas)} certifies completeness only below "
-            f"-alpha_K/2 = {-alphas[-1] / 2.0}, not up to gamma_max = {gamma_max}; "
-            "raise angular_count"
-        )
-
-
 def enumerate_modes(spectrum: ang.AngularSpectrum, gamma_max: float) -> OUBasis:
     """All modes with gamma = n - alpha_j/2 <= gamma_max, certified complete.
 
@@ -188,8 +173,16 @@ def enumerate_modes(spectrum: ang.AngularSpectrum, gamma_max: float) -> OUBasis:
     zeros between blocks never set them.
     """
     ang.require_positivity(spectrum)
-    alphas = _alphas(spectrum)
-    _certify_coverage(spectrum, gamma_max, alphas)
+    alphas = np.asarray([alpha_from_mu(float(mu), spectrum.N) for mu in spectrum.eigenvalues])
+    # any j beyond the computed window has mu_j >= mu_K, hence a smaller
+    # alpha_j; it cannot reach gamma <= gamma_max even at n = 0 once
+    # -alpha_K/2 exceeds gamma_max.
+    if -alphas[-1] / 2.0 <= gamma_max:
+        raise TruncationError(
+            f"angular_count = {len(alphas)} certifies completeness only below "
+            f"-alpha_K/2 = {-alphas[-1] / 2.0}, not up to gamma_max = {gamma_max}; "
+            "raise angular_count"
+        )
     keys = sorted(
         (gamma_mk(n, alpha), j0 + 1, n)
         for j0, alpha in enumerate(alphas)
@@ -233,29 +226,25 @@ def certification_blocks(spectrum: ang.AngularSpectrum, modes) -> list:
     return out
 
 
-def multiplicity(gamma: float, spectrum: ang.AngularSpectrum):
-    """Count and index set J = {(m, k) : m - alpha_k/2 = gamma}.
+def multiplicity(gamma: float, basis: OUBasis):
+    """Count and index set J = {(n, j) : gamma_{n,j} = gamma} of the basis
+    modes, sorted by j; the basis holds every mode up to its gamma_max
+    (:func:`enumerate_modes`).
 
-    The integer test uses INT_TOL; distances inside (INT_TOL, INT_AMBIG)
-    raise DegeneracyAmbiguityError rather than silently misclassifying.
+    A mode within INT_TOL of gamma is in J; one inside the (INT_TOL,
+    INT_AMBIG) band raises DegeneracyAmbiguityError rather than silently
+    misclassifying.
     """
-    alphas = _alphas(spectrum)
-    _certify_coverage(spectrum, gamma, alphas)
     J = []
-    for k0, alpha in enumerate(alphas):
-        m_real = gamma + alpha / 2.0
-        if m_real < -INT_AMBIG:
-            continue
-        m = round(m_real)
-        dist = abs(m_real - m)
-        if dist <= INT_TOL:
-            if m >= 0:
-                J.append((int(m), k0 + 1))
-        elif dist < INT_AMBIG:
+    for mode, dist in zip(basis.modes, np.abs(basis.gammas - gamma)):
+        if INT_TOL < dist < INT_AMBIG:
             raise DegeneracyAmbiguityError(
-                f"gamma + alpha_{k0 + 1}/2 = {m_real} sits {dist} from an integer, "
+                f"mode (n={mode.n}, j={mode.j}) sits {dist} from gamma = {gamma}, "
                 f"inside the ambiguity band ({INT_TOL}, {INT_AMBIG})"
             )
+        if dist <= INT_TOL:
+            J.append((mode.n, mode.j))
+    J.sort(key=lambda mk: mk[1])
     return len(J), J
 
 

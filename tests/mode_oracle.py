@@ -16,6 +16,9 @@ gives the independent nodal route the tests compare against:
   and the basis members of ``sweep_oracle``; the gradients take their
   radial factors from ``kummer.kummer_m`` and ``kummer.closed_form_norm2``,
   not from the package's Laguerre table;
+- the multiplicity and index set J of an eigenvalue from the angular
+  spectrum alone (``spectrum_multiplicity``), where the package reads them
+  off the basis modes;
 - the dense K x K matrices the package keeps as blocks, scattered with
   zeros between them (``scatter``): the Gram and bilinear matrices
   (``certification_matrices``) and the Hardy pairings of one
@@ -54,9 +57,10 @@ from scipy.special import gammaln, lpmv, roots_genlaguerre
 from hardyheat import angular as ang
 from hardyheat import evolve as ev
 from hardyheat import ou_basis as ou
-from hardyheat.errors import ConfigurationError
+from hardyheat.errors import ConfigurationError, DegeneracyAmbiguityError, TruncationError
 from hardyheat.ou_basis import Collocation, OUBasis, _radial_rows
 from hardyheat.quadrature import ProductRule, sphere_area
+from hardyheat.specfun import alpha_from_mu
 from kummer import closed_form_norm2, kummer_m
 
 
@@ -216,6 +220,31 @@ def eval_grad_V(spectrum: ang.AngularSpectrum, modes, x: np.ndarray):
     if spectrum.eigenvectors is not None:  # else every mode is the constant psi_1
         grads += (scale * P)[..., None] * _grad_psi_rows(spectrum, modes, dirs)
     return _radial_rows(modes, spectrum.N, r) * psi, grads
+
+
+def spectrum_multiplicity(gamma: float, spectrum: ang.AngularSpectrum):
+    """Count and index set J = {(m, k) : m - alpha_k/2 = gamma}, sorted by
+    k, from the angular spectrum alone: gamma + alpha_k/2 is an integer
+    m >= 0 within ``ou.INT_TOL``, and one inside the (INT_TOL, INT_AMBIG)
+    band raises DegeneracyAmbiguityError.  TruncationError unless
+    -alpha_K/2 > gamma, so that no k past the spectrum reaches gamma."""
+    alphas = [alpha_from_mu(float(mu), spectrum.N) for mu in spectrum.eigenvalues]
+    if -alphas[-1] / 2.0 <= gamma:
+        raise TruncationError(f"-alpha_K/2 = {-alphas[-1] / 2.0} does not exceed {gamma}")
+    J = []
+    for k0, alpha in enumerate(alphas):
+        m_real = gamma + alpha / 2.0
+        if m_real < -ou.INT_AMBIG:
+            continue
+        m = round(m_real)
+        dist = abs(m_real - m)
+        if dist <= ou.INT_TOL:
+            if m >= 0:
+                J.append((int(m), k0 + 1))
+        elif dist < ou.INT_AMBIG:
+            raise DegeneracyAmbiguityError(f"gamma + alpha_{k0 + 1}/2 = {m_real} sits {dist} "
+                                           "from an integer")
+    return len(J), J
 
 
 def scatter(blocks, K: int) -> np.ndarray:

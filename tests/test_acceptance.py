@@ -112,7 +112,7 @@ def test_c5_exact_perturbed_family(spec0):
                 trace = al.frequency_trace(traj)
                 assert np.max(np.abs(trace.N - (gamma - eps * trace.t))) < 1e-8
                 # beta = 1 for every Lambda; Lambda-independence
-                _, J0 = ou.multiplicity(gamma, basis0.spectrum)
+                _, J0 = ou.multiplicity(gamma, basis0)
                 spread, (table, *_) = asym.lambda_independence(
                     traj, [0.1, 0.2, 0.3, 0.4], J0, gamma)
                 mk = next(mk for mk in table.J0
@@ -190,7 +190,7 @@ def test_c6_scaling_identity(spec0):
 def test_c7_reconstruction_convergence(basis0):
     with criterion("c7 reconstruction error rates along lambda"):
         k0, k05 = _mode(basis0, 0.0), _mode(basis0, 0.5)
-        _, J0 = ou.multiplicity(0.0, basis0.spectrum)
+        _, J0 = ou.multiplicity(0.0, basis0)
         c0 = ev.build_initial(basis0, [(k0, 1.0), (k05, 1.0)])
         traj = ev.integrate_backward(basis0, c0, math.log(1e-3), 0.005,
                                      ev.PerturbationSpec.none())
@@ -202,7 +202,7 @@ def test_c7_reconstruction_convergence(basis0):
             order = math.log2(e_big / e_small)
             assert abs(order - 2.0 * (0.5 - 0.0)) < 0.15  # 2(g2 - g1) +/- 15%
         # pure modes reconstruct to < 1e-10
-        _, J05 = ou.multiplicity(0.5, basis0.spectrum)
+        _, J05 = ou.multiplicity(0.5, basis0)
         cp = ev.build_initial(basis0, [(k05, 1.0)])
         pure = ev.integrate_backward(basis0, cp, math.log(1e-3), 0.005,
                                      ev.PerturbationSpec.none())
@@ -278,7 +278,7 @@ def test_c10_simulated_admissible_perturbation(basis0):
             c1 = ineq.coercivity_bound_constant(basis0.spectrum)
             al.run_diagnostics(traj, trace, coercivity_constant=c1)
             assert abs(trace.gamma_raw - trace.gamma_hat) < 1e-5  # snaps
-            _, J0 = ou.multiplicity(trace.gamma_hat, basis0.spectrum)
+            _, J0 = ou.multiplicity(trace.gamma_hat, basis0)
             spread, (table, *_) = asym.lambda_independence(
                 traj, [0.1, 0.2, 0.3, 0.4], J0, trace.gamma_hat)
             assert spread < 1e-5  # Lambda-independence on the bounded-h run

@@ -52,6 +52,13 @@ def traj_dense(basis0):
     return _dense_run(basis0, 0.005)
 
 
+@pytest.fixture(scope="module")
+def traj_semilinear(basis0):
+    c0 = ev.build_initial(basis0, [(_mode(basis0, 0.0), 1.0)])
+    return ev.integrate_backward(basis0, c0, math.log(1e-2), 0.01,
+                                 ev.PerturbationSpec.semilinear(0.05, 2.0, 3))
+
+
 def _dense_run(basis0, dtau):
     c0 = np.random.default_rng(5).normal(size=basis0.size)
     return ev.integrate_backward(basis0, c0, math.log(0.1), dtau,
@@ -69,7 +76,7 @@ def test_dense_run_at_coarse_step_fails_the_gate(basis0):
 def test_compute_HDN_pure_mode(traj_pure):
     traj, k = traj_pure
     # H = t^{2 gamma}, N = gamma for all t (change-of-variables oracle)
-    H, _, Nv, _ = al.compute_HDN(traj)
+    H, _, Nv = al.compute_HDN(traj)[:3]
     for i in (0, traj.size // 3, traj.size - 1):
         t = math.exp(traj.tau[i])
         np.testing.assert_allclose(H[i], t**1.0, rtol=1e-13)
@@ -108,10 +115,25 @@ def test_compute_HDN_matches_rowwise(name, request):
         tD = g @ (c * c) - t * (f @ c)
         cp = (g * c - t * f) / t
         perp = cp - ((cp @ c) / H) * c
-        ref.append((H, tD / t, tD / H, 2.0 * t * (perp @ perp) / H))
+        ref.append((H, tD / t, tD / H, 2.0 * t * (perp @ perp) / H, abs(t * (f @ c)) / H))
     np.testing.assert_array_equal(traj.t, [math.exp(tau) for tau in traj.tau])
-    for got, want in zip(al.compute_HDN(traj), np.array(ref).T):
+    for got, want in zip(al.compute_HDN(traj), np.array(ref).T, strict=True):
         np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", ["traj_dense", "traj_semilinear"])
+def test_trace_forcing_share_matches_rowwise(name, request):
+    # t |<F, c>| / H recomputed from each trace row's stored F and c, on a
+    # linear and a semilinear run: the trace carries it bit for bit
+    traj = request.getfixturevalue(name)
+    trace = al.frequency_trace(traj)
+    want = []
+    for t in trace.t:
+        row = traj.row_at_t(t)
+        c, f = traj.coeffs[row], traj.forcing[row]
+        want.append(abs(traj.t[row] * (f @ c)) / (c @ c))
+    assert np.all(trace.forcing_share > 0.0)
+    assert trace.forcing_share.tobytes() == np.array(want).tobytes()
 
 
 def test_trace_drops_underflowed_rows(traj_mix):
@@ -368,7 +390,8 @@ def test_run_diagnostics_perturbed(traj_exp, basis0):
 def test_forcing_share_gate(traj_exp, basis0):
     # h = eps is constant, so t <F, c> = eps t H on every row up to the rule's
     # Gram residual: the share ratio sits at 1, the vacuous coercivity bound
-    # is met with equality at t = 1, and a forcing 1e-5 too large fails
+    # is met with equality at t = 1, and a forcing 1e-5 too large fails on
+    # its own trace, which carries the share
     c1 = ineq.coercivity_bound_constant(basis0.spectrum)
     trace = al.frequency_trace(traj_exp)
     report = al.run_diagnostics(traj_exp, trace, coercivity_constant=c1)
@@ -376,7 +399,7 @@ def test_forcing_share_gate(traj_exp, basis0):
     assert abs(report["coercivity_margin"]) < 1e-15
     broken = replace(traj_exp, forcing=traj_exp.forcing * (1.0 + 1e-5))
     with pytest.raises(InvariantViolationError, match=r"forcing share .* row \d+ .* is 1\.00001"):
-        al.run_diagnostics(broken, trace, coercivity_constant=c1)
+        al.run_diagnostics(broken, al.frequency_trace(broken), coercivity_constant=c1)
 
 
 def test_monotonicity_violation_detection(traj_exp, basis0):

@@ -55,6 +55,23 @@ def _dense(pot, L):
 ZERO = ang.AngularPotential.harmonic_table([])
 
 
+def test_spectrum_keeps_the_galerkin_block_of_y00():
+    # the block of the solve's own assembly that holds Y_00, bit for bit, at
+    # the config's L = 16 and at L = 32, where its angular_truncation = 0
+    # twin (perfbench's aniso_auto) auto-doubles to; analytic spectra keep none
+    fixed = _anisotropic_config_spectrum()
+    auto = ang.solve_angular(fixed.potential, K=len(fixed.eigenvalues))
+    assert (fixed.truncation_degree, auto.truncation_degree) == (16, 32)
+    for spec in (fixed, auto):
+        idx, B = spec.ground_block
+        [(want_idx, want)] = [(i, M) for i, M in ang.assemble_angular(
+            spec.potential, spec.truncation_degree) if 0 in i]
+        assert np.array_equal(idx, want_idx)
+        assert B.shape == want.shape and B.tobytes() == want.tobytes()
+    for N in (3, 4, 5):
+        assert ang.solve_angular(ang.AngularPotential.constant(0.1), K=8, N=N).ground_block is None
+
+
 def test_assemble_zero_potential_diagonal():
     M = _dense(ZERO, 2)
     np.testing.assert_allclose(np.diag(M), [0, 2, 2, 2, 6, 6, 6, 6, 6], atol=1e-14)

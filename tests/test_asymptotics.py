@@ -25,8 +25,8 @@ def deep_exp(basis0):
 
 
 @pytest.fixture(scope="module")
-def J0_ground(spec0):
-    _, J0 = ou.multiplicity(0.0, spec0)
+def J0_ground(basis0):
+    _, J0 = ou.multiplicity(0.0, basis0)
     return J0
 
 
@@ -74,7 +74,7 @@ def test_beta_unperturbed_mixture(basis0, J0_ground, tau_small):
 
 def test_beta_pure_mode_bit_exact(basis0, tau_small):
     k05 = _mode(basis0, 0.5)
-    _, J05 = ou.multiplicity(0.5, basis0.spectrum)
+    _, J05 = ou.multiplicity(0.5, basis0)
     c0 = ev.build_initial(basis0, [(k05, 2.0)])  # power of two
     traj = ev.integrate_backward(basis0, c0, tau_small, 0.005,
                                  ev.PerturbationSpec.none())
@@ -88,7 +88,7 @@ def test_beta_unperturbed_returns_the_initial_coefficient(basis0, tau_small):
     # for bit, also at rows where (c0 e^{gamma tau}) / e^{gamma tau} misses it
     k = _mode(basis0, 0.5)
     mk = (basis0.modes[k].n, basis0.modes[k].j)
-    _, J05 = ou.multiplicity(0.5, basis0.spectrum)
+    _, J05 = ou.multiplicity(0.5, basis0)
     c0 = ev.build_initial(basis0, [(k, 0.7)])  # not dyadic
     traj = ev.integrate_backward(basis0, c0, tau_small, 0.005,
                                  ev.PerturbationSpec.none())
@@ -117,7 +117,7 @@ def test_beta_direct_sequences(deep_exp, basis0, J0_ground, tau_small):
     lams, seq, limit = outm[(0, 1)]
     np.testing.assert_allclose(seq, 0.7, rtol=1e-13)
     # above-minimal mode decays like lambda^{2(g' - g)}
-    _, J05 = ou.multiplicity(0.5, basis0.spectrum)
+    _, J05 = ou.multiplicity(0.5, basis0)
     out05 = asym.beta_direct(traj, [0.1, 0.2, 0.4], J05, 0.0)
     lams2, seq2, _ = out05[(0, 1) if (0, 1) in out05 else list(out05)[0]]
     # here gamma used is 0.0 but the k05 coefficient scales as lambda^{+1}
@@ -142,7 +142,7 @@ def test_resolution_error_for_shallow_trace(basis0, J0_ground, tau_small):
 
 def test_reconstruction_pure_mode(basis0, tau_small):
     k05 = _mode(basis0, 0.5)
-    _, J05 = ou.multiplicity(0.5, basis0.spectrum)
+    _, J05 = ou.multiplicity(0.5, basis0)
     c0 = ev.build_initial(basis0, [(k05, 1.0)])
     traj = ev.integrate_backward(basis0, c0, tau_small, 0.005,
                                  ev.PerturbationSpec.none())

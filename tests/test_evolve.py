@@ -651,7 +651,7 @@ def test_semilinear_end_to_end(spec0):
     traj = ev.integrate_backward(basis0, c0, math.log(1e-5), 0.01, pert)
     tr = al.frequency_trace(traj)
     assert tr.snapped and tr.gamma_hat == 0.0
-    _, J0 = ou.multiplicity(0.0, basis0.spectrum)
+    _, J0 = ou.multiplicity(0.0, basis0)
     spread, (table, *_) = asym.lambda_independence(traj, [0.1, 0.2, 0.3], J0, 0.0)
     assert spread < 1e-8
     direct = asym.beta_direct(traj, None, J0, 0.0)

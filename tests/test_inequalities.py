@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import mpmath as mp
@@ -468,6 +469,19 @@ def test_ground_block_holds_the_ground_eigenvalue():
                   for idx, B in blocks)
         q = 1.0 - 1.0 / s
         assert ground(q) == pytest.approx((1.0 - q) * mu1, rel=1e-12, abs=1e-13), s
+
+
+def test_coercivity_constant_reads_the_kept_ground_block(monkeypatch):
+    # with the Galerkin assembly barred, the constant is the float it takes
+    # on a freshly assembled Y_00 block, at L = 16 and the auto-doubled L = 32
+    fixed = _anisotropic_config_spectrum(36)
+    for spec in (fixed, ang.solve_angular(fixed.potential, K=36)):
+        fresh = next((idx, B) for idx, B in ang.assemble_angular(
+            spec.potential, spec.truncation_degree) if 0 in idx)
+        want = ineq.coercivity_bound_constant(replace(spec, ground_block=fresh))
+        with monkeypatch.context() as patch:
+            patch.setattr(ang, "assemble_angular", lambda *args: pytest.fail("assembled"))
+            assert ineq.coercivity_bound_constant(spec) == want
 
 
 @pytest.mark.parametrize("a", (0.0, 0.2))

@@ -18,7 +18,8 @@ from hardyheat.quadrature import laguerre_rule, product_rule
 from kummer import closed_form_norm2
 from mode_oracle import (SingularPointError, certification_matrices, coupling_matrix,
                          eval_grad_V, eval_V, hardy_matrix, hardy_mode_consistency,
-                         kummer_factors, potential_pairing, potential_values, radii)
+                         kummer_factors, potential_pairing, potential_values, radii,
+                         spectrum_multiplicity)
 from sweep_oracle import integrate_G, shifted_product_rule
 
 
@@ -59,27 +60,53 @@ def test_constant_tower_shift():
                                rtol=1e-12)
 
 
-def test_multiplicity_gamma_zero(spec0):
-    count, J = ou.multiplicity(0.0, spec0)
+def test_multiplicity_gamma_zero(basis0):
+    count, J = ou.multiplicity(0.0, basis0)
     assert count == 1 and J == [(0, 1)]
 
 
-def test_multiplicity_gamma_one(spec0):
+def test_multiplicity_gamma_one(basis0):
     # enumeration oracle: 1 from (m=1, l=0) plus 5 from (m=0, l=2)
-    count, J = ou.multiplicity(1.0, spec0)
+    count, J = ou.multiplicity(1.0, basis0)
     assert count == 6
     ks = sorted(k for _, k in J)
     assert ks == [1, 5, 6, 7, 8, 9]
 
 
 def test_multiplicity_perturbed_off_halfintegers(spec01):
-    count, J = ou.multiplicity(0.5, spec01)
+    count, J = ou.multiplicity(0.5, ou.enumerate_modes(spec01, 2.0))
     assert count == 0 and J == []
 
 
+def _config_basis(name: str) -> ou.OUBasis:
+    cfg = RunConfig.from_file(str(Path(__file__).parents[1] / "configs" / name))
+    spec = ang.solve_angular(parse_potential(cfg), L=cfg.angular_truncation,
+                             K=cfg.angular_count, N=cfg.dimension)
+    return ou.enumerate_modes(spec, cfg.gamma_max)
+
+
+def test_multiplicity_matches_the_spectrum_oracle(basis0, spec01):
+    # at every distinct eigenvalue of each basis, the modes within INT_TOL
+    # are the (m, k) the spectrum-side count finds, in the same order
+    bases = [basis0, ou.enumerate_modes(spec01, 2.0), _config_basis("anisotropic.ini")]
+    for N in (4, 5):
+        K = sum(ang.harmonic_multiplicity(l, N) for l in range(5)) + 1
+        for a in (0.0, 0.2):
+            spec = ang.solve_angular(ang.AngularPotential.constant(a), K=K, N=N)
+            bases.append(ou.enumerate_modes(spec, 2.0))
+    for basis in bases:
+        # J is sorted by k whatever the order of the modes
+        backward = ou.OUBasis(basis.spectrum, basis.modes[::-1], 0.0, 0.0)
+        for g in sorted(set(basis.gammas.tolist())):
+            count, J = ou.multiplicity(g, basis)
+            assert (count, J) == spectrum_multiplicity(g, basis.spectrum), (basis.N, g)
+            assert count >= 1 and ou.multiplicity(g, backward) == (count, J)
+
+
 def test_multiplicity_ambiguity_band():
-    # fabricate a spectrum whose alpha sits 1e-8 off an integer condition
-    mu = -1e-8  # alpha ~ -mu  => gamma + alpha/2 = -5e-9 inside (1e-9, 1e-6)
+    # fabricate a spectrum whose alpha sits 1e-8 off an integer condition:
+    # its ground mode's gamma = -alpha/2 is -5e-9, inside (1e-9, 1e-6) of 0
+    mu = -1e-8  # alpha ~ -mu
     spec = ang.AngularSpectrum(
         N=3,
         potential=ang.AngularPotential.constant(0.0),
@@ -89,8 +116,13 @@ def test_multiplicity_ambiguity_band():
         truncation_degree=5,
         residual_bound=0.0,
     )
-    with pytest.raises(DegeneracyAmbiguityError):
-        ou.multiplicity(0.0, spec)
+    basis = ou.enumerate_modes(spec, 1.0)
+    assert [(m.n, m.j) for m in basis.modes] == [(0, 1), (1, 1)]
+    for gamma in (0.0, 1.0):
+        with pytest.raises(DegeneracyAmbiguityError, match=r"mode \(n=\d, j=1\) .* band"):
+            ou.multiplicity(gamma, basis)
+        with pytest.raises(DegeneracyAmbiguityError):
+            spectrum_multiplicity(gamma, spec)
 
 
 def test_coverage_certification_error(spec0):

@@ -60,22 +60,22 @@ RADIAL_CASES = {
 }
 
 
-def _beta(cfg, spec, traj):
+def _beta(cfg, traj):
     trace = al.frequency_trace(traj, cfg.fit_decades)
     assert trace.snapped
-    _, J0 = ou.multiplicity(trace.gamma_hat, spec)
+    _, J0 = ou.multiplicity(trace.gamma_hat, traj.basis)
     _, tables = asym.lambda_independence(traj, cfg.lambda_grid, J0, trace.gamma_hat)
     return tables[0].beta
 
 
 @pytest.fixture(scope="module", params=sorted(RADIAL_CASES))
 def reduced_and_full(request):
-    """(cfg, spec, the CLI's trajectory, the same run on the product rule:
+    """(cfg, the CLI's trajectory, the same run on the product rule:
     the semilinear march, or a linear h at every node by the tests' nodal
     oracle)."""
     path, overrides = RADIAL_CASES[request.param]
     cfg = _config(path, **overrides)
-    spec, basis = cli._spectrum_and_basis(cfg)
+    _, basis = cli._spectrum_and_basis(cfg)
     reduced = cli._trajectory(cfg, basis)
     pert, c0 = parse_perturbation(cfg), parse_initial(cfg, basis)
     if pert.kind == "linear":
@@ -85,20 +85,20 @@ def reduced_and_full(request):
         with product_route():
             full = ev.integrate_backward(basis, c0, cfg.tau_min, cfg.dtau, pert,
                                          n_r=cfg.radial_nodes)
-    return cfg, spec, reduced, full
+    return cfg, reduced, full
 
 
 def test_reduced_run_matches_the_product_rule(reduced_and_full):
     # measured: rows within 5.4e-19 (semilinear) and 2.6e-18 (bounded_h),
     # beta bit for bit; at a = 0 the radial block is matched by the product
     # rule's own radial rule
-    cfg, spec, reduced, full = reduced_and_full
+    cfg, reduced, full = reduced_and_full
     assert len(full.rule.rule.angular_dirs) > 1
     assert isinstance(reduced.rule, ou.MatchedBlocks)
     assert len(reduced.rule.weights) == cfg.radial_nodes
     assert not np.any(reduced.coeffs[:, ~ou.radial_modes(reduced.basis)])
     assert np.max(np.abs(reduced.coeffs - full.coeffs)) <= 1e-15
-    beta, beta_full = _beta(cfg, spec, reduced), _beta(cfg, spec, full)
+    beta, beta_full = _beta(cfg, reduced), _beta(cfg, full)
     assert beta.keys() == beta_full.keys()
     for mk, value in beta_full.items():
         assert abs(beta[mk] - value) <= 1e-14 * abs(value)
@@ -277,12 +277,12 @@ def test_hardy_potential_semilinear_run_on_the_matched_block(tmp_path, monkeypat
     assert (freq["collocation_rule"], freq["collocation_nodes"]) == ("matched", cfg.radial_nodes)
     assert freq["collocation_gram_residual"] <= 1e-14
     beta = json.loads((tmp_path / "beta.json").read_text())["beta"]["beta"]
-    spec, basis = cli._spectrum_and_basis(cfg)
+    _, basis = cli._spectrum_and_basis(cfg)
     pert, c0 = parse_perturbation(cfg), parse_initial(cfg, basis)
     # the oracle rule forces in place of the run's matched block
     monkeypatch.setattr(ev, "matched_blocks",
                         lambda basis, rows, n_r: IntegrandExponentRule(basis, pert.p, n_r))
-    oracle = [_beta(cfg, spec, ev.integrate_backward(
+    oracle = [_beta(cfg, ev.integrate_backward(
         basis, c0, cfg.tau_min, cfg.dtau, pert, n_r=n_r))
         for n_r in (16, cfg.radial_nodes)]
     assert list(beta) == ["0,1"] and list(oracle[0]) == [(0, 1)]

@@ -7,7 +7,7 @@ package imports no scipy and its commands load none and no numpy.ma, the
 package reads no numpy.random and no command loads it or OpenSSL (neither
 ``hashlib`` nor ``_hashlib``: their SHA-256 is CPython's own, equal to
 OpenSSL's), and ``verify`` evaluates no test function at a node: every
-sweep is closed form."""
+sweep is closed form; and pyproject's version is the package's."""
 
 import ast
 import dataclasses
@@ -37,7 +37,7 @@ DEAD_BUCKETS = {"evolve.forcing_coefficients_scaled", "almgren.check_scaling",
                 "angular.eval_grad_psi_block", "ou_basis.eval_V", "ou_basis.eval_grad_V",
                 "inequalities.coercivity_infimum", "inequalities.hardy_mode_consistency",
                 "quadrature.zonal_rule", "ou_basis.hardy_matrix",
-                "ou_basis.potential_coupling_matrix"}
+                "ou_basis.potential_coupling_matrix", "almgren.empirical_forcing_allowance"}
 # package functions no command enters on the shipped configs, and why each stays
 UNREACHED = {
     "errors.AccuracyError.__init__": "runs when a gate fails; no shipped config fails one",
@@ -73,6 +73,13 @@ def test_perfbench_names_resolve_to_public_callables():
     assert len(names) > 20
     unresolved = {name for name in names if not _resolves(name)}
     assert unresolved <= DEAD_BUCKETS, sorted(unresolved - DEAD_BUCKETS)
+
+
+def test_pyproject_version_is_the_package_version():
+    # every output's meta carries __version__, and pyproject.toml holds a
+    # second copy (read by regex: Python 3.10 has no tomllib)
+    text = (SRC.parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.findall(r'(?m)^version\s*=\s*"([^"]*)"', text) == [hardyheat.__version__]
 
 
 def test_every_config_key_is_read():
